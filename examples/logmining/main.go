@@ -60,7 +60,7 @@ func main() {
 	for _, e := range events {
 		d := f.Disks[e.Disk]
 		fmt.Printf("  %-30s disk %s (model %s, system %d, shelf %d, RAID group %d)\n",
-			e.Type, d.Serial, d.Model, e.System, e.Shelf, e.Group)
+			e.Type, fleet.Serial(d.ID), f.Systems[d.System].DiskModel, e.System, e.Shelf, e.Group)
 	}
 	if dropped > 0 {
 		fmt.Printf("  (%d unresolvable)\n", dropped)

@@ -138,17 +138,19 @@ func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 		ShelfModel: string(sys.ShelfModel),
 		DiskModel:  sys.DiskModel.String(),
 	}
+	// Systems are homogeneous: every shelf and disk record carries the
+	// system's models.
 	for _, shelfID := range sys.Shelves {
 		shelf := f.Shelves[shelfID]
-		ss := SnapshotShelf{Index: shelf.Index, Model: string(shelf.Model)}
+		ss := SnapshotShelf{Index: shelf.Index, Model: snap.ShelfModel}
 		for _, diskID := range shelf.Disks {
 			d := f.Disks[diskID]
 			if d.Install > at || d.Remove <= at {
 				continue // not resident at snapshot time
 			}
 			ss.Disks = append(ss.Disks, SnapshotDisk{
-				Serial:    d.Serial,
-				Model:     d.Model.String(),
+				Serial:    fleet.Serial(d.ID),
+				Model:     snap.DiskModel,
 				Slot:      d.Slot,
 				RAIDGroup: d.RAIDGrp,
 			})

@@ -26,13 +26,13 @@ func craftedFleet() *fleet.Fleet {
 		f.Groups = append(f.Groups, g)
 		sys.RAIDGroups = []int{g.ID}
 		for s := 0; s < shelves; s++ {
-			shelf := &fleet.Shelf{ID: len(f.Shelves), System: sys.ID, Index: s, Model: fleet.ShelfB}
+			shelf := &fleet.Shelf{ID: len(f.Shelves), System: sys.ID, Index: s}
 			f.Shelves = append(f.Shelves, shelf)
 			sys.Shelves = append(sys.Shelves, shelf.ID)
 			for i := 0; i < disksPerShelf; i++ {
 				d := &fleet.Disk{
 					ID: len(f.Disks), System: sys.ID, Shelf: shelf.ID, Slot: i,
-					RAIDGrp: g.ID, Model: model,
+					RAIDGrp: g.ID,
 					Install: 0, Remove: simtime.StudyDuration,
 				}
 				f.Disks = append(f.Disks, d)

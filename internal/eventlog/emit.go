@@ -37,6 +37,7 @@ func (em *Emitter) Emit(e failmodel.Event) []Message {
 	d := em.fleet.Disks[e.Disk]
 	shelf := em.fleet.Shelves[e.Shelf]
 	dev := DeviceAddress(shelf.Index, d.Slot)
+	serial := fleet.Serial(d.ID)
 	occurred := simtime.ToWall(e.Time)
 	detected := simtime.ToWall(e.Detected)
 
@@ -54,7 +55,7 @@ func (em *Emitter) Emit(e failmodel.Event) []Message {
 			Tag:      tag,
 			Severity: sev,
 			Device:   dev,
-			Serial:   d.Serial,
+			Serial:   serial,
 			Text:     text,
 		})
 	}
@@ -78,7 +79,7 @@ func (em *Emitter) Emit(e failmodel.Event) []Message {
 		}
 		step(46*time.Second, "scsi.cmd.noMorePaths", Error,
 			fmt.Sprintf("Device %s: No more paths to device. All retries have failed.", dev))
-		em.raidStep(&msgs, e, detected, dev, d.Serial)
+		em.raidStep(&msgs, e, detected, dev, serial)
 
 	case failmodel.DiskFailure:
 		step(0, "disk.ioMediumError", Error,
@@ -86,22 +87,22 @@ func (em *Emitter) Emit(e failmodel.Event) []Message {
 		step(22*time.Second, "scsi.cmd.checkCondition", Error,
 			fmt.Sprintf("Device %s: check condition: sense key Medium Error.", dev))
 		step(60*time.Second, "shm.threshold.exceeded", Warning,
-			fmt.Sprintf("Disk %s S/N [%s] has exceeded its failure-prediction threshold.", dev, d.Serial))
-		em.raidStep(&msgs, e, detected, dev, d.Serial)
+			fmt.Sprintf("Disk %s S/N [%s] has exceeded its failure-prediction threshold.", dev, serial))
+		em.raidStep(&msgs, e, detected, dev, serial)
 
 	case failmodel.Protocol:
 		step(0, "scsi.cmd.protocolViolation", Error,
 			fmt.Sprintf("Device %s: unexpected response for tagged command; protocol violation suspected.", dev))
 		step(9*time.Second, "disk.driver.incompatible", Error,
 			fmt.Sprintf("Device %s: firmware/driver handshake failed (%s).", dev, e.Cause))
-		em.raidStep(&msgs, e, detected, dev, d.Serial)
+		em.raidStep(&msgs, e, detected, dev, serial)
 
 	case failmodel.Performance:
 		step(0, "disk.slowIO", Warning,
 			fmt.Sprintf("Device %s: I/O completion time above threshold.", dev))
 		step(31*time.Second, "scsi.cmd.retry", Warning,
 			fmt.Sprintf("Device %s: retrying delayed I/O request.", dev))
-		em.raidStep(&msgs, e, detected, dev, d.Serial)
+		em.raidStep(&msgs, e, detected, dev, serial)
 	}
 	return msgs
 }

@@ -119,7 +119,7 @@ func TestEmitChainShapes(t *testing.T) {
 			if !last.Time.Equal(simtime.ToWall(e.Detected)) {
 				t.Fatal("RAID event not at detection time")
 			}
-			if last.Serial != res.Fleet.Disks[e.Disk].Serial {
+			if last.Serial != fleet.Serial(e.Disk) {
 				t.Fatal("RAID event lost the disk serial")
 			}
 		}
@@ -231,6 +231,70 @@ func TestResolveUnknownSerial(t *testing.T) {
 	events, dropped := rv.ResolveAll([]ParsedFailure{{Serial: "NO-SUCH"}})
 	if len(events) != 0 || dropped != 1 {
 		t.Error("ResolveAll must count unresolvable records")
+	}
+}
+
+// TestResolverMatchesSerialIndex pins NewResolver to the serial index
+// it replaced (a map from every disk's serial to its ID, built when the
+// resolver was made): mining a rendered log with unknown serials
+// injected resolves the same disks and drops exactly the injected
+// records.
+func TestResolverMatchesSerialIndex(t *testing.T) {
+	res := smallRun(t)
+	f := res.Fleet
+	index := make(map[string]int, len(f.Disks))
+	for _, d := range f.Disks {
+		index[fleet.Serial(d.ID)] = d.ID
+	}
+
+	unknown := []string{
+		strings.ToLower(fleet.Serial(10)), // lowercase
+		"S" + fleet.Serial(10)[2:],        // one digit short
+		"S0" + fleet.Serial(10)[1:],       // one digit of extra padding
+		fleet.Serial(len(f.Disks)),        // the next disk, not yet installed
+		"SFFFFFFFFFFFFFFFF",               // ID -1 as a signed int
+		"NO-SUCH",
+		"",
+	}
+	var text strings.Builder
+	em := NewEmitter(f)
+	for _, e := range res.Events {
+		for _, m := range em.Emit(e) {
+			text.WriteString(m.Render())
+			text.WriteByte('\n')
+		}
+	}
+	at := simtime.ToWall(simtime.StudyDuration / 2)
+	for _, s := range unknown {
+		m := Message{Time: at, Tag: TagRAIDDiskFailed, Severity: Info,
+			Text: "Disk 8.24 S/N [" + s + "] failed; starting reconstruction."}
+		text.WriteString(m.Render())
+		text.WriteByte('\n')
+	}
+
+	msgs, malformed, err := ParseLog(strings.NewReader(text.String()))
+	if err != nil || malformed != 0 {
+		t.Fatalf("parse: %d malformed, err %v", malformed, err)
+	}
+	failures := Classify(msgs)
+	rv := NewResolver(f)
+	wantDropped := 0
+	for _, p := range failures {
+		id, known := index[p.Serial]
+		if !known {
+			wantDropped++
+		}
+		e, ok := rv.Resolve(p)
+		if ok != known || (ok && e.Disk != id) {
+			t.Fatalf("serial %q resolved to (disk %d, %v), index says (%d, %v)", p.Serial, e.Disk, ok, id, known)
+		}
+	}
+	events, dropped := rv.ResolveAll(failures)
+	if dropped != wantDropped || dropped != len(unknown) {
+		t.Fatalf("dropped %d, index drops %d, injected %d", dropped, wantDropped, len(unknown))
+	}
+	if len(events) != len(res.VisibleEvents()) {
+		t.Fatalf("mined %d events, ground truth has %d visible", len(events), len(res.VisibleEvents()))
 	}
 }
 

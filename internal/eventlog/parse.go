@@ -160,17 +160,15 @@ func Classify(msgs []Message) []ParsedFailure {
 // Resolver maps parsed failures back to fleet identities via disk serial
 // numbers, reconstructing analyzable events.
 type Resolver struct {
-	fleet    *fleet.Fleet
-	bySerial map[string]int
+	fleet *fleet.Fleet
+	disks int // len(fleet.Disks) when the resolver was made
 }
 
-// NewResolver indexes the fleet's disks by serial number.
+// NewResolver returns a resolver over the disks the fleet holds now: a
+// serial resolves when it is exactly fleet.Serial of one of them. A
+// serial encodes its disk ID, so no index is built.
 func NewResolver(f *fleet.Fleet) *Resolver {
-	idx := make(map[string]int, len(f.Disks))
-	for _, d := range f.Disks {
-		idx[d.Serial] = d.ID
-	}
-	return &Resolver{fleet: f, bySerial: idx}
+	return &Resolver{fleet: f, disks: len(f.Disks)}
 }
 
 // Resolve converts a parsed failure into a failure event bound to fleet
@@ -179,7 +177,7 @@ func NewResolver(f *fleet.Fleet) *Resolver {
 // what the paper's analyses consume. It reports false if the serial is
 // unknown.
 func (rv *Resolver) Resolve(p ParsedFailure) (failmodel.Event, bool) {
-	id, ok := rv.bySerial[p.Serial]
+	id, ok := fleet.ParseSerial(p.Serial, rv.disks)
 	if !ok {
 		return failmodel.Event{}, false
 	}

@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"strings"
-
-	"storagesubsys/internal/stats"
-)
+import "storagesubsys/internal/stats"
 
 // This file implements the parallel fleet construction substrate: each
 // build worker owns a private buildArena of value slabs (systems,
@@ -63,22 +59,9 @@ func (a *buildArena) reserve(systems, shelves, disks, groups int) {
 // splice renumbers the arena's components with the given global base
 // offsets and installs them into the fleet's pre-sized component slices.
 // Workers splice disjoint index ranges, so concurrent splices need no
-// synchronization. Serials are packed into one shared string per arena
-// (IDs are consecutive, so offsets are recomputable from serialLen) —
-// the build performs no per-disk string allocation.
+// synchronization.
 func (a *buildArena) splice(f *Fleet, sysBase, shelfBase, diskBase, groupBase int) {
-	var sb strings.Builder
-	total := 0
-	for i := range a.disks {
-		total += serialLen(diskBase + i)
-	}
-	sb.Grow(total)
-	var sbuf [24]byte
-	for i := range a.disks {
-		sb.Write(appendSerial(sbuf[:0], diskBase+i))
-	}
-	serials := sb.String()
-
+	a.trim()
 	for i := range a.shelfIDs {
 		a.shelfIDs[i] += shelfBase
 	}
@@ -92,7 +75,6 @@ func (a *buildArena) splice(f *Fleet, sysBase, shelfBase, diskBase, groupBase in
 		a.memberIDs[i] += diskBase
 	}
 
-	off := 0
 	for i := range a.disks {
 		d := &a.disks[i]
 		d.ID += diskBase
@@ -101,9 +83,6 @@ func (a *buildArena) splice(f *Fleet, sysBase, shelfBase, diskBase, groupBase in
 		if d.RAIDGrp >= 0 {
 			d.RAIDGrp += groupBase
 		}
-		n := serialLen(d.ID)
-		d.Serial = serials[off : off+n]
-		off += n
 		f.Disks[d.ID] = d
 	}
 	for i := range a.systems {
@@ -128,6 +107,26 @@ func (a *buildArena) splice(f *Fleet, sysBase, shelfBase, diskBase, groupBase in
 		f.Groups[g.ID] = g
 	}
 }
+
+// trim moves every slab the fleet keeps into an allocation of exactly
+// its length. reserve sizes slabs from profile means with headroom, and
+// once the fleet points into a slab the whole allocation stays resident
+// for the fleet's lifetime: untrimmed, a built fleet held about a
+// quarter more memory than ApproxBytes charges for it. Copying the
+// slabs of flat values is cheap next to building them.
+func (a *buildArena) trim() {
+	a.systems = exact(a.systems)
+	a.shelves = exact(a.shelves)
+	a.disks = exact(a.disks)
+	a.groups = exact(a.groups)
+	a.shelfIDs = exact(a.shelfIDs)
+	a.groupIDs = exact(a.groupIDs)
+	a.diskIDs = exact(a.diskIDs)
+	a.memberIDs = exact(a.memberIDs)
+}
+
+// exact returns a copy of s whose capacity is its length.
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
 // subslice materializes a span as a capacity-capped view of its slab, so
 // a later append (CommitReplacements growing Shelf.Disks) reallocates

@@ -61,8 +61,8 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 // the seed by (class, system ordinal), so shard boundaries never perturb
 // the draws. Arenas are then renumbered with global base offsets and
 // spliced into the fleet in shard order, which reassigns exactly the IDs
-// (and serials) a serial build would have: every worker count produces a
-// bit-identical Fleet.
+// a serial build would have: every worker count produces a bit-identical
+// Fleet.
 func BuildWorkers(profiles []ClassProfile, scale float64, seed int64, workers int) *Fleet {
 	if scale <= 0 {
 		panic("fleet: scale must be positive")
@@ -249,7 +249,7 @@ func (w *buildWorker) buildSystem(p *ClassProfile, weights []float64, r *stats.R
 	for si := 0; si < numShelves; si++ {
 		shelfLocal := len(a.shelves)
 		a.shelves = append(a.shelves, Shelf{
-			ID: shelfLocal, System: sysLocal, Index: si, Model: cfg.Shelf,
+			ID: shelfLocal, System: sysLocal, Index: si,
 		})
 		a.shelfIDs = append(a.shelfIDs, shelfLocal)
 		a.shelfDisk = append(a.shelfDisk, onwardSpan(a.diskIDs))
@@ -274,7 +274,6 @@ func (w *buildWorker) buildSystem(p *ClassProfile, weights []float64, r *stats.R
 				Shelf:   shelfLocal,
 				Slot:    slot,
 				RAIDGrp: -1,
-				Model:   cfg.Disk,
 				Install: install,
 				Remove:  simtime.StudyDuration,
 			})

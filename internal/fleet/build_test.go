@@ -53,7 +53,7 @@ func assertFleetsIdentical(t *testing.T, ref, got *Fleet, workers int) {
 	}
 	for i := range ref.Shelves {
 		a, b := ref.Shelves[i], got.Shelves[i]
-		if a.ID != b.ID || a.System != b.System || a.Index != b.Index || a.Model != b.Model ||
+		if a.ID != b.ID || a.System != b.System || a.Index != b.Index ||
 			!intsEqual(a.Disks, b.Disks) {
 			t.Fatalf("workers=%d: shelf %d differs:\n got %+v\nwant %+v", workers, i, b, a)
 		}
@@ -74,7 +74,10 @@ func assertFleetsIdentical(t *testing.T, ref, got *Fleet, workers int) {
 }
 
 // fleetDigest hashes every field of every component in ID order, so two
-// fleets digest equal iff they are bit-identical topologies.
+// fleets digest equal iff they are bit-identical topologies. Shelf and
+// disk models and disk serials are hashed from the derived values, in
+// the byte order the digests were recorded with when they were stored
+// per component.
 func fleetDigest(f *Fleet) uint64 {
 	h := fnv.New64a()
 	w := func(vs ...int) {
@@ -93,13 +96,13 @@ func fleetDigest(f *Fleet) uint64 {
 	}
 	for _, sh := range f.Shelves {
 		w(sh.ID, sh.System, sh.Index)
-		h.Write([]byte(sh.Model))
+		h.Write([]byte(f.Systems[sh.System].ShelfModel))
 		w(sh.Disks...)
 	}
 	for _, d := range f.Disks {
 		w(d.ID, d.System, d.Shelf, d.Slot, d.RAIDGrp, int(d.Install), int(d.Remove))
-		h.Write([]byte(d.Serial))
-		h.Write([]byte(d.Model.String()))
+		h.Write(AppendSerial(nil, d.ID))
+		h.Write([]byte(f.Systems[d.System].DiskModel.String()))
 	}
 	for _, g := range f.Groups {
 		w(g.ID, g.System, int(g.Type), g.ShelvesSpanned)
@@ -144,8 +147,8 @@ func TestBuildGoldenDigest(t *testing.T) {
 // TestBuildSpliceOrder checks the renumbering invariants the splice
 // phase guarantees: components are indexed by ID, classes appear in
 // profile order, every system's shelves / disks / groups occupy
-// contiguous ID ranges in system order, and serials encode the final
-// disk IDs.
+// contiguous ID ranges in system order, and every disk's serial
+// resolves back to its final ID.
 func TestBuildSpliceOrder(t *testing.T) {
 	f := BuildDefaultWorkers(0.02, 42, 3)
 	for i, s := range f.Systems {
@@ -196,8 +199,8 @@ func TestBuildSpliceOrder(t *testing.T) {
 		if d.ID != i {
 			t.Fatalf("disk at index %d has ID %d", i, d.ID)
 		}
-		if want := fmt.Sprintf("S%08X", d.ID); d.Serial != want {
-			t.Fatalf("disk %d serial %q, want %q", d.ID, d.Serial, want)
+		if id, ok := ParseSerial(Serial(d.ID), len(f.Disks)); !ok || id != d.ID {
+			t.Fatalf("disk %d serial %q resolves to (%d, %v)", d.ID, Serial(d.ID), id, ok)
 		}
 	}
 	for _, g := range f.Groups {
@@ -216,16 +219,16 @@ func TestSerialEncoding(t *testing.T) {
 		1 << 32, 1<<40 - 1}
 	for _, id := range ids {
 		want := fmt.Sprintf("S%08X", id)
-		if got := serialFor(id); got != want {
-			t.Errorf("serialFor(%d) = %q, want %q", id, got, want)
+		if got := Serial(id); got != want {
+			t.Errorf("Serial(%d) = %q, want %q", id, got, want)
 		}
 		if got := serialLen(id); got != len(want) {
 			t.Errorf("serialLen(%d) = %d, want %d", id, got, len(want))
 		}
 	}
-	buf := appendSerial(nil, 0xAB)
-	if string(buf) != "S000000AB" {
-		t.Errorf("appendSerial = %q", buf)
+	buf := AppendSerial([]byte("x"), 0xAB)
+	if string(buf) != "xS000000AB" {
+		t.Errorf("AppendSerial = %q", buf)
 	}
 }
 
@@ -283,8 +286,8 @@ func TestBuildSmallMeanProfile(t *testing.T) {
 }
 
 // TestBuildAllocBudget bounds steady-state build allocations, PR 2
-// budget-test style. Outputs live in per-worker slabs and serials in one
-// packed string per arena, so the allocation count is a small constant —
+// budget-test style. Outputs live in per-worker slabs and serials are
+// derived, never stored, so the allocation count is a small constant —
 // independent of the system count — rather than the O(disks) of the
 // legacy builder (which allocated ~90k times for this population's
 // 0.01-scale half, dominated by a per-system map pre-sized to the whole

@@ -15,12 +15,12 @@ import "unsafe"
 // slabs and every ID slice (shelf mount lists, system shelf/group
 // lists, RAID group membership) is duplicated, so simulating against
 // the clone — failing disks, committing replacements, Reset — never
-// touches the original. Serial strings are shared; they are immutable.
+// touches the original.
 //
 // Cloning a pristine as-built fleet yields a fleet indistinguishable
 // from one freshly built with the same profiles, scale, and seed:
-// every ID, serial, and install time is equal, so a trial run on a
-// clone produces bit-identical output to one run on the original
+// every ID and install time is equal, so a trial run on a clone
+// produces bit-identical output to one run on the original
 // (TestCloneTrialEquivalence pins this).
 func (f *Fleet) Clone() *Fleet {
 	nf := &Fleet{
@@ -58,10 +58,12 @@ func (f *Fleet) Clone() *Fleet {
 }
 
 // ApproxBytes estimates the fleet's resident memory: component struct
-// slabs, pointer indexes, and ID slices. It deliberately counts the
-// state a Clone duplicates (serial string backing bytes, which clones
-// share, are excluded), so a byte-budgeted fleet cache charging one
-// ApproxBytes per cached pristine fleet approximates its real cost.
+// slabs, pointer indexes, and ID slices — everything the fleet stores,
+// since disk serials and models are derived rather than held. Built
+// fleets and clones both keep their slabs at exact length, so a
+// byte-budgeted fleet cache charging one ApproxBytes per cached fleet
+// tracks its real cost (TestApproxBytesMatchesHeap pins a build within
+// 10% of its measured heap growth).
 func (f *Fleet) ApproxBytes() int {
 	const ptr = int(unsafe.Sizeof(uintptr(0)))
 	n := len(f.Systems)*(int(unsafe.Sizeof(System{}))+ptr) +

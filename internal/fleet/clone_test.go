@@ -5,7 +5,9 @@
 package fleet_test
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"storagesubsys/internal/failmodel"
@@ -84,5 +86,27 @@ func TestApproxBytesGrowsWithScale(t *testing.T) {
 	large := fleet.BuildDefault(0.004, 11).ApproxBytes()
 	if small <= 0 || large <= small {
 		t.Fatalf("ApproxBytes not monotone in population: %d (0.002) vs %d (0.004)", small, large)
+	}
+}
+
+// TestApproxBytesMatchesHeap keeps the fleet cache's byte budget honest:
+// ApproxBytes of a freshly built fleet must be within 10% of the heap
+// the build actually leaves live.
+func TestApproxBytesMatchesHeap(t *testing.T) {
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	f := fleet.BuildDefault(0.05, 53)
+	grown := float64(live()) - float64(before)
+	approx := float64(f.ApproxBytes())
+	runtime.KeepAlive(f)
+	if rel := math.Abs(approx-grown) / grown; rel > 0.10 {
+		t.Errorf("ApproxBytes %.0f vs measured heap growth %.0f: off by %.1f%%, budget 10%%",
+			approx, grown, 100*rel)
 	}
 }

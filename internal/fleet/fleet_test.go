@@ -19,7 +19,7 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatal("same seed must build the same fleet")
 	}
 	for i := range a.Disks {
-		if a.Disks[i].Model != b.Disks[i].Model || a.Disks[i].Shelf != b.Disks[i].Shelf {
+		if a.Disks[i].System != b.Disks[i].System || a.Disks[i].Shelf != b.Disks[i].Shelf {
 			t.Fatal("disk placement must be deterministic")
 		}
 	}
@@ -238,14 +238,14 @@ func TestAddReplacementDisk(t *testing.T) {
 	at := simtime.Seconds(1000000)
 	id := f.AddReplacementDisk(orig, at)
 	nd := f.Disks[id]
-	if nd.Model != orig.Model || nd.Shelf != orig.Shelf || nd.Slot != orig.Slot || nd.RAIDGrp != orig.RAIDGrp {
-		t.Error("replacement must inherit model/shelf/slot/group")
+	if nd.System != orig.System || nd.Shelf != orig.Shelf || nd.Slot != orig.Slot || nd.RAIDGrp != orig.RAIDGrp {
+		t.Error("replacement must inherit system/shelf/slot/group")
 	}
 	if nd.Install != at || nd.Remove != simtime.StudyDuration {
 		t.Error("replacement residency wrong")
 	}
-	if nd.Serial == orig.Serial {
-		t.Error("replacement must have a fresh serial")
+	if nd.ID == orig.ID {
+		t.Error("replacement must have a fresh ID")
 	}
 	found := false
 	for _, did := range f.Shelves[orig.Shelf].Disks {
@@ -286,8 +286,10 @@ func TestReplacementArenaCommit(t *testing.T) {
 	if f.Disks[d1.ID] != d1 || f.Disks[d2.ID] != d2 {
 		t.Fatal("committed disks not indexed by final ID")
 	}
-	if d1.Serial == "" || d1.Serial == d2.Serial {
-		t.Fatal("commit must assign fresh distinct serials")
+	for _, d := range []*Disk{d1, d2} {
+		if id, ok := ParseSerial(Serial(d.ID), len(f.Disks)); !ok || id != d.ID {
+			t.Fatalf("committed replacement %d: serial resolves to (%d, %v)", d.ID, id, ok)
+		}
 	}
 	shelf := f.Shelves[origA.Shelf]
 	if got := shelf.Disks[len(shelf.Disks)-1]; got != d1.ID && got != d2.ID {
@@ -301,8 +303,8 @@ func TestDiskYearsAndCounts(t *testing.T) {
 	if all <= 0 {
 		t.Fatal("fleet disk-years must be positive")
 	}
-	sata := f.DiskYears(func(d *Disk) bool { return d.Model.Type == SATA })
-	fc := f.DiskYears(func(d *Disk) bool { return d.Model.Type == FC })
+	sata := f.DiskYears(func(d *Disk) bool { return f.Systems[d.System].DiskModel.Type == SATA })
+	fc := f.DiskYears(func(d *Disk) bool { return f.Systems[d.System].DiskModel.Type == FC })
 	if math.Abs(sata+fc-all) > 1e-6 {
 		t.Error("SATA + FC disk-years must sum to the total")
 	}

@@ -1,14 +1,17 @@
 package fleet
 
+import "strconv"
+
 // Disk serials are "S" followed by the disk's fleet ID in uppercase hex,
 // zero-padded to at least 8 digits — the historical fmt.Sprintf("S%08X",
-// id) format, produced here by a fixed-width encoder so the build and
-// replacement paths never pay fmt's reflection overhead (per-disk
-// Sprintf was a measurable slice of full-scale fleet construction).
+// id) format. A serial is a pure function of the disk ID, so the fleet
+// stores none: Serial derives one on demand, AppendSerial writes one
+// into a caller's buffer, and ParseSerial inverts the encoding for log
+// mining.
 
 const serialHexDigits = "0123456789ABCDEF"
 
-// serialLen returns len(serialFor(id)): 1 for the "S" prefix plus the
+// serialLen returns len(Serial(id)): 1 for the "S" prefix plus the
 // zero-padded hex width. IDs below 2^32 — every fleet built at any
 // feasible scale — encode in exactly 9 bytes; wider IDs widen the field
 // just as %X would.
@@ -25,12 +28,12 @@ func serialLen(id int) int {
 	return n + 1
 }
 
-// appendSerial appends the serial for the given non-negative disk ID to
+// AppendSerial appends the serial for the given non-negative disk ID to
 // dst and returns the extended slice. It allocates only if dst lacks
 // capacity.
 //
 //detlint:hotpath
-func appendSerial(dst []byte, id int) []byte {
+func AppendSerial(dst []byte, id int) []byte {
 	digits := serialLen(id) - 1
 	dst = append(dst, 'S')
 	for i := digits - 1; i >= 0; i-- {
@@ -39,10 +42,27 @@ func appendSerial(dst []byte, id int) []byte {
 	return dst
 }
 
-// serialFor returns the serial string for one disk ID. Bulk paths
-// (buildArena.splice) pack all serials into a single shared string
-// instead; this form is for one-off replacements.
-func serialFor(id int) string {
+// Serial returns the serial of the disk with the given non-negative ID.
+func Serial(id int) string {
 	var buf [24]byte
-	return string(appendSerial(buf[:0], id))
+	return string(AppendSerial(buf[:0], id))
+}
+
+// ParseSerial returns the ID of the disk whose serial is s in a fleet of
+// n disks. It accepts s exactly when Serial(id) == s for some ID in
+// [0, n), so lowercase hex, a missing "S", non-canonical zero padding
+// and IDs outside the fleet are all rejected.
+func ParseSerial(s string, n int) (id int, ok bool) {
+	if len(s) < 2 || s[0] != 'S' {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(s[1:], 16, 64)
+	if err != nil || n <= 0 || v >= uint64(n) {
+		return 0, false
+	}
+	var buf [24]byte
+	if string(AppendSerial(buf[:0], int(v))) != s {
+		return 0, false
+	}
+	return int(v), true
 }

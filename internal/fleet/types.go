@@ -10,12 +10,11 @@
 // ordinal), so BuildWorkers shards system construction across a worker
 // pool: each worker fills a private arena of value slabs wired by local
 // indices (no per-component pointer allocations, RAID layout over
-// recycled scratch, serials packed into one string per arena), and the
-// arenas are renumbered and spliced in shard order — bit-identical
-// output for any worker count. The paper's full ~39,000-system / ~1.7M-
-// disk population builds in well under a second per core with a small
-// constant number of allocations (BENCH_PR3.json; the legacy serial
-// builder took minutes and ~95M allocations).
+// recycled scratch), and the arenas are renumbered and spliced in shard
+// order — bit-identical output for any worker count. The paper's full
+// ~39,000-system / ~1.7M-disk population builds in well under a second
+// per core with a small constant number of allocations (BENCH_PR3.json;
+// the legacy serial builder took minutes and ~95M allocations).
 package fleet
 
 import (
@@ -145,14 +144,20 @@ const MaxDisksPerShelf = 14
 // and is replaced, the replacement is a new Disk value; the paper's
 // "# Disks" counts every disk ever installed, and AFR denominators sum
 // per-disk residency time, which this representation makes exact.
+//
+// Disk stores only what cannot be derived. Its model is the owning
+// system's (f.Systems[d.System].DiskModel: systems are homogeneous and a
+// replacement joins its predecessor's system) and its serial is
+// Serial(d.ID). Disks are the bulk of a fleet's memory, so the record is
+// 64 bytes and must stay pointer-free: the build's disk slabs are then
+// allocated noscan and the garbage collector never walks them
+// (TestDiskLayout pins both).
 type Disk struct {
-	ID       int // fleet-unique
-	System   int // owning system ID
-	Shelf    int // fleet-unique shelf ID
-	Slot     int // 0..13 within the shelf
-	RAIDGrp  int // fleet-unique RAID group ID, -1 if spare
-	Model    DiskModel
-	Serial   string
+	ID       int             // fleet-unique
+	System   int             // owning system ID
+	Shelf    int             // fleet-unique shelf ID
+	Slot     int             // 0..13 within the shelf
+	RAIDGrp  int             // fleet-unique RAID group ID, -1 if spare
 	Install  simtime.Seconds // when the disk entered service
 	Remove   simtime.Seconds // when it left service (StudyDuration if still present)
 	Replaced bool            // true if this residency ended with a replacement
@@ -171,12 +176,12 @@ func (d *Disk) Residency() simtime.Seconds {
 func (d *Disk) ResidencyYears() float64 { return simtime.Years(d.Residency()) }
 
 // Shelf is one shelf enclosure: power, cooling, backplane and intrashelf
-// connectivity shared by the disks mounted in it.
+// connectivity shared by the disks mounted in it. Its model is the
+// owning system's ShelfModel.
 type Shelf struct {
 	ID     int // fleet-unique
 	System int
-	Index  int // position within the system
-	Model  ShelfModel
+	Index  int   // position within the system
 	Disks  []int // fleet disk IDs currently or ever mounted, in install order
 }
 
@@ -197,8 +202,8 @@ type RAIDGroup struct {
 type System struct {
 	ID         int
 	Class      SystemClass
-	ShelfModel ShelfModel
-	DiskModel  DiskModel // systems are homogeneous in disk model (the Figure 5/6 grouping unit)
+	ShelfModel ShelfModel // every shelf of the system
+	DiskModel  DiskModel  // every disk of the system, replacements included (the Figure 5/6 grouping unit)
 	Paths      PathConfig
 	Install    simtime.Seconds // deployment time
 	Shelves    []int           // fleet shelf IDs
@@ -293,11 +298,10 @@ type ReplacementArena struct {
 }
 
 // Add records a replacement for the failed disk, joining the same
-// system/shelf/slot/RAID group with the same model, entering service at
-// the given time. The returned disk carries a provisional negative ID
-// and no serial; both are finalized by Fleet.CommitReplacements. After
-// a Reset, Add recycles the previous run's records instead of
-// allocating.
+// system/shelf/slot/RAID group (and so the same model), entering
+// service at the given time. The returned disk carries a provisional
+// negative ID, finalized by Fleet.CommitReplacements. After a Reset, Add
+// recycles the previous run's records instead of allocating.
 //
 //detlint:hotpath
 func (a *ReplacementArena) Add(failed *Disk, at simtime.Seconds) *Disk {
@@ -316,7 +320,6 @@ func (a *ReplacementArena) Add(failed *Disk, at simtime.Seconds) *Disk {
 		Shelf:   failed.Shelf,
 		Slot:    failed.Slot,
 		RAIDGrp: failed.RAIDGrp,
-		Model:   failed.Model,
 		Install: at,
 		Remove:  simtime.StudyDuration,
 	}
@@ -339,9 +342,9 @@ func (a *ReplacementArena) Disk(provisional int) *Disk { return a.disks[-provisi
 func (a *ReplacementArena) Reset() { a.live = 0 }
 
 // CommitReplacements installs every arena disk into the fleet in
-// creation order: final IDs and serials are assigned and each disk is
-// registered with its shelf. It returns the final ID given to the
-// arena's first disk, so provisional ID -k maps to base+k-1. Committing
+// creation order: final IDs are assigned and each disk is registered
+// with its shelf. It returns the final ID given to the arena's first
+// disk, so provisional ID -k maps to base+k-1. Committing
 // arenas in system-ID order reproduces exactly the IDs a serial
 // simulation would have assigned. An arena must be committed at most
 // once per run; Reset rearms it.
@@ -351,7 +354,6 @@ func (f *Fleet) CommitReplacements(a *ReplacementArena) (base int) {
 	base = len(f.Disks)
 	for i, d := range a.disks[:a.live] {
 		d.ID = base + i
-		d.Serial = serialFor(d.ID)
 		f.Disks = append(f.Disks, d)
 		sh := f.Shelves[d.Shelf]
 		sh.Disks = append(sh.Disks, d.ID)
@@ -360,8 +362,8 @@ func (f *Fleet) CommitReplacements(a *ReplacementArena) (base int) {
 }
 
 // AddReplacementDisk installs a replacement for failed disk, joining the
-// same system/shelf/slot/RAID group with the same model, entering
-// service at the given time. It returns the new disk's ID. It is the
+// same system/shelf/slot/RAID group, entering service at the given
+// time. It returns the new disk's ID. It is the
 // single-disk convenience form of the ReplacementArena/
 // CommitReplacements path the simulator workers use.
 func (f *Fleet) AddReplacementDisk(failed *Disk, at simtime.Seconds) int {

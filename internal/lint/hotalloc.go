@@ -11,7 +11,7 @@ import (
 // contain allocation-causing constructs:
 //
 //   - fmt.* calls (interface boxing + formatting state per call; the
-//     repository packs serials with a fixed-width encoder instead);
+//     repository encodes disk serials with a fixed-width encoder instead);
 //   - map literals and make(map)/make(chan) (maps also iterate
 //     nondeterministically, compounding the detmap hazard);
 //   - un-presized growth: make of a zero-length slice without

@@ -206,7 +206,7 @@ func InjectTransientNoise(f *fleet.Fleet, msgs []eventlog.Message, ratePerDiskYe
 				Tag:      "scsi.cmd.transientRetry",
 				Severity: eventlog.Warning,
 				Device:   eventlog.DeviceAddress(shelf.Index, d.Slot),
-				Serial:   d.Serial,
+				Serial:   fleet.Serial(d.ID),
 				Text:     "Device retried a transient error; recovered.",
 			})
 		}

@@ -13,8 +13,8 @@ import (
 // replacement arenas, and every per-system scratch buffer — so a caller
 // running many simulations (the Monte-Carlo sweep engine) can recycle
 // it across runs and keep steady-state allocation flat: a warm scratch
-// plus a fleet.Reset fleet make a whole re-simulation allocate only its
-// genuine outputs (replacement serials and any event-buffer growth).
+// plus a fleet.Reset fleet make a whole re-simulation allocate only a
+// small constant plus any event-buffer growth.
 //
 // A Scratch must only be reused once the previous run's outputs are no
 // longer needed: the next run recycles the same event buffers and

@@ -219,6 +219,9 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 		return
 	}
 	p := w.params
+	// Every disk of a system, replacements included, is the system's
+	// model, so the per-model rates are resolved once per system.
+	baseRate, hitProb := p.DiskBaseRate(sys.DiskModel), p.EnvHitProb(sys.DiskModel)
 
 	// Per-slot occupancy chains for the whole system, flat in shelf
 	// order, for victim lookup by the episode processes.
@@ -237,7 +240,7 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 		for idx, diskID := range shelf.Disks {
 			slotRNG := shelfRNG.Split(streamKey(streamSlot, idx))
 			buf := w.chainBuf(used) // grows w.chains before the index store below
-			w.chains[used] = w.simulateSlot(sys, diskID, w.envTimes, &slotRNG, buf)
+			w.chains[used] = w.simulateSlot(sys, baseRate, hitProb, diskID, w.envTimes, &slotRNG, buf)
 			used++
 		}
 
@@ -256,23 +259,23 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 // and churn are Poisson processes over the whole window thinned by slot
 // occupancy (valid because both are memoryless and replacements share
 // the failed disk's model); environment hits are per-episode Bernoulli
-// marks spread over the episode window. The returned chain reuses the
-// caller-provided buffer's storage where capacity allows.
+// marks spread over the episode window, each hitting with probability
+// hitProb. The returned chain reuses the caller-provided buffer's
+// storage where capacity allows.
 //
 //detlint:hotpath
-func (w *worker) simulateSlot(sys *fleet.System, diskID int, envTimes []simtime.Seconds, r *stats.RNG, chain slotChain) slotChain {
+func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, diskID int, envTimes []simtime.Seconds, r *stats.RNG, chain slotChain) slotChain {
 	end := simtime.StudyDuration
 	p := w.params
 	d := w.f.Disks[diskID]
 
 	cands := w.cands[:0]
 	baseRNG := r.Split(streamBase)
-	w.times = w.basePoissonTimes(w.times[:0], p.DiskBaseRate(d.Model), d.Install, end, &baseRNG, d.ID)
+	w.times = w.basePoissonTimes(w.times[:0], baseRate, d.Install, end, &baseRNG, d.ID)
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candBase})
 	}
 	envRNG := r.Split(streamEnvHit)
-	hitProb := p.EnvHitProb(d.Model)
 	for _, et := range envTimes {
 		if envRNG.Bernoulli(hitProb) {
 			// Gamma(0.5) offset with mean EnvSpread/2: most environment

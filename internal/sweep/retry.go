@@ -113,6 +113,9 @@ func (w *trialWorker) attempt(r *scenarioRun, job, att int) (vals []float64, pan
 		w.hooks.BeforeTrialAttempt(r.scen.Name, job%w.trials, att)
 	}
 	if !w.valid || r.key != w.haveKey {
+		// Release the old fleet before making the next one, so a worker
+		// never holds two fleets at once across a key change.
+		w.f, w.valid = nil, false
 		// The FleetSource seam (sweepd's cross-job cache) substitutes
 		// for the direct build; its contract — an exclusively owned
 		// fleet indistinguishable from build()'s output — is what keeps
