@@ -23,7 +23,10 @@
 // be rendered without recomputation. -o writes atomically-ish to a
 // file instead of stdout.
 //
-// -grid-file names a declarative scenario file (SCENARIOS.md). When
+// -grid NAME selects a built-in grid, the committed file
+// examples/scenarios/NAME.json embedded in the binary; it means exactly
+// -grid-file examples/scenarios/NAME.json, as in cmd/sweep.
+// -grid-file names any declarative scenario file (SCENARIOS.md). When
 // the sweep runs here, the file supplies the grid and run parameters
 // exactly as in cmd/sweep (explicit flag > scenario file > default).
 // Either way, the file's user-authored assertion bands are joined
@@ -63,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trials := flags.Int("trials", canon.Trials, "Monte-Carlo trials per scenario")
 	scale := flags.Float64("scale", canon.Scale, "base population scale")
 	seed := flags.Int64("seed", canon.Seed, "sweep seed")
-	grid := flags.String("grid", "ops", "built-in scenario grid name (see cmd/sweep)")
+	grid := flags.String("grid", "ops", "built-in scenario grid, examples/scenarios/NAME.json (see cmd/sweep)")
 	gridFile := flags.String("grid-file", "", "declarative scenario file: grid, run parameters, and assertion bands to judge (see SCENARIOS.md)")
 	workers := flags.Int("workers", 0, "trial worker goroutines (0 = one per CPU; output is identical for every count)")
 	if err := flags.Parse(args); err != nil {
@@ -93,13 +96,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-grid and -grid-file are mutually exclusive (one grid per sweep)"))
 	}
 
+	// With -in and no -grid-file there is no grid to resolve: the result
+	// carries its own scenarios.
 	var spec *scenario.Spec
+	var err error
 	if *gridFile != "" {
-		s, err := scenario.Load(*gridFile)
-		if err != nil {
-			return fail(err)
-		}
-		spec = s
+		spec, err = scenario.Load(*gridFile)
+	} else if *in == "" {
+		spec, err = scenario.Builtin(*grid)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	var res *sweep.Result
@@ -134,25 +141,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Deltas:  true,
 			Workers: *workers,
 		}
-		if spec != nil {
-			// Explicit flag > scenario file > canonical default, exactly
-			// as in cmd/sweep.
-			cfg = spec.Config(cfg)
-			if set["trials"] {
-				cfg.Trials = *trials
-			}
-			if set["seed"] {
-				cfg.Seed = *seed
-			}
-			if set["scale"] {
-				cfg.Scale = *scale
-			}
-		} else {
-			scens, err := sweep.LoadGrid(*grid)
-			if err != nil {
-				return fail(err)
-			}
-			cfg.Scenarios = scens
+		// Explicit flag > scenario file > canonical default, exactly as
+		// in cmd/sweep.
+		cfg = spec.Config(cfg)
+		if set["trials"] {
+			cfg.Trials = *trials
+		}
+		if set["seed"] {
+			cfg.Seed = *seed
+		}
+		if set["scale"] {
+			cfg.Scale = *scale
 		}
 		if cfg.Trials < 1 {
 			return fail(fmt.Errorf("trial count %d must be at least 1 (scenario file and -trials combined)", cfg.Trials))
@@ -162,9 +161,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "expreport: sweeping %d scenarios x %d trials at scale %.2f (seed %d)\n",
 			len(cfg.Scenarios), cfg.Trials, cfg.Scale, cfg.Seed)
-		res = sweep.RunProgress(cfg, func(s sweep.Scenario, done int) {
+		res, err = sweep.Execute(cfg, nil, func(s sweep.Scenario, done int) {
 			fmt.Fprintf(stderr, "expreport: scenario %q complete (%d trials)\n", s.Name, done)
 		})
+		if err != nil {
+			return fail(err)
+		}
 	}
 
 	w := stdout

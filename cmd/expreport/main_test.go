@@ -14,10 +14,12 @@ import (
 	"strings"
 	"testing"
 
+	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sweep"
 )
 
 func TestRunFlagValidation(t *testing.T) {
+	builtins := strings.Join(scenario.BuiltinNames(), ", ")
 	cases := []struct {
 		name string
 		args []string
@@ -32,6 +34,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"in-conflicts-workers", []string{"-in", "r.json", "-workers", "2"}, 1, "expreport: -workers conflicts with -in"},
 		{"in-missing-file", []string{"-in", "no-such-result.json"}, 1, "no-such-result.json"},
 		{"missing-grid-file", []string{"-grid-file", "no-such-spec.json"}, 1, "no-such-spec.json"},
+		{"grid-file-name", []string{"-grid", "x.json"}, 1, `expreport: scenario: unknown grid "x.json" (built-in grids: ` + builtins + "; load any other scenario file with -grid-file)"},
+		{"grid-path", []string{"-grid", "../x"}, 1, `expreport: scenario: unknown grid "../x" (built-in grids: ` + builtins + "; load any other scenario file with -grid-file)"},
 		{"unknown-flag", []string{"-bogus"}, 2, "flag provided but not defined"},
 		{"help", []string{"-h"}, 0, "Usage of expreport"},
 	}
@@ -91,11 +95,11 @@ func TestLoadResultRejectsDamage(t *testing.T) {
 // and a report that names the swept scenario. This is the
 // no-recomputation path big sweeps rely on.
 func TestRunInRoundtrip(t *testing.T) {
-	scens, err := sweep.LoadGrid("smoke")
+	smoke, err := scenario.Builtin("smoke")
 	if err != nil {
-		t.Fatalf("LoadGrid(smoke): %v", err)
+		t.Fatalf("Builtin(smoke): %v", err)
 	}
-	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.004, Scenarios: scens}
+	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.004, Scenarios: smoke.Scenarios}
 	res, err := sweep.Execute(cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)

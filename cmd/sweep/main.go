@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	sweep [-trials 20] [-grid default|burst|mine|scale|smoke|ops]
+//	sweep [-trials 20] [-grid default|burst|mine|ops|scale|smoke|...]
 //	      [-grid-file scenario.json]
 //	      [-scale 0.25] [-seed 42] [-workers N] [-findings] [-json] [-check]
 //	      [-checkpoint sweep.ckpt] [-checkpoint-every 64] [-resume]
@@ -14,17 +14,18 @@
 //	      [-variance none|antithetic|stratified] [-deltas]
 //	sweep validate scenario.json...
 //
-// -grid selects a compiled built-in grid; -grid-file loads a
-// declarative scenario file instead (the validated JSON format
+// Every grid is a declarative scenario file (the validated JSON format
 // documented in SCENARIOS.md: run parameters, the scenario grid, and
 // optional assertion bands cmd/expreport joins against the result).
-// Every built-in grid has a committed file twin under
-// examples/scenarios/, and a file-loaded grid sweeps byte-identically
-// to its compiled twin. A scenario file's trials/seed/scale/findings
-// apply unless the corresponding flag is set explicitly: explicit flag
-// > scenario file > default. With -checkpoint, the scenario file's
-// content digest becomes part of the checkpoint identity, so -resume
-// refuses a checkpoint taken under a different scenario file.
+// -grid NAME selects a built-in grid: the committed file
+// examples/scenarios/NAME.json, embedded in the binary, so it means
+// exactly -grid-file examples/scenarios/NAME.json. Only those names
+// resolve; any other file loads with -grid-file. A scenario file's
+// trials/seed/scale/findings/variance/deltas apply unless the
+// corresponding flag is set explicitly: explicit flag > scenario file >
+// default. With -checkpoint, the scenario file's content digest becomes
+// part of the checkpoint identity, so -resume refuses a checkpoint
+// taken under a different scenario file.
 //
 // "sweep validate" parses and validates each named scenario file
 // without running anything, printing one line per file; malformed
@@ -62,7 +63,8 @@
 // uninterrupted run's, for any worker count on either side of the
 // interruption. -budget stops gracefully after that many trials in
 // global order (a deterministic prefix); -max-wall stops when the
-// wall-clock budget elapses. Both mark the result PARTIAL with
+// wall-clock budget elapses (the command's clock, polled by the engine
+// through its Interrupt seam). Both mark the result PARTIAL with
 // per-scenario completed-trial counts and leave a resumable
 // checkpoint. Trials that panic are quarantined and deterministically
 // retried (-retries bounds re-executions; failures are recorded in the
@@ -77,6 +79,7 @@ import (
 	"io/fs"
 	"os"
 	"strings"
+	"time"
 
 	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sweep"
@@ -96,11 +99,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	trials := flags.Int("trials", 20, "Monte-Carlo trials per scenario")
-	grid := flags.String("grid", "default", "built-in scenario grid: "+strings.Join(sweep.GridNames(), ", ")+" (file-defined grids use -grid-file)")
+	defaults := sweep.DefaultConfig()
+	trials := flags.Int("trials", defaults.Trials, "Monte-Carlo trials per scenario")
+	grid := flags.String("grid", "default", "built-in scenario grid, examples/scenarios/NAME.json: "+strings.Join(scenario.BuiltinNames(), ", ")+" (other files use -grid-file)")
 	gridFile := flags.String("grid-file", "", "declarative scenario file (validated JSON; see SCENARIOS.md and examples/scenarios/)")
-	scale := flags.Float64("scale", 0.25, "base population scale relative to the paper's 39,000 systems (scenarios may override)")
-	seed := flags.Int64("seed", 42, "sweep seed; fully determines every fleet and trial")
+	scale := flags.Float64("scale", defaults.Scale, "base population scale relative to the paper's 39,000 systems (scenarios may override)")
+	seed := flags.Int64("seed", defaults.Seed, "sweep seed; fully determines every fleet and trial")
 	workers := flags.Int("workers", 0, "trial worker goroutines (0 = one per CPU; every count yields byte-identical output)")
 	findings := flags.Bool("findings", false, "also evaluate the paper's Findings 1-11 per trial (roughly doubles analysis cost)")
 	jsonOut := flags.Bool("json", false, "emit machine-readable JSON instead of tables")
@@ -172,45 +176,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CheckpointEvery: *every,
 		MaxRetries:      *retries,
 		BudgetTrials:    *budget,
-		MaxWall:         *maxWall,
 		Variance:        *variance,
 		Deltas:          *deltas,
 	}
+	var spec *scenario.Spec
+	var err error
 	if *gridFile != "" {
-		spec, err := scenario.Load(*gridFile)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		// Spec run parameters apply where the flag was not explicitly
-		// set: explicit flag > scenario file > default.
-		cfg = spec.Config(cfg)
-		if set["trials"] {
-			cfg.Trials = *trials
-		}
-		if set["seed"] {
-			cfg.Seed = *seed
-		}
-		if set["scale"] {
-			cfg.Scale = *scale
-		}
-		if set["findings"] {
-			cfg.Findings = *findings
-		}
-		if set["variance"] {
-			cfg.Variance = *variance
-		}
-		if set["deltas"] {
-			cfg.Deltas = *deltas
-		}
+		spec, err = scenario.Load(*gridFile)
 	} else {
-		scens, err := sweep.LoadGrid(*grid)
-		if err != nil {
-			// LoadGrid errors already carry the "sweep:" prefix.
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		cfg.Scenarios = scens
+		spec, err = scenario.Builtin(*grid)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	// Spec run parameters apply where the flag was not explicitly set:
+	// explicit flag > scenario file > default.
+	cfg = spec.Config(cfg)
+	if set["trials"] {
+		cfg.Trials = *trials
+	}
+	if set["seed"] {
+		cfg.Seed = *seed
+	}
+	if set["scale"] {
+		cfg.Scale = *scale
+	}
+	if set["findings"] {
+		cfg.Findings = *findings
+	}
+	if set["variance"] {
+		cfg.Variance = *variance
+	}
+	if set["deltas"] {
+		cfg.Deltas = *deltas
 	}
 	if cfg.Trials < 1 {
 		return fail(2, "trial count %d must be at least 1 (scenario file and -trials combined)", cfg.Trials)
@@ -229,7 +228,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var st *sweep.CheckpointState
 	if *resume {
 		var src string
-		var err error
 		st, src, err = sweep.RecoverCheckpoint(*checkpoint)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
@@ -239,6 +237,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "sweep: resuming from %s at trial %d of %d\n",
 			src, st.NextJob, len(cfg.Scenarios)*cfg.Trials)
+	}
+
+	if *maxWall > 0 {
+		// The deadline only decides when the sweep stops; the completed
+		// prefix it leaves is exact, so a resume finishes the same bytes.
+		deadline := time.Now().Add(*maxWall)
+		cfg.Interrupt = func() bool { return !time.Now().Before(deadline) }
 	}
 
 	fmt.Fprintf(stderr, "sweep: %d scenarios x %d trials at base scale %.2f (seed %d)\n",

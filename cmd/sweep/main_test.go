@@ -2,11 +2,12 @@ package main
 
 // Tests for the extracted run(): table-driven flag validation pinning
 // exact messages and exit codes, the validate subcommand's 0/1/2
-// contract, usage staleness, and one tiny in-process sweep whose JSON
-// must match a direct engine run byte for byte.
+// contract, usage staleness, one tiny in-process sweep whose JSON must
+// match a direct engine run byte for byte, and the -max-wall drain.
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,10 +15,15 @@ import (
 	"strings"
 	"testing"
 
+	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sweep"
 )
 
 func TestRunFlagValidation(t *testing.T) {
+	unknownGrid := func(name string) string {
+		return `scenario: unknown grid "` + name + `" (built-in grids: ` + strings.Join(scenario.BuiltinNames(), ", ") +
+			"; load any other scenario file with -grid-file)"
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -34,6 +40,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"cadence-without-checkpoint", []string{"-checkpoint-every", "8"}, 2, "sweep: -checkpoint-every requires -checkpoint"},
 		{"grid-conflict", []string{"-grid", "smoke", "-grid-file", "x.json"}, 2, "sweep: -grid and -grid-file are mutually exclusive (one grid per sweep)"},
 		{"unknown-grid", []string{"-grid", "bogus"}, 2, `unknown grid "bogus"`},
+		{"grid-file-name", []string{"-grid", "x.json"}, 2, unknownGrid("x.json")},
+		{"grid-path", []string{"-grid", "../x"}, 2, unknownGrid("../x")},
 		{"missing-grid-file", []string{"-grid-file", "no-such-file.json"}, 2, "no-such-file.json"},
 		{"antithetic-odd-trials", []string{"-trials", "3", "-variance", "antithetic", "-grid", "smoke"}, 2,
 			`sweep: antithetic pairing needs an even trial count, got 3 (scenario "baseline" resolves to variance antithetic)`},
@@ -147,11 +155,11 @@ func TestRunTinySweepMatchesEngine(t *testing.T) {
 		t.Fatalf("run(%v) = %d, want 0 (stderr %q)", args, code, stderr.String())
 	}
 
-	scens, err := sweep.LoadGrid("smoke")
+	smoke, err := scenario.Builtin("smoke")
 	if err != nil {
-		t.Fatalf("LoadGrid(smoke): %v", err)
+		t.Fatalf("Builtin(smoke): %v", err)
 	}
-	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: 3, Scenarios: scens}
+	cfg := sweep.Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: 3, Scenarios: smoke.Scenarios}
 	res, err := sweep.Execute(cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("direct Execute: %v", err)
@@ -166,5 +174,53 @@ func TestRunTinySweepMatchesEngine(t *testing.T) {
 	if !strings.Contains(stderr.String(), "sweep: 1 scenarios x 2 trials") &&
 		!strings.Contains(stderr.String(), "scenarios x 2 trials") {
 		t.Fatalf("progress line missing from stderr: %q", stderr.String())
+	}
+}
+
+// TestDeadlineDrainAndResume: an already-expired -max-wall deadline
+// drains the sweep before any trial runs, exits 0 with a PARTIAL result
+// and a resumable checkpoint, and -resume then prints stdout
+// byte-identical to an uninterrupted run. (The stopping point is
+// timing-dependent in general; an expired deadline is its one
+// deterministic case.)
+func TestDeadlineDrainAndResume(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	args := func(extra ...string) []string {
+		return append([]string{"-trials", "3", "-scale", "0.004", "-grid", "smoke", "-json"}, extra...)
+	}
+	var full bytes.Buffer
+	if code := run(args("-workers", "1"), &full, io.Discard); code != 0 {
+		t.Fatalf("uninterrupted run exited %d", code)
+	}
+
+	var part, stderr bytes.Buffer
+	if code := run(args("-workers", "4", "-checkpoint", ckpt, "-max-wall", "1ns"), &part, &stderr); code != 0 {
+		t.Fatalf("-max-wall run exited %d (stderr %q)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "sweep: PARTIAL result") {
+		t.Fatalf("-max-wall run did not report a partial result: %q", stderr.String())
+	}
+	var res sweep.Result
+	if err := json.Unmarshal(part.Bytes(), &res); err != nil {
+		t.Fatalf("decoding the partial result: %v", err)
+	}
+	if !res.Partial {
+		t.Fatal("deadline-stopped result not marked partial")
+	}
+	for _, ss := range res.Scenarios {
+		// Workers poll the deadline before every pickup, so nothing
+		// completes under an expired one.
+		if ss.TrialsDone != 0 {
+			t.Fatalf("scenario %s completed %d trials under an expired deadline", ss.Scenario.Name, ss.TrialsDone)
+		}
+	}
+
+	var resumed bytes.Buffer
+	stderr.Reset()
+	if code := run(args("-workers", "2", "-checkpoint", ckpt, "-resume"), &resumed, &stderr); code != 0 {
+		t.Fatalf("-resume exited %d (stderr %q)", code, stderr.String())
+	}
+	if !bytes.Equal(resumed.Bytes(), full.Bytes()) {
+		t.Fatal("deadline-then-resumed stdout differs from the uninterrupted run")
 	}
 }

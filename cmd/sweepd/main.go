@@ -48,12 +48,29 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"storagesubsys/internal/sweepd"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// HTTP connection timeouts. readHeaderTimeout bounds how long a client
+// may take to send its request headers, so a client that never finishes
+// them cannot hold a connection forever; idleTimeout closes keep-alive
+// connections left unused. Neither bounds a request body or a response:
+// job specs are small and results stream from disk.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the control plane's handler in the server run()
+// listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // newFlagSet builds the command's flag set on a caller-owned error
@@ -123,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "sweepd: listening on http://%s (state %s, pool %d)\n", ln.Addr(), *dir, *pool)

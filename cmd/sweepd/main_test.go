@@ -1,10 +1,10 @@
 package main
 
 // Tests for the extracted run(): flag validation exit codes and
-// messages, usage output, and a live server driven over real HTTP
-// through a real SIGTERM — the binary-level half of the control
-// plane's graceful-shutdown contract (the server-level half lives in
-// internal/sweepd).
+// messages, usage output, the HTTP server's connection timeouts, and a
+// live server driven over real HTTP through a real SIGTERM — the
+// binary-level half of the control plane's graceful-shutdown contract
+// (the server-level half lives in internal/sweepd).
 
 import (
 	"bytes"
@@ -66,6 +66,23 @@ func TestRunFlagValidation(t *testing.T) {
 				t.Fatalf("stderr %q does not mention %q", stderr.String(), tc.want)
 			}
 		})
+	}
+}
+
+// TestHTTPServerTimeouts: the server run() listens with must bound how
+// long a client may take over its request headers and how long an idle
+// keep-alive connection lives, so a stalled client cannot hold a
+// connection forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("server has no handler")
 	}
 }
 

@@ -18,7 +18,9 @@
 // committed examples under examples/scenarios/.
 //
 // The public surface lives in the internal packages (this repository is
-// a self-contained study, not an importable SDK):
+// a self-contained study, not an importable SDK). The root package
+// holds only ScenarioFiles, the committed examples/scenarios/*.json
+// embedded as the built-in sweep grids:
 //
 //   - internal/stats: allocation-free splittable RNG (xoshiro256++
 //     with SplitMix64-keyed streams), distributions, MLE fitting,
@@ -39,7 +41,8 @@
 //     lag, shelf-size mix — streaming aggregation, byte-deterministic
 //     output)
 //   - internal/scenario: the declarative scenario artifact — strict
-//     loader and validator for the SCENARIOS.md grid/assertion format
+//     loader and validator for the SCENARIOS.md grid/assertion format,
+//     and Builtin, the by-name resolver for the embedded grids
 //   - internal/paperref: the paper's published values as typed bands
 //     with citations
 //   - internal/expreport: the paper-vs-spread report generator behind

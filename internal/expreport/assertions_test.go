@@ -108,7 +108,7 @@ func TestConfrontAssertionsForeignResult(t *testing.T) {
 // EXPERIMENTS.md and the golden report are unaffected by the scenario
 // join machinery.
 func TestRenderSpecBackwardCompatible(t *testing.T) {
-	res := sweep.Run(sweep.Config{Trials: 1, Seed: 42, Scale: 0.02, Workers: 2,
+	res := execute(t, sweep.Config{Trials: 1, Seed: 42, Scale: 0.02, Workers: 2,
 		Scenarios: []sweep.Scenario{{Name: "baseline"}}})
 	var plain, nilSpec, emptySpec bytes.Buffer
 	if err := Render(&plain, res); err != nil {
@@ -134,7 +134,7 @@ func TestRenderSpecBackwardCompatible(t *testing.T) {
 // gains the scenario-file section with the pass count and one verdict
 // row per assertion.
 func TestRenderSpecAssertionSection(t *testing.T) {
-	res := sweep.Run(sweep.Config{Trials: 2, Seed: 42, Scale: 0.02, Workers: 2,
+	res := execute(t, sweep.Config{Trials: 2, Seed: 42, Scale: 0.02, Workers: 2,
 		Scenarios: []sweep.Scenario{{Name: "baseline"}}})
 	spec := &scenario.Spec{
 		Name:      "sectioned",

@@ -32,12 +32,18 @@ import (
 // cmd/expreport runs it by default; CI regenerates the report from it
 // and fails if the committed file is out of date.
 func CanonicalConfig() sweep.Config {
+	ops, err := scenario.Builtin("ops")
+	if err != nil {
+		// The grid is embedded at build time and every built-in is
+		// parsed by internal/scenario's tests.
+		panic("expreport: " + err.Error())
+	}
 	return sweep.Config{
 		Trials:    24,
 		Seed:      42,
 		Scale:     0.10,
 		Deltas:    true,
-		Scenarios: sweep.Grids["ops"],
+		Scenarios: ops.Scenarios,
 	}
 }
 

@@ -15,6 +15,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden report under testdata/")
 
+// execute runs cfg to completion, failing the test on any error.
+func execute(t *testing.T, cfg sweep.Config) *sweep.Result {
+	t.Helper()
+	res, err := sweep.Execute(cfg, nil, nil)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	return res
+}
+
 // goldenConfig is a tiny sweep exercising every report feature: the
 // baseline plus all four operational dimensions, two trials each at a
 // scale small enough for CI.
@@ -41,7 +51,7 @@ func goldenConfig(workers int) sweep.Config {
 // `go test ./internal/expreport -run Golden -update` after an
 // intentional report change.
 func TestRenderGolden(t *testing.T) {
-	res := sweep.Run(goldenConfig(2))
+	res := execute(t, goldenConfig(2))
 	var buf bytes.Buffer
 	if err := Render(&buf, res); err != nil {
 		t.Fatalf("Render: %v", err)
@@ -66,10 +76,10 @@ func TestRenderGolden(t *testing.T) {
 // determinism contract — any worker count, same bytes.
 func TestRenderWorkerCountInvariant(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := Render(&a, sweep.Run(goldenConfig(1))); err != nil {
+	if err := Render(&a, execute(t, goldenConfig(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := Render(&b, sweep.Run(goldenConfig(4))); err != nil {
+	if err := Render(&b, execute(t, goldenConfig(4))); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -158,7 +168,7 @@ func TestConfrontScalesPopulationTargets(t *testing.T) {
 // registry finding with every target resolved (the acceptance
 // criterion behind EXPERIMENTS.md's coverage).
 func TestConfrontCoversEveryFinding(t *testing.T) {
-	res := sweep.Run(sweep.Config{Trials: 1, Seed: 42, Scale: 0.02, Workers: 2,
+	res := execute(t, sweep.Config{Trials: 1, Seed: 42, Scale: 0.02, Workers: 2,
 		Scenarios: []sweep.Scenario{{Name: "baseline"}}})
 	frs := Confront(res.Scenarios[0], 0.02)
 	if len(frs) != len(paperref.Findings) {

@@ -4,76 +4,93 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"storagesubsys/internal/sweep"
 )
 
-func loadTwin(t *testing.T, grid string) *Spec {
-	t.Helper()
-	spec, err := Load(filepath.Join("..", "..", "examples", "scenarios", grid+".json"))
-	if err != nil {
-		t.Fatalf("loading the %s twin: %v", grid, err)
+// TestBuiltinMatchesLoad: every committed examples/scenarios/*.json
+// stem is a built-in grid, and Builtin resolves it to exactly the Spec
+// Load parses from the file — so -grid NAME and
+// -grid-file examples/scenarios/NAME.json sweep the same configuration,
+// digest included.
+func TestBuiltinMatchesLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed scenario files found (%v)", err)
 	}
-	return spec
+	var stems []string
+	for _, path := range paths {
+		stem := strings.TrimSuffix(filepath.Base(path), ".json")
+		stems = append(stems, stem)
+		t.Run(stem, func(t *testing.T) {
+			want, err := Load(path)
+			if err != nil {
+				t.Fatalf("Load(%s): %v", path, err)
+			}
+			got, err := Builtin(stem)
+			if err != nil {
+				t.Fatalf("Builtin(%q): %v", stem, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Builtin(%q) differs from Load(%s):\n builtin: %+v\n file:    %+v", stem, path, got, want)
+			}
+		})
+	}
+	if names := BuiltinNames(); !slices.Equal(names, stems) {
+		t.Errorf("BuiltinNames() = %v, want the committed stems %v", names, stems)
+	}
 }
 
-// TestTwinsMatchCompiledGrids: every built-in grid has a committed file
-// twin under examples/scenarios/ whose scenario list is exactly the
-// compiled one. Because a sweep result is a pure function of its
-// Config (GridDigest never enters any computed value), twin equality
-// here is what makes file-loaded sweeps byte-identical to compiled
-// ones; TestFileGridByteIdentity spot-checks that end to end.
-func TestTwinsMatchCompiledGrids(t *testing.T) {
-	for _, grid := range sweep.GridNames() {
-		spec := loadTwin(t, grid)
-		if spec.Name != grid {
-			t.Errorf("%s twin is named %q, want %q", grid, spec.Name, grid)
+// TestBuiltinRejectsUnknown: only the embedded stems resolve. A path,
+// a file name, or a traversal is refused with an error that lists the
+// valid names and points at -grid-file.
+func TestBuiltinRejectsUnknown(t *testing.T) {
+	for _, name := range []string{"", "bogus", "ops.json", "../ops", "examples/scenarios/ops", "./ops"} {
+		spec, err := Builtin(name)
+		if err == nil || spec != nil {
+			t.Errorf("Builtin(%q) = (%v, %v), want an error", name, spec, err)
+			continue
 		}
-		if spec.Trials != 0 || spec.Seed != 0 || spec.Scale != 0 || spec.Findings {
-			t.Errorf("%s twin must not pin run parameters (it must inherit flags exactly like -grid %s)", grid, grid)
-		}
-		if len(spec.Assertions) != 0 {
-			t.Errorf("%s twin must not carry assertions", grid)
-		}
-		if !reflect.DeepEqual(spec.Scenarios, sweep.Grids[grid]) {
-			t.Errorf("%s twin diverged from the compiled grid:\n file:     %+v\n compiled: %+v",
-				grid, spec.Scenarios, sweep.Grids[grid])
+		for _, want := range []string{"unknown grid", "-grid-file", strings.Join(BuiltinNames(), ", ")} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Builtin(%q) error %q does not mention %q", name, err, want)
+			}
 		}
 	}
 }
 
-// TestFileGridByteIdentity runs real sweeps: for each built-in grid,
-// the file-loaded twin at workers 1 and workers 4 must produce the
-// same JSON bytes as the compiled grid. Tiny trials/scale keep this
-// tier-1 affordable; the scenario-list equality above covers the
-// values this spot check does not sweep.
+// TestFileGridByteIdentity runs real sweeps: every built-in grid must
+// produce the same JSON bytes at workers 1 and workers 4. Trials and
+// scale are pinned small, as explicit -trials/-scale flags would, to
+// keep this tier-1 affordable.
 func TestFileGridByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps every grid; skipped with -short")
 	}
-	for _, grid := range sweep.GridNames() {
-		base := sweep.Config{Trials: 2, Seed: 42, Scale: 0.005, Findings: false}
-
-		compiled := base
-		compiled.Workers = 1
-		compiled.Scenarios = sweep.Grids[grid]
-		var want bytes.Buffer
-		if err := sweep.Run(compiled).WriteJSON(&want); err != nil {
+	for _, name := range BuiltinNames() {
+		spec, err := Builtin(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-
-		spec := loadTwin(t, grid)
+		var want []byte
 		for _, workers := range []int{1, 4} {
-			cfg := spec.Config(base)
-			cfg.Workers = workers
+			cfg := spec.Config(sweep.Config{Seed: 42})
+			cfg.Trials, cfg.Scale, cfg.Workers = 2, 0.005, workers
+			res, err := sweep.Execute(cfg, nil, nil)
+			if err != nil {
+				t.Fatalf("grid %s at %d workers: %v", name, workers, err)
+			}
 			var got bytes.Buffer
-			if err := sweep.Run(cfg).WriteJSON(&got); err != nil {
+			if err := res.WriteJSON(&got); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("grid %s: file-loaded sweep at %d workers diverged from the compiled grid's bytes",
-					grid, workers)
+			if want == nil {
+				want = got.Bytes()
+			} else if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("grid %s: sweep at %d workers diverged from the 1-worker bytes", name, workers)
 			}
 		}
 	}

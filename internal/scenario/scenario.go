@@ -1,10 +1,10 @@
 // Package scenario defines the declarative scenario artifact: a JSON
 // file describing a sweep grid — run parameters, the scenario list with
 // every override internal/sweep understands, and optional user-authored
-// assertion bands — that cmd/sweep (-grid-file, validate), cmd/expreport
-// and CI all consume. It is the serializable twin of the compiled grids
-// in internal/sweep/grids.go: everything grids.go can express, a file
-// can express, so new questions need no recompilation.
+// assertion bands — that cmd/sweep (-grid, -grid-file, validate),
+// cmd/expreport, sweepd and CI all consume. The built-in grids are the
+// committed files under examples/scenarios/, embedded in the binary and
+// resolved by name through Builtin.
 //
 // The format is strict by construction: encoding/json with
 // DisallowUnknownFields (a typoed override key would otherwise silently
@@ -14,13 +14,12 @@
 // the full format reference; a reflection-driven staleness test fails
 // if a spec field goes undocumented.
 //
-// Determinism: a sweep over a file-loaded grid is byte-identical to the
-// same sweep over an equal compiled grid — the spec only produces
-// sweep.Config values, it adds no randomness and no ordering of its
-// own. Digest fingerprints the parsed spec so the sweep checkpoint
-// machinery can refuse to resume under a different scenario file (see
-// sweep.Config.GridDigest and ARCHITECTURE.md's scenario artifact
-// contract).
+// Determinism: the spec only produces sweep.Config values; it adds no
+// randomness and no ordering of its own, so equal scenario lists sweep
+// to equal bytes. Digest fingerprints the parsed spec so the sweep
+// checkpoint machinery can refuse to resume under a different scenario
+// file (see sweep.Config.GridDigest and ARCHITECTURE.md's scenario
+// artifact contract).
 package scenario
 
 import (
@@ -29,7 +28,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
+	"storagesubsys"
 	"storagesubsys/internal/paperref"
 	"storagesubsys/internal/sweep"
 )
@@ -224,6 +226,42 @@ func Load(path string) (*Spec, error) {
 		return nil, fmt.Errorf("scenario: reading %s: %w", path, err)
 	}
 	return Parse(data, path)
+}
+
+// builtinDir is where the built-in grids live, both in the repository
+// and inside storagesubsys.ScenarioFiles.
+const builtinDir = "examples/scenarios"
+
+// Builtin parses the built-in grid name: the committed scenario file
+// examples/scenarios/<name>.json, read from the copy embedded in the
+// binary. Only the embedded stems resolve, never a path, so a -grid
+// argument cannot reach a file outside that set.
+func Builtin(name string) (*Spec, error) {
+	names := BuiltinNames()
+	if !slices.Contains(names, name) {
+		return nil, fmt.Errorf("scenario: unknown grid %q (built-in grids: %s; load any other scenario file with -grid-file)",
+			name, strings.Join(names, ", "))
+	}
+	file := builtinDir + "/" + name + ".json"
+	data, err := storagesubsys.ScenarioFiles.ReadFile(file)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: reading built-in %s: %w", file, err)
+	}
+	return Parse(data, file)
+}
+
+// BuiltinNames lists the built-in grid names, sorted: the stems of the
+// embedded scenario files.
+func BuiltinNames() []string {
+	// The directory is embedded at compile time, so reading it cannot
+	// fail.
+	entries, _ := storagesubsys.ScenarioFiles.ReadDir(builtinDir)
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		names = append(names, strings.TrimSuffix(e.Name(), ".json"))
+	}
+	slices.Sort(names)
+	return names
 }
 
 // Parse decodes and validates one scenario file held in memory. name

@@ -47,7 +47,7 @@ var ErrCheckpointCorrupt = errors.New("sweep: checkpoint digest mismatch (trunca
 
 // CheckpointConfig is the identity subset of a sweep Config: the
 // fields that determine every trial value and aggregation step.
-// Worker counts, budgets, deadlines and checkpoint cadence are
+// Worker counts, budgets, interrupts and checkpoint cadence are
 // deliberately excluded — they affect wall-clock and stopping points,
 // never the math, so a budget-interrupted sweep can be resumed to
 // completion without a budget, or with a different worker count.
@@ -59,7 +59,7 @@ type CheckpointConfig struct {
 	ReservoirSize int        `json:"reservoirSize"`
 	Scenarios     []Scenario `json:"scenarios"`
 	// GridDigest fingerprints the scenario file the grid came from
-	// (empty for compiled grids; omitted from the JSON then, so
+	// (empty for grids built in code; omitted from the JSON then, so
 	// pre-digest checkpoints keep loading). The digest is identity even
 	// though equal scenarios compute equal results: a resumed sweep's
 	// report is labeled and joined (assertion bands) by its scenario
@@ -79,27 +79,19 @@ type CheckpointConfig struct {
 
 // checkpointIdentity resolves a Config to its checkpoint identity,
 // applying the same normalizations Execute applies (minimum trial
-// count, default grid, default reservoir capacity).
+// count, the engine's reservoir capacity).
 func checkpointIdentity(cfg Config) CheckpointConfig {
 	trials := cfg.Trials
 	if trials < 1 {
 		trials = 1
-	}
-	scens := cfg.Scenarios
-	if len(scens) == 0 {
-		scens = Grids["default"]
-	}
-	resCap := cfg.ReservoirSize
-	if resCap <= 0 {
-		resCap = 512
 	}
 	return CheckpointConfig{
 		Trials:        trials,
 		Seed:          cfg.Seed,
 		Scale:         cfg.Scale,
 		Findings:      cfg.Findings,
-		ReservoirSize: resCap,
-		Scenarios:     scens,
+		ReservoirSize: reservoirSize,
+		Scenarios:     cfg.Scenarios,
 		GridDigest:    cfg.GridDigest,
 		Variance:      cfg.Variance,
 		Deltas:        cfg.Deltas,
@@ -306,12 +298,12 @@ func restoreCheckpoint(st *CheckpointState, ident CheckpointConfig,
 	// The scenario-file digest gets its own error: every other identity
 	// field appears in the generic message below, but a digest mismatch
 	// with otherwise-equal numbers means the scenario *file* changed —
-	// or the grid moved between a file and the compiled registry — and
+	// or the grid moved between a file and a grid built in code — and
 	// the fix is different (restore the original file, or start fresh).
 	if st.Config.GridDigest != ident.GridDigest {
 		describe := func(d string) string {
 			if d == "" {
-				return "a compiled built-in grid (no file)"
+				return "a grid without a scenario file"
 			}
 			return "scenario file digest " + d[:12] + "…"
 		}

@@ -42,7 +42,7 @@ func TestLoadCheckpointRejectsEnvelope(t *testing.T) {
 
 	// A valid envelope whose payload digest mismatches (one flipped
 	// payload byte after signing) must be ErrCheckpointCorrupt.
-	st := &CheckpointState{Config: checkpointIdentity(Config{Trials: 1, Scenarios: Grids["smoke"]})}
+	st := &CheckpointState{Config: checkpointIdentity(Config{Trials: 1, Scenarios: grid("smoke")})}
 	st.Scenarios = make([]ScenarioCheckpoint, len(st.Config.Scenarios))
 	good := filepath.Join(dir, "good.ckpt")
 	if err := st.Save(good, nil); err != nil {
@@ -65,5 +65,27 @@ func TestLoadCheckpointRejectsEnvelope(t *testing.T) {
 	}
 	if !back.Config.equal(st.Config) || back.NextJob != 0 {
 		t.Fatalf("round trip changed the state: %+v", back)
+	}
+}
+
+// TestResumeRejectsReservoirSize: the reservoir capacity is an engine
+// constant, yet checkpoints still record it, so a state captured under
+// another capacity is refused rather than resumed with differently
+// sized quantile samples.
+func TestResumeRejectsReservoirSize(t *testing.T) {
+	cfg := Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: 1, Scenarios: grid("smoke")}
+	var st *CheckpointState
+	ccfg := cfg
+	ccfg.OnCheckpoint = func(s *CheckpointState) { st = s }
+	execute(t, ccfg)
+	if st.Config.ReservoirSize != reservoirSize {
+		t.Fatalf("checkpoint records reservoir size %d, want %d", st.Config.ReservoirSize, reservoirSize)
+	}
+	if _, err := Execute(cfg, st, nil); err != nil {
+		t.Fatalf("own checkpoint refused: %v", err)
+	}
+	st.Config.ReservoirSize = reservoirSize / 2
+	if _, err := Execute(cfg, st, nil); err == nil || !strings.Contains(err.Error(), "different sweep configuration") {
+		t.Fatalf("checkpoint with reservoir size %d accepted: %v", st.Config.ReservoirSize, err)
 	}
 }

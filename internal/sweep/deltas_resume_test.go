@@ -203,9 +203,12 @@ func TestPairedDeltaCITightening(t *testing.T) {
 	}
 	cfg := sweep.Config{
 		Trials: 24, Seed: 42, Scale: 0.10, Deltas: true,
-		Scenarios: sweep.Grids["ops"],
+		Scenarios: builtinGrid("ops"),
 	}
-	res := sweep.Run(cfg)
+	res, err := sweep.Execute(cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	byScen := make(map[string]map[string]sweep.MetricSummary, len(res.Scenarios))
 	for _, ss := range res.Scenarios {

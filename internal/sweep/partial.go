@@ -14,19 +14,19 @@ package sweep
 
 // config reconstructs the identity subset of the sweep Config the
 // checkpoint was taken under. The identity-free fields (workers,
-// budgets, deadlines, hooks, seams) are zero: none of them affect any
-// derived value.
+// budgets, hooks, seams) are zero: none of them affect any derived
+// value. The reservoir capacity is the engine's constant, so a state
+// recorded under another capacity fails the identity check on restore.
 func (c CheckpointConfig) config() Config {
 	return Config{
-		Trials:        c.Trials,
-		Seed:          c.Seed,
-		Scale:         c.Scale,
-		Findings:      c.Findings,
-		ReservoirSize: c.ReservoirSize,
-		Scenarios:     c.Scenarios,
-		GridDigest:    c.GridDigest,
-		Variance:      c.Variance,
-		Deltas:        c.Deltas,
+		Trials:     c.Trials,
+		Seed:       c.Seed,
+		Scale:      c.Scale,
+		Findings:   c.Findings,
+		Scenarios:  c.Scenarios,
+		GridDigest: c.GridDigest,
+		Variance:   c.Variance,
+		Deltas:     c.Deltas,
 	}
 }
 

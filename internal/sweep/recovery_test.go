@@ -16,11 +16,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"storagesubsys/internal/faultinject"
+	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sweep"
 )
+
+// builtinGrid returns the scenario list of a built-in grid, resolved
+// exactly as cmd/sweep -grid resolves it.
+func builtinGrid(name string) []sweep.Scenario {
+	spec, err := scenario.Builtin(name)
+	if err != nil {
+		panic(err)
+	}
+	return spec.Scenarios
+}
 
 // recoveryConfig is the cheap two-scenario sweep the recovery tests
 // share. 6 trials x 2 scenarios = 12 global jobs.
@@ -30,7 +40,7 @@ func recoveryConfig(workers int) sweep.Config {
 		Seed:      42,
 		Scale:     0.005,
 		Workers:   workers,
-		Scenarios: sweep.Grids["smoke"],
+		Scenarios: builtinGrid("smoke"),
 	}
 }
 
@@ -286,44 +296,6 @@ func TestBudgetPartialPrefix(t *testing.T) {
 	}
 }
 
-// TestMaxWallDrain: an already-expired wall-clock budget drains the
-// pool before any trial runs, still writes a resumable checkpoint, and
-// the resumed sweep completes byte-identically. (The stopping point is
-// timing-dependent in general; an expired deadline is its one
-// deterministic case, which is what makes this testable.)
-func TestMaxWallDrain(t *testing.T) {
-	ref := cleanRun(t, 1)
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	cfg := recoveryConfig(4)
-	cfg.MaxWall = time.Nanosecond
-	cfg.CheckpointPath = ckpt
-	part, err := sweep.Execute(cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !part.Partial {
-		t.Fatal("deadline-stopped result not marked Partial")
-	}
-	for _, ss := range part.Scenarios {
-		if ss.TrialsDone != 0 {
-			// Workers check the deadline before every pickup, so nothing
-			// should complete; tolerate nothing, the contract is exact.
-			t.Fatalf("scenario %s completed %d trials under an expired deadline", ss.Scenario.Name, ss.TrialsDone)
-		}
-	}
-	st, _, err := sweep.RecoverCheckpoint(ckpt)
-	if err != nil {
-		t.Fatalf("deadline run left no checkpoint: %v", err)
-	}
-	res, err := sweep.Execute(recoveryConfig(2), st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustJSON(t, res); !bytes.Equal(got, ref) {
-		t.Fatal("deadline-then-resumed JSON differs from uninterrupted run")
-	}
-}
-
 // TestResumeRejectsForeignCheckpoint: resuming under a different sweep
 // identity fails with an actionable error naming both configurations,
 // before any trial runs.
@@ -348,9 +320,9 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 
 // TestResumeRejectsGridDigestMismatch: the scenario-file digest is part
 // of the checkpoint identity. A checkpoint taken under one scenario
-// file must not resume under another file — or under a compiled grid —
-// even when every swept value matches, and the error must say which
-// artifacts disagree.
+// file must not resume under another file — or under a grid built in
+// code — even when every swept value matches, and the error must say
+// which artifacts disagree.
 func TestResumeRejectsGridDigestMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cfg := recoveryConfig(1)
@@ -371,10 +343,10 @@ func TestResumeRejectsGridDigestMismatch(t *testing.T) {
 		t.Fatalf("digest mismatch accepted: %v", err)
 	}
 
-	compiled := recoveryConfig(1)
-	_, err = sweep.Execute(compiled, st, nil)
-	if err == nil || !strings.Contains(err.Error(), "compiled built-in grid") {
-		t.Fatalf("file-checkpointed state resumed under a compiled grid: %v", err)
+	fileless := recoveryConfig(1)
+	_, err = sweep.Execute(fileless, st, nil)
+	if err == nil || !strings.Contains(err.Error(), "a grid without a scenario file") {
+		t.Fatalf("file-checkpointed state resumed under a grid built in code: %v", err)
 	}
 
 	// The matching digest still resumes (the checkpoint is complete, so

@@ -359,7 +359,7 @@ func (r *Result) Check(cfg Config) error {
 			continue // nothing aggregated; no point estimate to validate
 		}
 		run := newScenarioRun(scens[si], cfg)
-		f := run.buildFleet(cfg.Seed)
+		f := BuildFleet(run.key, cfg.Seed)
 		// Trial 0's variant must match the sweep's exactly: stratified
 		// mode changes even trial 0's baseline count draws.
 		simSeed, anti, strata := trialVariant(run.variance, cfg.Seed, 0, trials)

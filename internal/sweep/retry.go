@@ -124,7 +124,7 @@ func (w *trialWorker) attempt(r *scenarioRun, job, att int) (vals []float64, pan
 			key, seed := r.key, w.cfg.Seed
 			w.f = w.cfg.FleetSource(key, seed, func() *fleet.Fleet { return BuildFleet(key, seed) })
 		} else {
-			w.f = r.buildFleet(w.cfg.Seed)
+			w.f = BuildFleet(r.key, w.cfg.Seed)
 		}
 		w.cp = w.f.Checkpoint()
 		w.haveKey = r.key

@@ -1,7 +1,7 @@
 package sweep
 
-// Tests for the control-plane seams sweepd drives: Interrupt (the
-// MaxWall-style external drain), OnCheckpoint (the in-memory partial
+// Tests for the control-plane seams cmd/sweep and sweepd drive:
+// Interrupt (the one asynchronous drain), OnCheckpoint (the in-memory partial
 // results feed) with CheckpointState.PartialResult, and FleetSource
 // (the pluggable cross-job fleet build). Each seam must be invisible
 // in the result bytes: interrupt-then-resume completes to the
@@ -170,7 +170,7 @@ func TestFleetSourceCachedClones(t *testing.T) {
 		}
 		return f.Clone()
 	}
-	got := encodeResult(t, Run(ccfg))
+	got := encodeResult(t, execute(t, ccfg))
 	if !bytes.Equal(got, want) {
 		t.Fatal("FleetSource-cached sweep bytes differ from direct-build sweep")
 	}

@@ -53,7 +53,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
@@ -208,22 +207,19 @@ type Config struct {
 	// CPU (fleet.EffectiveWorkers). Results are byte-identical for
 	// every worker count.
 	Workers int
-	// Scenarios is the grid; empty selects Grids["default"].
+	// Scenarios is the grid; Execute rejects an empty one.
 	Scenarios []Scenario
 	// GridDigest, when non-empty, is the content digest of the scenario
 	// file the grid was loaded from (internal/scenario Spec.Digest).
 	// It never affects any computed value — same scenarios, same bytes,
 	// digest or not — but it participates in checkpoint identity:
 	// resuming refuses a checkpoint taken under a different scenario
-	// file digest. Compiled grids leave it empty.
+	// file digest. A grid built in code leaves it empty.
 	GridDigest string
 	// Findings additionally evaluates the paper's Findings 1-11 per
 	// trial (the findings_pass metric; roughly doubles per-trial
 	// analysis cost).
 	Findings bool
-	// ReservoirSize caps the per-metric quantile sample (0 = 512).
-	// Quantiles are exact while Trials fits in the reservoir.
-	ReservoirSize int
 	// Variance is the base variance-reduction mode applied to every
 	// scenario that does not set its own ("" or "none" = the plain
 	// engine; see ValidVariance). Identity-bearing: it changes trial
@@ -254,29 +250,26 @@ type Config struct {
 	// Deterministic: a budgeted sweep is an exact prefix of the full
 	// one.
 	BudgetTrials int
-	// MaxWall, when positive, is the wall-clock budget: workers stop
-	// picking up trials once it elapses and the sweep drains into a
-	// checkpointed partial Result. Unlike every other knob this makes
-	// the stopping point timing-dependent; the aggregated prefix is
-	// still exact, so resuming later completes the identical Result.
-	MaxWall time.Duration
 	// Hooks are the fault-injection seams (nil in production runs).
 	Hooks *Hooks
 
-	// The three fields below are the control-plane seams the sweepd
-	// server drives. Like Workers and the budgets they are
+	// The three fields below are the control-plane seams cmd/sweep and
+	// the sweepd server drive. Like Workers and the budgets they are
 	// identity-free: none of them may change any aggregated value, so
 	// checkpoints ignore them and resuming under different values is
 	// always legal.
 
 	// Interrupt, when non-nil, is polled by every worker between
-	// trials; once it returns true the sweep drains exactly like an
-	// expired MaxWall deadline — workers stop picking up trials, the
-	// aggregated prefix is summarized into a Partial Result, and a
-	// final checkpoint is written — so a cancellation flows through the
-	// same graceful-stop path as a wall-clock budget. Must be safe for
-	// concurrent use; once it has returned true it must keep returning
-	// true.
+	// trials; once it returns true the sweep drains gracefully —
+	// workers stop picking up trials, the aggregated prefix is
+	// summarized into a Partial Result, and a final checkpoint is
+	// written. It is the one asynchronous stop: cmd/sweep's -max-wall
+	// deadline and sweepd's cancel and drain are all Interrupt
+	// closures, so the engine itself never reads the clock. The
+	// stopping point is then timing-dependent, but the aggregated prefix
+	// is still exact, so resuming later completes the identical Result.
+	// Must be safe for concurrent use; once it has returned true it must
+	// keep returning true.
 	Interrupt func() bool
 	// OnCheckpoint, when non-nil, receives every checkpoint state the
 	// collector captures — the periodic CheckpointEvery-cadence
@@ -305,11 +298,18 @@ type Config struct {
 // crash.
 var ErrKilled = errors.New("sweep: killed by fault-injection hook")
 
-// DefaultConfig mirrors cmd/sweep's flag defaults: 20 trials per
-// scenario over the default three-scenario grid at quarter scale.
+// DefaultConfig holds the run defaults — 20 trials per scenario, seed
+// 42, quarter scale — and is their only copy: cmd/sweep's flags and
+// sweepd's job base both start from it. It names no grid; the caller
+// supplies the scenarios.
 func DefaultConfig() Config {
-	return Config{Trials: 20, Seed: 42, Scale: 0.25, Scenarios: Grids["default"]}
+	return Config{Trials: 20, Seed: 42, Scale: 0.25}
 }
+
+// reservoirSize caps the per-metric quantile sample. Quantiles are
+// exact while Trials fits in the reservoir. Checkpoints still record
+// it, so a state captured under a different capacity is refused.
+const reservoirSize = 512
 
 // trialSeed derives the failure-history seed for one trial. Trial 0
 // replays the canonical single-run derivation (sweep seed + 1 —
@@ -408,7 +408,7 @@ type scenarioRun struct {
 }
 
 // newScenarioRun resolves a scenario against the sweep config — the
-// single resolution path shared by Run and Result.Check, so overrides
+// single resolution path shared by Execute and Result.Check, so overrides
 // can never apply differently between the sweep and its self-check.
 func newScenarioRun(s Scenario, cfg Config) scenarioRun {
 	return scenarioRun{
@@ -417,12 +417,6 @@ func newScenarioRun(s Scenario, cfg Config) scenarioRun {
 		params:   s.params(),
 		variance: s.EffVariance(cfg.Variance),
 	}
-}
-
-// buildFleet constructs the scenario's population. Worker count 1:
-// sweep parallelism lives at the trial level.
-func (r *scenarioRun) buildFleet(seed int64) *fleet.Fleet {
-	return BuildFleet(r.key, seed)
 }
 
 // BuildFleet constructs the population a FleetKey identifies — the
@@ -462,24 +456,6 @@ type trialOut struct {
 // cmd/sweep uses it for stderr progress lines. May be nil.
 type Progress func(scenario Scenario, trialsDone int)
 
-// Run executes the sweep and returns its aggregated Result. See the
-// package comment for the determinism and allocation contracts. It
-// panics on checkpoint IO errors and injected kills — configs using
-// CheckpointPath or Hooks should call Execute instead.
-func Run(cfg Config) *Result {
-	return RunProgress(cfg, nil)
-}
-
-// RunProgress is Run with a per-scenario completion callback, invoked
-// from the collector as each scenario's last trial is aggregated.
-func RunProgress(cfg Config, progress Progress) *Result {
-	res, err := Execute(cfg, nil, progress)
-	if err != nil {
-		panic("sweep: RunProgress: " + err.Error() + " (use Execute for checkpointed or fault-injected runs)")
-	}
-	return res
-}
-
 // newAggregators allocates the collector's aggregation state for one
 // sweep identity: per-scenario, per-metric Welford moments and
 // quantile reservoirs, trial-0 point vectors (NaN until trial 0 has
@@ -513,20 +489,27 @@ func newAggregators(ident CheckpointConfig) (onlines [][]stats.Online, reservoir
 	return onlines, reservoirs, points, deltas
 }
 
-// Execute runs the sweep, optionally resuming from a checkpoint. The
-// crash/resume contract extends the worker-count-equivalence contract:
+// Execute runs the sweep — the engine's one entry point — optionally
+// resuming from a checkpoint. See the package comment for the
+// determinism and allocation contracts. progress, when non-nil, is
+// called from the collector as each scenario's last trial is
+// aggregated. The crash/resume contract extends the
+// worker-count-equivalence contract:
 // restoring a checkpoint taken at any trial boundary and running the
 // remaining trials produces a Result whose JSON is byte-identical to
 // an uninterrupted run's, for any worker count on either side of the
 // interruption. resume may be nil (fresh run); its identity must match
 // cfg (same trials, seed, scale, findings, reservoir size, and
 // scenario grid — everything that determines the math; workers,
-// budgets, deadlines and checkpoint cadence are free to differ).
+// budgets, interrupts and checkpoint cadence are free to differ).
 //
-// Execute returns an error only for checkpoint validation/IO failures
-// and injected kills (ErrKilled); budget- and deadline-stopped sweeps
-// return a Partial Result with err == nil.
+// Execute returns an error only for an empty grid, checkpoint
+// validation/IO failures and injected kills (ErrKilled); budget-stopped
+// and interrupted sweeps return a Partial Result with err == nil.
 func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, error) {
+	if len(cfg.Scenarios) == 0 {
+		return nil, errors.New("sweep: the grid has no scenarios (Config.Scenarios is empty)")
+	}
 	ident := checkpointIdentity(cfg)
 	trials, scens := ident.Trials, ident.Scenarios
 	nScen := len(scens)
@@ -565,23 +548,9 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 		workers = remaining
 	}
 
-	// stop drains the pool early: the wall-clock deadline, an external
-	// Interrupt, and injected kills set it; workers check it before
-	// picking up each trial.
+	// stop drains the pool early: Interrupt and injected kills set it;
+	// workers check it before picking up each trial.
 	var stop atomic.Bool
-	drainNow := cfg.Interrupt
-	if cfg.MaxWall > 0 {
-		// The deadline is the one legitimate wall-clock dependency in
-		// this package: it bounds *when the sweep stops*, never any
-		// aggregated value — the completed prefix stays exact.
-		//detlint:ignore strayrand monotonic deadline only gates graceful drain; no aggregated value depends on the clock
-		start := time.Now()
-		interrupt := cfg.Interrupt
-		drainNow = func() bool {
-			//detlint:ignore strayrand monotonic deadline only gates graceful drain; no aggregated value depends on the clock
-			return time.Since(start) > cfg.MaxWall || (interrupt != nil && interrupt())
-		}
-	}
 
 	// Workers: contiguous job shards (scenario-major, trial-minor), so
 	// each worker crosses as few scenario boundaries as possible and
@@ -603,7 +572,7 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 				if stop.Load() {
 					return
 				}
-				if drainNow != nil && drainNow() {
+				if cfg.Interrupt != nil && cfg.Interrupt() {
 					stop.Store(true)
 					return
 				}
@@ -703,18 +672,23 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 				abort()
 				return nil, ErrKilled
 			}
-		}
-		if capturing && next-lastCkpt >= every && next < endJob {
-			if err := saveCheckpoint(); err != nil {
-				abort()
-				return nil, err
+			// The cadence is checked per aggregated trial, not per
+			// arrival: when a slow shard releases a long run of buffered
+			// trials at once, the watermark still checkpoints at every
+			// cadence boundary it crosses, so a crash never loses more
+			// than CheckpointEvery trials.
+			if capturing && next-lastCkpt >= every && next < endJob {
+				if err := saveCheckpoint(); err != nil {
+					abort()
+					return nil, err
+				}
+				lastCkpt = next
 			}
-			lastCkpt = next
 		}
 	}
 
-	// Drained: either the range completed or the deadline stopped the
-	// pool mid-range. Out-of-order stragglers past a stopped watermark
+	// Drained: either the range completed or Interrupt stopped the pool
+	// mid-range. Out-of-order stragglers past a stopped watermark
 	// are discarded — resume recomputes them.
 	if err := saveCheckpoint(); err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +11,35 @@ import (
 	"strings"
 	"testing"
 )
+
+// grid returns the scenario list of the built-in grid name, read from
+// its committed file examples/scenarios/<name>.json — the only
+// definition of the built-in grids. This package cannot import
+// internal/scenario (which imports it), so the helper decodes just the
+// scenario list; internal/scenario's tests validate every built-in.
+func grid(name string) []Scenario {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name+".json"))
+	var spec struct {
+		Scenarios []Scenario `json:"scenarios"`
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &spec)
+	}
+	if err != nil || len(spec.Scenarios) == 0 {
+		panic(fmt.Sprintf("loading built-in grid %q: %v", name, err))
+	}
+	return spec.Scenarios
+}
+
+// execute runs cfg to completion, failing the test on any error.
+func execute(t testing.TB, cfg Config) *Result {
+	t.Helper()
+	res, err := Execute(cfg, nil, nil)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	return res
+}
 
 // testConfig is a cheap two-scenario sweep for the determinism and
 // check tests.
@@ -18,14 +49,14 @@ func testConfig(trials, workers int) Config {
 		Seed:      42,
 		Scale:     0.005,
 		Workers:   workers,
-		Scenarios: Grids["smoke"],
+		Scenarios: grid("smoke"),
 	}
 }
 
 func resultJSON(t *testing.T, cfg Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Run(cfg).WriteJSON(&buf); err != nil {
+	if err := execute(t, cfg).WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	return buf.Bytes()
@@ -52,7 +83,7 @@ func TestSweepWorkerCountEquivalence(t *testing.T) {
 // the PR 5 dimensions).
 func TestSweepWorkerCountEquivalenceOpsGrid(t *testing.T) {
 	cfg := func(workers int) Config {
-		return Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: workers, Scenarios: Grids["ops"]}
+		return Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: workers, Scenarios: grid("ops")}
 	}
 	ref := resultJSON(t, cfg(1))
 	for _, workers := range []int{3, 7} {
@@ -109,7 +140,7 @@ func TestOpsDimensionsChangeRealizations(t *testing.T) {
 	cfg := func(s Scenario) Config {
 		return Config{Trials: 1, Seed: 42, Scale: 0.01, Workers: 2, Scenarios: []Scenario{s}}
 	}
-	baseline := Run(cfg(Scenario{Name: "baseline"}))
+	baseline := execute(t, cfg(Scenario{Name: "baseline"}))
 	baseEvents := float64(baseline.Scenarios[0].Metrics[metricIndex("events_visible")].Point)
 	if baseEvents <= 0 {
 		t.Fatal("baseline produced no events")
@@ -121,7 +152,7 @@ func TestOpsDimensionsChangeRealizations(t *testing.T) {
 		{Name: "repair", RepairLagMult: 64, RepairLagSigma: 1.5},
 		{Name: "sparse", SparseShelfFrac: 0.9},
 	} {
-		res := Run(cfg(s))
+		res := execute(t, cfg(s))
 		same := true
 		for mi, m := range res.Scenarios[0].Metrics {
 			b := baseline.Scenarios[0].Metrics[mi]
@@ -152,7 +183,7 @@ func TestSweepRepeatDeterminism(t *testing.T) {
 // bit and sit inside the sweep spread.
 func TestSweepCheck(t *testing.T) {
 	cfg := testConfig(4, runtime.GOMAXPROCS(0))
-	if err := Run(cfg).Check(cfg); err != nil {
+	if err := execute(t, cfg).Check(cfg); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
 }
@@ -163,7 +194,7 @@ func TestSweepCheck(t *testing.T) {
 // findings/mining metrics are absent (N == 0) when not enabled.
 func TestSweepSummaryShape(t *testing.T) {
 	cfg := testConfig(5, 2)
-	res := Run(cfg)
+	res := execute(t, cfg)
 	if res.Trials != 5 || len(res.Scenarios) != len(cfg.Scenarios) {
 		t.Fatalf("result shape: trials %d, %d scenarios", res.Trials, len(res.Scenarios))
 	}
@@ -209,7 +240,7 @@ func TestSweepSummaryShape(t *testing.T) {
 func TestSweepFindingsMetric(t *testing.T) {
 	cfg := testConfig(2, 2)
 	cfg.Findings = true
-	res := Run(cfg)
+	res := execute(t, cfg)
 	m := res.Scenarios[0].Metrics[metricIndex("findings_pass")]
 	if m.N != 2 {
 		t.Fatalf("findings_pass N = %d, want 2", m.N)
@@ -233,7 +264,7 @@ func TestSweepPerTrialAllocsFlat(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		Run(cfg(trials))
+		execute(t, cfg(trials))
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs - before.Mallocs)
 	}
@@ -250,53 +281,14 @@ func TestSweepPerTrialAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestLoadGrid covers the registry and the error paths.
-func TestLoadGrid(t *testing.T) {
-	for _, name := range GridNames() {
-		g, err := LoadGrid(name)
-		if err != nil || len(g) == 0 {
-			t.Errorf("LoadGrid(%q): %v (%d scenarios)", name, err, len(g))
-		}
-	}
-	if _, err := LoadGrid("no-such-grid"); err == nil || !strings.Contains(err.Error(), "unknown grid") {
-		t.Errorf("unknown grid error = %v", err)
-	}
-	if len(Grids["default"]) < 3 {
-		t.Errorf("default grid has %d scenarios, want >= 3", len(Grids["default"]))
-	}
-}
-
-// TestLoadGridFile covers the JSON-file path: a valid custom grid
-// round-trips, and a typoed override key is rejected instead of
-// silently degrading the scenario to a baseline duplicate.
-func TestLoadGridFile(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "grid.json")
-	if err := os.WriteFile(good, []byte(`[{"name":"afr-x3","diskAFRMult":3},{"name":"span","spanShelves":1}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	scens, err := LoadGrid(good)
-	if err != nil {
-		t.Fatalf("LoadGrid(good): %v", err)
-	}
-	if len(scens) != 2 || scens[0].DiskAFRMult != 3 || scens[1].SpanShelves != 1 {
-		t.Fatalf("LoadGrid(good) = %+v", scens)
-	}
-
-	typo := filepath.Join(dir, "typo.json")
-	if err := os.WriteFile(typo, []byte(`[{"name":"pi-x2","piRateMul":2}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadGrid(typo); err == nil {
-		t.Fatal("typoed override key must be rejected, not ignored")
-	}
-
-	unnamed := filepath.Join(dir, "unnamed.json")
-	if err := os.WriteFile(unnamed, []byte(`[{"scale":0.1}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadGrid(unnamed); err == nil {
-		t.Fatal("nameless scenario must be rejected")
+// TestExecuteRejectsEmptyGrid: a config without scenarios is an error,
+// not a silent sweep of some default grid.
+func TestExecuteRejectsEmptyGrid(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Trials, cfg.Scale = 1, 0.004
+	res, err := Execute(cfg, nil, nil)
+	if err == nil || res != nil || !strings.Contains(err.Error(), "no scenarios") {
+		t.Fatalf("Execute with an empty grid = (%v, %v), want a no-scenarios error", res, err)
 	}
 }
 

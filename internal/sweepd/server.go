@@ -89,11 +89,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultBase mirrors cmd/sweep's flag defaults (20 trials, seed 42,
-// quarter scale): a spec submitted to a default server computes
+// DefaultBase is sweep.DefaultConfig, the run defaults cmd/sweep's
+// flags also start from: a spec submitted to a default server computes
 // exactly what `sweep -grid-file <spec>` computes with default flags.
 func DefaultBase() sweep.Config {
-	return sweep.Config{Trials: 20, Seed: 42, Scale: 0.25}
+	return sweep.DefaultConfig()
 }
 
 // Server is the control plane: registry + FIFO queue + worker pool +
@@ -489,7 +489,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 // handleCancel flips the job's interrupt bit (running) or removes it
 // from the queue (queued). A running job drains through the engine's
-// MaxWall-style stop path — workers finish in-flight trials, the
+// Interrupt stop path — workers finish in-flight trials, the
 // aggregated prefix is checkpointed — then lands in StateCancelled.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r)
