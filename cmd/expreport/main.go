@@ -153,11 +153,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if set["scale"] {
 			cfg.Scale = *scale
 		}
-		if cfg.Trials < 1 {
-			return fail(fmt.Errorf("trial count %d must be at least 1 (scenario file and -trials combined)", cfg.Trials))
-		}
-		if cfg.Scale <= 0 || cfg.Scale > 1.5 {
-			return fail(fmt.Errorf("base scale %g must be in (0, 1.5] (scenario file and -scale combined)", cfg.Scale))
+		if err := sweep.CheckResolved(cfg); err != nil {
+			return fail(err)
 		}
 		fmt.Fprintf(stderr, "expreport: sweeping %d scenarios x %d trials at scale %.2f (seed %d)\n",
 			len(cfg.Scenarios), cfg.Trials, cfg.Scale, cfg.Seed)

@@ -1,7 +1,7 @@
 // Command reproduce regenerates every table and figure of the FAST '08
 // storage subsystem failure study end to end: build the fleet, simulate
-// the calibrated failure history, optionally mine it back out of raw
-// log text, and render each artifact.
+// the calibrated failure history, optionally mine it back out of the
+// AutoSupport log messages, and render each artifact.
 //
 // Usage:
 //
@@ -14,12 +14,12 @@
 // conclusion in seconds. -workers shards both fleet construction and
 // the simulation across a worker pool (0 = one per available CPU, the
 // fleet.EffectiveWorkers fallback); every worker count produces
-// bit-identical results. -mine routes events through the AutoSupport
-// log-rendering + parsing + classification pipeline instead of using
-// simulator output directly. -csv additionally writes machine-readable
-// figure data. For multi-trial runs with confidence intervals over a
-// scenario grid, see cmd/sweep, which shares this command's exact
-// per-trial code path (experiments.RunTrial).
+// bit-identical results. -mine takes events from the AutoSupport mining
+// pipeline (log messages classified by tag; no text is rendered or
+// parsed) instead of the simulator. -csv additionally writes
+// machine-readable figure data. For multi-trial runs with confidence
+// intervals over a scenario grid, see cmd/sweep, which shares this
+// command's exact per-trial code path (experiments.RunTrial).
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 	flag.Float64Var(&cfg.Scale, "scale", cfg.Scale, "population scale relative to the paper's 39,000 systems")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed")
 	flag.IntVar(&cfg.Workers, "workers", 0, "fleet build + simulation worker goroutines (0 = one per CPU; any value yields identical results)")
-	flag.BoolVar(&cfg.Mine, "mine", cfg.Mine, "recover events from rendered raw logs (slower, exercises the full pipeline)")
+	flag.BoolVar(&cfg.Mine, "mine", cfg.Mine, "recover events by mining the AutoSupport log messages (slower, exercises the classification pipeline)")
 	exp := flag.String("exp", "all", "experiment to run: all, "+strings.Join(experiments.Names, ", "))
 	csvDir := flag.String("csv", "", "also write machine-readable figure CSVs to this directory")
 	flag.Parse()

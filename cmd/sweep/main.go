@@ -211,18 +211,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if set["deltas"] {
 		cfg.Deltas = *deltas
 	}
-	if cfg.Trials < 1 {
-		return fail(2, "trial count %d must be at least 1 (scenario file and -trials combined)", cfg.Trials)
-	}
-	if cfg.Scale <= 0 || cfg.Scale > 1.5 {
-		return fail(2, "base scale %g must be in (0, 1.5] (scenario file and -scale combined)", cfg.Scale)
-	}
-	if cfg.Trials%2 != 0 {
-		for _, s := range cfg.Scenarios {
-			if s.EffVariance(cfg.Variance) == sweep.VarianceAntithetic {
-				return fail(2, "antithetic pairing needs an even trial count, got %d (scenario %q resolves to variance antithetic)", cfg.Trials, s.Name)
-			}
-		}
+	if err := sweep.CheckResolved(cfg); err != nil {
+		return fail(2, "%v", err)
 	}
 
 	var st *sweep.CheckpointState

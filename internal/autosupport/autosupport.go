@@ -161,11 +161,11 @@ func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 }
 
 // MineEvents runs the paper's log-mining methodology over the whole
-// database: parse the raw messages, classify RAID-layer failure
-// signatures, and resolve them to fleet identities. The result is the
-// typed event stream the analyses consume, recovered entirely from log
-// text. It returns the events (sorted by detection time) and the number
-// of unresolvable records.
+// database: classify the collected messages' RAID-layer failure
+// signatures by Tag and resolve their Serial to fleet identities. No
+// text is rendered or parsed (cmd/fleetgen → cmd/analyze is that round
+// trip). It returns the events (sorted by detection time) and the
+// number of unresolvable records.
 func (db *Database) MineEvents() ([]failmodel.Event, int) {
 	rv := eventlog.NewResolver(db.fleet)
 	var events []failmodel.Event

@@ -70,25 +70,14 @@ type GroupKey func(*fleet.System) (string, bool)
 
 // AFRByGroup computes per-group AFR breakdowns under the filter. Groups
 // are returned sorted by label; group membership, exposure and event
-// attribution are all by owning system.
+// attribution are all by owning system. key is called once per admitted
+// system, in system order.
 func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
-	groupOf := make(map[int]string, len(ds.Fleet.Systems)) // system ID -> label
-	byLabel := make(map[string]*Breakdown)
-
-	get := func(label string) *Breakdown {
-		b := byLabel[label]
-		if b == nil {
-			b = &Breakdown{
-				Label:  label,
-				Events: make(map[failmodel.FailureType]int),
-				AFR:    make(map[failmodel.FailureType]float64),
-			}
-			byLabel[label] = b
-		}
-		return b
-	}
-
+	index := make(map[string]int)
+	var labels []string
+	groupOf := make([]int, len(ds.Fleet.Systems))
 	for _, s := range ds.Fleet.Systems {
+		groupOf[s.ID] = -1
 		if !fl.admitsSystem(s) {
 			continue
 		}
@@ -96,64 +85,93 @@ func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
 		if !ok {
 			continue
 		}
-		groupOf[s.ID] = label
-		b := get(label)
+		i, seen := index[label]
+		if !seen {
+			i = len(labels)
+			index[label] = i
+			labels = append(labels, label)
+		}
+		groupOf[s.ID] = i
+	}
+	bs := ds.tally(labels, func(s *fleet.System) int { return groupOf[s.ID] }, fl)
+	// Labels are unique, so the sort is a total order: the output order
+	// is part of the byte-determinism contract.
+	sort.Slice(bs, func(i, j int) bool { return bs[i].Label < bs[j].Label })
+	return bs
+}
+
+// tally is the one aggregation behind every breakdown: key maps each
+// admitted system to its group's index in labels, or -1 to leave it
+// out; a group no system maps to keeps Systems == 0 and nil maps. Each
+// group's exposure is summed in disk order whatever shares the pass.
+func (ds *Dataset) tally(labels []string, key func(*fleet.System) int, fl Filter) []Breakdown {
+	bs := make([]Breakdown, len(labels))
+	groupOf := make([]int, len(ds.Fleet.Systems))
+	for _, s := range ds.Fleet.Systems {
+		g := -1
+		if fl.admitsSystem(s) {
+			g = key(s)
+		}
+		groupOf[s.ID] = g
+		if g < 0 {
+			continue
+		}
+		b := &bs[g]
+		if b.Systems == 0 {
+			b.Events = make(map[failmodel.FailureType]int)
+			b.AFR = make(map[failmodel.FailureType]float64)
+		}
 		b.Systems++
 		b.Shelves += len(s.Shelves)
 		b.Groups += len(s.RAIDGroups)
 	}
 
 	for _, d := range ds.Fleet.Disks {
-		label, ok := groupOf[d.System]
-		if !ok {
-			continue
+		if g := groupOf[d.System]; g >= 0 {
+			bs[g].Disks++
+			bs[g].DiskYears += d.ResidencyYears()
 		}
-		b := byLabel[label]
-		b.Disks++
-		b.DiskYears += d.ResidencyYears()
 	}
 
 	for _, e := range ds.Events {
-		label, ok := groupOf[e.System]
-		if !ok || !fl.admitsEvent(e) {
-			continue
+		if g := groupOf[e.System]; g >= 0 && e.Visible() {
+			bs[g].Events[e.Type]++
 		}
-		byLabel[label].Events[e.Type]++
 	}
 
-	// Iterate labels in sorted order rather than map order: the output
-	// order is part of the byte-determinism contract, and a non-stable
-	// sort over map-ordered elements would depend on label uniqueness.
-	labels := make([]string, 0, len(byLabel))
-	for label := range byLabel {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	out := make([]Breakdown, 0, len(byLabel))
-	for _, label := range labels {
-		b := byLabel[label]
+	for i := range bs {
+		b := &bs[i]
+		b.Label = labels[i]
 		if b.DiskYears > 0 {
 			for _, t := range failmodel.Types {
 				b.AFR[t] = float64(b.Events[t]) / b.DiskYears
 			}
 		}
-		out = append(out, *b)
 	}
-	return out
+	return bs
 }
 
 // AFRByClass computes the Figure 4 breakdown: one bar per system class.
 // Bars come back in class order, not alphabetical.
 func (ds *Dataset) AFRByClass(fl Filter) []Breakdown {
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return s.Class.String(), true
-	}, fl)
-	order := map[string]int{}
-	for i, c := range fleet.Classes {
-		order[c.String()] = i
+	out := make([]Breakdown, 0, len(fleet.Classes))
+	for _, b := range ds.classBreakdowns(fl) {
+		if b.Systems > 0 {
+			out = append(out, b)
+		}
 	}
-	sort.Slice(bs, func(i, j int) bool { return order[bs[i].Label] < order[bs[j].Label] })
-	return bs
+	return out
+}
+
+// classBreakdowns is AFRByClass indexed by SystemClass: one entry per
+// fleet.Classes position, with Systems == 0 for a class the filter
+// leaves empty.
+func (ds *Dataset) classBreakdowns(fl Filter) []Breakdown {
+	labels := make([]string, len(fleet.Classes))
+	for _, c := range fleet.Classes {
+		labels[c] = c.String()
+	}
+	return ds.tally(labels, func(s *fleet.System) int { return int(s.Class) }, fl)
 }
 
 // AFRByDiskModel computes one Figure 5 panel: AFR per disk model for
@@ -218,17 +236,13 @@ type Table1Row struct {
 // Table1 regenerates the paper's Table 1: per-class population and
 // failure event counts (visible failures only, as the paper counts).
 func (ds *Dataset) Table1() []Table1Row {
-	rows := make([]Table1Row, 0, len(fleet.Classes))
-	byClass := make(map[fleet.SystemClass]*Table1Row)
-	for _, c := range fleet.Classes {
-		rows = append(rows, Table1Row{Class: c, Events: make(map[failmodel.FailureType]int)})
-		byClass[c] = &rows[len(rows)-1]
+	rows := make([]Table1Row, len(fleet.Classes))
+	for c, b := range ds.classBreakdowns(Filter{}) {
+		rows[c] = Table1Row{Class: fleet.SystemClass(c), Systems: b.Systems, Shelves: b.Shelves,
+			Disks: b.Disks, RAIDGroups: b.Groups, Events: b.Events}
 	}
 	for _, s := range ds.Fleet.Systems {
-		row := byClass[s.Class]
-		row.Systems++
-		row.Shelves += len(s.Shelves)
-		row.RAIDGroups += len(s.RAIDGroups)
+		row := &rows[s.Class]
 		if s.DiskModel.Type == fleet.SATA {
 			row.DiskType = "SATA"
 		} else {
@@ -238,14 +252,6 @@ func (ds *Dataset) Table1() []Table1Row {
 			row.Multipathing = "single-path dual-path"
 		} else if row.Multipathing == "" {
 			row.Multipathing = "single-path"
-		}
-	}
-	for _, d := range ds.Fleet.Disks {
-		byClass[ds.Fleet.Systems[d.System].Class].Disks++
-	}
-	for _, e := range ds.Events {
-		if e.Visible() {
-			byClass[ds.Fleet.Systems[e.System].Class].Events[e.Type]++
 		}
 	}
 	return rows

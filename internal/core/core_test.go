@@ -133,7 +133,7 @@ func TestFilterExcludeFamily(t *testing.T) {
 	}
 }
 
-func TestFilterRecoveredAndTypes(t *testing.T) {
+func TestFilterRecoveredAndSystem(t *testing.T) {
 	f := craftedFleet()
 	events := []failmodel.Event{
 		ev(0, f, 1000, failmodel.PhysicalInterconnect, true),
@@ -142,16 +142,8 @@ func TestFilterRecoveredAndTypes(t *testing.T) {
 	ds := NewDataset(f, events)
 
 	noRec := ds.selectEvents(Filter{})
-	if len(noRec) != 1 {
-		t.Fatalf("default filter: %d events, want 1", len(noRec))
-	}
-	withRec := ds.selectEvents(Filter{IncludeRecovered: true})
-	if len(withRec) != 2 {
-		t.Fatalf("IncludeRecovered: %d events, want 2", len(withRec))
-	}
-	onlyProto := ds.selectEvents(Filter{Types: []failmodel.FailureType{failmodel.Protocol}})
-	if len(onlyProto) != 1 || onlyProto[0].Type != failmodel.Protocol {
-		t.Fatal("type filter failed")
+	if len(noRec) != 1 || noRec[0].Type != failmodel.Protocol {
+		t.Fatalf("default filter: %d events, want only the visible protocol failure", len(noRec))
 	}
 	none := ds.selectEvents(Filter{System: func(s *fleet.System) bool { return false }})
 	if len(none) != 0 {

@@ -104,7 +104,7 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 	// Count failures per (container, type) within the window.
 	counts := make(map[int]*[4]int, len(containers))
 	for _, e := range ds.Events {
-		if !fl.admitsEvent(e) {
+		if !e.Visible() {
 			continue
 		}
 		id := e.Shelf

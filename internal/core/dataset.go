@@ -39,20 +39,15 @@ func NewDataset(f *fleet.Fleet, events []failmodel.Event) *Dataset {
 	return &Dataset{Fleet: f, Events: events}
 }
 
-// Filter selects which events an analysis sees.
+// Filter selects which systems an analysis sees. Its events are the
+// visible ones: faults multipathing absorbs are not storage subsystem
+// failures, which are "errors exposed by storage subsystems to the
+// rest of the system".
 type Filter struct {
-	// IncludeRecovered also counts faults absorbed by multipathing.
-	// The paper's storage subsystem failures exclude them: "storage
-	// failures characterized as storage subsystem failure as a whole
-	// are those errors exposed by storage subsystems to the rest of
-	// the system".
-	IncludeRecovered bool
 	// ExcludeFamily drops events from (and exposure of) systems using
 	// the given disk family — the paper's Figure 4(b) excludes the
 	// problematic "Disk H" family. Empty means no exclusion.
 	ExcludeFamily string
-	// Types restricts to the given failure types (nil means all).
-	Types []failmodel.FailureType
 	// System restricts to systems for which the predicate holds (nil
 	// means all systems).
 	System func(*fleet.System) bool
@@ -69,33 +64,12 @@ func (fl Filter) admitsSystem(s *fleet.System) bool {
 	return true
 }
 
-// admitsEvent reports whether an event passes the filter (assuming its
-// system already does).
-func (fl Filter) admitsEvent(e failmodel.Event) bool {
-	if !e.Visible() && !fl.IncludeRecovered {
-		return false
-	}
-	if fl.Types != nil {
-		ok := false
-		for _, t := range fl.Types {
-			if e.Type == t {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // selectEvents returns the filtered events. Matches are counted first
 // so the result is allocated exactly once at its final size, instead of
 // growing a worst-case copy through repeated append doublings.
 func (ds *Dataset) selectEvents(fl Filter) []failmodel.Event {
 	admits := func(e failmodel.Event) bool {
-		return fl.admitsEvent(e) && fl.admitsSystem(ds.Fleet.Systems[e.System])
+		return e.Visible() && fl.admitsSystem(ds.Fleet.Systems[e.System])
 	}
 	n := 0
 	for _, e := range ds.Events {

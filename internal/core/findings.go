@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
-	"storagesubsys/internal/stats"
 )
 
 // Finding is one of the paper's numbered findings evaluated against a
@@ -21,48 +19,41 @@ type Finding struct {
 }
 
 // EvaluateFindings checks the paper's Findings 1–11 against the
-// dataset and returns them in order. This is the headline integration
-// surface: a reproduction is faithful when all findings pass.
+// dataset and returns them in order: Analyze().Findings(). This is the
+// headline integration surface: a reproduction is faithful when all
+// findings pass.
 func (ds *Dataset) EvaluateFindings() []Finding {
-	noH := Filter{ExcludeFamily: fleet.ProblemFamily}
-	byClass := breakdownIndex(ds.AFRByClass(noH))
-	shelfGaps := ds.Gaps(ByShelf, Filter{})
-	rgGaps := ds.Gaps(ByRAIDGroup, Filter{})
-
-	findings := []Finding{
-		ds.finding1(byClass),
-		ds.finding2(byClass),
-		ds.finding3(),
-		ds.finding4(),
-		ds.finding5(),
-		ds.finding6(),
-		ds.finding7(),
-		ds.finding8(shelfGaps),
-		ds.finding9(shelfGaps, rgGaps),
-		ds.finding10(rgGaps),
-		ds.finding11(),
-	}
-	return findings
+	return ds.Analyze().Findings()
 }
 
-func breakdownIndex(bs []Breakdown) map[string]Breakdown {
-	m := make(map[string]Breakdown, len(bs))
-	for _, b := range bs {
-		m[b.Label] = b
+// Findings returns the Findings 1–11 verdicts, each read from the
+// analysis's shared statistics.
+func (a *Analysis) Findings() []Finding {
+	return []Finding{
+		finding1(a.Classes),
+		finding2(a.Classes),
+		finding3(a.FamilyH),
+		finding4(a.Spread),
+		finding5(a.Capacity),
+		finding6(a.Shelf),
+		finding7(a.Multipath),
+		finding8(a.ShelfGaps),
+		finding9(a.ShelfGaps, a.RAIDGroupGaps),
+		finding10(a.RAIDGroupGaps),
+		finding11(a.ShelfCorrelation, a.ds.Correlation(ByRAIDGroup, CorrelationOptions{})),
 	}
-	return m
 }
 
 // Finding 1: disk failures contribute 20-55% of storage subsystem
 // failures; physical interconnects 27-68%; protocol and performance
 // failures are noticeable fractions.
-func (ds *Dataset) finding1(byClass map[string]Breakdown) Finding {
+func finding1(classes []Breakdown) Finding {
 	f := Finding{ID: 1, Title: "Disk failures are 20-55% of subsystem failures; interconnects 27-68%; protocol and performance failures noticeable"}
 	pass := true
 	detail := ""
 	for _, c := range fleet.Classes {
-		b, ok := byClass[c.String()]
-		if !ok || b.TotalEvents() == 0 {
+		b := classes[c]
+		if b.TotalEvents() == 0 {
 			continue
 		}
 		disk := b.Share(failmodel.DiskFailure)
@@ -71,15 +62,9 @@ func (ds *Dataset) finding1(byClass map[string]Breakdown) Finding {
 		perf := b.Share(failmodel.Performance)
 		detail += fmt.Sprintf("%s: disk %.0f%%, interconnect %.0f%%, protocol %.0f%%, performance %.0f%%; ",
 			c, disk*100, pi*100, proto*100, perf*100)
-		if disk < 0.15 || disk > 0.60 {
-			pass = false
-		}
-		if pi < 0.22 || pi > 0.73 {
-			pass = false
-		}
 		// Performance failures are a "noticeable fraction" everywhere
 		// but high-end, where the paper's Table 1 shows under 1%.
-		if proto <= 0.02 || perf <= 0.005 {
+		if disk < 0.15 || disk > 0.60 || pi < 0.22 || pi > 0.73 || proto <= 0.02 || perf <= 0.005 {
 			pass = false
 		}
 	}
@@ -90,11 +75,10 @@ func (ds *Dataset) finding1(byClass map[string]Breakdown) Finding {
 
 // Finding 2: near-line disks fail more than low-end disks, yet near-line
 // storage subsystems fail less than low-end ones.
-func (ds *Dataset) finding2(byClass map[string]Breakdown) Finding {
+func finding2(classes []Breakdown) Finding {
 	f := Finding{ID: 2, Title: "Near-line disk AFR > low-end disk AFR, but near-line subsystem AFR < low-end subsystem AFR"}
-	nl, okNL := byClass[fleet.NearLine.String()]
-	low, okLow := byClass[fleet.LowEnd.String()]
-	if !okNL || !okLow {
+	nl, low := classes[fleet.NearLine], classes[fleet.LowEnd]
+	if nl.Systems == 0 || low.Systems == 0 {
 		f.Detail = "missing class data"
 		return f
 	}
@@ -108,121 +92,22 @@ func (ds *Dataset) finding2(byClass map[string]Breakdown) Finding {
 
 // Finding 3: subsystems using the problematic disk family show about 2x
 // the AFR of other subsystems.
-func (ds *Dataset) finding3() Finding {
+func finding3(c FamilyHComparison) Finding {
 	f := Finding{ID: 3, Title: "Problematic disk family (H) doubles storage subsystem AFR"}
-	// Compare within the classes that deploy family H, so the class mix
-	// does not confound the comparison.
-	hasH := func(s *fleet.System) bool { return s.Class != fleet.NearLine }
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		if !hasH(s) {
-			return "", false
-		}
-		if s.DiskModel.Family == fleet.ProblemFamily {
-			return "family H", true
-		}
-		return "other families", true
-	}, Filter{})
-	idx := breakdownIndex(bs)
-	h, okH := idx["family H"]
-	rest, okRest := idx["other families"]
-	if !okH || !okRest || rest.TotalAFR() == 0 {
+	ratio := c.Ratio()
+	if math.IsNaN(ratio) {
 		f.Detail = "missing family H population"
 		return f
 	}
-	ratio := h.TotalAFR() / rest.TotalAFR()
 	f.Pass = ratio >= 1.5
-	f.Detail = fmt.Sprintf("subsystem AFR %.2f%% (family H) vs %.2f%% (others): %.1fx", h.TotalAFR()*100, rest.TotalAFR()*100, ratio)
+	f.Detail = fmt.Sprintf("subsystem AFR %.2f%% (family H) vs %.2f%% (others): %.1fx", c.H.TotalAFR()*100, c.Others.TotalAFR()*100, ratio)
 	return f
-}
-
-// EnvSpread is Finding 4's cross-environment comparison: the average
-// relative standard deviation (std/mean) of per-environment AFRs over
-// every disk model deployed in at least two environments, computed
-// separately for the disk AFR (the paper: stable) and the whole
-// subsystem AFR (the paper: varies strongly). Models counts the disk
-// models that entered the averages; when it is zero both spreads are
-// NaN.
-type EnvSpread struct {
-	DiskRelStd   float64
-	SubsysRelStd float64
-	Models       int
-}
-
-// EnvAFRSpread computes Finding 4's spread comparison — the statistic
-// behind the finding4 verdict and the sweep's afr_spread_disk /
-// afr_spread_subsys metrics. Environments are (class, shelf model,
-// disk model) groups with at least 200 disk-years of exposure;
-// iteration is in sorted model order so the float averages are
-// deterministic.
-func (ds *Dataset) EnvAFRSpread() EnvSpread {
-	// Group by (class, shelf model, disk model); then for disk models in
-	// >= 2 environments compare relative spread of disk vs subsystem AFR.
-	type envGroup struct {
-		disk, total float64
-		years       float64
-	}
-	envs := make(map[fleet.DiskModel][]envGroup)
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return fmt.Sprintf("%s|%s|%s", s.Class, s.ShelfModel, s.DiskModel), true
-	}, Filter{})
-	// Recover the disk model from the label via a second pass keyed the
-	// same way.
-	labelModel := make(map[string]fleet.DiskModel)
-	for _, s := range ds.Fleet.Systems {
-		labelModel[fmt.Sprintf("%s|%s|%s", s.Class, s.ShelfModel, s.DiskModel)] = s.DiskModel
-	}
-	for _, b := range bs {
-		if b.DiskYears < 200 { // skip tiny environments: AFR too noisy
-			continue
-		}
-		m := labelModel[b.Label]
-		envs[m] = append(envs[m], envGroup{disk: b.AFR[failmodel.DiskFailure], total: b.TotalAFR(), years: b.DiskYears})
-	}
-	// Iterate models in a fixed order: the spread averages are float
-	// sums, so map order would leak into low-order output digits.
-	models := make([]fleet.DiskModel, 0, len(envs))
-	for m := range envs {
-		models = append(models, m)
-	}
-	sort.Slice(models, func(i, j int) bool {
-		a, b := models[i], models[j]
-		if a.Family != b.Family {
-			return a.Family < b.Family
-		}
-		if a.Capacity != b.Capacity {
-			return a.Capacity < b.Capacity
-		}
-		return a.Type < b.Type // total order: same family+capacity can differ in type
-	})
-	var diskSpreads, totalSpreads []float64
-	for _, m := range models {
-		gs := envs[m]
-		if len(gs) < 2 {
-			continue
-		}
-		var disks, totals []float64
-		for _, g := range gs {
-			disks = append(disks, g.disk)
-			totals = append(totals, g.total)
-		}
-		diskSpreads = append(diskSpreads, relStd(disks))
-		totalSpreads = append(totalSpreads, relStd(totals))
-	}
-	if len(diskSpreads) == 0 {
-		return EnvSpread{DiskRelStd: math.NaN(), SubsysRelStd: math.NaN()}
-	}
-	return EnvSpread{
-		DiskRelStd:   stats.Mean(diskSpreads),
-		SubsysRelStd: stats.Mean(totalSpreads),
-		Models:       len(diskSpreads),
-	}
 }
 
 // Finding 4: a disk model's disk AFR is stable across environments while
 // its storage subsystem AFR varies strongly.
-func (ds *Dataset) finding4() Finding {
+func finding4(sp EnvSpread) Finding {
 	f := Finding{ID: 4, Title: "Disk AFR stable across environments; subsystem AFR varies strongly"}
-	sp := ds.EnvAFRSpread()
 	if sp.Models == 0 {
 		f.Detail = "no disk model spans multiple environments"
 		return f
@@ -233,150 +118,49 @@ func (ds *Dataset) finding4() Finding {
 	return f
 }
 
-// capacityPairs lists the within-family (smaller, larger) capacity
-// pairs the Finding 5 comparison walks — every family deploying
-// multiple capacities.
-var capacityPairs = [][2]string{{"A-1", "A-2"}, {"A-2", "A-3"}, {"D-1", "D-2"}, {"D-2", "D-3"}, {"C-1", "C-2"}, {"F-1", "F-2"}, {"I-1", "I-2"}, {"J-1", "J-2"}}
-
-// CapacityAFRMeanRatio returns the mean ratio of the larger capacity's
-// disk AFR to the smaller capacity's across the within-family pairs
-// with at least 5000 disk-years on both sides, and how many pairs
-// qualified — Finding 5's statistic (the paper: AFR does not grow with
-// capacity, so the ratio stays at or below ~1). NaN with zero pairs
-// when no pair has enough exposure.
-func (ds *Dataset) CapacityAFRMeanRatio() (ratio float64, pairs int) {
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return s.DiskModel.String(), true
-	}, Filter{})
-	afr := make(map[string]float64)
-	years := make(map[string]float64)
-	for _, b := range bs {
-		afr[b.Label] = b.AFR[failmodel.DiskFailure]
-		years[b.Label] = b.DiskYears
-	}
-	sum := 0.0
-	for _, p := range capacityPairs {
-		small, okS := afr[p[0]]
-		large, okL := afr[p[1]]
-		if !okS || !okL || small == 0 || years[p[0]] < 5000 || years[p[1]] < 5000 {
-			continue
-		}
-		sum += large / small
-		pairs++
-	}
-	if pairs == 0 {
-		return math.NaN(), 0
-	}
-	return sum / float64(pairs), pairs
-}
-
-// Finding 5: AFR does not increase with disk capacity.
-func (ds *Dataset) finding5() Finding {
+// Finding 5: AFR does not increase with disk capacity. For every
+// qualifying pair, the larger capacity must not be meaningfully worse
+// than the smaller one.
+func finding5(pairs CapacityPairs) Finding {
 	f := Finding{ID: 5, Title: "AFR does not increase with disk size"}
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		return s.DiskModel.String(), true
-	}, Filter{})
-	afr := make(map[string]float64)
-	years := make(map[string]float64)
-	for _, b := range bs {
-		afr[b.Label] = b.AFR[failmodel.DiskFailure]
-		years[b.Label] = b.DiskYears
-	}
-	// For every family with multiple capacities, the larger capacity
-	// must not be meaningfully worse than the smaller one.
 	pass := true
 	detail := ""
-	checked := 0
-	for _, p := range capacityPairs {
-		small, okS := afr[p[0]]
-		large, okL := afr[p[1]]
-		if !okS || !okL || years[p[0]] < 5000 || years[p[1]] < 5000 {
-			continue
-		}
-		checked++
-		detail += fmt.Sprintf("%s %.2f%% vs %s %.2f%%; ", p[0], small*100, p[1], large*100)
+	for _, p := range pairs {
+		small := p[0].AFR[failmodel.DiskFailure]
+		large := p[1].AFR[failmodel.DiskFailure]
+		detail += fmt.Sprintf("%s %.2f%% vs %s %.2f%%; ", p[0].Label, small*100, p[1].Label, large*100)
 		if large > small*1.25 { // meaningful increase with capacity
 			pass = false
 		}
 	}
-	f.Pass = pass && checked > 0
+	f.Pass = pass && len(pairs) > 0
 	f.Detail = detail
 	return f
-}
-
-// shelfCompareModels are the low-end disk models the paper's Figure 6
-// deploys with both shelf enclosure models — the comparison set shared
-// by finding6 and ShelfModelPIDelta.
-var shelfCompareModels = []fleet.DiskModel{fleet.DiskA2, fleet.DiskA3, fleet.DiskD2, fleet.DiskD3}
-
-// ShelfModelPIDelta is Finding 6's effect size — the statistic behind
-// the sweep's shelf_model_pi_delta metric: over the low-end disk
-// models deployed with both shelf enclosure models A and B, the mean
-// relative physical interconnect AFR difference |A−B| / mean(A, B).
-// NaN when no model is deployed with both shelf models (or the rates
-// vanish).
-func (ds *Dataset) ShelfModelPIDelta() float64 {
-	sum, n := 0.0, 0
-	for _, m := range shelfCompareModels {
-		idx := breakdownIndex(ds.AFRByShelfModel(fleet.LowEnd, m, Filter{}))
-		a, okA := idx["Shelf Enclosure Model A"]
-		b, okB := idx["Shelf Enclosure Model B"]
-		if !okA || !okB || a.DiskYears == 0 || b.DiskYears == 0 {
-			continue
-		}
-		pa := a.AFR[failmodel.PhysicalInterconnect]
-		pb := b.AFR[failmodel.PhysicalInterconnect]
-		if pa+pb == 0 {
-			continue
-		}
-		sum += math.Abs(pa-pb) / ((pa + pb) / 2)
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }
 
 // Finding 6: shelf enclosure model strongly impacts physical
 // interconnect failures, and different shelf models win for different
 // disk models.
-func (ds *Dataset) finding6() Finding {
+func finding6(cs ShelfComparisons) Finding {
 	f := Finding{ID: 6, Title: "Shelf enclosure model matters, with different winners per disk model"}
-	type comparison struct {
-		model  fleet.DiskModel
-		winner fleet.ShelfModel
-		test   stats.TTestResult
-	}
-	var comps []comparison
-	for _, m := range shelfCompareModels {
-		bs := ds.AFRByShelfModel(fleet.LowEnd, m, Filter{})
-		idx := breakdownIndex(bs)
-		a, okA := idx["Shelf Enclosure Model A"]
-		b, okB := idx["Shelf Enclosure Model B"]
-		if !okA || !okB {
-			continue
-		}
-		test := CompareAFR(a, b, failmodel.PhysicalInterconnect)
-		winner := fleet.ShelfA
-		if b.AFR[failmodel.PhysicalInterconnect] < a.AFR[failmodel.PhysicalInterconnect] {
-			winner = fleet.ShelfB
-		}
-		comps = append(comps, comparison{model: m, winner: winner, test: test})
-	}
-	if len(comps) < 2 {
+	if len(cs) < 2 {
 		f.Detail = "insufficient shelf-model overlap"
 		return f
 	}
 	significant := 0
 	winners := map[fleet.ShelfModel]bool{}
 	detail := ""
-	for _, c := range comps {
-		if c.test.Confidence() >= 99 {
+	for _, c := range cs {
+		conf := CompareAFR(c.A, c.B, failmodel.PhysicalInterconnect).Confidence()
+		if conf >= 99 {
 			significant++
 		}
-		winners[c.winner] = true
-		detail += fmt.Sprintf("%s: shelf %s wins (%.1f%% conf); ", c.model, c.winner, c.test.Confidence())
+		winner := fleet.ShelfA // the lower interconnect AFR wins; A on a tie
+		if c.B.AFR[failmodel.PhysicalInterconnect] < c.A.AFR[failmodel.PhysicalInterconnect] {
+			winner = fleet.ShelfB
+		}
+		winners[winner] = true
+		detail += fmt.Sprintf("%s: shelf %s wins (%.1f%% conf); ", c.Model, winner, conf)
 	}
 	// The paper finds every comparison significant at >= 99.5% on the
 	// full 22k-system low-end population; at reduced reproduction scale
@@ -387,60 +171,25 @@ func (ds *Dataset) finding6() Finding {
 	return f
 }
 
-// multipathClasses are the classes with a dual-path population — the
-// Figure 7 comparison set shared by finding7 and MultipathReductions.
-var multipathClasses = []fleet.SystemClass{fleet.MidRange, fleet.HighEnd}
-
-// MultipathReductions is Finding 7's effect size — the statistic
-// behind the sweep's multipath_total_reduction / multipath_pi_reduction
-// metrics: the fractional subsystem and physical interconnect AFR
-// reductions from single-path to dual-path configurations, averaged
-// over the multipath classes with family H excluded (exactly the
-// finding7 comparison, minus the significance test). Both are NaN
-// unless every class contributes both path configurations with
-// nonzero single-path rates.
-func (ds *Dataset) MultipathReductions() (totalRed, piRed float64) {
-	sumTotal, sumPI, n := 0.0, 0.0, 0
-	for _, class := range multipathClasses {
-		idx := breakdownIndex(ds.AFRByPathConfig(class, Filter{ExcludeFamily: fleet.ProblemFamily}))
-		single, okS := idx["Single Path"]
-		dual, okD := idx["Dual Paths"]
-		if !okS || !okD || single.TotalAFR() == 0 || single.AFR[failmodel.PhysicalInterconnect] == 0 {
-			return math.NaN(), math.NaN()
-		}
-		sumTotal += 1 - dual.TotalAFR()/single.TotalAFR()
-		sumPI += 1 - dual.AFR[failmodel.PhysicalInterconnect]/single.AFR[failmodel.PhysicalInterconnect]
-		n++
-	}
-	return sumTotal / float64(n), sumPI / float64(n)
-}
-
 // Finding 7: dual-path subsystems see 30-40% lower AFR; physical
 // interconnect AFR drops 50-60%.
-func (ds *Dataset) finding7() Finding {
+func finding7(cs PathComparisons) Finding {
 	f := Finding{ID: 7, Title: "Multipathing cuts subsystem AFR 30-40% (interconnect AFR 50-60%)"}
 	pass := true
 	detail := ""
-	for _, class := range multipathClasses {
-		// Family H excluded so the problematic family's elevated disk/
-		// protocol rates don't confound the path comparison.
-		bs := ds.AFRByPathConfig(class, Filter{ExcludeFamily: fleet.ProblemFamily})
-		idx := breakdownIndex(bs)
-		single, okS := idx["Single Path"]
-		dual, okD := idx["Dual Paths"]
-		if !okS || !okD || single.TotalAFR() == 0 {
+	for _, c := range cs {
+		if !c.Observed() || c.Single.TotalAFR() == 0 {
 			pass = false
 			continue
 		}
-		totalRed := 1 - dual.TotalAFR()/single.TotalAFR()
-		piRed := 1 - dual.AFR[failmodel.PhysicalInterconnect]/single.AFR[failmodel.PhysicalInterconnect]
-		test := CompareAFR(single, dual, failmodel.PhysicalInterconnect)
+		totalRed, piRed := c.Reductions()
+		conf := CompareAFR(c.Single, c.Dual, failmodel.PhysicalInterconnect).Confidence()
 		detail += fmt.Sprintf("%s: subsystem -%.0f%%, interconnect -%.0f%% (%.1f%% conf); ",
-			class, totalRed*100, piRed*100, test.Confidence())
+			c.Class, totalRed*100, piRed*100, conf)
 		// The paper reports -30-40% subsystem / -50-60% interconnect on
 		// the full population; the bands below add room for the Poisson
 		// noise of reduced-scale runs.
-		if totalRed < 0.20 || totalRed > 0.55 || piRed < 0.35 || piRed > 0.75 || test.Confidence() < 99 {
+		if totalRed < 0.20 || totalRed > 0.55 || piRed < 0.35 || piRed > 0.75 || conf < 99 {
 			pass = false
 		}
 	}
@@ -451,7 +200,7 @@ func (ds *Dataset) finding7() Finding {
 
 // Finding 8: interconnect/protocol/performance failures are much
 // burstier than disk failures; Gamma best fits disk failure gaps.
-func (ds *Dataset) finding8(shelf *GapAnalysis) Finding {
+func finding8(shelf *GapAnalysis) Finding {
 	f := Finding{ID: 8, Title: "Interconnect/protocol/performance failures far burstier than disk failures; Gamma best fits disk gaps"}
 	disk := shelf.FractionWithin(failmodel.DiskFailure, BurstThreshold)
 	pi := shelf.FractionWithin(failmodel.PhysicalInterconnect, BurstThreshold)
@@ -474,7 +223,7 @@ func (ds *Dataset) finding8(shelf *GapAnalysis) Finding {
 
 // Finding 9: RAID groups (spanning shelves) show lower temporal locality
 // than shelves.
-func (ds *Dataset) finding9(shelf, rg *GapAnalysis) Finding {
+func finding9(shelf, rg *GapAnalysis) Finding {
 	f := Finding{ID: 9, Title: "RAID-group failures less bursty than shelf failures"}
 	s := shelf.OverallFractionWithin(BurstThreshold)
 	g := rg.OverallFractionWithin(BurstThreshold)
@@ -485,7 +234,7 @@ func (ds *Dataset) finding9(shelf, rg *GapAnalysis) Finding {
 
 // Finding 10: RAID-group failures still exhibit strong temporal
 // locality.
-func (ds *Dataset) finding10(rg *GapAnalysis) Finding {
+func finding10(rg *GapAnalysis) Finding {
 	f := Finding{ID: 10, Title: "RAID-group failures still strongly bursty"}
 	g := rg.OverallFractionWithin(BurstThreshold)
 	f.Pass = g >= 0.15
@@ -495,17 +244,16 @@ func (ds *Dataset) finding10(rg *GapAnalysis) Finding {
 
 // Finding 11: every failure type is self-correlated: empirical P(2) far
 // above the independence prediction, in shelves and RAID groups.
-func (ds *Dataset) finding11() Finding {
+func finding11(shelf, rg []CorrelationResult) Finding {
 	f := Finding{ID: 11, Title: "Failures are not independent: empirical P(2) >> theoretical P(1)^2/2"}
 	pass := true
 	detail := ""
-	for _, scope := range []Scope{ByShelf, ByRAIDGroup} {
-		results := ds.Correlation(scope, CorrelationOptions{})
+	for _, results := range [][]CorrelationResult{shelf, rg} {
 		for _, r := range results {
 			if r.CountP1 < 10 {
 				continue // not enough mass to judge
 			}
-			detail += fmt.Sprintf("%s/%s: %.1fx; ", scope, r.Type.Short(), r.Ratio)
+			detail += fmt.Sprintf("%s/%s: %.1fx; ", r.Scope, r.Type.Short(), r.Ratio)
 			if math.IsNaN(r.Ratio) || r.Ratio <= 2 || !r.Dependent(0.995) {
 				pass = false
 			}
@@ -514,13 +262,4 @@ func (ds *Dataset) finding11() Finding {
 	f.Pass = pass
 	f.Detail = detail
 	return f
-}
-
-// relStd returns the standard deviation divided by the mean.
-func relStd(xs []float64) float64 {
-	s := stats.Summarize(xs)
-	if s.Mean == 0 {
-		return math.NaN()
-	}
-	return s.StdDev / s.Mean
 }

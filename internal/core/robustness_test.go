@@ -72,14 +72,6 @@ func TestAnalysesOnAllRecoveredDataset(t *testing.T) {
 			t.Error("recovered events must not count as subsystem failures")
 		}
 	}
-	with := ds.AFRByClass(Filter{IncludeRecovered: true})
-	total := 0
-	for _, b := range with {
-		total += b.TotalEvents()
-	}
-	if total != 2 {
-		t.Errorf("IncludeRecovered sees %d events, want 2", total)
-	}
 }
 
 func TestDatasetSortsUnsortedEvents(t *testing.T) {

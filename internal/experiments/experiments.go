@@ -24,9 +24,9 @@ type Config struct {
 	Scale float64
 	// Seed determines the fleet and failure history.
 	Seed int64
-	// Mine runs the raw-log pipeline: events are recovered by parsing
-	// and classifying rendered log text instead of being taken from the
-	// simulator, exercising the paper's actual methodology end to end.
+	// Mine recovers events by mining the collected AutoSupport log
+	// messages (classified by tag, disk serials resolved; no text is
+	// rendered or parsed) instead of taking them from the simulator.
 	// Costs extra time and memory at large scales.
 	Mine bool
 	// Params overrides the default generative calibration (nil = default).
@@ -89,7 +89,7 @@ func Setup(cfg Config) *Env {
 // checkpoint — RunTrial mutates it (disk removals and replacement
 // installs). scratch may be nil for one-shot runs; a sweep passes a
 // per-worker sim.Scratch so repeated trials recycle the simulation
-// buffers (see sim.RunWorkersScratch for the aliasing contract).
+// buffers (see sim.RunWorkersOpts for the aliasing contract).
 //
 //detlint:hotpath
 func RunTrial(cfg Config, f *fleet.Fleet, simSeed int64, scratch *sim.Scratch) *Env {

@@ -104,55 +104,42 @@ func (env *Env) Fig5(w io.Writer) {
 
 // Fig6 renders the shelf-model comparison for low-end systems per disk
 // model, with confidence intervals and significance tests (paper
-// Figure 6 a-d).
+// Figure 6 a-d) — the comparison Finding 6 judges.
 func (env *Env) Fig6(w io.Writer) {
 	fmt.Fprintln(w, "Figure 6: AFR by shelf enclosure model (low-end), same disk model")
 	fmt.Fprintln(w, "Error bars: 99.5% CI on physical interconnect AFR; significance via rate test")
 	fmt.Fprintln(w)
-	for _, m := range []fleet.DiskModel{fleet.DiskA2, fleet.DiskA3, fleet.DiskD2, fleet.DiskD3} {
-		bs := env.Dataset.AFRByShelfModel(fleet.LowEnd, m, core.Filter{})
-		if len(bs) < 2 {
-			continue
-		}
-		report.StackedBars(w, fmt.Sprintf("Disk %s", m), breakdownBars(bs), 50, "%")
-		idx := map[string]core.Breakdown{}
-		for _, b := range bs {
-			idx[b.Label] = b
-		}
-		a := idx["Shelf Enclosure Model A"]
-		bb := idx["Shelf Enclosure Model B"]
-		ciA := a.CI(failmodel.PhysicalInterconnect, 0.995)
-		ciB := bb.CI(failmodel.PhysicalInterconnect, 0.995)
-		test := core.CompareAFR(a, bb, failmodel.PhysicalInterconnect)
+	for _, c := range env.Dataset.ShelfComparisons() {
+		report.StackedBars(w, fmt.Sprintf("Disk %s", c.Model), breakdownBars([]core.Breakdown{c.A, c.B}), 50, "%")
+		ciA := c.A.CI(failmodel.PhysicalInterconnect, 0.995)
+		ciB := c.B.CI(failmodel.PhysicalInterconnect, 0.995)
+		test := core.CompareAFR(c.A, c.B, failmodel.PhysicalInterconnect)
 		fmt.Fprintf(w, "  interconnect AFR: shelf A %.2f±%.2f%% vs shelf B %.2f±%.2f%%  (p=%.3f, conf %.1f%%)\n\n",
 			ciA.Center*100, ciA.HalfWidth()*100, ciB.Center*100, ciB.HalfWidth()*100, test.P, test.Confidence())
 	}
 }
 
 // Fig7 renders the single-path vs dual-path comparison for mid-range and
-// high-end systems (paper Figure 7 a/b), alongside the multipath model's
-// analytic prediction.
+// high-end systems (paper Figure 7 a/b) — the comparison Finding 7
+// judges — alongside the multipath model's analytic prediction.
 func (env *Env) Fig7(w io.Writer) {
-	for _, class := range []fleet.SystemClass{fleet.MidRange, fleet.HighEnd} {
-		bs := env.Dataset.AFRByPathConfig(class, core.Filter{ExcludeFamily: fleet.ProblemFamily})
-		if len(bs) < 2 {
+	for _, c := range env.Dataset.PathComparisons() {
+		if !c.Observed() {
 			continue
 		}
-		report.StackedBars(w, fmt.Sprintf("Figure 7: %s by number of paths", class), breakdownBars(bs), 50, "%")
-		single, dual := bs[0], bs[1]
-		ciS := single.CI(failmodel.PhysicalInterconnect, 0.999)
-		ciD := dual.CI(failmodel.PhysicalInterconnect, 0.999)
-		test := core.CompareAFR(single, dual, failmodel.PhysicalInterconnect)
-		piRed := 1 - dual.AFR[failmodel.PhysicalInterconnect]/single.AFR[failmodel.PhysicalInterconnect]
-		totRed := 1 - dual.TotalAFR()/single.TotalAFR()
-		mix := env.Params.PICauseWeights[class]
+		report.StackedBars(w, fmt.Sprintf("Figure 7: %s by number of paths", c.Class), breakdownBars([]core.Breakdown{c.Single, c.Dual}), 50, "%")
+		ciS := c.Single.CI(failmodel.PhysicalInterconnect, 0.999)
+		ciD := c.Dual.CI(failmodel.PhysicalInterconnect, 0.999)
+		test := core.CompareAFR(c.Single, c.Dual, failmodel.PhysicalInterconnect)
+		totRed, piRed := c.Reductions()
+		mix := env.Params.PICauseWeights[c.Class]
 		fmt.Fprintf(w, "  interconnect AFR %.2f±%.2f%% -> %.2f±%.2f%%: -%.0f%% (conf %.1f%%); subsystem AFR -%.0f%%\n",
 			ciS.Center*100, ciS.HalfWidth()*100, ciD.Center*100, ciD.HalfWidth()*100,
 			piRed*100, test.Confidence(), totRed*100)
 		fmt.Fprintf(w, "  multipath model: predicted interconnect reduction %.0f%% (path-recoverable cause share)\n",
 			multipath.PredictedPIReduction(mix)*100)
 		fmt.Fprintf(w, "  idealized two-network estimate: %.3f%% (the paper's 'far from ideal' comparison)\n\n",
-			multipath.IdealizedDualPathAFR(single.AFR[failmodel.PhysicalInterconnect])*100)
+			multipath.IdealizedDualPathAFR(c.Single.AFR[failmodel.PhysicalInterconnect])*100)
 	}
 }
 

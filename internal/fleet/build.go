@@ -40,20 +40,15 @@ func EffectiveWorkers(workers int) int {
 	return workers
 }
 
-// Build constructs a fleet from the given class profiles at the given
-// population scale (1.0 = the paper's full 39,000-system population),
-// using one build worker per available CPU. The result is fully
-// determined by (profiles, scale, seed) — see BuildWorkers.
+// BuildWorkers constructs a fleet from the given class profiles at the
+// given population scale (1.0 = the paper's full 39,000-system
+// population) with the given number of worker goroutines; workers <= 0
+// uses runtime.GOMAXPROCS(0). The result is fully determined by
+// (profiles, scale, seed).
 //
 // Scale only multiplies the number of systems per class; per-system
 // structure (shelves, disks, RAID layout) is unchanged, so per-disk-year
 // statistics are scale-invariant up to sampling noise.
-func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
-	return BuildWorkers(profiles, scale, seed, 0)
-}
-
-// BuildWorkers constructs the fleet with the given number of worker
-// goroutines; workers <= 0 uses runtime.GOMAXPROCS(0).
 //
 // The (class, system) jobs are split into contiguous shards. Each worker
 // builds its systems into a private arena of value slabs wired by local
@@ -174,7 +169,7 @@ func BuildWorkers(profiles []ClassProfile, scale float64, seed int64, workers in
 // BuildDefault builds the default four-class fleet at the given scale,
 // one build worker per available CPU.
 func BuildDefault(scale float64, seed int64) *Fleet {
-	return Build(DefaultProfiles(), scale, seed)
+	return BuildWorkers(DefaultProfiles(), scale, seed, 0)
 }
 
 // BuildDefaultWorkers builds the default four-class fleet with the given

@@ -297,7 +297,7 @@ func TestReplacementArenaCommit(t *testing.T) {
 	}
 }
 
-func TestDiskYearsAndCounts(t *testing.T) {
+func TestDiskYears(t *testing.T) {
 	f := buildSmall(t)
 	all := f.DiskYears(nil)
 	if all <= 0 {
@@ -307,28 +307,6 @@ func TestDiskYearsAndCounts(t *testing.T) {
 	fc := f.DiskYears(func(d *Disk) bool { return f.Systems[d.System].DiskModel.Type == FC })
 	if math.Abs(sata+fc-all) > 1e-6 {
 		t.Error("SATA + FC disk-years must sum to the total")
-	}
-	if f.CountDisks(nil) != len(f.Disks) {
-		t.Error("nil filter should count everything")
-	}
-	if n := f.CountDisks(func(d *Disk) bool { return false }); n != 0 {
-		t.Error("empty filter should count nothing")
-	}
-}
-
-func TestSystemsOfClass(t *testing.T) {
-	f := buildSmall(t)
-	total := 0
-	for _, c := range Classes {
-		for _, sys := range f.SystemsOfClass(c) {
-			if sys.Class != c {
-				t.Fatal("SystemsOfClass returned wrong class")
-			}
-			total++
-		}
-	}
-	if total != len(f.Systems) {
-		t.Error("classes must partition the fleet")
 	}
 }
 

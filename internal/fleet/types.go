@@ -384,32 +384,6 @@ func (f *Fleet) DiskYears(filter func(*Disk) bool) float64 {
 	return total
 }
 
-// CountDisks returns the number of disks ever installed that match the
-// filter; a nil filter counts the whole fleet.
-func (f *Fleet) CountDisks(filter func(*Disk) bool) int {
-	if filter == nil {
-		return len(f.Disks)
-	}
-	n := 0
-	for _, d := range f.Disks {
-		if filter(d) {
-			n++
-		}
-	}
-	return n
-}
-
-// SystemsOfClass returns the systems in the given class.
-func (f *Fleet) SystemsOfClass(c SystemClass) []*System {
-	var out []*System
-	for _, s := range f.Systems {
-		if s.Class == c {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Stats summarizes the fleet population per class — the row structure of
 // the paper's Table 1.
 type Stats struct {

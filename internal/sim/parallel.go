@@ -46,26 +46,18 @@ type Scratch struct {
 // The output is therefore bit-identical for every worker count: same
 // Result.Events, same Fleet topology, same Fleet.DiskYears.
 func RunWorkers(f *fleet.Fleet, params *failmodel.Params, seed int64, workers int) *Result {
-	return RunWorkersScratch(f, params, seed, workers, nil)
+	return RunWorkersOpts(f, params, seed, workers, nil, Opts{})
 }
 
-// RunWorkersScratch is RunWorkers with caller-owned scratch: passing
-// the same Scratch across runs recycles the worker event buffers,
-// replacement arenas, and per-system scratch, so repeated simulations
-// (Monte-Carlo trials over a Reset fleet) add no steady-state garbage
-// beyond their outputs. A nil scratch is a one-shot run, exactly
-// RunWorkers. The result is bit-identical to a fresh run for every
-// (workers, scratch) combination.
-func RunWorkersScratch(f *fleet.Fleet, params *failmodel.Params, seed int64, workers int, sc *Scratch) *Result {
-	return RunWorkersOpts(f, params, seed, workers, sc, Opts{})
-}
-
-// RunWorkersOpts is RunWorkersScratch with a variance-reduction mode
-// (see variance.go). The zero Opts is exactly RunWorkersScratch — the
-// plain engine, bit for bit. With opts.Antithetic the entire stream
-// tree is mirrored; with opts.Strata.Count > 0 baseline failure counts
-// are drawn from this trial's stratum. Either way the result remains
-// bit-identical for every (workers, scratch) combination.
+// RunWorkersOpts is RunWorkers with caller-owned scratch (nil for a
+// one-shot run) and a variance-reduction mode (see variance.go; the
+// zero Opts is the plain engine). Reusing a Scratch across runs
+// recycles the worker event buffers, replacement arenas and
+// per-system scratch, so Monte-Carlo trials over a Reset fleet add no
+// steady-state garbage beyond their outputs. opts.Antithetic mirrors
+// the entire stream tree; opts.Strata.Count > 0 draws baseline failure
+// counts from this trial's stratum. The result is bit-identical to a
+// fresh run for every (workers, scratch) combination.
 func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, workers int, sc *Scratch, opts Opts) *Result {
 	workers = fleet.EffectiveWorkers(workers)
 	if n := len(f.Systems); workers > n {

@@ -42,16 +42,16 @@ func TestResetRerunEquivalence(t *testing.T) {
 	cp := f.Checkpoint()
 	var sc Scratch
 
-	sameResult(t, "first scratch run", RunWorkersScratch(f, params, 9, 1, &sc), ref9)
+	sameResult(t, "first scratch run", RunWorkersOpts(f, params, 9, 1, &sc, Opts{}), ref9)
 
 	f.Reset(cp)
-	sameResult(t, "same-seed rerun after Reset", RunWorkersScratch(f, params, 9, 1, &sc), ref9)
+	sameResult(t, "same-seed rerun after Reset", RunWorkersOpts(f, params, 9, 1, &sc, Opts{}), ref9)
 
 	f.Reset(cp)
-	sameResult(t, "new-seed trial after Reset", RunWorkersScratch(f, params, 10, 1, &sc), ref10)
+	sameResult(t, "new-seed trial after Reset", RunWorkersOpts(f, params, 10, 1, &sc, Opts{}), ref10)
 
 	f.Reset(cp)
-	sameResult(t, "sharded rerun after Reset", RunWorkersScratch(f, params, 9, 3, &sc), ref9)
+	sameResult(t, "sharded rerun after Reset", RunWorkersOpts(f, params, 9, 3, &sc, Opts{}), ref9)
 }
 
 // TestRunScratchAllocBudget pins the sweep's steady-state allocation
@@ -65,12 +65,12 @@ func TestRunScratchAllocBudget(t *testing.T) {
 	initial := len(f.Disks)
 	cp := f.Checkpoint()
 	var sc Scratch
-	RunWorkersScratch(f, params, 9, 1, &sc) // warm every buffer
+	RunWorkersOpts(f, params, 9, 1, &sc, Opts{}) // warm every buffer
 	replacements := len(f.Disks) - initial
 
 	allocs := testing.AllocsPerRun(5, func() {
 		f.Reset(cp)
-		RunWorkersScratch(f, params, 9, 1, &sc)
+		RunWorkersOpts(f, params, 9, 1, &sc, Opts{})
 	})
 	const budget = 24
 	if allocs > budget {

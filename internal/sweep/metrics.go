@@ -72,7 +72,8 @@ var Metrics = []MetricDef{
 	{"disk_afr_lowend", "Finding 2: enterprise FC disk AFR < 0.9%"},
 	// family_h_afr_ratio divides the subsystem AFR of systems deploying
 	// the problematic disk family H by the other families', within the
-	// classes that deploy H — Finding 3's ~2x elevation (Figure 5).
+	// classes that deploy H (core.FamilyHComparison.Ratio) — Finding
+	// 3's ~2x elevation (Figure 5).
 	{"family_h_afr_ratio", "Finding 3: family H doubles subsystem AFR (~2x)"},
 	// burst_shelf_overall / burst_rg_overall are the fraction of
 	// same-container failure gaps under the 10^4-second burst threshold,
@@ -96,8 +97,9 @@ var Metrics = []MetricDef{
 	{"corr_disk_shelf", "Figure 10(a): disk P(2) ~6x the independence prediction"},
 	{"corr_pi_shelf", "Figure 10(a): interconnect P(2) 10-25x independence"},
 	// findings_pass counts how many of the paper's Findings 1-11 the
-	// trial reproduces (core.EvaluateFindings); defined only when
-	// Config.Findings is set, NaN otherwise.
+	// trial reproduces (core.Analysis.Findings over the trial's one
+	// Analysis); defined only when Config.Findings is set, NaN
+	// otherwise.
 	{"findings_pass", "11/11 findings reproduce (with -findings only)"},
 	// mined_dropped counts log records the AutoSupport mining pipeline
 	// could not resolve back into events — the reproduction's handle on
@@ -144,11 +146,14 @@ func metricIndex(name string) int {
 }
 
 // trialVector computes the Metrics vector for one trial, appending
-// into out (recycled by the caller). Entries that are undefined for
-// the trial — findings_pass without Config.Findings, mined_dropped in
-// non-mining scenarios, gap fractions with no gaps at tiny scales —
-// are NaN; the collector skips NaN pushes so each metric tracks its
-// own observation count.
+// into out (recycled by the caller). Every statistic except the event
+// count and mined_dropped is read from one core.Analysis of the
+// trial's dataset, which also yields the findings verdicts when
+// findings is set. Entries that are undefined for the trial —
+// findings_pass without Config.Findings, mined_dropped in non-mining
+// scenarios, gap fractions with no gaps at tiny scales — are NaN; the
+// collector skips NaN pushes so each metric tracks its own observation
+// count.
 func trialVector(env *experiments.Env, findings bool, out []float64) []float64 {
 	out = out[:0]
 	ds := env.Dataset
@@ -161,49 +166,40 @@ func trialVector(env *experiments.Env, findings bool, out []float64) []float64 {
 	}
 	out = append(out, float64(visible))
 
-	// Per-class AFR totals and failure-type shares, excluding the
-	// problematic disk family as the paper's Figure 4(b) does.
-	noH := core.Filter{ExcludeFamily: fleet.ProblemFamily}
-	byClass := make(map[string]core.Breakdown, len(fleet.Classes))
-	for _, b := range ds.AFRByClass(noH) {
-		byClass[b.Label] = b
-	}
-	classStat := func(f func(core.Breakdown) float64) {
-		for _, c := range fleet.Classes {
-			b, ok := byClass[c.String()]
-			if !ok || b.DiskYears == 0 {
-				out = append(out, math.NaN())
-				continue
-			}
-			out = append(out, f(b))
-		}
-	}
-	classStat(func(b core.Breakdown) float64 { return b.TotalAFR() })
-	classStat(func(b core.Breakdown) float64 { return b.Share(failmodel.DiskFailure) })
-	classStat(func(b core.Breakdown) float64 { return b.Share(failmodel.PhysicalInterconnect) })
+	a := ds.Analyze()
 
-	diskAFR := func(class fleet.SystemClass) float64 {
-		b, ok := byClass[class.String()]
-		if !ok || b.DiskYears == 0 {
+	// Per-class AFR totals, failure-type shares and disk AFRs, excluding
+	// the problematic disk family as the paper's Figure 4(b) does; NaN
+	// for a class without exposure.
+	stat := func(b core.Breakdown, f func(core.Breakdown) float64) float64 {
+		if b.DiskYears == 0 {
 			return math.NaN()
 		}
-		return b.AFR[failmodel.DiskFailure]
+		return f(b)
 	}
-	out = append(out, diskAFR(fleet.NearLine), diskAFR(fleet.LowEnd))
+	for _, f := range []func(core.Breakdown) float64{
+		core.Breakdown.TotalAFR,
+		func(b core.Breakdown) float64 { return b.Share(failmodel.DiskFailure) },
+		func(b core.Breakdown) float64 { return b.Share(failmodel.PhysicalInterconnect) },
+	} {
+		for _, b := range a.Classes {
+			out = append(out, stat(b, f))
+		}
+	}
+	diskAFR := func(b core.Breakdown) float64 { return b.AFR[failmodel.DiskFailure] }
+	out = append(out, stat(a.Classes[fleet.NearLine], diskAFR), stat(a.Classes[fleet.LowEnd], diskAFR))
 
-	out = append(out, familyHRatio(ds))
+	out = append(out, a.FamilyH.Ratio())
 
-	shelfGaps := ds.Gaps(core.ByShelf, core.Filter{})
-	rgGaps := ds.Gaps(core.ByRAIDGroup, core.Filter{})
 	out = append(out,
-		shelfGaps.OverallFractionWithin(core.BurstThreshold),
-		rgGaps.OverallFractionWithin(core.BurstThreshold),
-		shelfGaps.FractionWithin(failmodel.DiskFailure, core.BurstThreshold),
-		shelfGaps.FractionWithin(failmodel.PhysicalInterconnect, core.BurstThreshold),
+		a.ShelfGaps.OverallFractionWithin(core.BurstThreshold),
+		a.RAIDGroupGaps.OverallFractionWithin(core.BurstThreshold),
+		a.ShelfGaps.FractionWithin(failmodel.DiskFailure, core.BurstThreshold),
+		a.ShelfGaps.FractionWithin(failmodel.PhysicalInterconnect, core.BurstThreshold),
 	)
 
 	corrDisk, corrPI := math.NaN(), math.NaN()
-	for _, r := range ds.Correlation(core.ByShelf, core.CorrelationOptions{}) {
+	for _, r := range a.ShelfCorrelation {
 		switch r.Type {
 		case failmodel.DiskFailure:
 			corrDisk = r.Ratio
@@ -215,7 +211,7 @@ func trialVector(env *experiments.Env, findings bool, out []float64) []float64 {
 
 	if findings {
 		pass := 0
-		for _, fd := range ds.EvaluateFindings() {
+		for _, fd := range a.Findings() {
 			if fd.Pass {
 				pass++
 			}
@@ -231,56 +227,26 @@ func trialVector(env *experiments.Env, findings bool, out []float64) []float64 {
 		out = append(out, math.NaN())
 	}
 
-	sp := ds.EnvAFRSpread()
-	if sp.Models == 0 {
+	if a.Spread.Models == 0 {
 		out = append(out, math.NaN(), math.NaN())
 	} else {
-		out = append(out, sp.DiskRelStd, sp.SubsysRelStd)
+		out = append(out, a.Spread.DiskRelStd, a.Spread.SubsysRelStd)
 	}
 
-	capRatio, capPairs := ds.CapacityAFRMeanRatio()
+	capRatio, capPairs := a.Capacity.MeanRatio()
 	if capPairs == 0 {
 		out = append(out, math.NaN())
 	} else {
 		out = append(out, capRatio)
 	}
 
-	out = append(out, ds.ShelfModelPIDelta())
+	out = append(out, a.Shelf.PIDelta())
 
-	totalRed, piRed := ds.MultipathReductions()
+	totalRed, piRed := a.Multipath.MeanReductions()
 	out = append(out, totalRed, piRed)
 
 	if len(out) != len(Metrics) {
 		panic("sweep: trialVector length diverged from the Metrics registry")
 	}
 	return out
-}
-
-// familyHRatio reproduces Finding 3's comparison: within the classes
-// that deploy the problematic family, the family-H subsystem AFR over
-// the other families' (NaN when either population is missing).
-func familyHRatio(ds *core.Dataset) float64 {
-	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		if s.Class == fleet.NearLine {
-			return "", false
-		}
-		if s.DiskModel.Family == fleet.ProblemFamily {
-			return "H", true
-		}
-		return "other", true
-	}, core.Filter{})
-	var h, rest core.Breakdown
-	var okH, okRest bool
-	for _, b := range bs {
-		switch b.Label {
-		case "H":
-			h, okH = b, true
-		case "other":
-			rest, okRest = b, true
-		}
-	}
-	if !okH || !okRest || rest.TotalAFR() == 0 {
-		return math.NaN()
-	}
-	return h.TotalAFR() / rest.TotalAFR()
 }

@@ -49,6 +49,7 @@ package sweep
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -84,9 +85,10 @@ type Scenario struct {
 	// SpanShelves overrides every class profile's RAID shelf span
 	// (0 = profile default; 1 = the Finding 9 single-shelf ablation).
 	SpanShelves int `json:"spanShelves,omitempty"`
-	// Mine routes events through the log rendering → parsing →
-	// classification pipeline instead of using simulator output
-	// directly (slower; adds the mined_dropped metric).
+	// Mine takes events from the AutoSupport mining pipeline (log
+	// messages classified by tag, disk serials resolved; no text is
+	// rendered or parsed) instead of the simulator (slower; adds the
+	// mined_dropped metric).
 	Mine bool `json:"mine,omitempty"`
 	// DiskAFRMult multiplies every disk model's AFR (0 = unchanged).
 	DiskAFRMult float64 `json:"diskAFRMult,omitempty"`
@@ -304,6 +306,27 @@ var ErrKilled = errors.New("sweep: killed by fault-injection hook")
 // supplies the scenarios.
 func DefaultConfig() Config {
 	return Config{Trials: 20, Seed: 42, Scale: 0.25}
+}
+
+// CheckResolved validates a run's configuration after a scenario file
+// and the front end's base settings merge: the checks that no single
+// input can make alone. cmd/sweep, cmd/expreport and sweepd all call
+// it, each prefixing the error with its own name.
+func CheckResolved(cfg Config) error {
+	if cfg.Trials < 1 {
+		return fmt.Errorf("trial count %d must be at least 1 (scenario file and base config combined)", cfg.Trials)
+	}
+	if cfg.Scale <= 0 || cfg.Scale > 1.5 {
+		return fmt.Errorf("base scale %g must be in (0, 1.5] (scenario file and base config combined)", cfg.Scale)
+	}
+	if cfg.Trials%2 != 0 {
+		for _, s := range cfg.Scenarios {
+			if s.EffVariance(cfg.Variance) == VarianceAntithetic {
+				return fmt.Errorf("antithetic pairing needs an even trial count, got %d (scenario %q resolves to variance antithetic)", cfg.Trials, s.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // reservoirSize caps the per-metric quantile sample. Quantiles are

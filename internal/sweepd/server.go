@@ -184,22 +184,11 @@ func (s *Server) resolve(spec *scenario.Spec) sweep.Config {
 	return cfg
 }
 
-// validateResolved mirrors cmd/sweep's post-merge validation: checks
-// that only hold after the spec and the base config combine, phrased
-// with the same messages so a spec rejected here is rejected there.
+// validateResolved is sweep.CheckResolved under sweepd's prefix, so a
+// spec rejected here is rejected by cmd/sweep with the same message.
 func validateResolved(cfg sweep.Config) error {
-	if cfg.Trials < 1 {
-		return fmt.Errorf("sweepd: trial count %d must be at least 1 (scenario file and base config combined)", cfg.Trials)
-	}
-	if cfg.Scale <= 0 || cfg.Scale > 1.5 {
-		return fmt.Errorf("sweepd: base scale %g must be in (0, 1.5] (scenario file and base config combined)", cfg.Scale)
-	}
-	if cfg.Trials%2 != 0 {
-		for _, sc := range cfg.Scenarios {
-			if sc.EffVariance(cfg.Variance) == sweep.VarianceAntithetic {
-				return fmt.Errorf("sweepd: antithetic pairing needs an even trial count, got %d (scenario %q resolves to variance antithetic)", cfg.Trials, sc.Name)
-			}
-		}
+	if err := sweep.CheckResolved(cfg); err != nil {
+		return fmt.Errorf("sweepd: %w", err)
 	}
 	return nil
 }
