@@ -62,6 +62,7 @@ func finding1(classes []Breakdown) Finding {
 		perf := b.Share(failmodel.Performance)
 		detail += fmt.Sprintf("%s: disk %.0f%%, interconnect %.0f%%, protocol %.0f%%, performance %.0f%%; ",
 			c, disk*100, pi*100, proto*100, perf*100)
+		// The bands widen the paper's by 5 points for sampling noise.
 		// Performance failures are a "noticeable fraction" everywhere
 		// but high-end, where the paper's Table 1 shows under 1%.
 		if disk < 0.15 || disk > 0.60 || pi < 0.22 || pi > 0.73 || proto <= 0.02 || perf <= 0.005 {
