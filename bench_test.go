@@ -234,7 +234,7 @@ func BenchmarkExpreportRender(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := expreport.Render(io.Discard, res); err != nil {
+		if err := expreport.RenderSpec(io.Discard, res, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,7 +250,9 @@ func BenchmarkEmitLogs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		em.EmitAll(events)
+		for _, e := range events {
+			em.Emit(e)
+		}
 	}
 }
 
@@ -263,9 +265,11 @@ func BenchmarkParseAndClassify(b *testing.B) {
 		events = events[:2000]
 	}
 	var sb strings.Builder
-	for _, m := range em.EmitAll(events) {
-		sb.WriteString(m.Render())
-		sb.WriteByte('\n')
+	for _, e := range events {
+		for _, m := range em.Emit(e) {
+			sb.WriteString(m.Render())
+			sb.WriteByte('\n')
+		}
 	}
 	text := sb.String()
 	b.SetBytes(int64(len(text)))

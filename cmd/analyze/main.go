@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -48,13 +49,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "analyze: -scale must be in (0, 1.5]")
 		os.Exit(2)
 	}
-	if err := run(*logs, *scale, *seed, *exp, *workers); err != nil {
+	if err := run(os.Stdout, *logs, *scale, *seed, *exp, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
 }
 
-func run(logDir string, scale float64, seed int64, exp string, workers int) error {
+func run(w io.Writer, logDir string, scale float64, seed int64, exp string, workers int) error {
 	paths, err := filepath.Glob(filepath.Join(logDir, "*.log"))
 	if err != nil {
 		return err
@@ -92,7 +93,7 @@ func run(logDir string, scale float64, seed int64, exp string, workers int) erro
 		unresolved += dropped
 		events = append(events, es...)
 	}
-	fmt.Printf("parsed %d messages from %d files (%d malformed lines), classified %d failures (%d unresolved)\n",
+	fmt.Fprintf(w, "parsed %d messages from %d files (%d malformed lines), classified %d failures (%d unresolved)\n",
 		parsed, len(paths), malformed, len(events)+unresolved, unresolved)
 
 	ds := core.NewDataset(f, events)
@@ -110,11 +111,11 @@ func run(logDir string, scale float64, seed int64, exp string, workers int) erro
 				report.Pct(b.TotalAFR()),
 			})
 		}
-		report.Table(os.Stdout, headers, rows)
+		report.Table(w, headers, rows)
 	case "gaps":
 		for _, scope := range []core.Scope{core.ByShelf, core.ByRAIDGroup} {
 			g := ds.Gaps(scope, core.Filter{})
-			fmt.Printf("per %s: %.0f%% of consecutive failures within 10^4 s (%d gaps, %d containers)\n",
+			fmt.Fprintf(w, "per %s: %.0f%% of consecutive failures within 10^4 s (%d gaps, %d containers)\n",
 				g.Scope, g.OverallFractionWithin(core.BurstThreshold)*100, g.Overall.Len(), g.Containers)
 		}
 	case "classify":
@@ -123,7 +124,7 @@ func run(logDir string, scale float64, seed int64, exp string, workers int) erro
 			counts[e.Type]++
 		}
 		for _, t := range failmodel.Types {
-			fmt.Printf("%-32s %d\n", t, counts[t])
+			fmt.Fprintf(w, "%-32s %d\n", t, counts[t])
 		}
 	default:
 		return fmt.Errorf("unknown -exp %q (afr, gaps, classify)", exp)

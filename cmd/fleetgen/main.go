@@ -1,8 +1,11 @@
 // Command fleetgen generates a synthetic AutoSupport archive on disk: a
 // fleet of storage systems, their 44-month failure history, raw support
-// logs (one text file per system), and weekly configuration snapshots
-// (JSON). cmd/analyze consumes these artifacts, demonstrating the
-// mining path on files rather than in-memory structures.
+// logs (one text file per system), and one configuration snapshot per
+// system (JSON). The snapshot is taken at the end of the system's last
+// week with logged events, not at the end of the study: churn can
+// replace disks after that week. cmd/analyze consumes the logs,
+// demonstrating the mining path on files rather than in-memory
+// structures.
 //
 // Usage:
 //
@@ -21,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -61,13 +65,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fleetgen: -out is required")
 		os.Exit(2)
 	}
-	if err := run(*out, *scale, *seed, *maxSystems, *workers); err != nil {
+	if err := run(os.Stdout, *out, *scale, *seed, *maxSystems, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "fleetgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, scale float64, seed int64, maxSystems, workers int) error {
+func run(w io.Writer, out string, scale float64, seed int64, maxSystems, workers int) error {
 	f := fleet.BuildDefaultWorkers(scale, seed, workers)
 	res := sim.RunWorkers(f, failmodel.DefaultParams(), seed+1, workers)
 	db := autosupport.Collect(f, res.Events)
@@ -93,9 +97,10 @@ func run(out string, scale float64, seed int64, maxSystems, workers int) error {
 		if err := os.WriteFile(filepath.Join(logDir, name), []byte(text), 0o644); err != nil {
 			return err
 		}
-		// Last-week snapshot carries the system's final configuration.
+		// The snapshot is taken at the end of the system's last week with
+		// logged events; disks replaced after that week do not appear.
 		bundles := db.Bundles(sysID)
-		snap := bundles[len(bundles)-1].Snapshot
+		snap := autosupport.TakeSnapshot(f, sysID, bundles[len(bundles)-1].Week)
 		data, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
 			return err
@@ -108,9 +113,9 @@ func run(out string, scale float64, seed int64, maxSystems, workers int) error {
 	}
 
 	systems, bundles, messages := db.Stats()
-	fmt.Printf("fleet: %d systems (%d with events), %d disks, %d events\n",
+	fmt.Fprintf(w, "fleet: %d systems (%d with events), %d disks, %d events\n",
 		len(f.Systems), systems, len(f.Disks), len(res.Events))
-	fmt.Printf("wrote %d system logs (%d weekly bundles, %d messages) under %s\n",
+	fmt.Fprintf(w, "wrote %d system logs (%d weekly bundles, %d messages) under %s\n",
 		written, bundles, messages, out)
 	return nil
 }

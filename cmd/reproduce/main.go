@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("fleet: %d systems, %d shelves, %d disks ever installed, %d RAID groups; %d failure events\n",
 		len(env.Fleet.Systems), len(env.Fleet.Shelves), len(env.Fleet.Disks), len(env.Fleet.Groups), len(env.Events))
 	if cfg.Mine {
-		fmt.Printf("log mining: %d events recovered from raw text, %d unresolvable\n", len(env.Events), env.MinedDropped)
+		fmt.Printf("log mining: %d events classified from collected messages, %d unresolvable\n", len(env.Events), env.MinedDropped)
 	}
 
 	if *csvDir != "" {

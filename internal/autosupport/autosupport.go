@@ -1,9 +1,8 @@
 // Package autosupport reproduces the study's data source: the support
-// log pipeline that ships each storage system's event log sections and
-// weekly configuration snapshots to a central database ("Network
-// Appliance AutoSupport Database"), plus the mining step that turns the
-// collected raw logs back into the typed failure events the analyses
-// consume.
+// log pipeline that ships each storage system's event log sections to a
+// central database ("Network Appliance AutoSupport Database"), plus the
+// mining step that turns the collected messages back into the typed
+// failure events the analyses consume.
 //
 // The paper (Section 2.5): logs record "informational and error events
 // on each layer ... during operation" and "system information is also
@@ -12,10 +11,14 @@
 // used in storage subsystems, such as disk models and shelf enclosure
 // models, and they also contain the information about the layout of
 // disks."
+//
+// The weekly bundles carry messages only: mining joins RAID-layer
+// events to disks by serial number and never reads a configuration
+// snapshot. TakeSnapshot builds one on demand from the fleet;
+// cmd/fleetgen writes one per system.
 package autosupport
 
 import (
-	"fmt"
 	"sort"
 
 	"storagesubsys/internal/eventlog"
@@ -50,13 +53,11 @@ type Snapshot struct {
 	Shelves    []SnapshotShelf `json:"shelves"`
 }
 
-// Bundle is one week of a system's support data: the log section plus
-// the configuration snapshot taken that week.
+// Bundle is one week of a system's support data: the log section.
 type Bundle struct {
 	SystemID int
 	Week     int
 	Messages []eventlog.Message
-	Snapshot Snapshot
 }
 
 // Database is the collected support data of a whole fleet, queryable by
@@ -64,15 +65,7 @@ type Bundle struct {
 type Database struct {
 	fleet   *fleet.Fleet
 	bundles map[int][]Bundle // system ID -> week-ordered bundles
-	weeks   int
 }
-
-// Weeks returns the number of weekly collection periods in the study
-// window.
-func (db *Database) Weeks() int { return db.weeks }
-
-// Fleet returns the topology the database was collected from.
-func (db *Database) Fleet() *fleet.Fleet { return db.fleet }
 
 // Bundles returns a system's week-ordered bundles.
 func (db *Database) Bundles(systemID int) []Bundle { return db.bundles[systemID] }
@@ -90,14 +83,12 @@ func (db *Database) Systems() []int {
 // Collect runs the support pipeline over a simulated failure history:
 // it renders every event's log chain (including recovered faults, whose
 // chains stop below the RAID layer) and buckets messages into weekly
-// per-system bundles, attaching the week's configuration snapshot.
+// per-system bundles.
 func Collect(f *fleet.Fleet, events []failmodel.Event) *Database {
 	weekSeconds := 7 * simtime.SecondsPerDay
-	weeks := int(simtime.StudyDuration/weekSeconds) + 1
 	db := &Database{
 		fleet:   f,
 		bundles: make(map[int][]Bundle),
-		weeks:   weeks,
 	}
 
 	em := eventlog.NewEmitter(f)
@@ -114,7 +105,6 @@ func Collect(f *fleet.Fleet, events []failmodel.Event) *Database {
 			SystemID: k.sys,
 			Week:     k.week,
 			Messages: msgs,
-			Snapshot: TakeSnapshot(f, k.sys, k.week),
 		})
 	}
 	for sys := range db.bundles {
@@ -205,10 +195,4 @@ func (db *Database) Stats() (systems, bundles, messages int) {
 		}
 	}
 	return
-}
-
-// String implements fmt.Stringer with a volume summary.
-func (db *Database) String() string {
-	s, b, m := db.Stats()
-	return fmt.Sprintf("autosupport.Database{systems: %d, bundles: %d, messages: %d, weeks: %d}", s, b, m, db.weeks)
 }

@@ -241,25 +241,6 @@ func TestDetectionLagBound(t *testing.T) {
 	}
 }
 
-func TestTheoreticalPN(t *testing.T) {
-	// P(N) = P(1)^N / N! (the paper's equation 4).
-	p1 := 0.1
-	cases := []struct {
-		n    int
-		want float64
-	}{
-		{0, 1}, {1, 0.1}, {2, 0.005}, {3, 0.1 * 0.1 * 0.1 / 6},
-	}
-	for _, c := range cases {
-		if got := TheoreticalPN(p1, c.n); math.Abs(got-c.want) > 1e-15 {
-			t.Errorf("P(%d) = %g, want %g", c.n, got, c.want)
-		}
-	}
-	if !math.IsNaN(TheoreticalPN(p1, -1)) {
-		t.Error("negative N should be NaN")
-	}
-}
-
 func TestCorrelationCounting(t *testing.T) {
 	f := craftedFleet()
 	year := simtime.SecondsPerYear

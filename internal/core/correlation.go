@@ -163,19 +163,6 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 	return results
 }
 
-// TheoreticalPN returns the independence prediction P(N) = P(1)^N / N!
-// (the paper's equation 4).
-func TheoreticalPN(p1 float64, n int) float64 {
-	if n < 0 {
-		return math.NaN()
-	}
-	result := 1.0
-	for i := 1; i <= n; i++ {
-		result *= p1 / float64(i)
-	}
-	return result
-}
-
 // proportionVsTheory tests an observed count of successes in n trials
 // against a theoretical success probability p0 (one-sample z-test,
 // two-sided p-value).

@@ -112,7 +112,7 @@ func TestBurstShapeAblation(t *testing.T) {
 		t.Skip("three simulations")
 	}
 	ratioFor := func(singleton float64) float64 {
-		params := failmodel.DefaultParams().Clone()
+		params := failmodel.DefaultParams()
 		params.PIBurst = failmodel.BurstSize{SingletonProb: singleton, ExtraMean: 1.0}
 		f := fleet.BuildDefault(0.03, 77)
 		res := sim.Run(f, params, 78)

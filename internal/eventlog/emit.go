@@ -129,14 +129,3 @@ func (em *Emitter) raidStep(msgs *[]Message, e failmodel.Event, detected time.Ti
 		Text:     text,
 	})
 }
-
-// EmitAll renders every event's chain, returning messages in emission
-// order (events must be time-sorted for the output to be time-sorted;
-// chains are short relative to typical event spacing).
-func (em *Emitter) EmitAll(events []failmodel.Event) []Message {
-	var msgs []Message
-	for _, e := range events {
-		msgs = append(msgs, em.Emit(e)...)
-	}
-	return msgs
-}

@@ -210,20 +210,15 @@ var sensitivityMetrics = []string{
 	"multipath_pi_reduction",
 }
 
-// Render writes the full EXPERIMENTS.md markdown for a sweep result.
-// The per-finding confrontation uses the grid's baseline scenario (the
-// first scenario named "baseline", falling back to the first
-// scenario); every scenario appears in the sensitivity section. The
-// output is a pure function of res.
-func Render(w io.Writer, res *sweep.Result) error {
-	return RenderSpec(w, res, nil)
-}
-
-// RenderSpec is Render plus the scenario-file join: when spec is
-// non-nil and carries assertions, a "Scenario-file assertions" section
-// confronts every user-authored band with the sweep result through the
-// same verdict rule as the paper bands. A nil spec (or one without
-// assertions) renders byte-identically to Render.
+// RenderSpec writes the full EXPERIMENTS.md markdown for a sweep
+// result. The per-finding confrontation uses the grid's baseline
+// scenario (the first scenario named "baseline", falling back to the
+// first scenario); every scenario appears in the sensitivity section.
+// When spec is non-nil and carries assertions, a "Scenario-file
+// assertions" section confronts every user-authored band with the sweep
+// result through the same verdict rule as the paper bands; a nil spec
+// (or one without assertions) adds nothing. The output is a pure
+// function of res and spec.
 func RenderSpec(w io.Writer, res *sweep.Result, spec *scenario.Spec) error {
 	if len(res.Scenarios) == 0 {
 		return fmt.Errorf("expreport: sweep result has no scenarios")

@@ -53,7 +53,7 @@ func goldenConfig(workers int) sweep.Config {
 func TestRenderGolden(t *testing.T) {
 	res := execute(t, goldenConfig(2))
 	var buf bytes.Buffer
-	if err := Render(&buf, res); err != nil {
+	if err := RenderSpec(&buf, res, nil); err != nil {
 		t.Fatalf("Render: %v", err)
 	}
 	golden := filepath.Join("testdata", "golden_report.md")
@@ -76,10 +76,10 @@ func TestRenderGolden(t *testing.T) {
 // determinism contract — any worker count, same bytes.
 func TestRenderWorkerCountInvariant(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := Render(&a, execute(t, goldenConfig(1))); err != nil {
+	if err := RenderSpec(&a, execute(t, goldenConfig(1)), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Render(&b, execute(t, goldenConfig(4))); err != nil {
+	if err := RenderSpec(&b, execute(t, goldenConfig(4)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -199,7 +199,7 @@ func TestRenderPartialBanner(t *testing.T) {
 		t.Fatal("budgeted sweep not marked Partial")
 	}
 	var buf bytes.Buffer
-	if err := Render(&buf, res); err != nil {
+	if err := RenderSpec(&buf, res, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -186,9 +186,12 @@ func TestUnknownModelFallback(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// TestDefaultParamsAreIndependent: every DefaultParams call returns its
+// own maps and slices, so a scenario or test may scale or overwrite the
+// result without touching any other caller's parameters.
+func TestDefaultParamsAreIndependent(t *testing.T) {
 	p := DefaultParams()
-	q := p.Clone()
+	q := DefaultParams()
 	q.DiskAFR[fleet.DiskA2] = 0.5
 	q.PIBaseAFR[fleet.MidRange] = 0.5
 	q.PIInterop[InteropKey{fleet.LowEnd, fleet.ShelfA, fleet.DiskA2}] = 0.5
@@ -201,7 +204,7 @@ func TestCloneIsDeep(t *testing.T) {
 		p.ProtoAFR[fleet.LowEnd] == 0.5 ||
 		p.PerfFamilyMult["H"] == 9 ||
 		p.PICauseWeights[fleet.MidRange].Weights[0] == 99 {
-		t.Error("Clone must deep-copy all maps and slices")
+		t.Error("DefaultParams results must not share maps or slices")
 	}
 }
 

@@ -350,7 +350,8 @@ func (p *Params) PerfRate(class fleet.SystemClass, disk fleet.DiskModel) float64
 // ScaleDiskAFR multiplies every disk model's annualized failure rate
 // by mult — the declarative "what if disks were k× less reliable"
 // override the sweep engine's scenarios apply (see
-// internal/sweep.Scenario). Call it on a Clone, not on shared params.
+// internal/sweep.Scenario). Call it on a fresh DefaultParams, not on
+// shared params.
 func (p *Params) ScaleDiskAFR(mult float64) {
 	for m := range p.DiskAFR {
 		p.DiskAFR[m] *= mult
@@ -360,7 +361,7 @@ func (p *Params) ScaleDiskAFR(mult float64) {
 // ScalePIRates multiplies every physical interconnect failure rate —
 // the per-class base rates and every interoperability override — by
 // mult, preserving the relative Figure 6 shelf×disk structure. Call it
-// on a Clone, not on shared params.
+// on a fresh DefaultParams, not on shared params.
 func (p *Params) ScalePIRates(mult float64) {
 	for c := range p.PIBaseAFR {
 		p.PIBaseAFR[c] *= mult
@@ -373,56 +374,11 @@ func (p *Params) ScalePIRates(mult float64) {
 // ScaleRepairLag multiplies the repair-lag median by mult — the
 // declarative "what if failed disks waited k× longer for replacement"
 // override the sweep engine's scenarios apply (see
-// internal/sweep.Scenario). Call it on a Clone, not on shared params.
+// internal/sweep.Scenario). Call it on a fresh DefaultParams, not on
+// shared params.
 func (p *Params) ScaleRepairLag(mult float64) {
 	p.RepairLag = simtime.Seconds(float64(p.RepairLag) * mult)
 	if p.RepairLag < 1 {
 		p.RepairLag = 1
 	}
-}
-
-// Clone returns a deep copy of the parameters, for ablations that
-// perturb a single field.
-func (p *Params) Clone() *Params {
-	q := *p
-	q.DiskAFR = make(map[fleet.DiskModel]float64, len(p.DiskAFR))
-	for k, v := range p.DiskAFR {
-		q.DiskAFR[k] = v
-	}
-	q.PIBaseAFR = make(map[fleet.SystemClass]float64, len(p.PIBaseAFR))
-	for k, v := range p.PIBaseAFR {
-		q.PIBaseAFR[k] = v
-	}
-	q.PIInterop = make(map[InteropKey]float64, len(p.PIInterop))
-	for k, v := range p.PIInterop {
-		q.PIInterop[k] = v
-	}
-	q.PICauseWeights = make(map[fleet.SystemClass]CauseMix, len(p.PICauseWeights))
-	for k, v := range p.PICauseWeights {
-		q.PICauseWeights[k] = CauseMix{
-			Causes:  append([]Cause(nil), v.Causes...),
-			Weights: append([]float64(nil), v.Weights...),
-		}
-	}
-	q.ProtoAFR = cloneClassMap(p.ProtoAFR)
-	q.ProtoFamilyMult = cloneStringMap(p.ProtoFamilyMult)
-	q.PerfAFR = cloneClassMap(p.PerfAFR)
-	q.PerfFamilyMult = cloneStringMap(p.PerfFamilyMult)
-	return &q
-}
-
-func cloneClassMap(m map[fleet.SystemClass]float64) map[fleet.SystemClass]float64 {
-	out := make(map[fleet.SystemClass]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneStringMap(m map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

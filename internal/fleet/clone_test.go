@@ -35,7 +35,9 @@ func TestCloneMutationIsolation(t *testing.T) {
 	d := c.Disks[0]
 	d.Remove = simtime.SecondsPerYear
 	d.Replaced = true
-	c.AddReplacementDisk(d, simtime.SecondsPerYear+500)
+	var arena fleet.ReplacementArena
+	arena.Add(d, simtime.SecondsPerYear+500)
+	c.CommitReplacements(&arena)
 	c.Shelves[0].Disks = append(c.Shelves[0].Disks, -999)
 	c.Systems[0].Shelves = append(c.Systems[0].Shelves, -999)
 	c.Groups[0].Disks = append(c.Groups[0].Disks, -999)

@@ -231,13 +231,3 @@ func DefaultProfiles() []ClassProfile {
 
 	return []ClassProfile{nl, low, mid, high}
 }
-
-// ProfileFor returns the default profile for a class.
-func ProfileFor(c SystemClass) ClassProfile {
-	for _, p := range DefaultProfiles() {
-		if p.Class == c {
-			return p
-		}
-	}
-	panic("fleet: unknown system class")
-}

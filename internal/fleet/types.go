@@ -130,9 +130,6 @@ type DiskModel struct {
 
 func (m DiskModel) String() string { return fmt.Sprintf("%s-%d", m.Family, m.Capacity) }
 
-// IsZero reports whether the model is the zero value.
-func (m DiskModel) IsZero() bool { return m.Family == "" }
-
 // ShelfModel identifies a shelf enclosure product ("A", "B", "C"). All
 // studied shelf models host at most 14 disks.
 type ShelfModel string
@@ -233,18 +230,6 @@ type Fleet struct {
 	// profile set it fully determines the topology.
 	Seed int64
 }
-
-// System returns the system with the given ID.
-func (f *Fleet) System(id int) *System { return f.Systems[id] }
-
-// Shelf returns the shelf with the given ID.
-func (f *Fleet) Shelf(id int) *Shelf { return f.Shelves[id] }
-
-// Disk returns the disk with the given ID.
-func (f *Fleet) Disk(id int) *Disk { return f.Disks[id] }
-
-// Group returns the RAID group with the given ID.
-func (f *Fleet) Group(id int) *RAIDGroup { return f.Groups[id] }
 
 // Checkpoint records a fleet's as-built population boundary so a
 // simulated trial can be rolled back with Reset. Capture it right after
@@ -359,17 +344,6 @@ func (f *Fleet) CommitReplacements(a *ReplacementArena) (base int) {
 		sh.Disks = append(sh.Disks, d.ID)
 	}
 	return base
-}
-
-// AddReplacementDisk installs a replacement for failed disk, joining the
-// same system/shelf/slot/RAID group, entering service at the given
-// time. It returns the new disk's ID. It is the
-// single-disk convenience form of the ReplacementArena/
-// CommitReplacements path the simulator workers use.
-func (f *Fleet) AddReplacementDisk(failed *Disk, at simtime.Seconds) int {
-	var a ReplacementArena
-	a.Add(failed, at)
-	return f.CommitReplacements(&a)
 }
 
 // DiskYears returns the total disk residency (in years) matching the

@@ -73,9 +73,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Module returns the module path from go.mod.
-func (l *Loader) Module() string { return l.module }
-
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)

@@ -3,12 +3,11 @@
 // independent FC networks, with I/O redirected through the secondary
 // network when the primary fails.
 //
-// It provides the analytic predictions the paper discusses — which
-// interconnect fault classes a second path can absorb, the expected AFR
-// reduction given a cause mix, and why the observed dual-path failure
-// rate is far above the "idealized probability for two networks to both
-// fail" — plus a small path state machine used to study overlapping
-// outages.
+// It provides the analytic predictions the paper discusses — the
+// expected interconnect AFR reduction given a cause mix, and why the
+// observed dual-path failure rate is far above the "idealized
+// probability for two networks to both fail" — plus a simulation of
+// overlapping outages on two independent paths.
 package multipath
 
 import (
@@ -27,13 +26,6 @@ func PredictedPIReduction(mix failmodel.CauseMix) float64 {
 	return mix.RecoverableFraction()
 }
 
-// PredictedSubsystemReduction returns the expected fractional reduction
-// of total subsystem AFR: the PI reduction scaled by the interconnect
-// share of all failures.
-func PredictedSubsystemReduction(mix failmodel.CauseMix, piShare float64) float64 {
-	return PredictedPIReduction(mix) * piShare
-}
-
 // IdealizedDualPathAFR is the naive "both independent networks fail"
 // estimate the paper quotes ("given that the probability for one network
 // to fail is about 2%, the idealized probability for two networks to
@@ -42,15 +34,6 @@ func PredictedSubsystemReduction(mix failmodel.CauseMix, piShare float64) float6
 func IdealizedDualPathAFR(singleNetworkAFR float64) float64 {
 	return singleNetworkAFR * singleNetworkAFR
 }
-
-// PathState is one network path's availability state.
-type PathState int
-
-// Path states.
-const (
-	PathUp PathState = iota
-	PathDown
-)
 
 // Outage is one path-affecting fault: the path goes down at Start and is
 // repaired after Duration.
@@ -115,18 +98,6 @@ func SimulateOverlap(ratePerYear float64, repairMedian simtime.Seconds, horizonY
 	}
 	res.DowntimeYears = simtime.Years(doubleDown)
 	return res
-}
-
-// Exposure classifies an interconnect fault's visibility for a given
-// path count: with one path every fault is visible; with two paths only
-// non-recoverable causes surface (plus overlapping outages, which the
-// event-level simulator does not model separately because their
-// contribution is bounded by SimulateOverlap's measurement).
-func Exposure(paths int, cause failmodel.Cause) bool {
-	if paths >= 2 && cause.PathRecoverable() {
-		return false
-	}
-	return true
 }
 
 func maxSeconds(a, b simtime.Seconds) simtime.Seconds {

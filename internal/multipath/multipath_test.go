@@ -22,43 +22,11 @@ func TestPredictedPIReduction(t *testing.T) {
 	}
 }
 
-func TestPredictedSubsystemReduction(t *testing.T) {
-	mix := failmodel.CauseMix{
-		Causes:  []failmodel.Cause{failmodel.CauseCable, failmodel.CauseBackplane},
-		Weights: []float64{0.5, 0.5},
-	}
-	// 50% recoverable x 60% PI share = 30% subsystem reduction, the
-	// paper's Figure 7 arithmetic.
-	if got := PredictedSubsystemReduction(mix, 0.6); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("subsystem reduction %g, want 0.3", got)
-	}
-}
-
 func TestIdealizedDualPathAFR(t *testing.T) {
 	// The paper: one network fails ~2%/yr, idealized both-fail ~0.04%.
 	got := IdealizedDualPathAFR(0.02)
 	if math.Abs(got-0.0004) > 1e-12 {
 		t.Errorf("idealized AFR %g, want 0.0004", got)
-	}
-}
-
-func TestExposure(t *testing.T) {
-	cases := []struct {
-		paths int
-		cause failmodel.Cause
-		want  bool
-	}{
-		{1, failmodel.CauseCable, true},
-		{2, failmodel.CauseCable, false},
-		{2, failmodel.CauseHBAPort, false},
-		{2, failmodel.CauseBackplane, true},
-		{2, failmodel.CauseShelfPower, true},
-		{2, failmodel.CauseSharedHBA, true},
-	}
-	for _, c := range cases {
-		if got := Exposure(c.paths, c.cause); got != c.want {
-			t.Errorf("Exposure(%d, %s) = %v, want %v", c.paths, c.cause, got, c.want)
-		}
 	}
 }
 

@@ -51,18 +51,6 @@ func ParseUnit(s string) (Unit, bool) {
 	return Count, false
 }
 
-// Name is ParseUnit's inverse: the unit's serialized name.
-func (u Unit) Name() string {
-	switch u {
-	case Fraction:
-		return "fraction"
-	case Ratio:
-		return "ratio"
-	default:
-		return "count"
-	}
-}
-
 // UnitOf returns the display unit the registry uses for a metric, so
 // user-authored assertion bands (internal/scenario) render in the same
 // convention as the paper's own band for that metric. The second
@@ -98,11 +86,6 @@ func (u Unit) Format(v float64) string {
 // claims ("varies strongly", "at least ...").
 type Band struct {
 	Lo, Hi float64
-}
-
-// Contains reports whether v falls inside the band.
-func (b Band) Contains(v float64) bool {
-	return !math.IsNaN(v) && v >= b.Lo && v <= b.Hi
 }
 
 // Intersects reports whether [lo, hi] overlaps the band.
@@ -297,13 +280,4 @@ var Findings = []Finding{
 			{Metric: "corr_pi_shelf", Band: Band{Lo: 10, Hi: 25}, Unit: Ratio, Source: "Figure 10(a)"},
 		},
 	},
-}
-
-// Targets counts the numeric targets across all findings.
-func Targets() int {
-	n := 0
-	for _, f := range Findings {
-		n += len(f.Targets)
-	}
-	return n
 }

@@ -27,8 +27,12 @@ func TestRegistryCoversAllFindings(t *testing.T) {
 			t.Errorf("finding %d is missing claim/section/title", f.ID)
 		}
 	}
-	if paperref.Targets() < 20 {
-		t.Errorf("only %d targets across the registry; expected the full metric coverage", paperref.Targets())
+	targets := 0
+	for _, f := range paperref.Findings {
+		targets += len(f.Targets)
+	}
+	if targets < 20 {
+		t.Errorf("only %d targets across the registry; expected the full metric coverage", targets)
 	}
 }
 
@@ -55,22 +59,19 @@ func TestTargetsResolveToSweepMetrics(t *testing.T) {
 	}
 }
 
-// TestBandSemantics covers Contains/Intersects, including open-ended
-// and degenerate bands and NaN inputs.
+// TestBandSemantics covers Intersects, including open-ended and
+// degenerate bands and NaN inputs.
 func TestBandSemantics(t *testing.T) {
 	b := paperref.Band{Lo: 0.2, Hi: 0.55}
-	if !b.Contains(0.2) || !b.Contains(0.55) || b.Contains(0.56) || b.Contains(math.NaN()) {
-		t.Error("Contains: inclusive band bounds violated")
-	}
-	if !b.Intersects(0.5, 0.9) || b.Intersects(0.56, 0.9) || b.Intersects(math.NaN(), 0.9) {
+	if !b.Intersects(0.5, 0.9) || !b.Intersects(0.55, 0.9) || b.Intersects(0.56, 0.9) || b.Intersects(math.NaN(), 0.9) {
 		t.Error("Intersects: overlap rules violated")
 	}
 	open := paperref.Band{Lo: 0.15, Hi: math.Inf(1)}
-	if !open.Contains(10) || open.Contains(0.1) {
-		t.Error("open-ended band containment wrong")
+	if !open.Intersects(10, 10) || open.Intersects(0.1, 0.1) {
+		t.Error("open-ended band intersection wrong")
 	}
 	point := paperref.Band{Lo: 11, Hi: 11}
-	if !point.Contains(11) || !point.Intersects(10, 12) || point.Intersects(11.5, 12) {
+	if !point.Intersects(11, 11) || !point.Intersects(10, 12) || point.Intersects(11.5, 12) {
 		t.Error("degenerate band semantics wrong")
 	}
 }

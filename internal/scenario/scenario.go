@@ -141,20 +141,6 @@ func (a Assertion) DisplayUnit() paperref.Unit {
 	return paperref.Count
 }
 
-// Target expresses the assertion as a paperref.Target, so
-// internal/expreport can join user-authored bands through exactly the
-// machinery that joins the paper's published ones.
-func (a Assertion) Target() paperref.Target {
-	return paperref.Target{
-		Metric:          a.Metric,
-		Band:            a.Band(),
-		Unit:            a.DisplayUnit(),
-		Source:          a.Cite,
-		Note:            a.Note,
-		ScalesWithFleet: a.ScalesWithFleet,
-	}
-}
-
 // BaselineScenario resolves the spec's baseline: the scenario named
 // "baseline", else the first scenario — the same rule
 // internal/expreport applies to sweep results.

@@ -109,36 +109,32 @@ func TestBaselineScenario(t *testing.T) {
 	}
 }
 
-// TestAssertionTarget: an assertion compiles to a paperref.Target with
-// the tolerance-widened band and the inherited display unit, so
-// expreport can join it through the paper-band machinery unchanged.
+// TestAssertionTarget: an assertion's target is the tolerance-widened
+// band in the inherited display unit, the pair expreport renders and
+// judges it by.
 func TestAssertionTarget(t *testing.T) {
 	a := Assertion{
 		Scenario: "baseline", Metric: "disk_share_nearline",
 		Expected: 0.5, Tolerance: 0.5, Cite: "Finding 1", Note: "n",
 	}
-	tgt := a.Target()
-	if tgt.Band.Lo != 0.25 || tgt.Band.Hi != 0.75 {
-		t.Errorf("band: got [%g, %g], want [0.25, 0.75]", tgt.Band.Lo, tgt.Band.Hi)
+	if band := a.Band(); band.Lo != 0.25 || band.Hi != 0.75 {
+		t.Errorf("band: got [%g, %g], want [0.25, 0.75]", band.Lo, band.Hi)
 	}
 	// disk_share_nearline is a fraction in the paperref registry; the
 	// assertion inherits that without an explicit unit.
-	if tgt.Unit != paperref.Fraction {
-		t.Errorf("unit: got %v, want Fraction (inherited from paperref)", tgt.Unit)
-	}
-	if tgt.Source != "Finding 1" || tgt.Note != "n" || tgt.Metric != "disk_share_nearline" {
-		t.Errorf("target fields not carried over: %+v", tgt)
+	if u := a.DisplayUnit(); u != paperref.Fraction {
+		t.Errorf("unit: got %v, want Fraction (inherited from paperref)", u)
 	}
 
 	// An explicit unit wins over the registry.
 	a.Unit = "count"
-	if a.Target().Unit != paperref.Count {
+	if a.DisplayUnit() != paperref.Count {
 		t.Error("explicit unit must override the paperref convention")
 	}
 
 	// A metric paperref has no band for defaults to Count.
 	b := Assertion{Metric: "mined_dropped", Expected: 3, Cite: "c"}
-	if b.Target().Unit != paperref.Count {
+	if b.DisplayUnit() != paperref.Count {
 		t.Error("unknown-to-paperref metric must default to Count")
 	}
 }

@@ -264,7 +264,7 @@ func TestBurstsShareShelf(t *testing.T) {
 
 func TestZeroRatesProduceNoEvents(t *testing.T) {
 	f := fleet.BuildDefault(0.01, 12)
-	p := failmodel.DefaultParams().Clone()
+	p := failmodel.DefaultParams()
 	for m := range p.DiskAFR {
 		p.DiskAFR[m] = 0
 	}

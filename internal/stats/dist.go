@@ -243,76 +243,6 @@ func (w Weibull) String() string {
 	return fmt.Sprintf("Weibull(shape=%g, scale=%g)", w.Shape, w.Scale)
 }
 
-// LogNormal is the lognormal distribution: exp(N(mu, sigma^2)). The
-// simulator uses it for burst interarrival spreads (heavy right tail,
-// strictly positive support).
-type LogNormal struct {
-	Mu    float64
-	Sigma float64
-}
-
-// NewLogNormal returns a lognormal distribution with underlying normal
-// parameters mu and sigma.
-func NewLogNormal(mu, sigma float64) LogNormal {
-	if sigma <= 0 {
-		panic("stats: LogNormal requires sigma > 0")
-	}
-	return LogNormal{Mu: mu, Sigma: sigma}
-}
-
-// Name implements Distribution.
-func (l LogNormal) Name() string { return "LogNormal" }
-
-// PDF returns the lognormal density at x.
-func (l LogNormal) PDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := (math.Log(x) - l.Mu) / l.Sigma
-	return math.Exp(-z*z/2) / (x * l.Sigma * math.Sqrt(2*math.Pi))
-}
-
-// CDF returns P(X <= x) via the normal CDF of log x.
-func (l LogNormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return NormalCDF((math.Log(x) - l.Mu) / l.Sigma)
-}
-
-// Quantile inverts the CDF via the normal quantile.
-func (l LogNormal) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return math.Inf(1)
-	}
-	return math.Exp(l.Mu + l.Sigma*NormalQuantile(p))
-}
-
-// Mean returns exp(mu + sigma^2/2).
-func (l LogNormal) Mean() float64 {
-	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
-}
-
-// Variance returns (exp(sigma^2)-1) exp(2mu+sigma^2).
-func (l LogNormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
-// Sample draws one variate using r.
-func (l LogNormal) Sample(r *RNG) float64 { return r.LogNormal(l.Mu, l.Sigma) }
-
-// NumParams returns 2 (mu and sigma).
-func (l LogNormal) NumParams() int { return 2 }
-
-// String renders the distribution with its parameters.
-func (l LogNormal) String() string {
-	return fmt.Sprintf("LogNormal(mu=%g, sigma=%g)", l.Mu, l.Sigma)
-}
-
 // quantileByBisection inverts a CDF by expanding bracketing followed by
 // bisection. It is used by families without a closed-form quantile.
 func quantileByBisection(d Distribution, p float64) float64 {

@@ -15,8 +15,6 @@ func distsUnderTest() []Distribution {
 		NewGamma(2.5, 1.5),
 		NewWeibull(0.7, 4),
 		NewWeibull(2, 1),
-		NewLogNormal(0, 1),
-		NewLogNormal(2, 0.5),
 	}
 }
 
@@ -162,22 +160,12 @@ func TestWeibullAnalytic(t *testing.T) {
 	approx(t, "weibull median", w2.Quantile(0.5), 5*math.Pow(math.Ln2, 0.5), 1e-9)
 }
 
-func TestLogNormalAnalytic(t *testing.T) {
-	l := NewLogNormal(1, 0.5)
-	approx(t, "median", l.Quantile(0.5), math.E, 1e-6)
-	approx(t, "mean", l.Mean(), math.Exp(1.125), 1e-9)
-	if l.PDF(0) != 0 || l.CDF(0) != 0 {
-		t.Error("LogNormal must vanish at 0")
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewExponential(0) },
 		func() { NewGamma(-1, 1) },
 		func() { NewGamma(1, 0) },
 		func() { NewWeibull(0, 1) },
-		func() { NewLogNormal(0, 0) },
 	}
 	for i, fn := range cases {
 		func() {

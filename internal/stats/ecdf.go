@@ -31,28 +31,6 @@ func (e *ECDF) Eval(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Quantile returns the smallest sample value v such that Eval(v) >= p.
-func (e *ECDF) Quantile(p float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[n-1]
-	}
-	idx := int(math.Ceil(p*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return e.sorted[idx]
-}
-
 // Values returns the sorted sample. The caller must not modify it.
 func (e *ECDF) Values() []float64 { return e.sorted }
 
@@ -135,13 +113,14 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// CoefficientOfVariation returns stddev/mean, the paper's informal
-// burstiness scale (exponential gaps have CV = 1; bursty processes have
-// CV >> 1). Returns NaN for an empty or zero-mean sample.
-func CoefficientOfVariation(xs []float64) float64 {
-	s := Summarize(xs)
-	if s.N < 2 || s.Mean == 0 {
+// Mean returns the sample mean, NaN when empty.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
 		return math.NaN()
 	}
-	return s.StdDev / s.Mean
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }

@@ -19,21 +19,9 @@ func TestECDFEval(t *testing.T) {
 	}
 }
 
-func TestECDFQuantile(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30, 40, 50})
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {0.2, 10}, {0.21, 20}, {0.5, 30}, {1, 50},
-	}
-	for _, c := range cases {
-		if got := e.Quantile(c.p); got != c.want {
-			t.Errorf("Quantile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-}
-
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if !math.IsNaN(e.Eval(1)) || !math.IsNaN(e.Quantile(0.5)) {
+	if !math.IsNaN(e.Eval(1)) {
 		t.Error("empty ECDF should produce NaN")
 	}
 	if e.Len() != 0 {
@@ -115,50 +103,6 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if !math.IsNaN(empty.Mean) || empty.N != 0 {
 		t.Error("empty summary should be NaN/0")
-	}
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	// Exponential data has CV ~ 1.
-	xs := sample(NewExponential(2), 50000, 6)
-	cv := CoefficientOfVariation(xs)
-	if math.Abs(cv-1) > 0.05 {
-		t.Errorf("exponential CV = %g, want ~1", cv)
-	}
-	if !math.IsNaN(CoefficientOfVariation([]float64{5})) {
-		t.Error("single observation: CV should be NaN")
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	r := NewRNG(13)
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = r.Normal(10, 3)
-	}
-	iv := Bootstrap(xs, Mean, 1000, 0.95, NewRNG(14))
-	if !iv.Contains(10) {
-		t.Errorf("bootstrap CI [%g, %g] should contain the true mean 10", iv.Lower, iv.Upper)
-	}
-	// Expected width ~ 2*1.96*3/sqrt(400) = 0.59.
-	if w := iv.Upper - iv.Lower; w < 0.3 || w > 1.2 {
-		t.Errorf("bootstrap CI width %g implausible", w)
-	}
-}
-
-func TestBootstrapDegenerate(t *testing.T) {
-	iv := Bootstrap(nil, Mean, 100, 0.95, NewRNG(1))
-	if !math.IsNaN(iv.Center) {
-		t.Error("empty sample should produce NaN")
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	f := FractionBelow(10)
-	got := f([]float64{1, 5, 10, 15})
-	approx(t, "fraction below", got, 0.5, 1e-12)
-	if !math.IsNaN(f(nil)) {
-		t.Error("empty input should be NaN")
 	}
 }
 

@@ -151,18 +151,6 @@ func (r *RNG) Intn(n int) int {
 // Int63 returns a non-negative uniform 63-bit integer.
 func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
-// Perm returns a random permutation of [0, n). It allocates its result;
-// hot paths that only need k distinct indices should draw a partial
-// Fisher–Yates over a reused buffer with Intn instead.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using swap
 // (Fisher–Yates).
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
@@ -294,18 +282,6 @@ func (r *RNG) Poisson(mean float64) int {
 		n = 0
 	}
 	return n
-}
-
-// Geometric returns the number of failures before the first success for
-// trials with success probability p; support {0, 1, 2, ...}.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("stats: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Log(r.openFloat64()) / math.Log(1-p))
 }
 
 // Zipf-like categorical draw: Categorical returns index i with

@@ -162,17 +162,18 @@ func TestIntnBounds(t *testing.T) {
 	}()
 }
 
-func TestPermIsPermutation(t *testing.T) {
+func TestShuffleIsPermutation(t *testing.T) {
 	r := NewRNG(21)
 	for _, n := range []int{0, 1, 2, 5, 30} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("Shuffle(%d) = %v is not a permutation", n, p)
 			}
 			seen[v] = true
 		}
@@ -242,24 +243,6 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-func TestGeometricMoments(t *testing.T) {
-	r := NewRNG(3)
-	for _, p := range []float64{0.2, 0.5, 0.9} {
-		const n = 100000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += float64(r.Geometric(p))
-		}
-		want := (1 - p) / p
-		if got := sum / n; math.Abs(got-want) > 0.05*math.Max(want, 0.2) {
-			t.Errorf("Geometric(%g): mean %g, want %g", p, got, want)
-		}
-	}
-	if r.Geometric(1) != 0 {
-		t.Error("Geometric(1) must be 0")
-	}
-}
-
 func TestCategoricalWeights(t *testing.T) {
 	r := NewRNG(4)
 	weights := []float64{1, 2, 7}
@@ -298,7 +281,6 @@ func TestSamplerPanics(t *testing.T) {
 		func() { r.Gamma(0, 1) },
 		func() { r.Weibull(1, -1) },
 		func() { r.Poisson(-1) },
-		func() { r.Geometric(0) },
 	}
 	for i, fn := range cases {
 		func() {

@@ -124,12 +124,3 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 		t.Error("quantile boundaries should be infinite")
 	}
 }
-
-func TestChiSquareCDF(t *testing.T) {
-	// Chi-square with 2 df is Exponential(1/2): CDF = 1 - e^{-x/2}.
-	for _, x := range []float64{0.5, 2, 5.991} {
-		approx(t, "ChiSquareCDF(x,2)", ChiSquareCDF(x, 2), 1-math.Exp(-x/2), 1e-10)
-	}
-	// 95th percentile of chi-square with 3 df is 7.815.
-	approx(t, "ChiSquareCDF(7.815,3)", ChiSquareCDF(7.815, 3), 0.95, 1e-3)
-}

@@ -5,76 +5,6 @@ import (
 	"testing"
 )
 
-func TestWelchTTestDetectsDifference(t *testing.T) {
-	r := NewRNG(9)
-	a := make([]float64, 500)
-	b := make([]float64, 500)
-	for i := range a {
-		a[i] = r.Normal(10, 2)
-		b[i] = r.Normal(11, 2)
-	}
-	res := WelchTTest(a, b)
-	if res.P > 1e-6 {
-		t.Errorf("1-sigma shift over n=500 should be highly significant, p=%g", res.P)
-	}
-	if res.Difference > 0 {
-		t.Error("difference should be negative (meanA < meanB)")
-	}
-	if res.Confidence() < 99.9 {
-		t.Errorf("confidence %g, want 99.9", res.Confidence())
-	}
-}
-
-func TestWelchTTestNullDistribution(t *testing.T) {
-	// Under the null, p-values should be roughly uniform: check the
-	// rejection rate at alpha=0.1 over repeated draws.
-	r := NewRNG(10)
-	rejections := 0
-	const trials = 400
-	for trial := 0; trial < trials; trial++ {
-		a := make([]float64, 60)
-		b := make([]float64, 60)
-		for i := range a {
-			a[i] = r.Normal(5, 3)
-			b[i] = r.Normal(5, 3)
-		}
-		if WelchTTest(a, b).P < 0.1 {
-			rejections++
-		}
-	}
-	rate := float64(rejections) / trials
-	if rate < 0.05 || rate > 0.17 {
-		t.Errorf("null rejection rate at alpha=0.1 is %g", rate)
-	}
-}
-
-func TestWelchTTestDegenerate(t *testing.T) {
-	if res := WelchTTest([]float64{1}, []float64{2, 3}); res.P != 1 {
-		t.Error("tiny samples should return P=1")
-	}
-	res := WelchTTest([]float64{2, 2, 2}, []float64{3, 3, 3})
-	if res.P != 0 {
-		t.Errorf("identical-variance-zero distinct means should give P=0, got %g", res.P)
-	}
-	if res := WelchTTest([]float64{2, 2}, []float64{2, 2}); res.P != 1 {
-		t.Errorf("identical samples: P=%g, want 1", res.P)
-	}
-}
-
-func TestTwoProportionTest(t *testing.T) {
-	res := TwoProportionTest(80, 1000, 40, 1000)
-	if res.P > 0.001 {
-		t.Errorf("8%% vs 4%% over n=1000 should be significant, p=%g", res.P)
-	}
-	if res := TwoProportionTest(0, 0, 5, 10); res.P != 1 {
-		t.Error("empty group should return P=1")
-	}
-	same := TwoProportionTest(50, 1000, 50, 1000)
-	if same.P < 0.99 {
-		t.Errorf("identical proportions should have p~1, got %g", same.P)
-	}
-}
-
 func TestPoissonRateTest(t *testing.T) {
 	// The Figure 6 case: PI AFR 2.66% vs 2.18% with full-population
 	// exposure should be decisively significant.
@@ -131,13 +61,8 @@ func TestProportionCI(t *testing.T) {
 
 func TestIntervalHelpers(t *testing.T) {
 	a := Interval{Center: 5, Lower: 4, Upper: 6}
-	b := Interval{Center: 7, Lower: 5.5, Upper: 8}
-	c := Interval{Center: 10, Lower: 9, Upper: 11}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("a and c are disjoint")
+	if !a.Contains(4) || !a.Contains(6) || a.Contains(6.5) {
+		t.Error("Contains must be inclusive of both bounds and nothing else")
 	}
 	if a.HalfWidth() != 1 {
 		t.Errorf("half width %g", a.HalfWidth())

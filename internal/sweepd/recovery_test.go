@@ -9,10 +9,12 @@ package sweepd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -326,4 +328,54 @@ func TestCancelQueuedJob(t *testing.T) {
 	if meta := readMeta(t, dir, queued.ID); meta.State != StateCancelled {
 		t.Fatalf("persisted state %s, want cancelled", meta.State)
 	}
+}
+
+// TestPersistErrorLogged: a transition whose job.json write fails still
+// happens in memory, and the failure reaches Config.Logf naming the job
+// and the state being written. A directory squatting on the temp file's
+// path makes the write fail.
+func TestPersistErrorLogged(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var lines []string
+	ts := startServer(t, dir, func(c *Config) {
+		c.Pool = 1
+		c.JobHooks = func(id string) *sweep.Hooks {
+			return &sweep.Hooks{BeforeTrialAttempt: func(string, int, int) {
+				<-gate // park the first job so the second stays queued
+			}}
+		}
+		c.Logf = func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			mu.Lock()
+			lines = append(lines, line)
+			mu.Unlock()
+			t.Log(line)
+		}
+	})
+	releaseOnCleanup(t, gate)
+	ts.submit(t, []byte(recoverySpec))
+	queued := ts.submit(t, []byte(`{"name": "never-runs", "scenarios": [{"name": "baseline"}]}`))
+	if err := os.Mkdir(filepath.Join(dir, queued.ID, metaFile+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	if code, _ := ts.do(t, http.MethodDelete, "/v1/jobs/"+queued.ID, nil); code != http.StatusOK {
+		t.Fatalf("DELETE queued job: status %d, want 200", code)
+	}
+	if got := ts.getStatus(t, queued.ID); got.State != StateCancelled {
+		t.Fatalf("in-memory state %s, want cancelled despite the failed write", got.State)
+	}
+	if meta := readMeta(t, dir, queued.ID); meta.State != StateQueued {
+		t.Fatalf("persisted state %s; the failed write must leave the old file", meta.State)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range lines {
+		if strings.Contains(line, queued.ID) && strings.Contains(line, "persisting state cancelled") {
+			return
+		}
+	}
+	t.Fatalf("no Logf line reports the failed write of %s:\n%s", queued.ID, strings.Join(lines, "\n"))
 }

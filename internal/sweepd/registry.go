@@ -127,6 +127,16 @@ func (s *Server) persistLocked(j *Job) error {
 	return writeFileAtomic(filepath.Join(j.dir(s.cfg.Dir), metaFile), append(data, '\n'))
 }
 
+// saveLocked is persistLocked for transitions that proceed whether or
+// not the write succeeds: the in-memory state stays as set, and a
+// failure is reported through Config.Logf with the job ID and the state
+// being written. Caller holds the server mutex.
+func (s *Server) saveLocked(j *Job) {
+	if err := s.persistLocked(j); err != nil {
+		s.logf("sweepd: %s: persisting state %s: %v", j.ID, j.state, err)
+	}
+}
+
 // writeFileAtomic writes data via a temp file and rename, so readers
 // (and a restarted server) only ever see a complete old or new file.
 func writeFileAtomic(path string, data []byte) error {
@@ -182,14 +192,14 @@ func (s *Server) restore() error {
 		if err != nil {
 			j.spec, j.state, j.errMsg = placeholderSpec(meta.Name), StateFailed, err.Error()
 			s.addLocked(j)
-			s.persistLocked(j)
+			s.saveLocked(j)
 			continue
 		}
 		if !j.state.terminal() {
 			// queued, running, or partial: back in the queue. The runner
 			// recovers the checkpoint (if any) and resumes.
 			j.state = StateQueued
-			s.persistLocked(j)
+			s.saveLocked(j)
 			s.queue = append(s.queue, j)
 		}
 		s.addLocked(j)

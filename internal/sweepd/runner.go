@@ -42,7 +42,7 @@ func (s *Server) runner() {
 		j := s.queue[0]
 		s.queue = s.queue[1:]
 		j.state = StateRunning
-		s.persistLocked(j)
+		s.saveLocked(j)
 		s.mu.Unlock()
 		s.runJob(j)
 	}
@@ -93,32 +93,32 @@ func (s *Server) runJob(j *Job) {
 		s.logf("sweepd: %s killed by fault injection (resumable on restart)", j.ID)
 	case err != nil:
 		j.state, j.errMsg = StateFailed, err.Error()
-		s.persistLocked(j)
+		s.saveLocked(j)
 		s.logf("sweepd: %s failed: %v", j.ID, err)
 	case res.Partial && j.cancel.Load():
 		j.state = StateCancelled
-		s.persistLocked(j)
+		s.saveLocked(j)
 		s.logf("sweepd: %s cancelled after %d trials (checkpoint kept)", j.ID, res.TrialsDone())
 	case res.Partial:
 		// Server drain: resumable; restore() re-enqueues it.
 		j.state = StatePartial
-		s.persistLocked(j)
+		s.saveLocked(j)
 		s.logf("sweepd: %s drained at %d trials; will resume on restart", j.ID, res.TrialsDone())
 	default:
 		var buf bytes.Buffer
 		if werr := res.WriteJSON(&buf); werr != nil {
 			j.state, j.errMsg = StateFailed, "sweepd: encoding result: "+werr.Error()
-			s.persistLocked(j)
+			s.saveLocked(j)
 			return
 		}
 		if werr := writeFileAtomic(filepath.Join(dir, resultFile), buf.Bytes()); werr != nil {
 			j.state, j.errMsg = StateFailed, "sweepd: persisting result: "+werr.Error()
-			s.persistLocked(j)
+			s.saveLocked(j)
 			return
 		}
 		j.result, j.resultJSON = res, buf.Bytes()
 		j.state = StateDone
-		s.persistLocked(j)
+		s.saveLocked(j)
 		s.logf("sweepd: %s done", j.ID)
 	}
 }

@@ -497,7 +497,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		}
 		j.state = StateCancelled
 		j.cancel.Store(true)
-		s.persistLocked(j)
+		s.saveLocked(j)
 		s.mu.Unlock()
 		s.logf("sweepd: %s cancelled while queued", j.ID)
 		writeJSON(w, http.StatusOK, s.status(j, true))
