@@ -236,6 +236,36 @@ func TestDiskModelCatalog(t *testing.T) {
 	}
 }
 
+func TestAddReplacementDisk(t *testing.T) {
+	f := buildSmall(t)
+	orig := f.Disks[0]
+	at := simtime.Seconds(1000000)
+	var a ReplacementArena
+	nd := a.Add(orig, at)
+	id := f.CommitReplacements(&a)
+	if f.Disks[id] != nd {
+		t.Fatal("committed replacement not indexed by its ID")
+	}
+	if nd.System != orig.System || nd.Shelf != orig.Shelf || nd.Slot != orig.Slot || nd.RAIDGrp != orig.RAIDGrp {
+		t.Error("replacement must inherit system/shelf/slot/group")
+	}
+	if nd.Install != at || nd.Remove != simtime.StudyDuration {
+		t.Error("replacement residency wrong")
+	}
+	if nd.ID == orig.ID {
+		t.Error("replacement must have a fresh ID")
+	}
+	found := false
+	for _, did := range f.Shelves[orig.Shelf].Disks {
+		if did == id {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("replacement not registered in shelf")
+	}
+}
+
 func TestReplacementArenaCommit(t *testing.T) {
 	f := buildSmall(t)
 	origA, origB := f.Disks[0], f.Disks[1]
@@ -263,17 +293,6 @@ func TestReplacementArenaCommit(t *testing.T) {
 	}
 	if f.Disks[d1.ID] != d1 || f.Disks[d2.ID] != d2 {
 		t.Fatal("committed disks not indexed by final ID")
-	}
-	for _, c := range []struct {
-		nd, orig *Disk
-		at       simtime.Seconds
-	}{{d1, origA, 1000}, {d2, origB, 2000}} {
-		if c.nd.System != c.orig.System || c.nd.Shelf != c.orig.Shelf || c.nd.Slot != c.orig.Slot || c.nd.RAIDGrp != c.orig.RAIDGrp {
-			t.Errorf("replacement %d must inherit system/shelf/slot/group of disk %d", c.nd.ID, c.orig.ID)
-		}
-		if c.nd.Install != c.at || c.nd.Remove != simtime.StudyDuration {
-			t.Errorf("replacement %d resides [%d, %d), want [%d, %d)", c.nd.ID, c.nd.Install, c.nd.Remove, c.at, simtime.StudyDuration)
-		}
 	}
 	for _, d := range []*Disk{d1, d2} {
 		if id, ok := ParseSerial(Serial(d.ID), len(f.Disks)); !ok || id != d.ID {
