@@ -111,6 +111,16 @@ func BenchmarkFleetBuild(b *testing.B) { benchmarkBuild(b, 0.01, 1) }
 // available CPU.
 func BenchmarkFleetBuildWorkersMax(b *testing.B) { benchmarkBuild(b, 0.01, runtime.GOMAXPROCS(0)) }
 
+// BenchmarkFleetClone copies a pristine ~17k-disk fleet: the sweepd
+// fleet cache's hit path, which hands every requester a Clone.
+func BenchmarkFleetClone(b *testing.B) {
+	f := fleet.BuildDefault(0.01, 42)
+	b.ReportAllocs()
+	for b.Loop() {
+		f.Clone()
+	}
+}
+
 // BenchmarkBuildFullScale constructs the paper's full 39,000-system /
 // ~1.7M-disk population serially — the PR 3 wall-clock and allocs/op
 // target (BENCH_PR3.json); the legacy builder took minutes here.

@@ -58,9 +58,8 @@ func main() {
 	rv := eventlog.NewResolver(f)
 	events, dropped := rv.ResolveAll(failures)
 	for _, e := range events {
-		d := f.Disks[e.Disk]
 		fmt.Printf("  %-30s disk %s (model %s, system %d, shelf %d, RAID group %d)\n",
-			e.Type, fleet.Serial(d.ID), f.Systems[d.System].DiskModel, e.System, e.Shelf, e.Group)
+			e.Type, fleet.Serial(e.Disk), f.Systems[e.System].DiskModel, e.System, e.Shelf, e.Group)
 	}
 	if dropped > 0 {
 		fmt.Printf("  (%d unresolvable)\n", dropped)

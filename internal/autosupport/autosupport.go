@@ -119,7 +119,7 @@ func Collect(f *fleet.Fleet, events []failmodel.Event) *Database {
 // a real snapshot sees the current population, not history.
 func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 	at := simtime.Clamp(simtime.Seconds(week+1) * 7 * simtime.SecondsPerDay)
-	sys := f.Systems[systemID]
+	sys := &f.Systems[systemID]
 	snap := Snapshot{
 		SystemID:   systemID,
 		Week:       week,
@@ -131,18 +131,18 @@ func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 	// Systems are homogeneous: every shelf and disk record carries the
 	// system's models.
 	for _, shelfID := range sys.Shelves {
-		shelf := f.Shelves[shelfID]
+		shelf := &f.Shelves[shelfID]
 		ss := SnapshotShelf{Index: shelf.Index, Model: snap.ShelfModel}
 		for _, diskID := range shelf.Disks {
-			d := f.Disks[diskID]
+			d := &f.Disks[diskID]
 			if d.Install > at || d.Remove <= at {
 				continue // not resident at snapshot time
 			}
 			ss.Disks = append(ss.Disks, SnapshotDisk{
-				Serial:    fleet.Serial(d.ID),
+				Serial:    fleet.Serial(diskID),
 				Model:     snap.DiskModel,
-				Slot:      d.Slot,
-				RAIDGroup: d.RAIDGrp,
+				Slot:      int(d.Slot),
+				RAIDGroup: int(d.RAIDGrp),
 			})
 		}
 		snap.Shelves = append(snap.Shelves, ss)

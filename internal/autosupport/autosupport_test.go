@@ -105,7 +105,7 @@ func TestSnapshotReflectsResidency(t *testing.T) {
 				for _, shelfID := range f.Systems[sysID].Shelves {
 					for _, diskID := range f.Shelves[shelfID].Disks {
 						d := f.Disks[diskID]
-						if fleet.Serial(d.ID) == sd.Serial {
+						if fleet.Serial(diskID) == sd.Serial {
 							found = true
 							if d.Install > at || d.Remove <= simtime.Clamp(at) && d.Remove < at {
 								t.Fatalf("snapshot lists non-resident disk %s", sd.Serial)

@@ -76,7 +76,8 @@ func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
 	index := make(map[string]int)
 	var labels []string
 	groupOf := make([]int, len(ds.Fleet.Systems))
-	for _, s := range ds.Fleet.Systems {
+	for i := range ds.Fleet.Systems {
+		s := &ds.Fleet.Systems[i]
 		groupOf[s.ID] = -1
 		if !fl.admitsSystem(s) {
 			continue
@@ -107,7 +108,8 @@ func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
 func (ds *Dataset) tally(labels []string, key func(*fleet.System) int, fl Filter) []Breakdown {
 	bs := make([]Breakdown, len(labels))
 	groupOf := make([]int, len(ds.Fleet.Systems))
-	for _, s := range ds.Fleet.Systems {
+	for i := range ds.Fleet.Systems {
+		s := &ds.Fleet.Systems[i]
 		g := -1
 		if fl.admitsSystem(s) {
 			g = key(s)
@@ -126,7 +128,8 @@ func (ds *Dataset) tally(labels []string, key func(*fleet.System) int, fl Filter
 		b.Groups += len(s.RAIDGroups)
 	}
 
-	for _, d := range ds.Fleet.Disks {
+	for i := range ds.Fleet.Disks {
+		d := &ds.Fleet.Disks[i]
 		if g := groupOf[d.System]; g >= 0 {
 			bs[g].Disks++
 			bs[g].DiskYears += d.ResidencyYears()
@@ -241,7 +244,8 @@ func (ds *Dataset) Table1() []Table1Row {
 		rows[c] = Table1Row{Class: fleet.SystemClass(c), Systems: b.Systems, Shelves: b.Shelves,
 			Disks: b.Disks, RAIDGroups: b.Groups, Events: b.Events}
 	}
-	for _, s := range ds.Fleet.Systems {
+	for i := range ds.Fleet.Systems {
+		s := &ds.Fleet.Systems[i]
 		row := &rows[s.Class]
 		if s.DiskModel.Type == fleet.SATA {
 			row.DiskType = "SATA"

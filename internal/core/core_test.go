@@ -16,32 +16,31 @@ import (
 // system.
 func craftedFleet() *fleet.Fleet {
 	f := &fleet.Fleet{}
-	addSystem := func(model fleet.DiskModel, paths fleet.PathConfig, shelves, disksPerShelf int) *fleet.System {
-		sys := &fleet.System{
+	addSystem := func(model fleet.DiskModel, paths fleet.PathConfig, shelves, disksPerShelf int) {
+		sys := fleet.System{
 			ID: len(f.Systems), Class: fleet.MidRange, ShelfModel: fleet.ShelfB,
 			DiskModel: model, Paths: paths, Install: 0,
 		}
-		f.Systems = append(f.Systems, sys)
-		g := &fleet.RAIDGroup{ID: len(f.Groups), System: sys.ID, Type: fleet.RAID4}
-		f.Groups = append(f.Groups, g)
+		g := fleet.RAIDGroup{ID: len(f.Groups), System: sys.ID, Type: fleet.RAID4}
 		sys.RAIDGroups = []int{g.ID}
 		for s := 0; s < shelves; s++ {
-			shelf := &fleet.Shelf{ID: len(f.Shelves), System: sys.ID, Index: s}
-			f.Shelves = append(f.Shelves, shelf)
+			shelf := fleet.Shelf{ID: len(f.Shelves), System: sys.ID, Index: s}
 			sys.Shelves = append(sys.Shelves, shelf.ID)
 			for i := 0; i < disksPerShelf; i++ {
-				d := &fleet.Disk{
-					ID: len(f.Disks), System: sys.ID, Shelf: shelf.ID, Slot: i,
-					RAIDGrp: g.ID,
+				id := len(f.Disks)
+				f.Disks = append(f.Disks, fleet.Disk{
+					System: int32(sys.ID), Shelf: int32(shelf.ID), Slot: uint8(i),
+					RAIDGrp: int32(g.ID),
 					Install: 0, Remove: simtime.StudyDuration,
-				}
-				f.Disks = append(f.Disks, d)
-				shelf.Disks = append(shelf.Disks, d.ID)
-				g.Disks = append(g.Disks, d.ID)
+				})
+				shelf.Disks = append(shelf.Disks, id)
+				g.Disks = append(g.Disks, id)
 				g.ShelvesSpanned = s + 1
 			}
+			f.Shelves = append(f.Shelves, shelf)
 		}
-		return sys
+		f.Groups = append(f.Groups, g)
+		f.Systems = append(f.Systems, sys)
 	}
 	addSystem(fleet.DiskA2, fleet.SinglePath, 2, 2)
 	addSystem(fleet.DiskH1, fleet.DualPath, 1, 2)
@@ -52,8 +51,8 @@ func ev(disk int, f *fleet.Fleet, t simtime.Seconds, ft failmodel.FailureType, r
 	d := f.Disks[disk]
 	return failmodel.Event{
 		Time: t, Detected: simtime.NextScrub(t), Type: ft,
-		Cause: causeFor(ft), Disk: disk, Shelf: d.Shelf, System: d.System,
-		Group: d.RAIDGrp, Recovered: recovered,
+		Cause: causeFor(ft), Disk: disk, Shelf: int(d.Shelf), System: int(d.System),
+		Group: int(d.RAIDGrp), Recovered: recovered,
 	}
 }
 

@@ -80,8 +80,9 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 	}
 	containers := make(map[int]containerInfo)
 	if scope == ByShelf {
-		for _, sh := range ds.Fleet.Shelves {
-			sys := ds.Fleet.Systems[sh.System]
+		for i := range ds.Fleet.Shelves {
+			sh := &ds.Fleet.Shelves[i]
+			sys := &ds.Fleet.Systems[sh.System]
 			if !fl.admitsSystem(sys) {
 				continue
 			}
@@ -90,8 +91,9 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 			}
 		}
 	} else {
-		for _, g := range ds.Fleet.Groups {
-			sys := ds.Fleet.Systems[g.System]
+		for i := range ds.Fleet.Groups {
+			g := &ds.Fleet.Groups[i]
+			sys := &ds.Fleet.Systems[g.System]
 			if !fl.admitsSystem(sys) {
 				continue
 			}

@@ -69,7 +69,7 @@ func (fl Filter) admitsSystem(s *fleet.System) bool {
 // growing a worst-case copy through repeated append doublings.
 func (ds *Dataset) selectEvents(fl Filter) []failmodel.Event {
 	admits := func(e failmodel.Event) bool {
-		return e.Visible() && fl.admitsSystem(ds.Fleet.Systems[e.System])
+		return e.Visible() && fl.admitsSystem(&ds.Fleet.Systems[e.System])
 	}
 	n := 0
 	for _, e := range ds.Events {

@@ -34,10 +34,10 @@ func NewEmitter(f *fleet.Fleet) *Emitter {
 // storage subsystem absorbed them), emitting a path-failover notice
 // instead — the parser must not count those as subsystem failures.
 func (em *Emitter) Emit(e failmodel.Event) []Message {
-	d := em.fleet.Disks[e.Disk]
-	shelf := em.fleet.Shelves[e.Shelf]
-	dev := DeviceAddress(shelf.Index, d.Slot)
-	serial := fleet.Serial(d.ID)
+	d := &em.fleet.Disks[e.Disk]
+	shelf := &em.fleet.Shelves[e.Shelf]
+	dev := DeviceAddress(shelf.Index, int(d.Slot))
+	serial := fleet.Serial(e.Disk)
 	occurred := simtime.ToWall(e.Time)
 	detected := simtime.ToWall(e.Detected)
 

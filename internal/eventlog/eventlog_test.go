@@ -243,8 +243,8 @@ func TestResolverMatchesSerialIndex(t *testing.T) {
 	res := smallRun(t)
 	f := res.Fleet
 	index := make(map[string]int, len(f.Disks))
-	for _, d := range f.Disks {
-		index[fleet.Serial(d.ID)] = d.ID
+	for id := range f.Disks {
+		index[fleet.Serial(id)] = id
 	}
 
 	unknown := []string{

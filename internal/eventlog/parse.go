@@ -181,17 +181,17 @@ func (rv *Resolver) Resolve(p ParsedFailure) (failmodel.Event, bool) {
 	if !ok {
 		return failmodel.Event{}, false
 	}
-	d := rv.fleet.Disks[id]
+	d := &rv.fleet.Disks[id]
 	det := simtime.FromWall(p.Detected)
 	return failmodel.Event{
 		Time:     det,
 		Detected: det,
 		Type:     p.Type,
 		Cause:    defaultCauseFor(p.Type),
-		Disk:     d.ID,
-		Shelf:    d.Shelf,
-		System:   d.System,
-		Group:    d.RAIDGrp,
+		Disk:     id,
+		Shelf:    int(d.Shelf),
+		System:   int(d.System),
+		Group:    int(d.RAIDGrp),
 	}, true
 }
 

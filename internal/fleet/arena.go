@@ -6,15 +6,15 @@ import "storagesubsys/internal/stats"
 // build worker owns a private buildArena of value slabs (systems,
 // shelves, disks, groups plus flat ID slices) wired by local indices,
 // so constructing a system performs no per-item pointer allocation and
-// no synchronization. After every worker finishes, the arenas are
-// renumbered with global base offsets and spliced into the Fleet in
-// shard order — shards are contiguous in (class, system) job order, so
-// the result is bit-identical to a serial build for any worker count
-// (see TestBuildWorkerCountEquivalence and TestBuildGoldenDigest).
+// no synchronization. After every worker finishes, each arena is
+// renumbered with global base offsets and copied into its window of the
+// fleet's pre-sized slabs, in shard order — shards are contiguous in
+// (class, system) job order, so the result is bit-identical to a serial
+// build for any worker count (see TestBuildWorkerCountEquivalence and
+// TestBuildGoldenDigest).
 
 // span locates one component's sublist within a flat arena slab.
-// Subslices are materialized only at splice time, after the slabs have
-// stopped growing.
+// Subslices are materialized only at splice time, in the fleet's slabs.
 type span struct{ off, n int }
 
 // buildArena holds everything one worker builds, with all cross
@@ -28,9 +28,9 @@ type buildArena struct {
 	disks   []Disk
 	groups  []RAIDGroup
 
-	shelfIDs  []int // backing for System.Shelves
-	groupIDs  []int // backing for System.RAIDGroups
-	diskIDs   []int // backing for Shelf.Disks
+	shelfIDs  []int // backing for System.Shelves: one entry per shelf
+	groupIDs  []int // backing for System.RAIDGroups: one entry per group
+	diskIDs   []int // backing for Shelf.Disks: one entry per disk
 	memberIDs []int // backing for RAIDGroup.Disks
 
 	sysShelf  []span // per system: its window of shelfIDs
@@ -56,87 +56,98 @@ func (a *buildArena) reserve(systems, shelves, disks, groups int) {
 	a.groupMem = make([]span, 0, groups)
 }
 
-// splice renumbers the arena's components with the given global base
-// offsets and installs them into the fleet's pre-sized component slices.
-// Workers splice disjoint index ranges, so concurrent splices need no
-// synchronization.
-func (a *buildArena) splice(f *Fleet, sysBase, shelfBase, diskBase, groupBase int) {
-	a.trim()
-	for i := range a.shelfIDs {
-		a.shelfIDs[i] += shelfBase
-	}
-	for i := range a.groupIDs {
-		a.groupIDs[i] += groupBase
-	}
-	for i := range a.diskIDs {
-		a.diskIDs[i] += diskBase
-	}
-	for i := range a.memberIDs {
-		a.memberIDs[i] += diskBase
-	}
+// bases are a shard's global offsets: where its components and ID lists
+// start in the fleet's slabs. The shelf, group and disk ID lists have
+// one entry per component, so they share the component offsets; RAID
+// membership leaves spares out and carries its own.
+type bases struct{ sys, shelf, disk, group, member int }
 
+// idSlabs are the fleet-wide flat backings of the four ID-list kinds,
+// allocated at their exact final lengths: each component's list, plus
+// mountRoom spare slots after every shelf mount list.
+type idSlabs struct{ shelf, group, disk, member []int }
+
+// mountRoom is the number of spare slots after each shelf's as-built
+// mount list, so CommitReplacements appends a shelf's first
+// replacements in place. The calibrated model replaces under one disk
+// per shelf per simulated study window, so two slots carry nearly
+// every shelf through a trial; without them, every shelf that received
+// a replacement would regrow its list into a fresh allocation.
+const mountRoom = 2
+
+// splice renumbers the arena's components with the shard's global
+// offsets while copying them into the fleet's pre-sized slabs, and
+// carves every ID list out of its window of the flat backings. This one
+// copy moves each build into allocations of exactly the fleet's size,
+// so the arena's over-reserved slabs become garbage rather than staying
+// resident for the fleet's lifetime. Workers splice disjoint windows, so
+// concurrent splices need no synchronization.
+func (a *buildArena) splice(f *Fleet, ids idSlabs, b bases) {
+	shiftInto(ids.shelf[b.shelf:], a.shelfIDs, b.shelf)
+	shiftInto(ids.group[b.group:], a.groupIDs, b.group)
+	shiftInto(ids.member[b.member:], a.memberIDs, b.disk)
+
+	disks := f.Disks[b.disk : b.disk+len(a.disks)]
 	for i := range a.disks {
-		d := &a.disks[i]
-		d.ID += diskBase
-		d.System += sysBase
-		d.Shelf += shelfBase
+		d := a.disks[i]
+		d.System += int32(b.sys)
+		d.Shelf += int32(b.shelf)
 		if d.RAIDGrp >= 0 {
-			d.RAIDGrp += groupBase
+			d.RAIDGrp += int32(b.group)
 		}
-		f.Disks[d.ID] = d
+		disks[i] = d
 	}
+	systems := f.Systems[b.sys : b.sys+len(a.systems)]
 	for i := range a.systems {
-		s := &a.systems[i]
-		s.ID += sysBase
-		s.Shelves = a.subslice(a.shelfIDs, a.sysShelf[i])
-		s.RAIDGroups = a.subslice(a.groupIDs, a.sysGroup[i])
-		f.Systems[s.ID] = s
+		s := a.systems[i]
+		s.ID += b.sys
+		s.Shelves = carve(ids.shelf, b.shelf+a.sysShelf[i].off, a.sysShelf[i].n, 0)
+		s.RAIDGroups = carve(ids.group, b.group+a.sysGroup[i].off, a.sysGroup[i].n, 0)
+		systems[i] = s
 	}
+	// Mount lists are laid out with mountRoom spare slots each, so the
+	// shard's window of the disk-ID backing starts after every earlier
+	// shard's disks and spare slots, and the arena's i-th shelf sits i
+	// spare runs past its arena offset.
+	mounts := ids.disk[b.disk+b.shelf*mountRoom:]
+	shelves := f.Shelves[b.shelf : b.shelf+len(a.shelves)]
 	for i := range a.shelves {
-		sh := &a.shelves[i]
-		sh.ID += shelfBase
-		sh.System += sysBase
-		sh.Disks = a.subslice(a.diskIDs, a.shelfDisk[i])
-		f.Shelves[sh.ID] = sh
+		sh := a.shelves[i]
+		sh.ID += b.shelf
+		sh.System += b.sys
+		sp := a.shelfDisk[i]
+		lo := sp.off + i*mountRoom
+		shiftInto(mounts[lo:], a.diskIDs[sp.off:sp.off+sp.n], b.disk)
+		sh.Disks = carve(mounts, lo, sp.n, mountRoom)
+		shelves[i] = sh
 	}
+	groups := f.Groups[b.group : b.group+len(a.groups)]
 	for i := range a.groups {
-		g := &a.groups[i]
-		g.ID += groupBase
-		g.System += sysBase
-		g.Disks = a.subslice(a.memberIDs, a.groupMem[i])
-		f.Groups[g.ID] = g
+		g := a.groups[i]
+		g.ID += b.group
+		g.System += b.sys
+		g.Disks = carve(ids.member, b.member+a.groupMem[i].off, a.groupMem[i].n, 0)
+		groups[i] = g
 	}
 }
 
-// trim moves every slab the fleet keeps into an allocation of exactly
-// its length. reserve sizes slabs from profile means with headroom, and
-// once the fleet points into a slab the whole allocation stays resident
-// for the fleet's lifetime: untrimmed, a built fleet held about a
-// quarter more memory than ApproxBytes charges for it. Copying the
-// slabs of flat values is cheap next to building them.
-func (a *buildArena) trim() {
-	a.systems = exact(a.systems)
-	a.shelves = exact(a.shelves)
-	a.disks = exact(a.disks)
-	a.groups = exact(a.groups)
-	a.shelfIDs = exact(a.shelfIDs)
-	a.groupIDs = exact(a.groupIDs)
-	a.diskIDs = exact(a.diskIDs)
-	a.memberIDs = exact(a.memberIDs)
+// shiftInto writes src[i]+shift to dst[i] for every element of src.
+func shiftInto(dst, src []int, shift int) {
+	for i, v := range src {
+		dst[i] = v + shift
+	}
 }
 
-// exact returns a copy of s whose capacity is its length.
-func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
-
-// subslice materializes a span as a capacity-capped view of its slab, so
-// a later append (CommitReplacements growing Shelf.Disks) reallocates
-// instead of clobbering the next component's IDs. Empty spans stay nil,
-// matching what a serial append-driven build leaves behind.
-func (a *buildArena) subslice(slab []int, sp span) []int {
-	if sp.n == 0 {
+// carve materializes the n-element list at slab[lo:] as a view capped
+// at its room spare slots, so a later append (CommitReplacements
+// growing Shelf.Disks) past the room reallocates instead of clobbering
+// the next component's IDs. Empty lists stay nil, matching what a
+// serial append-driven build leaves behind.
+func carve(slab []int, lo, n, room int) []int {
+	if n == 0 {
 		return nil
 	}
-	return slab[sp.off : sp.off+sp.n : sp.off+sp.n]
+	return slab[lo : lo+n : lo+n+room]
 }
 
 // diskQueue is a FIFO ring over one shelf's segment of the layout
@@ -177,7 +188,7 @@ type buildWorker struct {
 	arena buildArena
 
 	// Global base offsets assigned after all workers finish phase A.
-	sysBase, shelfBase, diskBase, groupBase int
+	base bases
 
 	// RAID layout scratch (see layoutRAIDGroups).
 	queueBuf  []int       // flat per-shelf ring segments of unassigned disks
@@ -299,7 +310,7 @@ func (w *buildWorker) layoutRAIDGroups(sysLocal, sysDiskOff int, p *ClassProfile
 				w.shelfMark[si] = w.epoch
 				spanned++
 			}
-			a.disks[id].RAIDGrp = groupLocal
+			a.disks[id].RAIDGrp = int32(groupLocal)
 		}
 		memOff := len(a.memberIDs)
 		a.memberIDs = append(a.memberIDs, members...)

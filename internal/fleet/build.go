@@ -136,30 +136,40 @@ func BuildWorkers(profiles []ClassProfile, scale float64, seed int64, workers in
 	// are contiguous in (class, system) job order, so this renumbering
 	// reproduces exactly the IDs a serial build assigns.
 	f := &Fleet{Seed: seed}
-	var nSys, nShelf, nDisk, nGroup int
+	var next bases
 	for _, w := range bws {
-		w.sysBase, w.shelfBase, w.diskBase, w.groupBase = nSys, nShelf, nDisk, nGroup
-		nSys += len(w.arena.systems)
-		nShelf += len(w.arena.shelves)
-		nDisk += len(w.arena.disks)
-		nGroup += len(w.arena.groups)
+		w.base = next
+		next.sys += len(w.arena.systems)
+		next.shelf += len(w.arena.shelves)
+		next.disk += len(w.arena.disks)
+		next.group += len(w.arena.groups)
+		next.member += len(w.arena.memberIDs)
 	}
-	f.Systems = make([]*System, nSys)
-	f.Shelves = make([]*Shelf, nShelf)
-	f.Disks = make([]*Disk, nDisk)
-	f.Groups = make([]*RAIDGroup, nGroup)
+	if next.disk > math.MaxInt32 {
+		panic("fleet: population exceeds the disk record's int32 component IDs")
+	}
+	f.Systems = make([]System, next.sys)
+	f.Shelves = make([]Shelf, next.shelf)
+	f.Disks = diskSlab(next.disk)
+	f.Groups = make([]RAIDGroup, next.group)
+	ids := idSlabs{
+		shelf:  make([]int, next.shelf),
+		group:  make([]int, next.group),
+		disk:   make([]int, next.disk+next.shelf*mountRoom),
+		member: make([]int, next.member),
+	}
 
-	// Phase B: renumber and splice each arena into its disjoint slice
-	// ranges, again in parallel.
+	// Phase B: renumber and splice each arena into its disjoint windows,
+	// again in parallel.
 	for _, w := range bws {
 		if workers == 1 {
-			w.arena.splice(f, w.sysBase, w.shelfBase, w.diskBase, w.groupBase)
+			w.arena.splice(f, ids, w.base)
 			continue
 		}
 		wg.Add(1)
 		go func(w *buildWorker) {
 			defer wg.Done()
-			w.arena.splice(f, w.sysBase, w.shelfBase, w.diskBase, w.groupBase)
+			w.arena.splice(f, ids, w.base)
 		}(w)
 	}
 	wg.Wait()
@@ -264,10 +274,9 @@ func (w *buildWorker) buildSystem(p *ClassProfile, weights []float64, r *stats.R
 		for slot := 0; slot < numDisks; slot++ {
 			diskLocal := len(a.disks)
 			a.disks = append(a.disks, Disk{
-				ID:      diskLocal,
-				System:  sysLocal,
-				Shelf:   shelfLocal,
-				Slot:    slot,
+				System:  int32(sysLocal),
+				Shelf:   int32(shelfLocal),
+				Slot:    uint8(slot),
 				RAIDGrp: -1,
 				Install: install,
 				Remove:  simtime.StudyDuration,

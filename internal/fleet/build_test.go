@@ -59,9 +59,9 @@ func assertFleetsIdentical(t *testing.T, ref, got *Fleet, workers int) {
 		}
 	}
 	for i := range ref.Disks {
-		if *got.Disks[i] != *ref.Disks[i] {
+		if got.Disks[i] != ref.Disks[i] {
 			t.Fatalf("workers=%d: disk %d differs:\n got %+v\nwant %+v",
-				workers, i, *got.Disks[i], *ref.Disks[i])
+				workers, i, got.Disks[i], ref.Disks[i])
 		}
 	}
 	for i := range ref.Groups {
@@ -74,10 +74,10 @@ func assertFleetsIdentical(t *testing.T, ref, got *Fleet, workers int) {
 }
 
 // fleetDigest hashes every field of every component in ID order, so two
-// fleets digest equal iff they are bit-identical topologies. Shelf and
-// disk models and disk serials are hashed from the derived values, in
-// the byte order the digests were recorded with when they were stored
-// per component.
+// fleets digest equal iff they are bit-identical topologies. Disk IDs
+// (each disk's index), shelf and disk models and disk serials are hashed
+// from the derived values, in the byte order the digests were recorded
+// with when they were stored per component.
 func fleetDigest(f *Fleet) uint64 {
 	h := fnv.New64a()
 	w := func(vs ...int) {
@@ -99,9 +99,9 @@ func fleetDigest(f *Fleet) uint64 {
 		h.Write([]byte(f.Systems[sh.System].ShelfModel))
 		w(sh.Disks...)
 	}
-	for _, d := range f.Disks {
-		w(d.ID, d.System, d.Shelf, d.Slot, d.RAIDGrp, int(d.Install), int(d.Remove))
-		h.Write(AppendSerial(nil, d.ID))
+	for id, d := range f.Disks {
+		w(id, int(d.System), int(d.Shelf), int(d.Slot), int(d.RAIDGrp), int(d.Install), int(d.Remove))
+		h.Write(AppendSerial(nil, id))
 		h.Write([]byte(f.Systems[d.System].DiskModel.String()))
 	}
 	for _, g := range f.Groups {
@@ -195,17 +195,14 @@ func TestBuildSpliceOrder(t *testing.T) {
 		t.Fatalf("systems span %d/%d/%d components, want %d/%d/%d",
 			nextShelf, nextDisk, nextGroup, len(f.Shelves), len(f.Disks), len(f.Groups))
 	}
-	for i, d := range f.Disks {
-		if d.ID != i {
-			t.Fatalf("disk at index %d has ID %d", i, d.ID)
-		}
-		if id, ok := ParseSerial(Serial(d.ID), len(f.Disks)); !ok || id != d.ID {
-			t.Fatalf("disk %d serial %q resolves to (%d, %v)", d.ID, Serial(d.ID), id, ok)
+	for i := range f.Disks {
+		if id, ok := ParseSerial(Serial(i), len(f.Disks)); !ok || id != i {
+			t.Fatalf("disk %d serial %q resolves to (%d, %v)", i, Serial(i), id, ok)
 		}
 	}
 	for _, g := range f.Groups {
 		for _, diskID := range g.Disks {
-			if f.Disks[diskID].RAIDGrp != g.ID {
+			if int(f.Disks[diskID].RAIDGrp) != g.ID {
 				t.Fatalf("group %d member %d points at group %d", g.ID, diskID, f.Disks[diskID].RAIDGrp)
 			}
 		}

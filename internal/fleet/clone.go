@@ -8,14 +8,18 @@ package fleet
 // requester an exclusively-owned Clone — concurrent sweeps over the
 // same topology share the build cost without sharing mutable state.
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // Clone returns a deep copy of the fleet that shares no mutable state
-// with the original: component structs are copied into fresh value
-// slabs and every ID slice (shelf mount lists, system shelf/group
-// lists, RAID group membership) is duplicated, so simulating against
-// the clone — failing disks, committing replacements, Reset — never
-// touches the original.
+// with the original: the four component slabs are copied (the disk slab
+// with a build's replacement room), and every ID list (shelf mount
+// lists, system shelf/group lists, RAID group membership) is copied into
+// one flat backing per list kind, so simulating against the clone —
+// failing disks, committing replacements, Reset — never touches the
+// original.
 //
 // Cloning a pristine as-built fleet yields a fleet indistinguishable
 // from one freshly built with the same profiles, scale, and seed:
@@ -24,60 +28,66 @@ import "unsafe"
 // (TestCloneTrialEquivalence pins this).
 func (f *Fleet) Clone() *Fleet {
 	nf := &Fleet{
-		Systems: make([]*System, len(f.Systems)),
-		Shelves: make([]*Shelf, len(f.Shelves)),
-		Disks:   make([]*Disk, len(f.Disks)),
-		Groups:  make([]*RAIDGroup, len(f.Groups)),
+		Systems: slices.Clone(f.Systems),
+		Shelves: slices.Clone(f.Shelves),
+		Disks:   diskSlab(len(f.Disks)),
+		Groups:  slices.Clone(f.Groups),
 		Seed:    f.Seed,
 	}
-	systems := make([]System, len(f.Systems))
-	for i, s := range f.Systems {
-		systems[i] = *s
-		systems[i].Shelves = append([]int(nil), s.Shelves...)
-		systems[i].RAIDGroups = append([]int(nil), s.RAIDGroups...)
-		nf.Systems[i] = &systems[i]
-	}
-	shelves := make([]Shelf, len(f.Shelves))
-	for i, sh := range f.Shelves {
-		shelves[i] = *sh
-		shelves[i].Disks = append([]int(nil), sh.Disks...)
-		nf.Shelves[i] = &shelves[i]
-	}
-	disks := make([]Disk, len(f.Disks))
-	for i, d := range f.Disks {
-		disks[i] = *d
-		nf.Disks[i] = &disks[i]
-	}
-	groups := make([]RAIDGroup, len(f.Groups))
-	for i, g := range f.Groups {
-		groups[i] = *g
-		groups[i].Disks = append([]int(nil), g.Disks...)
-		nf.Groups[i] = &groups[i]
-	}
+	copy(nf.Disks, f.Disks)
+	repack(nf.Systems, 0, func(s *System) *[]int { return &s.Shelves })
+	repack(nf.Systems, 0, func(s *System) *[]int { return &s.RAIDGroups })
+	repack(nf.Shelves, mountRoom, func(sh *Shelf) *[]int { return &sh.Disks })
+	repack(nf.Groups, 0, func(g *RAIDGroup) *[]int { return &g.Disks })
 	return nf
 }
 
-// ApproxBytes estimates the fleet's resident memory: component struct
-// slabs, pointer indexes, and ID slices — everything the fleet stores,
-// since disk serials and models are derived rather than held. Built
-// fleets and clones both keep their slabs at exact length, so a
-// byte-budgeted fleet cache charging one ApproxBytes per cached fleet
-// tracks its real cost (TestApproxBytesMatchesHeap pins a build within
-// 10% of its measured heap growth).
+// repack replaces the ID list that list selects in every item with a
+// copy carved out of one exact-length backing, each copy followed by
+// room spare slots — the layout a build leaves — so a clone costs four
+// ID allocations rather than one per list. Empty lists become nil, as
+// in a build.
+func repack[T any](items []T, room int, list func(*T) *[]int) {
+	n := 0
+	for i := range items {
+		if l := len(*list(&items[i])); l > 0 {
+			n += l + room
+		}
+	}
+	slab := make([]int, n)
+	off := 0
+	for i := range items {
+		l := list(&items[i])
+		if len(*l) == 0 {
+			*l = nil
+			continue
+		}
+		*l = carve(slab, off, copy(slab[off:], *l), room)
+		off += len(*l) + room
+	}
+}
+
+// ApproxBytes estimates the fleet's resident memory: the component
+// slabs and the ID lists, the disk slab and shelf mount lists at their
+// capacity (replacement room included) — everything the fleet stores,
+// since disk IDs, serials and models are derived rather than held.
+// Built fleets and clones keep every other slab and ID backing at exact
+// length, so a byte-budgeted fleet cache charging one ApproxBytes per
+// cached fleet tracks its real cost (TestApproxBytesMatchesHeap pins a
+// build and a clone within 10% of their measured heap growth).
 func (f *Fleet) ApproxBytes() int {
-	const ptr = int(unsafe.Sizeof(uintptr(0)))
-	n := len(f.Systems)*(int(unsafe.Sizeof(System{}))+ptr) +
-		len(f.Shelves)*(int(unsafe.Sizeof(Shelf{}))+ptr) +
-		len(f.Disks)*(int(unsafe.Sizeof(Disk{}))+ptr) +
-		len(f.Groups)*(int(unsafe.Sizeof(RAIDGroup{}))+ptr)
-	for _, s := range f.Systems {
-		n += 8 * (len(s.Shelves) + len(s.RAIDGroups))
+	n := len(f.Systems)*int(unsafe.Sizeof(System{})) +
+		len(f.Shelves)*int(unsafe.Sizeof(Shelf{})) +
+		cap(f.Disks)*int(unsafe.Sizeof(Disk{})) +
+		len(f.Groups)*int(unsafe.Sizeof(RAIDGroup{}))
+	for i := range f.Systems {
+		n += 8 * (len(f.Systems[i].Shelves) + len(f.Systems[i].RAIDGroups))
 	}
-	for _, sh := range f.Shelves {
-		n += 8 * len(sh.Disks)
+	for i := range f.Shelves {
+		n += 8 * cap(f.Shelves[i].Disks)
 	}
-	for _, g := range f.Groups {
-		n += 8 * len(g.Disks)
+	for i := range f.Groups {
+		n += 8 * len(f.Groups[i].Disks)
 	}
 	return n
 }

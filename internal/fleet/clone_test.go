@@ -32,7 +32,7 @@ func TestCloneMutationIsolation(t *testing.T) {
 	// Mutate the clone the way a trial does: end a residency, install a
 	// replacement (which also appends to the shelf mount list), and
 	// touch per-system/group ID slices.
-	d := c.Disks[0]
+	d := &c.Disks[0]
 	d.Remove = simtime.SecondsPerYear
 	d.Replaced = true
 	var arena fleet.ReplacementArena
@@ -93,7 +93,9 @@ func TestApproxBytesGrowsWithScale(t *testing.T) {
 
 // TestApproxBytesMatchesHeap keeps the fleet cache's byte budget honest:
 // ApproxBytes of a freshly built fleet must be within 10% of the heap
-// the build actually leaves live.
+// the build actually leaves live, and so must ApproxBytes of a Clone of
+// it — the cache charges the pristine fleet's ApproxBytes but hands out
+// clones.
 func TestApproxBytesMatchesHeap(t *testing.T) {
 	live := func() uint64 {
 		runtime.GC()
@@ -102,13 +104,20 @@ func TestApproxBytesMatchesHeap(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
+	check := func(label string, grown float64, f *fleet.Fleet) {
+		t.Helper()
+		approx := float64(f.ApproxBytes())
+		if rel := math.Abs(approx-grown) / grown; rel > 0.10 {
+			t.Errorf("%s: ApproxBytes %.0f vs measured heap growth %.0f: off by %.1f%%, budget 10%%",
+				label, approx, grown, 100*rel)
+		}
+	}
 	before := live()
 	f := fleet.BuildDefault(0.05, 53)
-	grown := float64(live()) - float64(before)
-	approx := float64(f.ApproxBytes())
+	built := live()
+	check("build", float64(built)-float64(before), f)
+	c := f.Clone()
+	check("clone", float64(live())-float64(built), c)
 	runtime.KeepAlive(f)
-	if rel := math.Abs(approx-grown) / grown; rel > 0.10 {
-		t.Errorf("ApproxBytes %.0f vs measured heap growth %.0f: off by %.1f%%, budget 10%%",
-			approx, grown, 100*rel)
-	}
+	runtime.KeepAlive(c)
 }

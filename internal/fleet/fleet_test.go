@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"storagesubsys/internal/simtime"
@@ -82,28 +83,28 @@ func TestBuildPopulationShape(t *testing.T) {
 
 func TestTopologyInvariants(t *testing.T) {
 	f := buildSmall(t)
-	for _, d := range f.Disks {
-		if d.Slot < 0 || d.Slot >= MaxDisksPerShelf {
-			t.Fatalf("disk %d slot %d out of range", d.ID, d.Slot)
+	for id, d := range f.Disks {
+		if d.Slot >= MaxDisksPerShelf {
+			t.Fatalf("disk %d slot %d out of range", id, d.Slot)
 		}
 		sh := f.Shelves[d.Shelf]
-		if sh.System != d.System {
-			t.Fatalf("disk %d shelf/system mismatch", d.ID)
+		if sh.System != int(d.System) {
+			t.Fatalf("disk %d shelf/system mismatch", id)
 		}
 		if d.Install < 0 || d.Remove > simtime.StudyDuration || d.Remove < d.Install {
-			t.Fatalf("disk %d residency [%d, %d] invalid", d.ID, d.Install, d.Remove)
+			t.Fatalf("disk %d residency [%d, %d] invalid", id, d.Install, d.Remove)
 		}
 		if d.RAIDGrp >= 0 {
 			g := f.Groups[d.RAIDGrp]
 			found := false
-			for _, id := range g.Disks {
-				if id == d.ID {
+			for _, member := range g.Disks {
+				if member == id {
 					found = true
 					break
 				}
 			}
 			if !found {
-				t.Fatalf("disk %d claims group %d but is not a member", d.ID, d.RAIDGrp)
+				t.Fatalf("disk %d claims group %d but is not a member", id, d.RAIDGrp)
 			}
 		}
 	}
@@ -111,7 +112,7 @@ func TestTopologyInvariants(t *testing.T) {
 		if len(sh.Disks) > MaxDisksPerShelf {
 			t.Fatalf("shelf %d has %d disks (max %d)", sh.ID, len(sh.Disks), MaxDisksPerShelf)
 		}
-		slots := map[int]bool{}
+		slots := map[uint8]bool{}
 		for _, id := range sh.Disks {
 			d := f.Disks[id]
 			if slots[d.Slot] {
@@ -147,10 +148,10 @@ func TestRAIDGroupLayout(t *testing.T) {
 		// Members must belong to the owning system.
 		shelves := map[int]bool{}
 		for _, id := range g.Disks {
-			if f.Disks[id].System != g.System {
+			if int(f.Disks[id].System) != g.System {
 				t.Fatalf("group %d member from another system", g.ID)
 			}
-			shelves[f.Disks[id].Shelf] = true
+			shelves[int(f.Disks[id].Shelf)] = true
 		}
 		if g.ShelvesSpanned != len(shelves) {
 			t.Fatalf("group %d spanned count %d, want %d", g.ID, g.ShelvesSpanned, len(shelves))
@@ -241,18 +242,19 @@ func TestAddReplacementDisk(t *testing.T) {
 	orig := f.Disks[0]
 	at := simtime.Seconds(1000000)
 	var a ReplacementArena
-	nd := a.Add(orig, at)
+	a.Add(&f.Disks[0], at)
 	id := f.CommitReplacements(&a)
-	if f.Disks[id] != nd {
-		t.Fatal("committed replacement not indexed by its ID")
+	if id != len(f.Disks)-1 {
+		t.Fatalf("committed replacement ID %d, want the new last index %d", id, len(f.Disks)-1)
 	}
+	nd := f.Disks[id]
 	if nd.System != orig.System || nd.Shelf != orig.Shelf || nd.Slot != orig.Slot || nd.RAIDGrp != orig.RAIDGrp {
 		t.Error("replacement must inherit system/shelf/slot/group")
 	}
 	if nd.Install != at || nd.Remove != simtime.StudyDuration {
 		t.Error("replacement residency wrong")
 	}
-	if nd.ID == orig.ID {
+	if id == 0 {
 		t.Error("replacement must have a fresh ID")
 	}
 	found := false
@@ -272,12 +274,13 @@ func TestReplacementArenaCommit(t *testing.T) {
 	before := len(f.Disks)
 
 	var a ReplacementArena
-	d1 := a.Add(origA, simtime.Seconds(1000))
-	d2 := a.Add(origB, simtime.Seconds(2000))
-	if d1.ID != -1 || d2.ID != -2 {
-		t.Fatalf("provisional IDs %d, %d, want -1, -2", d1.ID, d2.ID)
+	p1 := a.Add(&origA, simtime.Seconds(1000))
+	p2 := a.Add(&origB, simtime.Seconds(2000))
+	if p1 != -1 || p2 != -2 {
+		t.Fatalf("provisional IDs %d, %d, want -1, -2", p1, p2)
 	}
-	if a.Len() != 2 || a.Disk(-1) != d1 || a.Disk(-2) != d2 {
+	d1, d2 := *a.Disk(p1), *a.Disk(p2)
+	if d1.Install != 1000 || d2.Install != 2000 || d1.Shelf != origA.Shelf || d2.Shelf != origB.Shelf {
 		t.Fatal("arena lookup by provisional ID broken")
 	}
 	if len(f.Disks) != before {
@@ -288,20 +291,90 @@ func TestReplacementArenaCommit(t *testing.T) {
 	if base != before {
 		t.Fatalf("commit base %d, want %d", base, before)
 	}
-	if d1.ID != before || d2.ID != before+1 {
-		t.Fatalf("final IDs %d, %d, want %d, %d", d1.ID, d2.ID, before, before+1)
-	}
-	if f.Disks[d1.ID] != d1 || f.Disks[d2.ID] != d2 {
+	if f.Disks[before] != d1 || f.Disks[before+1] != d2 {
 		t.Fatal("committed disks not indexed by final ID")
 	}
-	for _, d := range []*Disk{d1, d2} {
-		if id, ok := ParseSerial(Serial(d.ID), len(f.Disks)); !ok || id != d.ID {
-			t.Fatalf("committed replacement %d: serial resolves to (%d, %v)", d.ID, id, ok)
+	for id := before; id < len(f.Disks); id++ {
+		if got, ok := ParseSerial(Serial(id), len(f.Disks)); !ok || got != id {
+			t.Fatalf("committed replacement %d: serial resolves to (%d, %v)", id, got, ok)
 		}
 	}
 	shelf := f.Shelves[origA.Shelf]
-	if got := shelf.Disks[len(shelf.Disks)-1]; got != d1.ID && got != d2.ID {
+	if got := shelf.Disks[len(shelf.Disks)-1]; got != before && got != before+1 {
 		t.Error("committed replacement not registered in its shelf")
+	}
+}
+
+// TestReplacementArenaRecycleKeepsCommittedDisks pins the value
+// arena's ownership rule: CommitReplacements copies the records out, so
+// resetting the arena and refilling it for another run — here against a
+// second fleet — leaves every disk already committed into the first
+// fleet exactly as it was.
+func TestReplacementArenaRecycleKeepsCommittedDisks(t *testing.T) {
+	a, b := BuildDefault(0.005, 3), BuildDefault(0.005, 4)
+	var arena ReplacementArena
+	for id := 0; id < 40; id++ {
+		arena.Add(&a.Disks[id], simtime.Seconds(1000+id))
+	}
+	base := a.CommitReplacements(&arena)
+	committed := append([]Disk(nil), a.Disks[base:]...)
+	mounts := append([]int(nil), a.Shelves[a.Disks[base].Shelf].Disks...)
+
+	arena.Reset()
+	for id := 0; id < 60; id++ {
+		arena.Add(&b.Disks[len(b.Disks)-1-id], simtime.Seconds(5000+id))
+	}
+	b.CommitReplacements(&arena)
+
+	if len(a.Disks) != base+len(committed) {
+		t.Fatalf("fleet A has %d disks after the arena was recycled, want %d", len(a.Disks), base+len(committed))
+	}
+	for i, want := range committed {
+		if got := a.Disks[base+i]; got != want {
+			t.Fatalf("committed disk %d changed when the arena was recycled: %+v, want %+v", base+i, got, want)
+		}
+	}
+	if got := a.Shelves[a.Disks[base].Shelf].Disks; !slices.Equal(got, mounts) {
+		t.Fatalf("shelf mount list changed when the arena was recycled: %v, want %v", got, mounts)
+	}
+}
+
+// TestReplacementArenaGrowthMidChain drives the simulator's slot chain
+// — each replacement fails in turn and is replaced, Add reading the
+// failed record out of the arena itself — long enough that the arena's
+// slab regrows mid-chain, and requires exactly the records an arena
+// with room for the whole chain produces.
+func TestReplacementArenaGrowthMidChain(t *testing.T) {
+	f := BuildDefault(0.005, 3)
+	const n = 500
+	chain := func(a *ReplacementArena) []Disk {
+		cur := a.Add(&f.Disks[7], 100)
+		for k := 1; k < n; k++ {
+			d := a.Disk(cur)
+			d.Remove = d.Install + simtime.Seconds(k)
+			d.Replaced = true
+			cur = a.Add(d, d.Remove+10)
+		}
+		return append([]Disk(nil), a.disks...)
+	}
+
+	var fresh ReplacementArena
+	grown := chain(&fresh)
+	if cap(fresh.disks) == n {
+		t.Fatal("setup: the arena slab never regrew mid-chain")
+	}
+	var roomy ReplacementArena
+	roomy.disks = make([]Disk, 0, n)
+	want := chain(&roomy)
+
+	if len(grown) != n || !slices.Equal(grown, want) {
+		t.Fatal("a chain that regrew the arena slab differs from one in a pre-grown arena")
+	}
+	for k := 1; k < n; k++ {
+		prev, d := grown[k-1], grown[k]
+		if !prev.Replaced || d.Install != prev.Remove+10 || d.Shelf != f.Disks[7].Shelf || d.Slot != f.Disks[7].Slot {
+			t.Fatalf("chain link %d: %+v after %+v", k, d, prev)
+		}
 	}
 }
 

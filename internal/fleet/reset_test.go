@@ -28,7 +28,7 @@ func TestCheckpointReset(t *testing.T) {
 	// disks (the replacement then churns out too), across two shelves.
 	var arena fleet.ReplacementArena
 	for _, id := range []int{0, 1, f.Shelves[1].Disks[0]} {
-		d := f.Disks[id]
+		d := &f.Disks[id]
 		d.Remove = simtime.SecondsPerYear
 		d.Replaced = true
 		arena.Add(d, simtime.SecondsPerYear+1000)
@@ -44,9 +44,8 @@ func TestCheckpointReset(t *testing.T) {
 		t.Fatalf("after Reset: %d disks, want %d", len(f.Disks), len(ref.Disks))
 	}
 	for i, d := range f.Disks {
-		want := ref.Disks[i]
-		if *d != *want {
-			t.Fatalf("disk %d = %+v, want %+v", i, *d, *want)
+		if want := ref.Disks[i]; d != want {
+			t.Fatalf("disk %d = %+v, want %+v", i, d, want)
 		}
 	}
 	for i, sh := range f.Shelves {
@@ -64,15 +63,11 @@ func TestCheckpointReset(t *testing.T) {
 		t.Fatalf("disk-years %v, want %v", gy, wy)
 	}
 
-	// The arena can now be recycled: the next run's records reuse the
-	// dropped ones, and a recommit reproduces the same IDs.
+	// The arena can now be recycled: the next run's provisional IDs
+	// start again at -1, and a recommit reproduces the same IDs.
 	arena.Reset()
-	if arena.Len() != 0 {
-		t.Fatalf("arena.Len() = %d after Reset, want 0", arena.Len())
-	}
-	nd := arena.Add(f.Disks[0], simtime.SecondsPerYear)
-	if nd.ID != -1 {
-		t.Fatalf("recycled record ID = %d, want -1", nd.ID)
+	if id := arena.Add(&f.Disks[0], simtime.SecondsPerYear); id != -1 {
+		t.Fatalf("recycled arena's first provisional ID = %d, want -1", id)
 	}
 	base := f.CommitReplacements(&arena)
 	if base != len(ref.Disks) {
@@ -163,9 +158,9 @@ func TestResetRerunUnderChurnAndRepairLag(t *testing.T) {
 		t.Fatalf("fresh twin: %d disks, want %d", len(g.Disks), disks1)
 	}
 	for i := range g.Disks {
-		if *g.Disks[i] != *f.Disks[i] {
+		if g.Disks[i] != f.Disks[i] {
 			t.Fatalf("disk %d diverged between reset replay and fresh twin: %+v vs %+v",
-				i, *f.Disks[i], *g.Disks[i])
+				i, f.Disks[i], g.Disks[i])
 		}
 	}
 }
@@ -215,8 +210,8 @@ func TestBuildWorkerEquivalenceOpsDims(t *testing.T) {
 			t.Fatalf("workers=%d population sizes differ from serial build", workers)
 		}
 		for i := range ref.Disks {
-			if *got.Disks[i] != *ref.Disks[i] {
-				t.Fatalf("workers=%d disk %d = %+v, want %+v", workers, i, *got.Disks[i], *ref.Disks[i])
+			if got.Disks[i] != ref.Disks[i] {
+				t.Fatalf("workers=%d disk %d = %+v, want %+v", workers, i, got.Disks[i], ref.Disks[i])
 			}
 		}
 		for i := range ref.Systems {
@@ -300,9 +295,9 @@ func TestQuarantineRebuildReplaysIdentically(t *testing.T) {
 		t.Fatalf("rebuilt population %d disks, want %d", len(rebuilt.Disks), len(ref.Disks))
 	}
 	for i := range ref.Disks {
-		if *rebuilt.Disks[i] != *ref.Disks[i] {
+		if rebuilt.Disks[i] != ref.Disks[i] {
 			t.Fatalf("disk %d diverged after quarantine rebuild: %+v vs %+v",
-				i, *rebuilt.Disks[i], *ref.Disks[i])
+				i, rebuilt.Disks[i], ref.Disks[i])
 		}
 	}
 	if gy, wy := rebuilt.DiskYears(nil), ref.DiskYears(nil); gy != wy {

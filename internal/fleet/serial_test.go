@@ -78,13 +78,13 @@ func FuzzParseSerial(f *testing.F) {
 	})
 }
 
-// TestDiskLayout pins the disk record's memory contract: at most 64
+// TestDiskLayout pins the disk record's memory contract: at most 32
 // bytes and no pointer-bearing field, so disk slabs are allocated
 // noscan and the garbage collector never walks them. A string, slice,
 // map or pointer field added here would silently undo both.
 func TestDiskLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Disk{}); n > 64 {
-		t.Errorf("Disk is %d bytes, budget 64: derive the new field from the system or the ID instead", n)
+	if n := unsafe.Sizeof(Disk{}); n > 32 {
+		t.Errorf("Disk is %d bytes, budget 32: derive the new field from the system or the ID instead", n)
 	}
 	if path := pointerPath(reflect.TypeOf(Disk{}), "Disk"); path != "" {
 		t.Errorf("Disk holds a pointer at %s: disk slabs would be scanned by the GC", path)

@@ -5,16 +5,22 @@
 // configuration. A Fleet is the static topology plus the deployment
 // schedule; the failure simulator (internal/sim) animates it.
 //
+// A Fleet is four value slabs — systems, shelves, disks, RAID groups —
+// each indexed by component ID, with no pointer index over them. A
+// disk's ID is its index in the disk slab and is not stored; the disk
+// record is 32 pointer-free bytes.
+//
 // Construction is parallel and allocation-lean. Every (class, system)
 // pair draws from an RNG stream split off the seed by (class, system
 // ordinal), so BuildWorkers shards system construction across a worker
 // pool: each worker fills a private arena of value slabs wired by local
 // indices (no per-component pointer allocations, RAID layout over
-// recycled scratch), and the arenas are renumbered and spliced in shard
-// order — bit-identical output for any worker count. The paper's full
-// ~39,000-system / ~1.7M-disk population builds in well under a second
-// per core with a small constant number of allocations (BENCH_PR3.json;
-// the legacy serial builder took minutes and ~95M allocations).
+// recycled scratch), and the arenas are renumbered and copied into the
+// fleet's pre-sized slabs in shard order — bit-identical output for any
+// worker count. The paper's full ~39,000-system / ~1.7M-disk population
+// builds in well under a second per core with a small constant number of
+// allocations (BENCH_PR3.json; the legacy serial builder took minutes
+// and ~95M allocations).
 package fleet
 
 import (
@@ -142,21 +148,23 @@ const MaxDisksPerShelf = 14
 // "# Disks" counts every disk ever installed, and AFR denominators sum
 // per-disk residency time, which this representation makes exact.
 //
-// Disk stores only what cannot be derived. Its model is the owning
-// system's (f.Systems[d.System].DiskModel: systems are homogeneous and a
+// Disk stores only what cannot be derived. Its ID is its index in
+// Fleet.Disks (a replacement not yet committed has a provisional ID; see
+// ReplacementArena), its model is the owning system's
+// (f.Systems[d.System].DiskModel: systems are homogeneous and a
 // replacement joins its predecessor's system) and its serial is
-// Serial(d.ID). Disks are the bulk of a fleet's memory, so the record is
-// 64 bytes and must stay pointer-free: the build's disk slabs are then
-// allocated noscan and the garbage collector never walks them
-// (TestDiskLayout pins both).
+// Serial(id). Disks are the bulk of a fleet's memory, so the record is
+// 32 bytes — component IDs as int32, which every scale up to the
+// entry points' cap of 1.5 leaves far below 2^31 — and must stay
+// pointer-free: the disk slabs are then allocated noscan and the
+// garbage collector never walks them (TestDiskLayout pins both).
 type Disk struct {
-	ID       int             // fleet-unique
-	System   int             // owning system ID
-	Shelf    int             // fleet-unique shelf ID
-	Slot     int             // 0..13 within the shelf
-	RAIDGrp  int             // fleet-unique RAID group ID, -1 if spare
 	Install  simtime.Seconds // when the disk entered service
 	Remove   simtime.Seconds // when it left service (StudyDuration if still present)
+	System   int32           // owning system ID
+	Shelf    int32           // fleet-unique shelf ID
+	RAIDGrp  int32           // fleet-unique RAID group ID, -1 if spare
+	Slot     uint8           // 0..13 within the shelf
 	Replaced bool            // true if this residency ended with a replacement
 }
 
@@ -218,13 +226,16 @@ func (s *System) ObservedYears() float64 {
 	return simtime.Years(simtime.StudyDuration - s.Install)
 }
 
-// Fleet is the full studied population. All component slices are indexed
-// by their fleet-unique IDs, so lookups are O(1) slice indexing.
+// Fleet is the full studied population: four value slabs, each indexed
+// by its components' fleet-unique IDs, so lookups are O(1) slice
+// indexing with no pointer index in between. A loop that mutates a
+// component must index the slab (sh := &f.Shelves[i]): a range value is
+// a copy, and a write to it is silently lost.
 type Fleet struct {
-	Systems []*System
-	Shelves []*Shelf
-	Disks   []*Disk
-	Groups  []*RAIDGroup
+	Systems []System
+	Shelves []Shelf
+	Disks   []Disk
+	Groups  []RAIDGroup
 
 	// Seed is the RNG seed the fleet was built with; together with the
 	// profile set it fully determines the topology.
@@ -243,24 +254,25 @@ func (f *Fleet) Checkpoint() Checkpoint { return Checkpoint{disks: len(f.Disks)}
 
 // Reset rolls the fleet back to a checkpoint taken before simulation:
 // replacement disks installed since are dropped — from the fleet's disk
-// list and from their shelves' mount lists — and every surviving disk's
+// slab and from their shelves' mount lists — and every surviving disk's
 // residency is restored to the full study window. After Reset the fleet
 // is indistinguishable from the freshly built topology, so re-simulating
 // with the same seed reproduces the identical event stream, and
 // re-simulating with a new seed yields an independent Monte-Carlo trial
 // over the same population without paying for a rebuild (the sweep
-// engine's steady state; see internal/sweep). The dropped replacement
-// records become unreachable, which is what makes ReplacementArena
-// recycling safe.
+// engine's steady state; see internal/sweep). The slabs keep their
+// capacity, so the next trial's commits append without reallocating.
 func (f *Fleet) Reset(c Checkpoint) {
-	for _, d := range f.Disks[:c.disks] {
+	for i := range f.Disks[:c.disks] {
+		d := &f.Disks[i]
 		d.Remove = simtime.StudyDuration
 		d.Replaced = false
 	}
 	// Replacements are always appended to a shelf's mount list after the
 	// as-built disks, so trimming trailing IDs past the boundary restores
 	// the original list.
-	for _, sh := range f.Shelves {
+	for i := range f.Shelves {
+		sh := &f.Shelves[i]
 		n := len(sh.Disks)
 		for n > 0 && sh.Disks[n-1] >= c.disks {
 			n--
@@ -272,35 +284,25 @@ func (f *Fleet) Reset(c Checkpoint) {
 
 // ReplacementArena accumulates replacement disks created by one
 // simulation worker without mutating the shared Fleet, so workers over
-// disjoint system shards need no synchronization. Disks receive
-// provisional negative IDs (-1, -2, ...) in creation order;
-// Fleet.CommitReplacements later assigns the final fleet-unique IDs.
-// Reset rearms a committed arena for another simulation run, recycling
-// the Disk records it has already created.
+// disjoint system shards need no synchronization. The k-th replacement
+// (k = 1, 2, ...) has the provisional ID -k; Fleet.CommitReplacements
+// later copies the records into the fleet, where each one's final ID is
+// its index. Reset rearms an arena for another simulation run, keeping
+// its slab's capacity.
 type ReplacementArena struct {
-	disks []*Disk // every record ever created; [:live] belong to this run
-	live  int
+	disks []Disk // this run's replacements, in creation order
 }
 
 // Add records a replacement for the failed disk, joining the same
 // system/shelf/slot/RAID group (and so the same model), entering
-// service at the given time. The returned disk carries a provisional
-// negative ID, finalized by Fleet.CommitReplacements. After a Reset, Add
-// recycles the previous run's records instead of allocating.
+// service at the given time, and returns its provisional ID. The failed
+// disk's fields are copied before the arena's slab can grow, so failed
+// may point into the arena itself; but a *Disk into the arena held
+// across an Add may be stale afterwards — resolve IDs again with Disk.
 //
 //detlint:hotpath
-func (a *ReplacementArena) Add(failed *Disk, at simtime.Seconds) *Disk {
-	var nd *Disk
-	if a.live < len(a.disks) {
-		nd = a.disks[a.live]
-	} else {
-		//detlint:ignore hotalloc cold growth branch: allocates only until the arena reaches the run's high-water mark, then recycles forever
-		nd = new(Disk)
-		a.disks = append(a.disks, nd)
-	}
-	a.live++
-	*nd = Disk{
-		ID:      -a.live,
+func (a *ReplacementArena) Add(failed *Disk, at simtime.Seconds) int {
+	nd := Disk{
 		System:  failed.System,
 		Shelf:   failed.Shelf,
 		Slot:    failed.Slot,
@@ -308,50 +310,53 @@ func (a *ReplacementArena) Add(failed *Disk, at simtime.Seconds) *Disk {
 		Install: at,
 		Remove:  simtime.StudyDuration,
 	}
-	return nd
+	a.disks = append(a.disks, nd)
+	return -len(a.disks)
 }
 
-// Len returns the number of replacements recorded so far this run.
-func (a *ReplacementArena) Len() int { return a.live }
-
 // Disk returns the arena disk with the given provisional (negative) ID.
+// The pointer is valid until the next Add.
 //
 //detlint:hotpath
-func (a *ReplacementArena) Disk(provisional int) *Disk { return a.disks[-provisional-1] }
+func (a *ReplacementArena) Disk(provisional int) *Disk { return &a.disks[-provisional-1] }
 
-// Reset empties the arena for another simulation run while keeping the
-// Disk records it has created, which Add then recycles in creation
-// order. It must only be called once any fleet the records were
-// committed into has been Reset past them (or discarded) — otherwise
-// two live fleets would alias the same records.
-func (a *ReplacementArena) Reset() { a.live = 0 }
+// Reset empties the arena for another simulation run. Commits copy the
+// records out, so no fleet ever aliases the arena's storage.
+func (a *ReplacementArena) Reset() { a.disks = a.disks[:0] }
 
-// CommitReplacements installs every arena disk into the fleet in
-// creation order: final IDs are assigned and each disk is registered
-// with its shelf. It returns the final ID given to the arena's first
-// disk, so provisional ID -k maps to base+k-1. Committing
-// arenas in system-ID order reproduces exactly the IDs a serial
-// simulation would have assigned. An arena must be committed at most
-// once per run; Reset rearms it.
+// CommitReplacements copies every arena disk into the fleet in creation
+// order and registers each with its shelf. It returns the final ID given
+// to the arena's first disk, so provisional ID -k maps to base+k-1.
+// Committing arenas in system-ID order reproduces exactly the IDs a
+// serial simulation would have assigned. An arena must be committed at
+// most once per run; Reset rearms it.
 //
 //detlint:hotpath
 func (f *Fleet) CommitReplacements(a *ReplacementArena) (base int) {
 	base = len(f.Disks)
-	for i, d := range a.disks[:a.live] {
-		d.ID = base + i
-		f.Disks = append(f.Disks, d)
-		sh := f.Shelves[d.Shelf]
-		sh.Disks = append(sh.Disks, d.ID)
+	f.Disks = append(f.Disks, a.disks...)
+	for i := range a.disks {
+		sh := &f.Shelves[a.disks[i].Shelf]
+		sh.Disks = append(sh.Disks, base+i)
 	}
 	return base
 }
+
+// diskSlab returns a disk slab of length n with room for one trial's
+// replacements appended in place: the calibrated model replaces about
+// 6% of the as-built population per simulated study window, so an
+// eighth more covers a default trial, and a heavy-churn scenario
+// outgrows it once and then keeps the grown slab across Resets. Without
+// the room, the first commit into every fresh build or clone would copy
+// the whole slab to grow it.
+func diskSlab(n int) []Disk { return make([]Disk, n, n+n/8) }
 
 // DiskYears returns the total disk residency (in years) matching the
 // filter; a nil filter sums the whole fleet. This is the AFR denominator.
 func (f *Fleet) DiskYears(filter func(*Disk) bool) float64 {
 	total := 0.0
-	for _, d := range f.Disks {
-		if filter == nil || filter(d) {
+	for i := range f.Disks {
+		if d := &f.Disks[i]; filter == nil || filter(d) {
 			total += d.ResidencyYears()
 		}
 	}
@@ -376,7 +381,8 @@ func (f *Fleet) PopulationStats() []Stats {
 	for _, c := range Classes {
 		byClass[c] = &Stats{Class: c}
 	}
-	for _, s := range f.Systems {
+	for i := range f.Systems {
+		s := &f.Systems[i]
 		st := byClass[s.Class]
 		st.Systems++
 		st.Shelves += len(s.Shelves)
@@ -385,7 +391,8 @@ func (f *Fleet) PopulationStats() []Stats {
 			st.DualPath++
 		}
 	}
-	for _, d := range f.Disks {
+	for i := range f.Disks {
+		d := &f.Disks[i]
 		st := byClass[f.Systems[d.System].Class]
 		st.Disks++
 		st.DiskYears += d.ResidencyYears()

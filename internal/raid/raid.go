@@ -102,8 +102,8 @@ func Replay(f *fleet.Fleet, events []failmodel.Event, repairYears float64, inclu
 	}
 
 	res := ReplayResult{Groups: len(f.Groups)}
-	for _, g := range f.Groups {
-		sys := f.Systems[g.System]
+	for i := range f.Groups {
+		sys := &f.Systems[f.Groups[i].System]
 		res.GroupYears += sys.ObservedYears()
 	}
 
@@ -176,8 +176,8 @@ func IndependentBaseline(f *fleet.Fleet, events []failmodel.Event, repairYears f
 	var synth []failmodel.Event
 	for _, groupID := range groupIDs {
 		n := perGroup[groupID]
-		g := f.Groups[groupID]
-		sys := f.Systems[g.System]
+		g := &f.Groups[groupID]
+		sys := &f.Systems[g.System]
 		span := simtime.StudyDuration - sys.Install
 		if span <= 0 || len(g.Disks) == 0 {
 			continue
@@ -191,7 +191,7 @@ func IndependentBaseline(f *fleet.Fleet, events []failmodel.Event, repairYears f
 				Type:     failmodel.DiskFailure,
 				Cause:    failmodel.CauseDiskMedia,
 				Disk:     disk,
-				Shelf:    f.Disks[disk].Shelf,
+				Shelf:    int(f.Disks[disk].Shelf),
 				System:   g.System,
 				Group:    groupID,
 			})

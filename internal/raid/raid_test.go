@@ -45,23 +45,19 @@ func TestAnalyticMTTDLInvalid(t *testing.T) {
 // RAID group over the first `groupSize` disks.
 func craftFleet(groupSize int, rt fleet.RAIDType) *fleet.Fleet {
 	f := &fleet.Fleet{}
-	sys := &fleet.System{ID: 0, Class: fleet.MidRange, Install: 0}
-	f.Systems = append(f.Systems, sys)
-	shelf := &fleet.Shelf{ID: 0, System: 0}
-	f.Shelves = append(f.Shelves, shelf)
-	g := &fleet.RAIDGroup{ID: 0, System: 0, Type: rt, ShelvesSpanned: 1}
+	shelf := fleet.Shelf{ID: 0, System: 0}
+	g := fleet.RAIDGroup{ID: 0, System: 0, Type: rt, ShelvesSpanned: 1}
 	for i := 0; i < groupSize; i++ {
-		d := &fleet.Disk{
-			ID: i, System: 0, Shelf: 0, Slot: i, RAIDGrp: 0,
+		f.Disks = append(f.Disks, fleet.Disk{
+			System: 0, Shelf: 0, Slot: uint8(i), RAIDGrp: 0,
 			Install: 0, Remove: simtime.StudyDuration,
-		}
-		f.Disks = append(f.Disks, d)
+		})
 		shelf.Disks = append(shelf.Disks, i)
 		g.Disks = append(g.Disks, i)
 	}
-	f.Groups = append(f.Groups, g)
-	sys.Shelves = []int{0}
-	sys.RAIDGroups = []int{0}
+	f.Systems = []fleet.System{{ID: 0, Class: fleet.MidRange, Install: 0, Shelves: []int{0}, RAIDGroups: []int{0}}}
+	f.Shelves = []fleet.Shelf{shelf}
+	f.Groups = []fleet.RAIDGroup{g}
 	return f
 }
 

@@ -16,10 +16,10 @@ import (
 // plus a fleet.Reset fleet make a whole re-simulation allocate only a
 // small constant plus any event-buffer growth.
 //
-// A Scratch must only be reused once the previous run's outputs are no
-// longer needed: the next run recycles the same event buffers and
-// replacement records, clobbering the prior Result.Events and (unless
-// the fleet has been Reset) the disks committed into the fleet. The
+// A Scratch must only be reused once the previous run's events are no
+// longer needed: the next run recycles the same event buffers,
+// clobbering the prior Result.Events. Disks committed into a fleet are
+// copies, so recycling the replacement arenas never touches them. The
 // zero value is ready to use.
 type Scratch struct {
 	ws      []*worker
@@ -97,9 +97,10 @@ func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, worker
 		lo := i * len(f.Systems) / workers
 		hi := (i + 1) * len(f.Systems) / workers
 		wg.Add(1)
-		go func(w *worker, systems []*fleet.System) {
+		go func(w *worker, systems []fleet.System) {
 			defer wg.Done()
-			for _, sys := range systems {
+			for i := range systems {
+				sys := &systems[i]
 				sysRNG := root.Split(streamKey(streamSys, sys.ID))
 				w.simulateSystem(sys, &sysRNG)
 			}

@@ -40,9 +40,9 @@ func TestWorkerCountEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %d disks, want %d", workers, len(gf.Disks), len(rf.Disks))
 		}
 		for i := range rf.Disks {
-			if *gf.Disks[i] != *rf.Disks[i] {
+			if gf.Disks[i] != rf.Disks[i] {
 				t.Fatalf("workers=%d: disk %d differs:\n got %+v\nwant %+v",
-					workers, i, *gf.Disks[i], *rf.Disks[i])
+					workers, i, gf.Disks[i], rf.Disks[i])
 			}
 		}
 		for i := range rf.Shelves {

@@ -25,7 +25,7 @@
 // slot occupancy chains, burst victim indices — lives in worker-scoped
 // scratch buffers that are recycled across systems. The only steady-
 // state allocations are the simulation's actual outputs: the event
-// buffer and the replacement-disk records.
+// buffer and the replacement arena's slab of disk records.
 package sim
 
 import (
@@ -146,7 +146,7 @@ type worker struct {
 //detlint:hotpath
 func (w *worker) disk(id int) *fleet.Disk {
 	if id >= 0 {
-		return w.f.Disks[id]
+		return &w.f.Disks[id]
 	}
 	return w.arena.Disk(id)
 }
@@ -229,7 +229,7 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 	used := 0
 
 	for _, shelfID := range sys.Shelves {
-		shelf := w.f.Shelves[shelfID]
+		shelf := &w.f.Shelves[shelfID]
 		shelfRNG := r.Split(streamKey(streamShelf, shelf.ID))
 
 		// Environment episodes shared by every disk in the shelf.
@@ -267,11 +267,11 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, diskID int, envTimes []simtime.Seconds, r *stats.RNG, chain slotChain) slotChain {
 	end := simtime.StudyDuration
 	p := w.params
-	d := w.f.Disks[diskID]
+	install := w.f.Disks[diskID].Install
 
 	cands := w.cands[:0]
 	baseRNG := r.Split(streamBase)
-	w.times = w.basePoissonTimes(w.times[:0], baseRate, d.Install, end, &baseRNG, d.ID)
+	w.times = w.basePoissonTimes(w.times[:0], baseRate, install, end, &baseRNG, diskID)
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candBase})
 	}
@@ -289,7 +289,7 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 		}
 	}
 	churnRNG := r.Split(streamChurn)
-	w.times = poissonTimes(w.times[:0], sys.ChurnPerDiskYear, d.Install, end, &churnRNG)
+	w.times = poissonTimes(w.times[:0], sys.ChurnPerDiskYear, install, end, &churnRNG)
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candChurn})
 	}
@@ -304,8 +304,12 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 	})
 	w.cands = cands
 
-	chain = append(chain, occupancy{disk: d.ID, from: d.Install, to: end})
-	cur := d
+	// The slot's current occupant is tracked by ID: cur points into the
+	// fleet or the arena, and an Add may move the arena's slab, so cur is
+	// resolved again after every replacement.
+	chain = append(chain, occupancy{disk: diskID, from: install, to: end})
+	curID := diskID
+	cur := w.disk(curID)
 	causeRNG := r.Split(streamCause)
 	// Stochastic repair lags draw from their own slot stream, and only
 	// when the distribution is enabled: the default deterministic lag
@@ -332,10 +336,10 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 				Detected: simtime.NextScrub(c.t),
 				Type:     failmodel.DiskFailure,
 				Cause:    cause,
-				Disk:     cur.ID,
-				Shelf:    cur.Shelf,
-				System:   cur.System,
-				Group:    cur.RAIDGrp,
+				Disk:     curID,
+				Shelf:    int(cur.Shelf),
+				System:   int(cur.System),
+				Group:    int(cur.RAIDGrp),
 			})
 			cur.Remove = c.t
 			cur.Replaced = true
@@ -348,14 +352,16 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 			if reinstall >= end {
 				return chain
 			}
-			cur = w.arena.Add(cur, reinstall)
-			chain = append(chain, occupancy{disk: cur.ID, from: reinstall, to: end})
+			curID = w.arena.Add(cur, reinstall)
+			cur = w.arena.Disk(curID)
+			chain = append(chain, occupancy{disk: curID, from: reinstall, to: end})
 		case candChurn:
 			// Proactive churn: swap immediately, no failure event.
 			cur.Remove = c.t
 			chain[len(chain)-1].to = c.t
-			cur = w.arena.Add(cur, c.t)
-			chain = append(chain, occupancy{disk: cur.ID, from: c.t, to: end})
+			curID = w.arena.Add(cur, c.t)
+			cur = w.arena.Disk(curID)
+			chain = append(chain, occupancy{disk: curID, from: c.t, to: end})
 		}
 	}
 	return chain
@@ -479,10 +485,10 @@ func (w *worker) emitSystemBurst(sys *fleet.System,
 			Detected:  simtime.NextScrub(t),
 			Type:      cause.Type(),
 			Cause:     cause,
-			Disk:      d.ID,
-			Shelf:     d.Shelf,
-			System:    d.System,
-			Group:     d.RAIDGrp,
+			Disk:      diskID,
+			Shelf:     int(d.Shelf),
+			System:    int(d.System),
+			Group:     int(d.RAIDGrp),
 			Recovered: recovered,
 		})
 	}
@@ -528,10 +534,10 @@ func (w *worker) emitBurst(chains []slotChain, t0 simtime.Seconds, k int,
 			Detected:  simtime.NextScrub(t),
 			Type:      cause.Type(),
 			Cause:     cause,
-			Disk:      d.ID,
-			Shelf:     d.Shelf,
-			System:    d.System,
-			Group:     d.RAIDGrp,
+			Disk:      diskID,
+			Shelf:     int(d.Shelf),
+			System:    int(d.System),
+			Group:     int(d.RAIDGrp),
 			Recovered: recovered,
 		})
 	}

@@ -69,7 +69,7 @@ func TestEventTopologyConsistent(t *testing.T) {
 	f := res.Fleet
 	for _, e := range res.Events {
 		d := f.Disks[e.Disk]
-		if d.Shelf != e.Shelf || d.System != e.System || d.RAIDGrp != e.Group {
+		if int(d.Shelf) != e.Shelf || int(d.System) != e.System || int(d.RAIDGrp) != e.Group {
 			t.Fatalf("event/topology mismatch for disk %d", e.Disk)
 		}
 		if e.Cause.Type() != e.Type {
@@ -94,10 +94,10 @@ func TestDiskFailuresEndResidency(t *testing.T) {
 		failures++
 		d := f.Disks[e.Disk]
 		if !d.Replaced {
-			t.Fatalf("failed disk %d not marked replaced", d.ID)
+			t.Fatalf("failed disk %d not marked replaced", e.Disk)
 		}
 		if d.Remove != e.Time {
-			t.Fatalf("failed disk %d removal %d != failure time %d", d.ID, d.Remove, e.Time)
+			t.Fatalf("failed disk %d removal %d != failure time %d", e.Disk, d.Remove, e.Time)
 		}
 	}
 	if failures == 0 {
@@ -108,18 +108,22 @@ func TestDiskFailuresEndResidency(t *testing.T) {
 func TestSlotNeverDoubleOccupied(t *testing.T) {
 	res := runSmall(t, 1)
 	f := res.Fleet
-	type slotKey struct{ shelf, slot int }
-	occupants := make(map[slotKey][]*fleet.Disk)
-	for _, d := range f.Disks {
-		k := slotKey{d.Shelf, d.Slot}
-		occupants[k] = append(occupants[k], d)
+	type slotKey struct {
+		shelf int32
+		slot  uint8
 	}
-	for k, ds := range occupants {
-		sort.Slice(ds, func(i, j int) bool { return ds[i].Install < ds[j].Install })
-		for i := 1; i < len(ds); i++ {
-			if ds[i].Install < ds[i-1].Remove {
+	occupants := make(map[slotKey][]int)
+	for id, d := range f.Disks {
+		k := slotKey{d.Shelf, d.Slot}
+		occupants[k] = append(occupants[k], id)
+	}
+	for k, ids := range occupants {
+		sort.Slice(ids, func(i, j int) bool { return f.Disks[ids[i]].Install < f.Disks[ids[j]].Install })
+		for i := 1; i < len(ids); i++ {
+			d, prev := f.Disks[ids[i]], f.Disks[ids[i-1]]
+			if d.Install < prev.Remove {
 				t.Fatalf("slot %v: disk %d installed at %d before predecessor removed at %d",
-					k, ds[i].ID, ds[i].Install, ds[i-1].Remove)
+					k, ids[i], d.Install, prev.Remove)
 			}
 		}
 	}
@@ -370,22 +374,22 @@ func TestSimulateSystemAllocBudget(t *testing.T) {
 	root := stats.NewRNG(18).Split(streamSim)
 
 	// Warm-up: size every scratch buffer and the event slice.
-	for _, sys := range f.Systems {
-		sysRNG := root.Split(streamKey(streamSys, sys.ID))
-		w.simulateSystem(sys, &sysRNG)
+	for i := range f.Systems {
+		sysRNG := root.Split(streamKey(streamSys, f.Systems[i].ID))
+		w.simulateSystem(&f.Systems[i], &sysRNG)
 	}
 	events := w.events[:0]
 
-	sys := f.Systems[len(f.Systems)/2]
+	sys := &f.Systems[len(f.Systems)/2]
 	allocs := testing.AllocsPerRun(100, func() {
 		w.events = events
 		w.arena = fleet.ReplacementArena{}
 		sysRNG := root.Split(streamKey(streamSys, sys.ID))
 		w.simulateSystem(sys, &sysRNG)
 	})
-	// Resetting the arena above makes each replacement cost one Disk
-	// record plus slice regrowth — genuine output, not loop garbage. A
-	// typical system sees at most a handful of replacements.
+	// Resetting the arena above makes the replacements regrow its slab —
+	// genuine output, not loop garbage. A typical system sees at most a
+	// handful of replacements.
 	const budget = 16
 	if allocs > budget {
 		t.Errorf("simulateSystem allocated %.1f times per round, budget %d", allocs, budget)

@@ -193,7 +193,10 @@ func TestStratifiedPoissonVarianceReduction(t *testing.T) {
 		for i := range perm {
 			perm[i] = i
 		}
-		r.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		for i := n - 1; i > 0; i-- { // Fisher–Yates
+			j := r.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
 		for i := 0; i < n; i++ {
 			sumP += r.Poisson(lambda)
 			u := (float64(perm[i]) + r.Float64()) / n

@@ -151,14 +151,6 @@ func (r *RNG) Intn(n int) int {
 // Int63 returns a non-negative uniform 63-bit integer.
 func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
-// Shuffle pseudo-randomizes the order of n elements using swap
-// (Fisher–Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {

@@ -162,24 +162,6 @@ func TestIntnBounds(t *testing.T) {
 	}()
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(21)
-	for _, n := range []int{0, 1, 2, 5, 30} {
-		p := make([]int, n)
-		for i := range p {
-			p[i] = i
-		}
-		r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Shuffle(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := NewRNG(31)
 	const n = 200000

@@ -29,7 +29,8 @@ import (
 )
 
 // DefaultCacheBytes is the fleet cache budget when Config.CacheBytes
-// is zero: 512 MiB, roughly a dozen quarter-scale fleets.
+// is zero: 512 MiB, roughly eighteen quarter-scale fleets (ApproxBytes
+// of one is about 29 MB).
 const DefaultCacheBytes = 512 << 20
 
 // fleetCacheKey identifies one pristine build: the topology key plus
