@@ -223,6 +223,19 @@ func TestBuildWorkerEquivalenceOpsDims(t *testing.T) {
 	}
 }
 
+// TestBuildOpsProfilesDigest pins the build under the operational
+// profile knobs — sparse shelves and a skewed install window gate extra
+// RNG draws — to a digest recorded from the sharded arena builder, so
+// the knobs' draw sequence cannot shift unnoticed.
+func TestBuildOpsProfilesDigest(t *testing.T) {
+	const want = 0x42c1179da1791f2d
+	f := fleet.BuildWorkers(opsProfiles(), 0.01, 3, 1)
+	if got := fleet.FleetDigest(f); got != want {
+		t.Errorf("ops-profile build (%d systems, %d disks): digest %016x, want %016x",
+			len(f.Systems), len(f.Disks), got, uint64(want))
+	}
+}
+
 // TestSkewInstallWindow pins the cohort-skew arithmetic and its
 // clamping.
 func TestSkewInstallWindow(t *testing.T) {
