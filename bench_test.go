@@ -96,20 +96,16 @@ func BenchmarkMTTDL(b *testing.B) { benchExperiment(b, "mttdl") }
 // --- substrate micro-benchmarks ---
 
 // benchmarkBuild measures topology construction at the given population
-// scale and worker count.
-func benchmarkBuild(b *testing.B, scale float64, workers int) {
+// scale.
+func benchmarkBuild(b *testing.B, scale float64) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fleet.BuildDefaultWorkers(scale, 42, workers)
+		fleet.BuildDefault(scale, 42)
 	}
 }
 
-// BenchmarkFleetBuild measures serial topology construction (~17k disks).
-func BenchmarkFleetBuild(b *testing.B) { benchmarkBuild(b, 0.01, 1) }
-
-// BenchmarkFleetBuildWorkersMax is the same build sharded over every
-// available CPU.
-func BenchmarkFleetBuildWorkersMax(b *testing.B) { benchmarkBuild(b, 0.01, runtime.GOMAXPROCS(0)) }
+// BenchmarkFleetBuild measures topology construction (~17k disks).
+func BenchmarkFleetBuild(b *testing.B) { benchmarkBuild(b, 0.01) }
 
 // BenchmarkFleetClone copies a pristine ~17k-disk fleet: the sweepd
 // fleet cache's hit path, which hands every requester a Clone.
@@ -122,53 +118,29 @@ func BenchmarkFleetClone(b *testing.B) {
 }
 
 // BenchmarkBuildFullScale constructs the paper's full 39,000-system /
-// ~1.7M-disk population serially — the PR 3 wall-clock and allocs/op
-// target (BENCH_PR3.json); the legacy builder took minutes here.
-func BenchmarkBuildFullScale(b *testing.B) { benchmarkBuild(b, 1.0, 1) }
-
-// BenchmarkBuildFullScaleWorkers4 is the full-scale build over 4 workers.
-func BenchmarkBuildFullScaleWorkers4(b *testing.B) { benchmarkBuild(b, 1.0, 4) }
-
-// BenchmarkBuildFullScaleWorkersMax is the full-scale build sharded over
-// every available CPU.
-func BenchmarkBuildFullScaleWorkersMax(b *testing.B) { benchmarkBuild(b, 1.0, runtime.GOMAXPROCS(0)) }
+// ~1.7M-disk population — the PR 3 wall-clock and allocs/op target
+// (BENCH_PR3.json); the legacy builder took minutes here.
+func BenchmarkBuildFullScale(b *testing.B) { benchmarkBuild(b, 1.0) }
 
 // benchmarkSimulate measures a full 44-month failure simulation at the
-// given population scale and worker count (fleet build excluded).
-func benchmarkSimulate(b *testing.B, scale float64, workers int) {
+// given population scale (fleet build excluded).
+func benchmarkSimulate(b *testing.B, scale float64) {
 	params := failmodel.DefaultParams()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		f := fleet.BuildDefault(scale, 42)
 		b.StartTimer()
-		sim.RunWorkers(f, params, 43, workers)
+		sim.Run(f, params, 43)
 	}
 }
 
-// BenchmarkSimulate measures the serial engine over ~17k disks.
-func BenchmarkSimulate(b *testing.B) { benchmarkSimulate(b, 0.01, 1) }
-
-// BenchmarkSimulateWorkers4 is the same run sharded over 4 workers.
-func BenchmarkSimulateWorkers4(b *testing.B) { benchmarkSimulate(b, 0.01, 4) }
-
-// BenchmarkSimulateWorkersMax shards over every available CPU.
-func BenchmarkSimulateWorkersMax(b *testing.B) { benchmarkSimulate(b, 0.01, runtime.GOMAXPROCS(0)) }
+// BenchmarkSimulate measures the engine over ~17k disks.
+func BenchmarkSimulate(b *testing.B) { benchmarkSimulate(b, 0.01) }
 
 // BenchmarkSimulateFullScale runs the paper's full 39,000-system /
-// ~1.8M-disk population serially — the baseline for the parallel
-// speedup target.
-func BenchmarkSimulateFullScale(b *testing.B) { benchmarkSimulate(b, 1.0, 1) }
-
-// BenchmarkSimulateFullScaleWorkers4 is the full-scale fleet over 4
-// workers; on a >= 4-core machine this is the >= 2x speedup check.
-func BenchmarkSimulateFullScaleWorkers4(b *testing.B) { benchmarkSimulate(b, 1.0, 4) }
-
-// BenchmarkSimulateFullScaleWorkersMax is the full-scale fleet sharded
-// over every available CPU.
-func BenchmarkSimulateFullScaleWorkersMax(b *testing.B) {
-	benchmarkSimulate(b, 1.0, runtime.GOMAXPROCS(0))
-}
+// ~1.8M-disk population.
+func BenchmarkSimulateFullScale(b *testing.B) { benchmarkSimulate(b, 1.0) }
 
 // builtinGrid returns the scenario list of a built-in grid, resolved
 // exactly as cmd/sweep -grid resolves it.

@@ -4,13 +4,11 @@
 //
 // Usage:
 //
-//	analyze -logs /tmp/asup/logs [-scale 0.02] [-seed 42] [-workers N] [-exp afr|gaps|classify]
+//	analyze -logs /tmp/asup/logs [-scale 0.02] [-seed 42] [-exp afr|gaps|classify]
 //
 // The fleet topology is rebuilt deterministically from (scale, seed),
 // which must match the fleetgen invocation; real deployments would load
 // the snapshot JSON instead, but the serial-number join is identical.
-// -workers only affects rebuild wall-clock, never the topology, so it
-// need not match the fleetgen invocation.
 package main
 
 import (
@@ -34,7 +32,6 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "fleet scale used by fleetgen")
 	seed := flag.Int64("seed", 42, "fleet seed used by fleetgen")
 	exp := flag.String("exp", "afr", "analysis: afr, gaps, classify")
-	workers := flag.Int("workers", 0, "fleet rebuild + replay worker goroutines (0 = all CPUs; any value yields identical output)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -49,13 +46,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "analyze: -scale must be in (0, 1.5]")
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, *logs, *scale, *seed, *exp, *workers); err != nil {
+	if err := run(os.Stdout, *logs, *scale, *seed, *exp); err != nil {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, logDir string, scale float64, seed int64, exp string, workers int) error {
+func run(w io.Writer, logDir string, scale float64, seed int64, exp string) error {
 	paths, err := filepath.Glob(filepath.Join(logDir, "*.log"))
 	if err != nil {
 		return err
@@ -70,8 +67,8 @@ func run(w io.Writer, logDir string, scale float64, seed int64, exp string, work
 	// population includes the replacement disks whose serials appear in
 	// the logs; a real deployment would load the snapshot JSON instead,
 	// but the serial-number join is identical.
-	f := fleet.BuildDefaultWorkers(scale, seed, workers)
-	sim.RunWorkers(f, failmodel.DefaultParams(), seed+1, workers)
+	f := fleet.BuildDefault(scale, seed)
+	sim.Run(f, failmodel.DefaultParams(), seed+1)
 	rv := eventlog.NewResolver(f)
 
 	var events []failmodel.Event

@@ -33,12 +33,12 @@ func TestRunMinesFleetgenArchive(t *testing.T) {
 	}
 
 	var stdout bytes.Buffer
-	if err := run(&stdout, filepath.Join(archive, "logs"), scale, seed, "classify", 2); err != nil {
+	if err := run(&stdout, filepath.Join(archive, "logs"), scale, seed, "classify"); err != nil {
 		t.Fatal(err)
 	}
 
-	f := fleet.BuildDefaultWorkers(scale, seed, 1)
-	res := sim.RunWorkers(f, failmodel.DefaultParams(), seed+1, 1)
+	f := fleet.BuildDefault(scale, seed)
+	res := sim.Run(f, failmodel.DefaultParams(), seed+1)
 	db := autosupport.Collect(f, res.Events)
 	mined, dropped := db.MineEvents()
 	if dropped != 0 {

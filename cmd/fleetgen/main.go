@@ -9,15 +9,13 @@
 //
 // Usage:
 //
-//	fleetgen -out /tmp/asup [-scale 0.02] [-seed 42] [-max-systems 200] [-workers N]
-//	fleetgen -build-only [-scale 1.0] [-seed 42] [-workers N]
+//	fleetgen -out /tmp/asup [-scale 0.02] [-seed 42] [-max-systems 200]
+//	fleetgen -build-only [-scale 1.0] [-seed 42]
 //
 // -build-only constructs the fleet topology, prints its population
 // counts, and exits without simulating or writing any files — the
 // full-scale CI smoke uses it to assert that the paper's ~39,000-system
-// population builds in seconds with deterministic counts. -workers
-// shards fleet construction and simulation across a worker pool
-// (default: one per CPU); every worker count yields identical output.
+// population builds in well under a second with deterministic counts.
 package main
 
 import (
@@ -39,7 +37,6 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "population scale relative to the paper's 39,000 systems")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	maxSystems := flag.Int("max-systems", 0, "write at most this many systems' logs (0 = all)")
-	workers := flag.Int("workers", 0, "fleet build + simulation worker goroutines (0 = all CPUs; any value yields identical output)")
 	buildOnly := flag.Bool("build-only", false, "build the fleet, print population counts, and exit")
 	flag.Parse()
 
@@ -56,7 +53,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *buildOnly {
-		f := fleet.BuildDefaultWorkers(*scale, *seed, *workers)
+		f := fleet.BuildDefault(*scale, *seed)
 		fmt.Printf("fleet: %d systems, %d shelves, %d disks, %d RAID groups (scale %g, seed %d)\n",
 			len(f.Systems), len(f.Shelves), len(f.Disks), len(f.Groups), *scale, *seed)
 		return
@@ -65,15 +62,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fleetgen: -out is required")
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, *out, *scale, *seed, *maxSystems, *workers); err != nil {
+	if err := run(os.Stdout, *out, *scale, *seed, *maxSystems); err != nil {
 		fmt.Fprintln(os.Stderr, "fleetgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, out string, scale float64, seed int64, maxSystems, workers int) error {
-	f := fleet.BuildDefaultWorkers(scale, seed, workers)
-	res := sim.RunWorkers(f, failmodel.DefaultParams(), seed+1, workers)
+func run(w io.Writer, out string, scale float64, seed int64, maxSystems int) error {
+	f := fleet.BuildDefault(scale, seed)
+	res := sim.Run(f, failmodel.DefaultParams(), seed+1)
 	db := autosupport.Collect(f, res.Events)
 
 	logDir := filepath.Join(out, "logs")

@@ -23,12 +23,12 @@ func TestRunWritesArchive(t *testing.T) {
 	const scale, seed = 0.005, 42
 	dir := t.TempDir()
 	var stdout bytes.Buffer
-	if err := run(&stdout, dir, scale, seed, 0, 2); err != nil {
+	if err := run(&stdout, dir, scale, seed, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	f := fleet.BuildDefaultWorkers(scale, seed, 1)
-	res := sim.RunWorkers(f, failmodel.DefaultParams(), seed+1, 1)
+	f := fleet.BuildDefault(scale, seed)
+	res := sim.Run(f, failmodel.DefaultParams(), seed+1)
 	db := autosupport.Collect(f, res.Events)
 	systems, bundles, messages := db.Stats()
 	want := fmt.Sprintf("fleet: %d systems (%d with events), %d disks, %d events\nwrote %d system logs (%d weekly bundles, %d messages) under %s\n",

@@ -5,16 +5,15 @@
 //
 // Usage:
 //
-//	reproduce [-scale 0.25] [-seed 42] [-workers N] [-mine]
+//	reproduce [-scale 0.25] [-seed 42] [-mine]
 //	          [-exp all|table1|fig4|fig5|fig6|fig7|fig9|fig10|findings|span|mttdl|replacement]
 //	          [-csv dir]
 //
 // At -scale 1.0 the full 39,000-system / ~1.8M-disk population is
 // rebuilt; the default quarter scale reproduces every statistical
-// conclusion in seconds. -workers shards both fleet construction and
-// the simulation across a worker pool (0 = one per available CPU, the
-// fleet.EffectiveWorkers fallback); every worker count produces
-// bit-identical results. -mine takes events from the AutoSupport mining
+// conclusion in seconds. Fleet construction and simulation run on one
+// core; cmd/sweep is the parallel surface, running independent trials
+// side by side. -mine takes events from the AutoSupport mining
 // pipeline (log messages classified by tag; no text is rendered or
 // parsed) instead of the simulator. -csv additionally writes
 // machine-readable figure data. For multi-trial runs with confidence
@@ -35,7 +34,6 @@ func main() {
 	cfg := experiments.DefaultConfig()
 	flag.Float64Var(&cfg.Scale, "scale", cfg.Scale, "population scale relative to the paper's 39,000 systems")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed")
-	flag.IntVar(&cfg.Workers, "workers", 0, "fleet build + simulation worker goroutines (0 = one per CPU; any value yields identical results)")
 	flag.BoolVar(&cfg.Mine, "mine", cfg.Mine, "recover events by mining the AutoSupport log messages (slower, exercises the classification pipeline)")
 	exp := flag.String("exp", "all", "experiment to run: all, "+strings.Join(experiments.Names, ", "))
 	csvDir := flag.String("csv", "", "also write machine-readable figure CSVs to this directory")

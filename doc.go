@@ -12,7 +12,7 @@
 // paper's published numbers confronted with that uncertainty in the
 // generated EXPERIMENTS.md (cmd/expreport). See README.md for a tour,
 // ARCHITECTURE.md for the package map, the parallel-engine determinism
-// contracts and the findings-traceability table, EXPERIMENTS.md
+// contract and the findings-traceability table, EXPERIMENTS.md
 // for the per-finding paper-vs-spread verdicts, and SCENARIOS.md for
 // the declarative scenario-file format (cmd/sweep -grid-file) with its
 // committed examples under examples/scenarios/.
@@ -25,11 +25,11 @@
 //   - internal/stats: allocation-free splittable RNG (xoshiro256++
 //     with SplitMix64-keyed streams), distributions, MLE fitting,
 //     hypothesis tests
-//   - internal/fleet: storage system population model (parallel
-//     zero-garbage arena builder, bit-identical at any worker count)
+//   - internal/fleet: storage system population model (zero-garbage
+//     arena builder, replacements appended in place)
 //   - internal/failmodel: failure taxonomy and calibrated rates
-//   - internal/sim: the failure history simulator (zero-garbage
-//     per-system hot path, sharded across a worker pool)
+//   - internal/sim: the failure history simulator (serial,
+//     zero-garbage per-system hot path)
 //   - internal/eventlog, internal/autosupport: the log pipeline
 //   - internal/core: the paper's analyses
 //   - internal/raid, internal/multipath: resiliency mechanism models
@@ -39,7 +39,7 @@
 //     grid — population scale, RAID span, failure-model overrides, and
 //     the operational dimensions: install-window skew, churn, repair
 //     lag, shelf-size mix — streaming aggregation, byte-deterministic
-//     output)
+//     output; its trial pool is the repository's one parallel engine)
 //   - internal/scenario: the declarative scenario artifact — strict
 //     loader and validator for the SCENARIOS.md grid/assertion format,
 //     and Builtin, the by-name resolver for the embedded grids

@@ -31,13 +31,6 @@ type Config struct {
 	Mine bool
 	// Params overrides the default generative calibration (nil = default).
 	Params *failmodel.Params
-	// Workers is the number of worker goroutines used for both fleet
-	// construction and simulation. The <= 0 fallback (one worker per
-	// CPU) is centralized in fleet.EffectiveWorkers, which every
-	// parallel engine applies. Every worker count produces bit-identical
-	// results (see fleet.BuildWorkers and sim.RunWorkers), so this only
-	// affects wall-clock.
-	Workers int
 	// Antithetic runs the simulation on the mirrored RNG root
 	// (sim.Opts); set by the sweep engine's "antithetic" variance mode
 	// for the odd trial of each pair. The zero value is the plain
@@ -51,8 +44,7 @@ type Config struct {
 
 // DefaultConfig is the configuration cmd/reproduce uses unless told
 // otherwise: quarter scale keeps every statistic stable while running
-// in well under a minute. Workers is left zero, which
-// fleet.EffectiveWorkers resolves to one worker per available CPU.
+// in well under a minute.
 func DefaultConfig() Config {
 	return Config{Scale: 0.25, Seed: 42, Mine: false}
 }
@@ -74,7 +66,7 @@ type Env struct {
 // fleet is built fresh from cfg.Seed and the failure history is seeded
 // with the canonical cfg.Seed+1 derivation.
 func Setup(cfg Config) *Env {
-	f := fleet.BuildDefaultWorkers(cfg.Scale, cfg.Seed, cfg.Workers)
+	f := fleet.BuildDefault(cfg.Scale, cfg.Seed)
 	return RunTrial(cfg, f, cfg.Seed+1, nil)
 }
 
@@ -89,7 +81,7 @@ func Setup(cfg Config) *Env {
 // checkpoint — RunTrial mutates it (disk removals and replacement
 // installs). scratch may be nil for one-shot runs; a sweep passes a
 // per-worker sim.Scratch so repeated trials recycle the simulation
-// buffers (see sim.RunWorkersOpts for the aliasing contract).
+// buffers (see sim.Scratch for the aliasing contract).
 //
 //detlint:hotpath
 func RunTrial(cfg Config, f *fleet.Fleet, simSeed int64, scratch *sim.Scratch) *Env {
@@ -97,7 +89,7 @@ func RunTrial(cfg Config, f *fleet.Fleet, simSeed int64, scratch *sim.Scratch) *
 	if params == nil {
 		params = failmodel.DefaultParams()
 	}
-	res := sim.RunWorkersOpts(f, params, simSeed, cfg.Workers, scratch, sim.Opts{Antithetic: cfg.Antithetic, Strata: cfg.Strata})
+	res := sim.RunOpts(f, params, simSeed, scratch, sim.Opts{Antithetic: cfg.Antithetic, Strata: cfg.Strata})
 	//detlint:ignore hotalloc the Env is the trial's output envelope; one allocation per trial, retained by the caller
 	env := &Env{Config: cfg, Fleet: f, Params: params}
 	if cfg.Mine {

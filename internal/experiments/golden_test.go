@@ -14,7 +14,7 @@ import (
 // change to any rendered number must re-derive it.
 func TestRunAllGoldenDigest(t *testing.T) {
 	const want = "c4221a45298433c2866aab824302a4f374a5a0ddc4d14993535ab8f3aefb9fbb"
-	env := Setup(Config{Scale: 0.1, Seed: 42, Workers: 1})
+	env := Setup(Config{Scale: 0.1, Seed: 42})
 	var sb strings.Builder
 	env.RunAll(&sb)
 	out := sb.String()

@@ -274,8 +274,8 @@ func (env *Env) SpanAblation(w io.Writer) {
 		for i := range profiles {
 			profiles[i].SpanShelves = span
 		}
-		f := fleet.BuildWorkers(profiles, env.Config.Scale, env.Config.Seed, env.Config.Workers)
-		res := sim.RunWorkers(f, env.Params, env.Config.Seed+1, env.Config.Workers)
+		f := fleet.Build(profiles, env.Config.Scale, env.Config.Seed)
+		res := sim.Run(f, env.Params, env.Config.Seed+1)
 		ds := core.NewDataset(f, res.Events)
 		g := ds.Gaps(core.ByRAIDGroup, core.Filter{})
 		spanned := 0.0

@@ -2,26 +2,22 @@ package fleet
 
 import "storagesubsys/internal/stats"
 
-// This file implements the parallel fleet construction substrate: each
-// build worker owns a private buildArena of value slabs (systems,
-// shelves, disks, groups plus flat ID slices) wired by local indices,
-// so constructing a system performs no per-item pointer allocation and
-// no synchronization. After every worker finishes, each arena is
-// renumbered with global base offsets and copied into its window of the
-// fleet's pre-sized slabs, in shard order — shards are contiguous in
-// (class, system) job order, so the result is bit-identical to a serial
-// build for any worker count (see TestBuildWorkerCountEquivalence and
-// TestBuildGoldenDigest).
+// This file implements the fleet construction substrate: Build fills a
+// buildArena of value slabs (systems, shelves, disks, groups plus flat
+// ID slices) wired by index, so constructing a system performs no
+// per-item pointer allocation, then copies the arena once into the
+// fleet's exact-length slabs (see TestBuildGoldenDigest).
 
 // span locates one component's sublist within a flat arena slab.
-// Subslices are materialized only at splice time, in the fleet's slabs.
+// Subslices are materialized only by finish, in the fleet's slabs.
 type span struct{ off, n int }
 
-// buildArena holds everything one worker builds, with all cross
-// references expressed as arena-local indices (a system's first shelf is
-// shelf 0 of this arena, and so on). Component values live in slabs, and
-// the []int topology lists (System.Shelves, Shelf.Disks, ...) live in
-// four flat slabs carved into subslices at splice time.
+// buildArena holds everything a build constructs, with every cross
+// reference expressed as an index (a system's first shelf is the
+// shelf at that index of the shelf slab, and so on). Component values
+// live in slabs, and the []int topology lists (System.Shelves,
+// Shelf.Disks, ...) live in four flat slabs carved into subslices by
+// finish.
 type buildArena struct {
 	systems []System
 	shelves []Shelf
@@ -56,93 +52,65 @@ func (a *buildArena) reserve(systems, shelves, disks, groups int) {
 	a.groupMem = make([]span, 0, groups)
 }
 
-// bases are a shard's global offsets: where its components and ID lists
-// start in the fleet's slabs. The shelf, group and disk ID lists have
-// one entry per component, so they share the component offsets; RAID
-// membership leaves spares out and carries its own.
-type bases struct{ sys, shelf, disk, group, member int }
-
-// idSlabs are the fleet-wide flat backings of the four ID-list kinds,
-// allocated at their exact final lengths: each component's list, plus
-// mountRoom spare slots after every shelf mount list.
-type idSlabs struct{ shelf, group, disk, member []int }
-
 // mountRoom is the number of spare slots after each shelf's as-built
-// mount list, so CommitReplacements appends a shelf's first
-// replacements in place. The calibrated model replaces under one disk
-// per shelf per simulated study window, so two slots carry nearly
-// every shelf through a trial; without them, every shelf that received
-// a replacement would regrow its list into a fresh allocation.
+// mount list, so Replace appends a shelf's first replacements in
+// place. The calibrated model replaces under one disk per shelf per
+// simulated study window, so two slots carry nearly every shelf
+// through a trial; without them, every shelf that received a
+// replacement would regrow its list into a fresh allocation.
 const mountRoom = 2
 
-// splice renumbers the arena's components with the shard's global
-// offsets while copying them into the fleet's pre-sized slabs, and
-// carves every ID list out of its window of the flat backings. This one
-// copy moves each build into allocations of exactly the fleet's size,
-// so the arena's over-reserved slabs become garbage rather than staying
-// resident for the fleet's lifetime. Workers splice disjoint windows, so
-// concurrent splices need no synchronization.
-func (a *buildArena) splice(f *Fleet, ids idSlabs, b bases) {
-	shiftInto(ids.shelf[b.shelf:], a.shelfIDs, b.shelf)
-	shiftInto(ids.group[b.group:], a.groupIDs, b.group)
-	shiftInto(ids.member[b.member:], a.memberIDs, b.disk)
-
-	disks := f.Disks[b.disk : b.disk+len(a.disks)]
-	for i := range a.disks {
-		d := a.disks[i]
-		d.System += int32(b.sys)
-		d.Shelf += int32(b.shelf)
-		if d.RAIDGrp >= 0 {
-			d.RAIDGrp += int32(b.group)
-		}
-		disks[i] = d
+// finish copies the arena into a fleet of exactly its size and carves
+// every ID list out of its window of one flat backing per list kind,
+// shelf mount lists each followed by mountRoom spare slots. This one
+// copy moves the build into allocations of exactly the fleet's size,
+// so the arena's over-reserved slabs become garbage rather than
+// staying resident for the fleet's lifetime.
+func (a *buildArena) finish(seed int64) *Fleet {
+	f := &Fleet{
+		Systems: make([]System, len(a.systems)),
+		Shelves: make([]Shelf, len(a.shelves)),
+		Disks:   diskSlab(len(a.disks)),
+		Groups:  make([]RAIDGroup, len(a.groups)),
+		Seed:    seed,
 	}
-	systems := f.Systems[b.sys : b.sys+len(a.systems)]
-	for i := range a.systems {
-		s := a.systems[i]
-		s.ID += b.sys
-		s.Shelves = carve(ids.shelf, b.shelf+a.sysShelf[i].off, a.sysShelf[i].n, 0)
-		s.RAIDGroups = carve(ids.group, b.group+a.sysGroup[i].off, a.sysGroup[i].n, 0)
-		systems[i] = s
+	copy(f.Disks, a.disks)
+	shelfIDs := exactCopy(a.shelfIDs)
+	groupIDs := exactCopy(a.groupIDs)
+	memberIDs := exactCopy(a.memberIDs)
+	for i, s := range a.systems {
+		s.Shelves = carve(shelfIDs, a.sysShelf[i].off, a.sysShelf[i].n, 0)
+		s.RAIDGroups = carve(groupIDs, a.sysGroup[i].off, a.sysGroup[i].n, 0)
+		f.Systems[i] = s
 	}
-	// Mount lists are laid out with mountRoom spare slots each, so the
-	// shard's window of the disk-ID backing starts after every earlier
-	// shard's disks and spare slots, and the arena's i-th shelf sits i
-	// spare runs past its arena offset.
-	mounts := ids.disk[b.disk+b.shelf*mountRoom:]
-	shelves := f.Shelves[b.shelf : b.shelf+len(a.shelves)]
-	for i := range a.shelves {
-		sh := a.shelves[i]
-		sh.ID += b.shelf
-		sh.System += b.sys
+	// The i-th shelf's mount list sits i spare runs past its arena offset.
+	mounts := make([]int, len(a.diskIDs)+len(a.shelves)*mountRoom)
+	for i, sh := range a.shelves {
 		sp := a.shelfDisk[i]
 		lo := sp.off + i*mountRoom
-		shiftInto(mounts[lo:], a.diskIDs[sp.off:sp.off+sp.n], b.disk)
+		copy(mounts[lo:], a.diskIDs[sp.off:sp.off+sp.n])
 		sh.Disks = carve(mounts, lo, sp.n, mountRoom)
-		shelves[i] = sh
+		f.Shelves[i] = sh
 	}
-	groups := f.Groups[b.group : b.group+len(a.groups)]
-	for i := range a.groups {
-		g := a.groups[i]
-		g.ID += b.group
-		g.System += b.sys
-		g.Disks = carve(ids.member, b.member+a.groupMem[i].off, a.groupMem[i].n, 0)
-		groups[i] = g
+	for i, g := range a.groups {
+		g.Disks = carve(memberIDs, a.groupMem[i].off, a.groupMem[i].n, 0)
+		f.Groups[i] = g
 	}
+	return f
 }
 
-// shiftInto writes src[i]+shift to dst[i] for every element of src.
-func shiftInto(dst, src []int, shift int) {
-	for i, v := range src {
-		dst[i] = v + shift
-	}
+// exactCopy returns a copy of s in an allocation of exactly its length.
+func exactCopy(s []int) []int {
+	out := make([]int, len(s))
+	copy(out, s)
+	return out
 }
 
 // carve materializes the n-element list at slab[lo:] as a view capped
-// at its room spare slots, so a later append (CommitReplacements
-// growing Shelf.Disks) past the room reallocates instead of clobbering
-// the next component's IDs. Empty lists stay nil, matching what a
-// serial append-driven build leaves behind.
+// at its room spare slots, so a later append (Replace growing
+// Shelf.Disks) past the room reallocates instead of clobbering the
+// next component's IDs. Empty lists stay nil, matching what an
+// append-driven build leaves behind.
 func carve(slab []int, lo, n, room int) []int {
 	if n == 0 {
 		return nil
@@ -181,14 +149,11 @@ func (q *diskQueue) pushBack(buf []int, v int) {
 	q.count++
 }
 
-// buildWorker builds a contiguous shard of the fleet's (class, system)
-// jobs into a private arena. The scratch fields are recycled across
-// systems, so the steady-state per-system loop allocates nothing.
-type buildWorker struct {
+// builder builds the fleet's systems into its arena. The scratch
+// fields are recycled across systems, so the steady-state per-system
+// loop allocates nothing.
+type builder struct {
 	arena buildArena
-
-	// Global base offsets assigned after all workers finish phase A.
-	base bases
 
 	// RAID layout scratch (see layoutRAIDGroups).
 	queueBuf  []int       // flat per-shelf ring segments of unassigned disks
@@ -217,12 +182,12 @@ func growInts(s []int, n int) []int {
 // point of failure for the whole group (unless SpanShelves == 1, the
 // ablation case). The draw order — and therefore the layout — is
 // identical to the historical per-system map/queue implementation; only
-// the bookkeeping moved into recycled worker scratch.
+// the bookkeeping moved into recycled builder scratch.
 //
 //detlint:hotpath
-func (w *buildWorker) layoutRAIDGroups(sysLocal, sysDiskOff int, p *ClassProfile, r *stats.RNG) {
-	a := &w.arena
-	nShelves := a.sysShelf[sysLocal].n
+func (b *builder) layoutRAIDGroups(sysID, sysDiskOff int, p *ClassProfile, r *stats.RNG) {
+	a := &b.arena
+	nShelves := a.sysShelf[sysID].n
 	if nShelves == 0 || p.RAIDGroupSize <= 0 {
 		return
 	}
@@ -239,29 +204,29 @@ func (w *buildWorker) layoutRAIDGroups(sysLocal, sysDiskOff int, p *ClassProfile
 	// consecutive shelves of its window, so ShelvesSpanned <= spanWidth
 	// is a hard invariant (the span=1 ablation relies on it).
 	nDisks := len(a.disks) - sysDiskOff
-	w.queueBuf = growInts(w.queueBuf, nDisks)
-	w.diskShelf = growInts(w.diskShelf, nDisks)
-	if cap(w.queues) < nShelves {
-		w.queues = make([]diskQueue, nShelves)
+	b.queueBuf = growInts(b.queueBuf, nDisks)
+	b.diskShelf = growInts(b.diskShelf, nDisks)
+	if cap(b.queues) < nShelves {
+		b.queues = make([]diskQueue, nShelves)
 	}
-	w.queues = w.queues[:nShelves]
-	if cap(w.shelfMark) < nShelves {
+	b.queues = b.queues[:nShelves]
+	if cap(b.shelfMark) < nShelves {
 		// Fresh zeros are fine: stamps only ever equal past epochs, and
 		// the epoch counter is bumped before each use.
-		w.shelfMark = make([]uint64, nShelves)
+		b.shelfMark = make([]uint64, nShelves)
 	}
-	w.shelfMark = w.shelfMark[:nShelves]
+	b.shelfMark = b.shelfMark[:nShelves]
 
-	shelfBase := a.sysShelf[sysLocal].off
+	shelfBase := a.sysShelf[sysID].off
 	pos := 0
 	for i := 0; i < nShelves; i++ {
 		sd := a.shelfDisk[a.shelfIDs[shelfBase+i]]
-		w.queues[i] = diskQueue{start: pos, size: sd.n, count: sd.n}
+		b.queues[i] = diskQueue{start: pos, size: sd.n, count: sd.n}
 		for j := 0; j < sd.n; j++ {
 			id := a.diskIDs[sd.off+j]
-			w.queueBuf[pos] = id
+			b.queueBuf[pos] = id
 			pos++
-			w.diskShelf[id-sysDiskOff] = i
+			b.diskShelf[id-sysDiskOff] = i
 		}
 	}
 
@@ -269,13 +234,13 @@ func (w *buildWorker) layoutRAIDGroups(sysLocal, sysDiskOff int, p *ClassProfile
 	failedWindows := 0
 	for failedWindows < nShelves {
 		// Draw members round-robin from the window's shelves only.
-		members := w.members[:0]
+		members := b.members[:0]
 		for len(members) < p.RAIDGroupSize {
 			progress := false
 			for j := 0; j < spanWidth && len(members) < p.RAIDGroupSize; j++ {
 				si := (window + j) % nShelves
-				if w.queues[si].count > 0 {
-					members = append(members, w.queues[si].popFront(w.queueBuf))
+				if b.queues[si].count > 0 {
+					members = append(members, b.queues[si].popFront(b.queueBuf))
 					progress = true
 				}
 			}
@@ -283,11 +248,11 @@ func (w *buildWorker) layoutRAIDGroups(sysLocal, sysDiskOff int, p *ClassProfile
 				break
 			}
 		}
-		w.members = members
+		b.members = members
 		if len(members) < p.RAIDGroupSize {
 			// Window exhausted: return the drawn disks and slide by one.
 			for _, id := range members {
-				w.queues[w.diskShelf[id-sysDiskOff]].pushBack(w.queueBuf, id)
+				b.queues[b.diskShelf[id-sysDiskOff]].pushBack(b.queueBuf, id)
 			}
 			failedWindows++
 			window = (window + 1) % nShelves
@@ -295,30 +260,30 @@ func (w *buildWorker) layoutRAIDGroups(sysLocal, sysDiskOff int, p *ClassProfile
 		}
 		failedWindows = 0
 
-		groupLocal := len(a.groups)
+		groupID := len(a.groups)
 		rt := RAID4
 		if r.Bernoulli(p.RAID6Fraction) {
 			rt = RAID6
 		}
 		// Count distinct shelves with epoch stamps: the mark array is
 		// never cleared, a fresh epoch invalidates all stale stamps.
-		w.epoch++
+		b.epoch++
 		spanned := 0
 		for _, id := range members {
-			si := w.diskShelf[id-sysDiskOff]
-			if w.shelfMark[si] != w.epoch {
-				w.shelfMark[si] = w.epoch
+			si := b.diskShelf[id-sysDiskOff]
+			if b.shelfMark[si] != b.epoch {
+				b.shelfMark[si] = b.epoch
 				spanned++
 			}
-			a.disks[id].RAIDGrp = int32(groupLocal)
+			a.disks[id].RAIDGrp = int32(groupID)
 		}
 		memOff := len(a.memberIDs)
 		a.memberIDs = append(a.memberIDs, members...)
 		a.groups = append(a.groups, RAIDGroup{
-			ID: groupLocal, System: sysLocal, Type: rt, ShelvesSpanned: spanned,
+			ID: groupID, System: sysID, Type: rt, ShelvesSpanned: spanned,
 		})
 		a.groupMem = append(a.groupMem, span{off: memOff, n: len(members)})
-		a.groupIDs = append(a.groupIDs, groupLocal)
+		a.groupIDs = append(a.groupIDs, groupID)
 		window = (window + spanWidth) % nShelves
 	}
 }

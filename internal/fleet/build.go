@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"storagesubsys/internal/simtime"
 	"storagesubsys/internal/stats"
@@ -12,8 +10,7 @@ import (
 // RNG stream constants for topology construction: each class and each
 // system within a class draws from a decoupled stream, so adding a
 // class or growing a class's population never perturbs the structure of
-// existing systems — and any (class, system) job can be built by any
-// worker with no shared draw state.
+// existing systems.
 //
 // The "build" domain is the namespace under the construction root
 // NewRNG(buildSeed); it is distinct from the simulation's "sim" domain
@@ -26,182 +23,67 @@ const (
 	streamSystem uint64 = 2 // + system ordinal within the class
 )
 
-// EffectiveWorkers resolves a worker-count setting to a concrete pool
-// size: values <= 0 select one worker per available CPU
-// (runtime.GOMAXPROCS(0)). This is the single fallback shared by every
-// parallel engine in the repository — fleet.BuildWorkers, sim.RunWorkers
-// and the Monte-Carlo trial pool in internal/sweep — all of which
-// produce identical results for any worker count, so the setting only
-// ever affects wall-clock time.
-func EffectiveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// BuildWorkers constructs a fleet from the given class profiles at the
-// given population scale (1.0 = the paper's full 39,000-system
-// population) with the given number of worker goroutines; workers <= 0
-// uses runtime.GOMAXPROCS(0). The result is fully determined by
-// (profiles, scale, seed).
+// Build constructs a fleet from the given class profiles at the given
+// population scale (1.0 = the paper's full 39,000-system population).
+// The result is fully determined by (profiles, scale, seed).
 //
 // Scale only multiplies the number of systems per class; per-system
 // structure (shelves, disks, RAID layout) is unchanged, so per-disk-year
 // statistics are scale-invariant up to sampling noise.
 //
-// The (class, system) jobs are split into contiguous shards. Each worker
-// builds its systems into a private arena of value slabs wired by local
-// indices — each system's randomness comes from an RNG stream split off
-// the seed by (class, system ordinal), so shard boundaries never perturb
-// the draws. Arenas are then renumbered with global base offsets and
-// spliced into the fleet in shard order, which reassigns exactly the IDs
-// a serial build would have: every worker count produces a bit-identical
-// Fleet.
-func BuildWorkers(profiles []ClassProfile, scale float64, seed int64, workers int) *Fleet {
+// Systems are built in (class, system) order into one arena of value
+// slabs wired by index, each system drawing from an RNG stream split
+// off the seed by (class, system ordinal). The arena is then copied
+// once into slabs of exactly the fleet's size.
+func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 	if scale <= 0 {
 		panic("fleet: scale must be positive")
 	}
-	workers = EffectiveWorkers(workers)
-
-	// Per-class populations, class-level RNG streams, and config weights
-	// (hoisted out of the per-system loop so pickConfig allocates once
-	// per class, not once per system).
-	root := stats.NewRNG(seed)
 	counts := make([]int, len(profiles))
-	classRNGs := make([]stats.RNG, len(profiles))
-	weights := make([][]float64, len(profiles))
-	jobs := 0
 	for pi := range profiles {
 		p := &profiles[pi]
-		n := int(math.Round(float64(p.NumSystems) * scale))
-		if n < 1 {
-			n = 1
-		}
-		counts[pi] = n
-		jobs += n
-		classRNGs[pi] = root.Split(streamClass | uint64(p.Class)<<8)
 		if len(p.Configs) == 0 {
 			panic("fleet: profile has no shelf configs")
 		}
-		ws := make([]float64, len(p.Configs))
+		counts[pi] = max(1, int(math.Round(float64(p.NumSystems)*scale)))
+	}
+
+	root := stats.NewRNG(seed)
+	var b builder
+	b.arena.reserve(estimate(profiles, counts))
+	for pi := range profiles {
+		p := &profiles[pi]
+		classRNG := root.Split(streamClass | uint64(p.Class)<<8)
+		// Config weights are hoisted out of the per-system loop so
+		// pickConfig allocates once per class, not once per system.
+		weights := make([]float64, len(p.Configs))
 		for i, c := range p.Configs {
-			ws[i] = c.Weight
+			weights[i] = c.Weight
 		}
-		weights[pi] = ws
-	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Phase A: build contiguous job shards into private arenas. The
-	// class RNGs are shared read-only (Split is a pure function), so
-	// workers need no synchronization at all.
-	bws := make([]*buildWorker, workers)
-	var wg sync.WaitGroup
-	for wi := range bws {
-		w := &buildWorker{}
-		bws[wi] = w
-		lo := wi * jobs / workers
-		hi := (wi + 1) * jobs / workers
-		build := func() {
-			w.arena.reserve(estimateShard(profiles, counts, lo, hi))
-			pi, base := 0, 0
-			for k := lo; k < hi; k++ {
-				for k >= base+counts[pi] {
-					base += counts[pi]
-					pi++
-				}
-				i := k - base
-				sysRNG := classRNGs[pi].Split(streamSystem | uint64(i)<<8)
-				w.buildSystem(&profiles[pi], weights[pi], &sysRNG)
-			}
-		}
-		if workers == 1 {
-			build()
-		} else {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				build()
-			}()
+		for i := 0; i < counts[pi]; i++ {
+			sysRNG := classRNG.Split(streamSystem | uint64(i)<<8)
+			b.buildSystem(p, weights, &sysRNG)
 		}
 	}
-	wg.Wait()
-
-	// Assign global base offsets by prefix sums in shard order. Shards
-	// are contiguous in (class, system) job order, so this renumbering
-	// reproduces exactly the IDs a serial build assigns.
-	f := &Fleet{Seed: seed}
-	var next bases
-	for _, w := range bws {
-		w.base = next
-		next.sys += len(w.arena.systems)
-		next.shelf += len(w.arena.shelves)
-		next.disk += len(w.arena.disks)
-		next.group += len(w.arena.groups)
-		next.member += len(w.arena.memberIDs)
-	}
-	if next.disk > math.MaxInt32 {
+	if len(b.arena.disks) > math.MaxInt32 {
 		panic("fleet: population exceeds the disk record's int32 component IDs")
 	}
-	f.Systems = make([]System, next.sys)
-	f.Shelves = make([]Shelf, next.shelf)
-	f.Disks = diskSlab(next.disk)
-	f.Groups = make([]RAIDGroup, next.group)
-	ids := idSlabs{
-		shelf:  make([]int, next.shelf),
-		group:  make([]int, next.group),
-		disk:   make([]int, next.disk+next.shelf*mountRoom),
-		member: make([]int, next.member),
-	}
-
-	// Phase B: renumber and splice each arena into its disjoint windows,
-	// again in parallel.
-	for _, w := range bws {
-		if workers == 1 {
-			w.arena.splice(f, ids, w.base)
-			continue
-		}
-		wg.Add(1)
-		go func(w *buildWorker) {
-			defer wg.Done()
-			w.arena.splice(f, ids, w.base)
-		}(w)
-	}
-	wg.Wait()
-	return f
+	return b.arena.finish(seed)
 }
 
-// BuildDefault builds the default four-class fleet at the given scale,
-// one build worker per available CPU.
+// BuildDefault builds the default four-class fleet at the given scale.
 func BuildDefault(scale float64, seed int64) *Fleet {
-	return BuildWorkers(DefaultProfiles(), scale, seed, 0)
+	return Build(DefaultProfiles(), scale, seed)
 }
 
-// BuildDefaultWorkers builds the default four-class fleet with the given
-// worker count (any value yields a bit-identical fleet).
-func BuildDefaultWorkers(scale float64, seed int64, workers int) *Fleet {
-	return BuildWorkers(DefaultProfiles(), scale, seed, workers)
-}
-
-// estimateShard predicts the component counts of job shard [lo, hi) from
-// the profile means, with headroom, so arena slabs are sized once.
-func estimateShard(profiles []ClassProfile, counts []int, lo, hi int) (systems, shelves, disks, groups int) {
-	base := 0
+// estimate predicts the fleet's component counts from the profile
+// means, with headroom, so the arena's slabs are sized once.
+func estimate(profiles []ClassProfile, counts []int) (systems, shelves, disks, groups int) {
 	var fShelves, fDisks, fGroups float64
 	for pi := range profiles {
 		p := &profiles[pi]
-		overlap := min(hi, base+counts[pi]) - max(lo, base)
-		base += counts[pi]
-		if overlap <= 0 {
-			continue
-		}
-		systems += overlap
-		sh := float64(overlap) * p.ShelvesPerSystem
+		systems += counts[pi]
+		sh := float64(counts[pi]) * p.ShelvesPerSystem
 		dk := sh * math.Min(p.DisksPerShelf, MaxDisksPerShelf)
 		fShelves += sh
 		fDisks += dk
@@ -214,14 +96,13 @@ func estimateShard(profiles []ClassProfile, counts []int, lo, hi int) (systems, 
 }
 
 // buildSystem appends one system — shelves, disks, RAID layout — to the
-// worker's arena using only arena-local indices. The draw sequence is
-// identical to the historical fleet-mutating builder, so topologies are
-// unchanged stream-for-stream.
+// arena. The draw sequence is identical to the historical
+// fleet-mutating builder, so topologies are unchanged stream-for-stream.
 //
 //detlint:hotpath
-func (w *buildWorker) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) {
-	a := &w.arena
-	sysLocal := len(a.systems)
+func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) {
+	a := &b.arena
+	sysID := len(a.systems)
 	cfg := p.Configs[r.Categorical(weights)]
 
 	span := simtime.StudyYears()
@@ -238,7 +119,7 @@ func (w *buildWorker) buildSystem(p *ClassProfile, weights []float64, r *stats.R
 	}
 
 	a.systems = append(a.systems, System{
-		ID:               sysLocal,
+		ID:               sysID,
 		Class:            p.Class,
 		ShelfModel:       cfg.Shelf,
 		DiskModel:        cfg.Disk,
@@ -252,11 +133,11 @@ func (w *buildWorker) buildSystem(p *ClassProfile, weights []float64, r *stats.R
 	sysDiskOff := len(a.disks)
 	numShelves := drawCount(p.ShelvesPerSystem, r)
 	for si := 0; si < numShelves; si++ {
-		shelfLocal := len(a.shelves)
+		shelfID := len(a.shelves)
 		a.shelves = append(a.shelves, Shelf{
-			ID: shelfLocal, System: sysLocal, Index: si,
+			ID: shelfID, System: sysID, Index: si,
 		})
-		a.shelfIDs = append(a.shelfIDs, shelfLocal)
+		a.shelfIDs = append(a.shelfIDs, shelfID)
 		a.shelfDisk = append(a.shelfDisk, onwardSpan(a.diskIDs))
 
 		// Heterogeneous shelf-size mix: a SparseShelfFraction share of
@@ -272,23 +153,23 @@ func (w *buildWorker) buildSystem(p *ClassProfile, weights []float64, r *stats.R
 			numDisks = MaxDisksPerShelf
 		}
 		for slot := 0; slot < numDisks; slot++ {
-			diskLocal := len(a.disks)
+			diskID := len(a.disks)
 			a.disks = append(a.disks, Disk{
-				System:  int32(sysLocal),
-				Shelf:   int32(shelfLocal),
+				System:  int32(sysID),
+				Shelf:   int32(shelfID),
 				Slot:    uint8(slot),
 				RAIDGrp: -1,
 				Install: install,
 				Remove:  simtime.StudyDuration,
 			})
-			a.diskIDs = append(a.diskIDs, diskLocal)
+			a.diskIDs = append(a.diskIDs, diskID)
 		}
-		a.shelfDisk[shelfLocal].n = len(a.diskIDs) - a.shelfDisk[shelfLocal].off
+		a.shelfDisk[shelfID].n = len(a.diskIDs) - a.shelfDisk[shelfID].off
 	}
-	a.sysShelf[sysLocal].n = len(a.shelfIDs) - a.sysShelf[sysLocal].off
+	a.sysShelf[sysID].n = len(a.shelfIDs) - a.sysShelf[sysID].off
 
-	w.layoutRAIDGroups(sysLocal, sysDiskOff, p, r)
-	a.sysGroup[sysLocal].n = len(a.groupIDs) - a.sysGroup[sysLocal].off
+	b.layoutRAIDGroups(sysID, sysDiskOff, p, r)
+	a.sysGroup[sysID].n = len(a.groupIDs) - a.sysGroup[sysID].off
 }
 
 // onwardSpan starts a span at the slab's current end; the caller sets n

@@ -9,70 +9,6 @@ import (
 	"storagesubsys/internal/stats"
 )
 
-// TestBuildWorkerCountEquivalence is the contract behind the parallel
-// builder: for the same (profiles, scale, seed), every worker count must
-// produce a bit-identical fleet — same component IDs, same serials, same
-// topology lists, same install schedule. 2 and 3 exercise real sharding
-// with uneven shard sizes; 10000 exceeds the job count and must clamp;
-// 0 resolves to GOMAXPROCS.
-func TestBuildWorkerCountEquivalence(t *testing.T) {
-	ref := BuildDefaultWorkers(0.02, 9, 1)
-	for _, workers := range []int{2, 3, 8, 10000, 0} {
-		got := BuildDefaultWorkers(0.02, 9, workers)
-		assertFleetsIdentical(t, ref, got, workers)
-	}
-}
-
-func assertFleetsIdentical(t *testing.T, ref, got *Fleet, workers int) {
-	t.Helper()
-	if len(got.Systems) != len(ref.Systems) || len(got.Shelves) != len(ref.Shelves) ||
-		len(got.Disks) != len(ref.Disks) || len(got.Groups) != len(ref.Groups) {
-		t.Fatalf("workers=%d: population %d/%d/%d/%d, want %d/%d/%d/%d", workers,
-			len(got.Systems), len(got.Shelves), len(got.Disks), len(got.Groups),
-			len(ref.Systems), len(ref.Shelves), len(ref.Disks), len(ref.Groups))
-	}
-	intsEqual := func(a, b []int) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range ref.Systems {
-		a, b := ref.Systems[i], got.Systems[i]
-		if a.ID != b.ID || a.Class != b.Class || a.ShelfModel != b.ShelfModel ||
-			a.DiskModel != b.DiskModel || a.Paths != b.Paths || a.Install != b.Install ||
-			a.ChurnPerDiskYear != b.ChurnPerDiskYear ||
-			!intsEqual(a.Shelves, b.Shelves) || !intsEqual(a.RAIDGroups, b.RAIDGroups) {
-			t.Fatalf("workers=%d: system %d differs:\n got %+v\nwant %+v", workers, i, b, a)
-		}
-	}
-	for i := range ref.Shelves {
-		a, b := ref.Shelves[i], got.Shelves[i]
-		if a.ID != b.ID || a.System != b.System || a.Index != b.Index ||
-			!intsEqual(a.Disks, b.Disks) {
-			t.Fatalf("workers=%d: shelf %d differs:\n got %+v\nwant %+v", workers, i, b, a)
-		}
-	}
-	for i := range ref.Disks {
-		if got.Disks[i] != ref.Disks[i] {
-			t.Fatalf("workers=%d: disk %d differs:\n got %+v\nwant %+v",
-				workers, i, got.Disks[i], ref.Disks[i])
-		}
-	}
-	for i := range ref.Groups {
-		a, b := ref.Groups[i], got.Groups[i]
-		if a.ID != b.ID || a.System != b.System || a.Type != b.Type ||
-			a.ShelvesSpanned != b.ShelvesSpanned || !intsEqual(a.Disks, b.Disks) {
-			t.Fatalf("workers=%d: group %d differs:\n got %+v\nwant %+v", workers, i, b, a)
-		}
-	}
-}
-
 // fleetDigest hashes every field of every component in ID order, so two
 // fleets digest equal iff they are bit-identical topologies. Disk IDs
 // (each disk's index), shelf and disk models and disk serials are hashed
@@ -111,12 +47,11 @@ func fleetDigest(f *Fleet) uint64 {
 	return h.Sum64()
 }
 
-// TestBuildGoldenDigest pins the exact topologies the parallel arena
-// builder produces to digests recorded from the legacy serial
-// pointer-per-item builder it replaced, proving the rewrite shifted no
-// RNG stream (no seed re-derivation was needed in PR 3). If a future PR
-// deliberately changes construction randomness, re-derive these digests
-// the same way the core calibration seed was re-derived in PR 2.
+// TestBuildGoldenDigest pins the exact topologies the arena builder
+// produces to digests recorded from the legacy pointer-per-item builder
+// it replaced, proving the rewrite shifted no RNG stream. If a change
+// deliberately alters construction randomness, re-derive these digests
+// the same way the core calibration seed was re-derived.
 func TestBuildGoldenDigest(t *testing.T) {
 	cases := []struct {
 		scale                           float64
@@ -144,13 +79,13 @@ func TestBuildGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestBuildSpliceOrder checks the renumbering invariants the splice
-// phase guarantees: components are indexed by ID, classes appear in
+// TestBuildSpliceOrder checks the ID invariants the arena copy
+// (finish) guarantees: components are indexed by ID, classes appear in
 // profile order, every system's shelves / disks / groups occupy
 // contiguous ID ranges in system order, and every disk's serial
-// resolves back to its final ID.
+// resolves back to its ID.
 func TestBuildSpliceOrder(t *testing.T) {
-	f := BuildDefaultWorkers(0.02, 42, 3)
+	f := BuildDefault(0.02, 42)
 	for i, s := range f.Systems {
 		if s.ID != i {
 			t.Fatalf("system at index %d has ID %d", i, s.ID)
@@ -256,8 +191,8 @@ func TestDrawCountSmallMean(t *testing.T) {
 }
 
 // TestBuildSmallMeanProfile exercises the mean <= 1 branch end to end:
-// every system gets exactly one shelf and one disk, and the build stays
-// bit-identical across worker counts.
+// every system gets exactly one shelf and one disk, in singleton RAID
+// groups.
 func TestBuildSmallMeanProfile(t *testing.T) {
 	profiles := []ClassProfile{{
 		Class:            LowEnd,
@@ -268,35 +203,33 @@ func TestBuildSmallMeanProfile(t *testing.T) {
 		SpanShelves:      1,
 		Configs:          []ShelfConfig{{ShelfA, DiskA2, 1}},
 	}}
-	ref := BuildWorkers(profiles, 1.0, 5, 1)
-	if len(ref.Systems) != 40 || len(ref.Shelves) != 40 || len(ref.Disks) != 40 {
+	f := Build(profiles, 1.0, 5)
+	if len(f.Systems) != 40 || len(f.Shelves) != 40 || len(f.Disks) != 40 {
 		t.Fatalf("population %d/%d/%d, want 40/40/40",
-			len(ref.Systems), len(ref.Shelves), len(ref.Disks))
+			len(f.Systems), len(f.Shelves), len(f.Disks))
 	}
-	for _, g := range ref.Groups {
+	for _, g := range f.Groups {
 		if len(g.Disks) != 1 || g.ShelvesSpanned != 1 {
 			t.Fatalf("group %+v, want singleton", g)
 		}
 	}
-	got := BuildWorkers(profiles, 1.0, 5, 3)
-	assertFleetsIdentical(t, ref, got, 3)
 }
 
 // TestBuildAllocBudget bounds steady-state build allocations, PR 2
-// budget-test style. Outputs live in per-worker slabs and serials are
+// budget-test style. Outputs live in value slabs and serials are
 // derived, never stored, so the allocation count is a small constant —
 // independent of the system count — rather than the O(disks) of the
 // legacy builder (which allocated ~90k times for this population's
 // 0.01-scale half, dominated by a per-system map pre-sized to the whole
 // fleet's disk count).
 func TestBuildAllocBudget(t *testing.T) {
-	f := BuildDefaultWorkers(0.02, 42, 1)
+	f := BuildDefault(0.02, 42)
 	allocs := testing.AllocsPerRun(2, func() {
-		BuildDefaultWorkers(0.02, 42, 1)
+		BuildDefault(0.02, 42)
 	})
 	const budget = 512
 	if allocs > budget {
-		t.Errorf("single-worker build of %d systems / %d disks allocated %.0f times, budget %d",
+		t.Errorf("build of %d systems / %d disks allocated %.0f times, budget %d",
 			len(f.Systems), len(f.Disks), allocs, budget)
 	}
 }

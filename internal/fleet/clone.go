@@ -18,7 +18,7 @@ import (
 // with a build's replacement room), and every ID list (shelf mount
 // lists, system shelf/group lists, RAID group membership) is copied into
 // one flat backing per list kind, so simulating against the clone —
-// failing disks, committing replacements, Reset — never touches the
+// failing disks, appending replacements, Reset — never touches the
 // original.
 //
 // Cloning a pristine as-built fleet yields a fleet indistinguishable

@@ -35,9 +35,7 @@ func TestCloneMutationIsolation(t *testing.T) {
 	d := &c.Disks[0]
 	d.Remove = simtime.SecondsPerYear
 	d.Replaced = true
-	var arena fleet.ReplacementArena
-	arena.Add(d, simtime.SecondsPerYear+500)
-	c.CommitReplacements(&arena)
+	c.Replace(0, simtime.SecondsPerYear+500)
 	c.Shelves[0].Disks = append(c.Shelves[0].Disks, -999)
 	c.Systems[0].Shelves = append(c.Systems[0].Shelves, -999)
 	c.Groups[0].Disks = append(c.Groups[0].Disks, -999)

@@ -177,15 +177,11 @@ func TestSingleShelfSpanAblation(t *testing.T) {
 	for i := range profiles {
 		profiles[i].SpanShelves = 1
 	}
-	// The span invariant must hold no matter how construction is
-	// sharded: a group only draws from its window's shelves.
-	for _, workers := range []int{1, 4} {
-		f := BuildWorkers(profiles, 0.01, 42, workers)
-		for _, g := range f.Groups {
-			if g.ShelvesSpanned != 1 {
-				t.Fatalf("workers=%d: group %d spans %d shelves under span=1",
-					workers, g.ID, g.ShelvesSpanned)
-			}
+	// A group only draws from its window's shelves.
+	f := Build(profiles, 0.01, 42)
+	for _, g := range f.Groups {
+		if g.ShelvesSpanned != 1 {
+			t.Fatalf("group %d spans %d shelves under span=1", g.ID, g.ShelvesSpanned)
 		}
 	}
 }
@@ -240,139 +236,69 @@ func TestDiskModelCatalog(t *testing.T) {
 func TestAddReplacementDisk(t *testing.T) {
 	f := buildSmall(t)
 	orig := f.Disks[0]
+	before := len(f.Disks)
 	at := simtime.Seconds(1000000)
-	var a ReplacementArena
-	a.Add(&f.Disks[0], at)
-	id := f.CommitReplacements(&a)
-	if id != len(f.Disks)-1 {
-		t.Fatalf("committed replacement ID %d, want the new last index %d", id, len(f.Disks)-1)
+	id := f.Replace(0, at)
+	if id != before || len(f.Disks) != before+1 {
+		t.Fatalf("replacement ID %d in %d disks, want the new last index %d", id, len(f.Disks), before)
 	}
 	nd := f.Disks[id]
 	if nd.System != orig.System || nd.Shelf != orig.Shelf || nd.Slot != orig.Slot || nd.RAIDGrp != orig.RAIDGrp {
 		t.Error("replacement must inherit system/shelf/slot/group")
 	}
-	if nd.Install != at || nd.Remove != simtime.StudyDuration {
+	if nd.Install != at || nd.Remove != simtime.StudyDuration || nd.Replaced {
 		t.Error("replacement residency wrong")
 	}
-	if id == 0 {
-		t.Error("replacement must have a fresh ID")
+	if f.Disks[0] != orig {
+		t.Error("Replace must leave the failed disk's record to the caller")
 	}
-	found := false
-	for _, did := range f.Shelves[orig.Shelf].Disks {
-		if did == id {
-			found = true
-		}
+	if got, ok := ParseSerial(Serial(id), len(f.Disks)); !ok || got != id {
+		t.Errorf("replacement %d: serial resolves to (%d, %v)", id, got, ok)
 	}
-	if !found {
-		t.Error("replacement not registered in shelf")
+	mounts := f.Shelves[orig.Shelf].Disks
+	if mounts[len(mounts)-1] != id {
+		t.Error("replacement not appended to its shelf's mount list")
 	}
 }
 
-func TestReplacementArenaCommit(t *testing.T) {
-	f := buildSmall(t)
-	origA, origB := f.Disks[0], f.Disks[1]
-	before := len(f.Disks)
-
-	var a ReplacementArena
-	p1 := a.Add(&origA, simtime.Seconds(1000))
-	p2 := a.Add(&origB, simtime.Seconds(2000))
-	if p1 != -1 || p2 != -2 {
-		t.Fatalf("provisional IDs %d, %d, want -1, -2", p1, p2)
-	}
-	d1, d2 := *a.Disk(p1), *a.Disk(p2)
-	if d1.Install != 1000 || d2.Install != 2000 || d1.Shelf != origA.Shelf || d2.Shelf != origB.Shelf {
-		t.Fatal("arena lookup by provisional ID broken")
-	}
-	if len(f.Disks) != before {
-		t.Fatal("arena Add must not touch the fleet")
-	}
-
-	base := f.CommitReplacements(&a)
-	if base != before {
-		t.Fatalf("commit base %d, want %d", base, before)
-	}
-	if f.Disks[before] != d1 || f.Disks[before+1] != d2 {
-		t.Fatal("committed disks not indexed by final ID")
-	}
-	for id := before; id < len(f.Disks); id++ {
-		if got, ok := ParseSerial(Serial(id), len(f.Disks)); !ok || got != id {
-			t.Fatalf("committed replacement %d: serial resolves to (%d, %v)", id, got, ok)
-		}
-	}
-	shelf := f.Shelves[origA.Shelf]
-	if got := shelf.Disks[len(shelf.Disks)-1]; got != before && got != before+1 {
-		t.Error("committed replacement not registered in its shelf")
-	}
-}
-
-// TestReplacementArenaRecycleKeepsCommittedDisks pins the value
-// arena's ownership rule: CommitReplacements copies the records out, so
-// resetting the arena and refilling it for another run — here against a
-// second fleet — leaves every disk already committed into the first
-// fleet exactly as it was.
-func TestReplacementArenaRecycleKeepsCommittedDisks(t *testing.T) {
-	a, b := BuildDefault(0.005, 3), BuildDefault(0.005, 4)
-	var arena ReplacementArena
-	for id := 0; id < 40; id++ {
-		arena.Add(&a.Disks[id], simtime.Seconds(1000+id))
-	}
-	base := a.CommitReplacements(&arena)
-	committed := append([]Disk(nil), a.Disks[base:]...)
-	mounts := append([]int(nil), a.Shelves[a.Disks[base].Shelf].Disks...)
-
-	arena.Reset()
-	for id := 0; id < 60; id++ {
-		arena.Add(&b.Disks[len(b.Disks)-1-id], simtime.Seconds(5000+id))
-	}
-	b.CommitReplacements(&arena)
-
-	if len(a.Disks) != base+len(committed) {
-		t.Fatalf("fleet A has %d disks after the arena was recycled, want %d", len(a.Disks), base+len(committed))
-	}
-	for i, want := range committed {
-		if got := a.Disks[base+i]; got != want {
-			t.Fatalf("committed disk %d changed when the arena was recycled: %+v, want %+v", base+i, got, want)
-		}
-	}
-	if got := a.Shelves[a.Disks[base].Shelf].Disks; !slices.Equal(got, mounts) {
-		t.Fatalf("shelf mount list changed when the arena was recycled: %v, want %v", got, mounts)
-	}
-}
-
-// TestReplacementArenaGrowthMidChain drives the simulator's slot chain
-// — each replacement fails in turn and is replaced, Add reading the
-// failed record out of the arena itself — long enough that the arena's
-// slab regrows mid-chain, and requires exactly the records an arena
-// with room for the whole chain produces.
-func TestReplacementArenaGrowthMidChain(t *testing.T) {
-	f := BuildDefault(0.005, 3)
-	const n = 500
-	chain := func(a *ReplacementArena) []Disk {
-		cur := a.Add(&f.Disks[7], 100)
+// TestReplaceChainGrowth drives the simulator's slot chain — each
+// replacement fails in turn and is replaced, Replace reading the failed
+// record out of the slab it appends to — long enough that the disk slab
+// regrows mid-chain, and requires exactly the records and mount list a
+// fleet with room for the whole chain produces.
+func TestReplaceChainGrowth(t *testing.T) {
+	const n, room = 500, 250
+	chain := func(f *Fleet) {
+		cur := f.Replace(7, 100)
 		for k := 1; k < n; k++ {
-			d := a.Disk(cur)
+			d := &f.Disks[cur]
 			d.Remove = d.Install + simtime.Seconds(k)
 			d.Replaced = true
-			cur = a.Add(d, d.Remove+10)
+			cur = f.Replace(cur, d.Remove+10)
 		}
-		return append([]Disk(nil), a.disks...)
 	}
 
-	var fresh ReplacementArena
-	grown := chain(&fresh)
-	if cap(fresh.disks) == n {
-		t.Fatal("setup: the arena slab never regrew mid-chain")
+	grown := BuildDefault(0.005, 3)
+	base := len(grown.Disks)
+	grown.Disks = grown.Disks[: base : base+room]
+	chain(grown)
+	if cap(grown.Disks) == base+room {
+		t.Fatal("setup: the disk slab never regrew mid-chain")
 	}
-	var roomy ReplacementArena
-	roomy.disks = make([]Disk, 0, n)
-	want := chain(&roomy)
+	roomy := BuildDefault(0.005, 3)
+	roomy.Disks = append(make([]Disk, 0, base+n), roomy.Disks...)
+	chain(roomy)
 
-	if len(grown) != n || !slices.Equal(grown, want) {
-		t.Fatal("a chain that regrew the arena slab differs from one in a pre-grown arena")
+	if len(grown.Disks) != base+n || !slices.Equal(grown.Disks, roomy.Disks) {
+		t.Fatal("a chain that regrew the disk slab differs from one with room for it")
+	}
+	shelf := grown.Disks[7].Shelf
+	if !slices.Equal(grown.Shelves[shelf].Disks, roomy.Shelves[shelf].Disks) {
+		t.Fatal("a chain that regrew the disk slab left a different mount list")
 	}
 	for k := 1; k < n; k++ {
-		prev, d := grown[k-1], grown[k]
-		if !prev.Replaced || d.Install != prev.Remove+10 || d.Shelf != f.Disks[7].Shelf || d.Slot != f.Disks[7].Slot {
+		prev, d := grown.Disks[base+k-1], grown.Disks[base+k]
+		if !prev.Replaced || d.Install != prev.Remove+10 || d.Shelf != shelf || d.Slot != grown.Disks[7].Slot {
 			t.Fatalf("chain link %d: %+v after %+v", k, d, prev)
 		}
 	}

@@ -26,14 +26,12 @@ func TestCheckpointReset(t *testing.T) {
 
 	// Simulate the mutations a trial performs: fail and replace a few
 	// disks (the replacement then churns out too), across two shelves.
-	var arena fleet.ReplacementArena
 	for _, id := range []int{0, 1, f.Shelves[1].Disks[0]} {
 		d := &f.Disks[id]
 		d.Remove = simtime.SecondsPerYear
 		d.Replaced = true
-		arena.Add(d, simtime.SecondsPerYear+1000)
+		f.Replace(id, simtime.SecondsPerYear+1000)
 	}
-	f.CommitReplacements(&arena)
 	if len(f.Disks) == len(ref.Disks) {
 		t.Fatal("setup: no replacements installed")
 	}
@@ -61,17 +59,6 @@ func TestCheckpointReset(t *testing.T) {
 	}
 	if gy, wy := f.DiskYears(nil), ref.DiskYears(nil); gy != wy {
 		t.Fatalf("disk-years %v, want %v", gy, wy)
-	}
-
-	// The arena can now be recycled: the next run's provisional IDs
-	// start again at -1, and a recommit reproduces the same IDs.
-	arena.Reset()
-	if id := arena.Add(&f.Disks[0], simtime.SecondsPerYear); id != -1 {
-		t.Fatalf("recycled arena's first provisional ID = %d, want -1", id)
-	}
-	base := f.CommitReplacements(&arena)
-	if base != len(ref.Disks) {
-		t.Fatalf("recommit base = %d, want %d", base, len(ref.Disks))
 	}
 }
 
@@ -123,11 +110,11 @@ func TestResetRerunUnderChurnAndRepairLag(t *testing.T) {
 	params := opsParams()
 	const scale, buildSeed, simSeed = 0.01, 7, 99
 
-	f := fleet.BuildWorkers(profiles, scale, buildSeed, 2)
+	f := fleet.Build(profiles, scale, buildSeed)
 	cp := f.Checkpoint()
 	asBuilt := len(f.Disks)
 
-	run := func(fl *fleet.Fleet) *sim.Result { return sim.RunWorkers(fl, params, simSeed, 2) }
+	run := func(fl *fleet.Fleet) *sim.Result { return sim.Run(fl, params, simSeed) }
 
 	res1 := run(f)
 	ev1 := append([]failmodel.Event(nil), res1.Events...)
@@ -151,7 +138,7 @@ func TestResetRerunUnderChurnAndRepairLag(t *testing.T) {
 	}
 
 	// And must equal a from-scratch build+run, field for field.
-	g := fleet.BuildWorkers(opsProfiles(), scale, buildSeed, 2)
+	g := fleet.Build(opsProfiles(), scale, buildSeed)
 	res3 := run(g)
 	sameEvents(t, res3.Events, ev1, "fresh twin")
 	if len(g.Disks) != disks1 {
@@ -172,13 +159,13 @@ func TestResetRerunUnderChurnAndRepairLag(t *testing.T) {
 func TestResetNewSeedIndependentUnderOps(t *testing.T) {
 	profiles := opsProfiles()
 	params := opsParams()
-	f := fleet.BuildWorkers(profiles, 0.01, 7, 2)
+	f := fleet.Build(profiles, 0.01, 7)
 	cp := f.Checkpoint()
 
-	a := sim.RunWorkers(f, params, 99, 2)
+	a := sim.Run(f, params, 99)
 	nA := len(a.Events)
 	f.Reset(cp)
-	b := sim.RunWorkers(f, params, 100, 2)
+	b := sim.Run(f, params, 100)
 	if nA == 0 || len(b.Events) == 0 {
 		t.Fatal("setup: empty realizations")
 	}
@@ -196,40 +183,13 @@ func TestResetNewSeedIndependentUnderOps(t *testing.T) {
 	}
 }
 
-// TestBuildWorkerEquivalenceOpsDims extends the build determinism
-// contract to the new profile knobs: with sparse shelves and a skewed
-// install window (which gate extra RNG draws), every worker count must
-// still produce a field-identical fleet.
-func TestBuildWorkerEquivalenceOpsDims(t *testing.T) {
-	profiles := opsProfiles()
-	ref := fleet.BuildWorkers(profiles, 0.01, 3, 1)
-	for _, workers := range []int{2, 5} {
-		got := fleet.BuildWorkers(opsProfiles(), 0.01, 3, workers)
-		if len(got.Disks) != len(ref.Disks) || len(got.Systems) != len(ref.Systems) ||
-			len(got.Shelves) != len(ref.Shelves) || len(got.Groups) != len(ref.Groups) {
-			t.Fatalf("workers=%d population sizes differ from serial build", workers)
-		}
-		for i := range ref.Disks {
-			if got.Disks[i] != ref.Disks[i] {
-				t.Fatalf("workers=%d disk %d = %+v, want %+v", workers, i, got.Disks[i], ref.Disks[i])
-			}
-		}
-		for i := range ref.Systems {
-			if got.Systems[i].Install != ref.Systems[i].Install ||
-				got.Systems[i].ChurnPerDiskYear != ref.Systems[i].ChurnPerDiskYear {
-				t.Fatalf("workers=%d system %d header diverged", workers, i)
-			}
-		}
-	}
-}
-
 // TestBuildOpsProfilesDigest pins the build under the operational
 // profile knobs — sparse shelves and a skewed install window gate extra
 // RNG draws — to a digest recorded from the sharded arena builder, so
 // the knobs' draw sequence cannot shift unnoticed.
 func TestBuildOpsProfilesDigest(t *testing.T) {
 	const want = 0x42c1179da1791f2d
-	f := fleet.BuildWorkers(opsProfiles(), 0.01, 3, 1)
+	f := fleet.Build(opsProfiles(), 0.01, 3)
 	if got := fleet.FleetDigest(f); got != want {
 		t.Errorf("ops-profile build (%d systems, %d disks): digest %016x, want %016x",
 			len(f.Systems), len(f.Disks), got, uint64(want))
@@ -273,7 +233,7 @@ func TestSkewInstallWindow(t *testing.T) {
 // Reset bookkeeping cannot be assumed to cover — the recovery path
 // must therefore discard the instance and rebuild from (profiles,
 // scale, seed). This test tears a fleet mid-"trial" with raw mutations
-// that bypass the arena bookkeeping entirely, then verifies a rebuilt
+// that bypass Replace's bookkeeping entirely, then verifies a rebuilt
 // fleet replays the trial's event stream, replacement population, and
 // disk-years bit-identically to a never-aborted fresh build — proving
 // the rebuild really is indistinguishable from a brand-new worker.
@@ -283,14 +243,14 @@ func TestQuarantineRebuildReplaysIdentically(t *testing.T) {
 	const scale, buildSeed, simSeed = 0.01, 7, 99
 
 	// The reference: a trial on a fleet that never aborted.
-	ref := fleet.BuildWorkers(opsProfiles(), scale, buildSeed, 2)
-	want := sim.RunWorkers(ref, params, simSeed, 2)
+	ref := fleet.Build(opsProfiles(), scale, buildSeed)
+	want := sim.Run(ref, params, simSeed)
 
 	// The victim: a trial aborts partway through, leaving raw torn
-	// state — removals and flags written directly, no arena commit, a
+	// state — removals and flags written directly, no Replace, a
 	// shelf membership edited in place. Nothing here is visible to the
 	// Checkpoint it took before the trial.
-	f := fleet.BuildWorkers(profiles, scale, buildSeed, 2)
+	f := fleet.Build(profiles, scale, buildSeed)
 	_ = f.Checkpoint() // taken like a real worker; deliberately unused after the abort
 	f.Disks[0].Remove = simtime.SecondsPerYear / 2
 	f.Disks[1].Replaced = true
@@ -300,8 +260,8 @@ func TestQuarantineRebuildReplaysIdentically(t *testing.T) {
 	// Quarantine: the torn instance is dropped, a replacement is built
 	// from the same inputs, and the trial re-runs from its seed.
 	f = nil
-	rebuilt := fleet.BuildWorkers(opsProfiles(), scale, buildSeed, 2)
-	got := sim.RunWorkers(rebuilt, params, simSeed, 2)
+	rebuilt := fleet.Build(opsProfiles(), scale, buildSeed)
+	got := sim.Run(rebuilt, params, simSeed)
 
 	sameEvents(t, got.Events, want.Events, "quarantine rebuild")
 	if len(rebuilt.Disks) != len(ref.Disks) {

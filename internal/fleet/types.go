@@ -10,17 +10,17 @@
 // disk's ID is its index in the disk slab and is not stored; the disk
 // record is 32 pointer-free bytes.
 //
-// Construction is parallel and allocation-lean. Every (class, system)
+// Construction is serial and allocation-lean. Every (class, system)
 // pair draws from an RNG stream split off the seed by (class, system
-// ordinal), so BuildWorkers shards system construction across a worker
-// pool: each worker fills a private arena of value slabs wired by local
-// indices (no per-component pointer allocations, RAID layout over
-// recycled scratch), and the arenas are renumbered and copied into the
-// fleet's pre-sized slabs in shard order — bit-identical output for any
-// worker count. The paper's full ~39,000-system / ~1.7M-disk population
-// builds in well under a second per core with a small constant number of
-// allocations (BENCH_PR3.json; the legacy serial builder took minutes
-// and ~95M allocations).
+// ordinal); Build fills one arena of value slabs wired by index (no
+// per-component pointer allocations, RAID layout over recycled
+// scratch) and copies it once into the fleet's exact-length slabs. The
+// paper's full ~39,000-system / ~1.7M-disk population builds in well
+// under a second on one core with a small constant number of
+// allocations (the legacy pointer-per-item builder took minutes and
+// ~95M allocations).
+// Simulation appends replacement disks in place (Replace), so every
+// disk has its final ID from the moment it exists.
 package fleet
 
 import (
@@ -149,8 +149,7 @@ const MaxDisksPerShelf = 14
 // per-disk residency time, which this representation makes exact.
 //
 // Disk stores only what cannot be derived. Its ID is its index in
-// Fleet.Disks (a replacement not yet committed has a provisional ID; see
-// ReplacementArena), its model is the owning system's
+// Fleet.Disks, its model is the owning system's
 // (f.Systems[d.System].DiskModel: systems are homogeneous and a
 // replacement joins its predecessor's system) and its serial is
 // Serial(id). Disks are the bulk of a fleet's memory, so the record is
@@ -244,7 +243,7 @@ type Fleet struct {
 
 // Checkpoint records a fleet's as-built population boundary so a
 // simulated trial can be rolled back with Reset. Capture it right after
-// BuildWorkers, before any simulation has touched the fleet.
+// Build, before any simulation has touched the fleet.
 type Checkpoint struct {
 	disks int
 }
@@ -261,7 +260,8 @@ func (f *Fleet) Checkpoint() Checkpoint { return Checkpoint{disks: len(f.Disks)}
 // re-simulating with a new seed yields an independent Monte-Carlo trial
 // over the same population without paying for a rebuild (the sweep
 // engine's steady state; see internal/sweep). The slabs keep their
-// capacity, so the next trial's commits append without reallocating.
+// capacity, so the next trial's replacements append without
+// reallocating.
 func (f *Fleet) Reset(c Checkpoint) {
 	for i := range f.Disks[:c.disks] {
 		d := &f.Disks[i]
@@ -282,64 +282,30 @@ func (f *Fleet) Reset(c Checkpoint) {
 	f.Disks = f.Disks[:c.disks]
 }
 
-// ReplacementArena accumulates replacement disks created by one
-// simulation worker without mutating the shared Fleet, so workers over
-// disjoint system shards need no synchronization. The k-th replacement
-// (k = 1, 2, ...) has the provisional ID -k; Fleet.CommitReplacements
-// later copies the records into the fleet, where each one's final ID is
-// its index. Reset rearms an arena for another simulation run, keeping
-// its slab's capacity.
-type ReplacementArena struct {
-	disks []Disk // this run's replacements, in creation order
-}
-
-// Add records a replacement for the failed disk, joining the same
-// system/shelf/slot/RAID group (and so the same model), entering
-// service at the given time, and returns its provisional ID. The failed
-// disk's fields are copied before the arena's slab can grow, so failed
-// may point into the arena itself; but a *Disk into the arena held
-// across an Add may be stale afterwards — resolve IDs again with Disk.
+// Replace installs a replacement for the failed disk and returns its
+// ID, the next index of the disk slab. The new disk joins the failed
+// one's system, shelf, slot and RAID group (and so its model), enters
+// service at the given time and is appended to its shelf's mount list.
+// Ending the failed disk's residency is the caller's job. The failed
+// record is copied before the append can move the slab, so a *Disk
+// held across a Replace may be stale afterwards: index f.Disks again.
 //
 //detlint:hotpath
-func (a *ReplacementArena) Add(failed *Disk, at simtime.Seconds) int {
+func (f *Fleet) Replace(failed int, at simtime.Seconds) int {
+	d := &f.Disks[failed]
 	nd := Disk{
-		System:  failed.System,
-		Shelf:   failed.Shelf,
-		Slot:    failed.Slot,
-		RAIDGrp: failed.RAIDGrp,
+		System:  d.System,
+		Shelf:   d.Shelf,
+		Slot:    d.Slot,
+		RAIDGrp: d.RAIDGrp,
 		Install: at,
 		Remove:  simtime.StudyDuration,
 	}
-	a.disks = append(a.disks, nd)
-	return -len(a.disks)
-}
-
-// Disk returns the arena disk with the given provisional (negative) ID.
-// The pointer is valid until the next Add.
-//
-//detlint:hotpath
-func (a *ReplacementArena) Disk(provisional int) *Disk { return &a.disks[-provisional-1] }
-
-// Reset empties the arena for another simulation run. Commits copy the
-// records out, so no fleet ever aliases the arena's storage.
-func (a *ReplacementArena) Reset() { a.disks = a.disks[:0] }
-
-// CommitReplacements copies every arena disk into the fleet in creation
-// order and registers each with its shelf. It returns the final ID given
-// to the arena's first disk, so provisional ID -k maps to base+k-1.
-// Committing arenas in system-ID order reproduces exactly the IDs a
-// serial simulation would have assigned. An arena must be committed at
-// most once per run; Reset rearms it.
-//
-//detlint:hotpath
-func (f *Fleet) CommitReplacements(a *ReplacementArena) (base int) {
-	base = len(f.Disks)
-	f.Disks = append(f.Disks, a.disks...)
-	for i := range a.disks {
-		sh := &f.Shelves[a.disks[i].Shelf]
-		sh.Disks = append(sh.Disks, base+i)
-	}
-	return base
+	id := len(f.Disks)
+	f.Disks = append(f.Disks, nd)
+	sh := &f.Shelves[nd.Shelf]
+	sh.Disks = append(sh.Disks, id)
+	return id
 }
 
 // diskSlab returns a disk slab of length n with room for one trial's
@@ -347,8 +313,8 @@ func (f *Fleet) CommitReplacements(a *ReplacementArena) (base int) {
 // 6% of the as-built population per simulated study window, so an
 // eighth more covers a default trial, and a heavy-churn scenario
 // outgrows it once and then keeps the grown slab across Resets. Without
-// the room, the first commit into every fresh build or clone would copy
-// the whole slab to grow it.
+// the room, the first Replace into every fresh build or clone would
+// copy the whole slab to grow it.
 func diskSlab(n int) []Disk { return make([]Disk, n, n+n/8) }
 
 // DiskYears returns the total disk residency (in years) matching the

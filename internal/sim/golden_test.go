@@ -69,7 +69,7 @@ func TestRunGoldenDigest(t *testing.T) {
 	}
 	for _, tc := range cases {
 		f := fleet.BuildDefault(0.02, 9)
-		res := RunWorkersOpts(f, params, 10, 1, nil, tc.opts)
+		res := RunOpts(f, params, 10, nil, tc.opts)
 		if len(res.Events) == 0 || len(f.Disks) == len(fleet.BuildDefault(0.02, 9).Disks) {
 			t.Fatalf("%s: setup produced no events or no replacements", tc.name)
 		}

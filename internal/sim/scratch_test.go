@@ -32,7 +32,7 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // simulating a fleet, rolling it back with fleet.Reset, and simulating
 // again over a recycled Scratch must be bit-identical to fresh
 // build-and-simulate runs — for the same seed (exact replay) and for a
-// new seed (an independent trial), serial and sharded alike.
+// new seed (an independent trial).
 func TestResetRerunEquivalence(t *testing.T) {
 	params := failmodel.DefaultParams()
 	ref9 := Run(fleet.BuildDefault(0.01, 5), params, 9)
@@ -42,39 +42,47 @@ func TestResetRerunEquivalence(t *testing.T) {
 	cp := f.Checkpoint()
 	var sc Scratch
 
-	sameResult(t, "first scratch run", RunWorkersOpts(f, params, 9, 1, &sc, Opts{}), ref9)
+	sameResult(t, "first scratch run", RunOpts(f, params, 9, &sc, Opts{}), ref9)
 
 	f.Reset(cp)
-	sameResult(t, "same-seed rerun after Reset", RunWorkersOpts(f, params, 9, 1, &sc, Opts{}), ref9)
+	sameResult(t, "same-seed rerun after Reset", RunOpts(f, params, 9, &sc, Opts{}), ref9)
 
 	f.Reset(cp)
-	sameResult(t, "new-seed trial after Reset", RunWorkersOpts(f, params, 10, 1, &sc, Opts{}), ref10)
+	sameResult(t, "new-seed trial after Reset", RunOpts(f, params, 10, &sc, Opts{}), ref10)
+}
 
-	f.Reset(cp)
-	sameResult(t, "sharded rerun after Reset", RunWorkersOpts(f, params, 9, 3, &sc, Opts{}), ref9)
+// TestRunMatchesRunWorkers pins the RunWorkersOpts compatibility shim
+// to Run: its worker count is ignored, whatever its value.
+func TestRunMatchesRunWorkers(t *testing.T) {
+	params := failmodel.DefaultParams()
+	want := Run(fleet.BuildDefault(0.01, 3), params, 4)
+	for _, workers := range []int{1, 4} {
+		got := RunWorkersOpts(fleet.BuildDefault(0.01, 3), params, 4, workers, nil, Opts{})
+		sameResult(t, "RunWorkersOpts shim", got, want)
+	}
 }
 
 // TestRunScratchAllocBudget pins the sweep's steady-state allocation
 // contract: with a warm Scratch and a Reset fleet, a whole
 // re-simulation allocates a small constant number of times, however
-// many replacement disks it commits — the records are recycled and
-// their serials are derived, never stored.
+// many replacement disks it appends — the disk slab keeps its capacity
+// across Resets and serials are derived, never stored.
 func TestRunScratchAllocBudget(t *testing.T) {
 	params := failmodel.DefaultParams()
 	f := fleet.BuildDefault(0.01, 5)
 	initial := len(f.Disks)
 	cp := f.Checkpoint()
 	var sc Scratch
-	RunWorkersOpts(f, params, 9, 1, &sc, Opts{}) // warm every buffer
+	RunOpts(f, params, 9, &sc, Opts{}) // warm every buffer
 	replacements := len(f.Disks) - initial
 
 	allocs := testing.AllocsPerRun(5, func() {
 		f.Reset(cp)
-		RunWorkersOpts(f, params, 9, 1, &sc, Opts{})
+		RunOpts(f, params, 9, &sc, Opts{})
 	})
 	const budget = 24
 	if allocs > budget {
-		t.Errorf("steady-state trial committing %d replacements allocated %.0f times, budget %d",
+		t.Errorf("steady-state trial appending %d replacements allocated %.0f times, budget %d",
 			replacements, allocs, budget)
 	}
 }

@@ -12,23 +12,24 @@
 // exactly equivalent to an event-queue implementation, because Poisson
 // thinning by slot occupancy is distribution-preserving.
 //
-// Per-system independence also makes the fleet embarrassingly parallel:
-// RunWorkers shards the systems across a worker pool (see parallel.go),
-// each worker simulating into a private event buffer and replacement
-// arena, followed by a deterministic merge. Any worker count produces
-// bit-identical results.
+// A run is serial: systems are simulated in ID order, and each
+// replacement disk is appended to the fleet (fleet.Replace) the moment
+// it is installed, so it carries its final ID from the start. The
+// repository's one parallel engine is the Monte-Carlo trial pool in
+// internal/sweep, which runs independent trials side by side.
 //
 // The per-system loop is effectively zero-allocation. Randomness comes
 // from constant-size splittable stats.RNG values keyed by the typed
 // stream constants below (no per-split state arrays, no label strings),
 // and every transient slice — Poisson time draws, failure candidates,
-// slot occupancy chains, burst victim indices — lives in worker-scoped
-// scratch buffers that are recycled across systems. The only steady-
-// state allocations are the simulation's actual outputs: the event
-// buffer and the replacement arena's slab of disk records.
+// slot occupancy chains, burst victim indices — lives in scratch
+// buffers that are recycled across systems. The only steady-state
+// allocations are the simulation's actual outputs: the event buffer and
+// any growth of the fleet's disk slab and shelf mount lists.
 package sim
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -105,27 +106,86 @@ func (r *Result) VisibleEvents() []failmodel.Event {
 	return out
 }
 
-// Run simulates the fleet serially (one worker) under the given
-// parameters. The result is fully determined by (fleet, params, seed).
-// The fleet is mutated (disk removals and replacement installs); pass a
-// freshly built fleet. Run(f, p, seed) is exactly RunWorkers(f, p,
-// seed, 1); any worker count yields bit-identical output.
+// Run simulates the fleet under the given parameters. The result is
+// fully determined by (fleet, params, seed). The fleet is mutated (disk
+// removals and replacement installs); pass a freshly built fleet. Run is
+// RunOpts with fresh scratch and the plain engine.
 func Run(f *fleet.Fleet, params *failmodel.Params, seed int64) *Result {
-	return RunWorkers(f, params, seed, 1)
+	return RunOpts(f, params, seed, nil, Opts{})
 }
 
-// worker simulates a disjoint shard of the fleet's systems. It owns a
-// private event buffer and a private replacement-disk arena, so a shard
-// runs without any synchronization; RunWorkers renumbers and merges the
-// shards deterministically afterwards. All transient per-system state
-// lives in the scratch fields, which retain their capacity across
-// systems so the steady-state simulation loop performs no allocation.
+// Scratch owns a run's reusable state — the event buffer and every
+// per-system scratch buffer — so a caller running many simulations (the
+// Monte-Carlo sweep engine) can recycle it across runs and keep
+// steady-state allocation flat: a warm scratch plus a fleet.Reset fleet
+// make a whole re-simulation allocate only a small constant plus any
+// event-buffer growth.
+//
+// A Scratch must only be reused once the previous run's events are no
+// longer needed: the next run recycles the same event buffer,
+// clobbering the prior Result.Events. The zero value is ready to use.
+type Scratch struct {
+	w worker
+}
+
+// RunOpts is Run with caller-owned scratch (nil for a one-shot run) and
+// a variance-reduction mode (see variance.go; the zero Opts is the plain
+// engine). opts.Antithetic mirrors the entire stream tree;
+// opts.Strata.Count > 0 draws baseline failure counts from this trial's
+// stratum. The result is bit-identical to a fresh run whatever scratch
+// is passed.
+func RunOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, sc *Scratch, opts Opts) *Result {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	w := &sc.w
+	w.f, w.params = f, params
+	w.strata = opts.Strata
+	if opts.Strata.Count > 0 {
+		w.permRoot = *stats.NewRNG(opts.Strata.Seed)
+	}
+	w.events = w.events[:0]
+
+	// An antithetic run mirrors the root; the flip mask propagates
+	// through every descendant split.
+	root := stats.NewRNG(seed).Split(streamSim)
+	if opts.Antithetic {
+		root = root.Antithetic()
+	}
+	for i := range f.Systems {
+		sys := &f.Systems[i]
+		sysRNG := root.Split(streamKey(streamSys, sys.ID))
+		w.simulateSystem(sys, &sysRNG)
+	}
+	// The stable sort keeps generation order for the (astronomically
+	// rare) same-time same-disk ties.
+	slices.SortStableFunc(w.events, func(a, b failmodel.Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Disk, b.Disk)
+	})
+	// Drop the per-run references so a long-lived Scratch cannot pin a
+	// fleet (a full-scale one holds ~1.7M disks) after the run.
+	w.f, w.params = nil, nil
+	return &Result{Fleet: f, Events: w.events}
+}
+
+// RunWorkersOpts is RunOpts with an ignored worker count. It keeps the
+// signature of the sharded engine the simulator replaced, for the
+// repository benchmark's replica, its one reader.
+func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, workers int, sc *Scratch, opts Opts) *Result {
+	return RunOpts(f, params, seed, sc, opts)
+}
+
+// worker simulates the fleet's systems one at a time. All transient
+// per-system state lives in the scratch fields, which retain their
+// capacity across systems so the steady-state simulation loop performs
+// no allocation.
 type worker struct {
-	f       *fleet.Fleet
-	params  *failmodel.Params
-	initial int // len(f.Disks) before simulation; basis for diskKey
-	arena   fleet.ReplacementArena
-	events  []failmodel.Event
+	f      *fleet.Fleet
+	params *failmodel.Params
+	events []failmodel.Event
 
 	// Scratch buffers recycled across systems.
 	envTimes []simtime.Seconds // environment episode onsets (per shelf)
@@ -138,31 +198,6 @@ type worker struct {
 	// Variance-reduction state (see variance.go); zero when disabled.
 	strata   Strata    // stratified baseline-count sampling config
 	permRoot stats.RNG // trial-independent root for stratum permutations
-}
-
-// disk resolves a disk ID: non-negative IDs index the shared fleet,
-// provisional negative IDs index this worker's arena.
-//
-//detlint:hotpath
-func (w *worker) disk(id int) *fleet.Disk {
-	if id >= 0 {
-		return &w.f.Disks[id]
-	}
-	return w.arena.Disk(id)
-}
-
-// diskKey maps a (possibly provisional) disk ID to a key with the same
-// relative order the IDs will have after CommitReplacements: originals
-// sort by ID, and every replacement sorts after all originals in arena
-// creation order. Sorting a shard's events by (time, diskKey) before
-// IDs are finalized therefore equals sorting by (time, final ID).
-//
-//detlint:hotpath
-func (w *worker) diskKey(id int) int {
-	if id >= 0 {
-		return id
-	}
-	return w.initial + (-id - 1)
 }
 
 // occupancy is one disk's residency in a slot.
@@ -237,6 +272,8 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 		w.envTimes = poissonTimes(w.envTimes[:0], p.EnvEpisodeRate, sys.Install, end, &envRNG)
 
 		w.shelfOff = append(w.shelfOff, used)
+		// range evaluates shelf.Disks once, so the loop visits only the
+		// as-built slots, not the replacements simulateSlot appends.
 		for idx, diskID := range shelf.Disks {
 			slotRNG := shelfRNG.Split(streamKey(streamSlot, idx))
 			buf := w.chainBuf(used) // grows w.chains before the index store below
@@ -305,11 +342,11 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 	w.cands = cands
 
 	// The slot's current occupant is tracked by ID: cur points into the
-	// fleet or the arena, and an Add may move the arena's slab, so cur is
+	// fleet's disk slab, and a Replace may move the slab, so cur is
 	// resolved again after every replacement.
 	chain = append(chain, occupancy{disk: diskID, from: install, to: end})
 	curID := diskID
-	cur := w.disk(curID)
+	cur := &w.f.Disks[curID]
 	causeRNG := r.Split(streamCause)
 	// Stochastic repair lags draw from their own slot stream, and only
 	// when the distribution is enabled: the default deterministic lag
@@ -352,15 +389,15 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 			if reinstall >= end {
 				return chain
 			}
-			curID = w.arena.Add(cur, reinstall)
-			cur = w.arena.Disk(curID)
+			curID = w.f.Replace(curID, reinstall)
+			cur = &w.f.Disks[curID]
 			chain = append(chain, occupancy{disk: curID, from: reinstall, to: end})
 		case candChurn:
 			// Proactive churn: swap immediately, no failure event.
 			cur.Remove = c.t
 			chain[len(chain)-1].to = c.t
-			curID = w.arena.Add(cur, c.t)
-			cur = w.arena.Disk(curID)
+			curID = w.f.Replace(curID, c.t)
+			cur = &w.f.Disks[curID]
 			chain = append(chain, occupancy{disk: curID, from: c.t, to: end})
 		}
 	}
@@ -479,7 +516,7 @@ func (w *worker) emitSystemBurst(sys *fleet.System,
 		if !ok {
 			continue
 		}
-		d := w.disk(diskID)
+		d := &w.f.Disks[diskID]
 		w.events = append(w.events, failmodel.Event{
 			Time:      t,
 			Detected:  simtime.NextScrub(t),
@@ -528,7 +565,7 @@ func (w *worker) emitBurst(chains []slotChain, t0 simtime.Seconds, k int,
 		if !ok {
 			continue
 		}
-		d := w.disk(diskID)
+		d := &w.f.Disks[diskID]
 		w.events = append(w.events, failmodel.Event{
 			Time:      t,
 			Detected:  simtime.NextScrub(t),

@@ -370,7 +370,8 @@ func TestStreamKeyUnique(t *testing.T) {
 // replacement disks), which stay under a small fixed budget per round.
 func TestSimulateSystemAllocBudget(t *testing.T) {
 	f := fleet.BuildDefault(0.01, 17)
-	w := &worker{f: f, params: failmodel.DefaultParams(), initial: len(f.Disks)}
+	cp := f.Checkpoint()
+	w := &worker{f: f, params: failmodel.DefaultParams()}
 	root := stats.NewRNG(18).Split(streamSim)
 
 	// Warm-up: size every scratch buffer and the event slice.
@@ -382,14 +383,14 @@ func TestSimulateSystemAllocBudget(t *testing.T) {
 
 	sys := &f.Systems[len(f.Systems)/2]
 	allocs := testing.AllocsPerRun(100, func() {
+		f.Reset(cp)
 		w.events = events
-		w.arena = fleet.ReplacementArena{}
 		sysRNG := root.Split(streamKey(streamSys, sys.ID))
 		w.simulateSystem(sys, &sysRNG)
 	})
-	// Resetting the arena above makes the replacements regrow its slab —
-	// genuine output, not loop garbage. A typical system sees at most a
-	// handful of replacements.
+	// Resetting the fleet above drops each round's replacements, which
+	// the next round appends again into the slab's retained capacity.
+	// A typical system sees at most a handful of replacements.
 	const budget = 16
 	if allocs > budget {
 		t.Errorf("simulateSystem allocated %.1f times per round, budget %d", allocs, budget)

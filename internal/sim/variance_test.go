@@ -147,10 +147,10 @@ func TestStratifiedDrawLaw(t *testing.T) {
 	}
 }
 
-// TestAntitheticOptsMirrorsRun: RunWorkersOpts with Antithetic set
-// must produce a different (mirrored) history than the plain run while
-// remaining deterministic, and the zero Opts must match RunWorkers
-// exactly. This exercises the root-flip plumbing end to end.
+// TestAntitheticOptsMirrorsRun: RunOpts with Antithetic set must
+// produce a different (mirrored) history than the plain run while
+// remaining deterministic, and the zero Opts must match Run exactly.
+// This exercises the root-flip plumbing end to end.
 func TestAntitheticOptsMirrorsRun(t *testing.T) {
 	params := failmodel.DefaultParams()
 	build := func() *fleet.Fleet { return fleet.BuildDefault(0.01, 3) }
@@ -167,19 +167,19 @@ func TestAntitheticOptsMirrorsRun(t *testing.T) {
 		return true
 	}
 
-	plain := RunWorkersOpts(build(), params, 42, 2, nil, Opts{})
-	zero := RunWorkers(build(), params, 42, 2)
+	plain := RunOpts(build(), params, 42, nil, Opts{})
+	zero := Run(build(), params, 42)
 	if !sameEvents(plain, zero) {
-		t.Fatal("zero Opts diverged from RunWorkers; the gate leaks")
+		t.Fatal("zero Opts diverged from Run; the gate leaks")
 	}
 	if len(plain.Events) == 0 {
 		t.Fatal("plain run produced no events")
 	}
 
-	anti := RunWorkersOpts(build(), params, 42, 2, nil, Opts{Antithetic: true})
-	anti2 := RunWorkersOpts(build(), params, 42, 3, nil, Opts{Antithetic: true})
+	anti := RunOpts(build(), params, 42, nil, Opts{Antithetic: true})
+	anti2 := RunOpts(build(), params, 42, nil, Opts{Antithetic: true})
 	if !sameEvents(anti, anti2) {
-		t.Fatal("antithetic run differs across worker counts")
+		t.Fatal("antithetic run is not deterministic")
 	}
 	if sameEvents(anti, plain) {
 		t.Fatal("antithetic run identical to plain run; the mirror is not reaching the simulation")

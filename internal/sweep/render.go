@@ -365,7 +365,7 @@ func (r *Result) Check(cfg Config) error {
 		simSeed, anti, strata := trialVariant(run.variance, cfg.Seed, 0, trials)
 		env := experiments.RunTrial(experiments.Config{
 			Scale: run.key.Scale, Seed: cfg.Seed, Mine: run.scen.Mine, Params: run.params,
-			Workers: cfg.Workers, Antithetic: anti, Strata: strata,
+			Antithetic: anti, Strata: strata,
 		}, f, simSeed, nil)
 		vals := trialVector(env, cfg.Findings, make([]float64, 0, len(Metrics)))
 		for _, m := range ss.Metrics {

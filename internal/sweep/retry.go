@@ -138,7 +138,6 @@ func (w *trialWorker) attempt(r *scenarioRun, job, att int) (vals []float64, pan
 		Seed:       w.cfg.Seed,
 		Mine:       r.scen.Mine,
 		Params:     r.params,
-		Workers:    1,
 		Antithetic: anti,
 		Strata:     strata,
 	}, w.f, simSeed, w.scratch)

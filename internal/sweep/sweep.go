@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -206,8 +207,7 @@ type Config struct {
 	// Scale is the base population scale; scenarios may override it.
 	Scale float64
 	// Workers sizes the trial-level worker pool; <= 0 selects one per
-	// CPU (fleet.EffectiveWorkers). Results are byte-identical for
-	// every worker count.
+	// CPU. Results are byte-identical for every worker count.
 	Workers int
 	// Scenarios is the grid; Execute rejects an empty one.
 	Scenarios []Scenario
@@ -445,7 +445,7 @@ func newScenarioRun(s Scenario, cfg Config) scenarioRun {
 // BuildFleet constructs the population a FleetKey identifies — the
 // exact build every trial worker performs at a scenario boundary,
 // exported so a Config.FleetSource implementation can produce the
-// canonical fleet for keys it has not cached yet. Worker count 1:
+// canonical fleet for keys it has not cached yet. The build is serial:
 // sweep parallelism lives at the trial level.
 func BuildFleet(key FleetKey, seed int64) *fleet.Fleet {
 	profiles := fleet.DefaultProfiles()
@@ -463,7 +463,7 @@ func BuildFleet(key FleetKey, seed int64) *fleet.Fleet {
 			profiles[i].SparseShelfFraction = key.Sparse
 		}
 	}
-	return fleet.BuildWorkers(profiles, key.Scale, seed, 1)
+	return fleet.Build(profiles, key.Scale, seed)
 }
 
 // trialOut is one finished trial's metric vector, tagged with its
@@ -510,6 +510,16 @@ func newAggregators(ident CheckpointConfig) (onlines [][]stats.Online, reservoir
 		deltas = newDeltaAgg(ident.Scenarios, ident.Trials, nMet)
 	}
 	return onlines, reservoirs, points, deltas
+}
+
+// effectiveWorkers resolves a worker-count setting to a concrete pool
+// size: values <= 0 select one worker per available CPU
+// (runtime.GOMAXPROCS(0)).
+func effectiveWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }
 
 // Execute runs the sweep — the engine's one entry point — optionally
@@ -566,7 +576,7 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 		endJob = startJob
 	}
 	remaining := endJob - startJob
-	workers := fleet.EffectiveWorkers(cfg.Workers)
+	workers := effectiveWorkers(cfg.Workers)
 	if workers > remaining {
 		workers = remaining
 	}
