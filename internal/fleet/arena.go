@@ -1,6 +1,10 @@
 package fleet
 
-import "storagesubsys/internal/stats"
+import (
+	"slices"
+
+	"storagesubsys/internal/stats"
+)
 
 // This file implements the fleet construction substrate: Build fills a
 // buildArena of value slabs (systems, shelves, disks, groups plus flat
@@ -75,9 +79,9 @@ func (a *buildArena) finish(seed int64) *Fleet {
 		Seed:    seed,
 	}
 	copy(f.Disks, a.disks)
-	shelfIDs := exactCopy(a.shelfIDs)
-	groupIDs := exactCopy(a.groupIDs)
-	memberIDs := exactCopy(a.memberIDs)
+	shelfIDs := slices.Clone(a.shelfIDs)
+	groupIDs := slices.Clone(a.groupIDs)
+	memberIDs := slices.Clone(a.memberIDs)
 	for i, s := range a.systems {
 		s.Shelves = carve(shelfIDs, a.sysShelf[i].off, a.sysShelf[i].n, 0)
 		s.RAIDGroups = carve(groupIDs, a.sysGroup[i].off, a.sysGroup[i].n, 0)
@@ -97,13 +101,6 @@ func (a *buildArena) finish(seed int64) *Fleet {
 		f.Groups[i] = g
 	}
 	return f
-}
-
-// exactCopy returns a copy of s in an allocation of exactly its length.
-func exactCopy(s []int) []int {
-	out := make([]int, len(s))
-	copy(out, s)
-	return out
 }
 
 // carve materializes the n-element list at slab[lo:] as a view capped

@@ -52,10 +52,8 @@ func runDigest(res *Result) string {
 // TestRunGoldenDigest pins the simulator's complete output — event
 // stream, post-simulation disk slab, shelf mount lists — at one fleet
 // and seed under each variance mode. The digests were recorded from the
-// engine before replacements were appended to the fleet in place (when
-// a run buffered them in per-worker arenas and merged per-worker event
-// streams), so any change to them is a changed simulation, not a
-// refactor.
+// sharded engine this one replaced (equal at 1 and 3 workers), so any
+// change to them is a changed simulation, not a refactor.
 func TestRunGoldenDigest(t *testing.T) {
 	params := failmodel.DefaultParams()
 	cases := []struct {
