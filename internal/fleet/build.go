@@ -31,10 +31,15 @@ const (
 // structure (shelves, disks, RAID layout) is unchanged, so per-disk-year
 // statistics are scale-invariant up to sampling noise.
 //
-// Systems are built in (class, system) order into one arena of value
-// slabs wired by index, each system drawing from an RNG stream split
-// off the seed by (class, system ordinal). The arena is then copied
-// once into slabs of exactly the fleet's size.
+// Systems are built in (class, system) order, each drawing from an RNG
+// stream split off the seed by (class, system ordinal). Build makes two
+// passes over those streams. The census draws every system's shape
+// (drawShape) and counts the fleet's systems, shelves and disks
+// exactly, and bounds its RAID groups by each system's
+// disks/RAIDGroupSize. The fill splits the same streams again — Split
+// is a pure function of the parent key and stream, so it replays the
+// same draws — and writes every component at its index of slabs
+// allocated once at those sizes.
 func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 	if scale <= 0 {
 		panic("fleet: scale must be positive")
@@ -48,9 +53,60 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 		counts[pi] = max(1, int(math.Round(float64(p.NumSystems)*scale)))
 	}
 
-	root := stats.NewRNG(seed)
 	var b builder
-	b.arena.reserve(estimate(profiles, counts))
+	var systems, shelves, disks, groups, members int
+	churn := 0.0
+	forEachSystem(profiles, counts, seed, func(p *ClassProfile, weights []float64, r *stats.RNG) {
+		sys, n := b.drawShape(p, weights, r)
+		systems++
+		shelves += len(b.shelfDisks)
+		disks += n
+		churn += sys.expectedChurn(n)
+		if p.RAIDGroupSize > 0 {
+			g := n / p.RAIDGroupSize // every group takes RAIDGroupSize unassigned disks
+			groups += g
+			members += g * p.RAIDGroupSize
+		}
+	})
+	if disks > math.MaxInt32 {
+		panic("fleet: population exceeds the disk record's int32 component IDs")
+	}
+
+	b.f = &Fleet{
+		Systems: make([]System, systems),
+		Shelves: make([]Shelf, shelves),
+		Disks:   diskSlab(disks, churn),
+		Groups:  make([]RAIDGroup, 0, groups),
+		Seed:    seed,
+	}
+	b.shelfIDs = idRange(shelves)
+	b.groupIDs = idRange(groups)
+	b.mounts = make([]int, disks+shelves*mountRoom)
+	b.memberIDs = make([]int, 0, members)
+	forEachSystem(profiles, counts, seed, b.buildSystem)
+
+	// The last group's member list runs to the end of the member
+	// backing, so ApproxBytes, which charges member lists at capacity,
+	// charges the bound's unused tail too.
+	if g := len(b.f.Groups); g > 0 {
+		last := &b.f.Groups[g-1]
+		last.Disks = b.memberIDs[len(b.memberIDs)-len(last.Disks) : len(b.memberIDs) : cap(b.memberIDs)]
+	}
+	return b.f
+}
+
+// BuildDefault builds the default four-class fleet at the given scale.
+func BuildDefault(scale float64, seed int64) *Fleet {
+	return Build(DefaultProfiles(), scale, seed)
+}
+
+// forEachSystem calls fn with every system's profile, its class's
+// config weights and its RNG stream, in build order.
+func forEachSystem(profiles []ClassProfile, counts []int, seed int64, fn func(p *ClassProfile, weights []float64, r *stats.RNG)) {
+	root := stats.NewRNG(seed)
+	// fn is called through a func value, so the stream it is handed
+	// escapes: one variable serves every system, one allocation a pass.
+	var sysRNG stats.RNG
 	for pi := range profiles {
 		p := &profiles[pi]
 		classRNG := root.Split(streamClass | uint64(p.Class)<<8)
@@ -61,48 +117,22 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 			weights[i] = c.Weight
 		}
 		for i := 0; i < counts[pi]; i++ {
-			sysRNG := classRNG.Split(streamSystem | uint64(i)<<8)
-			b.buildSystem(p, weights, &sysRNG)
+			sysRNG = classRNG.Split(streamSystem | uint64(i)<<8)
+			fn(p, weights, &sysRNG)
 		}
 	}
-	if len(b.arena.disks) > math.MaxInt32 {
-		panic("fleet: population exceeds the disk record's int32 component IDs")
-	}
-	return b.arena.finish(seed)
 }
 
-// BuildDefault builds the default four-class fleet at the given scale.
-func BuildDefault(scale float64, seed int64) *Fleet {
-	return Build(DefaultProfiles(), scale, seed)
-}
-
-// estimate predicts the fleet's component counts from the profile
-// means, with headroom, so the arena's slabs are sized once.
-func estimate(profiles []ClassProfile, counts []int) (systems, shelves, disks, groups int) {
-	var fShelves, fDisks, fGroups float64
-	for pi := range profiles {
-		p := &profiles[pi]
-		systems += counts[pi]
-		sh := float64(counts[pi]) * p.ShelvesPerSystem
-		dk := sh * math.Min(p.DisksPerShelf, MaxDisksPerShelf)
-		fShelves += sh
-		fDisks += dk
-		if p.RAIDGroupSize > 0 {
-			fGroups += dk / float64(p.RAIDGroupSize)
-		}
-	}
-	const margin = 1.2 // drawCount spreads counts up to 1.5x the mean
-	return systems, int(fShelves*margin) + 8, int(fDisks*margin) + 8, int(fGroups*margin) + 8
-}
-
-// buildSystem appends one system — shelves, disks, RAID layout — to the
-// arena. The draw sequence is identical to the historical
-// fleet-mutating builder, so topologies are unchanged stream-for-stream.
+// drawShape makes the draws that precede a system's RAID layout, in
+// their historical order: disk/shelf config, install time, path
+// config, shelf count and each shelf's disk count. It returns the
+// system record without its ID and lists, and its disk count, and
+// leaves the per-shelf disk counts in b.shelfDisks. Build's census and
+// its fill both draw through it, so the fill writes exactly the shapes
+// the census sized.
 //
 //detlint:hotpath
-func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) {
-	a := &b.arena
-	sysID := len(a.systems)
+func (b *builder) drawShape(p *ClassProfile, weights []float64, r *stats.RNG) (System, int) {
 	cfg := p.Configs[r.Categorical(weights)]
 
 	span := simtime.StudyYears()
@@ -118,28 +148,9 @@ func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) 
 		paths = DualPath
 	}
 
-	a.systems = append(a.systems, System{
-		ID:               sysID,
-		Class:            p.Class,
-		ShelfModel:       cfg.Shelf,
-		DiskModel:        cfg.Disk,
-		Paths:            paths,
-		Install:          install,
-		ChurnPerDiskYear: p.ChurnPerDiskYear,
-	})
-	a.sysShelf = append(a.sysShelf, onwardSpan(a.shelfIDs))
-	a.sysGroup = append(a.sysGroup, onwardSpan(a.groupIDs))
-
-	sysDiskOff := len(a.disks)
-	numShelves := drawCount(p.ShelvesPerSystem, r)
-	for si := 0; si < numShelves; si++ {
-		shelfID := len(a.shelves)
-		a.shelves = append(a.shelves, Shelf{
-			ID: shelfID, System: sysID, Index: si,
-		})
-		a.shelfIDs = append(a.shelfIDs, shelfID)
-		a.shelfDisk = append(a.shelfDisk, onwardSpan(a.diskIDs))
-
+	total := 0
+	b.shelfDisks = b.shelfDisks[:0]
+	for si := drawCount(p.ShelvesPerSystem, r); si > 0; si-- {
 		// Heterogeneous shelf-size mix: a SparseShelfFraction share of
 		// shelves is built around half the class mean. The Bernoulli is
 		// only drawn when the feature is on, so default profiles consume
@@ -148,36 +159,61 @@ func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) 
 		if p.SparseShelfFraction > 0 && r.Bernoulli(p.SparseShelfFraction) {
 			meanDisks = meanDisks / 2
 		}
-		numDisks := drawCount(meanDisks, r)
-		if numDisks > MaxDisksPerShelf {
-			numDisks = MaxDisksPerShelf
-		}
-		for slot := 0; slot < numDisks; slot++ {
-			diskID := len(a.disks)
-			a.disks = append(a.disks, Disk{
+		n := min(drawCount(meanDisks, r), MaxDisksPerShelf)
+		b.shelfDisks = append(b.shelfDisks, n)
+		total += n
+	}
+	return System{
+		Class:            p.Class,
+		ShelfModel:       cfg.Shelf,
+		DiskModel:        cfg.Disk,
+		Paths:            paths,
+		Install:          install,
+		ChurnPerDiskYear: p.ChurnPerDiskYear,
+	}, total
+}
+
+// buildSystem draws one system's shape and writes the system, its
+// shelves and disks at their indexes of the fleet's slabs, carving
+// every ID list from its final backing, then lays out its RAID groups.
+//
+//detlint:hotpath
+func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) {
+	f := b.f
+	sys, _ := b.drawShape(p, weights, r)
+	sysID := b.systems
+	b.systems++
+	sys.ID = sysID
+	sys.Shelves = carve(b.shelfIDs, b.shelves, len(b.shelfDisks), 0)
+
+	sysDiskOff := b.disks
+	for si, n := range b.shelfDisks {
+		shelfID := b.shelves
+		b.shelves++
+		// Each earlier shelf's mount list is followed by mountRoom spares.
+		lo := b.disks + shelfID*mountRoom
+		for slot := 0; slot < n; slot++ {
+			f.Disks[b.disks] = Disk{
 				System:  int32(sysID),
 				Shelf:   int32(shelfID),
 				Slot:    uint8(slot),
 				RAIDGrp: -1,
-				Install: install,
+				Install: sys.Install,
 				Remove:  simtime.StudyDuration,
-			})
-			a.diskIDs = append(a.diskIDs, diskID)
+			}
+			b.mounts[lo+slot] = b.disks
+			b.disks++
 		}
-		a.shelfDisk[shelfID].n = len(a.diskIDs) - a.shelfDisk[shelfID].off
+		f.Shelves[shelfID] = Shelf{
+			ID: shelfID, System: sysID, Index: si,
+			Disks: carve(b.mounts, lo, n, mountRoom),
+		}
 	}
-	a.sysShelf[sysID].n = len(a.shelfIDs) - a.sysShelf[sysID].off
 
-	b.layoutRAIDGroups(sysID, sysDiskOff, p, r)
-	a.sysGroup[sysID].n = len(a.groupIDs) - a.sysGroup[sysID].off
-}
-
-// onwardSpan starts a span at the slab's current end; the caller sets n
-// once the component's sublist is complete.
-//
-//detlint:hotpath
-func onwardSpan(slab []int) span {
-	return span{off: len(slab)}
+	firstGroup := len(f.Groups)
+	b.layoutRAIDGroups(sysID, sys.Shelves, sysDiskOff, p, r)
+	sys.RAIDGroups = carve(b.groupIDs, firstGroup, len(f.Groups)-firstGroup, 0)
+	f.Systems[sysID] = sys
 }
 
 // drawCount draws an integer with the given mean, spread uniformly over

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"storagesubsys/internal/stats"
@@ -47,11 +48,12 @@ func fleetDigest(f *Fleet) uint64 {
 	return h.Sum64()
 }
 
-// TestBuildGoldenDigest pins the exact topologies the arena builder
-// produces to digests recorded from the legacy pointer-per-item builder
-// it replaced, proving the rewrite shifted no RNG stream. If a change
-// deliberately alters construction randomness, re-derive these digests
-// the same way the core calibration seed was re-derived.
+// TestBuildGoldenDigest pins the exact topologies Build produces to
+// digests recorded from the legacy pointer-per-item builder, proving
+// that no rewrite since — the census-and-fill build included — shifted
+// an RNG stream. If a change deliberately alters construction
+// randomness, re-derive these digests the same way the core
+// calibration seed was re-derived.
 func TestBuildGoldenDigest(t *testing.T) {
 	cases := []struct {
 		scale                           float64
@@ -79,11 +81,11 @@ func TestBuildGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestBuildSpliceOrder checks the ID invariants the arena copy
-// (finish) guarantees: components are indexed by ID, classes appear in
-// profile order, every system's shelves / disks / groups occupy
-// contiguous ID ranges in system order, and every disk's serial
-// resolves back to its ID.
+// TestBuildSpliceOrder checks the ID invariants the fill guarantees by
+// writing each component at its index in build order: components are
+// indexed by ID, classes appear in profile order, every system's
+// shelves / disks / groups occupy contiguous ID ranges in system order,
+// and every disk's serial resolves back to its ID.
 func TestBuildSpliceOrder(t *testing.T) {
 	f := BuildDefault(0.02, 42)
 	for i, s := range f.Systems {
@@ -231,5 +233,44 @@ func TestBuildAllocBudget(t *testing.T) {
 	if allocs > budget {
 		t.Errorf("build of %d systems / %d disks allocated %.0f times, budget %d",
 			len(f.Systems), len(f.Disks), allocs, budget)
+	}
+}
+
+// TestBuildAllocatesOnlyTheFleet holds Build to allocating the fleet
+// and little else: the census sizes every slab before the fill writes
+// into it, so a build's total allocation stays within a tenth of the
+// fleet's ApproxBytes plus a fixed allowance for per-class weights and
+// layout scratch, and the system and shelf slabs are exactly full.
+func TestBuildAllocatesOnlyTheFleet(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := BuildDefault(0.05, 53)
+	runtime.ReadMemStats(&after)
+
+	const scratch = 64 << 10
+	total := after.TotalAlloc - before.TotalAlloc
+	if budget := 1.1*float64(f.ApproxBytes()) + scratch; float64(total) > budget {
+		t.Errorf("build allocated %d bytes for a fleet of %d (ApproxBytes); budget %.0f",
+			total, f.ApproxBytes(), budget)
+	}
+	if cap(f.Systems) != len(f.Systems) || cap(f.Shelves) != len(f.Shelves) {
+		t.Errorf("system slab %d/%d, shelf slab %d/%d (len/cap): want exact",
+			len(f.Systems), cap(f.Systems), len(f.Shelves), cap(f.Shelves))
+	}
+}
+
+// TestDiskSlabRoom pins the default fleet's replacement room — the
+// disk slab's spare capacity, derived from the systems' expected churn
+// — below the flat eighth it replaced, and requires a clone to get the
+// room of a fresh build.
+func TestDiskSlabRoom(t *testing.T) {
+	f := BuildDefault(0.05, 53)
+	n := len(f.Disks)
+	if room := cap(f.Disks) - n; room <= n/16 || room > n/8 {
+		t.Errorf("default fleet of %d disks has room for %d replacements, want (%d, %d]",
+			n, room, n/16, n/8)
+	}
+	if c := f.Clone(); cap(c.Disks) != cap(f.Disks) {
+		t.Errorf("clone disk slab cap %d, build %d", cap(c.Disks), cap(f.Disks))
 	}
 }

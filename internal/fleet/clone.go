@@ -30,7 +30,7 @@ func (f *Fleet) Clone() *Fleet {
 	nf := &Fleet{
 		Systems: slices.Clone(f.Systems),
 		Shelves: slices.Clone(f.Shelves),
-		Disks:   diskSlab(len(f.Disks)),
+		Disks:   diskSlab(len(f.Disks), f.expectedChurn()),
 		Groups:  slices.Clone(f.Groups),
 		Seed:    f.Seed,
 	}
@@ -68,26 +68,27 @@ func repack[T any](items []T, room int, list func(*T) *[]int) {
 }
 
 // ApproxBytes estimates the fleet's resident memory: the component
-// slabs and the ID lists, the disk slab and shelf mount lists at their
-// capacity (replacement room included) — everything the fleet stores,
-// since disk IDs, serials and models are derived rather than held.
-// Built fleets and clones keep every other slab and ID backing at exact
-// length, so a byte-budgeted fleet cache charging one ApproxBytes per
-// cached fleet tracks its real cost (TestApproxBytesMatchesHeap pins a
-// build and a clone within 10% of their measured heap growth).
+// slabs and the ID lists, the disk slab and every member and mount list
+// at its capacity (replacement room included) — everything the fleet
+// stores, since disk IDs, serials and models are derived rather than
+// held. Each shelf and each group slot also holds one entry of its
+// system's ID list. A build sizes the group slab and the system group
+// lists by an upper bound on the group count, and hands the member
+// backing's unused tail to the last group's list, so charging
+// cap(f.Groups) and member capacities covers the bound's slack. A
+// byte-budgeted fleet cache charging one ApproxBytes per cached fleet
+// thus tracks its real cost (TestApproxBytesMatchesHeap pins a build
+// and a clone within 10% of their measured heap growth).
 func (f *Fleet) ApproxBytes() int {
 	n := len(f.Systems)*int(unsafe.Sizeof(System{})) +
-		len(f.Shelves)*int(unsafe.Sizeof(Shelf{})) +
+		len(f.Shelves)*(int(unsafe.Sizeof(Shelf{}))+8) +
 		cap(f.Disks)*int(unsafe.Sizeof(Disk{})) +
-		len(f.Groups)*int(unsafe.Sizeof(RAIDGroup{}))
-	for i := range f.Systems {
-		n += 8 * (len(f.Systems[i].Shelves) + len(f.Systems[i].RAIDGroups))
-	}
+		cap(f.Groups)*(int(unsafe.Sizeof(RAIDGroup{}))+8)
 	for i := range f.Shelves {
 		n += 8 * cap(f.Shelves[i].Disks)
 	}
 	for i := range f.Groups {
-		n += 8 * len(f.Groups[i].Disks)
+		n += 8 * cap(f.Groups[i].Disks)
 	}
 	return n
 }

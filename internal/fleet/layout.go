@@ -1,60 +1,6 @@
 package fleet
 
-import (
-	"slices"
-
-	"storagesubsys/internal/stats"
-)
-
-// This file implements the fleet construction substrate: Build fills a
-// buildArena of value slabs (systems, shelves, disks, groups plus flat
-// ID slices) wired by index, so constructing a system performs no
-// per-item pointer allocation, then copies the arena once into the
-// fleet's exact-length slabs (see TestBuildGoldenDigest).
-
-// span locates one component's sublist within a flat arena slab.
-// Subslices are materialized only by finish, in the fleet's slabs.
-type span struct{ off, n int }
-
-// buildArena holds everything a build constructs, with every cross
-// reference expressed as an index (a system's first shelf is the
-// shelf at that index of the shelf slab, and so on). Component values
-// live in slabs, and the []int topology lists (System.Shelves,
-// Shelf.Disks, ...) live in four flat slabs carved into subslices by
-// finish.
-type buildArena struct {
-	systems []System
-	shelves []Shelf
-	disks   []Disk
-	groups  []RAIDGroup
-
-	shelfIDs  []int // backing for System.Shelves: one entry per shelf
-	groupIDs  []int // backing for System.RAIDGroups: one entry per group
-	diskIDs   []int // backing for Shelf.Disks: one entry per disk
-	memberIDs []int // backing for RAIDGroup.Disks
-
-	sysShelf  []span // per system: its window of shelfIDs
-	sysGroup  []span // per system: its window of groupIDs
-	shelfDisk []span // per shelf: its window of diskIDs
-	groupMem  []span // per group: its window of memberIDs
-}
-
-// reserve pre-sizes the slabs for the expected component counts so the
-// steady-state build loop almost never regrows them.
-func (a *buildArena) reserve(systems, shelves, disks, groups int) {
-	a.systems = make([]System, 0, systems)
-	a.shelves = make([]Shelf, 0, shelves)
-	a.disks = make([]Disk, 0, disks)
-	a.groups = make([]RAIDGroup, 0, groups)
-	a.shelfIDs = make([]int, 0, shelves)
-	a.groupIDs = make([]int, 0, groups)
-	a.diskIDs = make([]int, 0, disks)
-	a.memberIDs = make([]int, 0, disks)
-	a.sysShelf = make([]span, 0, systems)
-	a.sysGroup = make([]span, 0, systems)
-	a.shelfDisk = make([]span, 0, shelves)
-	a.groupMem = make([]span, 0, groups)
-}
+import "storagesubsys/internal/stats"
 
 // mountRoom is the number of spare slots after each shelf's as-built
 // mount list, so Replace appends a shelf's first replacements in
@@ -63,45 +9,6 @@ func (a *buildArena) reserve(systems, shelves, disks, groups int) {
 // through a trial; without them, every shelf that received a
 // replacement would regrow its list into a fresh allocation.
 const mountRoom = 2
-
-// finish copies the arena into a fleet of exactly its size and carves
-// every ID list out of its window of one flat backing per list kind,
-// shelf mount lists each followed by mountRoom spare slots. This one
-// copy moves the build into allocations of exactly the fleet's size,
-// so the arena's over-reserved slabs become garbage rather than
-// staying resident for the fleet's lifetime.
-func (a *buildArena) finish(seed int64) *Fleet {
-	f := &Fleet{
-		Systems: make([]System, len(a.systems)),
-		Shelves: make([]Shelf, len(a.shelves)),
-		Disks:   diskSlab(len(a.disks)),
-		Groups:  make([]RAIDGroup, len(a.groups)),
-		Seed:    seed,
-	}
-	copy(f.Disks, a.disks)
-	shelfIDs := slices.Clone(a.shelfIDs)
-	groupIDs := slices.Clone(a.groupIDs)
-	memberIDs := slices.Clone(a.memberIDs)
-	for i, s := range a.systems {
-		s.Shelves = carve(shelfIDs, a.sysShelf[i].off, a.sysShelf[i].n, 0)
-		s.RAIDGroups = carve(groupIDs, a.sysGroup[i].off, a.sysGroup[i].n, 0)
-		f.Systems[i] = s
-	}
-	// The i-th shelf's mount list sits i spare runs past its arena offset.
-	mounts := make([]int, len(a.diskIDs)+len(a.shelves)*mountRoom)
-	for i, sh := range a.shelves {
-		sp := a.shelfDisk[i]
-		lo := sp.off + i*mountRoom
-		copy(mounts[lo:], a.diskIDs[sp.off:sp.off+sp.n])
-		sh.Disks = carve(mounts, lo, sp.n, mountRoom)
-		f.Shelves[i] = sh
-	}
-	for i, g := range a.groups {
-		g.Disks = carve(memberIDs, a.groupMem[i].off, a.groupMem[i].n, 0)
-		f.Groups[i] = g
-	}
-	return f
-}
 
 // carve materializes the n-element list at slab[lo:] as a view capped
 // at its room spare slots, so a later append (Replace growing
@@ -113,6 +20,17 @@ func carve(slab []int, lo, n, room int) []int {
 		return nil
 	}
 	return slab[lo : lo+n : lo+n+room]
+}
+
+// idRange returns the IDs 0..n-1. Components of one kind are numbered
+// in system order, so every system's list of them is a window of this
+// backing.
+func idRange(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 // diskQueue is a FIFO ring over one shelf's segment of the layout
@@ -146,11 +64,20 @@ func (q *diskQueue) pushBack(buf []int, v int) {
 	q.count++
 }
 
-// builder builds the fleet's systems into its arena. The scratch
-// fields are recycled across systems, so the steady-state per-system
-// loop allocates nothing.
+// builder writes a fleet's systems straight into its final slabs,
+// which Build sized exactly (or, for RAID groups, by an upper bound)
+// beforehand. The scratch fields are recycled across systems, so the
+// steady-state per-system loop allocates nothing.
 type builder struct {
-	arena buildArena
+	f                       *Fleet
+	systems, shelves, disks int // components written so far: the next IDs
+
+	shelfIDs  []int // backing for System.Shelves: idRange over the shelves
+	groupIDs  []int // backing for System.RAIDGroups: idRange over the group bound
+	mounts    []int // backing for Shelf.Disks: each list then mountRoom spare slots
+	memberIDs []int // backing for RAIDGroup.Disks, appended up to its bound
+
+	shelfDisks []int // drawShape's per-shelf disk counts
 
 	// RAID layout scratch (see layoutRAIDGroups).
 	queueBuf  []int       // flat per-shelf ring segments of unassigned disks
@@ -179,12 +106,14 @@ func growInts(s []int, n int) []int {
 // point of failure for the whole group (unless SpanShelves == 1, the
 // ablation case). The draw order — and therefore the layout — is
 // identical to the historical per-system map/queue implementation; only
-// the bookkeeping moved into recycled builder scratch.
+// the bookkeeping moved into recycled builder scratch. The system's
+// disks are the last ones written, from sysDiskOff on, and its groups
+// are appended to the fleet's group slab.
 //
 //detlint:hotpath
-func (b *builder) layoutRAIDGroups(sysID, sysDiskOff int, p *ClassProfile, r *stats.RNG) {
-	a := &b.arena
-	nShelves := a.sysShelf[sysID].n
+func (b *builder) layoutRAIDGroups(sysID int, shelves []int, sysDiskOff int, p *ClassProfile, r *stats.RNG) {
+	f := b.f
+	nShelves := len(shelves)
 	if nShelves == 0 || p.RAIDGroupSize <= 0 {
 		return
 	}
@@ -200,7 +129,7 @@ func (b *builder) layoutRAIDGroups(sysID, sysDiskOff int, p *ClassProfile, r *st
 	// scratch buffer. A group only ever draws from the spanWidth
 	// consecutive shelves of its window, so ShelvesSpanned <= spanWidth
 	// is a hard invariant (the span=1 ablation relies on it).
-	nDisks := len(a.disks) - sysDiskOff
+	nDisks := b.disks - sysDiskOff
 	b.queueBuf = growInts(b.queueBuf, nDisks)
 	b.diskShelf = growInts(b.diskShelf, nDisks)
 	if cap(b.queues) < nShelves {
@@ -214,13 +143,11 @@ func (b *builder) layoutRAIDGroups(sysID, sysDiskOff int, p *ClassProfile, r *st
 	}
 	b.shelfMark = b.shelfMark[:nShelves]
 
-	shelfBase := a.sysShelf[sysID].off
 	pos := 0
-	for i := 0; i < nShelves; i++ {
-		sd := a.shelfDisk[a.shelfIDs[shelfBase+i]]
-		b.queues[i] = diskQueue{start: pos, size: sd.n, count: sd.n}
-		for j := 0; j < sd.n; j++ {
-			id := a.diskIDs[sd.off+j]
+	for i, shelfID := range shelves {
+		ids := f.Shelves[shelfID].Disks
+		b.queues[i] = diskQueue{start: pos, size: len(ids), count: len(ids)}
+		for _, id := range ids {
 			b.queueBuf[pos] = id
 			pos++
 			b.diskShelf[id-sysDiskOff] = i
@@ -257,7 +184,7 @@ func (b *builder) layoutRAIDGroups(sysID, sysDiskOff int, p *ClassProfile, r *st
 		}
 		failedWindows = 0
 
-		groupID := len(a.groups)
+		groupID := len(f.Groups)
 		rt := RAID4
 		if r.Bernoulli(p.RAID6Fraction) {
 			rt = RAID6
@@ -272,15 +199,14 @@ func (b *builder) layoutRAIDGroups(sysID, sysDiskOff int, p *ClassProfile, r *st
 				b.shelfMark[si] = b.epoch
 				spanned++
 			}
-			a.disks[id].RAIDGrp = int32(groupID)
+			f.Disks[id].RAIDGrp = int32(groupID)
 		}
-		memOff := len(a.memberIDs)
-		a.memberIDs = append(a.memberIDs, members...)
-		a.groups = append(a.groups, RAIDGroup{
+		off := len(b.memberIDs)
+		b.memberIDs = append(b.memberIDs, members...)
+		f.Groups = append(f.Groups, RAIDGroup{
 			ID: groupID, System: sysID, Type: rt, ShelvesSpanned: spanned,
+			Disks: carve(b.memberIDs, off, len(members), 0),
 		})
-		a.groupMem = append(a.groupMem, span{off: memOff, n: len(members)})
-		a.groupIDs = append(a.groupIDs, groupID)
 		window = (window + spanWidth) % nShelves
 	}
 }

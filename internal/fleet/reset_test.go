@@ -277,3 +277,24 @@ func TestQuarantineRebuildReplaysIdentically(t *testing.T) {
 		t.Fatalf("disk-years %v after quarantine rebuild, want %v", gy, wy)
 	}
 }
+
+// TestChurnTrialKeepsDiskSlab requires the churn-x4 ops scenario's
+// first trials on a fresh fleet to fit their replacements in the room
+// the build derived from the fleet's churn, so the disk slab is never
+// regrown (and copied) while the old one is live.
+func TestChurnTrialKeepsDiskSlab(t *testing.T) {
+	profiles := fleet.DefaultProfiles()
+	for i := range profiles {
+		profiles[i].ChurnPerDiskYear *= 4
+	}
+	params := failmodel.DefaultParams()
+	for seed := int64(1); seed <= 2; seed++ {
+		f := fleet.Build(profiles, 0.05, seed)
+		n, room := len(f.Disks), cap(f.Disks)
+		sim.Run(f, params, seed)
+		if cap(f.Disks) != room {
+			t.Errorf("seed %d: %d replacements outgrew the room for %d in a fleet of %d disks",
+				seed, len(f.Disks)-n, room-n, n)
+		}
+	}
+}

@@ -12,13 +12,14 @@
 //
 // Construction is serial and allocation-lean. Every (class, system)
 // pair draws from an RNG stream split off the seed by (class, system
-// ordinal); Build fills one arena of value slabs wired by index (no
-// per-component pointer allocations, RAID layout over recycled
-// scratch) and copies it once into the fleet's exact-length slabs. The
-// paper's full ~39,000-system / ~1.7M-disk population builds in well
-// under a second on one core with a small constant number of
-// allocations (the legacy pointer-per-item builder took minutes and
-// ~95M allocations).
+// ordinal). Build replays those streams twice: a census sizes every
+// slab exactly, then a fill writes each component straight into its
+// final slab, wired by index (no per-component pointer allocations,
+// RAID layout over recycled scratch), so a build allocates little
+// beyond the fleet itself. The paper's full ~39,000-system /
+// ~1.7M-disk population builds in well under a second on one core with
+// a small constant number of allocations (the legacy pointer-per-item
+// builder took minutes and ~95M allocations).
 // Simulation appends replacement disks in place (Replace), so every
 // disk has its final ID from the moment it exists.
 package fleet
@@ -309,13 +310,36 @@ func (f *Fleet) Replace(failed int, at simtime.Seconds) int {
 }
 
 // diskSlab returns a disk slab of length n with room for one trial's
-// replacements appended in place: the calibrated model replaces about
-// 6% of the as-built population per simulated study window, so an
-// eighth more covers a default trial, and a heavy-churn scenario
-// outgrows it once and then keeps the grown slab across Resets. Without
-// the room, the first Replace into every fresh build or clone would
-// copy the whole slab to grow it.
-func diskSlab(n int) []Disk { return make([]Disk, n, n+n/8) }
+// replacements appended in place: the churn the fleet's systems expect
+// (their summed expectedChurn) plus n/16 for failure replacements, of
+// which the calibrated model makes about 6% of the as-built population
+// per simulated study window. A scenario that outgrows the room
+// regrows the slab once and then keeps the grown slab across Resets.
+// Without the room, the first Replace into every fresh build or clone
+// would copy the whole slab to grow it.
+func diskSlab(n int, churn float64) []Disk { return make([]Disk, n, n+int(churn)+n/16) }
+
+// expectedChurn is the number of non-failure replacements a system of
+// the given disk count expects over its observed years.
+func (s *System) expectedChurn(disks int) float64 {
+	return float64(disks) * s.ChurnPerDiskYear * s.ObservedYears()
+}
+
+// expectedChurn sums the systems' expectedChurn in ID order, counting
+// each system's disks through its shelves' mount lists — the same sum,
+// bit for bit, that Build forms over a pristine fleet's census.
+func (f *Fleet) expectedChurn() float64 {
+	churn := 0.0
+	for i := range f.Systems {
+		s := &f.Systems[i]
+		n := 0
+		for _, id := range s.Shelves {
+			n += len(f.Shelves[id].Disks)
+		}
+		churn += s.expectedChurn(n)
+	}
+	return churn
+}
 
 // DiskYears returns the total disk residency (in years) matching the
 // filter; a nil filter sums the whole fleet. This is the AFR denominator.
