@@ -118,8 +118,9 @@ func BenchmarkFleetClone(b *testing.B) {
 }
 
 // BenchmarkBuildFullScale constructs the paper's full 39,000-system /
-// ~1.7M-disk population, the arena builder's wall-clock and allocs/op
-// target; the legacy builder took minutes here.
+// ~1.7M-disk population: the builder's wall-clock, B/op and allocs/op
+// target (a build should allocate little beyond the fleet itself); the
+// legacy builder took minutes here.
 func BenchmarkBuildFullScale(b *testing.B) { benchmarkBuild(b, 1.0) }
 
 // benchmarkSimulate measures a full 44-month failure simulation at the

@@ -25,8 +25,9 @@
 //   - internal/stats: allocation-free splittable RNG (xoshiro256++
 //     with SplitMix64-keyed streams), distributions, MLE fitting,
 //     hypothesis tests
-//   - internal/fleet: storage system population model (zero-garbage
-//     arena builder, replacements appended in place)
+//   - internal/fleet: storage system population model (census-and-fill
+//     builder that writes every component in place, replacements
+//     appended in place)
 //   - internal/failmodel: failure taxonomy and calibrated rates
 //   - internal/sim: the failure history simulator (serial,
 //     zero-garbage per-system hot path)

@@ -44,19 +44,10 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 	if scale <= 0 {
 		panic("fleet: scale must be positive")
 	}
-	counts := make([]int, len(profiles))
-	for pi := range profiles {
-		p := &profiles[pi]
-		if len(p.Configs) == 0 {
-			panic("fleet: profile has no shelf configs")
-		}
-		counts[pi] = max(1, int(math.Round(float64(p.NumSystems)*scale)))
-	}
-
 	var b builder
 	var systems, shelves, disks, groups, members int
 	churn := 0.0
-	forEachSystem(profiles, counts, seed, func(p *ClassProfile, weights []float64, r *stats.RNG) {
+	forEachSystem(profiles, scale, seed, func(p *ClassProfile, weights []float64, r *stats.RNG) {
 		sys, n := b.drawShape(p, weights, r)
 		systems++
 		shelves += len(b.shelfDisks)
@@ -83,7 +74,7 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 	b.groupIDs = idRange(groups)
 	b.mounts = make([]int, disks+shelves*mountRoom)
 	b.memberIDs = make([]int, 0, members)
-	forEachSystem(profiles, counts, seed, b.buildSystem)
+	forEachSystem(profiles, scale, seed, b.buildSystem)
 
 	// The last group's member list runs to the end of the member
 	// backing, so ApproxBytes, which charges member lists at capacity,
@@ -102,13 +93,16 @@ func BuildDefault(scale float64, seed int64) *Fleet {
 
 // forEachSystem calls fn with every system's profile, its class's
 // config weights and its RNG stream, in build order.
-func forEachSystem(profiles []ClassProfile, counts []int, seed int64, fn func(p *ClassProfile, weights []float64, r *stats.RNG)) {
+func forEachSystem(profiles []ClassProfile, scale float64, seed int64, fn func(p *ClassProfile, weights []float64, r *stats.RNG)) {
 	root := stats.NewRNG(seed)
 	// fn is called through a func value, so the stream it is handed
 	// escapes: one variable serves every system, one allocation a pass.
 	var sysRNG stats.RNG
 	for pi := range profiles {
 		p := &profiles[pi]
+		if len(p.Configs) == 0 {
+			panic("fleet: profile has no shelf configs")
+		}
 		classRNG := root.Split(streamClass | uint64(p.Class)<<8)
 		// Config weights are hoisted out of the per-system loop so
 		// pickConfig allocates once per class, not once per system.
@@ -116,7 +110,8 @@ func forEachSystem(profiles []ClassProfile, counts []int, seed int64, fn func(p 
 		for i, c := range p.Configs {
 			weights[i] = c.Weight
 		}
-		for i := 0; i < counts[pi]; i++ {
+		n := max(1, int(math.Round(float64(p.NumSystems)*scale)))
+		for i := 0; i < n; i++ {
 			sysRNG = classRNG.Split(streamSystem | uint64(i)<<8)
 			fn(p, weights, &sysRNG)
 		}

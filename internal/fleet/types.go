@@ -311,10 +311,11 @@ func (f *Fleet) Replace(failed int, at simtime.Seconds) int {
 
 // diskSlab returns a disk slab of length n with room for one trial's
 // replacements appended in place: the churn the fleet's systems expect
-// (their summed expectedChurn) plus n/16 for failure replacements, of
-// which the calibrated model makes about 6% of the as-built population
-// per simulated study window. A scenario that outgrows the room
-// regrows the slab once and then keeps the grown slab across Resets.
+// (their summed expectedChurn) plus n/16 for failure replacements and
+// the spread of both draws. The calibrated model's failures replace
+// about 2% of the as-built disks per simulated study window (about 3%
+// with disk AFRs doubled). A scenario that outgrows the room regrows
+// the slab once and then keeps the grown slab across Resets.
 // Without the room, the first Replace into every fresh build or clone
 // would copy the whole slab to grow it.
 func diskSlab(n int, churn float64) []Disk { return make([]Disk, n, n+int(churn)+n/16) }

@@ -7,8 +7,8 @@ import (
 
 // hotallocAnalyzer guards the zero-allocation hot paths. Functions
 // annotated `//detlint:hotpath` (the per-system simulation loop, the
-// build-arena fill, the steady state of a Monte-Carlo trial) must not
-// contain allocation-causing constructs:
+// build's per-system census and fill, the steady state of a
+// Monte-Carlo trial) must not contain allocation-causing constructs:
 //
 //   - fmt.* calls (interface boxing + formatting state per call; the
 //     repository encodes disk serials with a fixed-width encoder instead);
