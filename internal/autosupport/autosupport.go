@@ -130,12 +130,13 @@ func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 	}
 	// Systems are homogeneous: every shelf and disk record carries the
 	// system's models.
-	for _, shelfID := range sys.Shelves {
-		shelf := &f.Shelves[shelfID]
-		ss := SnapshotShelf{Index: shelf.Index, Model: snap.ShelfModel}
-		for _, diskID := range shelf.Disks {
+	var ids []int
+	for shelfID := int(sys.Shelves.Lo); shelfID < int(sys.Shelves.Hi); shelfID++ {
+		ss := SnapshotShelf{Index: int(f.Shelves[shelfID].Index), Model: snap.ShelfModel}
+		ids = f.ShelfDisks(ids[:0], shelfID)
+		for _, diskID := range ids {
 			d := &f.Disks[diskID]
-			if d.Install > at || d.Remove <= at {
+			if simtime.Seconds(d.Install) > at || simtime.Seconds(d.Remove) <= at {
 				continue // not resident at snapshot time
 			}
 			ss.Disks = append(ss.Disks, SnapshotDisk{

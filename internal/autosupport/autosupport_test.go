@@ -102,12 +102,13 @@ func TestSnapshotReflectsResidency(t *testing.T) {
 			for _, sd := range shelf.Disks {
 				// Find the disk by serial and check residency.
 				found := false
-				for _, shelfID := range f.Systems[sysID].Shelves {
-					for _, diskID := range f.Shelves[shelfID].Disks {
+				for shelfID := f.Systems[sysID].Shelves.Lo; shelfID < f.Systems[sysID].Shelves.Hi; shelfID++ {
+					for _, diskID := range f.ShelfDisks(nil, int(shelfID)) {
 						d := f.Disks[diskID]
+						install, remove := simtime.Seconds(d.Install), simtime.Seconds(d.Remove)
 						if fleet.Serial(diskID) == sd.Serial {
 							found = true
-							if d.Install > at || d.Remove <= simtime.Clamp(at) && d.Remove < at {
+							if install > at || remove <= simtime.Clamp(at) && remove < at {
 								t.Fatalf("snapshot lists non-resident disk %s", sd.Serial)
 							}
 						}
@@ -134,7 +135,7 @@ func TestSnapshotMetadata(t *testing.T) {
 		if snap.DiskModel != sys.DiskModel.String() || snap.ShelfModel != string(sys.ShelfModel) {
 			t.Error("snapshot model mismatch")
 		}
-		if len(snap.Shelves) != len(sys.Shelves) {
+		if len(snap.Shelves) != sys.Shelves.Len() {
 			t.Error("snapshot shelf count mismatch")
 		}
 	}

@@ -124,13 +124,13 @@ func (ds *Dataset) tally(labels []string, key func(*fleet.System) int, fl Filter
 			b.AFR = make(map[failmodel.FailureType]float64)
 		}
 		b.Systems++
-		b.Shelves += len(s.Shelves)
-		b.Groups += len(s.RAIDGroups)
+		b.Shelves += s.Shelves.Len()
+		b.Groups += s.RAIDGroups.Len()
 	}
 
 	for i := range ds.Fleet.Disks {
 		d := &ds.Fleet.Disks[i]
-		if g := groupOf[d.System]; g >= 0 {
+		if g := groupOf[ds.Fleet.Shelves[d.Shelf].System]; g >= 0 {
 			bs[g].Disks++
 			bs[g].DiskYears += d.ResidencyYears()
 		}

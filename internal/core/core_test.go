@@ -21,24 +21,25 @@ func craftedFleet() *fleet.Fleet {
 			ID: len(f.Systems), Class: fleet.MidRange, ShelfModel: fleet.ShelfB,
 			DiskModel: model, Paths: paths, Install: 0,
 		}
-		g := fleet.RAIDGroup{ID: len(f.Groups), System: sys.ID, Type: fleet.RAID4}
-		sys.RAIDGroups = []int{g.ID}
+		g := fleet.RAIDGroup{ID: int32(len(f.Groups)), System: int32(sys.ID), Type: fleet.RAID4}
+		sys.RAIDGroups = fleet.Span{Lo: g.ID, Hi: g.ID + 1}
+		sys.Shelves = fleet.Span{Lo: int32(len(f.Shelves)), Hi: int32(len(f.Shelves) + shelves)}
+		g.Members.Lo = int32(len(f.Members))
 		for s := 0; s < shelves; s++ {
-			shelf := fleet.Shelf{ID: len(f.Shelves), System: sys.ID, Index: s}
-			sys.Shelves = append(sys.Shelves, shelf.ID)
+			shelf := fleet.Shelf{ID: int32(len(f.Shelves)), System: int32(sys.ID), Index: int32(s)}
+			shelf.Disks.Lo = int32(len(f.Disks))
 			for i := 0; i < disksPerShelf; i++ {
-				id := len(f.Disks)
+				f.Members = append(f.Members, int32(len(f.Disks)))
 				f.Disks = append(f.Disks, fleet.Disk{
-					System: int32(sys.ID), Shelf: int32(shelf.ID), Slot: uint8(i),
-					RAIDGrp: int32(g.ID),
-					Install: 0, Remove: simtime.StudyDuration,
+					Shelf: shelf.ID, Slot: uint8(i), RAIDGrp: g.ID,
+					Install: 0, Remove: int32(simtime.StudyDuration),
 				})
-				shelf.Disks = append(shelf.Disks, id)
-				g.Disks = append(g.Disks, id)
 				g.ShelvesSpanned = s + 1
 			}
+			shelf.Disks.Hi = int32(len(f.Disks))
 			f.Shelves = append(f.Shelves, shelf)
 		}
+		g.Members.Hi = int32(len(f.Members))
 		f.Groups = append(f.Groups, g)
 		f.Systems = append(f.Systems, sys)
 	}
@@ -51,7 +52,7 @@ func ev(disk int, f *fleet.Fleet, t simtime.Seconds, ft failmodel.FailureType, r
 	d := f.Disks[disk]
 	return failmodel.Event{
 		Time: t, Detected: simtime.NextScrub(t), Type: ft,
-		Cause: causeFor(ft), Disk: disk, Shelf: int(d.Shelf), System: int(d.System),
+		Cause: causeFor(ft), Disk: disk, Shelf: int(d.Shelf), System: int(f.Shelves[d.Shelf].System),
 		Group: int(d.RAIDGrp), Recovered: recovered,
 	}
 }

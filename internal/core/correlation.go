@@ -87,7 +87,7 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 				continue
 			}
 			if simtime.StudyDuration-sys.Install >= window {
-				containers[sh.ID] = containerInfo{start: sys.Install}
+				containers[int(sh.ID)] = containerInfo{start: sys.Install}
 			}
 		}
 	} else {
@@ -98,7 +98,7 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 				continue
 			}
 			if simtime.StudyDuration-sys.Install >= window {
-				containers[g.ID] = containerInfo{start: sys.Install}
+				containers[int(g.ID)] = containerInfo{start: sys.Install}
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func NewEmitter(f *fleet.Fleet) *Emitter {
 func (em *Emitter) Emit(e failmodel.Event) []Message {
 	d := &em.fleet.Disks[e.Disk]
 	shelf := &em.fleet.Shelves[e.Shelf]
-	dev := DeviceAddress(shelf.Index, int(d.Slot))
+	dev := DeviceAddress(int(shelf.Index), int(d.Slot))
 	serial := fleet.Serial(e.Disk)
 	occurred := simtime.ToWall(e.Time)
 	detected := simtime.ToWall(e.Detected)

@@ -190,7 +190,7 @@ func (rv *Resolver) Resolve(p ParsedFailure) (failmodel.Event, bool) {
 		Cause:    defaultCauseFor(p.Type),
 		Disk:     id,
 		Shelf:    int(d.Shelf),
-		System:   int(d.System),
+		System:   int(rv.fleet.Shelves[d.Shelf].System),
 		Group:    int(d.RAIDGrp),
 	}, true
 }

@@ -59,8 +59,8 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 			members += g * p.RAIDGroupSize
 		}
 	})
-	if disks > math.MaxInt32 {
-		panic("fleet: population exceeds the disk record's int32 component IDs")
+	if max(disks, shelves, groups, members) > math.MaxInt32 {
+		panic("fleet: population exceeds the int32 component IDs of its records")
 	}
 
 	b.f = &Fleet{
@@ -68,21 +68,10 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 		Shelves: make([]Shelf, shelves),
 		Disks:   diskSlab(disks, churn),
 		Groups:  make([]RAIDGroup, 0, groups),
+		Members: make([]int32, 0, members),
 		Seed:    seed,
 	}
-	b.shelfIDs = idRange(shelves)
-	b.groupIDs = idRange(groups)
-	b.mounts = make([]int, disks+shelves*mountRoom)
-	b.memberIDs = make([]int, 0, members)
 	forEachSystem(profiles, scale, seed, b.buildSystem)
-
-	// The last group's member list runs to the end of the member
-	// backing, so ApproxBytes, which charges member lists at capacity,
-	// charges the bound's unused tail too.
-	if g := len(b.f.Groups); g > 0 {
-		last := &b.f.Groups[g-1]
-		last.Disks = b.memberIDs[len(b.memberIDs)-len(last.Disks) : len(b.memberIDs) : cap(b.memberIDs)]
-	}
 	return b.f
 }
 
@@ -137,6 +126,9 @@ func (b *builder) drawShape(p *ClassProfile, weights []float64, r *stats.RNG) (S
 	if install >= simtime.StudyDuration {
 		install = simtime.StudyDuration - simtime.SecondsPerDay
 	}
+	if int64(int32(install)) != install {
+		panic("fleet: install time outside the disk record's int32 seconds")
+	}
 
 	paths := SinglePath
 	if r.Bernoulli(p.DualPathFraction) {
@@ -169,8 +161,9 @@ func (b *builder) drawShape(p *ClassProfile, weights []float64, r *stats.RNG) (S
 }
 
 // buildSystem draws one system's shape and writes the system, its
-// shelves and disks at their indexes of the fleet's slabs, carving
-// every ID list from its final backing, then lays out its RAID groups.
+// shelves and disks at their indexes of the fleet's slabs, then lays
+// out its RAID groups. Components are numbered in write order, so each
+// of the system's lists is a span.
 //
 //detlint:hotpath
 func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) {
@@ -179,35 +172,32 @@ func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) 
 	sysID := b.systems
 	b.systems++
 	sys.ID = sysID
-	sys.Shelves = carve(b.shelfIDs, b.shelves, len(b.shelfDisks), 0)
+	sys.Shelves = Span{int32(b.shelves), int32(b.shelves + len(b.shelfDisks))}
 
 	sysDiskOff := b.disks
 	for si, n := range b.shelfDisks {
 		shelfID := b.shelves
 		b.shelves++
-		// Each earlier shelf's mount list is followed by mountRoom spares.
-		lo := b.disks + shelfID*mountRoom
+		lo := b.disks
 		for slot := 0; slot < n; slot++ {
 			f.Disks[b.disks] = Disk{
-				System:  int32(sysID),
 				Shelf:   int32(shelfID),
 				Slot:    uint8(slot),
 				RAIDGrp: -1,
-				Install: sys.Install,
-				Remove:  simtime.StudyDuration,
+				Install: int32(sys.Install),
+				Remove:  int32(simtime.StudyDuration),
 			}
-			b.mounts[lo+slot] = b.disks
 			b.disks++
 		}
 		f.Shelves[shelfID] = Shelf{
-			ID: shelfID, System: sysID, Index: si,
-			Disks: carve(b.mounts, lo, n, mountRoom),
+			ID: int32(shelfID), System: int32(sysID), Index: int32(si),
+			Disks: Span{int32(lo), int32(b.disks)},
 		}
 	}
 
 	firstGroup := len(f.Groups)
 	b.layoutRAIDGroups(sysID, sys.Shelves, sysDiskOff, p, r)
-	sys.RAIDGroups = carve(b.groupIDs, firstGroup, len(f.Groups)-firstGroup, 0)
+	sys.RAIDGroups = Span{int32(firstGroup), int32(len(f.Groups))}
 	f.Systems[sysID] = sys
 }
 

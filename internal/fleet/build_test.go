@@ -12,9 +12,11 @@ import (
 
 // fleetDigest hashes every field of every component in ID order, so two
 // fleets digest equal iff they are bit-identical topologies. Disk IDs
-// (each disk's index), shelf and disk models and disk serials are hashed
-// from the derived values, in the byte order the digests were recorded
-// with when they were stored per component.
+// (each disk's index), each disk's system, shelf and disk models, disk
+// serials and every ID list — a system's shelves and groups, a shelf's
+// mounted disks (ShelfDisks), a group's members — are hashed from the
+// derived values, in the byte order the digests were recorded with when
+// they were stored per component.
 func fleetDigest(f *Fleet) uint64 {
 	h := fnv.New64a()
 	w := func(vs ...int) {
@@ -24,26 +26,34 @@ func fleetDigest(f *Fleet) uint64 {
 			h.Write(b[:])
 		}
 	}
+	span := func(s Span) {
+		for id := s.Lo; id < s.Hi; id++ {
+			w(int(id))
+		}
+	}
 	for _, s := range f.Systems {
 		w(s.ID, int(s.Class), int(s.Paths), int(s.Install))
 		h.Write([]byte(s.ShelfModel))
 		h.Write([]byte(s.DiskModel.String()))
-		w(s.Shelves...)
-		w(s.RAIDGroups...)
+		span(s.Shelves)
+		span(s.RAIDGroups)
 	}
 	for _, sh := range f.Shelves {
-		w(sh.ID, sh.System, sh.Index)
+		w(int(sh.ID), int(sh.System), int(sh.Index))
 		h.Write([]byte(f.Systems[sh.System].ShelfModel))
-		w(sh.Disks...)
+		w(f.ShelfDisks(nil, int(sh.ID))...)
 	}
 	for id, d := range f.Disks {
-		w(id, int(d.System), int(d.Shelf), int(d.Slot), int(d.RAIDGrp), int(d.Install), int(d.Remove))
+		sys := int(f.Shelves[d.Shelf].System)
+		w(id, sys, int(d.Shelf), int(d.Slot), int(d.RAIDGrp), int(d.Install), int(d.Remove))
 		h.Write(AppendSerial(nil, id))
-		h.Write([]byte(f.Systems[d.System].DiskModel.String()))
+		h.Write([]byte(f.Systems[sys].DiskModel.String()))
 	}
 	for _, g := range f.Groups {
-		w(g.ID, g.System, int(g.Type), g.ShelvesSpanned)
-		w(g.Disks...)
+		w(int(g.ID), int(g.System), int(g.Type), g.ShelvesSpanned)
+		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
+			w(int(id))
+		}
 	}
 	return h.Sum64()
 }
@@ -98,35 +108,45 @@ func TestBuildSpliceOrder(t *testing.T) {
 		}
 	}
 	for i, sh := range f.Shelves {
-		if sh.ID != i {
+		if int(sh.ID) != i {
 			t.Fatalf("shelf at index %d has ID %d", i, sh.ID)
 		}
 	}
 	for i, g := range f.Groups {
-		if g.ID != i {
+		if int(g.ID) != i {
 			t.Fatalf("group at index %d has ID %d", i, g.ID)
 		}
 	}
-	nextShelf, nextDisk, nextGroup := 0, 0, 0
+	nextShelf, nextDisk, nextGroup, nextMember := 0, 0, 0, 0
 	for _, s := range f.Systems {
-		for _, shelfID := range s.Shelves {
-			if shelfID != nextShelf {
-				t.Fatalf("system %d shelf ID %d, want contiguous %d", s.ID, shelfID, nextShelf)
+		if int(s.Shelves.Lo) != nextShelf || int(s.RAIDGroups.Lo) != nextGroup {
+			t.Fatalf("system %d spans shelves %v, groups %v; want them to start at %d, %d",
+				s.ID, s.Shelves, s.RAIDGroups, nextShelf, nextGroup)
+		}
+		for _, sh := range f.Shelves[s.Shelves.Lo:s.Shelves.Hi] {
+			if int(sh.System) != s.ID || int(sh.Disks.Lo) != nextDisk {
+				t.Fatalf("shelf %d: system %d, disks %v; want system %d, disks from %d",
+					sh.ID, sh.System, sh.Disks, s.ID, nextDisk)
+			}
+			for id := sh.Disks.Lo; id < sh.Disks.Hi; id++ {
+				if f.Disks[id].Shelf != sh.ID {
+					t.Fatalf("disk %d in shelf %d's span names shelf %d", id, sh.ID, f.Disks[id].Shelf)
+				}
 			}
 			nextShelf++
-			for _, diskID := range f.Shelves[shelfID].Disks {
-				if diskID != nextDisk {
-					t.Fatalf("shelf %d disk ID %d, want contiguous %d", shelfID, diskID, nextDisk)
-				}
-				nextDisk++
-			}
+			nextDisk = int(sh.Disks.Hi)
 		}
-		for _, groupID := range s.RAIDGroups {
-			if groupID != nextGroup {
-				t.Fatalf("system %d group ID %d, want contiguous %d", s.ID, groupID, nextGroup)
+		for _, g := range f.Groups[s.RAIDGroups.Lo:s.RAIDGroups.Hi] {
+			if int(g.System) != s.ID || int(g.Members.Lo) != nextMember {
+				t.Fatalf("group %d: system %d, members %v; want system %d, members from %d",
+					g.ID, g.System, g.Members, s.ID, nextMember)
 			}
 			nextGroup++
+			nextMember = int(g.Members.Hi)
 		}
+	}
+	if nextMember != len(f.Members) {
+		t.Fatalf("groups span %d members, want %d", nextMember, len(f.Members))
 	}
 	if nextShelf != len(f.Shelves) || nextDisk != len(f.Disks) || nextGroup != len(f.Groups) {
 		t.Fatalf("systems span %d/%d/%d components, want %d/%d/%d",
@@ -138,8 +158,8 @@ func TestBuildSpliceOrder(t *testing.T) {
 		}
 	}
 	for _, g := range f.Groups {
-		for _, diskID := range g.Disks {
-			if int(f.Disks[diskID].RAIDGrp) != g.ID {
+		for _, diskID := range f.Members[g.Members.Lo:g.Members.Hi] {
+			if f.Disks[diskID].RAIDGrp != g.ID {
 				t.Fatalf("group %d member %d points at group %d", g.ID, diskID, f.Disks[diskID].RAIDGrp)
 			}
 		}
@@ -211,7 +231,7 @@ func TestBuildSmallMeanProfile(t *testing.T) {
 			len(f.Systems), len(f.Shelves), len(f.Disks))
 	}
 	for _, g := range f.Groups {
-		if len(g.Disks) != 1 || g.ShelvesSpanned != 1 {
+		if g.Members.Len() != 1 || g.ShelvesSpanned != 1 {
 			t.Fatalf("group %+v, want singleton", g)
 		}
 	}

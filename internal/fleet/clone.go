@@ -14,10 +14,9 @@ import (
 )
 
 // Clone returns a deep copy of the fleet that shares no mutable state
-// with the original: the four component slabs are copied (the disk slab
-// with a build's replacement room), and every ID list (shelf mount
-// lists, system shelf/group lists, RAID group membership) is copied into
-// one flat backing per list kind, so simulating against the clone —
+// with the original: the five slabs are copied, the disk slab with a
+// build's replacement room. Topology is addressed by spans and indexes,
+// which stay valid in the copies, so simulating against the clone —
 // failing disks, appending replacements, Reset — never touches the
 // original.
 //
@@ -32,63 +31,26 @@ func (f *Fleet) Clone() *Fleet {
 		Shelves: slices.Clone(f.Shelves),
 		Disks:   diskSlab(len(f.Disks), f.expectedChurn()),
 		Groups:  slices.Clone(f.Groups),
+		Members: slices.Clone(f.Members),
 		Seed:    f.Seed,
 	}
 	copy(nf.Disks, f.Disks)
-	repack(nf.Systems, 0, func(s *System) *[]int { return &s.Shelves })
-	repack(nf.Systems, 0, func(s *System) *[]int { return &s.RAIDGroups })
-	repack(nf.Shelves, mountRoom, func(sh *Shelf) *[]int { return &sh.Disks })
-	repack(nf.Groups, 0, func(g *RAIDGroup) *[]int { return &g.Disks })
 	return nf
 }
 
-// repack replaces the ID list that list selects in every item with a
-// copy carved out of one exact-length backing, each copy followed by
-// room spare slots — the layout a build leaves — so a clone costs four
-// ID allocations rather than one per list. Empty lists become nil, as
-// in a build.
-func repack[T any](items []T, room int, list func(*T) *[]int) {
-	n := 0
-	for i := range items {
-		if l := len(*list(&items[i])); l > 0 {
-			n += l + room
-		}
-	}
-	slab := make([]int, n)
-	off := 0
-	for i := range items {
-		l := list(&items[i])
-		if len(*l) == 0 {
-			*l = nil
-			continue
-		}
-		*l = carve(slab, off, copy(slab[off:], *l), room)
-		off += len(*l) + room
-	}
-}
-
-// ApproxBytes estimates the fleet's resident memory: the component
-// slabs and the ID lists, the disk slab and every member and mount list
-// at its capacity (replacement room included) — everything the fleet
-// stores, since disk IDs, serials and models are derived rather than
-// held. Each shelf and each group slot also holds one entry of its
-// system's ID list. A build sizes the group slab and the system group
-// lists by an upper bound on the group count, and hands the member
-// backing's unused tail to the last group's list, so charging
-// cap(f.Groups) and member capacities covers the bound's slack. A
-// byte-budgeted fleet cache charging one ApproxBytes per cached fleet
-// thus tracks its real cost (TestApproxBytesMatchesHeap pins a build
-// and a clone within 10% of their measured heap growth).
+// ApproxBytes estimates the fleet's resident memory: the capacities of
+// its five slabs, the disk slab's replacement room included. That is
+// everything the fleet stores, since disk IDs, serials, models and
+// topology lists are derived rather than held. A build sizes the group
+// and member slabs by an upper bound on the group count, so charging
+// capacities covers the bound's slack. A byte-budgeted fleet cache
+// charging one ApproxBytes per cached fleet thus tracks its real cost
+// (TestApproxBytesMatchesHeap pins a build and a clone within 10% of
+// their measured heap growth).
 func (f *Fleet) ApproxBytes() int {
-	n := len(f.Systems)*int(unsafe.Sizeof(System{})) +
-		len(f.Shelves)*(int(unsafe.Sizeof(Shelf{}))+8) +
+	return cap(f.Systems)*int(unsafe.Sizeof(System{})) +
+		cap(f.Shelves)*int(unsafe.Sizeof(Shelf{})) +
 		cap(f.Disks)*int(unsafe.Sizeof(Disk{})) +
-		cap(f.Groups)*(int(unsafe.Sizeof(RAIDGroup{}))+8)
-	for i := range f.Shelves {
-		n += 8 * cap(f.Shelves[i].Disks)
-	}
-	for i := range f.Groups {
-		n += 8 * cap(f.Groups[i].Disks)
-	}
-	return n
+		cap(f.Groups)*int(unsafe.Sizeof(RAIDGroup{})) +
+		cap(f.Members)*int(unsafe.Sizeof(int32(0)))
 }

@@ -29,16 +29,16 @@ func TestCloneMutationIsolation(t *testing.T) {
 	ref := fleet.BuildDefault(0.002, 11)
 	c := f.Clone()
 
-	// Mutate the clone the way a trial does: end a residency, install a
-	// replacement (which also appends to the shelf mount list), and
-	// touch per-system/group ID slices.
+	// Mutate the clone the way a trial does — end a residency, install a
+	// replacement — and touch every span and the member slab.
 	d := &c.Disks[0]
-	d.Remove = simtime.SecondsPerYear
+	d.Remove = int32(simtime.SecondsPerYear)
 	d.Replaced = true
 	c.Replace(0, simtime.SecondsPerYear+500)
-	c.Shelves[0].Disks = append(c.Shelves[0].Disks, -999)
-	c.Systems[0].Shelves = append(c.Systems[0].Shelves, -999)
-	c.Groups[0].Disks = append(c.Groups[0].Disks, -999)
+	c.Shelves[0].Disks.Hi++
+	c.Systems[0].Shelves.Hi++
+	c.Groups[0].Members.Hi++
+	c.Members[0] = -999
 
 	if !reflect.DeepEqual(f, ref) {
 		t.Fatal("mutating the clone changed the original fleet")
@@ -48,8 +48,8 @@ func TestCloneMutationIsolation(t *testing.T) {
 	// pristine twin untouched.
 	c2 := f.Clone()
 	f.Disks[1].Replaced = true
-	f.Shelves[1].Disks = append(f.Shelves[1].Disks, -1)
-	if c2.Disks[1].Replaced || c2.Shelves[1].Disks[len(c2.Shelves[1].Disks)-1] == -1 {
+	f.Members[1] = -1
+	if c2.Disks[1].Replaced || c2.Members[1] == -1 {
 		t.Fatal("mutating the original changed the clone")
 	}
 }

@@ -20,7 +20,7 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatal("same seed must build the same fleet")
 	}
 	for i := range a.Disks {
-		if a.Disks[i].System != b.Disks[i].System || a.Disks[i].Shelf != b.Disks[i].Shelf {
+		if a.Disks[i] != b.Disks[i] {
 			t.Fatal("disk placement must be deterministic")
 		}
 	}
@@ -87,33 +87,25 @@ func TestTopologyInvariants(t *testing.T) {
 		if d.Slot >= MaxDisksPerShelf {
 			t.Fatalf("disk %d slot %d out of range", id, d.Slot)
 		}
-		sh := f.Shelves[d.Shelf]
-		if sh.System != int(d.System) {
-			t.Fatalf("disk %d shelf/system mismatch", id)
+		if sh := f.Shelves[d.Shelf]; id < int(sh.Disks.Lo) || id >= int(sh.Disks.Hi) {
+			t.Fatalf("disk %d lies outside its shelf's span %v", id, sh.Disks)
 		}
-		if d.Install < 0 || d.Remove > simtime.StudyDuration || d.Remove < d.Install {
+		if d.Install < 0 || simtime.Seconds(d.Remove) > simtime.StudyDuration || d.Remove < d.Install {
 			t.Fatalf("disk %d residency [%d, %d] invalid", id, d.Install, d.Remove)
 		}
 		if d.RAIDGrp >= 0 {
 			g := f.Groups[d.RAIDGrp]
-			found := false
-			for _, member := range g.Disks {
-				if member == id {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(f.Members[g.Members.Lo:g.Members.Hi], int32(id)) {
 				t.Fatalf("disk %d claims group %d but is not a member", id, d.RAIDGrp)
 			}
 		}
 	}
 	for _, sh := range f.Shelves {
-		if len(sh.Disks) > MaxDisksPerShelf {
-			t.Fatalf("shelf %d has %d disks (max %d)", sh.ID, len(sh.Disks), MaxDisksPerShelf)
+		if sh.Disks.Len() > MaxDisksPerShelf {
+			t.Fatalf("shelf %d has %d disks (max %d)", sh.ID, sh.Disks.Len(), MaxDisksPerShelf)
 		}
 		slots := map[uint8]bool{}
-		for _, id := range sh.Disks {
+		for id := sh.Disks.Lo; id < sh.Disks.Hi; id++ {
 			d := f.Disks[id]
 			if slots[d.Slot] {
 				t.Fatalf("shelf %d slot %d double-occupied at build time", sh.ID, d.Slot)
@@ -122,7 +114,7 @@ func TestTopologyInvariants(t *testing.T) {
 		}
 	}
 	for _, sys := range f.Systems {
-		if len(sys.Shelves) == 0 {
+		if sys.Shelves.Len() == 0 {
 			t.Fatalf("system %d has no shelves", sys.ID)
 		}
 		if sys.DiskModel == (DiskModel{}) {
@@ -142,13 +134,13 @@ func TestRAIDGroupLayout(t *testing.T) {
 	for _, g := range f.Groups {
 		sys := f.Systems[g.System]
 		p := profileByClass[sys.Class]
-		if len(g.Disks) != p.RAIDGroupSize {
-			t.Fatalf("group %d (%s) has %d disks, want %d", g.ID, sys.Class, len(g.Disks), p.RAIDGroupSize)
+		if g.Members.Len() != p.RAIDGroupSize {
+			t.Fatalf("group %d (%s) has %d disks, want %d", g.ID, sys.Class, g.Members.Len(), p.RAIDGroupSize)
 		}
 		// Members must belong to the owning system.
 		shelves := map[int]bool{}
-		for _, id := range g.Disks {
-			if int(f.Disks[id].System) != g.System {
+		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
+			if f.Shelves[f.Disks[id].Shelf].System != g.System {
 				t.Fatalf("group %d member from another system", g.ID)
 			}
 			shelves[int(f.Disks[id].Shelf)] = true
@@ -157,7 +149,7 @@ func TestRAIDGroupLayout(t *testing.T) {
 			t.Fatalf("group %d spanned count %d, want %d", g.ID, g.ShelvesSpanned, len(shelves))
 		}
 		spanned += float64(g.ShelvesSpanned)
-		if len(sys.Shelves) >= 3 {
+		if sys.Shelves.Len() >= 3 {
 			multi++
 			if g.ShelvesSpanned > 3 {
 				t.Fatalf("group %d spans %d shelves, profile says 3", g.ID, g.ShelvesSpanned)
@@ -243,10 +235,10 @@ func TestAddReplacementDisk(t *testing.T) {
 		t.Fatalf("replacement ID %d in %d disks, want the new last index %d", id, len(f.Disks), before)
 	}
 	nd := f.Disks[id]
-	if nd.System != orig.System || nd.Shelf != orig.Shelf || nd.Slot != orig.Slot || nd.RAIDGrp != orig.RAIDGrp {
-		t.Error("replacement must inherit system/shelf/slot/group")
+	if nd.Shelf != orig.Shelf || nd.Slot != orig.Slot || nd.RAIDGrp != orig.RAIDGrp {
+		t.Error("replacement must inherit shelf/slot/group")
 	}
-	if nd.Install != at || nd.Remove != simtime.StudyDuration || nd.Replaced {
+	if simtime.Seconds(nd.Install) != at || simtime.Seconds(nd.Remove) != simtime.StudyDuration || nd.Replaced {
 		t.Error("replacement residency wrong")
 	}
 	if f.Disks[0] != orig {
@@ -255,26 +247,25 @@ func TestAddReplacementDisk(t *testing.T) {
 	if got, ok := ParseSerial(Serial(id), len(f.Disks)); !ok || got != id {
 		t.Errorf("replacement %d: serial resolves to (%d, %v)", id, got, ok)
 	}
-	mounts := f.Shelves[orig.Shelf].Disks
-	if mounts[len(mounts)-1] != id {
-		t.Error("replacement not appended to its shelf's mount list")
+	if mounts := f.ShelfDisks(nil, int(orig.Shelf)); mounts[len(mounts)-1] != id {
+		t.Error("replacement not listed last among its shelf's disks")
 	}
 }
 
 // TestReplaceChainGrowth drives the simulator's slot chain — each
 // replacement fails in turn and is replaced, Replace reading the failed
 // record out of the slab it appends to — long enough that the disk slab
-// regrows mid-chain, and requires exactly the records and mount list a
-// fleet with room for the whole chain produces.
+// regrows mid-chain, and requires exactly the records and shelf disk
+// list a fleet with room for the whole chain produces.
 func TestReplaceChainGrowth(t *testing.T) {
 	const n, room = 500, 250
 	chain := func(f *Fleet) {
 		cur := f.Replace(7, 100)
 		for k := 1; k < n; k++ {
 			d := &f.Disks[cur]
-			d.Remove = d.Install + simtime.Seconds(k)
+			d.Remove = d.Install + int32(k)
 			d.Replaced = true
-			cur = f.Replace(cur, d.Remove+10)
+			cur = f.Replace(cur, simtime.Seconds(d.Remove)+10)
 		}
 	}
 
@@ -293,8 +284,8 @@ func TestReplaceChainGrowth(t *testing.T) {
 		t.Fatal("a chain that regrew the disk slab differs from one with room for it")
 	}
 	shelf := grown.Disks[7].Shelf
-	if !slices.Equal(grown.Shelves[shelf].Disks, roomy.Shelves[shelf].Disks) {
-		t.Fatal("a chain that regrew the disk slab left a different mount list")
+	if !slices.Equal(grown.ShelfDisks(nil, int(shelf)), roomy.ShelfDisks(nil, int(shelf))) {
+		t.Fatal("a chain that regrew the disk slab left a different shelf disk list")
 	}
 	for k := 1; k < n; k++ {
 		prev, d := grown.Disks[base+k-1], grown.Disks[base+k]
@@ -310,8 +301,9 @@ func TestDiskYears(t *testing.T) {
 	if all <= 0 {
 		t.Fatal("fleet disk-years must be positive")
 	}
-	sata := f.DiskYears(func(d *Disk) bool { return f.Systems[d.System].DiskModel.Type == SATA })
-	fc := f.DiskYears(func(d *Disk) bool { return f.Systems[d.System].DiskModel.Type == FC })
+	typeOf := func(d *Disk) DiskType { return f.Systems[f.Shelves[d.Shelf].System].DiskModel.Type }
+	sata := f.DiskYears(func(d *Disk) bool { return typeOf(d) == SATA })
+	fc := f.DiskYears(func(d *Disk) bool { return typeOf(d) == FC })
 	if math.Abs(sata+fc-all) > 1e-6 {
 		t.Error("SATA + FC disk-years must sum to the total")
 	}
@@ -324,6 +316,21 @@ func TestBuildPanicsOnBadScale(t *testing.T) {
 		}
 	}()
 	BuildDefault(0, 1)
+}
+
+// TestBuildPanicsOnInstallOverflow requires a profile whose install
+// window reaches past the disk record's int32 seconds to panic, not to
+// wrap its install times.
+func TestBuildPanicsOnInstallOverflow(t *testing.T) {
+	profiles := DefaultProfiles()[:1]
+	profiles[0].InstallWindow.Start = -100 // a century of study windows before the study
+	profiles[0].InstallWindow.End = -99
+	defer func() {
+		if recover() == nil {
+			t.Error("an install time outside int32 seconds should panic")
+		}
+	}()
+	Build(profiles, 0.01, 1)
 }
 
 func TestEnumStrings(t *testing.T) {

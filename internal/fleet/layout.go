@@ -2,37 +2,6 @@ package fleet
 
 import "storagesubsys/internal/stats"
 
-// mountRoom is the number of spare slots after each shelf's as-built
-// mount list, so Replace appends a shelf's first replacements in
-// place. The calibrated model replaces under one disk per shelf per
-// simulated study window, so two slots carry nearly every shelf
-// through a trial; without them, every shelf that received a
-// replacement would regrow its list into a fresh allocation.
-const mountRoom = 2
-
-// carve materializes the n-element list at slab[lo:] as a view capped
-// at its room spare slots, so a later append (Replace growing
-// Shelf.Disks) past the room reallocates instead of clobbering the
-// next component's IDs. Empty lists stay nil, matching what an
-// append-driven build leaves behind.
-func carve(slab []int, lo, n, room int) []int {
-	if n == 0 {
-		return nil
-	}
-	return slab[lo : lo+n : lo+n+room]
-}
-
-// idRange returns the IDs 0..n-1. Components of one kind are numbered
-// in system order, so every system's list of them is a window of this
-// backing.
-func idRange(n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
 // diskQueue is a FIFO ring over one shelf's segment of the layout
 // scratch buffer. A RAID-group window draw pops unassigned disks from
 // the front; a failed window returns its draws to the back. Returned
@@ -72,11 +41,6 @@ type builder struct {
 	f                       *Fleet
 	systems, shelves, disks int // components written so far: the next IDs
 
-	shelfIDs  []int // backing for System.Shelves: idRange over the shelves
-	groupIDs  []int // backing for System.RAIDGroups: idRange over the group bound
-	mounts    []int // backing for Shelf.Disks: each list then mountRoom spare slots
-	memberIDs []int // backing for RAIDGroup.Disks, appended up to its bound
-
 	shelfDisks []int // drawShape's per-shelf disk counts
 
 	// RAID layout scratch (see layoutRAIDGroups).
@@ -111,9 +75,9 @@ func growInts(s []int, n int) []int {
 // are appended to the fleet's group slab.
 //
 //detlint:hotpath
-func (b *builder) layoutRAIDGroups(sysID int, shelves []int, sysDiskOff int, p *ClassProfile, r *stats.RNG) {
+func (b *builder) layoutRAIDGroups(sysID int, shelves Span, sysDiskOff int, p *ClassProfile, r *stats.RNG) {
 	f := b.f
-	nShelves := len(shelves)
+	nShelves := shelves.Len()
 	if nShelves == 0 || p.RAIDGroupSize <= 0 {
 		return
 	}
@@ -144,10 +108,10 @@ func (b *builder) layoutRAIDGroups(sysID int, shelves []int, sysDiskOff int, p *
 	b.shelfMark = b.shelfMark[:nShelves]
 
 	pos := 0
-	for i, shelfID := range shelves {
-		ids := f.Shelves[shelfID].Disks
-		b.queues[i] = diskQueue{start: pos, size: len(ids), count: len(ids)}
-		for _, id := range ids {
+	for i, sh := range f.Shelves[shelves.Lo:shelves.Hi] {
+		n := sh.Disks.Len()
+		b.queues[i] = diskQueue{start: pos, size: n, count: n}
+		for id := int(sh.Disks.Lo); id < int(sh.Disks.Hi); id++ {
 			b.queueBuf[pos] = id
 			pos++
 			b.diskShelf[id-sysDiskOff] = i
@@ -200,12 +164,11 @@ func (b *builder) layoutRAIDGroups(sysID int, shelves []int, sysDiskOff int, p *
 				spanned++
 			}
 			f.Disks[id].RAIDGrp = int32(groupID)
+			f.Members = append(f.Members, int32(id))
 		}
-		off := len(b.memberIDs)
-		b.memberIDs = append(b.memberIDs, members...)
 		f.Groups = append(f.Groups, RAIDGroup{
-			ID: groupID, System: sysID, Type: rt, ShelvesSpanned: spanned,
-			Disks: carve(b.memberIDs, off, len(members), 0),
+			ID: int32(groupID), System: int32(sysID), Type: rt, ShelvesSpanned: spanned,
+			Members: Span{int32(len(f.Members) - len(members)), int32(len(f.Members))},
 		})
 		window = (window + spanWidth) % nShelves
 	}

@@ -7,6 +7,7 @@ package fleet_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"storagesubsys/internal/failmodel"
@@ -26,9 +27,9 @@ func TestCheckpointReset(t *testing.T) {
 
 	// Simulate the mutations a trial performs: fail and replace a few
 	// disks (the replacement then churns out too), across two shelves.
-	for _, id := range []int{0, 1, f.Shelves[1].Disks[0]} {
+	for _, id := range []int{0, 1, int(f.Shelves[1].Disks.Lo)} {
 		d := &f.Disks[id]
-		d.Remove = simtime.SecondsPerYear
+		d.Remove = int32(simtime.SecondsPerYear)
 		d.Replaced = true
 		f.Replace(id, simtime.SecondsPerYear+1000)
 	}
@@ -47,14 +48,11 @@ func TestCheckpointReset(t *testing.T) {
 		}
 	}
 	for i, sh := range f.Shelves {
-		want := ref.Shelves[i]
-		if len(sh.Disks) != len(want.Disks) {
-			t.Fatalf("shelf %d: %d disks, want %d", i, len(sh.Disks), len(want.Disks))
+		if want := ref.Shelves[i]; sh != want {
+			t.Fatalf("shelf %d = %+v, want %+v", i, sh, want)
 		}
-		for j := range sh.Disks {
-			if sh.Disks[j] != want.Disks[j] {
-				t.Fatalf("shelf %d disk %d: %d, want %d", i, j, sh.Disks[j], want.Disks[j])
-			}
+		if got, want := f.ShelfDisks(nil, i), ref.ShelfDisks(nil, i); !slices.Equal(got, want) {
+			t.Fatalf("shelf %d disks %v, want %v", i, got, want)
 		}
 	}
 	if gy, wy := f.DiskYears(nil), ref.DiskYears(nil); gy != wy {
@@ -248,14 +246,14 @@ func TestQuarantineRebuildReplaysIdentically(t *testing.T) {
 
 	// The victim: a trial aborts partway through, leaving raw torn
 	// state — removals and flags written directly, no Replace, a
-	// shelf membership edited in place. Nothing here is visible to the
+	// shelf span edited in place. Nothing here is visible to the
 	// Checkpoint it took before the trial.
 	f := fleet.Build(profiles, scale, buildSeed)
 	_ = f.Checkpoint() // taken like a real worker; deliberately unused after the abort
-	f.Disks[0].Remove = simtime.SecondsPerYear / 2
+	f.Disks[0].Remove = int32(simtime.SecondsPerYear / 2)
 	f.Disks[1].Replaced = true
-	f.Disks[2].Install += simtime.SecondsPerYear / 3
-	f.Shelves[0].Disks = f.Shelves[0].Disks[:len(f.Shelves[0].Disks)-1]
+	f.Disks[2].Install += int32(simtime.SecondsPerYear / 3)
+	f.Shelves[0].Disks.Hi--
 
 	// Quarantine: the torn instance is dropped, a replacement is built
 	// from the same inputs, and the trial re-runs from its seed.

@@ -78,16 +78,20 @@ func FuzzParseSerial(f *testing.F) {
 	})
 }
 
-// TestDiskLayout pins the disk record's memory contract: at most 32
-// bytes and no pointer-bearing field, so disk slabs are allocated
-// noscan and the garbage collector never walks them. A string, slice,
-// map or pointer field added here would silently undo both.
+// TestDiskLayout pins the fleet's memory contract: the disk record is
+// at most 20 bytes, and the disk, shelf and RAID group records hold no
+// pointer-bearing field, so their slabs are allocated noscan and the
+// garbage collector never walks them. A string, slice, map or pointer
+// field added to one would silently undo both.
 func TestDiskLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Disk{}); n > 32 {
-		t.Errorf("Disk is %d bytes, budget 32: derive the new field from the system or the ID instead", n)
+	if n := unsafe.Sizeof(Disk{}); n > 20 {
+		t.Errorf("Disk is %d bytes, budget 20: derive the new field from the shelf, the system or the ID instead", n)
 	}
-	if path := pointerPath(reflect.TypeOf(Disk{}), "Disk"); path != "" {
-		t.Errorf("Disk holds a pointer at %s: disk slabs would be scanned by the GC", path)
+	for _, v := range []any{Disk{}, Shelf{}, RAIDGroup{}} {
+		typ := reflect.TypeOf(v)
+		if path := pointerPath(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer at %s: its slab would be scanned by the GC", typ.Name(), path)
+		}
 	}
 }
 

@@ -5,10 +5,13 @@
 // configuration. A Fleet is the static topology plus the deployment
 // schedule; the failure simulator (internal/sim) animates it.
 //
-// A Fleet is four value slabs — systems, shelves, disks, RAID groups —
-// each indexed by component ID, with no pointer index over them. A
-// disk's ID is its index in the disk slab and is not stored; the disk
-// record is 32 pointer-free bytes.
+// A Fleet is five value slabs — systems, shelves, disks, RAID groups
+// and group members — each indexed by component ID, with no pointer
+// index over them. A disk's ID is its index in the disk slab and is
+// not stored; the disk record is 20 pointer-free bytes. Topology is
+// addressed by spans of consecutive IDs: a system's shelves and
+// groups, a shelf's as-built disks and a group's window of the member
+// slab, so no component holds an ID list of its own.
 //
 // Construction is serial and allocation-lean. Every (class, system)
 // pair draws from an RNG stream split off the seed by (class, system
@@ -21,11 +24,15 @@
 // a small constant number of allocations (the legacy pointer-per-item
 // builder took minutes and ~95M allocations).
 // Simulation appends replacement disks in place (Replace), so every
-// disk has its final ID from the moment it exists.
+// disk has its final ID from the moment it exists. Replacements lie
+// past every as-built disk in shelf order; ShelfDisks finds a shelf's
+// by their Shelf field.
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"storagesubsys/internal/simtime"
 )
@@ -144,28 +151,40 @@ type ShelfModel string
 // MaxDisksPerShelf is the slot count of every studied shelf model.
 const MaxDisksPerShelf = 14
 
+// Span is the half-open range [Lo, Hi) of consecutive component IDs.
+// A system's shelves and RAID groups, a shelf's as-built disks and a
+// RAID group's window of Fleet.Members are each numbered consecutively
+// in build order, so a span addresses them without an ID list.
+type Span struct{ Lo, Hi int32 }
+
+// Len returns the number of IDs in the span.
+func (s Span) Len() int { return int(s.Hi - s.Lo) }
+
+// Disk records store their times as 32-bit seconds: this fails to
+// compile if the study window outgrows them.
+const _ = int32(simtime.StudyDuration)
+
 // Disk is one physical disk's residency in the fleet. When a disk fails
 // and is replaced, the replacement is a new Disk value; the paper's
 // "# Disks" counts every disk ever installed, and AFR denominators sum
 // per-disk residency time, which this representation makes exact.
 //
 // Disk stores only what cannot be derived. Its ID is its index in
-// Fleet.Disks, its model is the owning system's
-// (f.Systems[d.System].DiskModel: systems are homogeneous and a
-// replacement joins its predecessor's system) and its serial is
+// Fleet.Disks, its system is its shelf's (f.Shelves[d.Shelf].System),
+// its model is that system's (systems are homogeneous and a
+// replacement joins its predecessor's shelf) and its serial is
 // Serial(id). Disks are the bulk of a fleet's memory, so the record is
-// 32 bytes — component IDs as int32, which every scale up to the
-// entry points' cap of 1.5 leaves far below 2^31 — and must stay
-// pointer-free: the disk slabs are then allocated noscan and the
-// garbage collector never walks them (TestDiskLayout pins both).
+// 20 bytes — times as int32 seconds (the study window is about 5% of
+// their range) and component IDs as int32, which Build checks — and
+// must stay pointer-free: the disk slabs are then allocated noscan and
+// the garbage collector never walks them (TestDiskLayout pins both).
 type Disk struct {
-	Install  simtime.Seconds // when the disk entered service
-	Remove   simtime.Seconds // when it left service (StudyDuration if still present)
-	System   int32           // owning system ID
-	Shelf    int32           // fleet-unique shelf ID
-	RAIDGrp  int32           // fleet-unique RAID group ID, -1 if spare
-	Slot     uint8           // 0..13 within the shelf
-	Replaced bool            // true if this residency ended with a replacement
+	Install  int32 // when the disk entered service, in simulation seconds
+	Remove   int32 // when it left service (StudyDuration if still present)
+	Shelf    int32 // fleet-unique shelf ID
+	RAIDGrp  int32 // fleet-unique RAID group ID, -1 if spare
+	Slot     uint8 // 0..13 within the shelf
+	Replaced bool  // true if this residency ended with a replacement
 }
 
 // Residency returns the disk's time in service, in simulation seconds.
@@ -173,7 +192,7 @@ func (d *Disk) Residency() simtime.Seconds {
 	if d.Remove < d.Install {
 		return 0
 	}
-	return d.Remove - d.Install
+	return simtime.Seconds(d.Remove) - simtime.Seconds(d.Install)
 }
 
 // ResidencyYears returns the disk's time in service in years — its
@@ -182,22 +201,24 @@ func (d *Disk) ResidencyYears() float64 { return simtime.Years(d.Residency()) }
 
 // Shelf is one shelf enclosure: power, cooling, backplane and intrashelf
 // connectivity shared by the disks mounted in it. Its model is the
-// owning system's ShelfModel.
+// owning system's ShelfModel. Disks spans the shelf's as-built disks,
+// one per occupied slot in slot order; its replacements lie past every
+// as-built disk (see Fleet.ShelfDisks).
 type Shelf struct {
-	ID     int // fleet-unique
-	System int
-	Index  int   // position within the system
-	Disks  []int // fleet disk IDs currently or ever mounted, in install order
+	ID     int32 // fleet-unique
+	System int32
+	Index  int32 // position within the system
+	Disks  Span  // as-built disk IDs
 }
 
 // RAIDGroup is a set of disks (data + parity) managed as one resiliency
 // unit. Groups may span multiple shelves (Figure 8); ShelvesSpanned
 // records how many distinct shelves hold its members.
 type RAIDGroup struct {
-	ID             int // fleet-unique
-	System         int
+	ID             int32 // fleet-unique
+	System         int32
 	Type           RAIDType
-	Disks          []int // fleet disk IDs (original members; replacements inherit the group)
+	Members        Span // window of Fleet.Members: the original members' disk IDs (replacements inherit the group)
 	ShelvesSpanned int
 }
 
@@ -211,8 +232,8 @@ type System struct {
 	DiskModel  DiskModel  // every disk of the system, replacements included (the Figure 5/6 grouping unit)
 	Paths      PathConfig
 	Install    simtime.Seconds // deployment time
-	Shelves    []int           // fleet shelf IDs
-	RAIDGroups []int           // fleet RAID group IDs
+	Shelves    Span            // fleet shelf IDs
+	RAIDGroups Span            // fleet RAID group IDs
 
 	// ChurnPerDiskYear is the class's non-failure disk replacement rate,
 	// copied from the profile at build time so the simulator can apply
@@ -226,20 +247,52 @@ func (s *System) ObservedYears() float64 {
 	return simtime.Years(simtime.StudyDuration - s.Install)
 }
 
-// Fleet is the full studied population: four value slabs, each indexed
+// Fleet is the full studied population: five value slabs, each indexed
 // by its components' fleet-unique IDs, so lookups are O(1) slice
 // indexing with no pointer index in between. A loop that mutates a
 // component must index the slab (sh := &f.Shelves[i]): a range value is
-// a copy, and a write to it is silently lost.
+// a copy, and a write to it is silently lost. Only Systems holds
+// pointers (its model strings), so the garbage collector scans no
+// other slab.
 type Fleet struct {
 	Systems []System
 	Shelves []Shelf
 	Disks   []Disk
 	Groups  []RAIDGroup
+	Members []int32 // RAID group members' disk IDs, group after group
 
 	// Seed is the RNG seed the fleet was built with; together with the
 	// profile set it fully determines the topology.
 	Seed int64
+}
+
+// asBuilt returns the number of as-built disks: the last shelf's span
+// ends where the replacements begin.
+func (f *Fleet) asBuilt() int {
+	if len(f.Shelves) == 0 {
+		return 0
+	}
+	return int(f.Shelves[len(f.Shelves)-1].Disks.Hi)
+}
+
+// ShelfDisks appends to dst the IDs of every disk ever mounted in the
+// shelf — its as-built span, then its replacements in install order —
+// and returns the extended slice. The IDs ascend. Replacements are
+// installed in shelf order (Replace enforces it), so a binary search
+// finds the shelf's. It serves one-off readers; the simulator walks a
+// shelf's as-built span instead.
+func (f *Fleet) ShelfDisks(dst []int, shelf int) []int {
+	s := f.Shelves[shelf].Disks
+	for id := s.Lo; id < s.Hi; id++ {
+		dst = append(dst, int(id))
+	}
+	base := f.asBuilt()
+	repl := f.Disks[base:]
+	i, _ := slices.BinarySearchFunc(repl, int32(shelf), func(d Disk, shelf int32) int { return cmp.Compare(d.Shelf, shelf) })
+	for ; i < len(repl) && int(repl[i].Shelf) == shelf; i++ {
+		dst = append(dst, base+i)
+	}
+	return dst
 }
 
 // Checkpoint records a fleet's as-built population boundary so a
@@ -253,59 +306,50 @@ type Checkpoint struct {
 func (f *Fleet) Checkpoint() Checkpoint { return Checkpoint{disks: len(f.Disks)} }
 
 // Reset rolls the fleet back to a checkpoint taken before simulation:
-// replacement disks installed since are dropped — from the fleet's disk
-// slab and from their shelves' mount lists — and every surviving disk's
-// residency is restored to the full study window. After Reset the fleet
-// is indistinguishable from the freshly built topology, so re-simulating
-// with the same seed reproduces the identical event stream, and
-// re-simulating with a new seed yields an independent Monte-Carlo trial
-// over the same population without paying for a rebuild (the sweep
-// engine's steady state; see internal/sweep). The slabs keep their
-// capacity, so the next trial's replacements append without
-// reallocating.
+// replacement disks installed since are dropped from the disk slab, and
+// every surviving disk's residency is restored to the full study
+// window. After Reset the fleet is indistinguishable from the freshly
+// built topology, so re-simulating with the same seed reproduces the
+// identical event stream, and re-simulating with a new seed yields an
+// independent Monte-Carlo trial over the same population without
+// paying for a rebuild (the sweep engine's steady state; see
+// internal/sweep). The disk slab keeps its capacity, so the next
+// trial's replacements append without reallocating.
 func (f *Fleet) Reset(c Checkpoint) {
 	for i := range f.Disks[:c.disks] {
 		d := &f.Disks[i]
-		d.Remove = simtime.StudyDuration
+		d.Remove = int32(simtime.StudyDuration)
 		d.Replaced = false
-	}
-	// Replacements are always appended to a shelf's mount list after the
-	// as-built disks, so trimming trailing IDs past the boundary restores
-	// the original list.
-	for i := range f.Shelves {
-		sh := &f.Shelves[i]
-		n := len(sh.Disks)
-		for n > 0 && sh.Disks[n-1] >= c.disks {
-			n--
-		}
-		sh.Disks = sh.Disks[:n]
 	}
 	f.Disks = f.Disks[:c.disks]
 }
 
 // Replace installs a replacement for the failed disk and returns its
 // ID, the next index of the disk slab. The new disk joins the failed
-// one's system, shelf, slot and RAID group (and so its model), enters
-// service at the given time and is appended to its shelf's mount list.
-// Ending the failed disk's residency is the caller's job. The failed
-// record is copied before the append can move the slab, so a *Disk
-// held across a Replace may be stale afterwards: index f.Disks again.
+// one's shelf, slot and RAID group (and so its system and model) and
+// enters service at the given time, which must lie in the study
+// window. Replacements must arrive in shelf order, as the simulator,
+// walking shelves in ID order, installs them; Replace panics on one
+// that would precede the last replacement's shelf. Ending the failed
+// disk's residency is the caller's job. The failed record is copied
+// before the append can move the slab, so a *Disk held across a
+// Replace may be stale afterwards: index f.Disks again.
 //
 //detlint:hotpath
 func (f *Fleet) Replace(failed int, at simtime.Seconds) int {
 	d := &f.Disks[failed]
+	if n := len(f.Disks); n > f.asBuilt() && f.Disks[n-1].Shelf > d.Shelf {
+		panic("fleet: replacements must be installed in shelf order")
+	}
 	nd := Disk{
-		System:  d.System,
 		Shelf:   d.Shelf,
 		Slot:    d.Slot,
 		RAIDGrp: d.RAIDGrp,
-		Install: at,
-		Remove:  simtime.StudyDuration,
+		Install: int32(at),
+		Remove:  int32(simtime.StudyDuration),
 	}
 	id := len(f.Disks)
 	f.Disks = append(f.Disks, nd)
-	sh := &f.Shelves[nd.Shelf]
-	sh.Disks = append(sh.Disks, id)
 	return id
 }
 
@@ -327,15 +371,15 @@ func (s *System) expectedChurn(disks int) float64 {
 }
 
 // expectedChurn sums the systems' expectedChurn in ID order, counting
-// each system's disks through its shelves' mount lists — the same sum,
-// bit for bit, that Build forms over a pristine fleet's census.
+// each system's as-built disks through its shelves' spans — the same
+// sum, bit for bit, that Build forms over its census.
 func (f *Fleet) expectedChurn() float64 {
 	churn := 0.0
 	for i := range f.Systems {
 		s := &f.Systems[i]
 		n := 0
-		for _, id := range s.Shelves {
-			n += len(f.Shelves[id].Disks)
+		for _, sh := range f.Shelves[s.Shelves.Lo:s.Shelves.Hi] {
+			n += sh.Disks.Len()
 		}
 		churn += s.expectedChurn(n)
 	}
@@ -376,15 +420,15 @@ func (f *Fleet) PopulationStats() []Stats {
 		s := &f.Systems[i]
 		st := byClass[s.Class]
 		st.Systems++
-		st.Shelves += len(s.Shelves)
-		st.Groups += len(s.RAIDGroups)
+		st.Shelves += s.Shelves.Len()
+		st.Groups += s.RAIDGroups.Len()
 		if s.Paths == DualPath {
 			st.DualPath++
 		}
 	}
 	for i := range f.Disks {
 		d := &f.Disks[i]
-		st := byClass[f.Systems[d.System].Class]
+		st := byClass[f.Systems[f.Shelves[d.Shelf].System].Class]
 		st.Disks++
 		st.DiskYears += d.ResidencyYears()
 	}

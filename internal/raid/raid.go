@@ -179,12 +179,13 @@ func IndependentBaseline(f *fleet.Fleet, events []failmodel.Event, repairYears f
 		g := &f.Groups[groupID]
 		sys := &f.Systems[g.System]
 		span := simtime.StudyDuration - sys.Install
-		if span <= 0 || len(g.Disks) == 0 {
+		members := f.Members[g.Members.Lo:g.Members.Hi]
+		if span <= 0 || len(members) == 0 {
 			continue
 		}
 		for i := 0; i < n; i++ {
 			t := sys.Install + simtime.Seconds(rng.Float64()*float64(span))
-			disk := g.Disks[rng.Intn(len(g.Disks))]
+			disk := int(members[rng.Intn(len(members))])
 			synth = append(synth, failmodel.Event{
 				Time:     t,
 				Detected: simtime.NextScrub(t),
@@ -192,7 +193,7 @@ func IndependentBaseline(f *fleet.Fleet, events []failmodel.Event, repairYears f
 				Cause:    failmodel.CauseDiskMedia,
 				Disk:     disk,
 				Shelf:    int(f.Disks[disk].Shelf),
-				System:   g.System,
+				System:   int(g.System),
 				Group:    groupID,
 			})
 		}

@@ -45,17 +45,18 @@ func TestAnalyticMTTDLInvalid(t *testing.T) {
 // RAID group over the first `groupSize` disks.
 func craftFleet(groupSize int, rt fleet.RAIDType) *fleet.Fleet {
 	f := &fleet.Fleet{}
-	shelf := fleet.Shelf{ID: 0, System: 0}
-	g := fleet.RAIDGroup{ID: 0, System: 0, Type: rt, ShelvesSpanned: 1}
+	all := fleet.Span{Lo: 0, Hi: int32(groupSize)}
+	shelf := fleet.Shelf{ID: 0, System: 0, Disks: all}
+	g := fleet.RAIDGroup{ID: 0, System: 0, Type: rt, Members: all, ShelvesSpanned: 1}
 	for i := 0; i < groupSize; i++ {
 		f.Disks = append(f.Disks, fleet.Disk{
-			System: 0, Shelf: 0, Slot: uint8(i), RAIDGrp: 0,
-			Install: 0, Remove: simtime.StudyDuration,
+			Shelf: 0, Slot: uint8(i), RAIDGrp: 0,
+			Install: 0, Remove: int32(simtime.StudyDuration),
 		})
-		shelf.Disks = append(shelf.Disks, i)
-		g.Disks = append(g.Disks, i)
+		f.Members = append(f.Members, int32(i))
 	}
-	f.Systems = []fleet.System{{ID: 0, Class: fleet.MidRange, Install: 0, Shelves: []int{0}, RAIDGroups: []int{0}}}
+	one := fleet.Span{Lo: 0, Hi: 1}
+	f.Systems = []fleet.System{{ID: 0, Class: fleet.MidRange, Install: 0, Shelves: one, RAIDGroups: one}}
 	f.Shelves = []fleet.Shelf{shelf}
 	f.Groups = []fleet.RAIDGroup{g}
 	return f

@@ -12,8 +12,9 @@ import (
 
 // runDigest hashes everything a simulation run leaves behind: every
 // event field in stream order, every disk record of the mutated fleet
-// (replacements included, so their IDs and residencies are pinned), and
-// every shelf's mount list in order.
+// (replacements included, so their IDs and residencies are pinned; each
+// disk's system derived through its shelf), and every shelf's mounted
+// disks in order (ShelfDisks).
 func runDigest(res *Result) string {
 	h := sha256.New()
 	w := func(vs ...int64) {
@@ -37,12 +38,14 @@ func runDigest(res *Result) string {
 	f := res.Fleet
 	w(int64(len(f.Disks)))
 	for _, d := range f.Disks {
-		w(int64(d.Install), int64(d.Remove), int64(d.System), int64(d.Shelf),
+		w(int64(d.Install), int64(d.Remove), int64(f.Shelves[d.Shelf].System), int64(d.Shelf),
 			int64(d.RAIDGrp), int64(d.Slot), b2i(d.Replaced))
 	}
-	for _, sh := range f.Shelves {
-		w(int64(len(sh.Disks)))
-		for _, id := range sh.Disks {
+	var ids []int
+	for i := range f.Shelves {
+		ids = f.ShelfDisks(ids[:0], i)
+		w(int64(len(ids)))
+		for _, id := range ids {
 			w(int64(id))
 		}
 	}
@@ -50,7 +53,7 @@ func runDigest(res *Result) string {
 }
 
 // TestRunGoldenDigest pins the simulator's complete output — event
-// stream, post-simulation disk slab, shelf mount lists — at one fleet
+// stream, post-simulation disk slab, shelf disk lists — at one fleet
 // and seed under each variance mode. The digests were recorded from the
 // sharded engine this one replaced (equal at 1 and 3 workers), so any
 // change to them is a changed simulation, not a refactor.

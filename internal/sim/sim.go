@@ -25,7 +25,7 @@
 // slot occupancy chains, burst victim indices — lives in scratch
 // buffers that are recycled across systems. The only steady-state
 // allocations are the simulation's actual outputs: the event buffer and
-// any growth of the fleet's disk slab and shelf mount lists.
+// any growth of the fleet's disk slab.
 package sim
 
 import (
@@ -263,21 +263,21 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 	w.shelfOff = w.shelfOff[:0]
 	used := 0
 
-	for _, shelfID := range sys.Shelves {
+	for shelfID := sys.Shelves.Lo; shelfID < sys.Shelves.Hi; shelfID++ {
 		shelf := &w.f.Shelves[shelfID]
-		shelfRNG := r.Split(streamKey(streamShelf, shelf.ID))
+		shelfRNG := r.Split(streamKey(streamShelf, int(shelfID)))
 
 		// Environment episodes shared by every disk in the shelf.
 		envRNG := shelfRNG.Split(streamEnv)
 		w.envTimes = poissonTimes(w.envTimes[:0], p.EnvEpisodeRate, sys.Install, end, &envRNG)
 
 		w.shelfOff = append(w.shelfOff, used)
-		// range evaluates shelf.Disks once, so the loop visits only the
-		// as-built slots, not the replacements simulateSlot appends.
-		for idx, diskID := range shelf.Disks {
+		// The shelf's span holds its as-built slots only; the
+		// replacements simulateSlot appends lie past every span.
+		for idx := range shelf.Disks.Len() {
 			slotRNG := shelfRNG.Split(streamKey(streamSlot, idx))
 			buf := w.chainBuf(used) // grows w.chains before the index store below
-			w.chains[used] = w.simulateSlot(sys, baseRate, hitProb, diskID, w.envTimes, &slotRNG, buf)
+			w.chains[used] = w.simulateSlot(sys, baseRate, hitProb, int(shelf.Disks.Lo)+idx, w.envTimes, &slotRNG, buf)
 			used++
 		}
 
@@ -304,7 +304,7 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, diskID int, envTimes []simtime.Seconds, r *stats.RNG, chain slotChain) slotChain {
 	end := simtime.StudyDuration
 	p := w.params
-	install := w.f.Disks[diskID].Install
+	install := simtime.Seconds(w.f.Disks[diskID].Install)
 
 	cands := w.cands[:0]
 	baseRNG := r.Split(streamBase)
@@ -356,7 +356,7 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 		repairRNG = r.Split(streamRepair)
 	}
 	for _, c := range cands {
-		if c.t < cur.Install || c.t >= end {
+		if c.t < simtime.Seconds(cur.Install) || c.t >= end {
 			continue // slot empty (repair gap) or outside the window
 		}
 		switch c.kind {
@@ -375,10 +375,10 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 				Cause:    cause,
 				Disk:     curID,
 				Shelf:    int(cur.Shelf),
-				System:   int(cur.System),
+				System:   sys.ID,
 				Group:    int(cur.RAIDGrp),
 			})
-			cur.Remove = c.t
+			cur.Remove = int32(c.t)
 			cur.Replaced = true
 			chain[len(chain)-1].to = c.t
 			lag := p.RepairLag
@@ -394,7 +394,7 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 			chain = append(chain, occupancy{disk: curID, from: reinstall, to: end})
 		case candChurn:
 			// Proactive churn: swap immediately, no failure event.
-			cur.Remove = c.t
+			cur.Remove = int32(c.t)
 			chain[len(chain)-1].to = c.t
 			curID = w.f.Replace(curID, c.t)
 			cur = &w.f.Disks[curID]
@@ -425,7 +425,7 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, ch
 	for _, t0 := range w.times {
 		cause := mix.Causes[piRNG.Categorical(mix.Weights)]
 		recovered := sys.Paths == fleet.DualPath && cause.PathRecoverable()
-		w.emitBurst(chains, t0, p.PIBurst.Sample(&piRNG),
+		w.emitBurst(sys, chains, t0, p.PIBurst.Sample(&piRNG),
 			p.PIBurstGapMedian, p.PIBurstGapSigma, cause, recovered, &piRNG)
 	}
 
@@ -438,7 +438,7 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, ch
 		if perfRNG.Bernoulli(0.4) {
 			cause = failmodel.CauseRecoveryLoad
 		}
-		w.emitBurst(chains, t0, p.PerfBurst.Sample(&perfRNG),
+		w.emitBurst(sys, chains, t0, p.PerfBurst.Sample(&perfRNG),
 			p.PerfBurstGapMedian, p.PerfBurstGapSigma, cause, false, &perfRNG)
 	}
 }
@@ -507,7 +507,7 @@ func (w *worker) emitSystemBurst(sys *fleet.System,
 		if t >= end {
 			break
 		}
-		si := r.Intn(len(sys.Shelves))
+		si := r.Intn(sys.Shelves.Len())
 		shelfChains := w.chains[w.shelfOff[si]:w.shelfOff[si+1]]
 		if len(shelfChains) == 0 {
 			continue
@@ -524,7 +524,7 @@ func (w *worker) emitSystemBurst(sys *fleet.System,
 			Cause:     cause,
 			Disk:      diskID,
 			Shelf:     int(d.Shelf),
-			System:    int(d.System),
+			System:    sys.ID,
 			Group:     int(d.RAIDGrp),
 			Recovered: recovered,
 		})
@@ -537,7 +537,7 @@ func (w *worker) emitSystemBurst(sys *fleet.System,
 // victims are determined, never a full permutation.
 //
 //detlint:hotpath
-func (w *worker) emitBurst(chains []slotChain, t0 simtime.Seconds, k int,
+func (w *worker) emitBurst(sys *fleet.System, chains []slotChain, t0 simtime.Seconds, k int,
 	gapMedian simtime.Seconds, gapSigma float64, cause failmodel.Cause,
 	recovered bool, r *stats.RNG) {
 
@@ -573,7 +573,7 @@ func (w *worker) emitBurst(chains []slotChain, t0 simtime.Seconds, k int,
 			Cause:     cause,
 			Disk:      diskID,
 			Shelf:     int(d.Shelf),
-			System:    int(d.System),
+			System:    sys.ID,
 			Group:     int(d.RAIDGrp),
 			Recovered: recovered,
 		})

@@ -69,7 +69,7 @@ func TestEventTopologyConsistent(t *testing.T) {
 	f := res.Fleet
 	for _, e := range res.Events {
 		d := f.Disks[e.Disk]
-		if int(d.Shelf) != e.Shelf || int(d.System) != e.System || int(d.RAIDGrp) != e.Group {
+		if int(d.Shelf) != e.Shelf || int(f.Shelves[d.Shelf].System) != e.System || int(d.RAIDGrp) != e.Group {
 			t.Fatalf("event/topology mismatch for disk %d", e.Disk)
 		}
 		if e.Cause.Type() != e.Type {
@@ -77,7 +77,7 @@ func TestEventTopologyConsistent(t *testing.T) {
 		}
 		// Events must hit disks during their residency (disk failures
 		// end the residency at the event time itself).
-		if e.Time < d.Install || e.Time > d.Remove {
+		if e.Time < simtime.Seconds(d.Install) || e.Time > simtime.Seconds(d.Remove) {
 			t.Fatalf("event at %d outside disk residency [%d, %d]", e.Time, d.Install, d.Remove)
 		}
 	}
@@ -96,7 +96,7 @@ func TestDiskFailuresEndResidency(t *testing.T) {
 		if !d.Replaced {
 			t.Fatalf("failed disk %d not marked replaced", e.Disk)
 		}
-		if d.Remove != e.Time {
+		if simtime.Seconds(d.Remove) != e.Time {
 			t.Fatalf("failed disk %d removal %d != failure time %d", e.Disk, d.Remove, e.Time)
 		}
 	}
@@ -168,7 +168,7 @@ func TestAFRMatchesCalibration(t *testing.T) {
 	}
 	years := make(map[fleet.SystemClass]float64)
 	for _, d := range f.Disks {
-		years[f.Systems[d.System].Class] += d.ResidencyYears()
+		years[f.Systems[f.Shelves[d.Shelf].System].Class] += d.ResidencyYears()
 	}
 
 	// Disk AFR: near-line ~1.9%, others closer to 0.8-1% (including H).

@@ -5,6 +5,8 @@
 // All simulation timestamps are int64 seconds since StudyStart, which
 // keeps event arithmetic cheap over multi-million event streams while
 // still converting losslessly to wall-clock time for log rendering.
+// Fleet disk records store their install and removal times as 32-bit
+// seconds: the whole study window spans about 5% of that range.
 package simtime
 
 import "time"

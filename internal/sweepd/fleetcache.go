@@ -29,8 +29,8 @@ import (
 )
 
 // DefaultCacheBytes is the fleet cache budget when Config.CacheBytes
-// is zero: 512 MiB, roughly eighteen quarter-scale fleets (ApproxBytes
-// of one is about 29 MB).
+// is zero: 512 MiB, roughly 38 quarter-scale fleets (ApproxBytes of
+// one is about 13 MiB).
 const DefaultCacheBytes = 512 << 20
 
 // fleetCacheKey identifies one pristine build: the topology key plus
