@@ -189,17 +189,6 @@ func (ds *Dataset) AFRByDiskModel(class fleet.SystemClass, shelf fleet.ShelfMode
 	}, fl)
 }
 
-// AFRByShelfModel computes one Figure 6 panel: AFR per shelf enclosure
-// model for systems of the given class using the given disk model.
-func (ds *Dataset) AFRByShelfModel(class fleet.SystemClass, disk fleet.DiskModel, fl Filter) []Breakdown {
-	return ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		if s.Class != class || s.DiskModel != disk {
-			return "", false
-		}
-		return "Shelf Enclosure Model " + string(s.ShelfModel), true
-	}, fl)
-}
-
 // AFRByPathConfig computes one Figure 7 panel: AFR for single-path vs
 // dual-path subsystems of the given class. The single-path group sorts
 // first, matching the paper's bar order.

@@ -56,8 +56,14 @@ func TestComparisonsMatchLabelGroups(t *testing.T) {
 		t.Fatalf("%d of %d shelf panels observed at 5%% scale", len(shelves), len(shelfCompareModels))
 	}
 	for _, c := range shelves {
-		if want := ds.AFRByShelfModel(fleet.LowEnd, c.Model, Filter{}); !reflect.DeepEqual([]Breakdown{c.A, c.B}, want) {
-			t.Errorf("shelf panel %s differs from AFRByShelfModel", c.Model)
+		want := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
+			if s.Class != fleet.LowEnd || s.DiskModel != c.Model {
+				return "", false
+			}
+			return "Shelf Enclosure Model " + string(s.ShelfModel), true
+		}, Filter{})
+		if !reflect.DeepEqual([]Breakdown{c.A, c.B}, want) {
+			t.Errorf("shelf panel %s differs from its label grouping", c.Model)
 		}
 	}
 	for _, c := range ds.PathComparisons() {

@@ -225,17 +225,3 @@ func (g *GapAnalysis) GammaGOFType(ft failmodel.FailureType, maxN int) stats.GOF
 	}
 	return stats.ChiSquareGOF(sample, fit, bins)
 }
-
-// DetectionLagBound verifies the instrumentation property the paper
-// relies on: every failure is detected within one scrub interval of its
-// occurrence. It returns the maximum observed lag in seconds.
-func (ds *Dataset) DetectionLagBound() float64 {
-	maxLag := 0.0
-	for _, e := range ds.Events {
-		lag := float64(e.Detected - e.Time)
-		if lag > maxLag {
-			maxLag = lag
-		}
-	}
-	return maxLag
-}

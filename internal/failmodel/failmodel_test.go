@@ -2,6 +2,7 @@ package failmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"storagesubsys/internal/fleet"
@@ -84,7 +85,15 @@ func TestDefaultParamsCalibration(t *testing.T) {
 	// family H (Findings 2, 3).
 	var sataSum float64
 	var sataN int
-	for _, m := range fleet.AllDiskModels {
+	var models []fleet.DiskModel
+	for _, prof := range fleet.DefaultProfiles() {
+		for _, c := range prof.Configs {
+			if !slices.Contains(models, c.Disk) {
+				models = append(models, c.Disk)
+			}
+		}
+	}
+	for _, m := range models {
 		afr, ok := p.DiskAFR[m]
 		if !ok {
 			t.Fatalf("model %s missing from DiskAFR", m)

@@ -42,13 +42,24 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestBuildPopulationShape(t *testing.T) {
 	f := buildSmall(t)
-	stats := f.PopulationStats()
-	if len(stats) != 4 {
-		t.Fatalf("want 4 classes, got %d", len(stats))
+	type census struct{ Systems, Shelves, Disks, DualPath int }
+	byClass := map[SystemClass]*census{}
+	for _, c := range Classes {
+		byClass[c] = &census{}
 	}
-	byClass := map[SystemClass]Stats{}
-	for _, s := range stats {
-		byClass[s.Class] = s
+	for _, s := range f.Systems {
+		c := byClass[s.Class]
+		c.Systems++
+		c.Shelves += s.Shelves.Len()
+		if s.Paths == DualPath {
+			c.DualPath++
+		}
+	}
+	for _, d := range f.Disks {
+		byClass[f.Systems[f.Shelves[d.Shelf].System].Class].Disks++
+	}
+	if len(byClass) != 4 {
+		t.Fatalf("want 4 classes, got %d", len(byClass))
 	}
 	// Scaled Table 1 counts (2% of the paper's population, +-25%).
 	expect := map[SystemClass]struct{ systems, shelves, disks int }{
@@ -195,13 +206,28 @@ func TestInstallWindows(t *testing.T) {
 	}
 }
 
+// deployedModels lists the distinct disk models the default profiles
+// deploy, in profile order.
+func deployedModels() []DiskModel {
+	var models []DiskModel
+	for _, p := range DefaultProfiles() {
+		for _, c := range p.Configs {
+			if !slices.Contains(models, c.Disk) {
+				models = append(models, c.Disk)
+			}
+		}
+	}
+	return models
+}
+
 func TestDiskModelCatalog(t *testing.T) {
-	if len(AllDiskModels) != 20 {
-		t.Fatalf("the paper studies 20 disk models, catalog has %d", len(AllDiskModels))
+	models := deployedModels()
+	if len(models) != 20 {
+		t.Fatalf("the paper studies 20 disk models, the profiles deploy %d", len(models))
 	}
 	families := map[string]bool{}
 	sata := 0
-	for _, m := range AllDiskModels {
+	for _, m := range models {
 		families[m.Family] = true
 		if m.Type == SATA {
 			sata++
@@ -292,20 +318,6 @@ func TestReplaceChainGrowth(t *testing.T) {
 		if !prev.Replaced || d.Install != prev.Remove+10 || d.Shelf != shelf || d.Slot != grown.Disks[7].Slot {
 			t.Fatalf("chain link %d: %+v after %+v", k, d, prev)
 		}
-	}
-}
-
-func TestDiskYears(t *testing.T) {
-	f := buildSmall(t)
-	all := f.DiskYears(nil)
-	if all <= 0 {
-		t.Fatal("fleet disk-years must be positive")
-	}
-	typeOf := func(d *Disk) DiskType { return f.Systems[f.Shelves[d.Shelf].System].DiskModel.Type }
-	sata := f.DiskYears(func(d *Disk) bool { return typeOf(d) == SATA })
-	fc := f.DiskYears(func(d *Disk) bool { return typeOf(d) == FC })
-	if math.Abs(sata+fc-all) > 1e-6 {
-		t.Error("SATA + FC disk-years must sum to the total")
 	}
 }
 

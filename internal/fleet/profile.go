@@ -34,13 +34,6 @@ var (
 	DiskK1 = DiskModel{Family: "K", Capacity: 1, Type: SATA}
 )
 
-// AllDiskModels lists the 20 disk models in the studied population.
-var AllDiskModels = []DiskModel{
-	DiskA1, DiskA2, DiskA3, DiskB1, DiskC1, DiskC2, DiskD1, DiskD2, DiskD3,
-	DiskE1, DiskF1, DiskF2, DiskG1, DiskH1, DiskH2,
-	DiskI1, DiskI2, DiskJ1, DiskJ2, DiskK1,
-}
-
 // ProblemFamily is the problematic disk family the paper calls "Disk H"
 // and excludes in Figure 4(b).
 const ProblemFamily = "H"

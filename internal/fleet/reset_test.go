@@ -55,9 +55,6 @@ func TestCheckpointReset(t *testing.T) {
 			t.Fatalf("shelf %d disks %v, want %v", i, got, want)
 		}
 	}
-	if gy, wy := f.DiskYears(nil), ref.DiskYears(nil); gy != wy {
-		t.Fatalf("disk-years %v, want %v", gy, wy)
-	}
 }
 
 // opsProfiles returns profiles stressing every fleet-side operational
@@ -116,8 +113,8 @@ func TestResetRerunUnderChurnAndRepairLag(t *testing.T) {
 
 	res1 := run(f)
 	ev1 := append([]failmodel.Event(nil), res1.Events...)
-	disks1, dy1 := len(f.Disks), f.DiskYears(nil)
-	if disks1 <= asBuilt {
+	disks1 := slices.Clone(f.Disks)
+	if len(disks1) <= asBuilt {
 		t.Fatal("setup: trial produced no replacements; churn/repair-lag dimensions not exercised")
 	}
 
@@ -128,19 +125,16 @@ func TestResetRerunUnderChurnAndRepairLag(t *testing.T) {
 	}
 	res2 := run(f)
 	sameEvents(t, res2.Events, ev1, "reset replay")
-	if len(f.Disks) != disks1 {
-		t.Fatalf("reset replay: %d disks, want %d", len(f.Disks), disks1)
-	}
-	if dy := f.DiskYears(nil); dy != dy1 {
-		t.Fatalf("reset replay disk-years %v, want %v", dy, dy1)
+	if !slices.Equal(f.Disks, disks1) {
+		t.Fatalf("reset replay: %d disks differ from the first run's %d", len(f.Disks), len(disks1))
 	}
 
 	// And must equal a from-scratch build+run, field for field.
 	g := fleet.Build(opsProfiles(), scale, buildSeed)
 	res3 := run(g)
 	sameEvents(t, res3.Events, ev1, "fresh twin")
-	if len(g.Disks) != disks1 {
-		t.Fatalf("fresh twin: %d disks, want %d", len(g.Disks), disks1)
+	if len(g.Disks) != len(disks1) {
+		t.Fatalf("fresh twin: %d disks, want %d", len(g.Disks), len(disks1))
 	}
 	for i := range g.Disks {
 		if g.Disks[i] != f.Disks[i] {
@@ -270,9 +264,6 @@ func TestQuarantineRebuildReplaysIdentically(t *testing.T) {
 			t.Fatalf("disk %d diverged after quarantine rebuild: %+v vs %+v",
 				i, rebuilt.Disks[i], ref.Disks[i])
 		}
-	}
-	if gy, wy := rebuilt.DiskYears(nil), ref.DiskYears(nil); gy != wy {
-		t.Fatalf("disk-years %v after quarantine rebuild, want %v", gy, wy)
 	}
 }
 

@@ -385,56 +385,3 @@ func (f *Fleet) expectedChurn() float64 {
 	}
 	return churn
 }
-
-// DiskYears returns the total disk residency (in years) matching the
-// filter; a nil filter sums the whole fleet. This is the AFR denominator.
-func (f *Fleet) DiskYears(filter func(*Disk) bool) float64 {
-	total := 0.0
-	for i := range f.Disks {
-		if d := &f.Disks[i]; filter == nil || filter(d) {
-			total += d.ResidencyYears()
-		}
-	}
-	return total
-}
-
-// Stats summarizes the fleet population per class — the row structure of
-// the paper's Table 1.
-type Stats struct {
-	Class     SystemClass
-	Systems   int
-	Shelves   int
-	Disks     int // ever installed, matching the paper's convention
-	Groups    int
-	DualPath  int // systems configured with dual paths
-	DiskYears float64
-}
-
-// PopulationStats returns per-class population summaries in class order.
-func (f *Fleet) PopulationStats() []Stats {
-	byClass := make(map[SystemClass]*Stats)
-	for _, c := range Classes {
-		byClass[c] = &Stats{Class: c}
-	}
-	for i := range f.Systems {
-		s := &f.Systems[i]
-		st := byClass[s.Class]
-		st.Systems++
-		st.Shelves += s.Shelves.Len()
-		st.Groups += s.RAIDGroups.Len()
-		if s.Paths == DualPath {
-			st.DualPath++
-		}
-	}
-	for i := range f.Disks {
-		d := &f.Disks[i]
-		st := byClass[f.Systems[f.Shelves[d.Shelf].System].Class]
-		st.Disks++
-		st.DiskYears += d.ResidencyYears()
-	}
-	out := make([]Stats, 0, len(Classes))
-	for _, c := range Classes {
-		out = append(out, *byClass[c])
-	}
-	return out
-}

@@ -13,7 +13,6 @@
 package raid
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -73,11 +72,6 @@ func (r ReplayResult) LossRatePerGroupYear() float64 {
 		return math.NaN()
 	}
 	return float64(len(r.Losses)) / r.GroupYears
-}
-
-func (r ReplayResult) String() string {
-	return fmt.Sprintf("raid.ReplayResult{groups: %d, group-years: %.0f, losses: %d, double-degraded: %d}",
-		r.Groups, r.GroupYears, len(r.Losses), r.DoubleEvents)
 }
 
 // Replay runs every RAID group of the fleet through its failure events

@@ -6,10 +6,9 @@ import (
 )
 
 // Distribution is a continuous univariate probability distribution with
-// analytic density, CDF and moments, plus a sampler. The failure
-// analyses use these both generatively (simulator) and inferentially
-// (fitting candidate distributions to observed time-between-failure data
-// as the paper does in Figure 9).
+// analytic density, CDF, quantile and mean. The failure analyses fit
+// candidate distributions to observed time-between-failure data as the
+// paper does in Figure 9; the simulator draws from the RNG's samplers.
 type Distribution interface {
 	// Name identifies the family, e.g. "Exponential".
 	Name() string
@@ -21,10 +20,6 @@ type Distribution interface {
 	Quantile(p float64) float64
 	// Mean returns E[X].
 	Mean() float64
-	// Variance returns Var[X].
-	Variance() float64
-	// Sample draws one variate using r.
-	Sample(r *RNG) float64
 	// NumParams returns the number of free parameters, used to compute
 	// degrees of freedom in goodness-of-fit tests.
 	NumParams() int
@@ -77,12 +72,6 @@ func (e Exponential) Quantile(p float64) float64 {
 
 // Mean returns 1/rate.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Variance returns 1/rate^2.
-func (e Exponential) Variance() float64 { return 1 / (e.Rate * e.Rate) }
-
-// Sample draws one variate using r.
-func (e Exponential) Sample(r *RNG) float64 { return r.Exponential(e.Rate) }
 
 // NumParams returns 1 (the rate).
 func (e Exponential) NumParams() int { return 1 }
@@ -148,12 +137,6 @@ func (g Gamma) Quantile(p float64) float64 {
 
 // Mean returns shape * scale.
 func (g Gamma) Mean() float64 { return g.Shape * g.Scale }
-
-// Variance returns shape * scale^2.
-func (g Gamma) Variance() float64 { return g.Shape * g.Scale * g.Scale }
-
-// Sample draws one variate using r.
-func (g Gamma) Sample(r *RNG) float64 { return r.Gamma(g.Shape, g.Scale) }
 
 // NumParams returns 2 (shape and scale).
 func (g Gamma) NumParams() int { return 2 }
@@ -224,16 +207,6 @@ func (w Weibull) Quantile(p float64) float64 {
 func (w Weibull) Mean() float64 {
 	return w.Scale * math.Gamma(1+1/w.Shape)
 }
-
-// Variance follows from the first two raw moments.
-func (w Weibull) Variance() float64 {
-	g1 := math.Gamma(1 + 1/w.Shape)
-	g2 := math.Gamma(1 + 2/w.Shape)
-	return w.Scale * w.Scale * (g2 - g1*g1)
-}
-
-// Sample draws one variate using r.
-func (w Weibull) Sample(r *RNG) float64 { return r.Weibull(w.Shape, w.Scale) }
 
 // NumParams returns 2 (shape and scale).
 func (w Weibull) NumParams() int { return 2 }

@@ -9,7 +9,7 @@ func sample(d Distribution, n int, seed int64) []float64 {
 	r := NewRNG(seed)
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = d.Sample(r)
+		xs[i] = draw(d, r)
 	}
 	return xs
 }

@@ -138,12 +138,6 @@ func (r *Reservoir) Push(x float64) {
 	}
 }
 
-// Len returns the number of observations currently held.
-func (r *Reservoir) Len() int { return len(r.xs) }
-
-// Seen returns the number of observations ever pushed.
-func (r *Reservoir) Seen() int { return r.seen }
-
 // Quantile returns the p-th (0..1) sample quantile of the held sample
 // with linear interpolation, NaN when empty. The sort scratch is
 // recycled, so repeated calls allocate only once.

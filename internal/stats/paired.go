@@ -46,10 +46,6 @@ func (p *PairedOnline) N() int { return p.delta.N() }
 // Mean returns the mean per-pair difference (NaN when empty).
 func (p *PairedOnline) Mean() float64 { return p.delta.Mean() }
 
-// Variance returns the unbiased sample variance of the differences
-// (NaN when fewer than two pairs).
-func (p *PairedOnline) Variance() float64 { return p.delta.Variance() }
-
 // StdDev returns the sample standard deviation of the differences.
 func (p *PairedOnline) StdDev() float64 { return p.delta.StdDev() }
 

@@ -34,7 +34,7 @@ import (
 //     as splitting before them.
 //
 // The sampler surface covers the distributions the failure models need
-// (gamma, Weibull, lognormal, Poisson, geometric, categorical) that are
+// (gamma, lognormal, Poisson, geometric, categorical) that are
 // not in math/rand.
 type RNG struct {
 	key            uint64 // stream identity: hash of the seed and split path
@@ -233,15 +233,6 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 			return d * v * scale
 		}
 	}
-}
-
-// Weibull returns a Weibull variate with the given shape k and scale
-// lambda via inverse-CDF sampling.
-func (r *RNG) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("stats: Weibull requires shape > 0 and scale > 0")
-	}
-	return scale * math.Pow(-math.Log(r.openFloat64()), 1/shape)
 }
 
 // Poisson returns a Poisson variate with the given mean. For small means

@@ -96,7 +96,6 @@ func TestRNGSplitAndDrawsAllocFree(t *testing.T) {
 		sink += grand.Float64()
 		sink += grand.Exponential(2)
 		sink += grand.Gamma(0.5, 1)
-		sink += grand.Weibull(0.8, 1)
 		sink += grand.LogNormal(0, 1)
 		sink += float64(grand.Poisson(3))
 		sink += float64(grand.Intn(14))
@@ -261,7 +260,6 @@ func TestSamplerPanics(t *testing.T) {
 	cases := []func(){
 		func() { r.Exponential(0) },
 		func() { r.Gamma(0, 1) },
-		func() { r.Weibull(1, -1) },
 		func() { r.Poisson(-1) },
 	}
 	for i, fn := range cases {

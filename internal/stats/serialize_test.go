@@ -118,9 +118,9 @@ func TestReservoirStateRoundTrip(t *testing.T) {
 		uninterrupted.Push(x)
 		resumed.Push(x)
 	}
-	if resumed.Seen() != uninterrupted.Seen() || resumed.Len() != uninterrupted.Len() {
+	if resumed.seen != uninterrupted.seen || len(resumed.xs) != len(uninterrupted.xs) {
 		t.Fatalf("shape diverged: seen %d/%d len %d/%d",
-			resumed.Seen(), uninterrupted.Seen(), resumed.Len(), uninterrupted.Len())
+			resumed.seen, uninterrupted.seen, len(resumed.xs), len(uninterrupted.xs))
 	}
 	for i := range uninterrupted.xs {
 		if resumed.xs[i] != uninterrupted.xs[i] {

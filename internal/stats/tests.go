@@ -124,11 +124,6 @@ func (iv Interval) HalfWidth() float64 {
 	return math.Max(iv.Center-iv.Lower, iv.Upper-iv.Center)
 }
 
-// Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x float64) bool {
-	return x >= iv.Lower && x <= iv.Upper
-}
-
 // PoissonRateCI returns a normal-approximation confidence interval for an
 // event rate given an event count and an exposure (e.g. disk-years). The
 // level is two-sided, e.g. 0.995.

@@ -290,11 +290,11 @@ func captureCheckpoint(ident CheckpointConfig, next int, failures []TrialFailure
 	return st
 }
 
-// restoreCheckpoint validates the state against the run's identity and
-// rehydrates the collector's aggregators. The returned watermark is
-// the global job index aggregation resumes from.
-func restoreCheckpoint(st *CheckpointState, ident CheckpointConfig,
-	onlines [][]stats.Online, reservoirs [][]*stats.Reservoir, points [][]float64, deltas *deltaAgg) (next int, failures []TrialFailure, err error) {
+// validateCheckpoint checks the state against the run's identity and
+// every size the restore allocates from or indexes with against the
+// payload that carries it, before anything is allocated: a checkpoint
+// read from disk is untrusted input.
+func validateCheckpoint(st *CheckpointState, ident CheckpointConfig) error {
 	// The scenario-file digest gets its own error: every other identity
 	// field appears in the generic message below, but a digest mismatch
 	// with otherwise-equal numbers means the scenario *file* changed —
@@ -305,33 +305,62 @@ func restoreCheckpoint(st *CheckpointState, ident CheckpointConfig,
 			if d == "" {
 				return "a grid without a scenario file"
 			}
-			return "scenario file digest " + d[:12] + "…"
+			return "scenario file digest " + d[:min(len(d), 12)] + "…"
 		}
-		return 0, nil, fmt.Errorf("sweep: checkpoint was taken under a different scenario file "+
+		return fmt.Errorf("sweep: checkpoint was taken under a different scenario file "+
 			"(checkpoint: %s; run: %s); resume with the original scenario file, or start fresh without -resume",
 			describe(st.Config.GridDigest), describe(ident.GridDigest))
 	}
 	if !st.Config.equal(ident) {
-		return 0, nil, fmt.Errorf("sweep: checkpoint was taken for a different sweep configuration "+
+		return fmt.Errorf("sweep: checkpoint was taken for a different sweep configuration "+
 			"(checkpoint: %d trials, seed %d, scale %g, %d scenarios; run: %d trials, seed %d, scale %g, %d scenarios); "+
 			"rerun with the original flags or start fresh without -resume",
 			st.Config.Trials, st.Config.Seed, st.Config.Scale, len(st.Config.Scenarios),
 			ident.Trials, ident.Seed, ident.Scale, len(ident.Scenarios))
 	}
-	jobs := ident.Trials * len(ident.Scenarios)
-	if st.NextJob > jobs {
-		return 0, nil, fmt.Errorf("sweep: checkpoint watermark %d exceeds the sweep's %d trials", st.NextJob, jobs)
+	nScen, nMet := len(ident.Scenarios), len(Metrics)
+	if nScen > 0 && ident.Trials > math.MaxInt/nScen {
+		return fmt.Errorf("sweep: checkpoint claims %d trials of %d scenarios, more jobs than an int counts", ident.Trials, nScen)
 	}
-	if len(st.Scenarios) != len(onlines) {
-		return 0, nil, fmt.Errorf("sweep: checkpoint has %d scenario states, run has %d", len(st.Scenarios), len(onlines))
+	if jobs := ident.Trials * nScen; st.NextJob < 0 || st.NextJob > jobs {
+		return fmt.Errorf("sweep: checkpoint watermark %d is outside the sweep's %d trials", st.NextJob, jobs)
+	}
+	if len(st.Scenarios) != nScen {
+		return fmt.Errorf("sweep: checkpoint has %d scenario states, run has %d", len(st.Scenarios), nScen)
 	}
 	for si, sc := range st.Scenarios {
-		nMet := len(onlines[si])
 		if len(sc.Onlines) != nMet || len(sc.Reservoirs) != nMet || len(sc.Points) != nMet {
-			return 0, nil, fmt.Errorf("sweep: checkpoint scenario %d carries %d/%d/%d metric states, want %d "+
+			return fmt.Errorf("sweep: checkpoint scenario %d carries %d/%d/%d metric states, want %d "+
 				"(metric registry changed since the checkpoint was written; restart the sweep)",
 				si, len(sc.Onlines), len(sc.Reservoirs), len(sc.Points), nMet)
 		}
+		for mi, r := range sc.Reservoirs {
+			if r.Capacity != ident.ReservoirSize {
+				return fmt.Errorf("sweep: checkpoint scenario %d metric %d holds a reservoir of capacity %d, the run's is %d (restart the sweep)",
+					si, mi, r.Capacity, ident.ReservoirSize)
+			}
+		}
+	}
+	if ident.Deltas {
+		// Identity equality above guarantees the checkpoint was taken
+		// with Deltas on, so the state must be present.
+		if st.Deltas == nil {
+			return fmt.Errorf("sweep: checkpoint claims delta aggregation but carries no delta state; restart the sweep")
+		}
+		return st.Deltas.checkShape(nScen, baselineIndex(ident.Scenarios), ident.Trials, nMet)
+	}
+	return nil
+}
+
+// restoreCheckpoint validates the state against the run's identity and
+// rehydrates the collector's aggregators. The returned watermark is
+// the global job index aggregation resumes from.
+func restoreCheckpoint(st *CheckpointState, ident CheckpointConfig,
+	onlines [][]stats.Online, reservoirs [][]*stats.Reservoir, points [][]float64, deltas *deltaAgg) (next int, failures []TrialFailure, err error) {
+	if err := validateCheckpoint(st, ident); err != nil {
+		return 0, nil, err
+	}
+	for si, sc := range st.Scenarios {
 		for mi := range sc.Onlines {
 			onlines[si][mi] = stats.RestoreOnline(sc.Onlines[mi])
 			r, err := stats.RestoreReservoir(sc.Reservoirs[mi])
@@ -343,14 +372,7 @@ func restoreCheckpoint(st *CheckpointState, ident CheckpointConfig,
 		}
 	}
 	if deltas != nil {
-		// Identity equality above guarantees the checkpoint was taken
-		// with Deltas on, so the state must be present.
-		if st.Deltas == nil {
-			return 0, nil, fmt.Errorf("sweep: checkpoint claims delta aggregation but carries no delta state; restart the sweep")
-		}
-		if err := deltas.restore(st.Deltas); err != nil {
-			return 0, nil, err
-		}
+		deltas.restore(st.Deltas)
 	}
 	return st.NextJob, append([]TrialFailure(nil), st.Failures...), nil
 }

@@ -146,19 +146,65 @@ func (d *deltaAgg) state() *DeltasCheckpoint {
 	return st
 }
 
-// restore rehydrates the aggregator from a checkpoint, validating the
-// state's shape against this run's grid and metric registry.
-func (d *deltaAgg) restore(st *DeltasCheckpoint) error {
-	if len(st.Paired) != len(d.paired) || len(st.Base) != len(d.base) {
-		return fmt.Errorf("sweep: checkpoint delta state covers %d scenarios / %d trials, run has %d / %d (restart the sweep)",
-			len(st.Paired), len(st.Base), len(d.paired), len(d.base))
+// checkShape validates the state's shape against a grid of nScen
+// scenarios with its baseline at bi, trials trials and nMet metrics, as
+// state writes it: nMet paired aggregators per scenario; one baseline
+// row per trial; pending rows for every scenario when the baseline is
+// not first (one per trial before it, none after), none otherwise; and
+// every row nil (a trial not yet aggregated, or failed) or one value
+// per metric.
+func (st *DeltasCheckpoint) checkShape(nScen, bi, trials, nMet int) error {
+	if len(st.Paired) != nScen {
+		return fmt.Errorf("sweep: checkpoint delta state covers %d scenarios, run has %d (restart the sweep)",
+			len(st.Paired), nScen)
 	}
 	for si := range st.Paired {
-		if len(st.Paired[si]) != d.nMet {
+		if len(st.Paired[si]) != nMet {
 			return fmt.Errorf("sweep: checkpoint delta state scenario %d carries %d metric aggregators, want %d "+
 				"(metric registry changed since the checkpoint was written; restart the sweep)",
-				si, len(st.Paired[si]), d.nMet)
+				si, len(st.Paired[si]), nMet)
 		}
+	}
+	if len(st.Base) != trials {
+		return fmt.Errorf("sweep: checkpoint delta state carries %d baseline rows for %d trials (restart the sweep)",
+			len(st.Base), trials)
+	}
+	wantPending := 0
+	if bi > 0 {
+		wantPending = nScen
+	}
+	if len(st.Pending) != wantPending {
+		return fmt.Errorf("sweep: checkpoint delta state carries %d pending scenario lists, want %d (restart the sweep)",
+			len(st.Pending), wantPending)
+	}
+	rowsOK := func(rows [][]uint64) bool {
+		for _, row := range rows {
+			if row != nil && len(row) != nMet {
+				return false
+			}
+		}
+		return true
+	}
+	if !rowsOK(st.Base) {
+		return fmt.Errorf("sweep: checkpoint delta state has a baseline row without %d metric values (restart the sweep)", nMet)
+	}
+	for si, rows := range st.Pending {
+		want := 0
+		if si < bi {
+			want = trials
+		}
+		if len(rows) != want || !rowsOK(rows) {
+			return fmt.Errorf("sweep: checkpoint delta state scenario %d carries %d pending rows, want %d of %d metric values (restart the sweep)",
+				si, len(rows), want, nMet)
+		}
+	}
+	return nil
+}
+
+// restore rehydrates the aggregator from a checkpoint whose shape
+// checkShape has accepted for this run's grid and metric registry.
+func (d *deltaAgg) restore(st *DeltasCheckpoint) {
+	for si := range st.Paired {
 		for mi := range st.Paired[si] {
 			d.paired[si][mi] = stats.RestorePairedOnline(st.Paired[si][mi])
 		}
@@ -166,14 +212,11 @@ func (d *deltaAgg) restore(st *DeltasCheckpoint) error {
 	for ti := range st.Base {
 		d.base[ti] = bitsFloats(st.Base[ti])
 	}
-	for si := 0; si < d.bi && si < len(st.Pending); si++ {
-		for ti := range st.Pending[si] {
-			if ti < d.trials {
-				d.pending[si][ti] = bitsFloats(st.Pending[si][ti])
-			}
+	for si := 0; si < d.bi; si++ {
+		for ti, row := range st.Pending[si] {
+			d.pending[si][ti] = bitsFloats(row)
 		}
 	}
-	return nil
 }
 
 // floatBits converts a metric row to IEEE bit patterns (nil stays nil).

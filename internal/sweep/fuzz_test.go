@@ -1,0 +1,73 @@
+package sweep
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// FuzzCheckpointPayload drives LoadCheckpoint → PartialResult past the
+// digest: the fuzzed bytes are the payload of a well-formed envelope
+// whose SHA-256 matches, so hostile contents reach the validation
+// behind sweepd's status endpoint. Each input must come back as an
+// error or a Result, never a panic. The seeds are real mid-run
+// checkpoints: a plain sweep's, and a paired-delta sweep's whose
+// baseline is not scenario 0, so pending delta rows ride along.
+func FuzzCheckpointPayload(f *testing.F) {
+	plain := Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: 1, Scenarios: grid("smoke"), CheckpointEvery: 1}
+	var seeds []*CheckpointState
+	plain.OnCheckpoint = func(st *CheckpointState) {
+		if st.NextJob == 3 {
+			seeds = append(seeds, st)
+		}
+	}
+	execute(f, plain)
+	_, deltas := midRunCheckpoint(f, baselineSecond(), 4)
+	if deltas.Deltas.Pending[0][0] == nil {
+		f.Fatal("test setup: the delta seed carries no pending row")
+	}
+	seeds = append(seeds, deltas)
+
+	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
+	partial := func(t testing.TB, payload []byte) (*Result, error) {
+		sum := sha256.Sum256(payload)
+		env := fmt.Sprintf(`{"format":%q,"version":%d,"sha256":%q,"payload":%s}`,
+			checkpointFormat, checkpointVersion, hex.EncodeToString(sum[:]), payload)
+		if err := os.WriteFile(path, []byte(env), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := LoadCheckpoint(path)
+		if err != nil {
+			return nil, err
+		}
+		return st.PartialResult()
+	}
+	for _, st := range seeds {
+		payload, err := json.Marshal(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := partial(f, payload); err != nil {
+			f.Fatalf("real checkpoint refused: %v", err)
+		}
+		f.Add(payload)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"config":{"trials":1152921504606846976,"deltas":true,"scenarios":[{"name":"baseline"}]},"scenarios":[{}]}`))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		res, err := partial(t, payload)
+		if err != nil {
+			return
+		}
+		if res == nil {
+			t.Fatal("PartialResult returned neither a Result nor an error")
+		}
+		_ = res.WriteJSON(io.Discard)
+	})
+}

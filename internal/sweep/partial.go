@@ -42,6 +42,9 @@ func (c CheckpointConfig) config() Config {
 func (st *CheckpointState) PartialResult() (*Result, error) {
 	cfg := st.Config.config()
 	ident := checkpointIdentity(cfg)
+	if err := validateCheckpoint(st, ident); err != nil {
+		return nil, err
+	}
 	nScen := len(ident.Scenarios)
 	runs := make([]scenarioRun, nScen)
 	for i, s := range ident.Scenarios {

@@ -141,20 +141,6 @@ func (c *FleetCache) Stats() CacheStats {
 	return c.stats
 }
 
-// Len reports the number of cached pristine builds (in-flight included).
-func (c *FleetCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// UsedBytes reports the ApproxBytes accounting currently charged.
-func (c *FleetCache) UsedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
 // evictLocked drops least-recently-used completed builds until the
 // budget is met. In-flight builds (bytes not yet accounted, waiters
 // parked on ready) are skipped so singleflight is never torn down

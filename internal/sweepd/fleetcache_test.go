@@ -16,6 +16,14 @@ func tinyKey(span int) sweep.FleetKey {
 	return sweep.FleetKey{Scale: 0.002, Span: span}
 }
 
+// held reports the number of cached pristine builds (in-flight
+// included) and the ApproxBytes accounting currently charged.
+func held(c *FleetCache) (entries int, used int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries), c.used
+}
+
 // TestFleetCacheSingleflight races many requesters of one key against
 // a build function that counts invocations: the pristine must be built
 // exactly once, every requester must get its own clone, and every
@@ -76,8 +84,8 @@ func TestFleetCacheHitCounting(t *testing.T) {
 	if st.Builds != 2 || st.Hits != 1 {
 		t.Fatalf("stats = %+v; want 2 builds, 1 hit", st)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries; want 2", c.Len())
+	if n, _ := held(c); n != 2 {
+		t.Fatalf("cache holds %d entries; want 2", n)
 	}
 }
 
@@ -118,8 +126,8 @@ func TestFleetCacheLRUEviction(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions under a two-fleet budget with three keys; stats = %+v", st)
 	}
-	if c.UsedBytes() > budget {
-		t.Fatalf("cache holds %d bytes over the %d budget", c.UsedBytes(), budget)
+	if _, used := held(c); used > budget {
+		t.Fatalf("cache holds %d bytes over the %d budget", used, budget)
 	}
 	// The clone handed out before eviction is exclusively owned and
 	// unaffected by the pristine being dropped.
@@ -144,7 +152,7 @@ func TestFleetCacheUnboundedNeverEvicts(t *testing.T) {
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("unbounded cache evicted %d entries", st.Evictions)
 	}
-	if c.Len() != 4 {
-		t.Fatalf("unbounded cache holds %d entries; want 4", c.Len())
+	if n, _ := held(c); n != 4 {
+		t.Fatalf("unbounded cache holds %d entries; want 4", n)
 	}
 }
