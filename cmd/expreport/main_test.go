@@ -36,8 +36,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"missing-grid-file", []string{"-grid-file", "no-such-spec.json"}, 1, "no-such-spec.json"},
 		{"grid-file-name", []string{"-grid", "x.json"}, 1, `expreport: scenario: unknown grid "x.json" (built-in grids: ` + builtins + "; load any other scenario file with -grid-file)"},
 		{"grid-path", []string{"-grid", "../x"}, 1, `expreport: scenario: unknown grid "../x" (built-in grids: ` + builtins + "; load any other scenario file with -grid-file)"},
-		{"antithetic-odd-trials", []string{"-grid-file", filepath.Join("..", "..", "examples", "scenarios", "variance.json"), "-trials", "3"}, 1,
-			`expreport: antithetic pairing needs an even trial count, got 3 (scenario "repair-lag-x4" resolves to variance antithetic)`},
 		{"unknown-flag", []string{"-bogus"}, 2, "flag provided but not defined"},
 		{"help", []string{"-h"}, 0, "Usage of expreport"},
 	}

@@ -10,8 +10,7 @@
 //	      [-grid-file scenario.json]
 //	      [-scale 0.25] [-seed 42] [-workers N] [-findings] [-json] [-check]
 //	      [-checkpoint sweep.ckpt] [-checkpoint-every 64] [-resume]
-//	      [-budget N] [-max-wall 30m] [-retries N]
-//	      [-variance none|antithetic|stratified] [-deltas]
+//	      [-budget N] [-max-wall 30m] [-retries N] [-deltas]
 //	sweep validate scenario.json...
 //
 // Every grid is a declarative scenario file (the validated JSON format
@@ -21,7 +20,7 @@
 // examples/scenarios/NAME.json, embedded in the binary, so it means
 // exactly -grid-file examples/scenarios/NAME.json. Only those names
 // resolve; any other file loads with -grid-file. A scenario file's
-// trials/seed/scale/findings/variance/deltas apply unless the
+// trials/seed/scale/findings/deltas apply unless the
 // corresponding flag is set explicitly: explicit flag > scenario file >
 // default. With -checkpoint, the scenario file's content digest becomes
 // part of the checkpoint identity, so -resume refuses a checkpoint
@@ -47,14 +46,8 @@
 //
 // Variance reduction: -deltas contrasts every non-baseline scenario
 // with the baseline on common random numbers, reporting the paired
-// mean difference with its (much tighter) 95% CI per metric.
-// -variance selects a trial-pairing mode — antithetic mirrors odd
-// trials' RNG streams, stratified spreads each disk's baseline
-// arrival count over a Latin-hypercube grid — and scenarios (or a
-// scenario file) may override it per cell. Any non-none mode changes
-// that scenario's draws, so its output is only comparable to runs
-// with the same mode; with both knobs unset, output bytes are
-// identical to builds without them.
+// mean difference with its (much tighter) 95% CI per metric. With it
+// unset, output bytes are identical to builds without it.
 //
 // Fault tolerance: -checkpoint periodically persists the aggregation
 // state (digest-protected; the previous checkpoint is kept as
@@ -115,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	budget := flags.Int("budget", 0, "stop gracefully after this many trials in global order (0 = no budget; result marked partial, resumable)")
 	maxWall := flags.Duration("max-wall", 0, "wall-clock budget, e.g. 30m (0 = none; result marked partial, resumable)")
 	retries := flags.Int("retries", 0, "per-trial retries after a panic (0 = default 2; negative disables)")
-	variance := flags.String("variance", "", "variance-reduction mode: none, antithetic (pairs trials 2k/2k+1 on mirrored streams; needs an even -trials), or stratified (Latin-hypercube baseline arrival counts); scenarios may override")
 	deltas := flags.Bool("deltas", false, "accumulate CRN paired deltas of every non-baseline scenario against the baseline (adds a deltas section to tables and JSON)")
 	if err := flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -149,9 +141,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *every < 0 {
 		return fail(2, "-checkpoint-every must be >= 0")
 	}
-	if !sweep.ValidVariance(*variance) {
-		return fail(2, "-variance is %q, must be none, antithetic or stratified", *variance)
-	}
 	if *checkpoint == "" {
 		if *resume {
 			return fail(2, "-resume requires -checkpoint to name the file to resume from")
@@ -176,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CheckpointEvery: *every,
 		MaxRetries:      *retries,
 		BudgetTrials:    *budget,
-		Variance:        *variance,
 		Deltas:          *deltas,
 	}
 	var spec *scenario.Spec
@@ -204,9 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if set["findings"] {
 		cfg.Findings = *findings
-	}
-	if set["variance"] {
-		cfg.Variance = *variance
 	}
 	if set["deltas"] {
 		cfg.Deltas = *deltas

@@ -35,7 +35,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"bad-budget", []string{"-budget", "-1"}, 2, "sweep: -budget must be >= 0"},
 		{"bad-max-wall", []string{"-max-wall", "-1s"}, 2, "sweep: -max-wall must be >= 0"},
 		{"bad-cadence", []string{"-checkpoint-every", "-1"}, 2, "sweep: -checkpoint-every must be >= 0"},
-		{"bad-variance", []string{"-variance", "bogus"}, 2, `sweep: -variance is "bogus", must be none, antithetic or stratified`},
+		{"bad-variance", []string{"-variance", "x"}, 2, "flag provided but not defined: -variance"},
 		{"resume-without-checkpoint", []string{"-resume"}, 2, "sweep: -resume requires -checkpoint to name the file to resume from"},
 		{"cadence-without-checkpoint", []string{"-checkpoint-every", "8"}, 2, "sweep: -checkpoint-every requires -checkpoint"},
 		{"grid-conflict", []string{"-grid", "smoke", "-grid-file", "x.json"}, 2, "sweep: -grid and -grid-file are mutually exclusive (one grid per sweep)"},
@@ -43,8 +43,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"grid-file-name", []string{"-grid", "x.json"}, 2, unknownGrid("x.json")},
 		{"grid-path", []string{"-grid", "../x"}, 2, unknownGrid("../x")},
 		{"missing-grid-file", []string{"-grid-file", "no-such-file.json"}, 2, "no-such-file.json"},
-		{"antithetic-odd-trials", []string{"-trials", "3", "-variance", "antithetic", "-grid", "smoke"}, 2,
-			`sweep: antithetic pairing needs an even trial count, got 3 (scenario "baseline" resolves to variance antithetic)`},
 		{"resume-no-checkpoint-file", []string{"-resume", "-checkpoint", "definitely-absent.ckpt", "-trials", "1", "-scale", "0.004"}, 2,
 			"sweep: -resume: no checkpoint at definitely-absent.ckpt"},
 		{"unknown-flag", []string{"-bogus"}, 2, "flag provided but not defined"},

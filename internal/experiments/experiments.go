@@ -31,15 +31,6 @@ type Config struct {
 	Mine bool
 	// Params overrides the default generative calibration (nil = default).
 	Params *failmodel.Params
-	// Antithetic runs the simulation on the mirrored RNG root
-	// (sim.Opts); set by the sweep engine's "antithetic" variance mode
-	// for the odd trial of each pair. The zero value is the plain
-	// engine.
-	Antithetic bool
-	// Strata stratifies baseline Poisson failure counts (sim.Strata);
-	// set by the sweep engine's "stratified" variance mode. The zero
-	// value disables stratification.
-	Strata sim.Strata
 }
 
 // DefaultConfig is the configuration cmd/reproduce uses unless told
@@ -89,7 +80,7 @@ func RunTrial(cfg Config, f *fleet.Fleet, simSeed int64, scratch *sim.Scratch) *
 	if params == nil {
 		params = failmodel.DefaultParams()
 	}
-	res := sim.RunOpts(f, params, simSeed, scratch, sim.Opts{Antithetic: cfg.Antithetic, Strata: cfg.Strata})
+	res := sim.RunOpts(f, params, simSeed, scratch)
 	//detlint:ignore hotalloc the Env is the trial's output envelope; one allocation per trial, retained by the caller
 	env := &Env{Config: cfg, Fleet: f, Params: params}
 	if cfg.Mine {

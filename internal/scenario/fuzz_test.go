@@ -38,14 +38,15 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
-	// Variance-knob corpus: every accepted mode at both levels, the
-	// deltas toggle, and near-miss rejections (bad enum, odd antithetic
-	// trial counts) so the fuzzer starts on both sides of each rule.
-	f.Add([]byte(`{"name": "f", "variance": "antithetic", "trials": 8, "deltas": true, "scenarios": [{"name": "baseline"}, {"name": "b", "variance": "none"}]}`))
-	f.Add([]byte(`{"name": "f", "variance": "stratified", "scenarios": [{"name": "baseline", "variance": "stratified"}]}`))
-	f.Add([]byte(`{"name": "f", "variance": "antithetic", "trials": 7, "scenarios": [{"name": "baseline"}]}`))
+	// Variance-knob corpus: the deltas toggle, the one accepted
+	// per-scenario mode, and the removed modes at both levels (an
+	// unknown top-level field, a positional per-scenario rejection) so
+	// the fuzzer starts on both sides of each rule.
+	f.Add([]byte(`{"name": "f", "trials": 8, "deltas": true, "scenarios": [{"name": "baseline"}, {"name": "b", "variance": "none"}]}`))
+	f.Add([]byte(`{"name": "f", "variance": "antithetic", "scenarios": [{"name": "baseline"}]}`))
 	f.Add([]byte(`{"name": "f", "trials": 9, "scenarios": [{"name": "b", "variance": "antithetic"}]}`))
-	f.Add([]byte(`{"name": "f", "variance": "quasi", "scenarios": [{"name": "baseline"}]}`))
+	f.Add([]byte(`{"name": "f", "scenarios": [{"name": "baseline", "variance": "stratified"}]}`))
+	f.Add([]byte(`{"name": "f", "deltas": true, "scenarios": [{"name": "b", "variance": "quasi"}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := Parse(data, "fuzz.json")

@@ -60,12 +60,6 @@ type Spec struct {
 	// Findings additionally evaluates the paper's Findings 1-11 per
 	// trial; required true for assertions on the findings_pass metric.
 	Findings bool `json:"findings,omitempty"`
-	// Variance is the grid's base variance-reduction mode: "none",
-	// "antithetic" (mirrored trial pairs — requires an even trial
-	// count) or "stratified" (Latin-hypercube baseline counts).
-	// Empty inherits cmd/sweep's -variance flag (default none);
-	// individual scenarios may override it.
-	Variance string `json:"variance,omitempty"`
 	// Deltas additionally reports CRN paired scenario-vs-baseline
 	// contrasts (the Result's deltas section and expreport's delta
 	// table).
@@ -174,9 +168,6 @@ func (s *Spec) Config(base sweep.Config) sweep.Config {
 	}
 	if s.Findings {
 		cfg.Findings = true
-	}
-	if s.Variance != "" {
-		cfg.Variance = s.Variance
 	}
 	if s.Deltas {
 		cfg.Deltas = true

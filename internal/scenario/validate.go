@@ -28,12 +28,6 @@ func (s *Spec) Validate() error {
 	if s.Scale != 0 && !(s.Scale > 0 && s.Scale <= 1.5) {
 		return fmt.Errorf(`"scale" is %g, must be in (0, 1.5] (or omitted to inherit the -scale flag)`, s.Scale)
 	}
-	if !sweep.ValidVariance(s.Variance) {
-		return fmt.Errorf(`"variance" is %q, must be "none", "antithetic" or "stratified" (or omitted to inherit the -variance flag)`, s.Variance)
-	}
-	if s.Variance == sweep.VarianceAntithetic && s.Trials > 0 && s.Trials%2 == 1 {
-		return fmt.Errorf(`"variance": "antithetic" pairs trials 2k/2k+1 on mirrored streams, so "trials" must be even (this spec sets %d)`, s.Trials)
-	}
 	if len(s.Scenarios) == 0 {
 		return fmt.Errorf(`"scenarios" is empty: a grid needs at least one scenario`)
 	}
@@ -56,9 +50,6 @@ func (s *Spec) Validate() error {
 		byName[sc.Name] = i
 		if err := validateKnobs(sc); err != nil {
 			return pos("%v", err)
-		}
-		if sc.Variance == sweep.VarianceAntithetic && s.Trials > 0 && s.Trials%2 == 1 {
-			return pos(`"variance": "antithetic" pairs trials 2k/2k+1 on mirrored streams, so "trials" must be even (this spec sets %d)`, s.Trials)
 		}
 	}
 
@@ -141,10 +132,7 @@ func validateKnobs(sc sweep.Scenario) error {
 	if math.IsNaN(sc.SparseShelfFrac) || sc.SparseShelfFrac < 0 || sc.SparseShelfFrac > 1 {
 		return fmt.Errorf(`"sparseShelfFrac" is %g, must be in [0, 1] (0 keeps shelves uniformly populated)`, sc.SparseShelfFrac)
 	}
-	if !sweep.ValidVariance(sc.Variance) {
-		return fmt.Errorf(`"variance" is %q, must be "none", "antithetic" or "stratified" (omit to inherit the spec's mode)`, sc.Variance)
-	}
-	return nil
+	return sweep.CheckVariance(sc.Variance)
 }
 
 // knownMetric reports whether name is in the sweep metric registry.

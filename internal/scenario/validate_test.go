@@ -30,10 +30,10 @@ func TestValidationErrors(t *testing.T) {
 		{"bad-knob-skew.json", `scenarios[0] "old": "installSkew" is -2, must be in [-1, 1] (negative ages the fleet, positive youngens it)`},
 		{"bad-knob-sigma.json", `scenarios[0] "lag": "repairLagSigma" is 5, must be in [0, 4] (log-space sigma; 0 keeps repairs deterministic)`},
 		{"bad-knob-sparse.json", `scenarios[0] "sparse": "sparseShelfFrac" is 1.5, must be in [0, 1] (0 keeps shelves uniformly populated)`},
-		{"bad-variance-mode.json", `"variance" is "antithetical", must be "none", "antithetic" or "stratified" (or omitted to inherit the -variance flag)`},
-		{"antithetic-odd-trials.json", `"variance": "antithetic" pairs trials 2k/2k+1 on mirrored streams, so "trials" must be even (this spec sets 5)`},
-		{"bad-knob-variance.json", `scenarios[0] "v": "variance" is "mirror", must be "none", "antithetic" or "stratified" (omit to inherit the spec's mode)`},
-		{"scenario-antithetic-odd-trials.json", `scenarios[0] "v": "variance": "antithetic" pairs trials 2k/2k+1 on mirrored streams, so "trials" must be even (this spec sets 3)`},
+		{"bad-variance-mode.json", `unknown field "variance" (every spec field is documented in SCENARIOS.md)`},
+		{"antithetic-odd-trials.json", `unknown field "variance" (every spec field is documented in SCENARIOS.md)`},
+		{"bad-knob-variance.json", `scenarios[0] "v": "variance" is "mirror", but the antithetic and stratified modes were removed (neither cut a sweep metric's variance by 1.5×); only "none" remains, so drop the key`},
+		{"scenario-antithetic-odd-trials.json", `scenarios[0] "v": "variance" is "antithetic", but the antithetic and stratified modes were removed (neither cut a sweep metric's variance by 1.5×); only "none" remains, so drop the key`},
 		{"assertion-missing-metric.json", `assertions[0]: missing "metric"`},
 		{"assertion-unknown-metric.json", `assertions[0]: unknown metric "bogus" (the registry lives in internal/sweep/metrics.go and SCENARIOS.md)`},
 		{"assertion-unknown-scenario.json", `assertions[0]: scenario "nope" is not defined in this spec`},

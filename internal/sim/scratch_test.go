@@ -40,13 +40,13 @@ func TestResetRerunEquivalence(t *testing.T) {
 	cp := f.Checkpoint()
 	var sc Scratch
 
-	sameResult(t, "first scratch run", RunOpts(f, params, 9, &sc, Opts{}), ref9)
+	sameResult(t, "first scratch run", RunOpts(f, params, 9, &sc), ref9)
 
 	f.Reset(cp)
-	sameResult(t, "same-seed rerun after Reset", RunOpts(f, params, 9, &sc, Opts{}), ref9)
+	sameResult(t, "same-seed rerun after Reset", RunOpts(f, params, 9, &sc), ref9)
 
 	f.Reset(cp)
-	sameResult(t, "new-seed trial after Reset", RunOpts(f, params, 10, &sc, Opts{}), ref10)
+	sameResult(t, "new-seed trial after Reset", RunOpts(f, params, 10, &sc), ref10)
 }
 
 // TestRunMatchesRunWorkers pins the RunWorkersOpts compatibility shim
@@ -71,12 +71,12 @@ func TestRunScratchAllocBudget(t *testing.T) {
 	initial := len(f.Disks)
 	cp := f.Checkpoint()
 	var sc Scratch
-	RunOpts(f, params, 9, &sc, Opts{}) // warm every buffer
+	RunOpts(f, params, 9, &sc) // warm every buffer
 	replacements := len(f.Disks) - initial
 
 	allocs := testing.AllocsPerRun(5, func() {
 		f.Reset(cp)
-		RunOpts(f, params, 9, &sc, Opts{})
+		RunOpts(f, params, 9, &sc)
 	})
 	const budget = 24
 	if allocs > budget {

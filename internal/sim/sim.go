@@ -51,21 +51,20 @@ import (
 //
 //detlint:streamdomain sim
 const (
-	streamSim     uint64 = iota + 1 // root of the whole simulation
-	streamSys                       // + system ID: one stream per system
-	streamShelf                     // + shelf ID: one stream per shelf
-	streamEnv                       // shelf environment episodes
-	streamSlot                      // + slot index: one stream per slot
-	streamBase                      // per-slot baseline disk failures
-	streamEnvHit                    // per-slot environment-hit marks
-	streamChurn                     // per-slot proactive churn
-	streamCause                     // per-slot disk failure cause mix
-	streamPI                        // shelf-level interconnect episodes
-	streamPerf                      // shelf performance episodes
-	streamLoop                      // system loop-level interconnect episodes
-	streamProto                     // system protocol episodes
-	streamRepair                    // per-slot stochastic repair lags (RepairLagSigma > 0 only)
-	streamStratum                   // + disk ID: trial-independent stratum permutations (Strata.Count > 0 only)
+	streamSim    uint64 = iota + 1 // root of the whole simulation
+	streamSys                      // + system ID: one stream per system
+	streamShelf                    // + shelf ID: one stream per shelf
+	streamEnv                      // shelf environment episodes
+	streamSlot                     // + slot index: one stream per slot
+	streamBase                     // per-slot baseline disk failures
+	streamEnvHit                   // per-slot environment-hit marks
+	streamChurn                    // per-slot proactive churn
+	streamCause                    // per-slot disk failure cause mix
+	streamPI                       // shelf-level interconnect episodes
+	streamPerf                     // shelf performance episodes
+	streamLoop                     // system loop-level interconnect episodes
+	streamProto                    // system protocol episodes
+	streamRepair                   // per-slot stochastic repair lags (RepairLagSigma > 0 only)
 )
 
 // streamKey combines a stream constant with a component index. The
@@ -109,9 +108,9 @@ func (r *Result) VisibleEvents() []failmodel.Event {
 // Run simulates the fleet under the given parameters. The result is
 // fully determined by (fleet, params, seed). The fleet is mutated (disk
 // removals and replacement installs); pass a freshly built fleet. Run is
-// RunOpts with fresh scratch and the plain engine.
+// RunOpts with fresh scratch.
 func Run(f *fleet.Fleet, params *failmodel.Params, seed int64) *Result {
-	return RunOpts(f, params, seed, nil, Opts{})
+	return RunOpts(f, params, seed, nil)
 }
 
 // Scratch owns a run's reusable state — the event buffer and every
@@ -128,30 +127,18 @@ type Scratch struct {
 	w worker
 }
 
-// RunOpts is Run with caller-owned scratch (nil for a one-shot run) and
-// a variance-reduction mode (see variance.go; the zero Opts is the plain
-// engine). opts.Antithetic mirrors the entire stream tree;
-// opts.Strata.Count > 0 draws baseline failure counts from this trial's
-// stratum. The result is bit-identical to a fresh run whatever scratch
-// is passed.
-func RunOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, sc *Scratch, opts Opts) *Result {
+// RunOpts is Run with caller-owned scratch (nil for a one-shot run).
+// The result is bit-identical to a fresh run whatever scratch is
+// passed.
+func RunOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, sc *Scratch) *Result {
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	w := &sc.w
 	w.f, w.params = f, params
-	w.strata = opts.Strata
-	if opts.Strata.Count > 0 {
-		w.permRoot = *stats.NewRNG(opts.Strata.Seed)
-	}
 	w.events = w.events[:0]
 
-	// An antithetic run mirrors the root; the flip mask propagates
-	// through every descendant split.
 	root := stats.NewRNG(seed).Split(streamSim)
-	if opts.Antithetic {
-		root = root.Antithetic()
-	}
 	for i := range f.Systems {
 		sys := &f.Systems[i]
 		sysRNG := root.Split(streamKey(streamSys, sys.ID))
@@ -171,11 +158,16 @@ func RunOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, sc *Scratch, 
 	return &Result{Fleet: f, Events: w.events}
 }
 
-// RunWorkersOpts is RunOpts with an ignored worker count. It keeps the
-// signature of the sharded engine the simulator replaced, for the
-// repository benchmark's replica, its one reader.
-func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, workers int, sc *Scratch, opts Opts) *Result {
-	return RunOpts(f, params, seed, sc, opts)
+// Opts is empty. It survives only in RunWorkersOpts's signature, which
+// the repository benchmark's replica compiles against; the simulator
+// has no run options.
+type Opts struct{}
+
+// RunWorkersOpts is RunOpts with an ignored worker count and an empty
+// Opts. It keeps the signature of the sharded engine the simulator
+// replaced, for the repository benchmark's replica, its one reader.
+func RunWorkersOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, workers int, sc *Scratch, _ Opts) *Result {
+	return RunOpts(f, params, seed, sc)
 }
 
 // worker simulates the fleet's systems one at a time. All transient
@@ -194,10 +186,6 @@ type worker struct {
 	chains   []slotChain       // flat per-slot occupancy chains (per system)
 	shelfOff []int             // chains[shelfOff[i]:shelfOff[i+1]] = shelf i's slots
 	permBuf  []int             // partial Fisher–Yates scratch (per burst)
-
-	// Variance-reduction state (see variance.go); zero when disabled.
-	strata   Strata    // stratified baseline-count sampling config
-	permRoot stats.RNG // trial-independent root for stratum permutations
 }
 
 // occupancy is one disk's residency in a slot.
@@ -308,7 +296,7 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 
 	cands := w.cands[:0]
 	baseRNG := r.Split(streamBase)
-	w.times = w.basePoissonTimes(w.times[:0], baseRate, install, end, &baseRNG, diskID)
+	w.times = poissonTimes(w.times[:0], baseRate, install, end, &baseRNG)
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candBase})
 	}

@@ -139,14 +139,15 @@ func (r *Reservoir) Push(x float64) {
 }
 
 // Quantile returns the p-th (0..1) sample quantile of the held sample
-// with linear interpolation, NaN when empty. The sort scratch is
-// recycled, so repeated calls allocate only once.
+// with linear interpolation, NaN when empty. The sort scratch is sized
+// to the held sample and recycled, so repeated calls at one sample
+// size allocate only once.
 func (r *Reservoir) Quantile(p float64) float64 {
 	if len(r.xs) == 0 {
 		return math.NaN()
 	}
 	if cap(r.sorted) < len(r.xs) {
-		r.sorted = make([]float64, 0, cap(r.xs))
+		r.sorted = make([]float64, 0, len(r.xs))
 	}
 	r.sorted = append(r.sorted[:0], r.xs...)
 	sort.Float64s(r.sorted)

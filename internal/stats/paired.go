@@ -101,43 +101,3 @@ func RestorePairedOnline(st PairedOnlineState) PairedOnline {
 		cxy:   math.Float64frombits(st.Cxy),
 	}
 }
-
-// PoissonInvCDF returns the smallest k with P(X <= k) >= u for
-// X ~ Poisson(mean): the inverse-CDF transform behind stratified
-// sampling of Poisson arrival counts. It mirrors RNG.Poisson's regime
-// split — an exact CDF walk below mean 30, a continuity-corrected
-// normal approximation above — so a stratified draw stays within the
-// sampler's own accuracy envelope. u at or below 0 maps to 0; u must
-// be strictly below 1 (callers derive it from a [0,1) uniform).
-func PoissonInvCDF(mean, u float64) int {
-	if mean < 0 {
-		panic("stats: PoissonInvCDF requires mean >= 0")
-	}
-	if mean == 0 || u <= 0 {
-		return 0
-	}
-	if u >= 1 {
-		panic("stats: PoissonInvCDF requires u < 1")
-	}
-	if mean < 30 {
-		p := math.Exp(-mean)
-		cum := p
-		k := 0
-		for u > cum {
-			k++
-			p *= mean / float64(k)
-			cum += p
-			if p == 0 {
-				// Term underflow: the CDF walk cannot advance further;
-				// u sits beyond representable mass in the far tail.
-				break
-			}
-		}
-		return k
-	}
-	k := int(math.Floor(mean + math.Sqrt(mean)*NormalQuantile(u) + 0.5))
-	if k < 0 {
-		k = 0
-	}
-	return k
-}

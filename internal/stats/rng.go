@@ -39,7 +39,6 @@ import (
 type RNG struct {
 	key            uint64 // stream identity: hash of the seed and split path
 	s0, s1, s2, s3 uint64 // xoshiro256++ state
-	flip           uint64 // antithetic mask XORed into every output (0 = plain)
 }
 
 const golden64 = 0x9e3779b97f4a7c15 // 2^64 / phi, the SplitMix64 gamma
@@ -88,31 +87,10 @@ func NewRNG(seed int64) *RNG {
 //
 //detlint:hotpath
 func (r *RNG) Split(stream uint64) RNG {
-	c := fromKey(mix64(r.key + golden64*(stream+1)))
-	c.flip = r.flip
-	return c
+	return fromKey(mix64(r.key + golden64*(stream+1)))
 }
 
-// Antithetic returns a copy of the stream that emits the bitwise
-// complement of every Uint64 draw, which mirrors every uniform on the
-// 53-bit grid: if the plain stream draws u, the antithetic stream
-// draws exactly (1 - 2⁻⁵³) - u from the same position. The mask
-// propagates through Split, so every descendant stream of an
-// antithetic root is the mirror of the corresponding plain descendant
-// — the coupling internal/sweep's "antithetic" variance mode uses to
-// pair trials 2k/2k+1. Applying Antithetic twice restores the plain
-// stream. The zero mask costs one XOR per draw, so plain streams are
-// byte-for-byte unchanged.
-func (r *RNG) Antithetic() RNG {
-	c := *r
-	c.flip = ^c.flip
-	return c
-}
-
-// Uint64 returns the next 64 uniform bits (xoshiro256++). An
-// antithetic stream (see Antithetic) complements the output; the state
-// advance is identical, so plain and mirrored streams stay in
-// lockstep.
+// Uint64 returns the next 64 uniform bits (xoshiro256++).
 func (r *RNG) Uint64() uint64 {
 	result := bits.RotateLeft64(r.s0+r.s3, 23) + r.s0
 	t := r.s1 << 17
@@ -122,7 +100,7 @@ func (r *RNG) Uint64() uint64 {
 	r.s0 ^= r.s3
 	r.s2 ^= t
 	r.s3 = bits.RotateLeft64(r.s3, 45)
-	return result ^ r.flip
+	return result
 }
 
 // Float64 returns a uniform variate in [0, 1) with 53 random bits.

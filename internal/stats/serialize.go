@@ -23,22 +23,18 @@ type RNGState struct {
 	S1  uint64 `json:"s1"`
 	S2  uint64 `json:"s2"`
 	S3  uint64 `json:"s3"`
-	// Flip is the antithetic output mask (see RNG.Antithetic); zero for
-	// plain streams and omitted from JSON, so pre-existing checkpoint
-	// bytes are unchanged.
-	Flip uint64 `json:"flip,omitempty"`
 }
 
 // State captures the RNG's current stream identity and draw position.
 func (r *RNG) State() RNGState {
-	return RNGState{Key: r.key, S0: r.s0, S1: r.s1, S2: r.s2, S3: r.s3, Flip: r.flip}
+	return RNGState{Key: r.key, S0: r.s0, S1: r.s1, S2: r.s2, S3: r.s3}
 }
 
 // RestoreRNG reconstructs an RNG from a captured state. The restored
 // stream continues exactly where the captured one stood: same key,
 // same future draws.
 func RestoreRNG(st RNGState) *RNG {
-	return &RNG{key: st.Key, s0: st.S0, s1: st.S1, s2: st.S2, s3: st.S3, flip: st.Flip}
+	return &RNG{key: st.Key, s0: st.S0, s1: st.S1, s2: st.S2, s3: st.S3}
 }
 
 // OnlineState is the serializable state of an Online accumulator, with
@@ -99,23 +95,30 @@ func (r *Reservoir) State() ReservoirState {
 	return st
 }
 
-// RestoreReservoir reconstructs a reservoir from a captured state.
-// Replacement decisions resume from the captured RNG position, so a
-// restored reservoir fed the same remaining stream retains exactly the
-// sample an uninterrupted one would.
-func RestoreReservoir(st ReservoirState) (*Reservoir, error) {
+// Restore overwrites the reservoir with a captured state, reusing its
+// own sample storage when the captured capacity matches. Replacement
+// decisions resume from the captured RNG position, so a restored
+// reservoir fed the same remaining stream retains exactly the sample
+// an uninterrupted one would. A malformed state (non-positive
+// capacity, more samples than capacity, fewer observations than
+// samples) is refused and leaves the reservoir unchanged.
+func (r *Reservoir) Restore(st ReservoirState) error {
 	if st.Capacity <= 0 {
-		return nil, fmt.Errorf("stats: reservoir state capacity %d must be positive", st.Capacity)
+		return fmt.Errorf("stats: reservoir state capacity %d must be positive", st.Capacity)
 	}
 	if len(st.Xs) > st.Capacity {
-		return nil, fmt.Errorf("stats: reservoir state holds %d samples, above its capacity %d", len(st.Xs), st.Capacity)
+		return fmt.Errorf("stats: reservoir state holds %d samples, above its capacity %d", len(st.Xs), st.Capacity)
 	}
 	if st.Seen < len(st.Xs) {
-		return nil, fmt.Errorf("stats: reservoir state saw %d observations but holds %d", st.Seen, len(st.Xs))
+		return fmt.Errorf("stats: reservoir state saw %d observations but holds %d", st.Seen, len(st.Xs))
 	}
-	r := &Reservoir{xs: make([]float64, len(st.Xs), st.Capacity), seen: st.Seen, rng: *RestoreRNG(st.RNG)}
+	if cap(r.xs) != st.Capacity {
+		r.xs = make([]float64, 0, st.Capacity)
+	}
+	r.xs = r.xs[:len(st.Xs)]
 	for i, b := range st.Xs {
 		r.xs[i] = math.Float64frombits(b)
 	}
-	return r, nil
+	r.seen, r.rng = st.Seen, *RestoreRNG(st.RNG)
+	return nil
 }

@@ -110,8 +110,9 @@ func TestReservoirStateRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RestoreReservoir(back)
-	if err != nil {
+	// A different capacity and RNG: Restore must replace both.
+	resumed := NewReservoir(4, *NewRNG(99))
+	if err := resumed.Restore(back); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range xs[170:] {
@@ -133,7 +134,8 @@ func TestReservoirStateRoundTrip(t *testing.T) {
 }
 
 // TestRestoreReservoirRejectsCorrupt: malformed states are refused
-// with an error, never silently accepted.
+// with an error, never silently accepted, and leave the reservoir
+// they were restored into unchanged.
 func TestRestoreReservoirRejectsCorrupt(t *testing.T) {
 	good := NewReservoir(4, *NewRNG(1))
 	good.Push(1)
@@ -145,8 +147,11 @@ func TestRestoreReservoirRejectsCorrupt(t *testing.T) {
 	} {
 		st := good.State()
 		corrupt(&st)
-		if _, err := RestoreReservoir(st); err == nil {
+		if err := good.Restore(st); err == nil {
 			t.Fatalf("corrupt state %+v accepted", st)
+		}
+		if good.seen != 1 || len(good.xs) != 1 || cap(good.xs) != 4 {
+			t.Fatalf("refused state %+v changed the reservoir: seen %d, %d of %d slots", st, good.seen, len(good.xs), cap(good.xs))
 		}
 	}
 }

@@ -66,9 +66,9 @@ type CheckpointConfig struct {
 	// file, so silently continuing under a different file would attach
 	// the wrong artifact to the result.
 	GridDigest string `json:"gridDigest,omitempty"`
-	// Variance is the sweep's base variance-reduction mode — identity
-	// because it changes trial values. Omitted when unset, so
-	// pre-variance checkpoints keep loading.
+	// Variance is the base mode of the removed variance knob. The
+	// engine never writes it; validateCheckpoint refuses a checkpoint
+	// that names a removed mode (see VarianceNone).
 	Variance string `json:"variance,omitempty"`
 	// Deltas records whether the paired-delta aggregators ride this
 	// checkpoint — identity because resuming a -deltas sweep from a
@@ -93,7 +93,6 @@ func checkpointIdentity(cfg Config) CheckpointConfig {
 		ReservoirSize: reservoirSize,
 		Scenarios:     cfg.Scenarios,
 		GridDigest:    cfg.GridDigest,
-		Variance:      cfg.Variance,
 		Deltas:        cfg.Deltas,
 	}
 }
@@ -102,8 +101,7 @@ func checkpointIdentity(cfg Config) CheckpointConfig {
 func (c CheckpointConfig) equal(o CheckpointConfig) bool {
 	if c.Trials != o.Trials || c.Seed != o.Seed || c.Scale != o.Scale ||
 		c.Findings != o.Findings || c.ReservoirSize != o.ReservoirSize ||
-		c.GridDigest != o.GridDigest ||
-		c.Variance != o.Variance || c.Deltas != o.Deltas ||
+		c.GridDigest != o.GridDigest || c.Deltas != o.Deltas ||
 		len(c.Scenarios) != len(o.Scenarios) {
 		return false
 	}
@@ -295,6 +293,9 @@ func captureCheckpoint(ident CheckpointConfig, next int, failures []TrialFailure
 // payload that carries it, before anything is allocated: a checkpoint
 // read from disk is untrusted input.
 func validateCheckpoint(st *CheckpointState, ident CheckpointConfig) error {
+	if err := checkConfigVariance(st.Config.Variance, st.Config.Scenarios); err != nil {
+		return fmt.Errorf("sweep: checkpoint refused: %w; start fresh without -resume", err)
+	}
 	// The scenario-file digest gets its own error: every other identity
 	// field appears in the generic message below, but a digest mismatch
 	// with otherwise-equal numbers means the scenario *file* changed —
@@ -363,11 +364,9 @@ func restoreCheckpoint(st *CheckpointState, ident CheckpointConfig,
 	for si, sc := range st.Scenarios {
 		for mi := range sc.Onlines {
 			onlines[si][mi] = stats.RestoreOnline(sc.Onlines[mi])
-			r, err := stats.RestoreReservoir(sc.Reservoirs[mi])
-			if err != nil {
+			if err := reservoirs[si][mi].Restore(sc.Reservoirs[mi]); err != nil {
 				return 0, nil, fmt.Errorf("sweep: checkpoint scenario %d metric %d: %w", si, mi, err)
 			}
-			reservoirs[si][mi] = r
 			points[si][mi] = math.Float64frombits(sc.Points[mi])
 		}
 	}

@@ -3,45 +3,7 @@ package sweep
 import (
 	"math"
 	"testing"
-
-	"storagesubsys/internal/sim"
 )
-
-// TestTrialVariantContract pins trialVariant's pure mapping — the
-// seed-pairing schedule every checkpoint, retry, and delta aggregate
-// built under a variance mode depends on. Like trialSeed's pins, a
-// change here silently re-means recorded results.
-func TestTrialVariantContract(t *testing.T) {
-	const seed, trials = 42, 8
-	for trial := 0; trial < trials; trial++ {
-		// none (and the empty mode) degenerate to the plain schedule.
-		for _, mode := range []string{"", VarianceNone} {
-			s, anti, st := trialVariant(mode, seed, trial, trials)
-			if s != trialSeed(seed, trial) || anti || st != (sim.Strata{}) {
-				t.Fatalf("mode %q trial %d: (%d, %v, %+v), want plain (%d, false, zero)",
-					mode, trial, s, anti, st, trialSeed(seed, trial))
-			}
-		}
-
-		// antithetic: 2k and 2k+1 share trial 2k's seed; the odd trial is
-		// the mirrored leg; no strata.
-		s, anti, st := trialVariant(VarianceAntithetic, seed, trial, trials)
-		wantSeed := trialSeed(seed, trial-trial%2)
-		if s != wantSeed || anti != (trial%2 == 1) || st != (sim.Strata{}) {
-			t.Fatalf("antithetic trial %d: (%d, %v, %+v), want (%d, %v, zero)",
-				trial, s, anti, st, wantSeed, trial%2 == 1)
-		}
-
-		// stratified: per-trial seed, stratum = trial index, permutation
-		// keyed by the sweep seed.
-		s, anti, st = trialVariant(VarianceStratified, seed, trial, trials)
-		want := sim.Strata{Index: trial, Count: trials, Seed: seed}
-		if s != trialSeed(seed, trial) || anti || st != want {
-			t.Fatalf("stratified trial %d: (%d, %v, %+v), want (%d, false, %+v)",
-				trial, s, anti, st, trialSeed(seed, trial), want)
-		}
-	}
-}
 
 // TestCRNStreamIdentity pins the common-random-numbers contract the
 // package comment documents: trialSeed never consults the scenario, so
@@ -129,15 +91,5 @@ func TestDeltasSkipBaselineAndFailedPairs(t *testing.T) {
 	}
 	if agg.pending[0][1] != nil {
 		t.Error("flushed pending row not cleared")
-	}
-}
-
-// TestVarianceChangesDescribe: a scenario's resolved variance mode is
-// part of its rendered description, so two results swept under
-// different modes can never be confused for one another.
-func TestVarianceChangesDescribe(t *testing.T) {
-	s := Scenario{Name: "x", Variance: VarianceAntithetic}
-	if got := s.Describe(0.25); got == (Scenario{Name: "x"}).Describe(0.25) {
-		t.Fatalf("Describe ignores the variance mode: %q", got)
 	}
 }

@@ -17,20 +17,11 @@ import (
 	"storagesubsys/internal/sweep"
 )
 
-// deltasConfig is recoveryConfig plus the full variance-reduction
-// surface: paired deltas on, one scenario stratified — so every new
-// aggregator and seed-variant path rides through the tests below.
+// deltasConfig is recoveryConfig with paired deltas on, so the delta
+// aggregators ride through the tests below.
 func deltasConfig(workers int) sweep.Config {
 	cfg := recoveryConfig(workers)
 	cfg.Deltas = true
-	scens := make([]sweep.Scenario, len(cfg.Scenarios))
-	copy(scens, cfg.Scenarios)
-	for i := range scens {
-		if scens[i].Name != sweep.BaselineName {
-			scens[i].Variance = sweep.VarianceStratified
-		}
-	}
-	cfg.Scenarios = scens
 	return cfg
 }
 
@@ -89,7 +80,7 @@ func TestDeltasGatedOff(t *testing.T) {
 }
 
 // TestDeltasResumeByteIdentity is the satellite resume contract: kill
-// a delta-accumulating stratified sweep mid-flight at various points,
+// a delta-accumulating sweep mid-flight at various points,
 // resume from the periodic checkpoint at a different worker count, and
 // the final JSON — Deltas section included — must be byte-identical to
 // an uninterrupted run's.
@@ -138,12 +129,12 @@ func TestDeltasResumeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsVarianceMismatch: the variance mode and the deltas
-// toggle are checkpoint identity. A checkpoint from a stratified delta
-// sweep must refuse to resume under a plain configuration (silently
-// mixing pairing schedules would corrupt every aggregate), and a
-// delta checkpoint stripped of its delta state must be refused rather
-// than resumed with silently empty contrasts.
+// TestResumeRejectsVarianceMismatch: the deltas toggle is checkpoint
+// identity. A delta checkpoint must refuse to resume under a
+// configuration without deltas, and one stripped of its delta state
+// must be refused rather than resumed with silently empty contrasts.
+// A checkpoint naming a removed variance mode, as the sweep base or on
+// one scenario, is refused rather than resumed as plain.
 func TestResumeRejectsVarianceMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cfg := deltasConfig(2)
@@ -156,17 +147,36 @@ func TestResumeRejectsVarianceMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain := recoveryConfig(2) // no Deltas, no Variance
-	if _, err := sweep.Execute(plain, st, nil); err == nil ||
-		!strings.Contains(err.Error(), "different sweep configuration") {
-		t.Fatalf("plain config accepted a stratified delta checkpoint: %v", err)
-	}
-
 	noDeltas := deltasConfig(2)
 	noDeltas.Deltas = false
 	if _, err := sweep.Execute(noDeltas, st, nil); err == nil ||
 		!strings.Contains(err.Error(), "different sweep configuration") {
 		t.Fatalf("deltas-off config accepted a delta checkpoint: %v", err)
+	}
+
+	for _, where := range []string{"base", "scenario"} {
+		named := *st
+		named.Config.Scenarios = append([]sweep.Scenario(nil), st.Config.Scenarios...)
+		if where == "base" {
+			named.Config.Variance = "antithetic"
+		} else {
+			named.Config.Scenarios[1].Variance = "antithetic"
+		}
+		path := filepath.Join(t.TempDir(), where+".ckpt")
+		if err := named.Save(path, nil); err != nil {
+			t.Fatal(err)
+		}
+		loaded, _, err := sweep.RecoverCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sweep.Execute(deltasConfig(2), loaded, nil); err == nil ||
+			!strings.Contains(err.Error(), `"variance" is "antithetic", but the antithetic and stratified modes were removed`) {
+			t.Fatalf("%s: checkpoint naming a removed mode resumed: %v", where, err)
+		}
+		if _, err := loaded.PartialResult(); err == nil {
+			t.Fatalf("%s: PartialResult derived from a checkpoint naming a removed mode", where)
+		}
 	}
 
 	stripped := *st

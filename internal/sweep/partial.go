@@ -25,7 +25,6 @@ func (c CheckpointConfig) config() Config {
 		Findings:   c.Findings,
 		Scenarios:  c.Scenarios,
 		GridDigest: c.GridDigest,
-		Variance:   c.Variance,
 		Deltas:     c.Deltas,
 	}
 }

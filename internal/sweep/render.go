@@ -259,9 +259,6 @@ func (s Scenario) Describe(baseScale float64) string {
 	if s.SparseShelfFrac > 0 {
 		parts = append(parts, fmt.Sprintf("%g%% shelves half-populated", s.SparseShelfFrac*100))
 	}
-	if s.Variance != "" && s.Variance != VarianceNone {
-		parts = append(parts, s.Variance+" trials")
-	}
 	return s.Name + " (" + strings.Join(parts, ", ") + ")"
 }
 
@@ -344,7 +341,7 @@ func (r *Result) Render(w io.Writer) {
 // well-formed. cfg must be the Config the result was produced with.
 func (r *Result) Check(cfg Config) error {
 	ident := checkpointIdentity(cfg)
-	scens, trials := ident.Scenarios, ident.Trials
+	scens := ident.Scenarios
 	if len(scens) != len(r.Scenarios) {
 		return fmt.Errorf("sweep: check config has %d scenarios, result has %d", len(scens), len(r.Scenarios))
 	}
@@ -360,13 +357,9 @@ func (r *Result) Check(cfg Config) error {
 		}
 		run := newScenarioRun(scens[si], cfg)
 		f := BuildFleet(run.key, cfg.Seed)
-		// Trial 0's variant must match the sweep's exactly: stratified
-		// mode changes even trial 0's baseline count draws.
-		simSeed, anti, strata := trialVariant(run.variance, cfg.Seed, 0, trials)
 		env := experiments.RunTrial(experiments.Config{
 			Scale: run.key.Scale, Seed: cfg.Seed, Mine: run.scen.Mine, Params: run.params,
-			Antithetic: anti, Strata: strata,
-		}, f, simSeed, nil)
+		}, f, trialSeed(cfg.Seed, 0), nil)
 		vals := trialVector(env, cfg.Findings, make([]float64, 0, len(Metrics)))
 		for _, m := range ss.Metrics {
 			want := vals[metricIndex(m.Name)]

@@ -132,15 +132,12 @@ func (w *trialWorker) attempt(r *scenarioRun, job, att int) (vals []float64, pan
 	} else {
 		w.f.Reset(w.cp)
 	}
-	simSeed, anti, strata := trialVariant(r.variance, w.cfg.Seed, job%w.trials, w.trials)
 	env := experiments.RunTrial(experiments.Config{
-		Scale:      r.key.Scale,
-		Seed:       w.cfg.Seed,
-		Mine:       r.scen.Mine,
-		Params:     r.params,
-		Antithetic: anti,
-		Strata:     strata,
-	}, w.f, simSeed, w.scratch)
+		Scale:  r.key.Scale,
+		Seed:   w.cfg.Seed,
+		Mine:   r.scen.Mine,
+		Params: r.params,
+	}, w.f, trialSeed(w.cfg.Seed, job%w.trials), w.scratch)
 	return trialVector(env, w.cfg.Findings, make([]float64, 0, w.nMet)), nil
 }
 

@@ -29,22 +29,14 @@
 // trialSeed is a pure function of (sweep seed, trial index) and never
 // of the scenario, so trial t of every scenario runs on the *identical*
 // failure-history stream tree unless a gated knob (RepairLagSigma's
-// extra stream, a variance mode, the stratified count draw) explicitly
-// diverges it. TestCRNStreamIdentity pins this. The Deltas machinery
-// (deltas.go) builds directly on it: per-trial scenario-minus-baseline
-// differences cancel the shared Monte-Carlo noise, so paired-delta
-// confidence intervals are far tighter than differencing two
-// independent per-scenario CIs. Changing trialSeed to consume the
+// extra stream) explicitly diverges it. TestCRNStreamIdentity pins
+// this. The Deltas machinery (deltas.go) builds directly on it:
+// per-trial scenario-minus-baseline differences cancel the shared
+// Monte-Carlo noise, so paired-delta confidence intervals are far
+// tighter than differencing two independent per-scenario CIs. Changing trialSeed to consume the
 // scenario — or un-gating a knob so default streams shift — silently
-// destroys that cancellation; treat both as breaking changes.
-//
-// Variance reduction beyond CRN is opt-in via the `variance` knob
-// ("none"|"antithetic"|"stratified", per sweep or per scenario):
-// antithetic pairs trial 2k/2k+1 on mirrored uniforms
-// (stats.RNG.Antithetic), stratified spreads each slot's baseline
-// Poisson count draw over a Latin-hypercube stratification of [0,1)
-// (sim.Strata). Both are gated: with the knob unset every stream,
-// golden byte, and committed report is unchanged.
+// destroys that cancellation; treat both as breaking changes. CRN is
+// the engine's only variance reduction (see VarianceNone).
 package sweep
 
 import (
@@ -58,7 +50,6 @@ import (
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
-	"storagesubsys/internal/sim"
 	"storagesubsys/internal/stats"
 )
 
@@ -122,11 +113,9 @@ type Scenario struct {
 	// mean disk population — a heterogeneous shelf-size mix
 	// (0 = uniform default).
 	SparseShelfFrac float64 `json:"sparseShelfFrac,omitempty"`
-	// Variance selects the scenario's variance-reduction mode:
-	// "antithetic" pairs trial 2k/2k+1 on mirrored RNG streams,
-	// "stratified" stratifies each slot's baseline Poisson failure count
-	// across the sweep's trials, "none" forces the plain engine.
-	// Empty inherits the sweep's base mode (Config.Variance).
+	// Variance is a removed knob: "" or "none" (the plain engine) are
+	// the only accepted values, and CheckVariance refuses any other.
+	// See VarianceNone.
 	Variance string `json:"variance,omitempty"`
 }
 
@@ -166,33 +155,37 @@ func (s Scenario) EffScale(base float64) float64 {
 	return base
 }
 
-// Variance-reduction modes accepted by Config.Variance and
-// Scenario.Variance. The empty string inherits (scenario) or means
-// plain (config).
-const (
-	VarianceNone       = "none"
-	VarianceAntithetic = "antithetic"
-	VarianceStratified = "stratified"
-)
+// VarianceNone is the plain engine, the one variance mode left. The
+// two opt-in variance-reduction modes were removed: measured on the
+// sweep's own metric vector, neither cut any metric's replicate
+// variance by 1.5× at 5% significance (ARCHITECTURE.md, "Variance
+// reduction"). Config.Variance, Scenario.Variance and this constant
+// stay because the repository benchmark compiles against them, and so
+// that a scenario file or checkpoint naming a removed mode is refused
+// (CheckVariance) instead of silently running plain.
+const VarianceNone = "none"
 
-// ValidVariance reports whether mode is an accepted variance knob
-// value (the empty string included).
-func ValidVariance(mode string) bool {
-	switch mode {
-	case "", VarianceNone, VarianceAntithetic, VarianceStratified:
-		return true
+// CheckVariance rejects a variance knob value other than "" and
+// "none". It is the engine's only reader of the removed knob.
+func CheckVariance(mode string) error {
+	if mode == "" || mode == VarianceNone {
+		return nil
 	}
-	return false
+	return fmt.Errorf(`"variance" is %q, but the antithetic and stratified modes were removed (neither cut a sweep metric's variance by 1.5×); only "none" remains, so drop the key`, mode)
 }
 
-// EffVariance resolves the scenario's variance mode against the
-// sweep's base mode: a non-empty scenario value wins (including the
-// explicit "none" opt-out), empty inherits.
-func (s Scenario) EffVariance(base string) string {
-	if s.Variance != "" {
-		return s.Variance
+// checkConfigVariance applies CheckVariance to a config's base mode
+// and every scenario's.
+func checkConfigVariance(base string, scens []Scenario) error {
+	if err := CheckVariance(base); err != nil {
+		return err
 	}
-	return base
+	for _, s := range scens {
+		if err := CheckVariance(s.Variance); err != nil {
+			return fmt.Errorf("scenario %q: %w", s.Name, err)
+		}
+	}
+	return nil
 }
 
 // Config controls a sweep run. The whole sweep — every trial, every
@@ -222,10 +215,8 @@ type Config struct {
 	// trial (the findings_pass metric; roughly doubles per-trial
 	// analysis cost).
 	Findings bool
-	// Variance is the base variance-reduction mode applied to every
-	// scenario that does not set its own ("" or "none" = the plain
-	// engine; see ValidVariance). Identity-bearing: it changes trial
-	// values, so it participates in checkpoint identity.
+	// Variance is a removed knob kept for the repository benchmark:
+	// "" or "none" only (see VarianceNone). It never changes a value.
 	Variance string
 	// Deltas additionally aggregates CRN paired deltas — per-trial
 	// scenario-minus-baseline metric differences — into the Result's
@@ -319,14 +310,7 @@ func CheckResolved(cfg Config) error {
 	if cfg.Scale <= 0 || cfg.Scale > 1.5 {
 		return fmt.Errorf("base scale %g must be in (0, 1.5] (scenario file and base config combined)", cfg.Scale)
 	}
-	if cfg.Trials%2 != 0 {
-		for _, s := range cfg.Scenarios {
-			if s.EffVariance(cfg.Variance) == VarianceAntithetic {
-				return fmt.Errorf("antithetic pairing needs an even trial count, got %d (scenario %q resolves to variance antithetic)", cfg.Trials, s.Name)
-			}
-		}
-	}
-	return nil
+	return checkConfigVariance(cfg.Variance, cfg.Scenarios)
 }
 
 // reservoirSize caps the per-metric quantile sample. Quantiles are
@@ -367,31 +351,6 @@ func trialSeed(seed int64, trial int) int64 {
 	return int64(c.Uint64())
 }
 
-// trialVariant resolves one trial's execution variant under a variance
-// mode: the failure-history seed plus the sim-level options. Like
-// trialSeed it is a pure function of its arguments — the retry and
-// resume machinery re-derive variants freely — and with the mode unset
-// (or "none") it degenerates to exactly (trialSeed(seed, trial),
-// plain), so existing sweeps are untouched.
-//
-//   - antithetic: trials 2k and 2k+1 share trial 2k's seed; the odd
-//     trial runs on the mirrored RNG root. An odd trial count leaves
-//     the final trial an unpaired plain trial.
-//   - stratified: every trial keeps its own seed but draws baseline
-//     Poisson counts from stratum `trial` of `trials`, with the
-//     trial-independent permutation keyed by the sweep seed.
-func trialVariant(mode string, seed int64, trial, trials int) (simSeed int64, antithetic bool, strata sim.Strata) {
-	switch mode {
-	case VarianceAntithetic:
-		if trial%2 == 1 {
-			return trialSeed(seed, trial-1), true, sim.Strata{}
-		}
-	case VarianceStratified:
-		return trialSeed(seed, trial), false, sim.Strata{Index: trial, Count: trials, Seed: seed}
-	}
-	return trialSeed(seed, trial), false, sim.Strata{}
-}
-
 // FleetKey is the subset of a resolved scenario that determines its
 // fleet topology. Workers compare keys to decide whether a scenario
 // boundary needs a rebuild or just a Reset of the cached fleet; two
@@ -424,10 +383,9 @@ func (s Scenario) FleetKeyIn(baseScale float64) FleetKey {
 // scenarioRun is a scenario resolved against the sweep config, shared
 // read-only by the workers.
 type scenarioRun struct {
-	scen     Scenario
-	key      FleetKey
-	params   *failmodel.Params
-	variance string // resolved variance mode (EffVariance)
+	scen   Scenario
+	key    FleetKey
+	params *failmodel.Params
 }
 
 // newScenarioRun resolves a scenario against the sweep config — the
@@ -435,10 +393,9 @@ type scenarioRun struct {
 // can never apply differently between the sweep and its self-check.
 func newScenarioRun(s Scenario, cfg Config) scenarioRun {
 	return scenarioRun{
-		scen:     s,
-		key:      s.FleetKeyIn(cfg.Scale),
-		params:   s.params(),
-		variance: s.EffVariance(cfg.Variance),
+		scen:   s,
+		key:    s.FleetKeyIn(cfg.Scale),
+		params: s.params(),
 	}
 }
 
@@ -542,6 +499,9 @@ func effectiveWorkers(workers int) int {
 func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, error) {
 	if len(cfg.Scenarios) == 0 {
 		return nil, errors.New("sweep: the grid has no scenarios (Config.Scenarios is empty)")
+	}
+	if err := checkConfigVariance(cfg.Variance, cfg.Scenarios); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	ident := checkpointIdentity(cfg)
 	trials, scens := ident.Trials, ident.Scenarios

@@ -379,3 +379,59 @@ func TestPersistErrorLogged(t *testing.T) {
 	}
 	t.Fatalf("no Logf line reports the failed write of %s:\n%s", queued.ID, strings.Join(lines, "\n"))
 }
+
+// TestRestoreKeepsDoneJobWithStaleSpec: a restart over jobs whose
+// persisted spec names a removed variance mode. The done job stays
+// done and /result serves its result.json unchanged; only /report,
+// which needs the spec, answers with the parse error. A queued job
+// with the same spec cannot run, so it fails on restore.
+func TestRestoreKeepsDoneJobWithStaleSpec(t *testing.T) {
+	dir := t.TempDir()
+	ts := startServer(t, dir, nil)
+	done := ts.submit(t, []byte(recoverySpec))
+	ts.waitState(t, done.ID, StateDone)
+	want := ts.resultOf(t, done.ID)
+	ts.Drain()
+	ts.http.Close()
+
+	stale := []byte(strings.Replace(recoverySpec, `"repairLagMult": 4}`, `"repairLagMult": 4, "variance": "antithetic"}`, 1))
+	if bytes.Equal(stale, []byte(recoverySpec)) {
+		t.Fatal("stale spec edit did not apply")
+	}
+	if err := os.WriteFile(filepath.Join(dir, done.ID, specFile), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const queuedID = "job-000002"
+	if err := os.Mkdir(filepath.Join(dir, queuedID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(jobMeta{ID: queuedID, Seq: 2, Name: "recovery", State: StateQueued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{metaFile: meta, specFile: stale} {
+		if err := os.WriteFile(filepath.Join(dir, queuedID, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ts2 := startServer(t, dir, nil)
+	const removed = `"variance" is "antithetic", but the antithetic and stratified modes were removed`
+	if js := ts2.getStatus(t, done.ID); js.State != StateDone || js.TrialsDone != recoveryTotal || js.TrialsTotal != recoveryTotal {
+		t.Fatalf("done job restored as %s with %d/%d trials (error %q)", js.State, js.TrialsDone, js.TrialsTotal, js.Error)
+	}
+	if got := ts2.resultOf(t, done.ID); !bytes.Equal(got, want) {
+		t.Fatal("restored done job serves different result bytes")
+	}
+	code, body := ts2.do(t, http.MethodGet, "/v1/jobs/"+done.ID+"/report", nil)
+	if code != http.StatusConflict || !strings.Contains(string(body), removed) {
+		t.Fatalf("report of a job whose spec no longer parses: status %d body %q", code, body)
+	}
+	if meta := readMeta(t, dir, done.ID); meta.State != StateDone {
+		t.Fatalf("done job persisted as %s after restore", meta.State)
+	}
+	js := ts2.waitState(t, queuedID, StateFailed)
+	if !strings.Contains(js.Error, removed) {
+		t.Fatalf("queued job failed with %q, want the removed-mode error", js.Error)
+	}
+}

@@ -82,6 +82,11 @@ type Job struct {
 	// spec is the parsed scenario file; specRaw its exact bytes.
 	spec    *scenario.Spec
 	specRaw []byte
+	// specErr is why a done job's spec no longer parses on restore (a
+	// knob since removed, say). The job stays done and keeps serving
+	// its result; only the report, which needs the spec, answers with
+	// this error.
+	specErr error
 	// cfg is the spec resolved against the server's base config —
 	// everything but the per-run seams (checkpoint path, interrupt,
 	// observer, fleet source), which runJob wires.
@@ -190,7 +195,14 @@ func (s *Server) restore() error {
 			err = validateResolved(j.cfg)
 		}
 		if err != nil {
-			j.spec, j.state, j.errMsg = placeholderSpec(meta.Name), StateFailed, err.Error()
+			j.spec = placeholderSpec(meta.Name)
+			if j.state == StateDone {
+				// result.json does not depend on the spec: keep it.
+				j.specErr = err
+				s.addLocked(j)
+				continue
+			}
+			j.state, j.errMsg = StateFailed, err.Error()
 			s.addLocked(j)
 			s.saveLocked(j)
 			continue

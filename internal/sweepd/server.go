@@ -264,6 +264,12 @@ func (s *Server) status(j *Job, detail bool) JobStatus {
 			}
 		}
 	}
+	if res != nil && js.TrialsTotal == 0 {
+		// A done job whose spec no longer parses has no resolved
+		// config; its result records the run parameters.
+		js.Trials, js.Seed, js.Scale = res.Trials, res.Seed, res.Scale
+		js.TrialsTotal = res.Trials * len(res.Scenarios)
+	}
 	switch {
 	case res != nil:
 		for _, ss := range res.Scenarios {
@@ -459,10 +465,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	state, spec := j.state, j.spec
+	state, spec, specErr := j.state, j.spec, j.specErr
 	s.mu.Unlock()
 	if state != StateDone {
 		http.Error(w, fmt.Sprintf("sweepd: %s is %s; reports render only once the job is done", j.ID, state), http.StatusConflict)
+		return
+	}
+	if specErr != nil {
+		http.Error(w, fmt.Sprintf("sweepd: %s report needs its spec, which no longer parses: %v", j.ID, specErr), http.StatusConflict)
 		return
 	}
 	res, err := s.loadResult(j)

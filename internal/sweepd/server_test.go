@@ -273,18 +273,27 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 // TestSubmitRejectsPostMergeViolations covers validation that only
 // triggers once the spec combines with the server's base config —
 // mirroring cmd/sweep's post-merge checks with the same message shape.
+// A spec naming a removed variance mode is refused at parse time, at
+// the top level as an unknown field and per scenario positionally.
 func TestSubmitRejectsPostMergeViolations(t *testing.T) {
-	odd := tinyBase()
-	odd.Trials = 3
-	ts := startServer(t, t.TempDir(), func(c *Config) { c.Base = odd })
-	spec := `{"name": "x", "variance": "antithetic", "scenarios": [{"name": "baseline"}]}`
-	code, body := ts.do(t, http.MethodPost, "/v1/jobs", []byte(spec))
-	if code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (body %q)", code, body)
-	}
-	want := "sweepd: antithetic pairing needs an even trial count, got 3 (scenario \"baseline\" resolves to variance antithetic)\n"
-	if string(body) != want {
-		t.Fatalf("error body %q, want %q", body, want)
+	wide := tinyBase()
+	wide.Scale = 2
+	ts := startServer(t, t.TempDir(), func(c *Config) { c.Base = wide })
+	for _, tc := range []struct{ spec, want string }{
+		{`{"name": "x", "scenarios": [{"name": "baseline"}]}`,
+			"sweepd: base scale 2 must be in (0, 1.5] (scenario file and base config combined)\n"},
+		{`{"name": "x", "variance": "antithetic", "scenarios": [{"name": "baseline"}]}`,
+			"scenario: request body: unknown field \"variance\" (every spec field is documented in SCENARIOS.md)\n"},
+		{`{"name": "x", "scenarios": [{"name": "baseline", "variance": "antithetic"}]}`,
+			"scenario: request body: scenarios[0] \"baseline\": \"variance\" is \"antithetic\", but the antithetic and stratified modes were removed (neither cut a sweep metric's variance by 1.5×); only \"none\" remains, so drop the key\n"},
+	} {
+		code, body := ts.do(t, http.MethodPost, "/v1/jobs", []byte(tc.spec))
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (body %q)", tc.spec, code, body)
+		}
+		if string(body) != tc.want {
+			t.Fatalf("%s: error body %q, want %q", tc.spec, body, tc.want)
+		}
 	}
 }
 
