@@ -276,6 +276,18 @@ func BenchmarkAutosupportCollect(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyze measures the statistics one trial's metric vector
+// and Findings read (Dataset.Analyze): the breakdowns, both scopes' gap
+// analyses over their container indexes, and the shelf correlation.
+func BenchmarkAnalyze(b *testing.B) {
+	e := env(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Dataset.Analyze()
+	}
+}
+
 // BenchmarkGapAnalysis measures the Figure 9 computation alone.
 func BenchmarkGapAnalysis(b *testing.B) {
 	e := env(b)

@@ -119,6 +119,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweep: "+format+"\n", a...)
 		return code
 	}
+	// engine drops the "sweep: " an engine error already starts with,
+	// since fail adds its own.
+	engine := func(err error) string { return strings.TrimPrefix(err.Error(), "sweep: ") }
 
 	if flags.NArg() > 0 {
 		if flags.Arg(0) == "validate" {
@@ -208,7 +211,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if errors.Is(err, fs.ErrNotExist) {
 				return fail(2, "-resume: no checkpoint at %s (run with -checkpoint first, or drop -resume to start fresh)", *checkpoint)
 			}
-			return fail(2, "-resume: %v", err)
+			return fail(2, "-resume: %s", engine(err))
 		}
 		fmt.Fprintf(stderr, "sweep: resuming from %s at trial %d of %d\n",
 			src, st.NextJob, len(cfg.Scenarios)*cfg.Trials)
@@ -227,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweep: scenario %q complete (%d trials)\n", s.Name, done)
 	})
 	if err != nil {
-		return fail(1, "%v", err)
+		return fail(1, "%s", engine(err))
 	}
 	if res.Partial {
 		fmt.Fprintln(stderr, "sweep: PARTIAL result (budget or deadline); resume with -resume to complete")

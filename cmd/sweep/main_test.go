@@ -222,3 +222,33 @@ func TestDeadlineDrainAndResume(t *testing.T) {
 		t.Fatal("deadline-then-resumed stdout differs from the uninterrupted run")
 	}
 }
+
+// TestResumeErrorsPrefixedOnce: engine errors already start with
+// "sweep: ", so neither a refused checkpoint (Execute) nor an
+// unreadable one (RecoverCheckpoint) may print the prefix twice.
+func TestResumeErrorsPrefixedOnce(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	args := func(extra ...string) []string {
+		return append([]string{"-trials", "2", "-scale", "0.004", "-grid", "smoke", "-checkpoint", ckpt}, extra...)
+	}
+	if code := run(args("-max-wall", "1ns"), io.Discard, io.Discard); code != 0 {
+		t.Fatalf("-max-wall run exited %d", code)
+	}
+	check := func(name string, wantCode int, want string, extra ...string) {
+		t.Helper()
+		var stderr bytes.Buffer
+		if code := run(args(extra...), io.Discard, &stderr); code != wantCode {
+			t.Fatalf("%s: exited %d, want %d (stderr %q)", name, code, wantCode, stderr.String())
+		}
+		if got := stderr.String(); !strings.Contains(got, want) || strings.Contains(got, "sweep: sweep:") {
+			t.Fatalf("%s: stderr %q, want one prefix on %q", name, got, want)
+		}
+	}
+	// Another seed is another checkpoint identity: Execute refuses it.
+	check("refused", 1, "\nsweep: checkpoint was taken for a different sweep configuration", "-seed", "7", "-resume")
+
+	if err := os.WriteFile(ckpt, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("unreadable", 2, "sweep: -resume: "+ckpt+" is not a sweep checkpoint", "-resume")
+}

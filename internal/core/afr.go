@@ -19,10 +19,10 @@ type Breakdown struct {
 	// DiskYears is the exact exposure: the sum of per-disk residency.
 	DiskYears float64
 	// Events counts filtered failure events per type.
-	Events map[failmodel.FailureType]int
+	Events [failmodel.NumTypes]int
 	// AFR is Events/DiskYears per type (a fraction per disk-year; multiply
 	// by 100 for the percentages the paper plots).
-	AFR map[failmodel.FailureType]float64
+	AFR [failmodel.NumTypes]float64
 }
 
 // TotalEvents sums events across failure types.
@@ -35,15 +35,10 @@ func (b Breakdown) TotalEvents() int {
 }
 
 // TotalAFR sums the per-type AFRs — the full bar height in Figure 4.
-// The sum iterates failure types in their fixed declaration order, not
-// map order: float addition is not associative, so ranging over the
-// map would make the low-order bits run-to-run nondeterministic (the
-// sweep engine compares trial metrics bit-for-bit and emits them at
-// full precision).
 func (b Breakdown) TotalAFR() float64 {
 	total := 0.0
-	for _, t := range failmodel.Types {
-		total += b.AFR[t]
+	for _, afr := range b.AFR {
+		total += afr
 	}
 	return total
 }
@@ -103,7 +98,7 @@ func (ds *Dataset) AFRByGroup(key GroupKey, fl Filter) []Breakdown {
 
 // tally is the one aggregation behind every breakdown: key maps each
 // admitted system to its group's index in labels, or -1 to leave it
-// out; a group no system maps to keeps Systems == 0 and nil maps. Each
+// out; a group no system maps to keeps Systems == 0 and zero rates. Each
 // group's exposure is summed in disk order whatever shares the pass.
 func (ds *Dataset) tally(labels []string, key func(*fleet.System) int, fl Filter) []Breakdown {
 	bs := make([]Breakdown, len(labels))
@@ -119,10 +114,6 @@ func (ds *Dataset) tally(labels []string, key func(*fleet.System) int, fl Filter
 			continue
 		}
 		b := &bs[g]
-		if b.Systems == 0 {
-			b.Events = make(map[failmodel.FailureType]int)
-			b.AFR = make(map[failmodel.FailureType]float64)
-		}
 		b.Systems++
 		b.Shelves += s.Shelves.Len()
 		b.Groups += s.RAIDGroups.Len()
@@ -146,8 +137,8 @@ func (ds *Dataset) tally(labels []string, key func(*fleet.System) int, fl Filter
 		b := &bs[i]
 		b.Label = labels[i]
 		if b.DiskYears > 0 {
-			for _, t := range failmodel.Types {
-				b.AFR[t] = float64(b.Events[t]) / b.DiskYears
+			for t, n := range b.Events {
+				b.AFR[t] = float64(n) / b.DiskYears
 			}
 		}
 	}
@@ -222,7 +213,7 @@ type Table1Row struct {
 	DiskType     string
 	RAIDGroups   int
 	Multipathing string
-	Events       map[failmodel.FailureType]int
+	Events       [failmodel.NumTypes]int
 }
 
 // Table1 regenerates the paper's Table 1: per-class population and

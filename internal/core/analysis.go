@@ -9,6 +9,7 @@ import (
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
+	"storagesubsys/internal/simtime"
 	"storagesubsys/internal/stats"
 )
 
@@ -16,7 +17,6 @@ import (
 // both the Findings 1–11 verdicts and the sweep's metric vector read.
 // It is read-only once built.
 type Analysis struct {
-	ds *Dataset
 	// Classes is Figure 4(b)'s breakdown (family H excluded) indexed by
 	// SystemClass; a class without systems has Systems == 0.
 	Classes   []Breakdown
@@ -27,25 +27,31 @@ type Analysis struct {
 	Multipath PathComparisons   // Finding 7, Figure 7
 	// ShelfGaps and RAIDGroupGaps are Figure 9, behind Findings 8–10.
 	ShelfGaps, RAIDGroupGaps *GapAnalysis
-	// ShelfCorrelation is Figure 10(a), one result per failure type.
-	ShelfCorrelation []CorrelationResult
+	// ShelfCorrelation and RAIDGroupCorrelation are Figure 10(a) and
+	// (b), one result per failure type, behind Finding 11.
+	ShelfCorrelation, RAIDGroupCorrelation []CorrelationResult
 }
 
-// Analyze computes the shared statistics; Findings adds only the tests
-// and the RAID-group correlation that the verdicts alone need.
+// Analyze computes the shared statistics; Findings adds only the tests.
+// Each scope's event index is built once, after the breakdowns, and
+// serves that scope's gap and correlation passes; only one index is
+// alive at a time.
 func (ds *Dataset) Analyze() *Analysis {
-	return &Analysis{
-		ds:               ds,
-		Classes:          ds.classBreakdowns(Filter{ExcludeFamily: fleet.ProblemFamily}),
-		Spread:           ds.EnvAFRSpread(),
-		FamilyH:          ds.FamilyH(),
-		Capacity:         ds.CapacityPairs(),
-		Shelf:            ds.ShelfComparisons(),
-		Multipath:        ds.PathComparisons(),
-		ShelfGaps:        ds.Gaps(ByShelf, Filter{}),
-		RAIDGroupGaps:    ds.Gaps(ByRAIDGroup, Filter{}),
-		ShelfCorrelation: ds.Correlation(ByShelf, CorrelationOptions{}),
+	a := &Analysis{
+		Classes:   ds.classBreakdowns(Filter{ExcludeFamily: fleet.ProblemFamily}),
+		Spread:    ds.EnvAFRSpread(),
+		FamilyH:   ds.FamilyH(),
+		Capacity:  ds.CapacityPairs(),
+		Shelf:     ds.ShelfComparisons(),
+		Multipath: ds.PathComparisons(),
 	}
+	evs, runs := ds.containerRuns(ByShelf, Filter{})
+	a.ShelfGaps = gapsOf(ByShelf, evs, runs)
+	a.ShelfCorrelation = ds.correlationOf(ByShelf, simtime.SecondsPerYear, evs, runs)
+	evs, runs = ds.containerRuns(ByRAIDGroup, Filter{})
+	a.RAIDGroupGaps = gapsOf(ByRAIDGroup, evs, runs)
+	a.RAIDGroupCorrelation = ds.correlationOf(ByRAIDGroup, simtime.SecondsPerYear, evs, runs)
+	return a
 }
 
 // FamilyHComparison is Finding 3's comparison: systems using the
@@ -98,12 +104,24 @@ type EnvSpread struct {
 // of exposure; iteration is in sorted model order so the float averages
 // are deterministic.
 func (ds *Dataset) EnvAFRSpread() EnvSpread {
-	// The key records each environment's disk model; a model's
-	// environments keep AFRByGroup's sorted label order.
+	// The key formats each environment's label once and records its
+	// disk model; a model's environments keep AFRByGroup's sorted label
+	// order.
+	type env struct {
+		class fleet.SystemClass
+		shelf fleet.ShelfModel
+		disk  fleet.DiskModel
+	}
+	labels := make(map[env]string)
 	modelOf := make(map[string]fleet.DiskModel)
 	bs := ds.AFRByGroup(func(s *fleet.System) (string, bool) {
-		label := fmt.Sprintf("%s|%s|%s", s.Class, s.ShelfModel, s.DiskModel)
-		modelOf[label] = s.DiskModel
+		k := env{s.Class, s.ShelfModel, s.DiskModel}
+		label, ok := labels[k]
+		if !ok {
+			label = fmt.Sprintf("%s|%s|%s", s.Class, s.ShelfModel, s.DiskModel)
+			labels[k] = label
+			modelOf[label] = s.DiskModel
+		}
 		return label, true
 	}, Filter{})
 	disks := make(map[fleet.DiskModel][]float64)

@@ -89,7 +89,7 @@ func TestComparisonsMatchLabelGroups(t *testing.T) {
 func breakdown(label string, disk, pi float64) Breakdown {
 	return Breakdown{
 		Label: label, Systems: 1, DiskYears: 1,
-		AFR: map[failmodel.FailureType]float64{failmodel.DiskFailure: disk, failmodel.PhysicalInterconnect: pi},
+		AFR: [failmodel.NumTypes]float64{failmodel.DiskFailure: disk, failmodel.PhysicalInterconnect: pi},
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"storagesubsys/internal/failmodel"
@@ -141,13 +142,16 @@ func TestFilterRecoveredAndSystem(t *testing.T) {
 	}
 	ds := NewDataset(f, events)
 
-	noRec := ds.selectEvents(Filter{})
+	noRec, runs := ds.containerRuns(ByShelf, Filter{})
 	if len(noRec) != 1 || noRec[0].Type != failmodel.Protocol {
 		t.Fatalf("default filter: %d events, want only the visible protocol failure", len(noRec))
 	}
-	none := ds.selectEvents(Filter{System: func(s *fleet.System) bool { return false }})
-	if len(none) != 0 {
-		t.Fatal("system predicate filter failed")
+	if want := []int32{0, 1, 1, 1}; !slices.Equal(runs, want) {
+		t.Errorf("shelf runs %v, want %v", runs, want)
+	}
+	none, runs := ds.containerRuns(ByRAIDGroup, Filter{System: func(s *fleet.System) bool { return false }})
+	if len(none) != 0 || !slices.Equal(runs, []int32{0, 0, 0}) {
+		t.Fatalf("system predicate filter failed: %d events, runs %v", len(none), runs)
 	}
 }
 
@@ -336,11 +340,11 @@ func TestTable1Structure(t *testing.T) {
 func TestCompareAFRSignificance(t *testing.T) {
 	a := Breakdown{
 		Label: "A", DiskYears: 50000,
-		Events: map[failmodel.FailureType]int{failmodel.PhysicalInterconnect: 1330},
+		Events: [failmodel.NumTypes]int{failmodel.PhysicalInterconnect: 1330},
 	}
 	b := Breakdown{
 		Label: "B", DiskYears: 50000,
-		Events: map[failmodel.FailureType]int{failmodel.PhysicalInterconnect: 1090},
+		Events: [failmodel.NumTypes]int{failmodel.PhysicalInterconnect: 1090},
 	}
 	res := CompareAFR(a, b, failmodel.PhysicalInterconnect)
 	if res.Confidence() < 99.5 {
@@ -351,7 +355,7 @@ func TestCompareAFRSignificance(t *testing.T) {
 func TestBreakdownCI(t *testing.T) {
 	b := Breakdown{
 		DiskYears: 10000,
-		Events:    map[failmodel.FailureType]int{failmodel.DiskFailure: 100},
+		Events:    [failmodel.NumTypes]int{failmodel.DiskFailure: 100},
 	}
 	iv := b.CI(failmodel.DiskFailure, 0.995)
 	if iv.Lower > 0.01 || iv.Upper < 0.01 {

@@ -53,8 +53,6 @@ func (c CorrelationResult) Dependent(level float64) bool {
 type CorrelationOptions struct {
 	// Window is the counting window T; zero defaults to one year.
 	Window simtime.Seconds
-	// Filter selects events and systems.
-	Filter Filter
 }
 
 // Correlation computes the Figure 10 comparison for every failure type
@@ -72,66 +70,44 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 	if window <= 0 {
 		window = simtime.SecondsPerYear
 	}
-	fl := opts.Filter
+	evs, runs := ds.containerRuns(scope, Filter{})
+	return ds.correlationOf(scope, window, evs, runs)
+}
 
-	// Container observation starts: the owning system's install time.
-	type containerInfo struct {
-		start simtime.Seconds
-	}
-	containers := make(map[int]containerInfo)
-	if scope == ByShelf {
-		for i := range ds.Fleet.Shelves {
-			sh := &ds.Fleet.Shelves[i]
-			sys := &ds.Fleet.Systems[sh.System]
-			if !fl.admitsSystem(sys) {
-				continue
-			}
-			if simtime.StudyDuration-sys.Install >= window {
-				containers[int(sh.ID)] = containerInfo{start: sys.Install}
-			}
-		}
-	} else {
-		for i := range ds.Fleet.Groups {
-			g := &ds.Fleet.Groups[i]
-			sys := &ds.Fleet.Systems[g.System]
-			if !fl.admitsSystem(sys) {
-				continue
-			}
-			if simtime.StudyDuration-sys.Install >= window {
-				containers[int(g.ID)] = containerInfo{start: sys.Install}
-			}
-		}
-	}
-
-	// Count failures per (container, type) within the window.
-	counts := make(map[int]*[4]int, len(containers))
-	for _, e := range ds.Events {
-		if !e.Visible() {
-			continue
-		}
-		id := e.Shelf
+// correlationOf computes the Figure 10 comparison over a containerRuns
+// index of every system's visible events.
+func (ds *Dataset) correlationOf(scope Scope, window simtime.Seconds, evs []failmodel.Event, runs []int32) []CorrelationResult {
+	n := 0
+	var countP1, countP2 [failmodel.NumTypes]int
+	for c := 0; c+1 < len(runs); c++ {
+		// A container's observation starts at its system's install time.
+		var sys int32
 		if scope == ByRAIDGroup {
-			id = e.Group
-			if id < 0 {
-				continue
+			sys = ds.Fleet.Groups[c].System
+		} else {
+			sys = ds.Fleet.Shelves[c].System
+		}
+		start := ds.Fleet.Systems[sys].Install
+		if simtime.StudyDuration-start < window {
+			continue
+		}
+		n++
+		var counts [failmodel.NumTypes]int
+		for _, e := range evs[runs[c]:runs[c+1]] {
+			if e.Detected >= start && e.Detected < start+window {
+				counts[e.Type]++
 			}
 		}
-		info, ok := containers[id]
-		if !ok {
-			continue
+		for t, k := range counts {
+			switch k {
+			case 1:
+				countP1[t]++
+			case 2:
+				countP2[t]++
+			}
 		}
-		if e.Detected < info.start || e.Detected >= info.start+window {
-			continue
-		}
-		c := counts[id]
-		if c == nil {
-			c = new([4]int)
-			counts[id] = c
-		}
-		c[int(e.Type)]++
 	}
 
-	n := len(containers)
 	results := make([]CorrelationResult, 0, len(failmodel.Types))
 	for _, t := range failmodel.Types {
 		res := CorrelationResult{
@@ -139,14 +115,8 @@ func (ds *Dataset) Correlation(scope Scope, opts CorrelationOptions) []Correlati
 			Scope:       scope,
 			WindowYears: simtime.Years(window),
 			Containers:  n,
-		}
-		for _, c := range counts {
-			switch c[int(t)] {
-			case 1:
-				res.CountP1++
-			case 2:
-				res.CountP2++
-			}
+			CountP1:     countP1[t],
+			CountP2:     countP2[t],
 		}
 		if n > 0 {
 			res.P1 = float64(res.CountP1) / float64(n)

@@ -17,6 +17,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"storagesubsys/internal/failmodel"
@@ -64,27 +66,52 @@ func (fl Filter) admitsSystem(s *fleet.System) bool {
 	return true
 }
 
-// selectEvents returns the filtered events. Matches are counted first
-// so the result is allocated exactly once at its final size, instead of
-// growing a worst-case copy through repeated append doublings.
-func (ds *Dataset) selectEvents(fl Filter) []failmodel.Event {
-	admits := func(e failmodel.Event) bool {
-		return e.Visible() && fl.admitsSystem(&ds.Fleet.Systems[e.System])
+// containerRuns is the event index behind Figures 9 and 10: the
+// visible events of admitted systems, counting-sorted by container ID
+// (shelf, or RAID group when scope is ByRAIDGroup; spare-disk events
+// belong to no group and are left out). Container c's events are
+// evs[runs[c]:runs[c+1]], in detection-time order. The counting sort
+// keeps ds.Events order within a container before each run is sorted.
+// The run sort must stay the unstable pdqsort sort.Slice also runs:
+// the order of tied events decides the duplicate filter, and the
+// golden outputs pin pdqsort's order.
+func (ds *Dataset) containerRuns(scope Scope, fl Filter) (evs []failmodel.Event, runs []int32) {
+	containers := len(ds.Fleet.Shelves)
+	if scope == ByRAIDGroup {
+		containers = len(ds.Fleet.Groups)
 	}
-	n := 0
-	for _, e := range ds.Events {
-		if admits(e) {
-			n++
+	container := func(e *failmodel.Event) int {
+		c := e.Shelf
+		if scope == ByRAIDGroup {
+			c = e.Group
+		}
+		if c < 0 || !e.Visible() || !fl.admitsSystem(&ds.Fleet.Systems[e.System]) {
+			return -1
+		}
+		return c
+	}
+	// Container c's count goes to runs[c+2]; after the prefix sum
+	// runs[c+1] is c's start, and placing each event advances it to
+	// c's end, which is c+1's start.
+	runs = make([]int32, containers+2)
+	for i := range ds.Events {
+		if c := container(&ds.Events[i]); c >= 0 {
+			runs[c+2]++
 		}
 	}
-	if n == 0 {
-		return nil
+	for c := 2; c < len(runs); c++ {
+		runs[c] += runs[c-1]
 	}
-	out := make([]failmodel.Event, 0, n)
-	for _, e := range ds.Events {
-		if admits(e) {
-			out = append(out, e)
+	evs = make([]failmodel.Event, runs[len(runs)-1])
+	for i := range ds.Events {
+		if c := container(&ds.Events[i]); c >= 0 {
+			evs[runs[c+1]] = ds.Events[i]
+			runs[c+1]++
 		}
 	}
-	return out
+	runs = runs[:containers+1]
+	for c := 0; c < containers; c++ {
+		slices.SortFunc(evs[runs[c]:runs[c+1]], func(a, b failmodel.Event) int { return cmp.Compare(a.Detected, b.Detected) })
+	}
+	return evs, runs
 }

@@ -40,7 +40,7 @@ func (a *Analysis) Findings() []Finding {
 		finding8(a.ShelfGaps),
 		finding9(a.ShelfGaps, a.RAIDGroupGaps),
 		finding10(a.RAIDGroupGaps),
-		finding11(a.ShelfCorrelation, a.ds.Correlation(ByRAIDGroup, CorrelationOptions{})),
+		finding11(a.ShelfCorrelation, a.RAIDGroupCorrelation),
 	}
 }
 

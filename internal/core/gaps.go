@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/stats"
@@ -37,36 +36,36 @@ const BurstThreshold = 10000.0 // seconds
 // container, per failure type and overall.
 type GapAnalysis struct {
 	Scope Scope
-	// PerType maps each failure type to the pooled gap sample (seconds
+	// PerType holds each failure type's pooled gap sample (seconds
 	// between consecutive detections within a container).
-	PerType map[failmodel.FailureType]*stats.ECDF
+	PerType [failmodel.NumTypes]*stats.ECDF
 	// Overall pools gaps between storage subsystem failures of any type.
 	Overall *stats.ECDF
-	// DiskFits are the candidate-distribution fits to the disk failure
-	// gaps, best first (the paper: Gamma fits best; Exponential, Gamma,
-	// Weibull are the candidates).
-	DiskFits []stats.FitResult
 	// Containers is the number of containers contributing >= 2 failures.
 	Containers int
+	// diskGaps is the pooled disk failure gap sample in container-ID
+	// order, the order DiskFits sums it in (PerType's is sorted).
+	diskGaps []float64
 }
 
 // FractionWithin returns the fraction of gaps of failure type t below
 // the threshold (in seconds). NaN if there are no gaps.
 func (g *GapAnalysis) FractionWithin(t failmodel.FailureType, threshold float64) float64 {
-	e := g.PerType[t]
-	if e == nil || e.Len() == 0 {
-		return math.NaN()
-	}
-	return e.Eval(threshold)
+	return g.PerType[t].Eval(threshold)
 }
 
 // OverallFractionWithin returns the fraction of overall gaps below the
 // threshold.
 func (g *GapAnalysis) OverallFractionWithin(threshold float64) float64 {
-	if g.Overall == nil || g.Overall.Len() == 0 {
-		return math.NaN()
-	}
 	return g.Overall.Eval(threshold)
+}
+
+// DiskFits fits the candidate distributions to the disk failure gaps,
+// best first (the paper: Gamma fits best; Exponential, Gamma, Weibull
+// are the candidates); nil with fewer than 8 gaps. Each call fits anew.
+func (g *GapAnalysis) DiskFits() []stats.FitResult {
+	fits, _ := stats.FitAll(g.diskGaps) // nil on error
+	return fits
 }
 
 // Gaps computes the Figure 9 analysis. The procedure mirrors the paper:
@@ -85,101 +84,66 @@ func (g *GapAnalysis) OverallFractionWithin(threshold float64) float64 {
 // Per-type sequences use only events of that type; the overall sequence
 // uses all types.
 func (ds *Dataset) Gaps(scope Scope, fl Filter) *GapAnalysis {
-	g := &GapAnalysis{
-		Scope:   scope,
-		PerType: make(map[failmodel.FailureType]*stats.ECDF),
-	}
+	evs, runs := ds.containerRuns(scope, fl)
+	return gapsOf(scope, evs, runs)
+}
 
-	container := func(e failmodel.Event) int {
-		if scope == ByRAIDGroup {
-			return e.Group
-		}
-		return e.Shelf
-	}
-
-	events := ds.selectEvents(fl)
-	byContainer := make(map[int][]failmodel.Event)
-	for _, e := range events {
-		c := container(e)
-		if c < 0 {
-			continue // spare disks belong to no RAID group
-		}
-		byContainer[c] = append(byContainer[c], e)
-	}
-
-	// Pool gaps in container-ID order, not map order: the pooled sample
-	// feeds floating-point MLE fits, so iteration order must be pinned
-	// for whole-run output to be byte-identical across invocations.
-	containerIDs := make([]int, 0, len(byContainer))
-	for c := range byContainer {
-		containerIDs = append(containerIDs, c)
-	}
-	sort.Ints(containerIDs)
-
-	perType := make(map[failmodel.FailureType][]float64)
+// gapsOf computes the Figure 9 analysis over a containerRuns index. Gaps
+// are pooled in container-ID order: the disk sample feeds floating-point
+// MLE fits, so its order is part of the byte-determinism contract.
+func gapsOf(scope Scope, evs []failmodel.Event, runs []int32) *GapAnalysis {
+	g := &GapAnalysis{Scope: scope}
 	var overall []float64
-	for _, c := range containerIDs {
-		seq := byContainer[c]
-		sort.Slice(seq, func(i, j int) bool { return seq[i].Detected < seq[j].Detected })
-		if len(seq) >= 2 {
-			g.Containers++
+	var perType [failmodel.NumTypes][]float64
+	for c := 0; c+1 < len(runs); c++ {
+		seq := evs[runs[c]:runs[c+1]]
+		if len(seq) < 2 {
+			continue // a lone failure has no gap
 		}
-		overall = append(overall, sequenceGaps(seq)...)
-		for _, t := range failmodel.Types {
-			var typed []failmodel.Event
-			for _, e := range seq {
-				if e.Type == t {
-					typed = append(typed, e)
-				}
-			}
-			perType[t] = append(perType[t], sequenceGaps(typed)...)
+		g.Containers++
+		overall = appendGaps(overall, seq, -1)
+		for t := range perType {
+			perType[t] = appendGaps(perType[t], seq, failmodel.FailureType(t))
 		}
 	}
-
 	g.Overall = stats.NewECDF(overall)
-	for _, t := range failmodel.Types {
-		g.PerType[t] = stats.NewECDF(perType[t])
+	for t, gaps := range perType {
+		g.PerType[t] = stats.NewECDF(gaps)
 	}
-
-	if disk := perType[failmodel.DiskFailure]; len(disk) >= 8 {
-		if fits, err := stats.FitAll(disk); err == nil {
-			g.DiskFits = fits
-		}
-	}
+	g.diskGaps = perType[failmodel.DiskFailure]
 	return g
 }
 
-// sequenceGaps applies the duplicate filter to a detection-time-sorted
-// sequence and returns the gaps between consecutive retained events, in
-// seconds, floored at one second.
-func sequenceGaps(seq []failmodel.Event) []float64 {
-	var gaps []float64
-	havePrev := false
-	var prev failmodel.Event
-	for _, e := range seq {
-		if havePrev && e.Disk == prev.Disk {
-			continue // duplicate: same disk failing again
+// appendGaps applies the duplicate filter to the type-t events of a
+// detection-time-sorted sequence (every event when t < 0) and appends
+// the gaps between consecutive retained events, in seconds, floored at
+// one second.
+func appendGaps(dst []float64, seq []failmodel.Event, t failmodel.FailureType) []float64 {
+	prev := -1
+	for i := range seq {
+		e := &seq[i]
+		if t >= 0 && e.Type != t {
+			continue
 		}
-		if havePrev {
-			gap := float64(e.Detected - prev.Detected)
-			if gap < 1 {
-				gap = 1
+		if prev >= 0 {
+			if e.Disk == seq[prev].Disk {
+				continue // duplicate: same disk failing again
 			}
-			gaps = append(gaps, gap)
+			dst = append(dst, max(float64(e.Detected-seq[prev].Detected), 1))
 		}
-		prev = e
-		havePrev = true
+		prev = i
 	}
-	return gaps
+	return dst
 }
 
 // BestFitName returns the name of the best-fitting candidate
 // distribution for disk failure gaps, or "" if no fit was possible.
 func (g *GapAnalysis) BestFitName() string {
-	if len(g.DiskFits) == 0 {
+	fits := g.DiskFits()
+	if len(fits) == 0 {
 		return ""
 	}
-	return g.DiskFits[0].Dist.Name()
+	return fits[0].Dist.Name()
 }
 
 // GammaGOF runs the paper's chi-square goodness-of-fit check of the
@@ -202,11 +166,10 @@ func (g *GapAnalysis) GammaGOFType(ft failmodel.FailureType, maxN int) stats.GOF
 	if maxN <= 0 {
 		maxN = 200
 	}
-	disk := g.PerType[ft]
-	if disk == nil || disk.Len() < 50 {
+	values := g.PerType[ft].Values()
+	if len(values) < 50 {
 		return stats.GOFResult{P: math.NaN()}
 	}
-	values := disk.Values()
 	sample := values
 	if len(values) > maxN {
 		stride := len(values) / maxN

@@ -70,7 +70,7 @@ func (env *Env) WriteCSVs(dir string) ([]string, error) {
 			}
 		}
 		for _, t := range failmodel.Types {
-			if e := g.PerType[t]; e != nil && e.Len() >= 2 {
+			if e := g.PerType[t]; e.Len() >= 2 {
 				xs, ys := e.Points(100)
 				add(t.Short(), xs, ys)
 			}

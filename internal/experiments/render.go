@@ -155,13 +155,13 @@ func (env *Env) Fig9(w io.Writer) {
 		}
 		for _, t := range order {
 			e := g.PerType[t]
-			if e == nil || e.Len() < 2 {
+			if e.Len() < 2 {
 				continue
 			}
 			xs, ys := e.Points(72)
 			series = append(series, report.Series{Label: t.Short(), X: xs, Y: ys})
 		}
-		if ov := g.Overall; ov != nil && ov.Len() >= 2 {
+		if ov := g.Overall; ov.Len() >= 2 {
 			xs, ys := ov.Points(72)
 			series = append(series, report.Series{Label: "overall", X: xs, Y: ys})
 		}
@@ -171,9 +171,9 @@ func (env *Env) Fig9(w io.Writer) {
 			fmt.Fprintf(w, ", %s %.0f%%", t.Short(), g.FractionWithin(t, core.BurstThreshold)*100)
 		}
 		fmt.Fprintln(w)
-		if len(g.DiskFits) > 0 {
+		if fits := g.DiskFits(); len(fits) > 0 {
 			fmt.Fprint(w, "  disk failure gap fits (best first): ")
-			for i, fr := range g.DiskFits {
+			for i, fr := range fits {
 				if i > 0 {
 					fmt.Fprint(w, "; ")
 				}

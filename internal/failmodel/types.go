@@ -38,6 +38,10 @@ const (
 	Performance
 )
 
+// NumTypes is the number of failure types: per-type values are kept in
+// [NumTypes]T arrays indexed by FailureType.
+const NumTypes = 4
+
 // Types lists all failure types in display order.
 var Types = []FailureType{DiskFailure, PhysicalInterconnect, Protocol, Performance}
 

@@ -109,10 +109,11 @@ func (o *Online) MeanCI(level float64) Interval {
 // the deterministic RNG supplied at construction, so a fixed Push
 // order yields a fixed sample.
 type Reservoir struct {
-	xs     []float64
-	seen   int
-	rng    RNG
-	sorted []float64 // Quantile scratch, recycled across calls
+	xs       []float64 // the held sample, grown as it fills
+	capacity int
+	seen     int
+	rng      RNG
+	sorted   []float64 // Quantile scratch, recycled across calls
 }
 
 // NewReservoir returns an empty reservoir holding at most capacity
@@ -122,14 +123,14 @@ func NewReservoir(capacity int, rng RNG) *Reservoir {
 	if capacity <= 0 {
 		panic("stats: Reservoir capacity must be positive")
 	}
-	return &Reservoir{xs: make([]float64, 0, capacity), rng: rng}
+	return &Reservoir{capacity: capacity, rng: rng}
 }
 
-// Push absorbs one observation. Steady-state pushes perform no
-// allocation.
+// Push absorbs one observation. Once the sample is full, pushes
+// perform no allocation.
 func (r *Reservoir) Push(x float64) {
 	r.seen++
-	if len(r.xs) < cap(r.xs) {
+	if len(r.xs) < r.capacity {
 		r.xs = append(r.xs, x)
 		return
 	}

@@ -84,7 +84,7 @@ type ReservoirState struct {
 // State captures the reservoir.
 func (r *Reservoir) State() ReservoirState {
 	st := ReservoirState{
-		Capacity: cap(r.xs),
+		Capacity: r.capacity,
 		Seen:     r.seen,
 		RNG:      r.rng.State(),
 		Xs:       make([]uint64, len(r.xs)),
@@ -95,8 +95,9 @@ func (r *Reservoir) State() ReservoirState {
 	return st
 }
 
-// Restore overwrites the reservoir with a captured state, reusing its
-// own sample storage when the captured capacity matches. Replacement
+// Restore overwrites the reservoir with a captured state, sizing the
+// sample to the captured one and reusing its own storage when that
+// fits. Replacement
 // decisions resume from the captured RNG position, so a restored
 // reservoir fed the same remaining stream retains exactly the sample
 // an uninterrupted one would. A malformed state (non-positive
@@ -112,13 +113,13 @@ func (r *Reservoir) Restore(st ReservoirState) error {
 	if st.Seen < len(st.Xs) {
 		return fmt.Errorf("stats: reservoir state saw %d observations but holds %d", st.Seen, len(st.Xs))
 	}
-	if cap(r.xs) != st.Capacity {
-		r.xs = make([]float64, 0, st.Capacity)
+	if cap(r.xs) < len(st.Xs) {
+		r.xs = make([]float64, len(st.Xs))
 	}
 	r.xs = r.xs[:len(st.Xs)]
 	for i, b := range st.Xs {
 		r.xs[i] = math.Float64frombits(b)
 	}
-	r.seen, r.rng = st.Seen, *RestoreRNG(st.RNG)
+	r.capacity, r.seen, r.rng = st.Capacity, st.Seen, *RestoreRNG(st.RNG)
 	return nil
 }

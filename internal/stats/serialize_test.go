@@ -150,8 +150,8 @@ func TestRestoreReservoirRejectsCorrupt(t *testing.T) {
 		if err := good.Restore(st); err == nil {
 			t.Fatalf("corrupt state %+v accepted", st)
 		}
-		if good.seen != 1 || len(good.xs) != 1 || cap(good.xs) != 4 {
-			t.Fatalf("refused state %+v changed the reservoir: seen %d, %d of %d slots", st, good.seen, len(good.xs), cap(good.xs))
+		if good.seen != 1 || len(good.xs) != 1 || good.capacity != 4 {
+			t.Fatalf("refused state %+v changed the reservoir: seen %d, %d of %d slots", st, good.seen, len(good.xs), good.capacity)
 		}
 	}
 }
