@@ -68,3 +68,49 @@ func TestRunGoldenDigest(t *testing.T) {
 		t.Errorf("run digest %s, want %s", got, want)
 	}
 }
+
+// TestRunGoldenDigestOverrides pins the simulator's complete output
+// under each operational override the ops grid sweeps, plus a doubled
+// disk AFR, at the fleet and seeds of TestRunGoldenDigest. The
+// overrides reach code paths the default parameters leave cold:
+// stochastic repair lags (their own per-slot stream), churn-heavy
+// slots, disks installed late or early in the window, half-populated
+// shelves and twice the baseline failures. The fleet overrides mirror
+// sweep.BuildFleet and the parameter overrides sweep's scenario
+// params. Recorded before the simulator's stream-expansion shortcuts,
+// so any change to a digest is a changed simulation, not a refactor.
+func TestRunGoldenDigestOverrides(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		profile func(*fleet.ClassProfile)
+		params  func(*failmodel.Params)
+		want    string
+	}{
+		{name: "slow-repair", params: func(p *failmodel.Params) {
+			p.ScaleRepairLag(8)
+			p.RepairLagSigma = 1
+		}, want: "82834213329e957eb41e2ff04738bbf828950fd8c51d462492a1f54c6785d6f2"},
+		{name: "churn-x4", profile: func(c *fleet.ClassProfile) { c.ChurnPerDiskYear *= 4 }, want: "766756b887f87ee0fda26b126f9d0e6cdb09ff2e343bd05d633a3869281ea887"},
+		{name: "young-fleet", profile: func(c *fleet.ClassProfile) { c.SkewInstallWindow(0.5) }, want: "adb9631e890ef3d97d7f73f92dde1f9605e53d249a6eb45ddd2a50995a677037"},
+		{name: "old-fleet", profile: func(c *fleet.ClassProfile) { c.SkewInstallWindow(-0.5) }, want: "47d35517b84082cd6120e4758b81f2d6d025cef45fec77b04716c9d982daca61"},
+		{name: "sparse-shelves", profile: func(c *fleet.ClassProfile) { c.SparseShelfFraction = 0.5 }, want: "6c290edfedd0e8e2b4df26efee98410f3f83f205b81d4ccd6950f3babb23489f"},
+		{name: "disk-afr-x2", params: func(p *failmodel.Params) { p.ScaleDiskAFR(2) }, want: "a7fc0dbd52d0d02654d4393e0adadc7340a3fed1df653b772f4d05fb509680bd"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			profiles := fleet.DefaultProfiles()
+			if tc.profile != nil {
+				for i := range profiles {
+					tc.profile(&profiles[i])
+				}
+			}
+			params := failmodel.DefaultParams()
+			if tc.params != nil {
+				tc.params(params)
+			}
+			res := RunOpts(fleet.Build(profiles, 0.02, 9), params, 10, nil)
+			if got := runDigest(res); got != tc.want {
+				t.Errorf("run digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
