@@ -160,18 +160,6 @@ func TestRateArithmetic(t *testing.T) {
 		}
 	}
 
-	// Episode rate times expected burst size recovers the event rate.
-	nDisks := 10
-	rate := p.PIEpisodeRate(fleet.MidRange, fleet.ShelfB, fleet.DiskA2, nDisks)
-	events := rate * p.PIBurst.Expected()
-	want := p.PIBaseAFR[fleet.MidRange] * float64(nDisks)
-	if math.Abs(events-want)/want > 1e-9 {
-		t.Errorf("PI episode arithmetic: events %g, want %g", events, want)
-	}
-	if p.PIEpisodeRate(fleet.MidRange, fleet.ShelfB, fleet.DiskA2, 0) != 0 {
-		t.Error("zero disks -> zero episode rate")
-	}
-
 	// Family multipliers.
 	base := p.ProtoRate(fleet.LowEnd, fleet.DiskA2)
 	h := p.ProtoRate(fleet.LowEnd, fleet.DiskH2)

@@ -319,16 +319,6 @@ func (p *Params) PIRate(class fleet.SystemClass, shelf fleet.ShelfModel, disk fl
 	return p.PIBaseAFR[class]
 }
 
-// PIEpisodeRate converts the per-disk-year PI event rate into a
-// per-shelf-year episode rate for a shelf holding nDisks disks:
-// each episode yields PIBurst.Expected() events in expectation.
-func (p *Params) PIEpisodeRate(class fleet.SystemClass, shelf fleet.ShelfModel, disk fleet.DiskModel, nDisks int) float64 {
-	if nDisks <= 0 {
-		return 0
-	}
-	return p.PIRate(class, shelf, disk) * float64(nDisks) / p.PIBurst.Expected()
-}
-
 // ProtoRate returns the protocol event rate per disk-year for a system.
 func (p *Params) ProtoRate(class fleet.SystemClass, disk fleet.DiskModel) float64 {
 	rate := p.ProtoAFR[class]

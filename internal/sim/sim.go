@@ -138,11 +138,10 @@ func RunOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, sc *Scratch) 
 	w.f, w.params = f, params
 	w.events = w.events[:0]
 
-	root := stats.NewRNG(seed).Split(streamSim)
+	root := stats.NewKey(seed).Split(streamSim)
 	for i := range f.Systems {
 		sys := &f.Systems[i]
-		sysRNG := root.Split(streamKey(streamSys, sys.ID))
-		w.simulateSystem(sys, &sysRNG)
+		w.simulateSystem(sys, root.Split(streamKey(streamSys, sys.ID)))
 	}
 	// The stable sort keeps generation order for the (astronomically
 	// rare) same-time same-disk ties.
@@ -232,19 +231,39 @@ func (w *worker) chainBuf(i int) slotChain {
 	return w.chains[i][:0]
 }
 
+// sysRates holds a system's rates, resolved once per system: every
+// disk of a system, replacements included, is the system's model, and
+// the system's class, shelf model and disk model fix every other rate.
+type sysRates struct {
+	base, hitProb  float64 // per-disk baseline failure rate and env-hit probability
+	pi, perf, prot float64 // interconnect, performance and protocol events per disk-year
+	// baseNone and churnNone are the first-arrival thresholds
+	// (noArrivalBelow) of an as-built slot's baseline and churn
+	// processes, which run over [sys.Install, StudyDuration).
+	baseNone, churnNone float64
+}
+
 // simulateSystem realizes every failure process of one system; with
-// the scratch buffers warm it allocates only output events.
+// the scratch buffers warm it allocates only output events. The
+// system, shelf and slot streams are only ever split, so they stay
+// keys; a generator is expanded only for a process that draws.
 //
 //detlint:hotpath
-func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
+func (w *worker) simulateSystem(sys *fleet.System, k stats.Key) {
 	end := simtime.StudyDuration
 	if sys.Install >= end {
 		return
 	}
 	p := w.params
-	// Every disk of a system, replacements included, is the system's
-	// model, so the per-model rates are resolved once per system.
-	baseRate, hitProb := p.DiskBaseRate(sys.DiskModel), p.EnvHitProb(sys.DiskModel)
+	rt := sysRates{
+		base:      p.DiskBaseRate(sys.DiskModel),
+		hitProb:   p.EnvHitProb(sys.DiskModel),
+		pi:        p.PIRate(sys.Class, sys.ShelfModel, sys.DiskModel),
+		perf:      p.PerfRate(sys.Class, sys.DiskModel),
+		prot:      p.ProtoRate(sys.Class, sys.DiskModel),
+		churnNone: noArrivalBelow(sys.ChurnPerDiskYear, sys.Install),
+	}
+	rt.baseNone = noArrivalBelow(rt.base, sys.Install)
 
 	// Per-slot occupancy chains for the whole system, flat in shelf
 	// order, for victim lookup by the episode processes.
@@ -253,30 +272,30 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 
 	for shelfID := sys.Shelves.Lo; shelfID < sys.Shelves.Hi; shelfID++ {
 		shelf := &w.f.Shelves[shelfID]
-		shelfRNG := r.Split(streamKey(streamShelf, int(shelfID)))
+		shelfKey := k.Split(streamKey(streamShelf, int(shelfID)))
 
 		// Environment episodes shared by every disk in the shelf.
-		envRNG := shelfRNG.Split(streamEnv)
+		envRNG := shelfKey.Split(streamEnv).RNG()
 		w.envTimes = poissonTimes(w.envTimes[:0], p.EnvEpisodeRate, sys.Install, end, &envRNG)
 
 		w.shelfOff = append(w.shelfOff, used)
 		// The shelf's span holds its as-built slots only; the
 		// replacements simulateSlot appends lie past every span.
 		for idx := range shelf.Disks.Len() {
-			slotRNG := shelfRNG.Split(streamKey(streamSlot, idx))
 			buf := w.chainBuf(used) // grows w.chains before the index store below
-			w.chains[used] = w.simulateSlot(sys, baseRate, hitProb, int(shelf.Disks.Lo)+idx, w.envTimes, &slotRNG, buf)
+			w.chains[used] = w.simulateSlot(sys, &rt, int(shelf.Disks.Lo)+idx, w.envTimes,
+				shelfKey.Split(streamKey(streamSlot, idx)), buf)
 			used++
 		}
 
-		w.simulateShelfEpisodes(sys, shelf, w.chains[w.shelfOff[len(w.shelfOff)-1]:used], &shelfRNG)
+		w.simulateShelfEpisodes(sys, &rt, w.chains[w.shelfOff[len(w.shelfOff)-1]:used], shelfKey)
 	}
 	w.shelfOff = append(w.shelfOff, used)
 
-	loopRNG := r.Split(streamLoop)
-	w.simulateLoopEpisodes(sys, used, &loopRNG)
-	protoRNG := r.Split(streamProto)
-	w.simulateProtocolEpisodes(sys, used, &protoRNG)
+	loopRNG := k.Split(streamLoop).RNG()
+	w.simulateLoopEpisodes(sys, &rt, used, &loopRNG)
+	protoRNG := k.Split(streamProto).RNG()
+	w.simulateProtocolEpisodes(sys, &rt, used, &protoRNG)
 }
 
 // simulateSlot walks one slot's lifetime: the initial disk, then any
@@ -285,36 +304,46 @@ func (w *worker) simulateSystem(sys *fleet.System, r *stats.RNG) {
 // occupancy (valid because both are memoryless and replacements share
 // the failed disk's model); environment hits are per-episode Bernoulli
 // marks spread over the episode window, each hitting with probability
-// hitProb. The returned chain reuses the caller-provided buffer's
+// rt.hitProb. The returned chain reuses the caller-provided buffer's
 // storage where capacity allows.
 //
+// Each child stream is expanded only when it draws: a Split is a pure
+// function of (slot, stream index), so expanding late, or never,
+// changes no draw. Most slots see no event at all.
+//
 //detlint:hotpath
-func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, diskID int, envTimes []simtime.Seconds, r *stats.RNG, chain slotChain) slotChain {
+func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTimes []simtime.Seconds, slot stats.Key, chain slotChain) slotChain {
 	end := simtime.StudyDuration
 	p := w.params
 	install := simtime.Seconds(w.f.Disks[diskID].Install)
+	// The thresholds are the system's, so they hold only for a disk
+	// installed with the system.
+	baseNone, churnNone := rt.baseNone, rt.churnNone
+	if install != sys.Install {
+		baseNone, churnNone = 0, 0
+	}
 
 	cands := w.cands[:0]
-	baseRNG := r.Split(streamBase)
-	w.times = poissonTimes(w.times[:0], baseRate, install, end, &baseRNG)
+	w.times = arrivals(w.times[:0], rt.base, baseNone, install, slot.Split(streamBase))
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candBase})
 	}
-	envRNG := r.Split(streamEnvHit)
-	for _, et := range envTimes {
-		if envRNG.Bernoulli(hitProb) {
-			// Gamma(0.5) offset with mean EnvSpread/2: most environment
-			// casualties fall shortly after the episode onset with a
-			// decaying tail, which keeps the pooled disk-gap distribution
-			// Gamma-like (Finding 8) rather than bimodal.
-			t := et + simtime.Seconds(envRNG.Gamma(0.5, float64(p.EnvSpread)))
-			if t < end {
-				cands = append(cands, candidate{t, candEnv})
+	if len(envTimes) > 0 {
+		envRNG := slot.Split(streamEnvHit).RNG()
+		for _, et := range envTimes {
+			if envRNG.Bernoulli(rt.hitProb) {
+				// Gamma(0.5) offset with mean EnvSpread/2: most environment
+				// casualties fall shortly after the episode onset with a
+				// decaying tail, which keeps the pooled disk-gap distribution
+				// Gamma-like (Finding 8) rather than bimodal.
+				t := et + simtime.Seconds(envRNG.Gamma(0.5, float64(p.EnvSpread)))
+				if t < end {
+					cands = append(cands, candidate{t, candEnv})
+				}
 			}
 		}
 	}
-	churnRNG := r.Split(streamChurn)
-	w.times = poissonTimes(w.times[:0], sys.ChurnPerDiskYear, install, end, &churnRNG)
+	w.times = arrivals(w.times[:0], sys.ChurnPerDiskYear, churnNone, install, slot.Split(streamChurn))
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candChurn})
 	}
@@ -335,14 +364,11 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 	chain = append(chain, occupancy{disk: diskID, from: install, to: end})
 	curID := diskID
 	cur := &w.f.Disks[curID]
-	causeRNG := r.Split(streamCause)
 	// Stochastic repair lags draw from their own slot stream, and only
 	// when the distribution is enabled: the default deterministic lag
 	// consumes no randomness, so calibrated streams are untouched.
-	var repairRNG stats.RNG
-	if p.RepairLagSigma > 0 {
-		repairRNG = r.Split(streamRepair)
-	}
+	causeRNG := lazyRNG{key: slot.Split(streamCause)}
+	repairRNG := lazyRNG{key: slot.Split(streamRepair)}
 	for _, c := range cands {
 		if c.t < simtime.Seconds(cur.Install) || c.t >= end {
 			continue // slot empty (repair gap) or outside the window
@@ -352,7 +378,7 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 			cause := failmodel.CauseDiskEnv
 			if c.kind == candBase {
 				cause = failmodel.CauseDiskMedia
-				if causeRNG.Bernoulli(0.4) {
+				if causeRNG.get().Bernoulli(0.4) {
 					cause = failmodel.CauseDiskMechanical
 				}
 			}
@@ -371,7 +397,7 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 			chain[len(chain)-1].to = c.t
 			lag := p.RepairLag
 			if p.RepairLagSigma > 0 {
-				lag = lognormalGap(p.RepairLag, p.RepairLagSigma, &repairRNG)
+				lag = lognormalGap(p.RepairLag, p.RepairLagSigma, repairRNG.get())
 			}
 			reinstall := c.t + lag
 			if reinstall >= end {
@@ -396,7 +422,7 @@ func (w *worker) simulateSlot(sys *fleet.System, baseRate, hitProb float64, disk
 // processes for one shelf and emits their event bursts.
 //
 //detlint:hotpath
-func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, chains []slotChain, r *stats.RNG) {
+func (w *worker) simulateShelfEpisodes(sys *fleet.System, rt *sysRates, chains []slotChain, shelf stats.Key) {
 	nSlots := len(chains)
 	if nSlots == 0 {
 		return
@@ -406,8 +432,8 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, ch
 
 	// Shelf-level physical interconnect episodes (the loop-level share
 	// is generated per system by simulateLoopEpisodes).
-	piRate := p.PIEpisodeRate(sys.Class, sys.ShelfModel, sys.DiskModel, nSlots) * (1 - p.PILoopFraction)
-	piRNG := r.Split(streamPI)
+	piRate := rt.pi * float64(nSlots) / p.PIBurst.Expected() * (1 - p.PILoopFraction)
+	piRNG := shelf.Split(streamPI).RNG()
 	mix := p.PICauseWeights[sys.Class]
 	w.times = poissonTimes(w.times[:0], piRate, sys.Install, end, &piRNG)
 	for _, t0 := range w.times {
@@ -418,8 +444,8 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, ch
 	}
 
 	// Performance episodes.
-	perfRate := p.PerfRate(sys.Class, sys.DiskModel) * float64(nSlots) / p.PerfBurst.Expected()
-	perfRNG := r.Split(streamPerf)
+	perfRate := rt.perf * float64(nSlots) / p.PerfBurst.Expected()
+	perfRNG := shelf.Split(streamPerf).RNG()
 	w.times = poissonTimes(w.times[:0], perfRate, sys.Install, end, &perfRNG)
 	for _, t0 := range w.times {
 		cause := failmodel.CauseSlowIO
@@ -437,13 +463,13 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, shelf *fleet.Shelf, ch
 // event rate.
 //
 //detlint:hotpath
-func (w *worker) simulateLoopEpisodes(sys *fleet.System, totalSlots int, r *stats.RNG) {
+func (w *worker) simulateLoopEpisodes(sys *fleet.System, rt *sysRates, totalSlots int, r *stats.RNG) {
 	p := w.params
 	if totalSlots == 0 || p.PILoopFraction <= 0 {
 		return
 	}
 	end := simtime.StudyDuration
-	rate := p.PIRate(sys.Class, sys.ShelfModel, sys.DiskModel) * float64(totalSlots) *
+	rate := rt.pi * float64(totalSlots) *
 		p.PILoopFraction / p.PIBurst.Expected()
 	mix := p.PICauseWeights[sys.Class]
 	w.times = poissonTimes(w.times[:0], rate, sys.Install, end, r)
@@ -459,13 +485,13 @@ func (w *worker) simulateLoopEpisodes(sys *fleet.System, totalSlots int, r *stat
 // rollouts) whose victims span all the system's shelves.
 //
 //detlint:hotpath
-func (w *worker) simulateProtocolEpisodes(sys *fleet.System, totalSlots int, r *stats.RNG) {
+func (w *worker) simulateProtocolEpisodes(sys *fleet.System, rt *sysRates, totalSlots int, r *stats.RNG) {
 	p := w.params
 	if totalSlots == 0 {
 		return
 	}
 	end := simtime.StudyDuration
-	rate := p.ProtoRate(sys.Class, sys.DiskModel) * float64(totalSlots) / p.ProtoBurst.Expected()
+	rate := rt.prot * float64(totalSlots) / p.ProtoBurst.Expected()
 	w.times = poissonTimes(w.times[:0], rate, sys.Install, end, r)
 	for _, t0 := range w.times {
 		cause := failmodel.CauseDriverBug
@@ -587,6 +613,77 @@ func poissonTimes(buf []simtime.Seconds, ratePerYear float64, from, to simtime.S
 		}
 		buf = append(buf, simtime.Seconds(t))
 	}
+}
+
+// lazyRNG is a stream expanded at its first draw.
+type lazyRNG struct {
+	key stats.Key
+	r   stats.RNG
+	ok  bool
+}
+
+// get returns the stream's generator, expanding it on first use.
+//
+//detlint:hotpath
+func (l *lazyRNG) get() *stats.RNG {
+	if !l.ok {
+		l.r, l.ok = l.key.RNG(), true
+	}
+	return &l.r
+}
+
+// arrivals is poissonTimes over [from, StudyDuration) on stream k,
+// except that it expands no generator when the stream's first uniform
+// u satisfies 0 < u < none: none is the process's noArrivalBelow
+// threshold for from, or 0 where none is known, and such a u proves
+// that poissonTimes would draw no point.
+//
+//detlint:hotpath
+func arrivals(buf []simtime.Seconds, ratePerYear, none float64, from simtime.Seconds, k stats.Key) []simtime.Seconds {
+	if u, ok := k.FirstFloat64(); ok && u > 0 && u < none {
+		return buf
+	}
+	r := k.RNG()
+	return poissonTimes(buf, ratePerYear, from, simtime.StudyDuration, &r)
+}
+
+// noArrivalBelow returns the first-arrival threshold of a Poisson
+// process with the given annual rate over [from, StudyDuration): for a
+// first uniform u of the process's stream with 0 < u < threshold,
+// poissonTimes draws no point. It costs one Exp per system where the
+// draw it replaces costs a generator expansion and a Log per slot.
+//
+// Proof. poissonTimes draws no point iff its first clock value
+// fl(from + fl(fl(-Log(u)) / rps)) is at least to = StudyDuration,
+// where rps = fl(ratePerYear / SecondsPerYear) and fl rounds to
+// nearest (a fused operation rounds once, which only helps). Let
+// μ = 2^-53, W = to - from (exact: both are integers below 2^53), x the
+// exact real product rps·W, and assume Log and Exp have relative error
+// at most a = 2^-40 on normal results, 4096 times the 1 ulp of the
+// algorithms Go uses. The threshold is thr = fl(fl(Exp(-fl(rps·W)))·(1-δ))
+// with δ = 2^-20, so 1-δ is exact. Take 0 ≤ x ≤ 64 (below, thr = 0).
+//
+//  1. If -ln u ≥ x(1+2a), no point is drawn: the quotient is at least
+//     (-ln u)(1-a)(1-μ)/rps ≥ x(1+2a)(1-a-μ)/rps ≥ W, so from plus it
+//     is at least to in the reals, and rounding is monotone and to is
+//     representable, so the rounded sum is at least to.
+//  2. If u < thr, then -ln u ≥ x(1+2a): fl(rps·W) = x(1+ε) with
+//     |ε| ≤ μ, so thr ≤ e^-x · e^(xμ)(1+a)(1+μ)(1-δ), and for x ≤ 64
+//     e^(xμ)(1+a)(1+μ) ≤ 1+2^-39, so thr ≤ e^-x(1+2^-39)(1-2^-20)
+//     < e^-x(1-2^-21) ≤ e^-x(1-2ax) ≤ e^(-x(1+2a)), as 2ax ≤ 2^-33.
+//
+// For x < 0 (a non-positive rate or window) poissonTimes draws nothing
+// whatever u is, so any threshold holds. At x ≤ 64, e^-x ≥ 2^-93 is a
+// normal float, and above 64 the threshold is 0 (a NaN x fails the
+// same test), where the draw falls back to poissonTimes.
+func noArrivalBelow(ratePerYear float64, from simtime.Seconds) float64 {
+	const delta = 1.0 / (1 << 20)
+	rps := ratePerYear / float64(simtime.SecondsPerYear)
+	x := rps * float64(simtime.StudyDuration-from)
+	if !(x <= 64) {
+		return 0
+	}
+	return math.Exp(-x) * (1 - delta)
 }
 
 // lognormalGap draws a lognormal inter-event gap with the given median

@@ -372,12 +372,11 @@ func TestSimulateSystemAllocBudget(t *testing.T) {
 	f := fleet.BuildDefault(0.01, 17)
 	cp := f.Checkpoint()
 	w := &worker{f: f, params: failmodel.DefaultParams()}
-	root := stats.NewRNG(18).Split(streamSim)
+	root := stats.NewKey(18).Split(streamSim)
 
 	// Warm-up: size every scratch buffer and the event slice.
 	for i := range f.Systems {
-		sysRNG := root.Split(streamKey(streamSys, f.Systems[i].ID))
-		w.simulateSystem(&f.Systems[i], &sysRNG)
+		w.simulateSystem(&f.Systems[i], root.Split(streamKey(streamSys, f.Systems[i].ID)))
 	}
 	events := w.events[:0]
 
@@ -385,8 +384,7 @@ func TestSimulateSystemAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		f.Reset(cp)
 		w.events = events
-		sysRNG := root.Split(streamKey(streamSys, sys.ID))
-		w.simulateSystem(sys, &sysRNG)
+		w.simulateSystem(sys, root.Split(streamKey(streamSys, sys.ID)))
 	})
 	// Resetting the fleet above drops each round's replacements, which
 	// the next round appends again into the slab's retained capacity.

@@ -37,9 +37,16 @@ import (
 // (gamma, lognormal, Poisson, geometric, categorical) that are
 // not in math/rand.
 type RNG struct {
-	key            uint64 // stream identity: hash of the seed and split path
+	key            Key    // stream identity: hash of the seed and split path
 	s0, s1, s2, s3 uint64 // xoshiro256++ state
 }
+
+// Key is a stream's identity without its generator state: the 64-bit
+// key an RNG is expanded from. A stream that is only ever split, never
+// drawn from, needs nothing more, and splitting a Key costs one mix64
+// where expanding an RNG costs four. RNG.Split is Key.Split followed by
+// Key.RNG, so both derive the same children.
+type Key uint64
 
 const golden64 = 0x9e3779b97f4a7c15 // 2^64 / phi, the SplitMix64 gamma
 
@@ -53,9 +60,9 @@ func mix64(z uint64) uint64 {
 
 // fromKey expands a stream key into a full generator state via four
 // SplitMix64 steps, the seeding procedure the xoshiro authors recommend.
-func fromKey(key uint64) RNG {
+func fromKey(key Key) RNG {
 	r := RNG{key: key}
-	st := key
+	st := uint64(key)
 	st += golden64
 	r.s0 = mix64(st)
 	st += golden64
@@ -74,8 +81,46 @@ func fromKey(key uint64) RNG {
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	r := fromKey(mix64(uint64(seed) + golden64))
+	r := NewKey(seed).RNG()
 	return &r
+}
+
+// NewKey returns the identity of the stream NewRNG(seed) returns.
+func NewKey(seed int64) Key {
+	return Key(mix64(uint64(seed) + golden64))
+}
+
+// Split derives the identity of the child stream with the given
+// caller-chosen index: a pure function of (k, stream).
+//
+//detlint:hotpath
+func (k Key) Split(stream uint64) Key {
+	return Key(mix64(uint64(k) + golden64*(stream+1)))
+}
+
+// RNG expands the identity into the stream's generator.
+//
+//detlint:hotpath
+func (k Key) RNG() RNG {
+	return fromKey(k)
+}
+
+// FirstFloat64 returns the first Float64 that k.RNG() would return,
+// without expanding the generator: xoshiro256++'s first output reads
+// only the state words s0 and s3, so two of fromKey's four mix64 steps
+// suffice. ok is false when both words are zero, the one case where
+// fromKey's forbidden-state repair could rewrite s0; the caller must
+// then expand the generator and draw from it.
+//
+//detlint:hotpath
+func (k Key) FirstFloat64() (u float64, ok bool) {
+	st := uint64(k) + golden64
+	s0 := mix64(st)                                  // fromKey's first step
+	s3 := mix64(st + golden64 + golden64 + golden64) // and its fourth
+	if s0|s3 == 0 {
+		return 0, false
+	}
+	return unitFloat(xoshiroOut(s0, s3)), true
 }
 
 // Split derives an independent child stream keyed by a caller-chosen
@@ -87,12 +132,24 @@ func NewRNG(seed int64) *RNG {
 //
 //detlint:hotpath
 func (r *RNG) Split(stream uint64) RNG {
-	return fromKey(mix64(r.key + golden64*(stream+1)))
+	return r.key.Split(stream).RNG()
+}
+
+// xoshiroOut is xoshiro256++'s output function, which reads only the
+// state words s0 and s3.
+func xoshiroOut(s0, s3 uint64) uint64 {
+	return bits.RotateLeft64(s0+s3, 23) + s0
+}
+
+// unitFloat maps 64 uniform bits to a uniform variate in [0, 1) with
+// 53 random bits.
+func unitFloat(x uint64) float64 {
+	return float64(x>>11) / (1 << 53)
 }
 
 // Uint64 returns the next 64 uniform bits (xoshiro256++).
 func (r *RNG) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s0+r.s3, 23) + r.s0
+	result := xoshiroOut(r.s0, r.s3)
 	t := r.s1 << 17
 	r.s2 ^= r.s0
 	r.s3 ^= r.s1
@@ -105,7 +162,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform variate in [0, 1) with 53 random bits.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unitFloat(r.Uint64())
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0. Uses

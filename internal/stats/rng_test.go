@@ -288,3 +288,40 @@ func TestQuickGammaSamplerPositive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKeyMatchesRNG pins the key-only streams to the generators they
+// stand for, over random keys and stream indices: NewKey is NewRNG's
+// identity, Key.Split(s).RNG() is RNG.Split(s), and FirstFloat64 is
+// the expanded generator's first Float64.
+func TestKeyMatchesRNG(t *testing.T) {
+	src := NewRNG(7)
+	var g uint64 = golden64
+	keys := []Key{0, Key(-g), ^Key(0)} // Key(-g) makes fromKey's s0 = mix64(0) = 0
+	for range 2000 {
+		keys = append(keys, Key(src.Uint64()))
+	}
+	for i, k := range keys {
+		seed := int64(src.Uint64())
+		if got, want := NewKey(seed).RNG(), *NewRNG(seed); got != want {
+			t.Fatalf("NewKey(%d).RNG() = %+v, want NewRNG's %+v", seed, got, want)
+		}
+		stream := src.Uint64()
+		if i%2 == 0 {
+			stream = stream&0xff | uint64(i)<<8 // a packed (stream, index) identity
+		}
+		parent := k.RNG()
+		child := k.Split(stream).RNG()
+		if want := parent.Split(stream); child != want {
+			t.Fatalf("Key(%#x).Split(%#x).RNG() = %+v, want RNG.Split's %+v", uint64(k), stream, child, want)
+		}
+		for _, r := range []RNG{parent, child} {
+			u, ok := r.key.FirstFloat64()
+			if !ok {
+				t.Fatalf("Key(%#x).FirstFloat64 reports both state words zero", uint64(r.key))
+			}
+			if want := r.Float64(); u != want {
+				t.Fatalf("Key(%#x).FirstFloat64() = %v, want the generator's first draw %v", uint64(r.key), u, want)
+			}
+		}
+	}
+}

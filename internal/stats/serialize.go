@@ -27,14 +27,14 @@ type RNGState struct {
 
 // State captures the RNG's current stream identity and draw position.
 func (r *RNG) State() RNGState {
-	return RNGState{Key: r.key, S0: r.s0, S1: r.s1, S2: r.s2, S3: r.s3}
+	return RNGState{Key: uint64(r.key), S0: r.s0, S1: r.s1, S2: r.s2, S3: r.s3}
 }
 
 // RestoreRNG reconstructs an RNG from a captured state. The restored
 // stream continues exactly where the captured one stood: same key,
 // same future draws.
 func RestoreRNG(st RNGState) *RNG {
-	return &RNG{key: st.Key, s0: st.S0, s1: st.S1, s2: st.S2, s3: st.S3}
+	return &RNG{key: Key(st.Key), s0: st.S0, s1: st.S1, s2: st.S2, s3: st.S3}
 }
 
 // OnlineState is the serializable state of an Online accumulator, with
