@@ -435,3 +435,36 @@ func TestRestoreKeepsDoneJobWithStaleSpec(t *testing.T) {
 		t.Fatalf("queued job failed with %q, want the removed-mode error", js.Error)
 	}
 }
+
+// TestDoneStatusSurvivesRestart: a done job's status and listing
+// entry are derived from its result once, when the job completes, and
+// again from result.json when a restarted server restores it. Both
+// derivations must serve the same bytes, and /result the same result.
+func TestDoneStatusSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	ts := startServer(t, dir, nil)
+	id := ts.submit(t, []byte(recoverySpec)).ID
+	ts.waitState(t, id, StateDone)
+	get := func(ts *testServer, path string) []byte {
+		t.Helper()
+		code, body := ts.do(t, http.MethodGet, path, nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d, body %q", path, code, body)
+		}
+		return body
+	}
+	paths := []string{"/v1/jobs/" + id, "/v1/jobs", "/v1/jobs/" + id + "/result", "/v1/jobs/" + id + "/report"}
+	var want [][]byte
+	for _, p := range paths {
+		want = append(want, get(ts, p))
+	}
+	ts.Drain()
+	ts.http.Close()
+
+	ts2 := startServer(t, dir, nil)
+	for i, p := range paths {
+		if got := get(ts2, p); !bytes.Equal(got, want[i]) {
+			t.Fatalf("GET %s after restart:\n%s\nbefore:\n%s", p, got, want[i])
+		}
+	}
+}

@@ -69,7 +69,7 @@ const (
 )
 
 // Job is one submitted sweep. Mutable fields (state, error, latest,
-// result) are guarded by the server mutex; cancel is the job's
+// final) are guarded by the server mutex; cancel is the job's
 // Interrupt bit, flipped by DELETE and polled lock-free by the trial
 // workers.
 type Job struct {
@@ -79,9 +79,8 @@ type Job struct {
 	// seq is the monotone submission number behind the ID; restored
 	// servers continue the sequence past the largest on disk.
 	seq int
-	// spec is the parsed scenario file; specRaw its exact bytes.
-	spec    *scenario.Spec
-	specRaw []byte
+	// spec is the parsed scenario file.
+	spec *scenario.Spec
 	// specErr is why a done job's spec no longer parses on restore (a
 	// knob since removed, say). The job stays done and keeps serving
 	// its result; only the report, which needs the spec, answers with
@@ -97,12 +96,12 @@ type Job struct {
 	cancel atomic.Bool
 	// latest is the newest checkpoint state observed via OnCheckpoint
 	// (or lazily recovered from disk); the status endpoint derives
-	// partial results from it.
+	// partial results from it. Nil once the job is done.
 	latest *sweep.CheckpointState
-	// result and resultJSON are set on completion (lazily loaded from
-	// result.json for jobs restored as done).
-	result     *sweep.Result
-	resultJSON []byte
+	// final is a done job's status, derived once from its result when
+	// the job completes or is restored. The result itself stays on
+	// disk: /result and /report read result.json.
+	final *JobStatus
 }
 
 // jobMeta is the serialized form of a Job's durable metadata.
@@ -187,7 +186,6 @@ func (s *Server) restore() error {
 			s.addLocked(j)
 			continue
 		}
-		j.specRaw = raw
 		spec, err := scenario.Parse(raw, filepath.Join(meta.ID, specFile))
 		if err == nil {
 			j.spec = spec
@@ -199,7 +197,7 @@ func (s *Server) restore() error {
 			if j.state == StateDone {
 				// result.json does not depend on the spec: keep it.
 				j.specErr = err
-				s.addLocked(j)
+				s.restoreDone(j)
 				continue
 			}
 			j.state, j.errMsg = StateFailed, err.Error()
@@ -207,7 +205,11 @@ func (s *Server) restore() error {
 			s.saveLocked(j)
 			continue
 		}
-		if !j.state.terminal() {
+		switch {
+		case j.state == StateDone:
+			s.restoreDone(j)
+			continue
+		case !j.state.terminal():
 			// queued, running, or partial: back in the queue. The runner
 			// recovers the checkpoint (if any) and resumes.
 			j.state = StateQueued
@@ -217,6 +219,19 @@ func (s *Server) restore() error {
 		s.addLocked(j)
 	}
 	return nil
+}
+
+// restoreDone indexes a job restored as done, deriving its status from
+// result.json the way a completing job derives it from its result. A
+// result that cannot be read leaves the status without per-scenario
+// results; /result and /report then report the read error.
+func (s *Server) restoreDone(j *Job) {
+	res, err := s.readResult(j)
+	if err != nil {
+		s.logf("sweepd: restoring %s: %v", j.ID, err)
+	}
+	j.finish(res)
+	s.addLocked(j)
 }
 
 // placeholderSpec stands in for a spec that no longer parses, so a

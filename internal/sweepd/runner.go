@@ -116,8 +116,7 @@ func (s *Server) runJob(j *Job) {
 			s.saveLocked(j)
 			return
 		}
-		j.result, j.resultJSON = res, buf.Bytes()
-		j.state = StateDone
+		j.finish(res)
 		s.saveLocked(j)
 		s.logf("sweepd: %s done", j.ID)
 	}

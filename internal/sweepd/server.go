@@ -236,34 +236,59 @@ type MetricStatus struct {
 }
 
 // status snapshots a job for the wire. detail selects per-scenario
-// partial results (derived outside the lock from the latest immutable
-// checkpoint state).
+// results: a done job's final ones, or partial ones derived outside
+// the lock from the latest immutable checkpoint state.
 func (s *Server) status(j *Job, detail bool) JobStatus {
 	s.mu.Lock()
-	js := JobStatus{
+	if j.final != nil {
+		js := *j.final
+		s.mu.Unlock()
+		if !detail {
+			js.Scenarios = nil
+		}
+		return js
+	}
+	js := j.wireStatus()
+	latest := j.latest
+	scens := j.cfg.Scenarios
+	s.mu.Unlock()
+
+	if latest == nil {
+		latest = s.loadCheckpoint(j) // restored partial/cancelled job
+	}
+	var res *sweep.Result
+	if latest != nil {
+		if pr, err := latest.PartialResult(); err == nil {
+			res = pr
+		}
+	}
+	return withResult(js, res, scens, detail)
+}
+
+// wireStatus is the job's status without results. Caller holds the
+// server mutex.
+func (j *Job) wireStatus() JobStatus {
+	return JobStatus{
 		ID: j.ID, Name: j.spec.Name, Digest: j.spec.Digest(),
 		State: j.state, Error: j.errMsg,
 		Trials: j.cfg.Trials, Seed: j.cfg.Seed, Scale: j.cfg.Scale,
 		TrialsTotal: j.cfg.Trials * len(j.cfg.Scenarios),
 	}
-	res, latest := j.result, j.latest
-	scens := j.cfg.Scenarios
-	done := j.state == StateDone
-	s.mu.Unlock()
+}
 
-	if res == nil && done {
-		res, _ = s.loadResult(j) // restored job: result.json on disk
-	}
-	if res == nil {
-		if latest == nil {
-			latest = s.loadCheckpoint(j) // restored partial/cancelled job
-		}
-		if latest != nil {
-			if pr, err := latest.PartialResult(); err == nil {
-				res = pr
-			}
-		}
-	}
+// finish marks the job done with its final result (nil when a
+// restored job's result.json cannot be read): the status is derived
+// once, and the checkpoint state is dropped. Caller holds the server
+// mutex, or is inside single-threaded construction.
+func (j *Job) finish(res *sweep.Result) {
+	j.state, j.latest = StateDone, nil
+	js := withResult(j.wireStatus(), res, j.cfg.Scenarios, true)
+	j.final = &js
+}
+
+// withResult completes a status from a final or partial result, or
+// from the scenario list alone when res is nil.
+func withResult(js JobStatus, res *sweep.Result, scens []sweep.Scenario, detail bool) JobStatus {
 	if res != nil && js.TrialsTotal == 0 {
 		// A done job whose spec no longer parses has no resolved
 		// config; its result records the run parameters.
@@ -293,16 +318,8 @@ func (s *Server) status(j *Job, detail bool) JobStatus {
 	return js
 }
 
-// loadResult lazily reads and caches result.json for a job restored in
-// StateDone.
-func (s *Server) loadResult(j *Job) (*sweep.Result, error) {
-	s.mu.Lock()
-	if j.result != nil {
-		res := j.result
-		s.mu.Unlock()
-		return res, nil
-	}
-	s.mu.Unlock()
+// readResult reads and decodes a done job's result.json.
+func (s *Server) readResult(j *Job) (*sweep.Result, error) {
 	data, err := os.ReadFile(filepath.Join(j.dir(s.cfg.Dir), resultFile))
 	if err != nil {
 		return nil, err
@@ -311,26 +328,7 @@ func (s *Server) loadResult(j *Job) (*sweep.Result, error) {
 	if err := json.Unmarshal(data, res); err != nil {
 		return nil, fmt.Errorf("sweepd: decoding %s result: %w", j.ID, err)
 	}
-	s.mu.Lock()
-	j.result, j.resultJSON = res, data
-	s.mu.Unlock()
 	return res, nil
-}
-
-// resultBytes returns the job's canonical final Result bytes.
-func (s *Server) resultBytes(j *Job) ([]byte, error) {
-	s.mu.Lock()
-	b := j.resultJSON
-	s.mu.Unlock()
-	if b != nil {
-		return b, nil
-	}
-	if _, err := s.loadResult(j); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.resultJSON, nil
 }
 
 // loadCheckpoint lazily recovers the newest on-disk checkpoint for a
@@ -382,7 +380,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextSeq++
 	j := &Job{
 		ID: fmt.Sprintf("job-%06d", seq), seq: seq,
-		spec: spec, specRaw: body, cfg: cfg, state: StateQueued,
+		spec: spec, cfg: cfg, state: StateQueued,
 	}
 	dir := j.dir(s.cfg.Dir)
 	if err := os.MkdirAll(dir, 0o755); err == nil {
@@ -447,7 +445,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("sweepd: %s is %s; the final result exists only once the job is done", j.ID, state), http.StatusConflict)
 		return
 	}
-	b, err := s.resultBytes(j)
+	b, err := os.ReadFile(filepath.Join(j.dir(s.cfg.Dir), resultFile))
 	if err != nil {
 		http.Error(w, "sweepd: loading result: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -475,7 +473,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("sweepd: %s report needs its spec, which no longer parses: %v", j.ID, specErr), http.StatusConflict)
 		return
 	}
-	res, err := s.loadResult(j)
+	res, err := s.readResult(j)
 	if err != nil {
 		http.Error(w, "sweepd: loading result: "+err.Error(), http.StatusInternalServerError)
 		return

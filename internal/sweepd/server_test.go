@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -359,5 +360,57 @@ func TestListOrdersBySubmission(t *testing.T) {
 	}
 	for _, id := range ids {
 		ts.waitState(t, id, StateDone)
+	}
+}
+
+// TestDoneJobsRetainLittleHeap bounds what a finished job keeps in
+// memory: its derived status, spec and identity, not its checkpoint
+// state, decoded result or result bytes, all of which stay on disk.
+// 100 done jobs may retain at most 8 KiB each.
+func TestDoneJobsRetainLittleHeap(t *testing.T) {
+	const jobs, perJob = 100, 8 << 10
+	ts := startServer(t, t.TempDir(), func(c *Config) {
+		c.JobWorkers, c.CheckpointEvery, c.Logf = 1, 0, nil
+	})
+	spec := []byte(recoverySpec)
+	wait := func(id string) {
+		for {
+			code, body := ts.do(t, http.MethodGet, "/v1/jobs/"+id, nil)
+			var js JobStatus
+			if err := json.Unmarshal(body, &js); code != http.StatusOK || err != nil {
+				t.Fatalf("GET %s: status %d, %v", id, code, err)
+			}
+			if js.State == StateDone {
+				return
+			}
+			if js.State.terminal() {
+				t.Fatalf("%s ended %s: %s", id, js.State, js.Error)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Warm-up: the first job builds the shared fleet into the cache.
+	wait(ts.submit(t, spec).ID)
+	ts.resultOf(t, "job-000001")
+	before := heap()
+	ids := make([]string, jobs)
+	for i := range ids {
+		ids[i] = ts.submit(t, spec).ID
+	}
+	for _, id := range ids {
+		wait(id)
+		ts.resultOf(t, id)
+	}
+	after := heap()
+	t.Logf("%d done jobs: heap %d -> %d bytes", jobs, before, after)
+	if after > before && (after-before)/jobs > perJob {
+		t.Fatalf("%d done jobs retain %d bytes each (heap %d -> %d), budget %d", jobs, (after-before)/jobs, before, after, perJob)
 	}
 }
