@@ -204,8 +204,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var st *sweep.CheckpointState
+	var src string
 	if *resume {
-		var src string
 		st, src, err = sweep.RecoverCheckpoint(*checkpoint)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
@@ -213,8 +213,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return fail(2, "-resume: %s", engine(err))
 		}
-		fmt.Fprintf(stderr, "sweep: resuming from %s at trial %d of %d\n",
-			src, st.NextJob, len(cfg.Scenarios)*cfg.Trials)
 	}
 
 	if *maxWall > 0 {
@@ -224,13 +222,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Interrupt = func() bool { return !time.Now().Before(deadline) }
 	}
 
-	fmt.Fprintf(stderr, "sweep: %d scenarios x %d trials at base scale %.2f (seed %d)\n",
+	fmt.Fprintf(stderr, "sweep: %d scenarios x %d trials at base scale %g (seed %d)\n",
 		len(cfg.Scenarios), cfg.Trials, cfg.Scale, cfg.Seed)
 	res, err := sweep.Execute(cfg, st, func(s sweep.Scenario, done int) {
 		fmt.Fprintf(stderr, "sweep: scenario %q complete (%d trials)\n", s.Name, done)
 	})
 	if err != nil {
 		return fail(1, "%s", engine(err))
+	}
+	if st != nil {
+		// Only Execute validates a checkpoint against the run, so the
+		// resume is announced once it has been accepted.
+		fmt.Fprintf(stderr, "sweep: resumed from %s at trial %d of %d\n",
+			src, st.NextJob, len(cfg.Scenarios)*cfg.Trials)
 	}
 	if res.Partial {
 		fmt.Fprintln(stderr, "sweep: PARTIAL result (budget or deadline); resume with -resume to complete")

@@ -221,11 +221,16 @@ func TestDeadlineDrainAndResume(t *testing.T) {
 	if !bytes.Equal(resumed.Bytes(), full.Bytes()) {
 		t.Fatal("deadline-then-resumed stdout differs from the uninterrupted run")
 	}
+	if want := "sweep: resumed from " + ckpt + " at trial 0 of 6\n"; strings.Count(stderr.String(), "sweep: resum") != 1 || !strings.Contains(stderr.String(), want) {
+		t.Fatalf("accepted resume: stderr %q, want one %q line", stderr.String(), want)
+	}
 }
 
 // TestResumeErrorsPrefixedOnce: engine errors already start with
 // "sweep: ", so neither a refused checkpoint (Execute) nor an
-// unreadable one (RecoverCheckpoint) may print the prefix twice.
+// unreadable one (RecoverCheckpoint) may print the prefix twice, and
+// neither may announce a resume. The run header prints the base scale
+// as given.
 func TestResumeErrorsPrefixedOnce(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	args := func(extra ...string) []string {
@@ -240,12 +245,17 @@ func TestResumeErrorsPrefixedOnce(t *testing.T) {
 		if code := run(args(extra...), io.Discard, &stderr); code != wantCode {
 			t.Fatalf("%s: exited %d, want %d (stderr %q)", name, code, wantCode, stderr.String())
 		}
-		if got := stderr.String(); !strings.Contains(got, want) || strings.Contains(got, "sweep: sweep:") {
+		got := stderr.String()
+		if !strings.Contains(got, want) || strings.Contains(got, "sweep: sweep:") {
 			t.Fatalf("%s: stderr %q, want one prefix on %q", name, got, want)
+		}
+		if strings.Contains(got, "sweep: resum") {
+			t.Fatalf("%s: stderr %q announces a resume of a checkpoint that was not used", name, got)
 		}
 	}
 	// Another seed is another checkpoint identity: Execute refuses it.
 	check("refused", 1, "\nsweep: checkpoint was taken for a different sweep configuration", "-seed", "7", "-resume")
+	check("header", 1, "sweep: 2 scenarios x 2 trials at base scale 0.004 (seed 7)\n", "-seed", "7", "-resume")
 
 	if err := os.WriteFile(ckpt, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
