@@ -364,10 +364,10 @@ func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTi
 	chain = append(chain, occupancy{disk: diskID, from: install, to: end})
 	curID := diskID
 	cur := &w.f.Disks[curID]
+	causeRNG := lazyRNG{key: slot.Split(streamCause)}
 	// Stochastic repair lags draw from their own slot stream, and only
 	// when the distribution is enabled: the default deterministic lag
 	// consumes no randomness, so calibrated streams are untouched.
-	causeRNG := lazyRNG{key: slot.Split(streamCause)}
 	repairRNG := lazyRNG{key: slot.Split(streamRepair)}
 	for _, c := range cands {
 		if c.t < simtime.Seconds(cur.Install) || c.t >= end {
@@ -661,7 +661,9 @@ func arrivals(buf []simtime.Seconds, ratePerYear, none float64, from simtime.Sec
 // exact real product rps·W, and assume Log and Exp have relative error
 // at most a = 2^-40 on normal results, 4096 times the 1 ulp of the
 // algorithms Go uses. The threshold is thr = fl(fl(Exp(-fl(rps·W)))·(1-δ))
-// with δ = 2^-20, so 1-δ is exact. Take 0 ≤ x ≤ 64 (below, thr = 0).
+// with δ = 2^-20, so 1-δ is exact. Take 0 < x ≤ 64, so e^-x ≥ 2^-93
+// is a normal float; for any other x, NaN included, the threshold is 0
+// and every draw falls back to poissonTimes.
 //
 //  1. If -ln u ≥ x(1+2a), no point is drawn: the quotient is at least
 //     (-ln u)(1-a)(1-μ)/rps ≥ x(1+2a)(1-a-μ)/rps ≥ W, so from plus it
@@ -671,16 +673,11 @@ func arrivals(buf []simtime.Seconds, ratePerYear, none float64, from simtime.Sec
 //     |ε| ≤ μ, so thr ≤ e^-x · e^(xμ)(1+a)(1+μ)(1-δ), and for x ≤ 64
 //     e^(xμ)(1+a)(1+μ) ≤ 1+2^-39, so thr ≤ e^-x(1+2^-39)(1-2^-20)
 //     < e^-x(1-2^-21) ≤ e^-x(1-2ax) ≤ e^(-x(1+2a)), as 2ax ≤ 2^-33.
-//
-// For x < 0 (a non-positive rate or window) poissonTimes draws nothing
-// whatever u is, so any threshold holds. At x ≤ 64, e^-x ≥ 2^-93 is a
-// normal float, and above 64 the threshold is 0 (a NaN x fails the
-// same test), where the draw falls back to poissonTimes.
 func noArrivalBelow(ratePerYear float64, from simtime.Seconds) float64 {
 	const delta = 1.0 / (1 << 20)
 	rps := ratePerYear / float64(simtime.SecondsPerYear)
 	x := rps * float64(simtime.StudyDuration-from)
-	if !(x <= 64) {
+	if !(x > 0 && x <= 64) {
 		return 0
 	}
 	return math.Exp(-x) * (1 - delta)

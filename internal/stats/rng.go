@@ -58,27 +58,6 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// fromKey expands a stream key into a full generator state via four
-// SplitMix64 steps, the seeding procedure the xoshiro authors recommend.
-func fromKey(key Key) RNG {
-	r := RNG{key: key}
-	st := uint64(key)
-	st += golden64
-	r.s0 = mix64(st)
-	st += golden64
-	r.s1 = mix64(st)
-	st += golden64
-	r.s2 = mix64(st)
-	st += golden64
-	r.s3 = mix64(st)
-	if r.s0|r.s1|r.s2|r.s3 == 0 {
-		// xoshiro's single forbidden state; unreachable in practice but
-		// cheap to rule out entirely.
-		r.s0 = golden64
-	}
-	return r
-}
-
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
 	r := NewKey(seed).RNG()
@@ -98,24 +77,41 @@ func (k Key) Split(stream uint64) Key {
 	return Key(mix64(uint64(k) + golden64*(stream+1)))
 }
 
-// RNG expands the identity into the stream's generator.
+// RNG expands the identity into the stream's generator via four
+// SplitMix64 steps, the seeding procedure the xoshiro authors
+// recommend.
 //
 //detlint:hotpath
 func (k Key) RNG() RNG {
-	return fromKey(k)
+	r := RNG{key: k}
+	st := uint64(k)
+	st += golden64
+	r.s0 = mix64(st)
+	st += golden64
+	r.s1 = mix64(st)
+	st += golden64
+	r.s2 = mix64(st)
+	st += golden64
+	r.s3 = mix64(st)
+	if r.s0|r.s1|r.s2|r.s3 == 0 {
+		// xoshiro's single forbidden state; unreachable in practice but
+		// cheap to rule out entirely.
+		r.s0 = golden64
+	}
+	return r
 }
 
 // FirstFloat64 returns the first Float64 that k.RNG() would return,
 // without expanding the generator: xoshiro256++'s first output reads
-// only the state words s0 and s3, so two of fromKey's four mix64 steps
+// only the state words s0 and s3, so two of RNG's four mix64 steps
 // suffice. ok is false when both words are zero, the one case where
-// fromKey's forbidden-state repair could rewrite s0; the caller must
+// RNG's forbidden-state repair could rewrite s0; the caller must
 // then expand the generator and draw from it.
 //
 //detlint:hotpath
 func (k Key) FirstFloat64() (u float64, ok bool) {
 	st := uint64(k) + golden64
-	s0 := mix64(st)                                  // fromKey's first step
+	s0 := mix64(st)                                  // RNG's first step
 	s3 := mix64(st + golden64 + golden64 + golden64) // and its fourth
 	if s0|s3 == 0 {
 		return 0, false

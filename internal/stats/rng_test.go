@@ -296,7 +296,7 @@ func TestQuickGammaSamplerPositive(t *testing.T) {
 func TestKeyMatchesRNG(t *testing.T) {
 	src := NewRNG(7)
 	var g uint64 = golden64
-	keys := []Key{0, Key(-g), ^Key(0)} // Key(-g) makes fromKey's s0 = mix64(0) = 0
+	keys := []Key{0, Key(-g), ^Key(0)} // Key(-g) makes Key.RNG's s0 = mix64(0) = 0
 	for range 2000 {
 		keys = append(keys, Key(src.Uint64()))
 	}

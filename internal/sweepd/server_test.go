@@ -373,6 +373,8 @@ func TestDoneJobsRetainLittleHeap(t *testing.T) {
 		c.JobWorkers, c.CheckpointEvery, c.Logf = 1, 0, nil
 	})
 	spec := []byte(recoverySpec)
+	// wait polls like waitState, but without its per-job monotonicity
+	// map, which would count as retained heap.
 	wait := func(id string) {
 		for {
 			code, body := ts.do(t, http.MethodGet, "/v1/jobs/"+id, nil)
