@@ -36,8 +36,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -156,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := sweep.CheckResolved(cfg); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stderr, "expreport: sweeping %d scenarios x %d trials at scale %.2f (seed %d)\n",
+		fmt.Fprintf(stderr, "expreport: sweeping %d scenarios x %d trials at scale %g (seed %d)\n",
 			len(cfg.Scenarios), cfg.Trials, cfg.Scale, cfg.Seed)
 		res, err = sweep.Execute(cfg, nil, func(s sweep.Scenario, done int) {
 			fmt.Fprintf(stderr, "expreport: scenario %q complete (%d trials)\n", s.Name, done)
@@ -190,32 +188,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// loadResult parses a cmd/sweep -json file strictly: unknown fields,
-// truncation, and structurally empty results all produce a one-line
-// actionable error instead of a silent zero-value report.
+// loadResult parses a cmd/sweep -json file strictly (sweep.DecodeResult):
+// unknown fields, truncation, and structurally empty results all
+// produce a one-line actionable error naming the file instead of a
+// silent zero-value report.
 func loadResult(path string) (*sweep.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	res := &sweep.Result{}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(res); err != nil {
-		return nil, fmt.Errorf("parsing %s: %v (is it a cmd/sweep -json result? it may be truncated or a different file)", path, err)
-	}
-	// A second document after the result means the file is not a single
-	// sweep JSON object (e.g. concatenated logs).
-	if dec.More() {
-		return nil, fmt.Errorf("parsing %s: trailing data after the result object", path)
-	}
-	if res.Trials < 1 || len(res.Scenarios) == 0 {
-		return nil, fmt.Errorf("%s holds no sweep data (%d trials, %d scenarios); was the sweep run with -json?", path, res.Trials, len(res.Scenarios))
-	}
-	for _, ss := range res.Scenarios {
-		if ss.Scenario.Name == "" {
-			return nil, fmt.Errorf("%s has a scenario without a name; the file is damaged or not a sweep result", path)
-		}
+	res, err := sweep.DecodeResult(data)
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	return res, nil
 }

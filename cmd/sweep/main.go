@@ -10,7 +10,7 @@
 //	      [-grid-file scenario.json]
 //	      [-scale 0.25] [-seed 42] [-workers N] [-findings] [-json] [-check]
 //	      [-checkpoint sweep.ckpt] [-checkpoint-every 64] [-resume]
-//	      [-budget N] [-max-wall 30m] [-retries N] [-deltas]
+//	      [-budget N] [-max-wall 30m] [-deltas]
 //	sweep validate scenario.json...
 //
 // Every grid is a declarative scenario file (the validated JSON format
@@ -60,8 +60,8 @@
 // through its Interrupt seam). Both mark the result PARTIAL with
 // per-scenario completed-trial counts and leave a resumable
 // checkpoint. Trials that panic are quarantined and deterministically
-// retried (-retries bounds re-executions; failures are recorded in the
-// result, never fatal to the sweep).
+// retried, up to twice (failures are recorded in the result, never
+// fatal to the sweep).
 package main
 
 import (
@@ -107,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	resume := flags.Bool("resume", false, "resume from the -checkpoint file (falls back to <path>.prev if the primary is corrupt)")
 	budget := flags.Int("budget", 0, "stop gracefully after this many trials in global order (0 = no budget; result marked partial, resumable)")
 	maxWall := flags.Duration("max-wall", 0, "wall-clock budget, e.g. 30m (0 = none; result marked partial, resumable)")
-	retries := flags.Int("retries", 0, "per-trial retries after a panic (0 = default 2; negative disables)")
 	deltas := flags.Bool("deltas", false, "accumulate CRN paired deltas of every non-baseline scenario against the baseline (adds a deltas section to tables and JSON)")
 	if err := flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -166,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Findings:        *findings,
 		CheckpointPath:  *checkpoint,
 		CheckpointEvery: *every,
-		MaxRetries:      *retries,
 		BudgetTrials:    *budget,
 		Deltas:          *deltas,
 	}

@@ -175,6 +175,19 @@ func TestRunTinySweepMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestTableHeaderPrintsScale: the table header prints the base scale
+// as given, so a scale below 0.005 does not read as 0.00.
+func TestTableHeaderPrintsScale(t *testing.T) {
+	var stdout bytes.Buffer
+	args := []string{"-trials", "1", "-scale", "0.004", "-grid", "smoke", "-workers", "1"}
+	if code := run(args, &stdout, io.Discard); code != 0 {
+		t.Fatalf("run(%v) = %d, want 0", args, code)
+	}
+	if want := "seed 42, base scale 0.004\n"; !strings.Contains(stdout.String(), want) {
+		t.Fatalf("table header %q, want %q", strings.SplitN(stdout.String(), "\n", 2)[0], want)
+	}
+}
+
 // TestDeadlineDrainAndResume: an already-expired -max-wall deadline
 // drains the sweep before any trial runs, exits 0 with a PARTIAL result
 // and a resumable checkpoint, and -resume then prints stdout

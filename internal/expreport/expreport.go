@@ -212,8 +212,8 @@ var sensitivityMetrics = []string{
 
 // RenderSpec writes the full EXPERIMENTS.md markdown for a sweep
 // result. The per-finding confrontation uses the grid's baseline
-// scenario (the first scenario named "baseline", falling back to the
-// first scenario); every scenario appears in the sensitivity section.
+// scenario (sweep.BaselineIndex: the scenario named "baseline", else
+// the first); every scenario appears in the sensitivity section.
 // When spec is non-nil and carries assertions, a "Scenario-file
 // assertions" section confronts every user-authored band with the sweep
 // result through the same verdict rule as the paper bands; a nil spec
@@ -223,13 +223,11 @@ func RenderSpec(w io.Writer, res *sweep.Result, spec *scenario.Spec) error {
 	if len(res.Scenarios) == 0 {
 		return fmt.Errorf("expreport: sweep result has no scenarios")
 	}
-	base := &res.Scenarios[0]
-	for i := range res.Scenarios {
-		if res.Scenarios[i].Scenario.Name == "baseline" {
-			base = &res.Scenarios[i]
-			break
-		}
+	scens := make([]sweep.Scenario, len(res.Scenarios))
+	for i, ss := range res.Scenarios {
+		scens[i] = ss.Scenario
 	}
+	base := &res.Scenarios[sweep.BaselineIndex(scens)]
 	scale := base.Scenario.EffScale(res.Scale)
 	findings := Confront(*base, scale)
 

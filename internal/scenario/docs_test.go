@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"storagesubsys/internal/paperref"
 	"storagesubsys/internal/sweep"
 )
 
@@ -57,7 +58,7 @@ func TestScenariosDocCurrent(t *testing.T) {
 
 	// The three unit names form the assertion unit vocabulary.
 	for _, u := range []string{"fraction", "ratio", "count"} {
-		if _, ok := parseUnitName(u); !ok {
+		if _, ok := paperref.ParseUnit(u); !ok {
 			t.Fatalf("unit vocabulary lost %q", u)
 		}
 		if !strings.Contains(doc, fmt.Sprintf("`%s`", u)) {

@@ -23,10 +23,13 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -135,19 +138,13 @@ func (a Assertion) DisplayUnit() paperref.Unit {
 	return paperref.Count
 }
 
-// BaselineScenario resolves the spec's baseline: the scenario named
-// "baseline", else the first scenario — the same rule
-// internal/expreport applies to sweep results.
+// BaselineScenario resolves the spec's baseline by the sweep's rule
+// (sweep.BaselineIndex): the scenario named "baseline", else the first.
 func (s *Spec) BaselineScenario() string {
-	for _, sc := range s.Scenarios {
-		if sc.Name == "baseline" {
-			return sc.Name
-		}
+	if len(s.Scenarios) == 0 {
+		return ""
 	}
-	if len(s.Scenarios) > 0 {
-		return s.Scenarios[0].Name
-	}
-	return ""
+	return s.Scenarios[sweep.BaselineIndex(s.Scenarios)].Name
 }
 
 // Config overlays the spec's run parameters onto base and installs the
@@ -258,7 +255,7 @@ func Parse(data []byte, name string) (*Spec, error) {
 // trailing data rejected, and syntax/type errors carried with their
 // line:column position.
 func decodeStrict(data []byte, spec *Spec) error {
-	dec := json.NewDecoder(bytesReader(data))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(spec); err != nil {
 		return positionalError(data, err)
@@ -266,7 +263,7 @@ func decodeStrict(data []byte, spec *Spec) error {
 	// A second document after the spec means the file is not a single
 	// scenario object (e.g. two concatenated specs).
 	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || !isEOF(err) {
+	if err := dec.Decode(&trailing); err == nil || !errors.Is(err, io.EOF) {
 		return fmt.Errorf("trailing data after the scenario object (one spec per file)")
 	}
 	return nil

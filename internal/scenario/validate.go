@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
+	"storagesubsys/internal/paperref"
 	"storagesubsys/internal/sweep"
 )
 
@@ -78,7 +78,7 @@ func (s *Spec) Validate() error {
 			return pos(`"tolerance" is %g, must be in [0, 1] (the relative half-width of the accepted band)`, a.Tolerance)
 		}
 		if a.Unit != "" {
-			if _, ok := parseUnitName(a.Unit); !ok {
+			if _, ok := paperref.ParseUnit(a.Unit); !ok {
 				return pos(`unknown unit %q (valid: fraction, ratio, count; omit to inherit the paperref convention)`, a.Unit)
 			}
 		}
@@ -144,23 +144,6 @@ func knownMetric(name string) bool {
 	}
 	return false
 }
-
-// parseUnitName is the scenario-file unit vocabulary; paperref.ParseUnit
-// wraps it for external callers.
-func parseUnitName(s string) (string, bool) {
-	switch s {
-	case "fraction", "ratio", "count":
-		return s, true
-	}
-	return "", false
-}
-
-// bytesReader exists so scenario.go reads as intent ("decode these
-// bytes") without importing bytes there.
-func bytesReader(data []byte) io.Reader { return bytes.NewReader(data) }
-
-// isEOF reports whether a trailing Decode stopped at clean EOF.
-func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 
 // positionalError rewrites an encoding/json decode error into this
 // package's one-line vocabulary, attaching line:column where the input

@@ -382,16 +382,7 @@ func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTi
 					cause = failmodel.CauseDiskMechanical
 				}
 			}
-			w.events = append(w.events, failmodel.Event{
-				Time:     c.t,
-				Detected: simtime.NextScrub(c.t),
-				Type:     failmodel.DiskFailure,
-				Cause:    cause,
-				Disk:     curID,
-				Shelf:    int(cur.Shelf),
-				System:   sys.ID,
-				Group:    int(cur.RAIDGrp),
-			})
+			w.emit(sys, curID, c.t, cause, false)
 			cur.Remove = int32(c.t)
 			cur.Replaced = true
 			chain[len(chain)-1].to = c.t
@@ -530,18 +521,7 @@ func (w *worker) emitSystemBurst(sys *fleet.System,
 		if !ok {
 			continue
 		}
-		d := &w.f.Disks[diskID]
-		w.events = append(w.events, failmodel.Event{
-			Time:      t,
-			Detected:  simtime.NextScrub(t),
-			Type:      cause.Type(),
-			Cause:     cause,
-			Disk:      diskID,
-			Shelf:     int(d.Shelf),
-			System:    sys.ID,
-			Group:     int(d.RAIDGrp),
-			Recovered: recovered,
-		})
+		w.emit(sys, diskID, t, cause, recovered)
 	}
 }
 
@@ -579,19 +559,28 @@ func (w *worker) emitBurst(sys *fleet.System, chains []slotChain, t0 simtime.Sec
 		if !ok {
 			continue
 		}
-		d := &w.f.Disks[diskID]
-		w.events = append(w.events, failmodel.Event{
-			Time:      t,
-			Detected:  simtime.NextScrub(t),
-			Type:      cause.Type(),
-			Cause:     cause,
-			Disk:      diskID,
-			Shelf:     int(d.Shelf),
-			System:    sys.ID,
-			Group:     int(d.RAIDGrp),
-			Recovered: recovered,
-		})
+		w.emit(sys, diskID, t, cause, recovered)
 	}
+}
+
+// emit records one failure of the disk at t: the one place an event
+// is built, so its detection time, type and placement follow a single
+// rule for slot failures and bursts alike.
+//
+//detlint:hotpath
+func (w *worker) emit(sys *fleet.System, diskID int, t simtime.Seconds, cause failmodel.Cause, recovered bool) {
+	d := &w.f.Disks[diskID]
+	w.events = append(w.events, failmodel.Event{
+		Time:      t,
+		Detected:  simtime.NextScrub(t),
+		Type:      cause.Type(),
+		Cause:     cause,
+		Disk:      diskID,
+		Shelf:     int(d.Shelf),
+		System:    sys.ID,
+		Group:     int(d.RAIDGrp),
+		Recovered: recovered,
+	})
 }
 
 // poissonTimes appends the points of a homogeneous Poisson process with

@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"storagesubsys/internal/stats"
 )
@@ -99,18 +100,10 @@ func checkpointIdentity(cfg Config) CheckpointConfig {
 
 // equal reports whether two identities match scenario for scenario.
 func (c CheckpointConfig) equal(o CheckpointConfig) bool {
-	if c.Trials != o.Trials || c.Seed != o.Seed || c.Scale != o.Scale ||
-		c.Findings != o.Findings || c.ReservoirSize != o.ReservoirSize ||
-		c.GridDigest != o.GridDigest || c.Deltas != o.Deltas ||
-		len(c.Scenarios) != len(o.Scenarios) {
-		return false
-	}
-	for i := range c.Scenarios {
-		if c.Scenarios[i] != o.Scenarios[i] {
-			return false
-		}
-	}
-	return true
+	return c.Trials == o.Trials && c.Seed == o.Seed && c.Scale == o.Scale &&
+		c.Findings == o.Findings && c.ReservoirSize == o.ReservoirSize &&
+		c.GridDigest == o.GridDigest && c.Deltas == o.Deltas &&
+		slices.Equal(c.Scenarios, o.Scenarios)
 }
 
 // ScenarioCheckpoint is one scenario's serialized aggregation state,
@@ -258,36 +251,6 @@ func RecoverCheckpoint(path string) (*CheckpointState, string, error) {
 	return st2, prev, nil
 }
 
-// captureCheckpoint snapshots the collector's live aggregation state.
-// Called only from the collector goroutine, which owns every
-// aggregator, so no synchronization is needed.
-func captureCheckpoint(ident CheckpointConfig, next int, failures []TrialFailure,
-	onlines [][]stats.Online, reservoirs [][]*stats.Reservoir, points [][]float64, deltas *deltaAgg) *CheckpointState {
-	st := &CheckpointState{
-		Config:    ident,
-		NextJob:   next,
-		Failures:  append([]TrialFailure(nil), failures...),
-		Scenarios: make([]ScenarioCheckpoint, len(onlines)),
-	}
-	if deltas != nil {
-		st.Deltas = deltas.state()
-	}
-	for si := range onlines {
-		sc := ScenarioCheckpoint{
-			Onlines:    make([]stats.OnlineState, len(onlines[si])),
-			Reservoirs: make([]stats.ReservoirState, len(reservoirs[si])),
-			Points:     make([]uint64, len(points[si])),
-		}
-		for mi := range onlines[si] {
-			sc.Onlines[mi] = onlines[si][mi].State()
-			sc.Reservoirs[mi] = reservoirs[si][mi].State()
-			sc.Points[mi] = math.Float64bits(points[si][mi])
-		}
-		st.Scenarios[si] = sc
-	}
-	return st
-}
-
 // validateCheckpoint checks the state against the run's identity and
 // every size the restore allocates from or indexes with against the
 // payload that carries it, before anything is allocated: a checkpoint
@@ -348,30 +311,7 @@ func validateCheckpoint(st *CheckpointState, ident CheckpointConfig) error {
 		if st.Deltas == nil {
 			return fmt.Errorf("sweep: checkpoint claims delta aggregation but carries no delta state; restart the sweep")
 		}
-		return st.Deltas.checkShape(nScen, baselineIndex(ident.Scenarios), ident.Trials, nMet)
+		return st.Deltas.checkShape(nScen, BaselineIndex(ident.Scenarios), ident.Trials, nMet)
 	}
 	return nil
-}
-
-// restoreCheckpoint validates the state against the run's identity and
-// rehydrates the collector's aggregators. The returned watermark is
-// the global job index aggregation resumes from.
-func restoreCheckpoint(st *CheckpointState, ident CheckpointConfig,
-	onlines [][]stats.Online, reservoirs [][]*stats.Reservoir, points [][]float64, deltas *deltaAgg) (next int, failures []TrialFailure, err error) {
-	if err := validateCheckpoint(st, ident); err != nil {
-		return 0, nil, err
-	}
-	for si, sc := range st.Scenarios {
-		for mi := range sc.Onlines {
-			onlines[si][mi] = stats.RestoreOnline(sc.Onlines[mi])
-			if err := reservoirs[si][mi].Restore(sc.Reservoirs[mi]); err != nil {
-				return 0, nil, fmt.Errorf("sweep: checkpoint scenario %d metric %d: %w", si, mi, err)
-			}
-			points[si][mi] = math.Float64frombits(sc.Points[mi])
-		}
-	}
-	if deltas != nil {
-		deltas.restore(st.Deltas)
-	}
-	return st.NextJob, append([]TrialFailure(nil), st.Failures...), nil
 }

@@ -31,9 +31,10 @@ import (
 // otherwise the grid's first scenario is the baseline.
 const BaselineName = "baseline"
 
-// baselineIndex returns the index of the contrast baseline in scens:
-// the scenario named BaselineName, else 0.
-func baselineIndex(scens []Scenario) int {
+// BaselineIndex returns the index of the contrast baseline in scens:
+// the scenario named BaselineName, else 0. It is the one baseline rule;
+// internal/scenario and internal/expreport resolve theirs through it.
+func BaselineIndex(scens []Scenario) int {
 	for i, s := range scens {
 		if s.Name == BaselineName {
 			return i
@@ -61,7 +62,7 @@ type deltaAgg struct {
 
 func newDeltaAgg(scens []Scenario, trials, nMet int) *deltaAgg {
 	d := &deltaAgg{
-		bi:      baselineIndex(scens),
+		bi:      BaselineIndex(scens),
 		trials:  trials,
 		nMet:    nMet,
 		paired:  make([][]stats.PairedOnline, len(scens)),

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -69,5 +70,50 @@ func FuzzCheckpointPayload(f *testing.F) {
 			t.Fatal("PartialResult returned neither a Result nor an error")
 		}
 		_ = res.WriteJSON(io.Discard)
+	})
+}
+
+// FuzzDecodeResult drives DecodeResult, the strict reader of result
+// JSON behind cmd/expreport -in and sweepd's stored results. Each input
+// must come back as an error or a Result; an accepted Result must
+// survive WriteJSON → DecodeResult and re-encode to the same bytes.
+// The seeds are real results: a paired-delta sweep's and a
+// budget-stopped partial one's.
+func FuzzDecodeResult(f *testing.F) {
+	deltas := Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: 1, Scenarios: grid("smoke"), Deltas: true}
+	partial := Config{Trials: 2, Seed: 42, Scale: 0.004, Workers: 1, Scenarios: grid("smoke"), BudgetTrials: 3}
+	for _, cfg := range []Config{deltas, partial} {
+		var buf bytes.Buffer
+		if err := execute(f, cfg).WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeResult(buf.Bytes()); err != nil {
+			f.Fatalf("real result refused: %v", err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"trials":1,"scenarios":[{"scenario":{"name":"a"}}]} x`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := res.WriteJSON(&first); err != nil {
+			t.Fatalf("accepted result does not encode: %v", err)
+		}
+		again, err := DecodeResult(first.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded result refused: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := again.WriteJSON(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the bytes:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
 	})
 }

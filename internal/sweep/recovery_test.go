@@ -228,7 +228,6 @@ func TestRetryExhaustion(t *testing.T) {
 	plan := faultinject.NewPlan()
 	plan.TrialPanics[faultinject.TrialRef{Scenario: "baseline", Trial: 2}] = 10
 	cfg := recoveryConfig(2)
-	cfg.MaxRetries = 1
 	cfg.Hooks = plan.Hooks(nil)
 	res, err := sweep.Execute(cfg, nil, nil)
 	if err != nil {
@@ -237,8 +236,8 @@ func TestRetryExhaustion(t *testing.T) {
 	if len(res.Failures) != 1 || res.Failures[0].Recovered {
 		t.Fatalf("failures = %+v, want one unrecovered record", res.Failures)
 	}
-	if got := res.Failures[0].Attempts; got != 2 {
-		t.Fatalf("attempts = %d, want 2 (original + 1 retry)", got)
+	if got := res.Failures[0].Attempts; got != 3 {
+		t.Fatalf("attempts = %d, want 3 (original + 2 retries)", got)
 	}
 	for _, m := range res.Scenarios[0].Metrics {
 		if m.N > cfg.Trials-1 {

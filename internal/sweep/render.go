@@ -1,15 +1,15 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strings"
 
-	"storagesubsys/internal/experiments"
 	"storagesubsys/internal/report"
-	"storagesubsys/internal/stats"
 )
 
 // Float is a float64 whose JSON encoding writes NaN (and infinities)
@@ -132,73 +132,6 @@ type ScenarioDeltas struct {
 	Metrics  []DeltaSummary `json:"metrics"`
 }
 
-// summarize folds the collector's aggregators into a Result. watermark
-// is the completed-trial watermark (trials are aggregated strictly in
-// global order, so completion is always a contiguous prefix).
-func summarize(cfg Config, trials int, runs []scenarioRun, onlines [][]stats.Online, reservoirs [][]*stats.Reservoir, points [][]float64, watermark int, failures []TrialFailure, deltas *deltaAgg) *Result {
-	res := &Result{Trials: trials, Seed: cfg.Seed, Scale: cfg.Scale,
-		Partial:  watermark < trials*len(runs),
-		Failures: failures}
-	for si := range runs {
-		done := watermark - si*trials
-		if done < 0 {
-			done = 0
-		} else if done > trials {
-			done = trials
-		}
-		ss := ScenarioSummary{Scenario: runs[si].scen, TrialsDone: done, Metrics: make([]MetricSummary, 0, len(Metrics))}
-		for mi, def := range Metrics {
-			o := &onlines[si][mi]
-			r := reservoirs[si][mi]
-			ci := o.MeanCI(0.95)
-			ss.Metrics = append(ss.Metrics, MetricSummary{
-				Name:   def.Name,
-				Paper:  def.Paper,
-				N:      o.N(),
-				Point:  Float(points[si][mi]),
-				Mean:   Float(o.Mean()),
-				StdDev: Float(o.StdDev()),
-				CILo:   Float(ci.Lower),
-				CIHi:   Float(ci.Upper),
-				P5:     Float(r.Quantile(0.05)),
-				P50:    Float(r.Quantile(0.50)),
-				P95:    Float(r.Quantile(0.95)),
-				Min:    Float(o.Min()),
-				Max:    Float(o.Max()),
-			})
-		}
-		res.Scenarios = append(res.Scenarios, ss)
-	}
-	if deltas != nil {
-		baseName := runs[deltas.bi].scen.Name
-		for si := range runs {
-			if si == deltas.bi {
-				continue
-			}
-			sd := ScenarioDeltas{
-				Scenario: runs[si].scen.Name,
-				Baseline: baseName,
-				Metrics:  make([]DeltaSummary, 0, len(Metrics)),
-			}
-			for mi, def := range Metrics {
-				p := &deltas.paired[si][mi]
-				ci := p.MeanCI(0.95)
-				sd.Metrics = append(sd.Metrics, DeltaSummary{
-					Name:   def.Name + "_delta",
-					N:      p.N(),
-					Mean:   Float(p.Mean()),
-					StdDev: Float(p.StdDev()),
-					CILo:   Float(ci.Lower),
-					CIHi:   Float(ci.Upper),
-					Corr:   Float(p.Corr()),
-				})
-			}
-			res.Deltas = append(res.Deltas, sd)
-		}
-	}
-	return res
-}
-
 // TrialsDone sums the per-scenario completed-trial counts: the global
 // watermark the result's aggregates cover. Equal to Trials times the
 // scenario count on a complete run, smaller on a Partial one.
@@ -221,6 +154,32 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// DecodeResult strictly decodes one WriteJSON document: unknown
+// fields, trailing data, a result without trials or scenarios, and an
+// unnamed scenario are all errors. It is the one reader of result
+// JSON, shared by cmd/expreport -in and sweepd's stored results; the
+// caller prefixes the errors with where the bytes came from.
+func DecodeResult(data []byte) (*Result, error) {
+	res := &Result{}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(res); err != nil {
+		return nil, fmt.Errorf("%v (is it a cmd/sweep -json result? it may be truncated or a different file)", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the result object")
+	}
+	if res.Trials < 1 || len(res.Scenarios) == 0 {
+		return nil, fmt.Errorf("holds no sweep data (%d trials, %d scenarios); was the sweep run with -json?", res.Trials, len(res.Scenarios))
+	}
+	for _, ss := range res.Scenarios {
+		if ss.Scenario.Name == "" {
+			return nil, errors.New("has a scenario without a name; the data is damaged or not a sweep result")
+		}
+	}
+	return res, nil
 }
 
 // Describe renders the scenario's overrides against the sweep's base
@@ -267,7 +226,7 @@ func (s Scenario) Describe(baseScale float64) string {
 // trial mean with its 95% confidence interval, spread quantiles, and
 // the paper's reference value.
 func (r *Result) Render(w io.Writer) {
-	fmt.Fprintf(w, "Monte-Carlo sweep: %d trials/scenario, seed %d, base scale %.2f\n",
+	fmt.Fprintf(w, "Monte-Carlo sweep: %d trials/scenario, seed %d, base scale %g\n",
 		r.Trials, r.Seed, r.Scale)
 	if r.Partial {
 		fmt.Fprintf(w, "PARTIAL RESULT: the sweep stopped before completing every trial"+
@@ -340,8 +299,7 @@ func (r *Result) Render(w io.Writer) {
 // deviations, with a small relative floor) and each mean CI to be
 // well-formed. cfg must be the Config the result was produced with.
 func (r *Result) Check(cfg Config) error {
-	ident := checkpointIdentity(cfg)
-	scens := ident.Scenarios
+	scens := cfg.Scenarios
 	if len(scens) != len(r.Scenarios) {
 		return fmt.Errorf("sweep: check config has %d scenarios, result has %d", len(scens), len(r.Scenarios))
 	}
@@ -356,11 +314,7 @@ func (r *Result) Check(cfg Config) error {
 			continue // nothing aggregated; no point estimate to validate
 		}
 		run := newScenarioRun(scens[si], cfg)
-		f := BuildFleet(run.key, cfg.Seed)
-		env := experiments.RunTrial(experiments.Config{
-			Scale: run.key.Scale, Seed: cfg.Seed, Mine: run.scen.Mine, Params: run.params,
-		}, f, trialSeed(cfg.Seed, 0), nil)
-		vals := trialVector(env, cfg.Findings, make([]float64, 0, len(Metrics)))
+		vals := run.trial(&cfg, BuildFleet(run.key, cfg.Seed), 0, nil)
 		for _, m := range ss.Metrics {
 			want := vals[metricIndex(m.Name)]
 			got := float64(m.Point)

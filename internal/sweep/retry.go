@@ -18,14 +18,13 @@ import (
 	"fmt"
 	"io"
 
-	"storagesubsys/internal/experiments"
 	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/sim"
 )
 
-// DefaultRetries is the per-trial retry bound when Config.MaxRetries
-// is zero: one original attempt plus two quarantined re-executions.
-const DefaultRetries = 2
+// maxRetries bounds a trial's quarantined re-executions after a panic:
+// one original attempt plus two retries.
+const maxRetries = 2
 
 // TrialFailure is the structured record of a trial that panicked. A
 // Recovered failure was re-executed successfully and its value is in
@@ -73,12 +72,9 @@ type Hooks struct {
 // otherwise) and the simulation scratch, plus everything needed to
 // re-derive a trial from its seed after a quarantine.
 type trialWorker struct {
-	cfg     *Config
-	runs    []scenarioRun
-	trials  int
-	retries int
-	hooks   *Hooks
-	nMet    int
+	cfg    *Config
+	runs   []scenarioRun
+	trials int
 
 	f       *fleet.Fleet
 	cp      fleet.Checkpoint
@@ -87,17 +83,8 @@ type trialWorker struct {
 	scratch *sim.Scratch
 }
 
-func newTrialWorker(cfg *Config, runs []scenarioRun, trials, nMet int) *trialWorker {
-	retries := cfg.MaxRetries
-	if retries == 0 {
-		retries = DefaultRetries
-	} else if retries < 0 {
-		retries = 0 // MaxRetries < 0 disables retries entirely
-	}
-	return &trialWorker{
-		cfg: cfg, runs: runs, trials: trials, retries: retries,
-		hooks: cfg.Hooks, nMet: nMet, scratch: &sim.Scratch{},
-	}
+func newTrialWorker(cfg *Config, runs []scenarioRun, trials int) *trialWorker {
+	return &trialWorker{cfg: cfg, runs: runs, trials: trials, scratch: &sim.Scratch{}}
 }
 
 // attempt executes one trial attempt under the recover boundary,
@@ -109,8 +96,8 @@ func (w *trialWorker) attempt(r *scenarioRun, job, att int) (vals []float64, pan
 			panicked = &msg
 		}
 	}()
-	if w.hooks != nil && w.hooks.BeforeTrialAttempt != nil {
-		w.hooks.BeforeTrialAttempt(r.scen.Name, job%w.trials, att)
+	if h := w.cfg.Hooks; h != nil && h.BeforeTrialAttempt != nil {
+		h.BeforeTrialAttempt(r.scen.Name, job%w.trials, att)
 	}
 	if !w.valid || r.key != w.haveKey {
 		// Release the old fleet before making the next one, so a worker
@@ -132,13 +119,7 @@ func (w *trialWorker) attempt(r *scenarioRun, job, att int) (vals []float64, pan
 	} else {
 		w.f.Reset(w.cp)
 	}
-	env := experiments.RunTrial(experiments.Config{
-		Scale:  r.key.Scale,
-		Seed:   w.cfg.Seed,
-		Mine:   r.scen.Mine,
-		Params: r.params,
-	}, w.f, trialSeed(w.cfg.Seed, job%w.trials), w.scratch)
-	return trialVector(env, w.cfg.Findings, make([]float64, 0, w.nMet)), nil
+	return r.trial(w.cfg, w.f, job%w.trials, w.scratch), nil
 }
 
 // quarantine discards every piece of recycled state a panicking trial
@@ -160,22 +141,17 @@ func (w *trialWorker) runJob(job int) trialOut {
 	var lastPanic string
 	for att := 0; ; att++ {
 		vals, pv := w.attempt(r, job, att)
-		if pv == nil {
-			o := trialOut{job: job, vals: vals}
-			if att > 0 {
-				o.fail = &TrialFailure{
-					Scenario: r.scen.Name, Trial: job % w.trials,
-					Attempts: att + 1, Panic: lastPanic, Recovered: true,
-				}
-			}
-			return o
+		if pv != nil {
+			lastPanic = *pv
+			w.quarantine()
 		}
-		lastPanic = *pv
-		w.quarantine()
-		if att >= w.retries {
-			return trialOut{job: job, fail: &TrialFailure{
+		if pv == nil && att == 0 {
+			return trialOut{job: job, vals: vals}
+		}
+		if pv == nil || att >= maxRetries {
+			return trialOut{job: job, vals: vals, fail: &TrialFailure{
 				Scenario: r.scen.Name, Trial: job % w.trials,
-				Attempts: att + 1, Panic: lastPanic,
+				Attempts: att + 1, Panic: lastPanic, Recovered: pv == nil,
 			}}
 		}
 	}

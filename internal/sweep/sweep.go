@@ -14,16 +14,21 @@
 //
 // Determinism: the whole sweep is a pure function of its Config.
 // Trials are sharded contiguously across a worker pool, but workers
-// only compute; a single collector pushes every trial's metric vector
-// into the per-scenario aggregators in global trial order, buffering
-// out-of-order arrivals. (The buffer stays small in practice — shards
-// are contiguous and per-trial costs even — but worker skew can grow
-// it up to the completed-but-unaggregated trial count; each entry is
-// one small metric vector.) Summaries — and therefore the JSON
-// rendering — are
+// only compute; a single collector (collector.go) aggregates every
+// trial's metric vector in global trial order, buffering out-of-order
+// arrivals. Summaries — and therefore the JSON rendering — are
 // byte-identical for every worker count. Trial 0 of every scenario
 // replays the canonical single-run seed derivation, so the sweep
 // always brackets the point estimate cmd/reproduce reports.
+//
+// The reorder buffer is not small. Shards are contiguous, so every
+// trial workers 1…W−1 finish waits in it until worker 0's shard has
+// been aggregated. On 2 vCPU, 2 scenarios × 12 trials at scale 0.01
+// peaked at 10–13 of 24 trials pending with 2 workers and 13–18 with
+// 4 (three runs each). Each entry is one small metric vector. For the same reason the checkpoint
+// watermark cannot pass worker 0's shard until that shard is done, so
+// a crash loses at most CheckpointEvery aggregated trials plus every
+// buffered one.
 //
 // Common random numbers (CRN) — a load-bearing contract, not a habit:
 // trialSeed is a pure function of (sweep seed, trial index) and never
@@ -43,13 +48,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"storagesubsys/internal/experiments"
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
+	"storagesubsys/internal/sim"
 	"storagesubsys/internal/stats"
 )
 
@@ -233,9 +239,6 @@ type Config struct {
 	// CheckpointEvery is the checkpoint cadence in completed trials
 	// (0 = 64). Only meaningful with CheckpointPath.
 	CheckpointEvery int
-	// MaxRetries bounds per-trial re-executions after a panic
-	// (0 = DefaultRetries; negative disables retries). See retry.go.
-	MaxRetries int
 	// BudgetTrials, when positive, stops the sweep gracefully once that
 	// many trials (in global order, resumed progress included) have
 	// been aggregated: workers drain, a checkpoint is written, and the
@@ -399,6 +402,21 @@ func newScenarioRun(s Scenario, cfg Config) scenarioRun {
 	}
 }
 
+// trial runs trial ti of the scenario on f — freshly built, or Reset
+// to its pristine checkpoint — and returns the trial's metric vector in
+// a fresh slice. It is the one trial path: the sweep workers call it
+// with their recycled scratch, Result.Check with a nil one, so the
+// self-check reruns exactly the computation it verifies.
+func (r *scenarioRun) trial(cfg *Config, f *fleet.Fleet, ti int, scratch *sim.Scratch) []float64 {
+	env := experiments.RunTrial(experiments.Config{
+		Scale:  r.key.Scale,
+		Seed:   cfg.Seed,
+		Mine:   r.scen.Mine,
+		Params: r.params,
+	}, f, trialSeed(cfg.Seed, ti), scratch)
+	return trialVector(env, cfg.Findings, make([]float64, 0, len(Metrics)))
+}
+
 // BuildFleet constructs the population a FleetKey identifies — the
 // exact build every trial worker performs at a scenario boundary,
 // exported so a Config.FleetSource implementation can produce the
@@ -436,49 +454,6 @@ type trialOut struct {
 // cmd/sweep uses it for stderr progress lines. May be nil.
 type Progress func(scenario Scenario, trialsDone int)
 
-// newAggregators allocates the collector's aggregation state for one
-// sweep identity: per-scenario, per-metric Welford moments and
-// quantile reservoirs, trial-0 point vectors (NaN until trial 0 has
-// been aggregated, so a scenario whose trial 0 never ran reports a
-// null point estimate rather than a silent zero), and — when the
-// identity carries Deltas — the CRN paired-delta aggregators
-// (deltas.go), which are fed by the same ordered collector and so
-// inherit the worker-count byte determinism and checkpoint/resume
-// contracts for free. Shared by Execute and
-// CheckpointState.PartialResult, so a partial summary derived from a
-// checkpoint can never disagree with the live collector's.
-func newAggregators(ident CheckpointConfig) (onlines [][]stats.Online, reservoirs [][]*stats.Reservoir, points [][]float64, deltas *deltaAgg) {
-	nScen, nMet := len(ident.Scenarios), len(Metrics)
-	root := stats.NewRNG(ident.Seed)
-	onlines = make([][]stats.Online, nScen)
-	reservoirs = make([][]*stats.Reservoir, nScen)
-	points = make([][]float64, nScen)
-	for si := 0; si < nScen; si++ {
-		onlines[si] = make([]stats.Online, nMet)
-		reservoirs[si] = make([]*stats.Reservoir, nMet)
-		points[si] = make([]float64, nMet)
-		for mi := range Metrics {
-			rng := root.Split(streamReservoir | uint64(si)<<8 | uint64(mi)<<32)
-			reservoirs[si][mi] = stats.NewReservoir(ident.ReservoirSize, rng)
-			points[si][mi] = math.NaN()
-		}
-	}
-	if ident.Deltas {
-		deltas = newDeltaAgg(ident.Scenarios, ident.Trials, nMet)
-	}
-	return onlines, reservoirs, points, deltas
-}
-
-// effectiveWorkers resolves a worker-count setting to a concrete pool
-// size: values <= 0 select one worker per available CPU
-// (runtime.GOMAXPROCS(0)).
-func effectiveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
 // Execute runs the sweep — the engine's one entry point — optionally
 // resuming from a checkpoint. See the package comment for the
 // determinism and allocation contracts. progress, when non-nil, is
@@ -505,41 +480,37 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 	}
 	ident := checkpointIdentity(cfg)
 	trials, scens := ident.Trials, ident.Scenarios
-	nScen := len(scens)
-	jobs := nScen * trials
+	jobs := len(scens) * trials
 
-	runs := make([]scenarioRun, nScen)
+	runs := make([]scenarioRun, len(scens))
 	for i, s := range scens {
 		runs[i] = newScenarioRun(s, cfg)
 	}
 
-	onlines, reservoirs, points, deltas := newAggregators(ident)
-
-	startJob := 0
-	var failures []TrialFailure
+	c := newCollector(ident)
 	if resume != nil {
-		var err error
-		startJob, failures, err = restoreCheckpoint(resume, ident, onlines, reservoirs, points, deltas)
-		if err != nil {
+		if err := validateCheckpoint(resume, ident); err != nil {
+			return nil, err
+		}
+		if err := c.restore(resume); err != nil {
 			return nil, err
 		}
 	}
+	startJob := c.next
 
 	// The run's job range: [startJob, endJob). A trial budget truncates
 	// the range deterministically — the budgeted sweep is an exact
 	// prefix of the full one, resumable to completion later.
 	endJob := jobs
-	if cfg.BudgetTrials > 0 && cfg.BudgetTrials < endJob {
-		endJob = cfg.BudgetTrials
-	}
-	if endJob < startJob {
-		endJob = startJob
+	if cfg.BudgetTrials > 0 {
+		endJob = max(min(cfg.BudgetTrials, jobs), startJob)
 	}
 	remaining := endJob - startJob
-	workers := effectiveWorkers(cfg.Workers)
-	if workers > remaining {
-		workers = remaining
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, remaining)
 
 	// stop drains the pool early: Interrupt and injected kills set it;
 	// workers check it before picking up each trial.
@@ -560,7 +531,7 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			w := newTrialWorker(&cfg, runs, trials, len(Metrics))
+			w := newTrialWorker(&cfg, runs, trials)
 			for j := lo; j < hi; j++ {
 				if stop.Load() {
 					return
@@ -594,7 +565,6 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 	// whole trials at the watermark, so their state is always a
 	// contiguous prefix of the sweep.
 	pending := make(map[int]trialOut, workers)
-	next := startJob
 	ckptOrdinal := 0
 	// Checkpoint capture serves two consumers on the same cadence: the
 	// durable file behind -checkpoint/-resume, and the OnCheckpoint
@@ -605,7 +575,7 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 		if !capturing {
 			return nil
 		}
-		st := captureCheckpoint(ident, next, failures, onlines, reservoirs, points, deltas)
+		st := c.state()
 		if cfg.OnCheckpoint != nil {
 			cfg.OnCheckpoint(st)
 		}
@@ -625,41 +595,19 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 		every = 64
 	}
 	lastCkpt := startJob
-	push := func(o trialOut) {
-		si, ti := next/trials, next%trials
-		if o.fail != nil {
-			failures = append(failures, *o.fail)
-		}
-		for mi, v := range o.vals {
-			if ti == 0 {
-				points[si][mi] = v
-			}
-			if v != v { // NaN: metric undefined for this trial
-				continue
-			}
-			onlines[si][mi].Push(v)
-			reservoirs[si][mi].Push(v)
-		}
-		if deltas != nil {
-			// o.vals is a fresh per-trial slice (never recycled), so the
-			// aggregator may retain baseline rows by reference.
-			deltas.absorb(si, ti, o.vals)
-		}
-		if ti == trials-1 && progress != nil {
-			progress(runs[si].scen, trials)
-		}
-	}
 	for o := range out {
 		pending[o.job] = o
 		for {
-			po, ok := pending[next]
+			po, ok := pending[c.next]
 			if !ok {
 				break
 			}
-			delete(pending, next)
-			push(po)
-			next++
-			if cfg.Hooks != nil && cfg.Hooks.KillAfterJob != nil && cfg.Hooks.KillAfterJob(next-1) {
+			delete(pending, c.next)
+			c.push(po)
+			if progress != nil && c.next%trials == 0 {
+				progress(scens[c.next/trials-1], trials)
+			}
+			if cfg.Hooks != nil && cfg.Hooks.KillAfterJob != nil && cfg.Hooks.KillAfterJob(c.next-1) {
 				// Simulated crash: no final checkpoint, no Result. The
 				// last periodic checkpoint is all recovery gets.
 				abort()
@@ -669,13 +617,15 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 			// arrival: when a slow shard releases a long run of buffered
 			// trials at once, the watermark still checkpoints at every
 			// cadence boundary it crosses, so a crash never loses more
-			// than CheckpointEvery trials.
-			if capturing && next-lastCkpt >= every && next < endJob {
+			// than CheckpointEvery aggregated trials. Trials still
+			// buffered behind the watermark are not in any checkpoint:
+			// see the package comment.
+			if capturing && c.next-lastCkpt >= every && c.next < endJob {
 				if err := saveCheckpoint(); err != nil {
 					abort()
 					return nil, err
 				}
-				lastCkpt = next
+				lastCkpt = c.next
 			}
 		}
 	}
@@ -686,5 +636,5 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 	if err := saveCheckpoint(); err != nil {
 		return nil, err
 	}
-	return summarize(cfg, trials, runs, onlines, reservoirs, points, next, failures, deltas), nil
+	return c.result(), nil
 }

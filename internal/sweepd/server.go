@@ -324,8 +324,8 @@ func (s *Server) readResult(j *Job) (*sweep.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &sweep.Result{}
-	if err := json.Unmarshal(data, res); err != nil {
+	res, err := sweep.DecodeResult(data)
+	if err != nil {
 		return nil, fmt.Errorf("sweepd: decoding %s result: %w", j.ID, err)
 	}
 	return res, nil
