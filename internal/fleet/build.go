@@ -174,7 +174,6 @@ func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) 
 	sys.ID = sysID
 	sys.Shelves = Span{int32(b.shelves), int32(b.shelves + len(b.shelfDisks))}
 
-	sysDiskOff := b.disks
 	for si, n := range b.shelfDisks {
 		shelfID := b.shelves
 		b.shelves++
@@ -196,7 +195,7 @@ func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) 
 	}
 
 	firstGroup := len(f.Groups)
-	b.layoutRAIDGroups(sysID, sys.Shelves, sysDiskOff, p, r)
+	b.layoutRAIDGroups(sysID, sys.Shelves, p, r)
 	sys.RAIDGroups = Span{int32(firstGroup), int32(len(f.Groups))}
 	f.Systems[sysID] = sys
 }

@@ -468,3 +468,95 @@ func TestDoneStatusSurvivesRestart(t *testing.T) {
 		}
 	}
 }
+
+// writeJobDir writes a job directory by hand, as a crash or an older
+// server may have left it; a nil meta leaves job.json out.
+func writeJobDir(t testing.TB, dir, id string, meta, spec []byte) {
+	t.Helper()
+	if err := os.Mkdir(filepath.Join(dir, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{metaFile: meta, specFile: spec} {
+		if data == nil {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSubmitNeverReusesAJobDir: a restored job's seq comes from its
+// directory name, and the sequence continues past every job directory,
+// so a new submission can neither take the ID of a job whose job.json
+// names another seq nor write into a half-created directory.
+func TestSubmitNeverReusesAJobDir(t *testing.T) {
+	dir := t.TempDir()
+	stale, err := json.Marshal(jobMeta{ID: "job-000002", Seq: 1, Name: "recovery", State: StateCancelled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeJobDir(t, dir, "job-000002", stale, []byte(recoverySpec))
+	writeJobDir(t, dir, "job-000004", nil, []byte(recoverySpec))
+
+	ts := startServer(t, dir, nil)
+	js := ts.submit(t, []byte(strings.Replace(recoverySpec, `"recovery"`, `"fresh"`, 1)))
+	if js.ID != "job-000005" {
+		t.Fatalf("submission got ID %s, want job-000005 past every job directory", js.ID)
+	}
+	for _, id := range []string{"job-000002", "job-000004"} {
+		if got, err := os.ReadFile(filepath.Join(dir, id, specFile)); err != nil || string(got) != recoverySpec {
+			t.Fatalf("%s spec.json changed by a later submission (err %v)", id, err)
+		}
+	}
+	code, body := ts.do(t, http.MethodGet, "/v1/jobs", nil)
+	var list struct{ Jobs []JobStatus }
+	if code != http.StatusOK || json.Unmarshal(body, &list) != nil {
+		t.Fatalf("GET /v1/jobs: status %d, body %q", code, body)
+	}
+	if len(list.Jobs) != 1 || list.Jobs[0].ID != js.ID {
+		t.Fatalf("listed %+v, want only the new submission", list.Jobs)
+	}
+}
+
+// FuzzRestoreJobMeta restores a state directory whose one job.json is
+// arbitrary bytes beside a valid spec, next to a half-created job
+// directory, on a Server with no runners. Restore must not panic, list
+// a job twice, continue the sequence at or below a job directory, or
+// leave a job in a state outside the lifecycle.
+func FuzzRestoreJobMeta(f *testing.F) {
+	for _, st := range []JobState{StateQueued, StateRunning, StatePartial, StateDone, StateFailed, StateCancelled} {
+		meta, err := json.Marshal(jobMeta{ID: "job-000002", Seq: 2, Name: "recovery", State: st, Error: "e"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(meta)
+	}
+	f.Add([]byte(`{"id":"job-000002","seq":1,"state":"cancelled"}`))
+	f.Add([]byte(`{"id":"job-000002","seq":9,"state":"bogus"}`))
+	f.Add([]byte(`{"id":"job-000003","seq":3}`))
+	f.Add([]byte(`not json`))
+	known := map[JobState]bool{StateQueued: true, StateRunning: true, StatePartial: true, StateDone: true, StateFailed: true, StateCancelled: true}
+	f.Fuzz(func(t *testing.T, meta []byte) {
+		dir := t.TempDir()
+		writeJobDir(t, dir, "job-000002", meta, []byte(recoverySpec))
+		writeJobDir(t, dir, "job-000007", nil, []byte(recoverySpec))
+		s := &Server{cfg: Config{Dir: dir, Base: tinyBase()}, jobs: map[string]*Job{}, nextSeq: 1}
+		if err := s.restore(); err != nil {
+			t.Fatal(err)
+		}
+		if s.nextSeq <= 7 {
+			t.Fatalf("nextSeq %d does not pass job-000007", s.nextSeq)
+		}
+		seen := map[string]bool{}
+		for _, j := range s.order {
+			if seen[j.ID] {
+				t.Fatalf("%s listed twice", j.ID)
+			}
+			seen[j.ID] = true
+			if !known[j.state] {
+				t.Fatalf("%s restored in state %q", j.ID, j.state)
+			}
+		}
+	})
+}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -151,35 +152,46 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
+// jobID is the ID, and state directory name, of submission seq.
+func jobID(seq int) string { return fmt.Sprintf("job-%06d", seq) }
+
+// jobSeq returns the submission number a state directory is named
+// for, and false for any other name. Submissions count from 1.
+func jobSeq(name string) (int, bool) {
+	seq, err := strconv.Atoi(strings.TrimPrefix(name, "job-"))
+	return seq, err == nil && seq > 0 && jobID(seq) == name
+}
+
 // restore scans the state directory and rebuilds the registry: every
 // job dir is re-parsed from its own spec.json, non-terminal jobs are
 // re-enqueued in submission order (os.ReadDir sorts names, and the
-// zero-padded IDs sort by seq), and the seq counter continues past the
-// largest restored value. A job whose spec no longer parses or whose
-// resolved config no longer validates is marked failed rather than
-// wedging startup.
+// zero-padded IDs sort by seq), and the seq counter continues past
+// every job directory, restorable or not, so a new submission never
+// reuses one. A job's seq is its directory name's; a job.json naming
+// another ID or seq is skipped. A job whose spec no longer parses or
+// whose resolved config no longer validates is marked failed rather
+// than wedging startup.
 func (s *Server) restore() error {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
 		return fmt.Errorf("sweepd: scanning state dir: %w", err)
 	}
 	for _, ent := range entries {
-		if !ent.IsDir() || !strings.HasPrefix(ent.Name(), "job-") {
+		seq, ok := jobSeq(ent.Name())
+		if !ent.IsDir() || !ok {
 			continue
 		}
+		s.nextSeq = max(s.nextSeq, seq+1)
 		dir := filepath.Join(s.cfg.Dir, ent.Name())
 		metaRaw, err := os.ReadFile(filepath.Join(dir, metaFile))
 		if err != nil {
 			continue // half-created dir (crash between mkdir and persist)
 		}
 		var meta jobMeta
-		if err := json.Unmarshal(metaRaw, &meta); err != nil || meta.ID != ent.Name() {
+		if err := json.Unmarshal(metaRaw, &meta); err != nil || meta.ID != ent.Name() || meta.Seq != seq {
 			continue
 		}
-		j := &Job{ID: meta.ID, seq: meta.Seq, state: meta.State, errMsg: meta.Error}
-		if meta.Seq >= s.nextSeq {
-			s.nextSeq = meta.Seq + 1
-		}
+		j := &Job{ID: meta.ID, seq: seq, state: meta.State, errMsg: meta.Error}
 		raw, err := os.ReadFile(filepath.Join(dir, specFile))
 		if err != nil {
 			j.state, j.errMsg = StateFailed, fmt.Sprintf("sweepd: restoring %s: %v", meta.ID, err)

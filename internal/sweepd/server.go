@@ -379,11 +379,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	seq := s.nextSeq
 	s.nextSeq++
 	j := &Job{
-		ID: fmt.Sprintf("job-%06d", seq), seq: seq,
+		ID: jobID(seq), seq: seq,
 		spec: spec, cfg: cfg, state: StateQueued,
 	}
 	dir := j.dir(s.cfg.Dir)
-	if err := os.MkdirAll(dir, 0o755); err == nil {
+	// Mkdir, not MkdirAll: a submission never writes into a directory
+	// it did not create.
+	if err := os.Mkdir(dir, 0o755); err == nil {
 		err = writeFileAtomic(filepath.Join(dir, specFile), body)
 	}
 	if err == nil {
