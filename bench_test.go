@@ -12,10 +12,14 @@ package storagesubsys_test
 
 import (
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"storagesubsys/internal/autosupport"
 	"storagesubsys/internal/core"
@@ -28,6 +32,7 @@ import (
 	"storagesubsys/internal/sim"
 	"storagesubsys/internal/stats"
 	"storagesubsys/internal/sweep"
+	"storagesubsys/internal/sweepd"
 )
 
 var (
@@ -205,6 +210,62 @@ func BenchmarkSweepOpsGrid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		executeSweep(b, cfg)
+	}
+}
+
+// BenchmarkSweepdStatus measures sweepd's read path through
+// Server.Handler: GET /v1/jobs/{id} (status with per-scenario partial
+// results) and GET /v1/jobs (the listing), against a server holding one
+// two-scenario job parked mid-run at watermark 8 of 16.
+func BenchmarkSweepdStatus(b *testing.B) {
+	gate := make(chan struct{})
+	var calls atomic.Int32
+	srv, err := sweepd.New(sweepd.Config{
+		Dir: b.TempDir(), Pool: 1, JobWorkers: 1, CheckpointEvery: 1,
+		Base: sweep.Config{Trials: 8, Seed: 42, Scale: 0.004},
+		JobHooks: func(string) *sweep.Hooks {
+			return &sweep.Hooks{BeforeTrialAttempt: func(string, int, int) {
+				if calls.Add(1) == 9 {
+					<-gate // park trial 8 once trials 0-7 are checkpointed
+				}
+			}}
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		close(gate)
+		srv.Drain()
+	}()
+	h := srv.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w
+	}
+	spec := `{"name": "status", "scenarios": [{"name": "baseline"}, {"name": "repair-lag-x4", "repairLagMult": 4}]}`
+	if w := serve(http.MethodPost, "/v1/jobs", spec); w.Code != http.StatusCreated {
+		b.Fatalf("submit: status %d, body %q", w.Code, w.Body)
+	}
+	for i := 0; !strings.Contains(serve(http.MethodGet, "/v1/jobs/job-000001", "").Body.String(), `"trialsDone":8,"trialsTotal"`); i++ {
+		if i == 60000 {
+			b.Fatal("job did not reach watermark 8 in time")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, bm := range []struct{ name, path string }{
+		{"status", "/v1/jobs/job-000001"},
+		{"list", "/v1/jobs"},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if w := serve(http.MethodGet, bm.path, ""); w.Code != http.StatusOK {
+					b.Fatalf("GET %s: status %d", bm.path, w.Code)
+				}
+			}
+		})
 	}
 }
 

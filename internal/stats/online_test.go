@@ -100,6 +100,62 @@ func TestStudentTQuantile(t *testing.T) {
 	}
 }
 
+// studentTQuantile128 is StudentTQuantile with its bisection always
+// run for all 128 steps: the oracle for the early stop at the fixed
+// point.
+func studentTQuantile128(p, df float64) float64 {
+	if math.IsNaN(p) || p <= 0 || p >= 1 {
+		return math.NaN()
+	}
+	if p < 0.5 {
+		return -studentTQuantile128(1-p, df)
+	}
+	if math.IsInf(df, 1) || df > 1e6 {
+		return NormalQuantile(p)
+	}
+	if df <= 0 {
+		return math.NaN()
+	}
+	target := 1 - p
+	lo, hi := 0.0, 1.0
+	for studentTSF(hi, df) > target && hi < 1e18 {
+		hi *= 2
+	}
+	for i := 0; i < 128; i++ {
+		mid := (lo + hi) / 2
+		if studentTSF(mid, df) > target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestStudentTQuantileStopsAtFixedPoint: stopping the bisection once
+// lo and hi are adjacent floats returns the bits all 128 steps return,
+// over tails down to 1e-9 and 1-1e-12, the median (whose bisection
+// never reaches a fixed point) and fractional and integer df.
+func TestStudentTQuantileStopsAtFixedPoint(t *testing.T) {
+	ps := []float64{0.5, 1 - 1e-12}
+	for _, q := range []float64{1e-9, 1e-6, 1e-4, 1e-3, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.499} {
+		ps = append(ps, q, 1-q)
+	}
+	var dfs []float64
+	for df := 0.5; df <= 40; df += 0.25 {
+		dfs = append(dfs, df)
+	}
+	dfs = append(dfs, 63, 64.5, 99, 100, 127.3, 250, 511, 1000, 1999.5, 3000)
+	for _, p := range ps {
+		for _, df := range dfs {
+			got, want := StudentTQuantile(p, df), studentTQuantile128(p, df)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("StudentTQuantile(%v, %v) = %v, want the 128-step %v", p, df, got, want)
+			}
+		}
+	}
+}
+
 // TestReservoirExactUnderCapacity checks that quantiles are exact while
 // the stream fits in the reservoir.
 func TestReservoirExactUnderCapacity(t *testing.T) {

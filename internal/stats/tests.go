@@ -101,6 +101,11 @@ func StudentTQuantile(p, df float64) float64 {
 	}
 	for i := 0; i < 128; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			// lo and hi are adjacent floats: no later step can move
+			// either, and (lo+hi)/2 is already mid.
+			break
+		}
 		if studentTSF(mid, df) > target {
 			lo = mid
 		} else {

@@ -270,11 +270,12 @@ type Config struct {
 	// OnCheckpoint, when non-nil, receives every checkpoint state the
 	// collector captures — the periodic CheckpointEvery-cadence
 	// snapshots and the final one on graceful exit — from the collector
-	// goroutine. The state is a deep copy the callee owns; watermarks
-	// across successive calls are non-decreasing. Setting OnCheckpoint
-	// without CheckpointPath enables the periodic capture cadence
-	// without writing any file — the in-memory partial-results feed
-	// behind sweepd's status endpoint (CheckpointState.PartialResult).
+	// goroutine. Aggregation waits while the callee runs, so its work
+	// must stay bounded. The state is a deep copy the callee owns;
+	// watermarks across successive calls are non-decreasing. Setting
+	// OnCheckpoint without CheckpointPath enables the periodic capture
+	// cadence without writing any file. sweepd derives each job's
+	// status from it (CheckpointState.PartialResult).
 	OnCheckpoint func(*CheckpointState)
 	// FleetSource, when non-nil, replaces the trial workers' direct
 	// fleet construction at scenario boundaries: it receives the

@@ -9,7 +9,9 @@ package sweepd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -436,6 +438,38 @@ func TestRestoreKeepsDoneJobWithStaleSpec(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsDoneJobWithoutSpec: a done job whose spec.json is
+// gone is restored like one whose spec no longer parses. It stays done
+// with the run parameters and progress its result records, /result
+// serves result.json, and only /report answers with the read error.
+func TestRestoreKeepsDoneJobWithoutSpec(t *testing.T) {
+	dir := t.TempDir()
+	ts := startServer(t, dir, nil)
+	id := ts.submit(t, []byte(recoverySpec)).ID
+	ts.waitState(t, id, StateDone)
+	want := ts.resultOf(t, id)
+	ts.Drain()
+	ts.http.Close()
+	if err := os.Remove(filepath.Join(dir, id, specFile)); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2 := startServer(t, dir, nil)
+	if js := ts2.getStatus(t, id); js.State != StateDone || js.TrialsDone != recoveryTotal || js.TrialsTotal != recoveryTotal || js.Trials != 8 {
+		t.Fatalf("done job restored as %s with %d/%d trials of %d (error %q)", js.State, js.TrialsDone, js.TrialsTotal, js.Trials, js.Error)
+	}
+	if got := ts2.resultOf(t, id); !bytes.Equal(got, want) {
+		t.Fatal("restored done job serves different result bytes")
+	}
+	code, body := ts2.do(t, http.MethodGet, "/v1/jobs/"+id+"/report", nil)
+	if code != http.StatusConflict || !strings.Contains(string(body), specFile) {
+		t.Fatalf("report of a job without its spec: status %d body %q", code, body)
+	}
+	if meta := readMeta(t, dir, id); meta.State != StateDone {
+		t.Fatalf("done job persisted as %s after restore", meta.State)
+	}
+}
+
 // TestDoneStatusSurvivesRestart: a done job's status and listing
 // entry are derived from its result once, when the job completes, and
 // again from result.json when a restarted server restores it. Both
@@ -465,6 +499,124 @@ func TestDoneStatusSurvivesRestart(t *testing.T) {
 	for i, p := range paths {
 		if got := get(ts2, p); !bytes.Equal(got, want[i]) {
 			t.Fatalf("GET %s after restart:\n%s\nbefore:\n%s", p, got, want[i])
+		}
+	}
+}
+
+// parkAt returns JobHooks that hold the n-th trial attempt, counted
+// across the server's jobs, until gate closes, closing reached (if
+// non-nil) when it gets there. With one job of one trial worker and
+// CheckpointEvery 1, the job then stands at watermark n-1.
+func parkAt(n int32, reached, gate chan struct{}) func(string) *sweep.Hooks {
+	var calls atomic.Int32
+	return func(string) *sweep.Hooks {
+		return &sweep.Hooks{BeforeTrialAttempt: func(string, int, int) {
+			if calls.Add(1) == n {
+				if reached != nil {
+					close(reached)
+				}
+				<-gate
+			}
+		}}
+	}
+}
+
+// TestPollDerivesNothing: a running job's progress is derived once per
+// checkpoint, not once per poll. With the job parked after its first
+// checkpoint, a status snapshot allocates a small constant (one
+// derivation costs about 130 allocations), and its scenarios are
+// withResult of that checkpoint's PartialResult.
+func TestPollDerivesNothing(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	ts := startServer(t, dir, func(c *Config) {
+		c.Pool, c.JobWorkers = 1, 1
+		c.JobHooks = parkAt(2, nil, gate)
+	})
+	releaseOnCleanup(t, gate)
+	id := ts.submit(t, []byte(recoverySpec)).ID
+
+	// OnCheckpoint publishes a state before the engine saves it, so once
+	// the file holds watermark 1 the job's progress does too.
+	ckpt := filepath.Join(dir, id, checkpointFile)
+	var st *sweep.CheckpointState
+	for i := 0; ; i++ {
+		var err error
+		if st, _, err = sweep.RecoverCheckpoint(ckpt); err == nil && st.NextJob == 1 {
+			break
+		}
+		if i == 60000 {
+			t.Fatalf("no checkpoint at watermark 1 in time (last error %v)", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	pr, err := st.PartialResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.mu.Lock()
+	j := ts.jobs[id]
+	ts.mu.Unlock()
+	// Compared as JSON: the CIs of a one-trial metric are NaN.
+	got := ts.status(j, true)
+	gotScens, err := json.Marshal(got.Scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScens, err := json.Marshal(withResult(pr, j.cfg.Scenarios).scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateRunning || got.TrialsDone != 1 || !bytes.Equal(gotScens, wantScens) {
+		t.Fatalf("parked job is %s at %d trials, scenarios\n%s\nwant running at 1 trial, scenarios\n%s", got.State, got.TrialsDone, gotScens, wantScens)
+	}
+	for _, detail := range []bool{true, false} {
+		if allocs := testing.AllocsPerRun(100, func() { ts.status(j, detail) }); allocs > 1 {
+			t.Fatalf("status(detail %v) makes %v allocations per poll; it must copy, not derive", detail, allocs)
+		}
+	}
+}
+
+// TestRestoredStatusOutlivesItsCheckpoint: a restored cancelled job's
+// progress is derived from its checkpoint once, on restore, so it
+// serves the status and listing bytes it served before the restart
+// even when its checkpoint files are deleted before the first poll.
+func TestRestoredStatusOutlivesItsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	reached, gate := make(chan struct{}), make(chan struct{})
+	ts := startServer(t, dir, func(c *Config) {
+		c.Pool, c.JobWorkers = 1, 1
+		c.JobHooks = parkAt(3, reached, gate)
+	})
+	releaseOnCleanup(t, gate)
+	id := ts.submit(t, []byte(recoverySpec)).ID
+	<-reached
+	if code, body := ts.do(t, http.MethodDelete, "/v1/jobs/"+id, nil); code != http.StatusAccepted {
+		t.Fatalf("DELETE running job: status %d body %q", code, body)
+	}
+	close(gate)
+	if js := ts.waitState(t, id, StateCancelled); js.TrialsDone != 3 {
+		t.Fatalf("cancelled job aggregated %d trials; want 3", js.TrialsDone)
+	}
+	paths := []string{"/v1/jobs/" + id, "/v1/jobs"}
+	var want [][]byte
+	for _, p := range paths {
+		_, body := ts.do(t, http.MethodGet, p, nil)
+		want = append(want, body)
+	}
+	ts.Drain()
+	ts.http.Close()
+
+	ts2 := startServer(t, dir, nil)
+	ckpt := filepath.Join(dir, id, checkpointFile)
+	for _, f := range []string{ckpt, ckpt + ".prev"} {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range paths {
+		if code, got := ts2.do(t, http.MethodGet, p, nil); code != http.StatusOK || !bytes.Equal(got, want[i]) {
+			t.Fatalf("GET %s after restart without checkpoint files: status %d\n%s\nbefore:\n%s", p, code, got, want[i])
 		}
 	}
 }
@@ -509,21 +661,35 @@ func TestSubmitNeverReusesAJobDir(t *testing.T) {
 			t.Fatalf("%s spec.json changed by a later submission (err %v)", id, err)
 		}
 	}
+	if got, err := os.ReadFile(filepath.Join(dir, "job-000002", metaFile)); err != nil || !bytes.Equal(got, stale) {
+		t.Fatalf("job-000002 job.json rewritten on restore (err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-000004", metaFile)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("job-000004 gained a job.json on restore (err %v)", err)
+	}
 	code, body := ts.do(t, http.MethodGet, "/v1/jobs", nil)
 	var list struct{ Jobs []JobStatus }
 	if code != http.StatusOK || json.Unmarshal(body, &list) != nil {
 		t.Fatalf("GET /v1/jobs: status %d, body %q", code, body)
 	}
-	if len(list.Jobs) != 1 || list.Jobs[0].ID != js.ID {
-		t.Fatalf("listed %+v, want only the new submission", list.Jobs)
+	// The two directories no job.json vouches for are listed as failed,
+	// beside the new submission.
+	if len(list.Jobs) != 3 || list.Jobs[2].ID != js.ID {
+		t.Fatalf("listed %+v, want job-000002, job-000004 and the new submission", list.Jobs)
+	}
+	for i, id := range []string{"job-000002", "job-000004"} {
+		if got := list.Jobs[i]; got.ID != id || got.State != StateFailed || !strings.Contains(got.Error, metaFile) {
+			t.Fatalf("listing entry %d is %+v, want %s failed over its %s", i, got, id, metaFile)
+		}
 	}
 }
 
 // FuzzRestoreJobMeta restores a state directory whose one job.json is
 // arbitrary bytes beside a valid spec, next to a half-created job
-// directory, on a Server with no runners. Restore must not panic, list
-// a job twice, continue the sequence at or below a job directory, or
-// leave a job in a state outside the lifecycle.
+// directory, on a Server with no runners. Restore must not panic, must
+// list every job directory exactly once, must not continue the
+// sequence at or below a job directory, and must not leave a job in a
+// state outside the lifecycle.
 func FuzzRestoreJobMeta(f *testing.F) {
 	for _, st := range []JobState{StateQueued, StateRunning, StatePartial, StateDone, StateFailed, StateCancelled} {
 		meta, err := json.Marshal(jobMeta{ID: "job-000002", Seq: 2, Name: "recovery", State: st, Error: "e"})
@@ -557,6 +723,9 @@ func FuzzRestoreJobMeta(f *testing.F) {
 			if !known[j.state] {
 				t.Fatalf("%s restored in state %q", j.ID, j.state)
 			}
+		}
+		if len(seen) != 2 || !seen["job-000002"] || !seen["job-000007"] {
+			t.Fatalf("listed %v, want job-000002 and job-000007 once each", seen)
 		}
 	})
 }

@@ -69,10 +69,9 @@ const (
 	checkpointFile = "sweep.ckpt"
 )
 
-// Job is one submitted sweep. Mutable fields (state, error, latest,
-// final) are guarded by the server mutex; cancel is the job's
-// Interrupt bit, flipped by DELETE and polled lock-free by the trial
-// workers.
+// Job is one submitted sweep. Mutable fields (state, error, progress)
+// are guarded by the server mutex; cancel is the job's Interrupt bit,
+// flipped by DELETE and polled lock-free by the trial workers.
 type Job struct {
 	// ID is the external identity ("job-000001") and the state
 	// directory name.
@@ -80,8 +79,9 @@ type Job struct {
 	// seq is the monotone submission number behind the ID; restored
 	// servers continue the sequence past the largest on disk.
 	seq int
-	// spec is the parsed scenario file.
-	spec *scenario.Spec
+	// spec is the parsed scenario file, and digest its Digest.
+	spec   *scenario.Spec
+	digest string
 	// specErr is why a done job's spec no longer parses on restore (a
 	// knob since removed, say). The job stays done and keeps serving
 	// its result; only the report, which needs the spec, answers with
@@ -89,20 +89,19 @@ type Job struct {
 	specErr error
 	// cfg is the spec resolved against the server's base config —
 	// everything but the per-run seams (checkpoint path, interrupt,
-	// observer, fleet source), which runJob wires.
+	// observer, fleet source), which runJob wires. A job restored
+	// without a resolvable spec takes the run parameters its result or
+	// checkpoint records.
 	cfg sweep.Config
 
 	state  JobState
 	errMsg string
 	cancel atomic.Bool
-	// latest is the newest checkpoint state observed via OnCheckpoint
-	// (or lazily recovered from disk); the status endpoint derives
-	// partial results from it. Nil once the job is done.
-	latest *sweep.CheckpointState
-	// final is a done job's status, derived once from its result when
-	// the job completes or is restored. The result itself stays on
-	// disk: /result and /report read result.json.
-	final *JobStatus
+	// progress is derived when it can change: at submission, at each
+	// checkpoint (runJob's OnCheckpoint), at completion (finish), and
+	// once on restore from result.json or the recovered checkpoint.
+	// The status endpoints copy it.
+	progress progress
 }
 
 // jobMeta is the serialized form of a Job's durable metadata.
@@ -122,7 +121,7 @@ func (j *Job) dir(root string) string { return filepath.Join(root, j.ID) }
 // Caller holds the server mutex.
 func (s *Server) persistLocked(j *Job) error {
 	meta := jobMeta{
-		ID: j.ID, Seq: j.seq, Name: j.spec.Name, Digest: j.spec.Digest(),
+		ID: j.ID, Seq: j.seq, Name: j.spec.Name, Digest: j.digest,
 		State: j.state, Error: j.errMsg,
 	}
 	data, err := json.Marshal(meta)
@@ -163,14 +162,10 @@ func jobSeq(name string) (int, bool) {
 }
 
 // restore scans the state directory and rebuilds the registry: every
-// job dir is re-parsed from its own spec.json, non-terminal jobs are
+// job directory is restored (restoreJob), non-terminal jobs are
 // re-enqueued in submission order (os.ReadDir sorts names, and the
 // zero-padded IDs sort by seq), and the seq counter continues past
-// every job directory, restorable or not, so a new submission never
-// reuses one. A job's seq is its directory name's; a job.json naming
-// another ID or seq is skipped. A job whose spec no longer parses or
-// whose resolved config no longer validates is marked failed rather
-// than wedging startup.
+// every job directory, so a new submission never reuses one.
 func (s *Server) restore() error {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -182,72 +177,98 @@ func (s *Server) restore() error {
 			continue
 		}
 		s.nextSeq = max(s.nextSeq, seq+1)
-		dir := filepath.Join(s.cfg.Dir, ent.Name())
-		metaRaw, err := os.ReadFile(filepath.Join(dir, metaFile))
-		if err != nil {
-			continue // half-created dir (crash between mkdir and persist)
-		}
-		var meta jobMeta
-		if err := json.Unmarshal(metaRaw, &meta); err != nil || meta.ID != ent.Name() || meta.Seq != seq {
-			continue
-		}
-		j := &Job{ID: meta.ID, seq: seq, state: meta.State, errMsg: meta.Error}
-		raw, err := os.ReadFile(filepath.Join(dir, specFile))
-		if err != nil {
-			j.state, j.errMsg = StateFailed, fmt.Sprintf("sweepd: restoring %s: %v", meta.ID, err)
-			s.addLocked(j)
-			continue
-		}
-		spec, err := scenario.Parse(raw, filepath.Join(meta.ID, specFile))
-		if err == nil {
-			j.spec = spec
-			j.cfg = s.resolve(spec)
-			err = validateResolved(j.cfg)
-		}
-		if err != nil {
-			j.spec = placeholderSpec(meta.Name)
-			if j.state == StateDone {
-				// result.json does not depend on the spec: keep it.
-				j.specErr = err
-				s.restoreDone(j)
-				continue
-			}
-			j.state, j.errMsg = StateFailed, err.Error()
-			s.addLocked(j)
-			s.saveLocked(j)
-			continue
-		}
-		switch {
-		case j.state == StateDone:
-			s.restoreDone(j)
-			continue
-		case !j.state.terminal():
-			// queued, running, or partial: back in the queue. The runner
-			// recovers the checkpoint (if any) and resumes.
-			j.state = StateQueued
-			s.saveLocked(j)
+		j := s.restoreJob(ent.Name(), seq)
+		s.addLocked(j)
+		if j.state == StateQueued {
 			s.queue = append(s.queue, j)
 		}
-		s.addLocked(j)
 	}
 	return nil
 }
 
-// restoreDone indexes a job restored as done, deriving its status from
-// result.json the way a completing job derives it from its result. A
-// result that cannot be read leaves the status without per-scenario
-// results; /result and /report then report the read error.
-func (s *Server) restoreDone(j *Job) {
-	res, err := s.readResult(j)
-	if err != nil {
-		s.logf("sweepd: restoring %s: %v", j.ID, err)
+// restoreJob rebuilds the job in one state directory. A directory
+// whose job.json is missing (a crash between mkdir and persist),
+// unparsable, or names another ID or seq is listed as failed and left
+// exactly as found. Any other job is re-parsed from its own spec.json;
+// one whose spec cannot be read, no longer parses or no longer
+// validates is marked failed rather than wedging startup, unless it is
+// done, and a non-terminal one comes back queued.
+func (s *Server) restoreJob(id string, seq int) *Job {
+	j := &Job{ID: id, seq: seq}
+	dir := j.dir(s.cfg.Dir)
+	var meta jobMeta
+	raw, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err == nil {
+		err = json.Unmarshal(raw, &meta)
 	}
-	j.finish(res)
-	s.addLocked(j)
+	if err == nil && (meta.ID != id || meta.Seq != seq) {
+		err = fmt.Errorf("%s names %q, seq %d", metaFile, meta.ID, meta.Seq)
+	}
+	if err != nil {
+		j.spec = placeholderSpec("")
+		j.digest = j.spec.Digest()
+		j.state, j.errMsg = StateFailed, fmt.Sprintf("sweepd: restoring %s: %v", id, err)
+		s.logf("%s; left as found", j.errMsg)
+		return j
+	}
+	j.state, j.errMsg = meta.State, meta.Error
+	var spec *scenario.Spec
+	if raw, err = os.ReadFile(filepath.Join(dir, specFile)); err != nil {
+		err = fmt.Errorf("sweepd: restoring %s: %w", id, err)
+	} else if spec, err = scenario.Parse(raw, filepath.Join(id, specFile)); err == nil {
+		j.cfg = s.resolve(spec)
+		err = validateResolved(j.cfg)
+	}
+	switch {
+	case err == nil:
+	case j.state == StateDone:
+		// result.json does not depend on the spec: keep it.
+		spec, j.specErr = placeholderSpec(meta.Name), err
+	default:
+		spec, j.state, j.errMsg = placeholderSpec(meta.Name), StateFailed, err.Error()
+	}
+	j.spec, j.digest = spec, spec.Digest()
+	if !j.state.terminal() {
+		// queued, running, or partial: back in the queue. The runner
+		// recovers the checkpoint (if any) and resumes.
+		j.state = StateQueued
+	}
+	if j.state != meta.State || j.errMsg != meta.Error {
+		s.saveLocked(j)
+	}
+	s.restoreProgress(j)
+	return j
 }
 
-// placeholderSpec stands in for a spec that no longer parses, so a
-// failed-on-restore job can still be listed and persisted.
+// restoreProgress derives a restored job's progress once: a done job's
+// from result.json, the way a completing job derives it from its
+// result, and any other job's from its recovered checkpoint. A result
+// that cannot be read, or a checkpoint that does not recover or
+// derive, leaves the progress without per-scenario results; /result
+// and /report then report the read error. A job without a resolved
+// config (its spec no longer parses) takes the run parameters its
+// result records.
+func (s *Server) restoreProgress(j *Job) {
+	var res *sweep.Result
+	if j.state == StateDone {
+		var err error
+		if res, err = s.readResult(j); err != nil {
+			s.logf("sweepd: restoring %s: %v", j.ID, err)
+		}
+	} else if st, _, err := sweep.RecoverCheckpoint(filepath.Join(j.dir(s.cfg.Dir), checkpointFile)); err == nil {
+		res, _ = st.PartialResult() // nil on error: served like no checkpoint
+	}
+	if res != nil && j.cfg.Trials*len(j.cfg.Scenarios) == 0 {
+		j.cfg.Trials, j.cfg.Seed, j.cfg.Scale = res.Trials, res.Seed, res.Scale
+		for _, ss := range res.Scenarios {
+			j.cfg.Scenarios = append(j.cfg.Scenarios, ss.Scenario)
+		}
+	}
+	j.progress = withResult(res, j.cfg.Scenarios)
+}
+
+// placeholderSpec stands in for a spec a restored job cannot use, so
+// the job can still be listed and persisted.
 func placeholderSpec(name string) *scenario.Spec {
 	return &scenario.Spec{Name: name}
 }

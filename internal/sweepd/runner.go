@@ -4,7 +4,7 @@ package sweepd
 // sweep.Execute with the control-plane seams wired —
 //
 //	CheckpointPath  <job dir>/sweep.ckpt (durability + resume)
-//	OnCheckpoint    publishes each state for the status endpoint
+//	OnCheckpoint    derives the job's progress from each state
 //	Interrupt       job cancel bit OR the server-wide drain bit
 //	FleetSource     the cross-job fleet cache
 //	Hooks           Config.JobHooks (fault injection; tests only)
@@ -55,8 +55,12 @@ func (s *Server) runJob(j *Job) {
 	cfg.CheckpointPath = filepath.Join(dir, checkpointFile)
 	cfg.Interrupt = func() bool { return j.cancel.Load() || s.draining.Load() }
 	cfg.OnCheckpoint = func(st *sweep.CheckpointState) {
+		// Derived on the engine's collector goroutine, outside the
+		// server mutex: once per checkpoint, however often it is polled.
+		res, _ := st.PartialResult() // nil on error: served like no checkpoint
+		p := withResult(res, j.cfg.Scenarios)
 		s.mu.Lock()
-		j.latest = st
+		j.progress = p
 		s.mu.Unlock()
 	}
 	cfg.FleetSource = s.cache.Get

@@ -235,87 +235,68 @@ type MetricStatus struct {
 	CIHi sweep.Float `json:"ci95hi"`
 }
 
-// status snapshots a job for the wire. detail selects per-scenario
-// results: a done job's final ones, or partial ones derived outside
-// the lock from the latest immutable checkpoint state.
+// status snapshots a job for the wire; detail selects per-scenario
+// results. It copies what the job holds and derives nothing: progress
+// is derived when a checkpoint, the final result or a restore changes
+// it.
 func (s *Server) status(j *Job, detail bool) JobStatus {
 	s.mu.Lock()
-	if j.final != nil {
-		js := *j.final
-		s.mu.Unlock()
-		if !detail {
-			js.Scenarios = nil
-		}
-		return js
-	}
-	js := j.wireStatus()
-	latest := j.latest
-	scens := j.cfg.Scenarios
-	s.mu.Unlock()
-
-	if latest == nil {
-		latest = s.loadCheckpoint(j) // restored partial/cancelled job
-	}
-	var res *sweep.Result
-	if latest != nil {
-		if pr, err := latest.PartialResult(); err == nil {
-			res = pr
-		}
-	}
-	return withResult(js, res, scens, detail)
+	defer s.mu.Unlock()
+	return j.statusLocked(detail)
 }
 
-// wireStatus is the job's status without results. Caller holds the
-// server mutex.
-func (j *Job) wireStatus() JobStatus {
-	return JobStatus{
-		ID: j.ID, Name: j.spec.Name, Digest: j.spec.Digest(),
+// statusLocked is status with the server mutex held.
+func (j *Job) statusLocked(detail bool) JobStatus {
+	js := JobStatus{
+		ID: j.ID, Name: j.spec.Name, Digest: j.digest,
 		State: j.state, Error: j.errMsg,
 		Trials: j.cfg.Trials, Seed: j.cfg.Seed, Scale: j.cfg.Scale,
+		TrialsDone:  j.progress.trialsDone,
 		TrialsTotal: j.cfg.Trials * len(j.cfg.Scenarios),
 	}
-}
-
-// finish marks the job done with its final result (nil when a
-// restored job's result.json cannot be read): the status is derived
-// once, and the checkpoint state is dropped. Caller holds the server
-// mutex, or is inside single-threaded construction.
-func (j *Job) finish(res *sweep.Result) {
-	j.state, j.latest = StateDone, nil
-	js := withResult(j.wireStatus(), res, j.cfg.Scenarios, true)
-	j.final = &js
-}
-
-// withResult completes a status from a final or partial result, or
-// from the scenario list alone when res is nil.
-func withResult(js JobStatus, res *sweep.Result, scens []sweep.Scenario, detail bool) JobStatus {
-	if res != nil && js.TrialsTotal == 0 {
-		// A done job whose spec no longer parses has no resolved
-		// config; its result records the run parameters.
-		js.Trials, js.Seed, js.Scale = res.Trials, res.Seed, res.Scale
-		js.TrialsTotal = res.Trials * len(res.Scenarios)
-	}
-	switch {
-	case res != nil:
-		for _, ss := range res.Scenarios {
-			js.TrialsDone += ss.TrialsDone
-			if !detail {
-				continue
-			}
-			sc := ScenarioStatus{Name: ss.Scenario.Name, TrialsDone: ss.TrialsDone}
-			for _, m := range ss.Metrics {
-				sc.Metrics = append(sc.Metrics, MetricStatus{
-					Name: m.Name, N: m.N, Mean: m.Mean, CILo: m.CILo, CIHi: m.CIHi,
-				})
-			}
-			js.Scenarios = append(js.Scenarios, sc)
-		}
-	case detail:
-		for _, sc := range scens {
-			js.Scenarios = append(js.Scenarios, ScenarioStatus{Name: sc.Name})
-		}
+	if detail {
+		js.Scenarios = j.progress.scenarios
 	}
 	return js
+}
+
+// progress is what a job's status reports of its results: the trials
+// done and the per-scenario partial (or final) results. It is replaced
+// whole, never modified, so statuses may share its slice.
+type progress struct {
+	trialsDone int
+	scenarios  []ScenarioStatus
+}
+
+// withResult derives progress from a final or partial result, or from
+// the scenario list alone when res is nil.
+func withResult(res *sweep.Result, scens []sweep.Scenario) progress {
+	var p progress
+	if res == nil {
+		for _, sc := range scens {
+			p.scenarios = append(p.scenarios, ScenarioStatus{Name: sc.Name})
+		}
+		return p
+	}
+	for _, ss := range res.Scenarios {
+		p.trialsDone += ss.TrialsDone
+		sc := ScenarioStatus{Name: ss.Scenario.Name, TrialsDone: ss.TrialsDone}
+		for _, m := range ss.Metrics {
+			sc.Metrics = append(sc.Metrics, MetricStatus{
+				Name: m.Name, N: m.N, Mean: m.Mean, CILo: m.CILo, CIHi: m.CIHi,
+			})
+		}
+		p.scenarios = append(p.scenarios, sc)
+	}
+	return p
+}
+
+// finish marks the job done and derives its progress from the final
+// result. The result itself stays on disk: /result and /report read
+// result.json. Caller holds the server mutex.
+func (j *Job) finish(res *sweep.Result) {
+	j.state = StateDone
+	j.progress = withResult(res, j.cfg.Scenarios)
 }
 
 // readResult reads and decodes a done job's result.json.
@@ -329,23 +310,6 @@ func (s *Server) readResult(j *Job) (*sweep.Result, error) {
 		return nil, fmt.Errorf("sweepd: decoding %s result: %w", j.ID, err)
 	}
 	return res, nil
-}
-
-// loadCheckpoint lazily recovers the newest on-disk checkpoint for a
-// job restored mid-flight (partial or cancelled) that has not produced
-// an in-memory state yet. Never replaces a live observer state: the
-// OnCheckpoint feed is strictly newer.
-func (s *Server) loadCheckpoint(j *Job) *sweep.CheckpointState {
-	st, _, err := sweep.RecoverCheckpoint(filepath.Join(j.dir(s.cfg.Dir), checkpointFile))
-	if err != nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.latest == nil {
-		j.latest = st
-	}
-	return j.latest
 }
 
 // --- HTTP handlers ---
@@ -369,6 +333,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	j := &Job{
+		spec: spec, digest: spec.Digest(), cfg: cfg,
+		state: StateQueued, progress: withResult(nil, cfg.Scenarios),
+	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -376,12 +344,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "sweepd: server is draining", http.StatusServiceUnavailable)
 		return
 	}
-	seq := s.nextSeq
+	j.ID, j.seq = jobID(s.nextSeq), s.nextSeq
 	s.nextSeq++
-	j := &Job{
-		ID: jobID(seq), seq: seq,
-		spec: spec, cfg: cfg, state: StateQueued,
-	}
 	dir := j.dir(s.cfg.Dir)
 	// Mkdir, not MkdirAll: a submission never writes into a directory
 	// it did not create.
@@ -409,16 +373,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // handleList serves every job, submission order, without scenario
 // detail.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*Job, len(s.order))
-	copy(jobs, s.order)
-	s.mu.Unlock()
 	out := struct {
 		Jobs []JobStatus `json:"jobs"`
-	}{Jobs: []JobStatus{}}
-	for _, j := range jobs {
-		out.Jobs = append(out.Jobs, s.status(j, false))
+	}{}
+	s.mu.Lock()
+	out.Jobs = make([]JobStatus, len(s.order))
+	for i, j := range s.order {
+		out.Jobs[i] = j.statusLocked(false)
 	}
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
