@@ -96,3 +96,57 @@ func TestFindingsVectorGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestMinedVectorGolden pins, bit for bit, the trial-0 metric vector of
+// a scenario whose events are mined back out of the collected support
+// logs (Scenario.Mine), the one path TestFindingsVectorGolden leaves
+// cold: mined_dropped is NaN in every smoke-grid scenario. Recorded
+// before log messages stopped carrying their text, so any change to it
+// is a changed mining result, not a refactor.
+func TestMinedVectorGolden(t *testing.T) {
+	want := []uint64{
+		0x40c0548000000000, // events_visible
+		0x3fa05ea60714f781, // afr_total_nearline
+		0x3fa53b9b6775fa8a, // afr_total_lowend
+		0x3f9bb54738eae548, // afr_total_midrange
+		0x3f9b5cfc9cb9005a, // afr_total_highend
+		0x3fe2dc81a101e2da, // disk_share_nearline
+		0x3fc61e4f765fd8ae, // disk_share_lowend
+		0x3fd07d768b4d07d7, // disk_share_midrange
+		0x3fd04f9eafd3c449, // disk_share_highend
+		0x3fcfe490b7cffd42, // pi_share_nearline
+		0x3fe2a305532617c2, // pi_share_lowend
+		0x3fe2a6fa00ec2a70, // pi_share_midrange
+		0x3fe3b703ded336bd, // pi_share_highend
+		0x3f934c14d2ade47f, // disk_afr_nearline
+		0x3f7d5a2ee50a501b, // disk_afr_lowend
+		0x3ff9aec74b7df0ef, // family_h_afr_ratio
+		0x3fd3ce28c75ce28c, // burst_shelf_overall
+		0x3fc618c21abd271e, // burst_rg_overall
+		0x3f746dce34596066, // burst_shelf_disk
+		0x3fe0e6bb1263c106, // burst_shelf_pi
+		0x40178233afe98c12, // corr_disk_shelf
+		0x4026b6d22b99824b, // corr_pi_shelf
+		0x4020000000000000, // findings_pass
+		0x0000000000000000, // mined_dropped
+		0x3fc360c428314a72, // afr_spread_disk
+		0x3fc8c7d43a69b468, // afr_spread_subsys
+		0x3ff05b117717ce50, // afr_capacity_ratio
+		0x3fc97e5d4b9160c1, // shelf_model_pi_delta
+		0x3fd5d53e42b0141c, // multipath_total_reduction
+		0x3fe298757d166422, // multipath_pi_reduction
+	}
+	cfg := Config{Trials: 1, Seed: 42, Scale: 0.1, Workers: 1, Findings: true,
+		Scenarios: []Scenario{{Name: "mined", Mine: true}}}
+	res := execute(t, cfg)
+	ms := res.Scenarios[0].Metrics
+	if len(want) != len(ms) {
+		t.Errorf("%d pinned values for %d metrics", len(want), len(ms))
+	}
+	for mi, m := range ms {
+		got := math.Float64bits(float64(m.Point))
+		if mi >= len(want) || got != want[mi] {
+			t.Errorf("%s: point bits %#016x (%v)", Metrics[mi].Name, got, float64(m.Point))
+		}
+	}
+}
