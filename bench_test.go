@@ -284,18 +284,21 @@ func BenchmarkExpreportRender(b *testing.B) {
 	}
 }
 
-// BenchmarkEmitLogs measures rendering events into message chains.
+// BenchmarkEmitLogs measures emitting events' message chains into a
+// reused buffer.
 func BenchmarkEmitLogs(b *testing.B) {
 	e := env(b)
-	em := eventlog.NewEmitter(e.Fleet)
 	events := e.Events
 	if len(events) > 2000 {
 		events = events[:2000]
 	}
+	var msgs []eventlog.Message
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		msgs = msgs[:0]
 		for _, e := range events {
-			em.Emit(e)
+			msgs = eventlog.Emit(msgs, e)
 		}
 	}
 }
@@ -303,20 +306,20 @@ func BenchmarkEmitLogs(b *testing.B) {
 // BenchmarkParseAndClassify measures the mining path over rendered text.
 func BenchmarkParseAndClassify(b *testing.B) {
 	e := env(b)
-	em := eventlog.NewEmitter(e.Fleet)
 	events := e.Events
 	if len(events) > 2000 {
 		events = events[:2000]
 	}
 	var sb strings.Builder
-	for _, e := range events {
-		for _, m := range em.Emit(e) {
-			sb.WriteString(m.Render())
+	for _, ev := range events {
+		for _, m := range eventlog.Emit(nil, ev) {
+			sb.WriteString(m.Line(e.Fleet).Render())
 			sb.WriteByte('\n')
 		}
 	}
 	text := sb.String()
 	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		msgs, _, err := eventlog.ParseLog(strings.NewReader(text))
@@ -331,6 +334,7 @@ func BenchmarkParseAndClassify(b *testing.B) {
 func BenchmarkAutosupportCollect(b *testing.B) {
 	f := fleet.BuildDefault(0.01, 42)
 	res := sim.Run(f, failmodel.DefaultParams(), 43)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		autosupport.Collect(f, res.Events)

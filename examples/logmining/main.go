@@ -21,7 +21,6 @@ import (
 func main() {
 	f := fleet.BuildDefault(0.01, 9)
 	res := sim.Run(f, failmodel.DefaultParams(), 10)
-	em := eventlog.NewEmitter(f)
 
 	// Render one example chain per failure type, like the paper's Figure 3.
 	seen := map[failmodel.FailureType]bool{}
@@ -31,8 +30,8 @@ func main() {
 			continue
 		}
 		if !seen[e.Type] || e.Recovered {
-			for _, m := range em.Emit(e) {
-				raw.WriteString(m.Render())
+			for _, m := range eventlog.Emit(nil, e) {
+				raw.WriteString(m.Line(f).Render())
 				raw.WriteByte('\n')
 			}
 			seen[e.Type] = true

@@ -12,13 +12,17 @@
 // models, and they also contain the information about the layout of
 // disks."
 //
-// The weekly bundles carry messages only: mining joins RAID-layer
-// events to disks by serial number and never reads a configuration
-// snapshot. TakeSnapshot builds one on demand from the fleet;
-// cmd/fleetgen writes one per system.
+// The weekly bundles carry messages only, and a message stores its disk
+// ID rather than its text: mining in process joins RAID-layer events to
+// disks by ID, the rendered-text round trip (RenderSystemLog, then
+// eventlog.ParseLog and Classify) by the serial number in the text, and
+// neither reads a configuration snapshot. TakeSnapshot builds one on
+// demand from the fleet; cmd/fleetgen writes one per system.
 package autosupport
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"storagesubsys/internal/eventlog"
@@ -64,52 +68,58 @@ type Bundle struct {
 // system and week.
 type Database struct {
 	fleet   *fleet.Fleet
-	bundles map[int][]Bundle // system ID -> week-ordered bundles
+	bundles []Bundle // ordered by system ID, then week
 }
 
 // Bundles returns a system's week-ordered bundles.
-func (db *Database) Bundles(systemID int) []Bundle { return db.bundles[systemID] }
+func (db *Database) Bundles(systemID int) []Bundle {
+	lo := sort.Search(len(db.bundles), func(i int) bool { return db.bundles[i].SystemID >= systemID })
+	hi := sort.Search(len(db.bundles), func(i int) bool { return db.bundles[i].SystemID > systemID })
+	return db.bundles[lo:hi]
+}
 
 // Systems returns the IDs of systems with any collected data, sorted.
 func (db *Database) Systems() []int {
-	ids := make([]int, 0, len(db.bundles))
-	for id := range db.bundles {
-		ids = append(ids, id)
+	var ids []int
+	for _, b := range db.bundles {
+		if len(ids) == 0 || ids[len(ids)-1] != b.SystemID {
+			ids = append(ids, b.SystemID)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
 // Collect runs the support pipeline over a simulated failure history:
-// it renders every event's log chain (including recovered faults, whose
-// chains stop below the RAID layer) and buckets messages into weekly
-// per-system bundles.
+// it emits every event's log chain (including recovered faults, whose
+// chains stop below the RAID layer) into weekly per-system bundles,
+// each ordered by time. Events keep their simulator order within a
+// bundle before its time sort, which fixes the order of equal-time
+// messages.
 func Collect(f *fleet.Fleet, events []failmodel.Event) *Database {
-	weekSeconds := 7 * simtime.SecondsPerDay
-	db := &Database{
-		fleet:   f,
-		bundles: make(map[int][]Bundle),
+	week := func(i int32) int { return int(events[i].Time / (7 * simtime.SecondsPerDay)) }
+	order := make([]int32, len(events))
+	for i := range order {
+		order[i] = int32(i)
 	}
-
-	em := eventlog.NewEmitter(f)
-	type key struct{ sys, week int }
-	byKey := make(map[key][]eventlog.Message)
-	for _, e := range events {
-		week := int(e.Time / weekSeconds)
-		byKey[key{e.System, week}] = append(byKey[key{e.System, week}], em.Emit(e)...)
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(events[a].System, events[b].System), cmp.Compare(week(a), week(b)))
+	})
+	db := &Database{fleet: f}
+	var msgs []eventlog.Message
+	var starts []int // bundle i's messages are msgs[starts[i]:starts[i+1]]
+	for _, i := range order {
+		sys, wk := events[i].System, week(i)
+		if n := len(db.bundles); n == 0 || db.bundles[n-1].SystemID != sys || db.bundles[n-1].Week != wk {
+			db.bundles = append(db.bundles, Bundle{SystemID: sys, Week: wk})
+			starts = append(starts, len(msgs))
+		}
+		msgs = eventlog.Emit(msgs, events[i])
 	}
-
-	for k, msgs := range byKey {
-		sort.Slice(msgs, func(i, j int) bool { return msgs[i].Time.Before(msgs[j].Time) })
-		db.bundles[k.sys] = append(db.bundles[k.sys], Bundle{
-			SystemID: k.sys,
-			Week:     k.week,
-			Messages: msgs,
-		})
-	}
-	for sys := range db.bundles {
-		bs := db.bundles[sys]
-		sort.Slice(bs, func(i, j int) bool { return bs[i].Week < bs[j].Week })
+	starts = append(starts, len(msgs))
+	for i := range db.bundles {
+		b := msgs[starts[i]:starts[i+1]:starts[i+1]]
+		slices.SortFunc(b, func(x, y eventlog.Message) int { return cmp.Compare(x.Time, y.Time) })
+		db.bundles[i].Messages = b
 	}
 	return db
 }
@@ -153,23 +163,30 @@ func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 
 // MineEvents runs the paper's log-mining methodology over the whole
 // database: classify the collected messages' RAID-layer failure
-// signatures by Tag and resolve their Serial to fleet identities. No
-// text is rendered or parsed (cmd/fleetgen → cmd/analyze is that round
-// trip). It returns the events (sorted by detection time) and the
-// number of unresolvable records.
+// signatures by tag and resolve their disks by ID. No text is rendered
+// or parsed (cmd/fleetgen → cmd/analyze is that round trip, which joins
+// by serial instead and resolves and drops the same records). It
+// returns the events (sorted by detection time) and the number of
+// unresolvable records.
 func (db *Database) MineEvents() ([]failmodel.Event, int) {
 	rv := eventlog.NewResolver(db.fleet)
 	var events []failmodel.Event
 	dropped := 0
-	for _, sysID := range db.Systems() {
-		for _, b := range db.bundles[sysID] {
-			failures := eventlog.Classify(b.Messages)
-			es, d := rv.ResolveAll(failures)
-			events = append(events, es...)
-			dropped += d
+	for _, b := range db.bundles {
+		for _, m := range b.Messages {
+			t, ok := eventlog.FailureTypeForTag(m.Tag())
+			if !ok {
+				continue
+			}
+			e, ok := rv.ResolveDisk(int(m.Disk), t, m.Time)
+			if !ok {
+				dropped++
+				continue
+			}
+			events = append(events, e)
 		}
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	slices.SortFunc(events, func(x, y failmodel.Event) int { return cmp.Compare(x.Time, y.Time) })
 	return events, dropped
 }
 
@@ -177,9 +194,9 @@ func (db *Database) MineEvents() ([]failmodel.Event, int) {
 // the artifact cmd/fleetgen writes to disk and cmd/analyze re-mines.
 func (db *Database) RenderSystemLog(systemID int) string {
 	var out []byte
-	for _, b := range db.bundles[systemID] {
+	for _, b := range db.Bundles(systemID) {
 		for _, m := range b.Messages {
-			out = append(out, m.Render()...)
+			out = append(out, m.Line(db.fleet).Render()...)
 			out = append(out, '\n')
 		}
 	}
@@ -188,12 +205,8 @@ func (db *Database) RenderSystemLog(systemID int) string {
 
 // Stats summarizes the collected data volume.
 func (db *Database) Stats() (systems, bundles, messages int) {
-	for _, bs := range db.bundles {
-		systems++
-		bundles += len(bs)
-		for _, b := range bs {
-			messages += len(b.Messages)
-		}
+	for _, b := range db.bundles {
+		messages += len(b.Messages)
 	}
-	return
+	return len(db.Systems()), len(db.bundles), messages
 }

@@ -1,6 +1,8 @@
 package autosupport
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,7 +50,7 @@ func TestCollectBundlesAllEvents(t *testing.T) {
 				t.Fatalf("bundle week %d out of range", b.Week)
 			}
 			for i := 1; i < len(b.Messages); i++ {
-				if b.Messages[i].Time.Before(b.Messages[i-1].Time) {
+				if b.Messages[i].Time < b.Messages[i-1].Time {
 					t.Fatal("bundle messages must be time-ordered")
 				}
 			}
@@ -159,5 +161,53 @@ func TestRenderSystemLogReparses(t *testing.T) {
 			t.Fatalf("system %d: empty parse of non-empty log", sysID)
 		}
 		break
+	}
+}
+
+// TestMineEventsIsTheTextMiner checks that in-process mining is the
+// text miner minus the text: rendering each system's log, parsing and
+// classifying it and resolving serials through the Resolver, then
+// sorting by time exactly as MineEvents does, gives MineEvents' output
+// event for event — every field, in order.
+func TestMineEventsIsTheTextMiner(t *testing.T) {
+	db, res := smallDB(t)
+	rv := eventlog.NewResolver(res.Fleet)
+	var text []failmodel.Event
+	textDropped := 0
+	for _, sysID := range db.Systems() {
+		lines, malformed, err := eventlog.ParseLog(strings.NewReader(db.RenderSystemLog(sysID)))
+		if err != nil || malformed != 0 {
+			t.Fatalf("system %d: %d malformed lines, err %v", sysID, malformed, err)
+		}
+		es, dropped := rv.ResolveAll(eventlog.Classify(lines))
+		text = append(text, es...)
+		textDropped += dropped
+	}
+	slices.SortFunc(text, func(x, y failmodel.Event) int { return cmp.Compare(x.Time, y.Time) })
+
+	mined, dropped := db.MineEvents()
+	if dropped != 0 || textDropped != 0 {
+		t.Fatalf("dropped %d in process, %d from text; want 0 and 0", dropped, textDropped)
+	}
+	if len(mined) == 0 || !slices.Equal(mined, text) {
+		t.Fatalf("in-process mining gives %d events, the text miner %d, or they differ", len(mined), len(text))
+	}
+}
+
+// TestCollectAllocBudget bounds the mined path's allocations: Collect
+// may allocate at most once per message it stores (messages hold no
+// text, so it formats nothing), and MineEvents at most a handful of
+// times however many messages it reads.
+func TestCollectAllocBudget(t *testing.T) {
+	db, res := smallDB(t)
+	_, _, messages := db.Stats()
+	collect := testing.AllocsPerRun(3, func() { Collect(res.Fleet, res.Events) })
+	mine := testing.AllocsPerRun(3, func() { db.MineEvents() })
+	t.Logf("%d messages: Collect %.0f allocs, MineEvents %.0f", messages, collect, mine)
+	if collect > float64(messages) {
+		t.Errorf("Collect made %.0f allocations for %d messages, budget one per message", collect, messages)
+	}
+	if mine > 64 {
+		t.Errorf("MineEvents made %.0f allocations, budget 64", mine)
 	}
 }

@@ -2,130 +2,133 @@ package eventlog
 
 import (
 	"fmt"
-	"time"
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/simtime"
 )
 
-// DeviceAddress renders a disk's "adapter.loop" log address from its
-// topology position, in the style of the paper's "device 8.24": the
-// adapter number is derived from the shelf's position in the system and
-// the loop ID from the disk's slot.
-func DeviceAddress(shelfIndex, slot int) string {
-	return fmt.Sprintf("%d.%d", 8+shelfIndex, 16+slot)
+// Message is one log message, stored as what its line is rendered
+// from: Line turns it into text.
+type Message struct {
+	Time  simtime.Seconds
+	Disk  int32 // fleet ID of the disk the failure hit
+	Step  Step
+	Cause failmodel.Cause // the failure's root cause, named by some texts
 }
 
-// Emitter renders failure events into the layered message chains a
-// storage system logs while the failure propagates FC -> SCSI -> RAID.
-type Emitter struct {
-	fleet *fleet.Fleet
+// Step is one message of a failure's propagation chain, an index into
+// steps.
+type Step uint8
+
+const (
+	stepDeviceTimeout Step = iota
+	stepAdapterReset
+	stepAbortedByHost
+	stepSelectionTimeout
+	stepPathFailover
+	stepNoMorePaths
+	stepMediumError
+	stepCheckCondition
+	stepThresholdExceeded
+	stepProtocolViolation
+	stepDriverIncompatible
+	stepSlowIO
+	stepRetry
+	stepDiskFailed
+	stepDiskMissing
+	stepDiskOffline
+	stepDiskTimeout
+)
+
+// atDetection is the delay of a RAID-layer step: it is logged when the
+// hourly scrub detects the failure, not a fixed time after it occurs.
+const atDetection simtime.Seconds = -1
+
+// steps gives each Step its line. A step other than the RAID-layer one
+// is logged delay seconds after the failure occurs, but never after its
+// detection: when the next scrub lands inside the propagation window,
+// the chain compresses into it. A text is a fmt template over the
+// line's arguments: %[1]d the adapter and %[2]d the loop ID, which
+// make the "adapter.loop" device address of the paper's "device 8.24",
+// %[3]s the disk serial and %[4]s the root cause.
+var steps = [...]struct {
+	tag   string
+	sev   Severity
+	delay simtime.Seconds
+	text  string
+}{
+	stepDeviceTimeout:      {"fci.device.timeout", Error, 0, "Adapter %[1]d encountered a device timeout on device %[1]d.%[2]d"},
+	stepAdapterReset:       {"fci.adapter.reset", Info, 14, "Resetting Fibre Channel adapter %[1]d."},
+	stepAbortedByHost:      {"scsi.cmd.abortedByHost", Error, 14, "Device %[1]d.%[2]d: Command aborted by host adapter"},
+	stepSelectionTimeout:   {"scsi.cmd.selectionTimeout", Error, 36, "Device %[1]d.%[2]d: Adapter/target error: Targeted device did not respond to requested I/O. I/O will be retried."},
+	stepPathFailover:       {"fcp.path.failover", Info, 46, "Device %[1]d.%[2]d: I/O rerouted to secondary path after primary path failure (%[4]s)."},
+	stepNoMorePaths:        {"scsi.cmd.noMorePaths", Error, 46, "Device %[1]d.%[2]d: No more paths to device. All retries have failed."},
+	stepMediumError:        {"disk.ioMediumError", Error, 0, "Device %[1]d.%[2]d: medium error during read: block remap attempted."},
+	stepCheckCondition:     {"scsi.cmd.checkCondition", Error, 22, "Device %[1]d.%[2]d: check condition: sense key Medium Error."},
+	stepThresholdExceeded:  {"shm.threshold.exceeded", Warning, 60, "Disk %[1]d.%[2]d S/N [%[3]s] has exceeded its failure-prediction threshold."},
+	stepProtocolViolation:  {"scsi.cmd.protocolViolation", Error, 0, "Device %[1]d.%[2]d: unexpected response for tagged command; protocol violation suspected."},
+	stepDriverIncompatible: {"disk.driver.incompatible", Error, 9, "Device %[1]d.%[2]d: firmware/driver handshake failed (%[4]s)."},
+	stepSlowIO:             {"disk.slowIO", Warning, 0, "Device %[1]d.%[2]d: I/O completion time above threshold."},
+	stepRetry:              {"scsi.cmd.retry", Warning, 31, "Device %[1]d.%[2]d: retrying delayed I/O request."},
+	stepDiskFailed:         {TagRAIDDiskFailed, Info, atDetection, "Disk %[1]d.%[2]d S/N [%[3]s] failed; starting reconstruction."},
+	stepDiskMissing:        {TagRAIDDiskMissing, Info, atDetection, "File system Disk %[1]d.%[2]d S/N [%[3]s] is missing."},
+	stepDiskOffline:        {TagRAIDDiskOffline, Info, atDetection, "Disk %[1]d.%[2]d S/N [%[3]s] is offline: requests not serviced correctly."},
+	stepDiskTimeout:        {TagRAIDDiskTimeout, Info, atDetection, "Disk %[1]d.%[2]d S/N [%[3]s] not responding in time; marked failed by timeout policy."},
 }
 
-// NewEmitter returns an emitter over the given fleet.
-func NewEmitter(f *fleet.Fleet) *Emitter {
-	return &Emitter{fleet: f}
+// chains gives each failure type the chain it logs while propagating
+// FC -> SCSI -> RAID. The last step is the RAID-layer event the
+// classifier keys on.
+var chains = [...][]Step{
+	failmodel.DiskFailure: {stepMediumError, stepCheckCondition, stepThresholdExceeded, stepDiskFailed},
+	// The paper's Figure 3 chain.
+	failmodel.PhysicalInterconnect: {stepDeviceTimeout, stepAdapterReset, stepAbortedByHost,
+		stepSelectionTimeout, stepNoMorePaths, stepDiskMissing},
+	failmodel.Protocol:    {stepProtocolViolation, stepDriverIncompatible, stepDiskOffline},
+	failmodel.Performance: {stepSlowIO, stepRetry, stepDiskTimeout},
 }
 
-// Emit renders the message chain for one failure event. The final
-// message of a visible failure is the RAID-layer event the classifier
-// keys on; multipath-recovered faults stop below the RAID layer (the
-// storage subsystem absorbed them), emitting a path-failover notice
-// instead — the parser must not count those as subsystem failures.
-func (em *Emitter) Emit(e failmodel.Event) []Message {
-	d := &em.fleet.Disks[e.Disk]
-	shelf := &em.fleet.Shelves[e.Shelf]
-	dev := DeviceAddress(int(shelf.Index), int(d.Slot))
-	serial := fleet.Serial(e.Disk)
-	occurred := simtime.ToWall(e.Time)
-	detected := simtime.ToWall(e.Detected)
+// recoveredChain is the chain of an interconnect fault multipathing
+// absorbed (the only kind a path can recover): I/O is rerouted and the
+// chain stops below the RAID layer with a failover notice, which the
+// parser must not count as a subsystem failure.
+var recoveredChain = []Step{stepDeviceTimeout, stepAdapterReset, stepAbortedByHost,
+	stepSelectionTimeout, stepPathFailover}
 
-	var msgs []Message
-	step := func(offset time.Duration, tag string, sev Severity, text string) {
-		tm := occurred.Add(offset)
-		// Propagation messages never postdate the RAID layer's
-		// detection of the failure: when the next hourly scrub lands
-		// inside the propagation window, the chain compresses into it.
-		if tm.After(detected) {
-			tm = detected
+// Emit appends the message chain of one failure event to dst and
+// returns the extended slice. It formats nothing.
+//
+//detlint:hotpath
+func Emit(dst []Message, e failmodel.Event) []Message {
+	chain := chains[e.Type]
+	if e.Recovered {
+		chain = recoveredChain
+	}
+	for _, s := range chain {
+		t := e.Detected
+		if d := steps[s].delay; d != atDetection {
+			t = min(e.Time+d, e.Detected)
 		}
-		msgs = append(msgs, Message{
-			Time:     tm,
-			Tag:      tag,
-			Severity: sev,
-			Device:   dev,
-			Serial:   serial,
-			Text:     text,
-		})
+		dst = append(dst, Message{Time: t, Disk: int32(e.Disk), Step: s, Cause: e.Cause})
 	}
-
-	switch e.Type {
-	case failmodel.PhysicalInterconnect:
-		// The paper's Figure 3 chain.
-		step(0, "fci.device.timeout", Error,
-			fmt.Sprintf("Adapter %d encountered a device timeout on device %s", 8+shelf.Index, dev))
-		step(14*time.Second, "fci.adapter.reset", Info,
-			fmt.Sprintf("Resetting Fibre Channel adapter %d.", 8+shelf.Index))
-		step(14*time.Second, "scsi.cmd.abortedByHost", Error,
-			fmt.Sprintf("Device %s: Command aborted by host adapter", dev))
-		step(36*time.Second, "scsi.cmd.selectionTimeout", Error,
-			fmt.Sprintf("Device %s: Adapter/target error: Targeted device did not respond to requested I/O. I/O will be retried.", dev))
-		if e.Recovered {
-			// Multipathing absorbed the fault: I/O rerouted, no RAID event.
-			step(46*time.Second, "fcp.path.failover", Info,
-				fmt.Sprintf("Device %s: I/O rerouted to secondary path after primary path failure (%s).", dev, e.Cause))
-			break
-		}
-		step(46*time.Second, "scsi.cmd.noMorePaths", Error,
-			fmt.Sprintf("Device %s: No more paths to device. All retries have failed.", dev))
-		em.raidStep(&msgs, e, detected, dev, serial)
-
-	case failmodel.DiskFailure:
-		step(0, "disk.ioMediumError", Error,
-			fmt.Sprintf("Device %s: medium error during read: block remap attempted.", dev))
-		step(22*time.Second, "scsi.cmd.checkCondition", Error,
-			fmt.Sprintf("Device %s: check condition: sense key Medium Error.", dev))
-		step(60*time.Second, "shm.threshold.exceeded", Warning,
-			fmt.Sprintf("Disk %s S/N [%s] has exceeded its failure-prediction threshold.", dev, serial))
-		em.raidStep(&msgs, e, detected, dev, serial)
-
-	case failmodel.Protocol:
-		step(0, "scsi.cmd.protocolViolation", Error,
-			fmt.Sprintf("Device %s: unexpected response for tagged command; protocol violation suspected.", dev))
-		step(9*time.Second, "disk.driver.incompatible", Error,
-			fmt.Sprintf("Device %s: firmware/driver handshake failed (%s).", dev, e.Cause))
-		em.raidStep(&msgs, e, detected, dev, serial)
-
-	case failmodel.Performance:
-		step(0, "disk.slowIO", Warning,
-			fmt.Sprintf("Device %s: I/O completion time above threshold.", dev))
-		step(31*time.Second, "scsi.cmd.retry", Warning,
-			fmt.Sprintf("Device %s: retrying delayed I/O request.", dev))
-		em.raidStep(&msgs, e, detected, dev, serial)
-	}
-	return msgs
+	return dst
 }
 
-// raidStep appends the RAID-layer event message at detection time.
-func (em *Emitter) raidStep(msgs *[]Message, e failmodel.Event, detected time.Time, dev, serial string) {
-	var text string
-	switch e.Type {
-	case failmodel.DiskFailure:
-		text = fmt.Sprintf("Disk %s S/N [%s] failed; starting reconstruction.", dev, serial)
-	case failmodel.PhysicalInterconnect:
-		text = fmt.Sprintf("File system Disk %s S/N [%s] is missing.", dev, serial)
-	case failmodel.Protocol:
-		text = fmt.Sprintf("Disk %s S/N [%s] is offline: requests not serviced correctly.", dev, serial)
-	case failmodel.Performance:
-		text = fmt.Sprintf("Disk %s S/N [%s] not responding in time; marked failed by timeout policy.", dev, serial)
+// Tag returns the message's dotted event tag.
+func (m Message) Tag() string { return steps[m.Step].tag }
+
+// Line renders the message as the log line it stands for. f is the
+// fleet the message's disk belongs to: the adapter number is derived
+// from the disk's shelf position in the system, and the loop ID from
+// its slot.
+func (m Message) Line(f *fleet.Fleet) Line {
+	st := &steps[m.Step]
+	d := &f.Disks[m.Disk]
+	return Line{
+		Time:     simtime.ToWall(m.Time),
+		Tag:      st.tag,
+		Severity: st.sev,
+		Text:     fmt.Sprintf(st.text, 8+f.Shelves[d.Shelf].Index, 16+int(d.Slot), fleet.Serial(int(m.Disk)), m.Cause),
 	}
-	*msgs = append(*msgs, Message{
-		Time:     detected,
-		Tag:      RAIDTagFor(e.Type),
-		Severity: Info,
-		Device:   dev,
-		Serial:   serial,
-		Text:     text,
-	})
 }

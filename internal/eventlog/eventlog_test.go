@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,7 +15,7 @@ import (
 
 var cachedRun *sim.Result
 
-func smallRun(t *testing.T) *sim.Result {
+func smallRun(t testing.TB) *sim.Result {
 	t.Helper()
 	if cachedRun == nil {
 		f := fleet.BuildDefault(0.01, 21)
@@ -24,7 +25,7 @@ func smallRun(t *testing.T) *sim.Result {
 }
 
 func TestRenderParseRoundTrip(t *testing.T) {
-	msg := Message{
+	msg := Line{
 		Time:     time.Date(2006, 7, 23, 5, 43, 36, 0, time.UTC),
 		Tag:      "scsi.cmd.noMorePaths",
 		Severity: Error,
@@ -41,9 +42,6 @@ func TestRenderParseRoundTrip(t *testing.T) {
 	if got.Tag != msg.Tag || got.Severity != msg.Severity || got.Text != msg.Text {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
-	if got.Device != "8.24" {
-		t.Errorf("device %q, want 8.24", got.Device)
-	}
 }
 
 func TestParseLineMalformed(t *testing.T) {
@@ -53,25 +51,13 @@ func TestParseLineMalformed(t *testing.T) {
 		"Sun Jul 23 05:43:36 UTC 2006 [missing.severity]: text",
 		"Sun Jul 23 05:43:36 UTC 2006 [tag:bogus]: text",
 		"not a timestamp [a.b:error]: text",
+		// time.Parse accepts a fraction the layout lacks; Render could
+		// not write it back.
+		"Mon Jan  2 15:04:05.5 UTC 2006 [a:info]: x",
 	}
 	for _, line := range bad {
 		if _, err := ParseLine(line); err == nil {
 			t.Errorf("line %q should fail to parse", line)
-		}
-	}
-}
-
-func TestExtractDevice(t *testing.T) {
-	cases := map[string]string{
-		"Device 8.24: Command aborted":                          "8.24",
-		"File system Disk 12.17 S/N [ABC] is missing.":          "12.17",
-		"Adapter 8 encountered a device timeout on device 8.24": "8.24",
-		"no device here":        "",
-		"Device without number": "",
-	}
-	for text, want := range cases {
-		if got := extractDevice(text); got != want {
-			t.Errorf("extractDevice(%q) = %q, want %q", text, got, want)
 		}
 	}
 }
@@ -91,41 +77,44 @@ func TestExtractSerial(t *testing.T) {
 
 func TestEmitChainShapes(t *testing.T) {
 	res := smallRun(t)
-	em := NewEmitter(res.Fleet)
 	seen := map[failmodel.FailureType]bool{}
 	for _, e := range res.Events {
-		msgs := em.Emit(e)
+		msgs := Emit(nil, e)
 		if len(msgs) < 2 {
 			t.Fatalf("chain for %s too short: %d messages", e.Type, len(msgs))
 		}
 		last := msgs[len(msgs)-1]
 		if e.Recovered {
 			// Recovered faults stop below the RAID layer.
-			if _, isRAID := FailureTypeForTag(last.Tag); isRAID {
+			if _, isRAID := FailureTypeForTag(last.Tag()); isRAID {
 				t.Fatal("recovered fault emitted a RAID-layer event")
 			}
-			if last.Tag != "fcp.path.failover" {
-				t.Fatalf("recovered chain ends with %s", last.Tag)
+			if last.Tag() != "fcp.path.failover" {
+				t.Fatalf("recovered chain ends with %s", last.Tag())
 			}
 		} else {
-			ft, isRAID := FailureTypeForTag(last.Tag)
+			ft, isRAID := FailureTypeForTag(last.Tag())
 			if !isRAID {
-				t.Fatalf("visible chain for %s ends with %s", e.Type, last.Tag)
+				t.Fatalf("visible chain for %s ends with %s", e.Type, last.Tag())
 			}
 			if ft != e.Type {
 				t.Fatalf("RAID tag type %s for event type %s", ft, e.Type)
 			}
-			// RAID message carries detection time and the serial.
-			if !last.Time.Equal(simtime.ToWall(e.Detected)) {
+			// RAID message carries detection time, and its line the serial.
+			if last.Time != e.Detected {
 				t.Fatal("RAID event not at detection time")
 			}
-			if last.Serial != fleet.Serial(e.Disk) {
-				t.Fatal("RAID event lost the disk serial")
+			if got := extractSerial(last.Line(res.Fleet).Text); got != fleet.Serial(e.Disk) {
+				t.Fatalf("RAID line names serial %q, want %q", got, fleet.Serial(e.Disk))
 			}
 		}
-		// Chain timestamps must be non-decreasing.
-		for i := 1; i < len(msgs); i++ {
-			if msgs[i].Time.Before(msgs[i-1].Time) {
+		// Every message names the event's disk and cause, and chain
+		// timestamps never go backwards or pass detection.
+		for i, m := range msgs {
+			if int(m.Disk) != e.Disk || m.Cause != e.Cause || m.Time > e.Detected {
+				t.Fatalf("message %d %+v does not belong to event %+v", i, m, e)
+			}
+			if i > 0 && m.Time < msgs[i-1].Time {
 				t.Fatal("chain timestamps must not go backwards")
 			}
 		}
@@ -141,12 +130,11 @@ func TestEmitChainShapes(t *testing.T) {
 func TestFigure3ChainForInterconnect(t *testing.T) {
 	// The paper's Figure 3 sequence for a physical interconnect failure.
 	res := smallRun(t)
-	em := NewEmitter(res.Fleet)
 	for _, e := range res.Events {
 		if e.Type != failmodel.PhysicalInterconnect || e.Recovered {
 			continue
 		}
-		msgs := em.Emit(e)
+		msgs := Emit(nil, e)
 		wantTags := []string{
 			"fci.device.timeout", "fci.adapter.reset", "scsi.cmd.abortedByHost",
 			"scsi.cmd.selectionTimeout", "scsi.cmd.noMorePaths", TagRAIDDiskMissing,
@@ -155,8 +143,8 @@ func TestFigure3ChainForInterconnect(t *testing.T) {
 			t.Fatalf("chain length %d, want %d", len(msgs), len(wantTags))
 		}
 		for i, tag := range wantTags {
-			if msgs[i].Tag != tag {
-				t.Fatalf("step %d tag %s, want %s", i, msgs[i].Tag, tag)
+			if msgs[i].Tag() != tag {
+				t.Fatalf("step %d tag %s, want %s", i, msgs[i].Tag(), tag)
 			}
 		}
 		return
@@ -165,10 +153,10 @@ func TestFigure3ChainForInterconnect(t *testing.T) {
 }
 
 func TestClassifyIgnoresNoise(t *testing.T) {
-	msgs := []Message{
+	msgs := []Line{
 		{Tag: "raid.scrub.start", Text: "weekly scrub"},
 		{Tag: "fci.device.timeout", Text: "Device 8.24 timeout"},
-		{Tag: TagRAIDDiskFailed, Device: "8.24", Serial: "X"},
+		{Tag: TagRAIDDiskFailed, Text: "Disk 8.24 S/N [X] failed; starting reconstruction."},
 		{Tag: "fcp.path.failover", Text: "rerouted"},
 	}
 	failures := Classify(msgs)
@@ -184,11 +172,10 @@ func TestMiningRecoversGroundTruth(t *testing.T) {
 	// Emit -> render -> parse -> classify -> resolve must reproduce the
 	// visible event stream exactly (type, disk, detection time).
 	res := smallRun(t)
-	em := NewEmitter(res.Fleet)
 	var text strings.Builder
 	for _, e := range res.Events {
-		for _, m := range em.Emit(e) {
-			text.WriteString(m.Render())
+		for _, m := range Emit(nil, e) {
+			text.WriteString(m.Line(res.Fleet).Render())
 			text.WriteByte('\n')
 		}
 	}
@@ -232,6 +219,11 @@ func TestResolveUnknownSerial(t *testing.T) {
 	if len(events) != 0 || dropped != 1 {
 		t.Error("ResolveAll must count unresolvable records")
 	}
+	for _, id := range []int{-1, len(res.Fleet.Disks)} {
+		if _, ok := rv.ResolveDisk(id, failmodel.DiskFailure, 0); ok {
+			t.Errorf("disk ID %d outside the fleet must not resolve", id)
+		}
+	}
 }
 
 // TestResolverMatchesSerialIndex pins NewResolver to the serial index
@@ -257,16 +249,15 @@ func TestResolverMatchesSerialIndex(t *testing.T) {
 		"",
 	}
 	var text strings.Builder
-	em := NewEmitter(f)
 	for _, e := range res.Events {
-		for _, m := range em.Emit(e) {
-			text.WriteString(m.Render())
+		for _, m := range Emit(nil, e) {
+			text.WriteString(m.Line(f).Render())
 			text.WriteByte('\n')
 		}
 	}
 	at := simtime.ToWall(simtime.StudyDuration / 2)
 	for _, s := range unknown {
-		m := Message{Time: at, Tag: TagRAIDDiskFailed, Severity: Info,
+		m := Line{Time: at, Tag: TagRAIDDiskFailed, Severity: Info,
 			Text: "Disk 8.24 S/N [" + s + "] failed; starting reconstruction."}
 		text.WriteString(m.Render())
 		text.WriteByte('\n')
@@ -309,12 +300,27 @@ func TestParseLogSkipsGarbage(t *testing.T) {
 	}
 }
 
+// TestDeviceAddress checks a line's "adapter.loop" device address:
+// the shelf's position in its system gives the adapter, the disk's slot
+// the loop ID, so slot 8 of a system's first shelf is the paper's
+// "device 8.24".
 func TestDeviceAddress(t *testing.T) {
-	if got := DeviceAddress(0, 8); got != "8.24" {
-		t.Errorf("DeviceAddress(0, 8) = %q, want 8.24 (the paper's example)", got)
-	}
-	if got := DeviceAddress(3, 0); got != "11.16" {
-		t.Errorf("DeviceAddress(3, 0) = %q", got)
+	f := smallRun(t).Fleet
+	for _, tc := range []struct {
+		shelf int32
+		slot  uint8
+		want  string
+	}{{0, 8, "8.24"}, {3, 0, "11.16"}} {
+		id := slices.IndexFunc(f.Disks, func(d fleet.Disk) bool {
+			return f.Shelves[d.Shelf].Index == tc.shelf && d.Slot == tc.slot
+		})
+		if id < 0 {
+			t.Fatalf("no disk in slot %d of a shelf at index %d", tc.slot, tc.shelf)
+		}
+		got := Message{Disk: int32(id), Step: stepDiskFailed}.Line(f).Text
+		if want := "Disk " + tc.want + " S/N [" + fleet.Serial(id) + "] failed; starting reconstruction."; got != want {
+			t.Errorf("line %q, want %q", got, want)
+		}
 	}
 }
 
@@ -325,7 +331,7 @@ func TestQuickRenderParse(t *testing.T) {
 		tags := []string{"a.b", "fci.device.timeout", "raid.rg.diskFailed", "x.y.z"}
 		sevs := []Severity{Info, Warning, Error}
 		texts := []string{"plain", "Device 3.19: retried", "Disk 9.30 S/N [QQ17] failed", "trailing spaces  kept"}
-		m := Message{
+		m := Line{
 			Time:     time.Date(2004, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(textSeed) * time.Hour),
 			Tag:      tags[int(tagSeed)%len(tags)],
 			Severity: sevs[int(sevSeed)%len(sevs)],

@@ -11,6 +11,14 @@
 // physical interconnect failure." This package makes the reproduction
 // run the same mining path rather than consuming simulator ground truth
 // directly.
+//
+// A Message stores what its line is rendered from — time, disk ID,
+// chain step and root cause — and holds no text. One table (steps)
+// gives every step its tag, severity, timing and text template, and one
+// list per failure type gives its chain. Text exists only when a line
+// is written: Message.Line renders a Line, ParseLine reads one back,
+// and Classify works on Lines, joining them to disks by the serial in
+// their text.
 package eventlog
 
 import (
@@ -30,38 +38,21 @@ const (
 	Error
 )
 
+var severityNames = [...]string{Info: "info", Warning: "warning", Error: "error"}
+
 func (s Severity) String() string {
-	switch s {
-	case Info:
-		return "info"
-	case Warning:
-		return "warning"
-	case Error:
-		return "error"
-	default:
-		return fmt.Sprintf("Severity(%d)", int(s))
+	if s >= 0 && int(s) < len(severityNames) {
+		return severityNames[s]
 	}
+	return fmt.Sprintf("Severity(%d)", int(s))
 }
 
-func severityFromString(s string) (Severity, bool) {
-	switch s {
-	case "info":
-		return Info, true
-	case "warning":
-		return Warning, true
-	case "error":
-		return Error, true
-	}
-	return 0, false
-}
-
-// Message is one log line.
-type Message struct {
+// Line is one log line as text: what Message.Line renders and
+// ParseLine reads back.
+type Line struct {
 	Time     time.Time
 	Tag      string // dotted event tag, e.g. "scsi.cmd.noMorePaths"
 	Severity Severity
-	Device   string // "adapter.loop" address, e.g. "8.24"; empty for system-wide messages
-	Serial   string // disk serial number when the message names one
 	Text     string // free-form message body
 }
 
@@ -77,33 +68,13 @@ const (
 	TagRAIDDiskTimeout = "raid.disk.timeout"                   // performance failure
 )
 
-// RAIDTagFor returns the RAID-layer tag for a failure type.
-func RAIDTagFor(t failmodel.FailureType) string {
-	switch t {
-	case failmodel.DiskFailure:
-		return TagRAIDDiskFailed
-	case failmodel.PhysicalInterconnect:
-		return TagRAIDDiskMissing
-	case failmodel.Protocol:
-		return TagRAIDDiskOffline
-	case failmodel.Performance:
-		return TagRAIDDiskTimeout
-	default:
-		panic("eventlog: unknown failure type")
-	}
-}
-
-// FailureTypeForTag returns the failure type a RAID-layer tag encodes.
+// FailureTypeForTag returns the failure type whose chain ends in the
+// given RAID-layer tag.
 func FailureTypeForTag(tag string) (failmodel.FailureType, bool) {
-	switch tag {
-	case TagRAIDDiskFailed:
-		return failmodel.DiskFailure, true
-	case TagRAIDDiskMissing:
-		return failmodel.PhysicalInterconnect, true
-	case TagRAIDDiskOffline:
-		return failmodel.Protocol, true
-	case TagRAIDDiskTimeout:
-		return failmodel.Performance, true
+	for t, chain := range chains[:] {
+		if steps[chain[len(chain)-1]].tag == tag {
+			return failmodel.FailureType(t), true
+		}
 	}
 	return 0, false
 }
@@ -113,9 +84,13 @@ func FailureTypeForTag(tag string) (failmodel.FailureType, bool) {
 // archive to round-trip, so the rendered layout appends it.
 const timeLayout = "Mon Jan _2 15:04:05 MST 2006"
 
-// Render formats the message as one log line:
+// Render formats the line as text, its time in UTC:
 //
 //	Sun Jul 23 05:43:36 UTC 2006 [scsi.cmd.noMorePaths:error]: Device 8.24: No more paths to device.
-func (m Message) Render() string {
-	return fmt.Sprintf("%s [%s:%s]: %s", m.Time.Format(timeLayout), m.Tag, m.Severity, m.Text)
+//
+// Writing UTC keeps every rendering parseable to the same instant:
+// time.Parse reads the clock of a "GMT+3" stamp as UTC yet keeps the
+// +3 zone, so the line written back in that zone would move 3 hours.
+func (l Line) Render() string {
+	return fmt.Sprintf("%s [%s:%s]: %s", l.Time.UTC().Format(timeLayout), l.Tag, l.Severity, l.Text)
 }

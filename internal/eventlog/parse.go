@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,76 +17,42 @@ import (
 // ErrMalformedLine reports an unparseable log line.
 var ErrMalformedLine = errors.New("eventlog: malformed log line")
 
-// ParseLine parses one rendered log line back into a Message. Lines that
-// do not carry a device or serial reference leave those fields empty.
-func ParseLine(line string) (Message, error) {
-	var m Message
+// ParseLine parses one rendered log line back into a Line. A timestamp
+// finer than the layout's whole seconds is malformed: Render could not
+// write it back.
+func ParseLine(line string) (Line, error) {
+	var l Line
 	// Format: "<timestamp> [tag:severity]: text"
 	open := strings.Index(line, " [")
 	if open < 0 {
-		return m, fmt.Errorf("%w: no tag bracket: %q", ErrMalformedLine, line)
+		return l, fmt.Errorf("%w: no tag bracket: %q", ErrMalformedLine, line)
 	}
 	close := strings.Index(line[open:], "]: ")
 	if close < 0 {
-		return m, fmt.Errorf("%w: no tag close: %q", ErrMalformedLine, line)
+		return l, fmt.Errorf("%w: no tag close: %q", ErrMalformedLine, line)
 	}
 	close += open
 	ts, err := time.Parse(timeLayout, line[:open])
 	if err != nil {
-		return m, fmt.Errorf("%w: bad timestamp: %v", ErrMalformedLine, err)
+		return l, fmt.Errorf("%w: bad timestamp: %v", ErrMalformedLine, err)
+	}
+	if ts.Nanosecond() != 0 {
+		return l, fmt.Errorf("%w: sub-second timestamp %q", ErrMalformedLine, line[:open])
 	}
 	tagSev := line[open+2 : close]
 	colon := strings.LastIndex(tagSev, ":")
 	if colon < 0 {
-		return m, fmt.Errorf("%w: no severity: %q", ErrMalformedLine, line)
+		return l, fmt.Errorf("%w: no severity: %q", ErrMalformedLine, line)
 	}
-	sev, ok := severityFromString(tagSev[colon+1:])
-	if !ok {
-		return m, fmt.Errorf("%w: unknown severity %q", ErrMalformedLine, tagSev[colon+1:])
+	sev := slices.Index(severityNames[:], tagSev[colon+1:])
+	if sev < 0 {
+		return l, fmt.Errorf("%w: unknown severity %q", ErrMalformedLine, tagSev[colon+1:])
 	}
-	m.Time = ts
-	m.Tag = tagSev[:colon]
-	m.Severity = sev
-	m.Text = line[close+3:]
-	m.Device = extractDevice(m.Text)
-	m.Serial = extractSerial(m.Text)
-	return m, nil
-}
-
-// extractDevice finds an "adapter.loop" device address after a "Device "
-// or "Disk " marker, e.g. "Device 8.24:" -> "8.24".
-func extractDevice(text string) string {
-	for _, marker := range []string{"Device ", "Disk ", "device "} {
-		// A marker can appear several times ("a device timeout on
-		// device 8.24"); scan every occurrence.
-		for search := text; ; {
-			idx := strings.Index(search, marker)
-			if idx < 0 {
-				break
-			}
-			rest := search[idx+len(marker):]
-			end := 0
-			dots := 0
-			for end < len(rest) {
-				c := rest[end]
-				if c >= '0' && c <= '9' {
-					end++
-					continue
-				}
-				if c == '.' && end+1 < len(rest) && rest[end+1] >= '0' && rest[end+1] <= '9' {
-					dots++
-					end++
-					continue
-				}
-				break
-			}
-			if end > 0 && dots == 1 {
-				return rest[:end]
-			}
-			search = rest
-		}
-	}
-	return ""
+	l.Time = ts
+	l.Tag = tagSev[:colon]
+	l.Severity = Severity(sev)
+	l.Text = line[close+3:]
+	return l, nil
 }
 
 // extractSerial finds a serial number in an "S/N [XXXX]" clause.
@@ -103,9 +70,9 @@ func extractSerial(text string) string {
 }
 
 // ParseLog parses a full log stream, skipping blank lines. It returns
-// the parsed messages and the number of malformed lines skipped.
-func ParseLog(r io.Reader) ([]Message, int, error) {
-	var msgs []Message
+// the parsed lines and the number of malformed lines skipped.
+func ParseLog(r io.Reader) ([]Line, int, error) {
+	var msgs []Line
 	malformed := 0
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -132,62 +99,75 @@ func ParseLog(r io.Reader) ([]Message, int, error) {
 type ParsedFailure struct {
 	Detected time.Time
 	Type     failmodel.FailureType
-	Device   string
 	Serial   string
 }
 
-// Classify scans parsed messages for RAID-layer failure signatures — the
+// Classify scans parsed lines for RAID-layer failure signatures — the
 // paper's methodology of tagging storage subsystem failures by the
-// events the RAID layer generates. Lower-layer messages (fci.*, scsi.*)
-// and multipath failover notices are deliberately not failures.
-func Classify(msgs []Message) []ParsedFailure {
+// events the RAID layer generates — and takes each one's disk serial
+// from its text. Lower-layer messages (fci.*, scsi.*) and multipath
+// failover notices are deliberately not failures.
+func Classify(lines []Line) []ParsedFailure {
 	var out []ParsedFailure
-	for _, m := range msgs {
-		t, ok := FailureTypeForTag(m.Tag)
+	for _, l := range lines {
+		t, ok := FailureTypeForTag(l.Tag)
 		if !ok {
 			continue
 		}
 		out = append(out, ParsedFailure{
-			Detected: m.Time,
+			Detected: l.Time,
 			Type:     t,
-			Device:   m.Device,
-			Serial:   m.Serial,
+			Serial:   extractSerial(l.Text),
 		})
 	}
 	return out
 }
 
-// Resolver maps parsed failures back to fleet identities via disk serial
-// numbers, reconstructing analyzable events.
+// Resolver maps failures back to fleet identities, reconstructing
+// analyzable events: a failure mined from text by its disk serial, one
+// mined in process by its disk ID.
 type Resolver struct {
 	fleet *fleet.Fleet
 	disks int // len(fleet.Disks) when the resolver was made
 }
 
-// NewResolver returns a resolver over the disks the fleet holds now: a
-// serial resolves when it is exactly fleet.Serial of one of them. A
-// serial encodes its disk ID, so no index is built.
+// NewResolver returns a resolver over the disks the fleet holds now: an
+// ID resolves when it is one of theirs, and a serial when it is exactly
+// fleet.Serial of one of them. A serial encodes its disk ID, so no
+// index is built.
 func NewResolver(f *fleet.Fleet) *Resolver {
 	return &Resolver{fleet: f, disks: len(f.Disks)}
 }
 
 // Resolve converts a parsed failure into a failure event bound to fleet
-// topology. The occurrence time of a mined event is unknown — the logs
-// record detection — so Time is set equal to Detected, which is also
-// what the paper's analyses consume. It reports false if the serial is
+// topology, through ResolveDisk. It reports false if the serial is
 // unknown.
 func (rv *Resolver) Resolve(p ParsedFailure) (failmodel.Event, bool) {
 	id, ok := fleet.ParseSerial(p.Serial, rv.disks)
 	if !ok {
 		return failmodel.Event{}, false
 	}
+	return rv.ResolveDisk(id, p.Type, simtime.FromWall(p.Detected))
+}
+
+// ResolveDisk converts a failure of type t detected at det on the disk
+// with the given ID into a failure event bound to fleet topology. The
+// occurrence time of a mined event is unknown — the logs record
+// detection — so Time is set equal to Detected, which is also what the
+// paper's analyses consume. It reports false if the ID is not one of
+// the resolver's disks.
+//
+//detlint:hotpath
+func (rv *Resolver) ResolveDisk(id int, t failmodel.FailureType, det simtime.Seconds) (failmodel.Event, bool) {
+	if id < 0 || id >= rv.disks {
+		return failmodel.Event{}, false
+	}
 	d := &rv.fleet.Disks[id]
-	det := simtime.FromWall(p.Detected)
 	return failmodel.Event{
 		Time:     det,
 		Detected: det,
-		Type:     p.Type,
-		Cause:    defaultCauseFor(p.Type),
+		Type:     t,
+		Cause:    defaultCauseFor(t),
 		Disk:     id,
 		Shelf:    int(d.Shelf),
 		System:   int(rv.fleet.Shelves[d.Shelf].System),

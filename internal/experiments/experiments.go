@@ -25,8 +25,10 @@ type Config struct {
 	// Seed determines the fleet and failure history.
 	Seed int64
 	// Mine recovers events by mining the collected AutoSupport log
-	// messages (classified by tag, disk serials resolved; no text is
-	// rendered or parsed) instead of taking them from the simulator.
+	// messages (classified by tag, disks resolved by ID; no text is
+	// rendered or parsed, while the text round trip of cmd/fleetgen and
+	// cmd/analyze joins by serial) instead of taking them from the
+	// simulator.
 	// Costs extra time and memory at large scales.
 	Mine bool
 	// Params overrides the default generative calibration (nil = default).

@@ -84,9 +84,10 @@ type Scenario struct {
 	// (0 = profile default; 1 = the Finding 9 single-shelf ablation).
 	SpanShelves int `json:"spanShelves,omitempty"`
 	// Mine takes events from the AutoSupport mining pipeline (log
-	// messages classified by tag, disk serials resolved; no text is
-	// rendered or parsed) instead of the simulator (slower; adds the
-	// mined_dropped metric).
+	// messages classified by tag, disks resolved by ID; no text is
+	// rendered or parsed, while the text round trip of cmd/fleetgen and
+	// cmd/analyze joins by serial) instead of the simulator (slower;
+	// adds the mined_dropped metric).
 	Mine bool `json:"mine,omitempty"`
 	// DiskAFRMult multiplies every disk model's AFR (0 = unchanged).
 	DiskAFRMult float64 `json:"diskAFRMult,omitempty"`

@@ -621,6 +621,70 @@ func TestRestoredStatusOutlivesItsCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRestoreReadsTheCheckpointOnce: a restored job resumes from the
+// checkpoint restore recovered, not from a second read when it starts.
+// Two jobs are drained mid-run; after a restart the first holds the
+// one runner while the second's checkpoint files are deleted, and the
+// second still resumes at its watermark (13 of 16 trial attempts, not
+// 16) and converges to the uninterrupted bytes.
+func TestRestoreReadsTheCheckpointOnce(t *testing.T) {
+	dir := t.TempDir()
+	const second = "job-000002"
+	reachedA, reachedB, gate := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	ts := startServer(t, dir, func(c *Config) {
+		c.Pool, c.JobWorkers = 2, 1
+		c.JobHooks = func(id string) *sweep.Hooks {
+			if id == second {
+				return parkAt(3, reachedB, gate)(id)
+			}
+			return parkAt(1, reachedA, gate)(id)
+		}
+	})
+	releaseOnCleanup(t, gate)
+	ts.submit(t, []byte(recoverySpec))
+	if id := ts.submit(t, []byte(recoverySpec)).ID; id != second {
+		t.Fatalf("second submission got ID %s, want %s", id, second)
+	}
+	<-reachedA
+	<-reachedB
+	drained := make(chan struct{})
+	go func() { ts.Drain(); close(drained) }()
+	for !ts.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-drained
+	ts.http.Close()
+
+	reached2, gate2 := make(chan struct{}), make(chan struct{})
+	var attempts atomic.Int32
+	ts2 := startServer(t, dir, func(c *Config) {
+		c.Pool, c.JobWorkers = 1, 1
+		c.JobHooks = func(id string) *sweep.Hooks {
+			if id == second {
+				return &sweep.Hooks{BeforeTrialAttempt: func(string, int, int) { attempts.Add(1) }}
+			}
+			return parkAt(1, reached2, gate2)(id)
+		}
+	})
+	releaseOnCleanup(t, gate2)
+	<-reached2
+	ckpt := filepath.Join(dir, second, checkpointFile)
+	for _, f := range []string{ckpt, ckpt + ".prev"} {
+		if err := os.Remove(f); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+	}
+	close(gate2)
+	ts2.waitState(t, second, StateDone)
+	if got := attempts.Load(); got != recoveryTotal-3 {
+		t.Fatalf("restored job made %d trial attempts, want %d (resumed at watermark 3)", got, recoveryTotal-3)
+	}
+	if got, want := ts2.resultOf(t, second), directRun(t, []byte(recoverySpec), tinyBase(), 2); !bytes.Equal(got, want) {
+		t.Fatal("resumed job's bytes differ from an uninterrupted sweep")
+	}
+}
+
 // writeJobDir writes a job directory by hand, as a crash or an older
 // server may have left it; a nil meta leaves job.json out.
 func writeJobDir(t testing.TB, dir, id string, meta, spec []byte) {

@@ -25,7 +25,9 @@ package sweepd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -102,6 +104,12 @@ type Job struct {
 	// once on restore from result.json or the recovered checkpoint.
 	// The status endpoints copy it.
 	progress progress
+	// resume is the checkpoint a restored queued job resumes from, read
+	// once by restore and dropped when the job starts (runJob) or is
+	// cancelled while queued. A job runs at most once per process, and
+	// one submitted in this process has a fresh directory, so restore's
+	// read is the only one needed.
+	resume *sweep.CheckpointState
 }
 
 // jobMeta is the serialized form of a Job's durable metadata.
@@ -229,8 +237,8 @@ func (s *Server) restoreJob(id string, seq int) *Job {
 	}
 	j.spec, j.digest = spec, spec.Digest()
 	if !j.state.terminal() {
-		// queued, running, or partial: back in the queue. The runner
-		// recovers the checkpoint (if any) and resumes.
+		// queued, running, or partial: back in the queue, to resume
+		// from the checkpoint restoreProgress recovers (if any).
 		j.state = StateQueued
 	}
 	if j.state != meta.State || j.errMsg != meta.Error {
@@ -242,12 +250,12 @@ func (s *Server) restoreJob(id string, seq int) *Job {
 
 // restoreProgress derives a restored job's progress once: a done job's
 // from result.json, the way a completing job derives it from its
-// result, and any other job's from its recovered checkpoint. A result
-// that cannot be read, or a checkpoint that does not recover or
-// derive, leaves the progress without per-scenario results; /result
-// and /report then report the read error. A job without a resolved
-// config (its spec no longer parses) takes the run parameters its
-// result records.
+// result, and any other job's from its recovered checkpoint, which a
+// queued job keeps to resume from. A result that cannot be read, or a
+// checkpoint that does not recover or derive, leaves the progress
+// without per-scenario results; /result and /report then report the
+// read error. A job without a resolved config (its spec no longer
+// parses) takes the run parameters its result records.
 func (s *Server) restoreProgress(j *Job) {
 	var res *sweep.Result
 	if j.state == StateDone {
@@ -255,8 +263,19 @@ func (s *Server) restoreProgress(j *Job) {
 		if res, err = s.readResult(j); err != nil {
 			s.logf("sweepd: restoring %s: %v", j.ID, err)
 		}
-	} else if st, _, err := sweep.RecoverCheckpoint(filepath.Join(j.dir(s.cfg.Dir), checkpointFile)); err == nil {
+	} else if st, src, err := sweep.RecoverCheckpoint(filepath.Join(j.dir(s.cfg.Dir), checkpointFile)); err == nil {
 		res, _ = st.PartialResult() // nil on error: served like no checkpoint
+		if j.state == StateQueued {
+			// The engine verifies checkpoint identity against the job's
+			// config, so a stale or foreign checkpoint fails the job
+			// rather than corrupting it.
+			j.resume = st
+			s.logf("sweepd: %s resuming from %s at trial %d", j.ID, src, st.NextJob)
+		}
+	} else if j.state == StateQueued && !errors.Is(err, fs.ErrNotExist) {
+		// Both checkpoint generations unreadable: start the sweep over.
+		// Determinism makes the restart invisible in the result bytes.
+		s.logf("sweepd: %s checkpoint unrecoverable (%v); restarting sweep", j.ID, err)
 	}
 	if res != nil && j.cfg.Trials*len(j.cfg.Scenarios) == 0 {
 		j.cfg.Trials, j.cfg.Seed, j.cfg.Scale = res.Trials, res.Seed, res.Scale

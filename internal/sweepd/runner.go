@@ -21,7 +21,6 @@ package sweepd
 import (
 	"bytes"
 	"errors"
-	"io/fs"
 	"path/filepath"
 
 	"storagesubsys/internal/sweep"
@@ -68,20 +67,10 @@ func (s *Server) runJob(j *Job) {
 		cfg.Hooks = s.cfg.JobHooks(j.ID)
 	}
 
-	// A checkpoint on disk means this job already ran (before a restart
-	// or a crash): resume its prefix instead of recomputing it. The
-	// engine verifies checkpoint identity against cfg, so a stale or
-	// foreign checkpoint fails the job rather than corrupting it.
-	var resume *sweep.CheckpointState
-	if st, src, err := sweep.RecoverCheckpoint(cfg.CheckpointPath); err == nil {
-		resume = st
-		s.logf("sweepd: %s resuming from %s at trial %d", j.ID, src, st.NextJob)
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		// Both checkpoint generations unreadable: start the sweep over.
-		// Determinism makes the restart invisible in the result bytes.
-		s.logf("sweepd: %s checkpoint unrecoverable (%v); restarting sweep", j.ID, err)
-	}
-
+	// A job restored with a checkpoint already ran (before a restart or
+	// a crash): resume its prefix instead of recomputing it.
+	resume := j.resume
+	j.resume = nil
 	res, err := sweep.Execute(cfg, resume, nil)
 
 	s.mu.Lock()

@@ -468,7 +468,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		j.state = StateCancelled
+		j.state, j.resume = StateCancelled, nil
 		j.cancel.Store(true)
 		s.saveLocked(j)
 		s.mu.Unlock()
