@@ -38,21 +38,21 @@ const (
 // exactly, and bounds its RAID groups by each system's
 // disks/RAIDGroupSize. The fill splits the same streams again — Split
 // is a pure function of the parent key and stream, so it replays the
-// same draws — and writes every component at its index of slabs
-// allocated once at those sizes.
+// same draws — and writes every system, shelf and RAID group at its
+// index of slabs allocated once at those sizes. The disk slab is
+// derived from that topology last, by the same asBuiltDisks every
+// Clone calls.
 func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 	if scale <= 0 {
 		panic("fleet: scale must be positive")
 	}
 	var b builder
 	var systems, shelves, disks, groups, members int
-	churn := 0.0
 	forEachSystem(profiles, scale, seed, func(p *ClassProfile, weights []float64, r *stats.RNG) {
-		sys, n := b.drawShape(p, weights, r)
+		_, n := b.drawShape(p, weights, r)
 		systems++
 		shelves += len(b.shelfDisks)
 		disks += n
-		churn += sys.expectedChurn(n)
 		if p.RAIDGroupSize > 0 {
 			g := n / p.RAIDGroupSize // every group takes RAIDGroupSize unassigned disks
 			groups += g
@@ -66,12 +66,12 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 	b.f = &Fleet{
 		Systems: make([]System, systems),
 		Shelves: make([]Shelf, shelves),
-		Disks:   diskSlab(disks, churn),
 		Groups:  make([]RAIDGroup, 0, groups),
 		Members: make([]int32, 0, members),
 		Seed:    seed,
 	}
 	forEachSystem(profiles, scale, seed, b.buildSystem)
+	b.f.Disks = b.f.asBuiltDisks()
 	return b.f
 }
 
@@ -160,10 +160,10 @@ func (b *builder) drawShape(p *ClassProfile, weights []float64, r *stats.RNG) (S
 	}, total
 }
 
-// buildSystem draws one system's shape and writes the system, its
-// shelves and disks at their indexes of the fleet's slabs, then lays
-// out its RAID groups. Components are numbered in write order, so each
-// of the system's lists is a span.
+// buildSystem draws one system's shape and writes the system and its
+// shelves at their indexes of the fleet's slabs, numbering the
+// shelves' disks, then lays out its RAID groups. Components are
+// numbered in write order, so each of the system's lists is a span.
 //
 //detlint:hotpath
 func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) {
@@ -178,16 +178,7 @@ func (b *builder) buildSystem(p *ClassProfile, weights []float64, r *stats.RNG) 
 		shelfID := b.shelves
 		b.shelves++
 		lo := b.disks
-		for slot := 0; slot < n; slot++ {
-			f.Disks[b.disks] = Disk{
-				Shelf:   int32(shelfID),
-				Slot:    uint8(slot),
-				RAIDGrp: -1,
-				Install: int32(sys.Install),
-				Remove:  int32(simtime.StudyDuration),
-			}
-			b.disks++
-		}
+		b.disks += n
 		f.Shelves[shelfID] = Shelf{
 			ID: int32(shelfID), System: int32(sysID), Index: int32(si),
 			Disks: Span{int32(lo), int32(b.disks)},

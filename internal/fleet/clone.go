@@ -1,41 +1,82 @@
 package fleet
 
-// Fleet cloning: the substrate behind the sweepd control plane's
-// cross-job fleet cache. Building a population is generative work
-// (profile resolution, per-system RNG draws, RAID layout); copying one
-// is a handful of slab memcpys. The cache therefore builds each
-// topology once, keeps the pristine as-built fleet, and hands every
-// requester an exclusively-owned Clone — concurrent sweeps over the
-// same topology share the build cost without sharing mutable state.
+// Fleet sharing: the substrate behind the sweep engine's per-key
+// topology share and the sweepd control plane's cross-job fleet cache.
+// A fleet's topology — its systems, shelves, RAID groups and member
+// lists — is written by Build and never after: simulation, Replace and
+// Reset write only the disk slab. So every fleet cut from one build
+// shares the build's four topology slabs, and only a disk slab belongs
+// to one owner. Building a population is generative work (profile
+// resolution, per-system RNG draws, RAID layout); cutting another fleet
+// from it is one pass over its shelves and groups writing a fresh
+// as-built disk slab.
 
 import (
-	"slices"
 	"unsafe"
+
+	"storagesubsys/internal/simtime"
 )
 
-// Clone returns a deep copy of the fleet that shares no mutable state
-// with the original: the five slabs are copied, the disk slab with a
-// build's replacement room. Topology is addressed by spans and indexes,
-// which stay valid in the copies, so simulating against the clone —
-// failing disks, appending replacements, Reset — never touches the
-// original.
+// Clone returns a fleet that shares f's topology slabs and owns a
+// fresh as-built disk slab, with a build's replacement room. The disk
+// slab is derived from the topology alone (asBuiltDisks); Clone never
+// reads f.Disks, so it may run while another goroutine simulates on f,
+// and f may be a Topology.
 //
-// Cloning a pristine as-built fleet yields a fleet indistinguishable
-// from one freshly built with the same profiles, scale, and seed:
-// every ID and install time is equal, so a trial run on a clone
-// produces bit-identical output to one run on the original
+// The topology is read-only in every fleet that shares it. A clone's
+// disks are its own: failing them, appending replacements and Reset
+// never touch another fleet. A clone is indistinguishable from a fleet
+// freshly built with the same profiles, scale, and seed, so a trial run
+// on a clone produces bit-identical output to one run on a fresh build
 // (TestCloneTrialEquivalence pins this).
 func (f *Fleet) Clone() *Fleet {
-	nf := &Fleet{
-		Systems: slices.Clone(f.Systems),
-		Shelves: slices.Clone(f.Shelves),
-		Disks:   diskSlab(len(f.Disks), f.expectedChurn()),
-		Groups:  slices.Clone(f.Groups),
-		Members: slices.Clone(f.Members),
+	nf := f.Topology()
+	nf.Disks = f.asBuiltDisks()
+	return nf
+}
+
+// Topology returns a fleet that shares f's topology slabs and has no
+// disk slab: what a holder of one key's population keeps to cut clones
+// from without pinning any owner's disks. It serves Clone and
+// ApproxBytes (which then counts the topology alone); anything that
+// reads disks needs a Clone.
+func (f *Fleet) Topology() *Fleet {
+	return &Fleet{
+		Systems: f.Systems,
+		Shelves: f.Shelves,
+		Groups:  f.Groups,
+		Members: f.Members,
 		Seed:    f.Seed,
 	}
-	copy(nf.Disks, f.Disks)
-	return nf
+}
+
+// asBuiltDisks derives the as-built disk slab from the topology: a
+// disk's shelf and slot from the shelf spans, its install time from
+// its system, its RAID group from the groups' member windows, and its
+// removal at the study's end. It is the one source of as-built disk
+// values: Build ends with it and Clone calls it.
+func (f *Fleet) asBuiltDisks() []Disk {
+	disks := diskSlab(f.asBuilt(), f.expectedChurn())
+	for i := range f.Shelves {
+		sh := &f.Shelves[i]
+		install := int32(f.Systems[sh.System].Install)
+		for id := sh.Disks.Lo; id < sh.Disks.Hi; id++ {
+			disks[id] = Disk{
+				Install: install,
+				Remove:  int32(simtime.StudyDuration),
+				Shelf:   sh.ID,
+				RAIDGrp: -1,
+				Slot:    uint8(id - sh.Disks.Lo),
+			}
+		}
+	}
+	for i := range f.Groups {
+		g := &f.Groups[i]
+		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
+			disks[id].RAIDGrp = g.ID
+		}
+	}
+	return disks
 }
 
 // ApproxBytes estimates the fleet's resident memory: the capacities of
@@ -43,10 +84,12 @@ func (f *Fleet) Clone() *Fleet {
 // everything the fleet stores, since disk IDs, serials, models and
 // topology lists are derived rather than held. A build sizes the group
 // and member slabs by an upper bound on the group count, so charging
-// capacities covers the bound's slack. A byte-budgeted fleet cache
-// charging one ApproxBytes per cached fleet thus tracks its real cost
-// (TestApproxBytesMatchesHeap pins a build and a clone within 10% of
-// their measured heap growth).
+// capacities covers the bound's slack. Clones share their topology, so
+// a Topology's ApproxBytes is what one key costs whatever number of
+// fleets are cut from it, and each fleet adds its disk slab; a
+// byte-budgeted cache charging a Topology's ApproxBytes thus tracks its
+// real cost (TestApproxBytesMatchesHeap pins a build within 10% of its
+// measured heap growth, and a clone's disk slab within 10% of its own).
 func (f *Fleet) ApproxBytes() int {
 	return cap(f.Systems)*int(unsafe.Sizeof(System{})) +
 		cap(f.Shelves)*int(unsafe.Sizeof(Shelf{})) +

@@ -1,7 +1,8 @@
-// Clone deep-copy tests: equality with the original, mutation
-// isolation in both directions, and trial equivalence — a simulation
-// run against a clone must be bit-identical to one against a freshly
-// built fleet. External test package so it can drive internal/sim.
+// Clone tests: equality with the original, a shared read-only
+// topology, disk-slab isolation in both directions, cloning while the
+// source is simulated on, and trial equivalence — a simulation run
+// against a clone must be bit-identical to one against a freshly built
+// fleet. External test package so it can drive internal/sim.
 package fleet_test
 
 import (
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
@@ -24,33 +26,83 @@ func TestCloneEqualsOriginal(t *testing.T) {
 	}
 }
 
+// TestCloneSharesTopology holds Clone to the sharing contract: the
+// clone's four topology slabs are the source's backing arrays, not
+// copies, and only its disk slab is its own.
+func TestCloneSharesTopology(t *testing.T) {
+	f := fleet.BuildDefault(0.002, 11)
+	c := f.Clone()
+	for _, s := range []struct {
+		name     string
+		src, cln unsafe.Pointer
+	}{
+		{"Systems", unsafe.Pointer(unsafe.SliceData(f.Systems)), unsafe.Pointer(unsafe.SliceData(c.Systems))},
+		{"Shelves", unsafe.Pointer(unsafe.SliceData(f.Shelves)), unsafe.Pointer(unsafe.SliceData(c.Shelves))},
+		{"Groups", unsafe.Pointer(unsafe.SliceData(f.Groups)), unsafe.Pointer(unsafe.SliceData(c.Groups))},
+		{"Members", unsafe.Pointer(unsafe.SliceData(f.Members)), unsafe.Pointer(unsafe.SliceData(c.Members))},
+	} {
+		if s.src != s.cln {
+			t.Errorf("clone's %s slab is a copy, want the source's backing array", s.name)
+		}
+	}
+	if unsafe.SliceData(f.Disks) == unsafe.SliceData(c.Disks) {
+		t.Error("clone shares the source's disk slab")
+	}
+	if topo := f.Topology(); topo.Disks != nil || !reflect.DeepEqual(topo.Clone(), c) {
+		t.Error("a Topology holds disks or cuts a clone unlike the fleet's own")
+	}
+}
+
+// TestCloneMutationIsolation: a clone's disk slab is its own. Failing a
+// clone's disk and installing a replacement leaves the source as
+// built, and the source's disk writes never reach a clone.
 func TestCloneMutationIsolation(t *testing.T) {
 	f := fleet.BuildDefault(0.002, 11)
 	ref := fleet.BuildDefault(0.002, 11)
 	c := f.Clone()
 
-	// Mutate the clone the way a trial does — end a residency, install a
-	// replacement — and touch every span and the member slab.
+	// Mutate the clone the way a trial does: end a residency, install a
+	// replacement.
 	d := &c.Disks[0]
 	d.Remove = int32(simtime.SecondsPerYear)
 	d.Replaced = true
 	c.Replace(0, simtime.SecondsPerYear+500)
-	c.Shelves[0].Disks.Hi++
-	c.Systems[0].Shelves.Hi++
-	c.Groups[0].Members.Hi++
-	c.Members[0] = -999
 
 	if !reflect.DeepEqual(f, ref) {
 		t.Fatal("mutating the clone changed the original fleet")
 	}
 
-	// And the other direction: mutating the original leaves the clone's
-	// pristine twin untouched.
+	// And the other direction: mutating the original's disks leaves the
+	// clone's pristine twin untouched.
 	c2 := f.Clone()
 	f.Disks[1].Replaced = true
-	f.Members[1] = -1
-	if c2.Disks[1].Replaced || c2.Members[1] == -1 {
+	f.Replace(1, simtime.SecondsPerYear)
+	if c2.Disks[1].Replaced || len(c2.Disks) != len(ref.Disks) {
 		t.Fatal("mutating the original changed the clone")
+	}
+}
+
+// TestCloneWhileSimulating clones a fleet over and over while another
+// goroutine simulates on it. Clone reads only the topology, which
+// simulation never writes, so every clone equals a clone of a pristine
+// build, and the race detector finds no conflicting access.
+func TestCloneWhileSimulating(t *testing.T) {
+	f := fleet.BuildDefault(0.01, 11)
+	want := fleet.BuildDefault(0.01, 11).Clone()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sim.RunOpts(f, failmodel.DefaultParams(), 99, nil)
+	}()
+	for clones := 0; ; clones++ {
+		if c := f.Clone(); !reflect.DeepEqual(c, want) {
+			t.Fatalf("clone %d taken during a simulation differs from a pristine clone", clones)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }
 
@@ -91,9 +143,9 @@ func TestApproxBytesGrowsWithScale(t *testing.T) {
 
 // TestApproxBytesMatchesHeap keeps the fleet cache's byte budget honest:
 // ApproxBytes of a freshly built fleet must be within 10% of the heap
-// the build actually leaves live, and so must ApproxBytes of a Clone of
-// it — the cache charges the pristine fleet's ApproxBytes but hands out
-// clones.
+// the build actually leaves live. A Clone shares the topology, so the
+// heap it adds must be within 10% of its disk slab's bytes: the
+// clone's ApproxBytes less its Topology's.
 func TestApproxBytesMatchesHeap(t *testing.T) {
 	live := func() uint64 {
 		runtime.GC()
@@ -102,9 +154,8 @@ func TestApproxBytesMatchesHeap(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	check := func(label string, grown float64, f *fleet.Fleet) {
+	check := func(label string, grown, approx float64) {
 		t.Helper()
-		approx := float64(f.ApproxBytes())
 		if rel := math.Abs(approx-grown) / grown; rel > 0.10 {
 			t.Errorf("%s: ApproxBytes %.0f vs measured heap growth %.0f: off by %.1f%%, budget 10%%",
 				label, approx, grown, 100*rel)
@@ -113,9 +164,9 @@ func TestApproxBytesMatchesHeap(t *testing.T) {
 	before := live()
 	f := fleet.BuildDefault(0.05, 53)
 	built := live()
-	check("build", float64(built)-float64(before), f)
+	check("build", float64(built)-float64(before), float64(f.ApproxBytes()))
 	c := f.Clone()
-	check("clone", float64(live())-float64(built), c)
+	check("clone", float64(live())-float64(built), float64(c.ApproxBytes()-c.Topology().ApproxBytes()))
 	runtime.KeepAlive(f)
 	runtime.KeepAlive(c)
 }

@@ -76,7 +76,6 @@ func (b *builder) layoutRAIDGroups(sysID int, shelves Span, p *ClassProfile, r *
 				if s.Lo == s.Hi {
 					continue
 				}
-				f.Disks[s.Lo].RAIDGrp = groupID
 				f.Members = append(f.Members, s.Lo)
 				s.Lo++
 				if round == 0 {

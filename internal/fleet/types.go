@@ -13,6 +13,12 @@
 // groups, a shelf's as-built disks and a group's window of the member
 // slab, so no component holds an ID list of its own.
 //
+// The four topology slabs (systems, shelves, groups, members) are
+// written by Build and never after; simulation writes only the disk
+// slab. Every fleet cut from one build (Clone) shares its topology
+// read-only and owns a disk slab of its own, so one population costs
+// one topology however many trials run on it at once.
+//
 // Construction is serial and allocation-lean. Every (class, system)
 // pair draws from an RNG stream split off the seed by (class, system
 // ordinal). Build replays those streams twice: a census sizes every
@@ -249,11 +255,13 @@ func (s *System) ObservedYears() float64 {
 
 // Fleet is the full studied population: five value slabs, each indexed
 // by its components' fleet-unique IDs, so lookups are O(1) slice
-// indexing with no pointer index in between. A loop that mutates a
-// component must index the slab (sh := &f.Shelves[i]): a range value is
-// a copy, and a write to it is silently lost. Only Systems holds
-// pointers (its model strings), so the garbage collector scans no
-// other slab.
+// indexing with no pointer index in between. Systems, Shelves, Groups
+// and Members are the topology: read-only after Build and shared by
+// every Clone of the build, so no fleet may write them. Disks belongs
+// to this fleet alone. A loop that mutates a disk must index the slab
+// (d := &f.Disks[i]): a range value is a copy, and a write to it is
+// silently lost. Only Systems holds pointers (its model strings), so
+// the garbage collector scans no other slab.
 type Fleet struct {
 	Systems []System
 	Shelves []Shelf
@@ -371,8 +379,8 @@ func (s *System) expectedChurn(disks int) float64 {
 }
 
 // expectedChurn sums the systems' expectedChurn in ID order, counting
-// each system's as-built disks through its shelves' spans — the same
-// sum, bit for bit, that Build forms over its census.
+// each system's as-built disks through its shelves' spans. It sizes
+// the replacement room of every as-built disk slab (asBuiltDisks).
 func (f *Fleet) expectedChurn() float64 {
 	churn := 0.0
 	for i := range f.Systems {

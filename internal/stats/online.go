@@ -86,19 +86,45 @@ func (o *Online) Max() float64 {
 }
 
 // MeanCI returns the two-sided Student-t confidence interval for the
-// mean at the given level (e.g. 0.95) — the "95% CI" the sweep quotes
-// per finding. The bounds are NaN when fewer than two observations
-// have been pushed.
-func (o *Online) MeanCI(level float64) Interval {
-	iv := Interval{Level: level, Center: o.Mean()}
+// mean at q's level (e.g. 0.95) — the "95% CI" the sweep quotes per
+// finding. The bounds are NaN when fewer than two observations have
+// been pushed.
+func (o *Online) MeanCI(q *TQuantiles) Interval {
+	iv := Interval{Level: q.level, Center: o.Mean()}
 	if o.n < 2 {
 		iv.Lower, iv.Upper = math.NaN(), math.NaN()
 		return iv
 	}
-	t := StudentTQuantile(0.5+level/2, float64(o.n-1))
+	t := q.critical(o.n - 1)
 	hw := t * math.Sqrt(o.Variance()/float64(o.n))
 	iv.Lower, iv.Upper = iv.Center-hw, iv.Center+hw
 	return iv
+}
+
+// TQuantiles memoises the two-sided Student-t critical values of one
+// confidence level by degrees of freedom. StudentTQuantile bisects over
+// BetaInc, and a summary asks it for the same degrees of freedom once
+// per metric; one memo per summary makes that once per distinct df.
+// The values are StudentTQuantile's, bit for bit.
+type TQuantiles struct {
+	level float64
+	byDF  map[int]float64
+}
+
+// NewTQuantiles returns an empty memo for the given two-sided level.
+func NewTQuantiles(level float64) *TQuantiles {
+	return &TQuantiles{level: level, byDF: map[int]float64{}}
+}
+
+// critical returns StudentTQuantile(0.5+level/2, df), computing it at
+// most once per df.
+func (q *TQuantiles) critical(df int) float64 {
+	t, ok := q.byDF[df]
+	if !ok {
+		t = StudentTQuantile(0.5+q.level/2, float64(df))
+		q.byDF[df] = t
+	}
+	return t
 }
 
 // Reservoir keeps a fixed-capacity uniform random sample of a stream

@@ -48,9 +48,26 @@ func TestOnlineEmptyAndSingle(t *testing.T) {
 	if !math.IsNaN(o.Variance()) {
 		t.Error("variance of one observation must be NaN")
 	}
-	iv := o.MeanCI(0.95)
+	iv := o.MeanCI(NewTQuantiles(0.95))
 	if !math.IsNaN(iv.Lower) || !math.IsNaN(iv.Upper) {
 		t.Error("CI of one observation must have NaN bounds")
+	}
+}
+
+// TestTQuantilesMatchStudentT: the memo returns StudentTQuantile's
+// bits for every df, whether computed or remembered, and computes each
+// df once.
+func TestTQuantilesMatchStudentT(t *testing.T) {
+	q := NewTQuantiles(0.95)
+	for pass := 0; pass < 2; pass++ {
+		for df := 1; df <= 60; df++ {
+			if got, want := q.critical(df), StudentTQuantile(0.975, float64(df)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pass %d df %d: memo %v, StudentTQuantile %v", pass, df, got, want)
+			}
+		}
+	}
+	if len(q.byDF) != 60 {
+		t.Fatalf("memo holds %d entries for 60 degrees of freedom", len(q.byDF))
 	}
 }
 
@@ -61,7 +78,7 @@ func TestOnlineMeanCI(t *testing.T) {
 	for _, x := range []float64{1, 2, 3, 4, 5, 6, 7, 8} {
 		o.Push(x)
 	}
-	iv := o.MeanCI(0.95)
+	iv := o.MeanCI(NewTQuantiles(0.95))
 	sd := o.StdDev()
 	wantHW := 2.3646 * sd / math.Sqrt(8)
 	if math.Abs(iv.Center-4.5) > 1e-12 {

@@ -50,9 +50,9 @@ func (p *PairedOnline) Mean() float64 { return p.delta.Mean() }
 func (p *PairedOnline) StdDev() float64 { return p.delta.StdDev() }
 
 // MeanCI returns the Student-t confidence interval for the mean
-// difference at the given level — the paired-delta CI the sweep
-// reports per contrast.
-func (p *PairedOnline) MeanCI(level float64) Interval { return p.delta.MeanCI(level) }
+// difference at q's level — the paired-delta CI the sweep reports per
+// contrast.
+func (p *PairedOnline) MeanCI(q *TQuantiles) Interval { return p.delta.MeanCI(q) }
 
 // Corr returns the sample Pearson correlation between the two legs —
 // near +1 when common random numbers couple the scenarios tightly

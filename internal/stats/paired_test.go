@@ -32,7 +32,7 @@ func TestPairedOnlineMatchesDirectDeltas(t *testing.T) {
 	sameBits("Mean", p.Mean(), o.Mean())
 	sameBits("Variance", p.delta.Variance(), o.Variance())
 	sameBits("StdDev", p.StdDev(), o.StdDev())
-	pci, oci := p.MeanCI(0.95), o.MeanCI(0.95)
+	pci, oci := p.MeanCI(NewTQuantiles(0.95)), o.MeanCI(NewTQuantiles(0.95))
 	sameBits("CI.Lower", pci.Lower, oci.Lower)
 	sameBits("CI.Upper", pci.Upper, oci.Upper)
 }

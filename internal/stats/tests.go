@@ -80,7 +80,8 @@ func studentTSF(t, df float64) float64 {
 // StudentTQuantile returns the p-th quantile (0 < p < 1) of Student's
 // t distribution with df degrees of freedom, by bisection on the
 // survival function. Infinite (or huge) df degrades to the normal
-// quantile; it backs the small-sample mean intervals of Online.MeanCI.
+// quantile; it backs the small-sample mean intervals of Online.MeanCI,
+// through a TQuantiles memo.
 func StudentTQuantile(p, df float64) float64 {
 	if math.IsNaN(p) || p <= 0 || p >= 1 {
 		return math.NaN()

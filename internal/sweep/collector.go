@@ -130,9 +130,11 @@ func (c *collector) restore(st *CheckpointState) error {
 }
 
 // result summarizes the aggregates into the Result of the prefix up to
-// the watermark.
+// the watermark. Every metric's interval asks for the same few
+// Student-t quantiles, so one memo serves the whole summary.
 func (c *collector) result() *Result {
 	trials, scens := c.ident.Trials, c.ident.Scenarios
+	tq := stats.NewTQuantiles(0.95)
 	res := &Result{Trials: trials, Seed: c.ident.Seed, Scale: c.ident.Scale,
 		Partial:  c.next < trials*len(scens),
 		Failures: c.failures}
@@ -142,7 +144,7 @@ func (c *collector) result() *Result {
 		for mi, def := range Metrics {
 			o := &c.onlines[si][mi]
 			r := c.reservoirs[si][mi]
-			ci := o.MeanCI(0.95)
+			ci := o.MeanCI(tq)
 			ss.Metrics = append(ss.Metrics, MetricSummary{
 				Name:   def.Name,
 				Paper:  def.Paper,
@@ -173,7 +175,7 @@ func (c *collector) result() *Result {
 			}
 			for mi, def := range Metrics {
 				p := &d.paired[si][mi]
-				ci := p.MeanCI(0.95)
+				ci := p.MeanCI(tq)
 				sd.Metrics = append(sd.Metrics, DeltaSummary{
 					Name:   def.Name + "_delta",
 					N:      p.N(),

@@ -15,9 +15,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"storagesubsys/internal/faultinject"
+	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/scenario"
 	"storagesubsys/internal/sweep"
 )
@@ -178,7 +182,8 @@ func TestTruncatedCheckpointFallsBack(t *testing.T) {
 // TestPanicRetryByteIdentity: recoverable scripted panics leave every
 // scenario summary byte-for-byte identical to a clean run — the retry
 // re-derives the trial from its seed on quarantined-fresh state — and
-// each panic is surfaced as a Recovered TrialFailure.
+// each panic is surfaced as a Recovered TrialFailure. That holds too
+// when the panic strikes a fleet build other workers are waiting on.
 func TestPanicRetryByteIdentity(t *testing.T) {
 	ref, err := sweep.Execute(recoveryConfig(1), nil, nil)
 	if err != nil {
@@ -217,6 +222,54 @@ func TestPanicRetryByteIdentity(t *testing.T) {
 		}
 		if err := res.Check(recoveryConfig(workers)); err != nil {
 			t.Fatalf("workers=%d: Check rejected recovered run: %v", workers, err)
+		}
+	}
+
+	// The first fleet build panics while a second worker waits on it.
+	// The waiter is not stranded: it builds directly, or clones the
+	// retried build if that finished first, and the builder's trial is
+	// retried.
+	for _, workers := range []int{2, 4} {
+		cfg := recoveryConfig(workers)
+		var (
+			mu      sync.Mutex
+			started = map[int]bool{}
+			both    = make(chan struct{}) // baseline trials 0 and 1 have started
+			calls   atomic.Int32
+		)
+		cfg.Hooks = &sweep.Hooks{BeforeTrialAttempt: func(scen string, trial, attempt int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if scen == "baseline" && trial < 2 && attempt == 0 && !started[trial] {
+				if started[trial] = true; len(started) == 2 {
+					close(both)
+				}
+			}
+		}}
+		cfg.FleetSource = func(_ sweep.FleetKey, _ int64, build func() *fleet.Fleet) *fleet.Fleet {
+			if calls.Add(1) == 1 {
+				// One of the two workers is building; give the other
+				// time to reach the build and wait on it.
+				select {
+				case <-both:
+				case <-time.After(10 * time.Second):
+				}
+				time.Sleep(200 * time.Millisecond)
+				panic("scripted build panic")
+			}
+			return build()
+		}
+		res, err := sweep.Execute(cfg, nil, nil)
+		if err != nil {
+			t.Fatalf("workers=%d, build panic: %v", workers, err)
+		}
+		if len(res.Failures) != 1 || !res.Failures[0].Recovered || !strings.Contains(res.Failures[0].Panic, "scripted build panic") {
+			t.Fatalf("workers=%d, build panic: failures = %+v, want one recovered build panic", workers, res.Failures)
+		}
+		got := *res
+		got.Failures = nil
+		if !bytes.Equal(mustJSON(t, &got), mustJSON(t, ref)) {
+			t.Fatalf("workers=%d: run with a panicked build diverged from clean run", workers)
 		}
 	}
 }

@@ -2,10 +2,10 @@ package sweep
 
 // Trial panic isolation and deterministic retry. Each trial executes
 // under a recover boundary; a panicking trial quarantines the worker's
-// possibly-corrupted recycled state (the cached fleet, whose
-// mid-trial mutations are torn, and the sim.Scratch, whose buffers may
-// alias them) and re-executes the trial from its trialSeed on a
-// freshly built fleet and a fresh Scratch. Because a trial's metric
+// possibly-corrupted recycled state (its fleet, whose mid-trial disk
+// writes are torn, and the sim.Scratch, whose buffers may alias them)
+// and re-executes the trial from its trialSeed on a fresh as-built
+// fleet and a fresh Scratch. Because a trial's metric
 // vector is a pure function of (scenario, sweep seed, trial seed) —
 // independent of scratch reuse and fleet recycling, the property
 // Result.Check enforces — a successful retry contributes exactly the
@@ -67,68 +67,55 @@ type Hooks struct {
 	KillAfterJob func(job int) bool
 }
 
-// trialWorker is one worker goroutine's recycled state: the cached
-// fleet (rebuilt only across fleetKey changes, rolled back with Reset
+// trialWorker is one worker goroutine's recycled state: its fleet
+// (taken from the share across fleetKey changes, rolled back with Reset
 // otherwise) and the simulation scratch, plus everything needed to
 // re-derive a trial from its seed after a quarantine.
 type trialWorker struct {
-	cfg    *Config
-	runs   []scenarioRun
-	trials int
+	share *fleetShare
 
 	f       *fleet.Fleet
 	cp      fleet.Checkpoint
 	haveKey FleetKey
-	valid   bool
 	scratch *sim.Scratch
 }
 
-func newTrialWorker(cfg *Config, runs []scenarioRun, trials int) *trialWorker {
-	return &trialWorker{cfg: cfg, runs: runs, trials: trials, scratch: &sim.Scratch{}}
+func newTrialWorker(share *fleetShare) *trialWorker {
+	return &trialWorker{share: share, scratch: &sim.Scratch{}}
 }
 
 // attempt executes one trial attempt under the recover boundary,
 // returning the metric vector or the recovered panic text.
-func (w *trialWorker) attempt(r *scenarioRun, job, att int) (vals []float64, panicked *string) {
+func (w *trialWorker) attempt(r *scenarioRun, kb *keyBuild, job, att int) (vals []float64, panicked *string) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			msg := fmt.Sprint(pv)
 			panicked = &msg
 		}
 	}()
-	if h := w.cfg.Hooks; h != nil && h.BeforeTrialAttempt != nil {
-		h.BeforeTrialAttempt(r.scen.Name, job%w.trials, att)
+	trials := w.share.trials
+	if h := w.share.cfg.Hooks; h != nil && h.BeforeTrialAttempt != nil {
+		h.BeforeTrialAttempt(r.scen.Name, job%trials, att)
 	}
-	if !w.valid || r.key != w.haveKey {
-		// Release the old fleet before making the next one, so a worker
+	if w.f == nil || r.key != w.haveKey {
+		// Release the old fleet before taking the next one, so a worker
 		// never holds two fleets at once across a key change.
-		w.f, w.valid = nil, false
-		// The FleetSource seam (sweepd's cross-job cache) substitutes
-		// for the direct build; its contract — an exclusively owned
-		// fleet indistinguishable from build()'s output — is what keeps
-		// the trial values byte-identical either way.
-		if w.cfg.FleetSource != nil {
-			key, seed := r.key, w.cfg.Seed
-			w.f = w.cfg.FleetSource(key, seed, func() *fleet.Fleet { return BuildFleet(key, seed) })
-		} else {
-			w.f = BuildFleet(r.key, w.cfg.Seed)
-		}
+		w.f = nil
+		w.f = w.share.fleet(kb)
 		w.cp = w.f.Checkpoint()
 		w.haveKey = r.key
-		w.valid = true
 	} else {
 		w.f.Reset(w.cp)
 	}
-	return r.trial(w.cfg, w.f, job%w.trials, w.scratch), nil
+	return r.trial(w.share.cfg, w.f, job%trials, w.scratch), nil
 }
 
 // quarantine discards every piece of recycled state a panicking trial
-// may have torn: the cached fleet (rebuilt from seed on next use) and
-// the scratch (fresh buffers). Retried trials therefore run on state
-// indistinguishable from a brand-new worker's.
+// may have torn: its fleet (taken from the share again on next use)
+// and the scratch (fresh buffers). Retried trials therefore run on
+// state indistinguishable from a brand-new worker's.
 func (w *trialWorker) quarantine() {
 	w.f = nil
-	w.valid = false
 	w.scratch = &sim.Scratch{}
 }
 
@@ -136,11 +123,12 @@ func (w *trialWorker) quarantine() {
 // The returned trialOut always carries the job index; vals is nil only
 // when every attempt panicked, in which case fail records the
 // permanent failure.
-func (w *trialWorker) runJob(job int) trialOut {
-	r := &w.runs[job/w.trials]
+func (w *trialWorker) runJob(job int, kb *keyBuild) trialOut {
+	trials := w.share.trials
+	r := &w.share.runs[job/trials]
 	var lastPanic string
 	for att := 0; ; att++ {
-		vals, pv := w.attempt(r, job, att)
+		vals, pv := w.attempt(r, kb, job, att)
 		if pv != nil {
 			lastPanic = *pv
 			w.quarantine()
@@ -150,7 +138,7 @@ func (w *trialWorker) runJob(job int) trialOut {
 		}
 		if pv == nil || att >= maxRetries {
 			return trialOut{job: job, vals: vals, fail: &TrialFailure{
-				Scenario: r.scen.Name, Trial: job % w.trials,
+				Scenario: r.scen.Name, Trial: job % trials,
 				Attempts: att + 1, Panic: lastPanic, Recovered: pv == nil,
 			}}
 		}

@@ -6,29 +6,32 @@
 //
 // A trial is exactly the computation a standalone reproduction
 // performs (experiments.RunTrial, the code path cmd/reproduce also
-// uses), but the fleet is built once per scenario and rolled back with
-// fleet.Reset between trials, and each sweep worker recycles a
-// sim.Scratch, so the steady-state trial loop allocates only its
-// outputs: the paper's population is a fixed topology and the
-// randomness being quantified is the failure realization over it.
+// uses), but each fleet key is built once per run of scenarios that
+// share it and rolled back with fleet.Reset between trials, and each
+// sweep worker recycles a sim.Scratch, so the steady-state trial loop
+// allocates only its outputs: the paper's population is a fixed
+// topology and the randomness being quantified is the failure
+// realization over it.
+//
+// Workers claim trials one at a time in global order (share.go). The
+// first worker to reach a fleet key builds it and simulates on that
+// fleet; every later worker on the key takes a fleet.Clone — a disk
+// slab of its own over the build's shared, read-only topology —
+// waiting on the build if it is still in flight. So a pool of W workers
+// holds one topology and W disk slabs in the steady state, and two
+// topologies across a key change on two workers.
 //
 // Determinism: the whole sweep is a pure function of its Config.
-// Trials are sharded contiguously across a worker pool, but workers
-// only compute; a single collector (collector.go) aggregates every
-// trial's metric vector in global trial order, buffering out-of-order
-// arrivals. Summaries — and therefore the JSON rendering — are
-// byte-identical for every worker count. Trial 0 of every scenario
+// Workers only compute; a single collector (collector.go) aggregates
+// every trial's metric vector in global trial order, buffering
+// out-of-order arrivals. Summaries — and therefore the JSON rendering —
+// are byte-identical for every worker count. Trial 0 of every scenario
 // replays the canonical single-run seed derivation, so the sweep
-// always brackets the point estimate cmd/reproduce reports.
-//
-// The reorder buffer is not small. Shards are contiguous, so every
-// trial workers 1…W−1 finish waits in it until worker 0's shard has
-// been aggregated. On 2 vCPU, 2 scenarios × 12 trials at scale 0.01
-// peaked at 10–13 of 24 trials pending with 2 workers and 13–18 with
-// 4 (three runs each). Each entry is one small metric vector. For the same reason the checkpoint
-// watermark cannot pass worker 0's shard until that shard is done, so
-// a crash loses at most CheckpointEvery aggregated trials plus every
-// buffered one.
+// always brackets the point estimate cmd/reproduce reports. Since
+// trials are claimed in order, the trials buffered behind the
+// watermark are the few that finished while an earlier one still ran
+// (TestPendingBound), and a crash loses at most those plus
+// CheckpointEvery aggregated trials.
 //
 // Common random numbers (CRN) — a load-bearing contract, not a habit:
 // trialSeed is a pure function of (sweep seed, trial index) and never
@@ -278,15 +281,18 @@ type Config struct {
 	// cadence without writing any file. sweepd derives each job's
 	// status from it (CheckpointState.PartialResult).
 	OnCheckpoint func(*CheckpointState)
-	// FleetSource, when non-nil, replaces the trial workers' direct
-	// fleet construction at scenario boundaries: it receives the
+	// FleetSource, when non-nil, replaces the direct fleet build that
+	// starts each contiguous run of a fleet key: it receives the
 	// topology key, the sweep seed, and the canonical build function,
-	// and must return a fleet indistinguishable from build()'s output
-	// that the calling worker exclusively owns — e.g. a fleet.Clone of
-	// a cached pristine build, which is how sweepd's cross-job cache
-	// makes concurrent sweeps over one topology pay for one build.
-	// Returning a shared or stale fleet breaks the byte-identity
-	// contract. Must be safe for concurrent use.
+	// and must return a fleet indistinguishable from build()'s output.
+	// The caller exclusively owns its disk slab; its topology slabs may
+	// be shared with other fleets and are read-only in every one of
+	// them — e.g. a fleet.Clone of a cached build's Topology, which is
+	// how sweepd's cross-job cache makes concurrent sweeps over one
+	// topology pay for one build. The engine cuts the run's other
+	// workers' fleets from the returned one with Clone. Returning a
+	// disk slab another fleet writes, or a stale fleet, breaks the
+	// byte-identity contract. Must be safe for concurrent use.
 	FleetSource func(key FleetKey, seed int64, build func() *fleet.Fleet) *fleet.Fleet
 }
 
@@ -358,7 +364,7 @@ func trialSeed(seed int64, trial int) int64 {
 
 // FleetKey is the subset of a resolved scenario that determines its
 // fleet topology. Workers compare keys to decide whether a scenario
-// boundary needs a rebuild or just a Reset of the cached fleet; two
+// boundary needs a new fleet or just a Reset of their own; two
 // scenarios differing only in failure-model overrides share one
 // population. Together with the sweep seed it fully identifies a
 // built fleet, which is why Config.FleetSource (the sweepd control
@@ -420,7 +426,7 @@ func (r *scenarioRun) trial(cfg *Config, f *fleet.Fleet, ti int, scratch *sim.Sc
 }
 
 // BuildFleet constructs the population a FleetKey identifies — the
-// exact build every trial worker performs at a scenario boundary,
+// exact build that starts each run of scenarios sharing the key,
 // exported so a Config.FleetSource implementation can produce the
 // canonical fleet for keys it has not cached yet. The build is serial:
 // sweep parallelism lives at the trial level.
@@ -507,44 +513,40 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 	if cfg.BudgetTrials > 0 {
 		endJob = max(min(cfg.BudgetTrials, jobs), startJob)
 	}
-	remaining := endJob - startJob
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, remaining)
+	workers = min(workers, endJob-startJob)
 
 	// stop drains the pool early: Interrupt and injected kills set it;
 	// workers check it before picking up each trial.
 	var stop atomic.Bool
 
-	// Workers: contiguous job shards (scenario-major, trial-minor), so
-	// each worker crosses as few scenario boundaries as possible and
-	// reuses its fleet via Reset whenever the population is unchanged.
-	// Each trial runs under the retry.go recover boundary.
+	// Workers claim jobs one at a time in global order and take their
+	// fleets from the share (share.go); a worker reuses its fleet via
+	// Reset while the population is unchanged. Each trial runs under
+	// the retry.go recover boundary.
+	share := &fleetShare{cfg: &cfg, runs: runs, trials: trials, next: startJob, end: endJob}
 	out := make(chan trialOut, workers)
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
-		lo := startJob + wi*remaining/workers
-		hi := startJob + (wi+1)*remaining/workers
-		if lo == hi {
-			continue
-		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			w := newTrialWorker(&cfg, runs, trials)
-			for j := lo; j < hi; j++ {
-				if stop.Load() {
-					return
-				}
+			w := newTrialWorker(share)
+			for !stop.Load() {
 				if cfg.Interrupt != nil && cfg.Interrupt() {
 					stop.Store(true)
 					return
 				}
-				out <- w.runJob(j)
+				job, kb, ok := share.claim()
+				if !ok {
+					return
+				}
+				out <- w.runJob(job, kb)
 			}
-		}(lo, hi)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -616,7 +618,7 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 				return nil, ErrKilled
 			}
 			// The cadence is checked per aggregated trial, not per
-			// arrival: when a slow shard releases a long run of buffered
+			// arrival: when a slow trial releases a run of buffered
 			// trials at once, the watermark still checkpoints at every
 			// cadence boundary it crosses, so a crash never loses more
 			// than CheckpointEvery aggregated trials. Trials still

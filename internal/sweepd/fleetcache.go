@@ -6,19 +6,22 @@ package sweepd
 // scenario that doesn't override a topology knob shares one
 // sweep.FleetKey. The cache makes all of them pay for one build. It
 // plugs into the engine through Config.FleetSource, whose contract —
-// return a fleet indistinguishable from build()'s output that the
-// caller exclusively owns — it satisfies by keeping the pristine
-// as-built fleet per (FleetKey, seed) and handing every requester a
-// deep fleet.Clone. The pristine is never simulated on, so clones are
-// bit-identical to direct builds and the sweep bytes are unchanged
+// return a fleet indistinguishable from build()'s output whose disk
+// slab the caller exclusively owns — it satisfies by keeping the
+// topology of each build per (FleetKey, seed). The first requester gets
+// the built fleet itself; every later one gets a fleet.Clone, a fresh
+// as-built disk slab over the shared topology. The topology is
+// read-only in every fleet, so clones are bit-identical to direct
+// builds and the sweep bytes are unchanged
 // (TestFleetSourceCachedClones in internal/sweep pins this).
 //
 // Concurrency is singleflight: the first requester of a key builds
 // while later requesters of the same key block on the entry's ready
 // channel instead of duplicating the work. Memory is bounded by an LRU
-// byte budget over fleet.ApproxBytes — eviction drops the pristine
-// copy only (outstanding clones are exclusively owned, so nothing
-// shared dangles), and a re-request simply rebuilds.
+// byte budget over the topologies' ApproxBytes — eviction drops the
+// cache's reference only (outstanding fleets keep the topology they
+// share alive, and nothing they own dangles), and a re-request simply
+// rebuilds.
 
 import (
 	"container/list"
@@ -29,23 +32,24 @@ import (
 )
 
 // DefaultCacheBytes is the fleet cache budget when Config.CacheBytes
-// is zero: 512 MiB, roughly 38 quarter-scale fleets (ApproxBytes of
-// one is about 13 MiB).
+// is zero: 512 MiB, roughly 108 quarter-scale fleets (the cache holds
+// topologies only, and the ApproxBytes of one is about 4.7 MiB).
 const DefaultCacheBytes = 512 << 20
 
-// fleetCacheKey identifies one pristine build: the topology key plus
+// fleetCacheKey identifies one build: the topology key plus
 // the sweep seed the population was synthesized from.
 type fleetCacheKey struct {
 	key  sweep.FleetKey
 	seed int64
 }
 
-// cacheEntry is one cached build. ready is closed once f is populated;
-// waiters block on it for singleflight semantics. bytes is the
-// ApproxBytes accounting charged against the budget.
+// cacheEntry is one cached build. ready is closed once topo is
+// populated; waiters block on it for singleflight semantics. topo is
+// the build's fleet.Topology, with no disk slab, and bytes its
+// ApproxBytes, charged against the budget.
 type cacheEntry struct {
 	ready chan struct{}
-	f     *fleet.Fleet
+	topo  *fleet.Fleet
 	bytes int64
 	elem  *list.Element
 }
@@ -59,7 +63,7 @@ type CacheStats struct {
 	// Hits counts requests served from a cached (possibly in-flight)
 	// build.
 	Hits int
-	// Evictions counts pristine builds dropped by the byte budget.
+	// Evictions counts cached topologies dropped by the byte budget.
 	Evictions int
 }
 
@@ -74,8 +78,8 @@ type FleetCache struct {
 	stats   CacheStats
 }
 
-// NewFleetCache returns a cache bounded to budget bytes of pristine
-// fleets (ApproxBytes accounting). budget <= 0 means unbounded.
+// NewFleetCache returns a cache bounded to budget bytes of topologies
+// (ApproxBytes accounting). budget <= 0 means unbounded.
 func NewFleetCache(budget int64) *FleetCache {
 	return &FleetCache{
 		budget:  budget,
@@ -84,10 +88,11 @@ func NewFleetCache(budget int64) *FleetCache {
 	}
 }
 
-// Get returns an exclusively owned fleet for (key, seed), building the
-// pristine at most once per cached lifetime however many requesters
-// race. Its signature is exactly Config.FleetSource, so a server wires
-// it with cfg.FleetSource = cache.Get.
+// Get returns a fleet for (key, seed) whose disk slab the caller
+// exclusively owns, building the topology at most once per cached
+// lifetime however many requesters race. Its signature is exactly
+// Config.FleetSource, so a server wires it with cfg.FleetSource =
+// cache.Get.
 func (c *FleetCache) Get(key sweep.FleetKey, seed int64, build func() *fleet.Fleet) *fleet.Fleet {
 	k := fleetCacheKey{key, seed}
 	c.mu.Lock()
@@ -96,8 +101,8 @@ func (c *FleetCache) Get(key sweep.FleetKey, seed int64, build func() *fleet.Fle
 		c.stats.Hits++
 		c.mu.Unlock()
 		<-e.ready
-		if e.f != nil {
-			return e.f.Clone()
+		if e.topo != nil {
+			return e.topo.Clone()
 		}
 		// The build this entry was waiting on panicked and the entry was
 		// dropped; build directly — the panic will have propagated to the
@@ -111,7 +116,7 @@ func (c *FleetCache) Get(key sweep.FleetKey, seed int64, build func() *fleet.Fle
 	c.mu.Unlock()
 
 	defer func() {
-		if e.f == nil {
+		if e.topo == nil {
 			// build panicked: unlink the entry so waiters and future
 			// requesters fall back to building, then let the panic
 			// propagate into the trial's quarantine/retry boundary.
@@ -122,16 +127,16 @@ func (c *FleetCache) Get(key sweep.FleetKey, seed int64, build func() *fleet.Fle
 		close(e.ready)
 	}()
 	f := build()
-	e.bytes = int64(f.ApproxBytes())
+	// Keep the topology only: the built fleet's disk slab goes to this
+	// requester, and every later one cuts its own from the topology.
+	topo := f.Topology()
+	e.bytes = int64(topo.ApproxBytes())
 	c.mu.Lock()
 	c.used += e.bytes
 	c.evictLocked()
 	c.mu.Unlock()
-	// Clone before publishing nothing else: the pristine is never
-	// handed out directly, so it stays bit-identical to a fresh build.
-	clone := f.Clone()
-	e.f = f
-	return clone
+	e.topo = topo
+	return f
 }
 
 // Stats snapshots the traffic counters.
@@ -145,7 +150,8 @@ func (c *FleetCache) Stats() CacheStats {
 // budget is met. In-flight builds (bytes not yet accounted, waiters
 // parked on ready) are skipped so singleflight is never torn down
 // under its waiters. A single over-budget build is allowed to evict
-// itself once its requester has cloned — the next request rebuilds.
+// itself — its requester keeps the built fleet, and the next request
+// rebuilds.
 func (c *FleetCache) evictLocked() {
 	if c.budget <= 0 {
 		return
@@ -162,7 +168,7 @@ func (c *FleetCache) evictLocked() {
 }
 
 // dropLocked unlinks an entry from the map, the LRU list, and the byte
-// accounting. Outstanding clones are unaffected. A no-op when the
+// accounting. Outstanding fleets are unaffected. A no-op when the
 // entry was already dropped (e.g. evicted while its build was still
 // publishing), so accounting is never charged twice.
 func (c *FleetCache) dropLocked(k fleetCacheKey, e *cacheEntry) {

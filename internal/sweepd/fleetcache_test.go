@@ -16,8 +16,8 @@ func tinyKey(span int) sweep.FleetKey {
 	return sweep.FleetKey{Scale: 0.002, Span: span}
 }
 
-// held reports the number of cached pristine builds (in-flight
-// included) and the ApproxBytes accounting currently charged.
+// held reports the number of cached builds (in-flight included) and
+// the ApproxBytes accounting currently charged.
 func held(c *FleetCache) (entries int, used int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -25,9 +25,9 @@ func held(c *FleetCache) (entries int, used int64) {
 }
 
 // TestFleetCacheSingleflight races many requesters of one key against
-// a build function that counts invocations: the pristine must be built
-// exactly once, every requester must get its own clone, and every
-// clone must equal a direct build.
+// a build function that counts invocations: the topology must be built
+// exactly once, every requester must get its own fleet, and every
+// fleet must equal a direct build.
 func TestFleetCacheSingleflight(t *testing.T) {
 	c := NewFleetCache(0)
 	key := tinyKey(1)
@@ -70,6 +70,29 @@ func TestFleetCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestFleetCacheChargesTopologyOnly: an entry keeps its build's
+// topology and no disk slab, so the budget is charged the topology's
+// bytes, and the builder gets the built fleet itself.
+func TestFleetCacheChargesTopologyOnly(t *testing.T) {
+	c := NewFleetCache(0)
+	key := tinyKey(1)
+	var built *fleet.Fleet
+	got := c.Get(key, 42, func() *fleet.Fleet { built = sweep.BuildFleet(key, 42); return built })
+	if got != built {
+		t.Fatal("the builder did not get the built fleet")
+	}
+	want := int64(built.Topology().ApproxBytes())
+	if _, used := held(c); used != want {
+		t.Fatalf("cache charged %d bytes for a topology of %d", used, want)
+	}
+	c.mu.Lock()
+	e := c.entries[fleetCacheKey{key, 42}]
+	c.mu.Unlock()
+	if e.topo.Disks != nil {
+		t.Fatal("the cache entry keeps a disk slab")
+	}
+}
+
 // TestFleetCacheHitCounting verifies the hit/build split across
 // repeated and distinct keys.
 func TestFleetCacheHitCounting(t *testing.T) {
@@ -104,13 +127,13 @@ func TestFleetCacheSeedSeparation(t *testing.T) {
 	}
 }
 
-// TestFleetCacheLRUEviction fills a budget sized for two fleets with
-// three keys, touching the first in between: the untouched middle key
-// must be the one evicted, and evicted entries must be rebuilt on
+// TestFleetCacheLRUEviction fills a budget sized for two topologies
+// with three keys, touching the first in between: the untouched middle
+// key must be the one evicted, and evicted entries must be rebuilt on
 // re-request while outstanding clones stay usable.
 func TestFleetCacheLRUEviction(t *testing.T) {
-	one := sweep.BuildFleet(tinyKey(1), 42)
-	budget := int64(one.ApproxBytes())*2 + int64(one.ApproxBytes())/2
+	one := int64(sweep.BuildFleet(tinyKey(1), 42).Topology().ApproxBytes())
+	budget := one*2 + one/2
 	c := NewFleetCache(budget)
 	get := func(span int) *fleet.Fleet {
 		key := tinyKey(span)
@@ -129,8 +152,8 @@ func TestFleetCacheLRUEviction(t *testing.T) {
 	if _, used := held(c); used > budget {
 		t.Fatalf("cache holds %d bytes over the %d budget", used, budget)
 	}
-	// The clone handed out before eviction is exclusively owned and
-	// unaffected by the pristine being dropped.
+	// The fleet handed out before eviction owns its disks and keeps
+	// the topology it shares alive after the entry is dropped.
 	if !reflect.DeepEqual(evictee, sweep.BuildFleet(tinyKey(2), 42)) {
 		t.Fatal("clone handed out before eviction no longer matches a direct build")
 	}
