@@ -57,23 +57,29 @@ func (f *Fleet) Topology() *Fleet {
 // values: Build ends with it and Clone calls it.
 func (f *Fleet) asBuiltDisks() []Disk {
 	disks := diskSlab(f.asBuilt(), f.expectedChurn())
-	for i := range f.Shelves {
-		sh := &f.Shelves[i]
-		install := int32(f.Systems[sh.System].Install)
-		for id := sh.Disks.Lo; id < sh.Disks.Hi; id++ {
-			disks[id] = Disk{
-				Install: install,
-				Remove:  int32(simtime.StudyDuration),
-				Shelf:   sh.ID,
-				RAIDGrp: -1,
-				Slot:    uint8(id - sh.Disks.Lo),
+	// System by system, so a system's group members are written while
+	// its disks are still in cache.
+	for si := range f.Systems {
+		sys := &f.Systems[si]
+		install := int32(sys.Install)
+		for _, sh := range f.Shelves[sys.Shelves.Lo:sys.Shelves.Hi] {
+			ds := disks[sh.Disks.Lo:sh.Disks.Hi]
+			for slot := range ds {
+				// Field by field into the fresh, zeroed slab (Replaced
+				// stays false): a composite-literal store goes through
+				// a stack temporary and costs about four times as much.
+				d := &ds[slot]
+				d.Install = install
+				d.Remove = int32(simtime.StudyDuration)
+				d.Shelf = sh.ID
+				d.RAIDGrp = -1
+				d.Slot = uint8(slot)
 			}
 		}
-	}
-	for i := range f.Groups {
-		g := &f.Groups[i]
-		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
-			disks[id].RAIDGrp = g.ID
+		for _, g := range f.Groups[sys.RAIDGroups.Lo:sys.RAIDGroups.Hi] {
+			for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
+				disks[id].RAIDGrp = g.ID
+			}
 		}
 	}
 	return disks
