@@ -30,8 +30,9 @@
 // without running anything, printing one line per file; malformed
 // files produce a one-line positional error and a non-zero exit.
 //
-// Each scenario's fleet is built once and rolled back between trials,
-// and trials are sharded across a worker pool with recycled simulation
+// Each fleet key is built once per run of scenarios sharing it, its
+// topology shared by every worker and rolled back between trials, and
+// trials are claimed in order by a worker pool with recycled simulation
 // scratch, so a steady-state trial costs one re-simulation plus the
 // analyses. -workers only changes wall-clock: the output (tables and
 // -json bytes alike) is byte-identical for every worker count, and a
