@@ -14,8 +14,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -231,30 +231,16 @@ func TestPanicRetryByteIdentity(t *testing.T) {
 	// retried.
 	for _, workers := range []int{2, 4} {
 		cfg := recoveryConfig(workers)
-		var (
-			mu      sync.Mutex
-			started = map[int]bool{}
-			both    = make(chan struct{}) // baseline trials 0 and 1 have started
-			calls   atomic.Int32
-		)
-		cfg.Hooks = &sweep.Hooks{BeforeTrialAttempt: func(scen string, trial, attempt int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if scen == "baseline" && trial < 2 && attempt == 0 && !started[trial] {
-				if started[trial] = true; len(started) == 2 {
-					close(both)
-				}
-			}
-		}}
+		var calls atomic.Int32
+		var waited atomic.Bool
 		cfg.FleetSource = func(_ sweep.FleetKey, _ int64, build func() *fleet.Fleet) *fleet.Fleet {
 			if calls.Add(1) == 1 {
-				// One of the two workers is building; give the other
-				// time to reach the build and wait on it.
-				select {
-				case <-both:
-				case <-time.After(10 * time.Second):
+				for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					if waitingOnBuild() {
+						waited.Store(true)
+						break
+					}
 				}
-				time.Sleep(200 * time.Millisecond)
 				panic("scripted build panic")
 			}
 			return build()
@@ -266,12 +252,28 @@ func TestPanicRetryByteIdentity(t *testing.T) {
 		if len(res.Failures) != 1 || !res.Failures[0].Recovered || !strings.Contains(res.Failures[0].Panic, "scripted build panic") {
 			t.Fatalf("workers=%d, build panic: failures = %+v, want one recovered build panic", workers, res.Failures)
 		}
+		if !waited.Load() {
+			t.Errorf("workers=%d: no worker waited on the panicking build", workers)
+		}
 		got := *res
 		got.Failures = nil
 		if !bytes.Equal(mustJSON(t, &got), mustJSON(t, ref)) {
 			t.Fatalf("workers=%d: run with a panicked build diverged from clean run", workers)
 		}
 	}
+}
+
+// waitingOnBuild reports whether a goroutine is blocked in the sweep's
+// fleet share, waiting for another worker's build of its key.
+func waitingOnBuild() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte("(*fleetShare).fleet")) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestRetryExhaustion: a trial that panics past the retry budget is

@@ -34,10 +34,9 @@ type fleetShare struct {
 // done, topo holds its topology with no disk slab, so the share never
 // pins a worker's disks.
 type keyBuild struct {
-	key      FleetKey
-	ready    chan struct{} // closed when the build in flight ends, done or panicked
-	building bool          // a worker is building the key
-	topo     *fleet.Fleet  // the build's Topology; nil until it is done
+	key   FleetKey
+	ready chan struct{} // the build in flight, closed when it ends; nil while none is
+	topo  *fleet.Fleet  // the build's Topology; nil until it is done
 }
 
 // claim takes the next job in global order and the build of its key,
@@ -54,12 +53,13 @@ func (s *fleetShare) claim() (job int, kb *keyBuild, ok bool) {
 	job = s.next
 	s.next++
 	if key := s.runs[job/s.trials].key; s.cur == nil || s.cur.key != key {
-		s.cur = &keyBuild{key: key, ready: make(chan struct{})}
+		s.cur = &keyBuild{key: key}
 	}
 	return job, s.cur, true
 }
 
-// fleet returns a fleet of kb's key that the caller exclusively owns.
+// fleet returns a fleet of kb's key whose disk slab the caller
+// exclusively owns.
 // The first caller builds it and keeps the built fleet. A caller that
 // finds the build done takes a Clone, and one that finds it in flight
 // waits for it and then clones. A panicking build must not strand its
@@ -71,8 +71,7 @@ func (s *fleetShare) fleet(kb *keyBuild) *fleet.Fleet {
 		s.mu.Unlock()
 		return kb.topo.Clone()
 	}
-	if kb.building {
-		ready := kb.ready
+	if ready := kb.ready; ready != nil {
 		s.mu.Unlock()
 		<-ready
 		s.mu.Lock()
@@ -83,7 +82,7 @@ func (s *fleetShare) fleet(kb *keyBuild) *fleet.Fleet {
 		}
 		return s.build(kb.key)
 	}
-	kb.building = true
+	kb.ready = make(chan struct{})
 	s.mu.Unlock()
 
 	var f *fleet.Fleet
@@ -95,8 +94,7 @@ func (s *fleetShare) fleet(kb *keyBuild) *fleet.Fleet {
 			kb.topo = f.Topology()
 			return
 		}
-		kb.building = false
-		kb.ready = make(chan struct{})
+		kb.ready = nil
 	}()
 	f = s.build(kb.key)
 	return f
@@ -104,9 +102,9 @@ func (s *fleetShare) fleet(kb *keyBuild) *fleet.Fleet {
 
 // build makes a fleet of the key without the share. The FleetSource
 // seam (sweepd's cross-job cache) substitutes for the direct build; its
-// contract — an exclusively owned fleet indistinguishable from
-// build()'s output — is what keeps the trial values byte-identical
-// either way.
+// contract — a fleet indistinguishable from build()'s output whose
+// disk slab the caller exclusively owns — is what keeps the trial
+// values byte-identical either way.
 func (s *fleetShare) build(key FleetKey) *fleet.Fleet {
 	seed := s.cfg.Seed
 	if s.cfg.FleetSource != nil {
