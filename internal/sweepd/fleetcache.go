@@ -18,10 +18,15 @@ package sweepd
 // Concurrency is singleflight: the first requester of a key builds
 // while later requesters of the same key block on the entry's ready
 // channel instead of duplicating the work. Memory is bounded by an LRU
-// byte budget over the topologies' ApproxBytes — eviction drops the
-// cache's reference only (outstanding fleets keep the topology they
-// share alive, and nothing they own dangles), and a re-request simply
-// rebuilds.
+// byte budget over the ApproxBytes of the as-built fleets the entries
+// serve — eviction drops the cache's reference only (outstanding fleets
+// keep the topology they share alive, and nothing they own dangles),
+// and a re-request simply rebuilds. An entry keeps only its topology,
+// about a third of the fleet it is charged for, so the budget bounds
+// the number of cached builds as a budget of whole fleets would: a
+// given budget holds as many keys, and fills after as many builds,
+// whatever share of a fleet the cache keeps. The memory it holds is
+// at most about a third of the budget.
 
 import (
 	"container/list"
@@ -32,8 +37,9 @@ import (
 )
 
 // DefaultCacheBytes is the fleet cache budget when Config.CacheBytes
-// is zero: 512 MiB, roughly 108 quarter-scale fleets (the cache holds
-// topologies only, and the ApproxBytes of one is about 4.7 MiB).
+// is zero: 512 MiB, roughly 38 quarter-scale fleets (ApproxBytes of
+// one is about 13 MiB), of which the cache holds the topologies, about
+// 4.7 MiB each.
 const DefaultCacheBytes = 512 << 20
 
 // fleetCacheKey identifies one build: the topology key plus
@@ -45,8 +51,8 @@ type fleetCacheKey struct {
 
 // cacheEntry is one cached build. ready is closed once topo is
 // populated; waiters block on it for singleflight semantics. topo is
-// the build's fleet.Topology, with no disk slab, and bytes its
-// ApproxBytes, charged against the budget.
+// the build's fleet.Topology, with no disk slab, and bytes the
+// ApproxBytes of the as-built fleet, charged against the budget.
 type cacheEntry struct {
 	ready chan struct{}
 	topo  *fleet.Fleet
@@ -78,8 +84,8 @@ type FleetCache struct {
 	stats   CacheStats
 }
 
-// NewFleetCache returns a cache bounded to budget bytes of topologies
-// (ApproxBytes accounting). budget <= 0 means unbounded.
+// NewFleetCache returns a cache bounded to budget bytes of as-built
+// fleets (ApproxBytes accounting). budget <= 0 means unbounded.
 func NewFleetCache(budget int64) *FleetCache {
 	return &FleetCache{
 		budget:  budget,
@@ -129,8 +135,9 @@ func (c *FleetCache) Get(key sweep.FleetKey, seed int64, build func() *fleet.Fle
 	f := build()
 	// Keep the topology only: the built fleet's disk slab goes to this
 	// requester, and every later one cuts its own from the topology.
+	// The entry is charged the whole as-built fleet (see the header).
 	topo := f.Topology()
-	e.bytes = int64(topo.ApproxBytes())
+	e.bytes = int64(f.ApproxBytes())
 	c.mu.Lock()
 	c.used += e.bytes
 	c.evictLocked()

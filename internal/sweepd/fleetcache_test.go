@@ -70,10 +70,10 @@ func TestFleetCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestFleetCacheChargesTopologyOnly: an entry keeps its build's
-// topology and no disk slab, so the budget is charged the topology's
-// bytes, and the builder gets the built fleet itself.
-func TestFleetCacheChargesTopologyOnly(t *testing.T) {
+// TestFleetCacheKeepsTopologyOnly: an entry keeps its build's topology
+// and no disk slab, the budget is charged the as-built fleet's bytes,
+// and the builder gets the built fleet itself.
+func TestFleetCacheKeepsTopologyOnly(t *testing.T) {
 	c := NewFleetCache(0)
 	key := tinyKey(1)
 	var built *fleet.Fleet
@@ -81,9 +81,9 @@ func TestFleetCacheChargesTopologyOnly(t *testing.T) {
 	if got != built {
 		t.Fatal("the builder did not get the built fleet")
 	}
-	want := int64(built.Topology().ApproxBytes())
+	want := int64(sweep.BuildFleet(key, 42).ApproxBytes())
 	if _, used := held(c); used != want {
-		t.Fatalf("cache charged %d bytes for a topology of %d", used, want)
+		t.Fatalf("cache charged %d bytes for an as-built fleet of %d", used, want)
 	}
 	c.mu.Lock()
 	e := c.entries[fleetCacheKey{key, 42}]
@@ -127,12 +127,12 @@ func TestFleetCacheSeedSeparation(t *testing.T) {
 	}
 }
 
-// TestFleetCacheLRUEviction fills a budget sized for two topologies
-// with three keys, touching the first in between: the untouched middle
+// TestFleetCacheLRUEviction fills a budget sized for two fleets with
+// three keys, touching the first in between: the untouched middle
 // key must be the one evicted, and evicted entries must be rebuilt on
 // re-request while outstanding clones stay usable.
 func TestFleetCacheLRUEviction(t *testing.T) {
-	one := int64(sweep.BuildFleet(tinyKey(1), 42).Topology().ApproxBytes())
+	one := int64(sweep.BuildFleet(tinyKey(1), 42).ApproxBytes())
 	budget := one*2 + one/2
 	c := NewFleetCache(budget)
 	get := func(span int) *fleet.Fleet {
