@@ -1,15 +1,14 @@
 package fleet
 
-// Fleet sharing: the substrate behind the sweep engine's per-key
-// topology share and the sweepd control plane's cross-job fleet cache.
-// A fleet's topology — its systems, shelves, RAID groups and member
-// lists — is written by Build and never after: simulation, Replace and
-// Reset write only the disk slab. So every fleet cut from one build
-// shares the build's four topology slabs, and only a disk slab belongs
-// to one owner. Building a population is generative work (profile
-// resolution, per-system RNG draws, RAID layout); cutting another fleet
-// from it is one pass over its shelves and groups writing a fresh
-// as-built disk slab.
+// Fleet sharing: the substrate of Shared (shared.go). A fleet's
+// topology — its systems, shelves, RAID groups and member lists — is
+// written by Build and never after: simulation, Replace and Reset write
+// only the disk slab. So every fleet cut from one build shares the
+// build's four topology slabs, and only a disk slab belongs to one
+// owner. Building a population is generative work (profile resolution,
+// per-system RNG draws, RAID layout); cutting another fleet from it is
+// one pass over its shelves and groups writing a fresh as-built disk
+// slab.
 
 import (
 	"unsafe"
@@ -21,7 +20,7 @@ import (
 // fresh as-built disk slab, with a build's replacement room. The disk
 // slab is derived from the topology alone (asBuiltDisks); Clone never
 // reads f.Disks, so it may run while another goroutine simulates on f,
-// and f may be a Topology.
+// and f may be a topology.
 //
 // The topology is read-only in every fleet that shares it. A clone's
 // disks are its own: failing them, appending replacements and Reset
@@ -30,17 +29,15 @@ import (
 // on a clone produces bit-identical output to one run on a fresh build
 // (TestCloneTrialEquivalence pins this).
 func (f *Fleet) Clone() *Fleet {
-	nf := f.Topology()
+	nf := f.topology()
 	nf.Disks = f.asBuiltDisks()
 	return nf
 }
 
-// Topology returns a fleet that shares f's topology slabs and has no
-// disk slab: what a holder of one key's population keeps to cut clones
-// from without pinning any owner's disks. It serves Clone and
-// ApproxBytes (which then counts the topology alone); anything that
-// reads disks needs a Clone.
-func (f *Fleet) Topology() *Fleet {
+// topology returns a fleet that shares f's topology slabs and has no
+// disk slab: what a Shared keeps to cut clones from without pinning any
+// owner's disks. Anything that reads disks needs a Clone.
+func (f *Fleet) topology() *Fleet {
 	return &Fleet{
 		Systems: f.Systems,
 		Shelves: f.Shelves,
@@ -91,11 +88,10 @@ func (f *Fleet) asBuiltDisks() []Disk {
 // topology lists are derived rather than held. A build sizes the group
 // and member slabs by an upper bound on the group count, so charging
 // capacities covers the bound's slack. Clones share their topology, so
-// a Topology's ApproxBytes is what one key costs whatever number of
-// fleets are cut from it, and each fleet adds its disk slab; a
-// byte-budgeted cache charging a Topology's ApproxBytes thus tracks its
-// real cost (TestApproxBytesMatchesHeap pins a build within 10% of its
-// measured heap growth, and a clone's disk slab within 10% of its own).
+// a topology's ApproxBytes is what one key costs whatever number of
+// fleets are cut from it, and each fleet adds its disk slab
+// (TestApproxBytesMatchesHeap pins a build within 10% of its measured
+// heap growth, and a clone's disk slab within 10% of its own).
 func (f *Fleet) ApproxBytes() int {
 	return cap(f.Systems)*int(unsafe.Sizeof(System{})) +
 		cap(f.Shelves)*int(unsafe.Sizeof(Shelf{})) +

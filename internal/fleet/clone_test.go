@@ -48,8 +48,8 @@ func TestCloneSharesTopology(t *testing.T) {
 	if unsafe.SliceData(f.Disks) == unsafe.SliceData(c.Disks) {
 		t.Error("clone shares the source's disk slab")
 	}
-	if topo := f.Topology(); topo.Disks != nil || !reflect.DeepEqual(topo.Clone(), c) {
-		t.Error("a Topology holds disks or cuts a clone unlike the fleet's own")
+	if topo := fleet.Topology(f); topo.Disks != nil || !reflect.DeepEqual(topo.Clone(), c) {
+		t.Error("a topology holds disks or cuts a clone unlike the fleet's own")
 	}
 }
 
@@ -145,7 +145,7 @@ func TestApproxBytesGrowsWithScale(t *testing.T) {
 // ApproxBytes of a freshly built fleet must be within 10% of the heap
 // the build actually leaves live. A Clone shares the topology, so the
 // heap it adds must be within 10% of its disk slab's bytes: the
-// clone's ApproxBytes less its Topology's.
+// clone's ApproxBytes less its topology's.
 func TestApproxBytesMatchesHeap(t *testing.T) {
 	live := func() uint64 {
 		runtime.GC()
@@ -166,7 +166,7 @@ func TestApproxBytesMatchesHeap(t *testing.T) {
 	built := live()
 	check("build", float64(built)-float64(before), float64(f.ApproxBytes()))
 	c := f.Clone()
-	check("clone", float64(live())-float64(built), float64(c.ApproxBytes()-c.Topology().ApproxBytes()))
+	check("clone", float64(live())-float64(built), float64(c.ApproxBytes()-fleet.Topology(c).ApproxBytes()))
 	runtime.KeepAlive(f)
 	runtime.KeepAlive(c)
 }

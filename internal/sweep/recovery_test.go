@@ -263,13 +263,13 @@ func TestPanicRetryByteIdentity(t *testing.T) {
 	}
 }
 
-// waitingOnBuild reports whether a goroutine is blocked in the sweep's
-// fleet share, waiting for another worker's build of its key.
+// waitingOnBuild reports whether a goroutine is blocked in a
+// fleet.Shared, waiting for another worker's build of its key.
 func waitingOnBuild() bool {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte("(*fleetShare).fleet")) {
+		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte("fleet.(*Shared).Fleet")) {
 			return true
 		}
 	}

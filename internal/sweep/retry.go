@@ -68,15 +68,15 @@ type Hooks struct {
 }
 
 // trialWorker is one worker goroutine's recycled state: its fleet
-// (taken from the share across fleetKey changes, rolled back with Reset
-// otherwise) and the simulation scratch, plus everything needed to
-// re-derive a trial from its seed after a quarantine.
+// (taken from each key run's Shared, rolled back with Reset within the
+// run) and the simulation scratch, plus everything needed to re-derive
+// a trial from its seed after a quarantine.
 type trialWorker struct {
 	share *fleetShare
 
 	f       *fleet.Fleet
 	cp      fleet.Checkpoint
-	haveKey FleetKey
+	sh      *fleet.Shared // the Shared f came from; nil while f is
 	scratch *sim.Scratch
 }
 
@@ -86,7 +86,7 @@ func newTrialWorker(share *fleetShare) *trialWorker {
 
 // attempt executes one trial attempt under the recover boundary,
 // returning the metric vector or the recovered panic text.
-func (w *trialWorker) attempt(r *scenarioRun, kb *keyBuild, job, att int) (vals []float64, panicked *string) {
+func (w *trialWorker) attempt(r *scenarioRun, sh *fleet.Shared, job, att int) (vals []float64, panicked *string) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			msg := fmt.Sprint(pv)
@@ -97,13 +97,13 @@ func (w *trialWorker) attempt(r *scenarioRun, kb *keyBuild, job, att int) (vals 
 	if h := w.share.cfg.Hooks; h != nil && h.BeforeTrialAttempt != nil {
 		h.BeforeTrialAttempt(r.scen.Name, job%trials, att)
 	}
-	if w.f == nil || r.key != w.haveKey {
+	if w.sh != sh {
 		// Release the old fleet before taking the next one, so a worker
 		// never holds two fleets at once across a key change.
-		w.f = nil
-		w.f = w.share.fleet(kb)
+		w.f, w.sh = nil, nil
+		w.f, _ = sh.Fleet(func() *fleet.Fleet { return w.share.build(r.key) })
 		w.cp = w.f.Checkpoint()
-		w.haveKey = r.key
+		w.sh = sh
 	} else {
 		w.f.Reset(w.cp)
 	}
@@ -115,7 +115,7 @@ func (w *trialWorker) attempt(r *scenarioRun, kb *keyBuild, job, att int) (vals 
 // and the scratch (fresh buffers). Retried trials therefore run on
 // state indistinguishable from a brand-new worker's.
 func (w *trialWorker) quarantine() {
-	w.f = nil
+	w.f, w.sh = nil, nil
 	w.scratch = &sim.Scratch{}
 }
 
@@ -123,12 +123,12 @@ func (w *trialWorker) quarantine() {
 // The returned trialOut always carries the job index; vals is nil only
 // when every attempt panicked, in which case fail records the
 // permanent failure.
-func (w *trialWorker) runJob(job int, kb *keyBuild) trialOut {
+func (w *trialWorker) runJob(job int, sh *fleet.Shared) trialOut {
 	trials := w.share.trials
 	r := &w.share.runs[job/trials]
 	var lastPanic string
 	for att := 0; ; att++ {
-		vals, pv := w.attempt(r, kb, job, att)
+		vals, pv := w.attempt(r, sh, job, att)
 		if pv != nil {
 			lastPanic = *pv
 			w.quarantine()

@@ -181,8 +181,9 @@ func TestPartialResultAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestFleetSourceCachedClones runs the sweep through a build-once,
-// clone-per-request FleetSource — the sweepd cache's semantics — and
+// TestFleetSourceCachedClones runs the sweep through a FleetSource
+// that keeps one fleet.Shared per (key, seed) — the sweepd cache's
+// stacking of a Shared under the sweep's own per-key Shared — and
 // requires byte-identical output to the direct-build engine, with
 // every distinct (key, seed) built exactly once.
 func TestFleetSourceCachedClones(t *testing.T) {
@@ -195,8 +196,8 @@ func TestFleetSourceCachedClones(t *testing.T) {
 	}
 	var (
 		mu       sync.Mutex
-		pristine = map[cacheKey]*fleet.Fleet{}
-		builds   int
+		shared   = map[cacheKey]*fleet.Shared{}
+		builds   atomic.Int64
 		requests atomic.Int64
 	)
 	ccfg := cfg
@@ -204,14 +205,17 @@ func TestFleetSourceCachedClones(t *testing.T) {
 	ccfg.FleetSource = func(key FleetKey, seed int64, build func() *fleet.Fleet) *fleet.Fleet {
 		requests.Add(1)
 		mu.Lock()
-		defer mu.Unlock()
-		f, ok := pristine[cacheKey{key, seed}]
+		sh, ok := shared[cacheKey{key, seed}]
 		if !ok {
-			builds++
-			f = build()
-			pristine[cacheKey{key, seed}] = f
+			sh = &fleet.Shared{}
+			shared[cacheKey{key, seed}] = sh
 		}
-		return f.Clone()
+		mu.Unlock()
+		f, built := sh.Fleet(build)
+		if built {
+			builds.Add(1)
+		}
+		return f
 	}
 	got := encodeResult(t, execute(t, ccfg))
 	if !bytes.Equal(got, want) {
@@ -222,10 +226,10 @@ func TestFleetSourceCachedClones(t *testing.T) {
 	for _, s := range ccfg.Scenarios {
 		distinct[s.FleetKeyIn(ccfg.Scale)] = true
 	}
-	if builds != len(distinct) {
-		t.Fatalf("cache built %d fleets for %d distinct topology keys", builds, len(distinct))
+	if builds.Load() != int64(len(distinct)) {
+		t.Fatalf("cache built %d fleets for %d distinct topology keys", builds.Load(), len(distinct))
 	}
-	if requests.Load() < int64(builds) {
-		t.Fatalf("FleetSource saw %d requests for %d builds", requests.Load(), builds)
+	if requests.Load() < builds.Load() {
+		t.Fatalf("FleetSource saw %d requests for %d builds", requests.Load(), builds.Load())
 	}
 }

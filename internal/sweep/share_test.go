@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"storagesubsys/internal/fleet"
 )
@@ -100,5 +101,52 @@ func TestFleetSourceOncePerKeyRun(t *testing.T) {
 		if len(calls) != len(runs) {
 			t.Errorf("workers=%d: FleetSource saw %d keys, the grid has %d runs", workers, len(calls), len(runs))
 		}
+	}
+}
+
+// TestRecurringKeyTakesNewFleets: the default grid's keys run A-B-A. A
+// worker that skipped B's run must not Reset its fleet from A's first
+// run when it reaches A's second; it takes one from the second run's
+// Shared, so each run of a key reaches FleetSource once and the pool
+// holds one topology per run. The hook holds B's trial until A's
+// second run starts, so the worker that ran A's first trial runs A's
+// second.
+func TestRecurringKeyTakesNewFleets(t *testing.T) {
+	base := Config{Trials: 1, Seed: 42, Scale: 0.005, Workers: 1, Scenarios: grid("default")}
+	a, b := base.Scenarios[0].FleetKeyIn(base.Scale), base.Scenarios[1].FleetKeyIn(base.Scale)
+	if len(base.Scenarios) != 3 || a == b || base.Scenarios[2].FleetKeyIn(base.Scale) != a {
+		t.Fatal("the default grid's keys no longer run A-B-A")
+	}
+	want := resultJSON(t, base)
+
+	cfg := base
+	cfg.Workers = 2
+	second := make(chan struct{})
+	var once sync.Once
+	cfg.Hooks = &Hooks{BeforeTrialAttempt: func(name string, _, _ int) {
+		switch name {
+		case base.Scenarios[1].Name:
+			select {
+			case <-second:
+			case <-time.After(10 * time.Second):
+				t.Error("A's second run did not start while B's trial waited")
+			}
+		case base.Scenarios[2].Name:
+			once.Do(func() { close(second) })
+		}
+	}}
+	var mu sync.Mutex
+	calls := map[FleetKey]int{}
+	cfg.FleetSource = func(key FleetKey, seed int64, build func() *fleet.Fleet) *fleet.Fleet {
+		mu.Lock()
+		calls[key]++
+		mu.Unlock()
+		return build()
+	}
+	if got := encodeResult(t, execute(t, cfg)); !bytes.Equal(got, want) {
+		t.Fatal("bytes differ from the single-worker run")
+	}
+	if calls[a] != 2 || calls[b] != 1 {
+		t.Fatalf("FleetSource calls: A %d, B %d; want one per key run (2 and 1)", calls[a], calls[b])
 	}
 }

@@ -13,13 +13,12 @@
 // topology and the randomness being quantified is the failure
 // realization over it.
 //
-// Workers claim trials one at a time in global order (share.go). The
-// first worker to reach a fleet key builds it and simulates on that
-// fleet; every later worker on the key takes a fleet.Clone — a disk
-// slab of its own over the build's shared, read-only topology —
-// waiting on the build if it is still in flight. So a pool of W workers
-// holds one topology and W disk slabs in the steady state, and two
-// topologies across a key change on two workers.
+// Workers claim trials one at a time in global order (share.go), and
+// each run of a fleet key is served by one fleet.Shared, whose comment
+// states the sharing contract: one build, and a Clone of it for every
+// other worker. So a pool of W workers holds one topology and W disk
+// slabs in the steady state, and two topologies across a key change on
+// two workers.
 //
 // Determinism: the whole sweep is a pure function of its Config.
 // Workers only compute; a single collector (collector.go) aggregates
@@ -284,14 +283,12 @@ type Config struct {
 	// FleetSource, when non-nil, replaces the direct fleet build that
 	// starts each contiguous run of a fleet key: it receives the
 	// topology key, the sweep seed, and the canonical build function,
-	// and must return a fleet indistinguishable from build()'s output.
-	// The caller exclusively owns its disk slab; its topology slabs may
-	// be shared with other fleets and are read-only in every one of
-	// them — e.g. a fleet.Clone of a cached build's Topology, which is
-	// how sweepd's cross-job cache makes concurrent sweeps over one
-	// topology pay for one build. The engine cuts the run's other
-	// workers' fleets from the returned one with Clone. Returning a
-	// disk slab another fleet writes, or a stale fleet, breaks the
+	// and must return a fleet indistinguishable from build()'s output
+	// under the fleet.Shared contract — e.g. one from a Shared of its
+	// own, which is how sweepd's cross-job cache makes concurrent sweeps
+	// over one topology pay for one build. The engine cuts the run's
+	// other workers' fleets from the returned one with Clone. Returning
+	// a disk slab another fleet writes, or a stale fleet, breaks the
 	// byte-identity contract. Must be safe for concurrent use.
 	FleetSource func(key FleetKey, seed int64, build func() *fleet.Fleet) *fleet.Fleet
 }
@@ -363,12 +360,13 @@ func trialSeed(seed int64, trial int) int64 {
 }
 
 // FleetKey is the subset of a resolved scenario that determines its
-// fleet topology. Workers compare keys to decide whether a scenario
-// boundary needs a new fleet or just a Reset of their own; two
-// scenarios differing only in failure-model overrides share one
-// population. Together with the sweep seed it fully identifies a
-// built fleet, which is why Config.FleetSource (the sweepd control
-// plane's cross-job fleet cache) is keyed by (FleetKey, seed).
+// fleet topology. The share compares keys to decide whether a scenario
+// boundary starts a new key run, and so new fleets, or continues one
+// whose fleets are just Reset; two scenarios differing only in
+// failure-model overrides share one population. Together with the
+// sweep seed it fully identifies a built fleet, which is why
+// Config.FleetSource (the sweepd control plane's cross-job fleet
+// cache) is keyed by (FleetKey, seed).
 type FleetKey struct {
 	Scale  float64
 	Span   int
@@ -378,8 +376,8 @@ type FleetKey struct {
 }
 
 // FleetKeyIn resolves the scenario's topology identity against the
-// sweep's base scale — the exported form of the key the trial workers
-// compare, for callers (the sweepd fleet cache, tests) that need to
+// sweep's base scale — the exported form of the key the share
+// compares, for callers (the sweepd fleet cache, tests) that need to
 // predict which scenarios share a population.
 func (s Scenario) FleetKeyIn(baseScale float64) FleetKey {
 	return FleetKey{
@@ -540,11 +538,11 @@ func Execute(cfg Config, resume *CheckpointState, progress Progress) (*Result, e
 					stop.Store(true)
 					return
 				}
-				job, kb, ok := share.claim()
+				job, sh, ok := share.claim()
 				if !ok {
 					return
 				}
-				out <- w.runJob(job, kb)
+				out <- w.runJob(job, sh)
 			}
 		}()
 	}

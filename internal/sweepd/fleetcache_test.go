@@ -1,9 +1,13 @@
 package sweepd
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/sweep"
@@ -70,9 +74,10 @@ func TestFleetCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestFleetCacheKeepsTopologyOnly: an entry keeps its build's topology
-// and no disk slab, the budget is charged the as-built fleet's bytes,
-// and the builder gets the built fleet itself.
+// TestFleetCacheKeepsTopologyOnly: the budget is charged the as-built
+// fleet's bytes, and the builder gets the built fleet itself. That an
+// entry's fleet.Shared keeps no disk slab is TestSharedKeepsTopologyOnly
+// in internal/fleet.
 func TestFleetCacheKeepsTopologyOnly(t *testing.T) {
 	c := NewFleetCache(0)
 	key := tinyKey(1)
@@ -85,11 +90,87 @@ func TestFleetCacheKeepsTopologyOnly(t *testing.T) {
 	if _, used := held(c); used != want {
 		t.Fatalf("cache charged %d bytes for an as-built fleet of %d", used, want)
 	}
-	c.mu.Lock()
-	e := c.entries[fleetCacheKey{key, 42}]
-	c.mu.Unlock()
-	if e.topo.Disks != nil {
-		t.Fatal("the cache entry keeps a disk slab")
+}
+
+// parkedOnBuild counts the goroutines blocked in a fleet.Shared,
+// waiting for another requester's build.
+func parkedOnBuild() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte("fleet.(*Shared).Fleet")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFleetCacheBuildPanic: a build that panics with requesters parked
+// on it reaches its own requester only. The first waiter to wake builds
+// in its place and the cache keeps that build: no requester hangs, the
+// key is charged exactly once, the rebuild counts as the key's one
+// Build, the other waiters and later requesters count as Hits, and the
+// panicking request counts as neither.
+func TestFleetCacheBuildPanic(t *testing.T) {
+	c := NewFleetCache(0)
+	key := tinyKey(1)
+	const waiters = 3
+	started, panicked := make(chan struct{}), make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Get(key, 42, func() *fleet.Fleet {
+			close(started)
+			for deadline := time.Now().Add(10 * time.Second); parkedOnBuild() < waiters; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("%d requesters parked on the build, want %d", parkedOnBuild(), waiters)
+					break
+				}
+			}
+			panic("scripted build panic")
+		})
+	}()
+	<-started
+
+	var builds atomic.Int32
+	fleets := make([]*fleet.Fleet, waiters)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range fleets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fleets[i] = c.Get(key, 42, func() *fleet.Fleet {
+				builds.Add(1)
+				return sweep.BuildFleet(key, 42)
+			})
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+	if pv := <-panicked; pv != "scripted build panic" {
+		t.Fatalf("the builder recovered %v, want its build's panic", pv)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a requester is still waiting 30 s after the panicking build")
+	}
+
+	if builds.Load() != 1 {
+		t.Fatalf("the waiters built %d times after the panic; want 1", builds.Load())
+	}
+	want := sweep.BuildFleet(key, 42)
+	for i, f := range fleets {
+		if !reflect.DeepEqual(f, want) {
+			t.Fatalf("waiter %d's fleet differs from a direct build", i)
+		}
+	}
+	c.Get(key, 42, func() *fleet.Fleet { panic("the cache did not keep the rebuild") })
+	if st := c.Stats(); st != (CacheStats{Builds: 1, Hits: waiters}) {
+		t.Fatalf("stats = %+v; want 1 build and %d hits", st, waiters)
+	}
+	if n, used := held(c); n != 1 || used != int64(want.ApproxBytes()) {
+		t.Fatalf("cache holds %d entries charged %d bytes; want 1 charged %d", n, used, want.ApproxBytes())
 	}
 }
 
