@@ -58,7 +58,7 @@ func main() {
 	events, dropped := rv.ResolveAll(failures)
 	for _, e := range events {
 		fmt.Printf("  %-30s disk %s (model %s, system %d, shelf %d, RAID group %d)\n",
-			e.Type, fleet.Serial(e.Disk), f.Systems[e.System].DiskModel, e.System, e.Shelf, e.Group)
+			e.Type, fleet.Serial(int(e.Disk)), f.Systems[e.System].DiskModel, e.System, e.Shelf, e.Group)
 	}
 	if dropped > 0 {
 		fmt.Printf("  (%d unresolvable)\n", dropped)

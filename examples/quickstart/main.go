@@ -22,8 +22,14 @@ func main() {
 	res := sim.Run(f, failmodel.DefaultParams(), 2)
 	ds := core.NewDataset(f, res.Events)
 
+	visible := 0
+	for _, e := range res.Events {
+		if e.Visible() {
+			visible++
+		}
+	}
 	fmt.Printf("simulated %d systems / %d disks over 44 months: %d storage subsystem failures\n\n",
-		len(f.Systems), len(f.Disks), len(res.VisibleEvents()))
+		len(f.Systems), len(f.Disks), visible)
 
 	headers := []string{"Class", "Disk", "Interconnect", "Protocol", "Performance", "Total AFR"}
 	var rows [][]string

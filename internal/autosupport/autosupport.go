@@ -108,7 +108,7 @@ func Collect(f *fleet.Fleet, events []failmodel.Event) *Database {
 	var msgs []eventlog.Message
 	var starts []int // bundle i's messages are msgs[starts[i]:starts[i+1]]
 	for _, i := range order {
-		sys, wk := events[i].System, week(i)
+		sys, wk := int(events[i].System), week(i)
 		if n := len(db.bundles); n == 0 || db.bundles[n-1].SystemID != sys || db.bundles[n-1].Week != wk {
 			db.bundles = append(db.bundles, Bundle{SystemID: sys, Week: wk})
 			starts = append(starts, len(msgs))
@@ -186,7 +186,7 @@ func (db *Database) MineEvents() ([]failmodel.Event, int) {
 			events = append(events, e)
 		}
 	}
-	slices.SortFunc(events, func(x, y failmodel.Event) int { return cmp.Compare(x.Time, y.Time) })
+	failmodel.SortEvents(events, nil, func(a, b int32) int { return cmp.Compare(events[a].Time, events[b].Time) })
 	return events, dropped
 }
 

@@ -64,14 +64,14 @@ func TestMineEventsMatchesVisibleGroundTruth(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("%d unresolvable records from clean pipeline", dropped)
 	}
-	visible := res.VisibleEvents()
+	visible := slices.DeleteFunc(slices.Clone(res.Events), func(e failmodel.Event) bool { return !e.Visible() })
 	if len(mined) != len(visible) {
 		t.Fatalf("mined %d events, want %d", len(mined), len(visible))
 	}
 	// Compare as multisets on (disk, type, detected) since mining sorts
 	// by detection while ground truth sorts by occurrence.
 	type key struct {
-		disk int
+		disk int32
 		ft   failmodel.FailureType
 		det  simtime.Seconds
 	}

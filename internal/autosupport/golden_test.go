@@ -67,10 +67,10 @@ func TestMineEventsGoldenDigest(t *testing.T) {
 			put(int(e.Detected))
 			put(int(e.Type))
 			put(int(e.Cause))
-			put(e.Disk)
-			put(e.Shelf)
-			put(e.System)
-			put(e.Group)
+			put(int(e.Disk))
+			put(int(e.Shelf))
+			put(int(e.System))
+			put(int(e.Group))
 			if e.Recovered {
 				put(1)
 			} else {

@@ -53,8 +53,8 @@ func ev(disk int, f *fleet.Fleet, t simtime.Seconds, ft failmodel.FailureType, r
 	d := f.Disks[disk]
 	return failmodel.Event{
 		Time: t, Detected: simtime.NextScrub(t), Type: ft,
-		Cause: causeFor(ft), Disk: disk, Shelf: int(d.Shelf), System: int(f.Shelves[d.Shelf].System),
-		Group: int(d.RAIDGrp), Recovered: recovered,
+		Cause: causeFor(ft), Disk: int32(disk), Shelf: d.Shelf, System: f.Shelves[d.Shelf].System,
+		Group: d.RAIDGrp, Recovered: recovered,
 	}
 }
 

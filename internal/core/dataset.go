@@ -88,7 +88,7 @@ func (ds *Dataset) containerRuns(scope Scope, fl Filter) (evs []failmodel.Event,
 		if c < 0 || !e.Visible() || !fl.admitsSystem(&ds.Fleet.Systems[e.System]) {
 			return -1
 		}
-		return c
+		return int(c)
 	}
 	// Container c's count goes to runs[c+2]; after the prefix sum
 	// runs[c+1] is c's start, and placing each event advances it to

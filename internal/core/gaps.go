@@ -101,7 +101,7 @@ func gapsOf(scope Scope, evs []failmodel.Event, runs []int32) *GapAnalysis {
 			continue // a lone failure has no gap
 		}
 		g.Containers++
-		overall = appendGaps(overall, seq, -1)
+		overall = appendGaps(overall, seq, allTypes)
 		for t := range perType {
 			perType[t] = appendGaps(perType[t], seq, failmodel.FailureType(t))
 		}
@@ -114,15 +114,19 @@ func gapsOf(scope Scope, evs []failmodel.Event, runs []int32) *GapAnalysis {
 	return g
 }
 
+// allTypes is appendGaps' type argument for the overall sequence: it
+// lies past every failure type, so no event is filtered out.
+const allTypes = failmodel.FailureType(failmodel.NumTypes)
+
 // appendGaps applies the duplicate filter to the type-t events of a
-// detection-time-sorted sequence (every event when t < 0) and appends
-// the gaps between consecutive retained events, in seconds, floored at
-// one second.
+// detection-time-sorted sequence (every event when t is allTypes) and
+// appends the gaps between consecutive retained events, in seconds,
+// floored at one second.
 func appendGaps(dst []float64, seq []failmodel.Event, t failmodel.FailureType) []float64 {
 	prev := -1
 	for i := range seq {
 		e := &seq[i]
-		if t >= 0 && e.Type != t {
+		if t != allTypes && e.Type != t {
 			continue
 		}
 		if prev >= 0 {

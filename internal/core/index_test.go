@@ -35,9 +35,9 @@ func quarterDataset(t *testing.T) *Dataset {
 func mapGrouping(ds *Dataset, scope Scope) map[int][]failmodel.Event {
 	byContainer := make(map[int][]failmodel.Event)
 	for _, e := range ds.Events {
-		c := e.Shelf
+		c := int(e.Shelf)
 		if scope == ByRAIDGroup {
-			c = e.Group
+			c = int(e.Group)
 		}
 		if !e.Visible() || c < 0 {
 			continue

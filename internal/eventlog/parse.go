@@ -168,10 +168,10 @@ func (rv *Resolver) ResolveDisk(id int, t failmodel.FailureType, det simtime.Sec
 		Detected: det,
 		Type:     t,
 		Cause:    defaultCauseFor(t),
-		Disk:     id,
-		Shelf:    int(d.Shelf),
-		System:   int(rv.fleet.Shelves[d.Shelf].System),
-		Group:    int(d.RAIDGrp),
+		Disk:     int32(id),
+		Shelf:    d.Shelf,
+		System:   rv.fleet.Shelves[d.Shelf].System,
+		Group:    d.RAIDGrp,
 	}, true
 }
 

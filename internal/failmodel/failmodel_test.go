@@ -2,8 +2,10 @@ package failmodel
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/stats"
@@ -224,4 +226,43 @@ func TestTypeStrings(t *testing.T) {
 	if len(Types) != 4 {
 		t.Error("the paper defines four failure types")
 	}
+}
+
+// TestEventLayout pins the event log's memory contract: an event is at
+// most 40 bytes and holds no pointer-bearing field, so a trial's event
+// buffer is allocated noscan and the garbage collector never walks it.
+// A string, slice, map or pointer field added to Event, or an ID or enum
+// widened back to int, would silently undo that.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 40 {
+		t.Errorf("Event is %d bytes, budget 40: keep IDs int32 and enums uint8, or derive the new field from the fleet", n)
+	}
+	typ := reflect.TypeOf(Event{})
+	if path := pointerPath(typ, typ.Name()); path != "" {
+		t.Errorf("Event holds a pointer at %s: every event buffer would be scanned by the GC", path)
+	}
+}
+
+// pointerPath returns the path to the first component of t whose
+// representation contains a pointer, or "" if there is none.
+func pointerPath(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p := pointerPath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		if t.Len() == 0 {
+			return ""
+		}
+		return pointerPath(t.Elem(), path+"[0]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return path + " (" + t.Kind().String() + ")"
+	}
+	return ""
 }

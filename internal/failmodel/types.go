@@ -22,13 +22,14 @@ package failmodel
 
 import (
 	"fmt"
+	"slices"
 
 	"storagesubsys/internal/simtime"
 )
 
 // FailureType is one of the paper's four storage subsystem failure
 // categories along the I/O request path.
-type FailureType int
+type FailureType uint8
 
 // The four failure types, in the paper's order.
 const (
@@ -79,7 +80,7 @@ func (t FailureType) Short() string {
 // Cause is the root cause beneath a failure type. Causes determine which
 // failures multipathing can absorb and which log message chain a failure
 // emits.
-type Cause int
+type Cause uint8
 
 // Root causes grouped by the failure type they produce.
 const (
@@ -161,6 +162,12 @@ func (c Cause) PathRecoverable() bool {
 
 // Event is one storage subsystem failure occurrence at a disk. Events
 // are the unit every analysis in internal/core consumes.
+//
+// After the fleet, a trial's event log is the largest thing it holds,
+// so an event is 40 bytes and holds no pointer (TestEventLayout pins
+// both), and the log is a noscan allocation the garbage collector never
+// walks. The IDs are int32, as fleet.Disk stores them, since no fleet
+// numbers 2^31 components; Type and Cause are bytes.
 type Event struct {
 	// Time is when the failure occurred.
 	Time simtime.Seconds
@@ -174,7 +181,7 @@ type Event struct {
 	Cause Cause
 	// Disk, Shelf, System, Group identify the affected component by
 	// fleet ID. Group is -1 for spare disks.
-	Disk, Shelf, System, Group int
+	Disk, Shelf, System, Group int32
 	// Recovered marks failures absorbed below the RAID layer (e.g. a
 	// cable fault on a dual-path subsystem). Recovered events never
 	// surface as storage subsystem failures; they are retained so the
@@ -185,3 +192,54 @@ type Event struct {
 // Visible reports whether the event surfaced as a storage subsystem
 // failure (i.e. reached the RAID layer).
 func (e Event) Visible() bool { return !e.Recovered }
+
+// SortEvents sorts events in place by cmp, which compares the events at
+// two indices. It sorts 4-byte indices, not events, with slices.SortFunc,
+// which makes the same comparisons and swaps whatever it sorts: where cmp
+// does not look at the indices themselves, ties end in the order
+// slices.SortFunc over the events would give. It then moves each event
+// once by following the sorted permutation's cycles. perm is
+// the caller's recycled scratch (nil for none); its contents are
+// overwritten and it is returned for the next call, so the only memory
+// a sort needs is 4 bytes per event.
+//
+//detlint:hotpath
+func SortEvents(events []Event, perm []int32, cmp func(a, b int32) int) []int32 {
+	if cap(perm) < len(events) {
+		// Sized to the event buffer's capacity: a recycled buffer
+		// regrows only when the events' does.
+		perm = make([]int32, len(events), cap(events))
+	}
+	perm = perm[:len(events)]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, cmp)
+	permute(events, perm)
+	return perm
+}
+
+// permute reorders events in place so that slot i receives the event
+// that was at perm[i], moving each event once with no second buffer. It
+// marks each visited slot by complementing it, so perm is consumed.
+//
+//detlint:hotpath
+func permute(events []Event, perm []int32) {
+	for i := range perm {
+		if perm[i] < 0 {
+			continue // moved as part of an earlier cycle
+		}
+		first := events[i]
+		j := i
+		for {
+			k := int(perm[j])
+			perm[j] = ^perm[j]
+			if k == i {
+				events[j] = first
+				break
+			}
+			events[j] = events[k]
+			j = k
+		}
+	}
+}

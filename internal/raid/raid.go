@@ -92,7 +92,8 @@ func Replay(f *fleet.Fleet, events []failmodel.Event, repairYears float64, inclu
 		if include != nil && !include(e) {
 			continue
 		}
-		byGroup[e.Group] = append(byGroup[e.Group], GroupEvent{Time: e.Time, Disk: e.Disk})
+		g := int(e.Group)
+		byGroup[g] = append(byGroup[g], GroupEvent{Time: e.Time, Disk: int(e.Disk)})
 	}
 
 	res := ReplayResult{Groups: len(f.Groups)}
@@ -156,7 +157,7 @@ func IndependentBaseline(f *fleet.Fleet, events []failmodel.Event, repairYears f
 		if include != nil && !include(e) {
 			continue
 		}
-		perGroup[e.Group]++
+		perGroup[int(e.Group)]++
 	}
 	// Synthesize in group-ID order, not map order: every draw consumes
 	// RNG state, so iteration order would otherwise change the synthetic
@@ -185,10 +186,10 @@ func IndependentBaseline(f *fleet.Fleet, events []failmodel.Event, repairYears f
 				Detected: simtime.NextScrub(t),
 				Type:     failmodel.DiskFailure,
 				Cause:    failmodel.CauseDiskMedia,
-				Disk:     disk,
-				Shelf:    int(f.Disks[disk].Shelf),
-				System:   int(g.System),
-				Group:    groupID,
+				Disk:     int32(disk),
+				Shelf:    f.Disks[disk].Shelf,
+				System:   g.System,
+				Group:    int32(groupID),
 			})
 		}
 	}

@@ -66,7 +66,7 @@ func event(disk int, at simtime.Seconds) failmodel.Event {
 	return failmodel.Event{
 		Time: at, Detected: simtime.NextScrub(at),
 		Type: failmodel.DiskFailure, Cause: failmodel.CauseDiskMedia,
-		Disk: disk, Shelf: 0, System: 0, Group: 0,
+		Disk: int32(disk), Shelf: 0, System: 0, Group: 0,
 	}
 }
 

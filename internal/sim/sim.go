@@ -85,26 +85,6 @@ type Result struct {
 	Events []failmodel.Event
 }
 
-// VisibleEvents returns the events that surfaced as storage subsystem
-// failures (excludes multipath-recovered faults). The result is sized
-// exactly — matches are counted before the single allocation — and is
-// always a fresh slice, never an alias of Events.
-func (r *Result) VisibleEvents() []failmodel.Event {
-	n := 0
-	for _, e := range r.Events {
-		if e.Visible() {
-			n++
-		}
-	}
-	out := make([]failmodel.Event, 0, n)
-	for _, e := range r.Events {
-		if e.Visible() {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Run simulates the fleet under the given parameters. The result is
 // fully determined by (fleet, params, seed). The fleet is mutated (disk
 // removals and replacement installs); pass a freshly built fleet. Run is
@@ -113,18 +93,19 @@ func Run(f *fleet.Fleet, params *failmodel.Params, seed int64) *Result {
 	return RunOpts(f, params, seed, nil)
 }
 
-// Scratch owns a run's reusable state — the event buffer and every
-// per-system scratch buffer — so a caller running many simulations (the
-// Monte-Carlo sweep engine) can recycle it across runs and keep
-// steady-state allocation flat: a warm scratch plus a fleet.Reset fleet
-// make a whole re-simulation allocate only a small constant plus any
-// event-buffer growth.
+// Scratch owns a run's reusable state — the event buffer, the event
+// sort's permutation and every per-system scratch buffer — so a caller
+// running many simulations (the Monte-Carlo sweep engine) can recycle
+// it across runs and keep steady-state allocation flat: a warm scratch
+// plus a fleet.Reset fleet make a whole re-simulation allocate only a
+// small constant plus any event-buffer growth.
 //
 // A Scratch must only be reused once the previous run's events are no
 // longer needed: the next run recycles the same event buffer,
 // clobbering the prior Result.Events. The zero value is ready to use.
 type Scratch struct {
-	w worker
+	w    worker
+	perm []int32 // sortEvents' permutation, one index per event
 }
 
 // RunOpts is Run with caller-owned scratch (nil for a one-shot run).
@@ -143,18 +124,37 @@ func RunOpts(f *fleet.Fleet, params *failmodel.Params, seed int64, sc *Scratch) 
 		sys := &f.Systems[i]
 		w.simulateSystem(sys, root.Split(streamKey(streamSys, sys.ID)))
 	}
-	// The stable sort keeps generation order for the (astronomically
-	// rare) same-time same-disk ties.
-	slices.SortStableFunc(w.events, func(a, b failmodel.Event) int {
-		if c := cmp.Compare(a.Time, b.Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Disk, b.Disk)
-	})
+	sc.perm = sortEvents(w.events, sc.perm)
 	// Drop the per-run references so a long-lived Scratch cannot pin a
 	// fleet (a full-scale one holds ~1.7M disks) after the run.
 	w.f, w.params = nil, nil
 	return &Result{Fleet: f, Events: w.events}
+}
+
+// sortEvents orders a run's events by (Time, Disk), keeping generation
+// order for the (astronomically rare) same-time same-disk ties: the
+// generation index is the last key, so the unstable index sort yields
+// the stable order by construction. perm is the run's recycled
+// permutation, returned for the next run.
+//
+//detlint:hotpath
+func sortEvents(events []failmodel.Event, perm []int32) []int32 {
+	return failmodel.SortEvents(events, perm, eventOrder(events).compare)
+}
+
+// eventOrder compares events by index for sortEvents; its method value
+// carries the events where a closure would capture them.
+type eventOrder []failmodel.Event
+
+func (ev eventOrder) compare(a, b int32) int {
+	x, y := &ev[a], &ev[b]
+	if c := cmp.Compare(x.Time, y.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Disk, y.Disk); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
 }
 
 // Opts is empty. It survives only in RunWorkersOpts's signature, which
@@ -575,10 +575,10 @@ func (w *worker) emit(sys *fleet.System, diskID int, t simtime.Seconds, cause fa
 		Detected:  simtime.NextScrub(t),
 		Type:      cause.Type(),
 		Cause:     cause,
-		Disk:      diskID,
-		Shelf:     int(d.Shelf),
-		System:    sys.ID,
-		Group:     int(d.RAIDGrp),
+		Disk:      int32(diskID),
+		Shelf:     d.Shelf,
+		System:    int32(sys.ID),
+		Group:     d.RAIDGrp,
 		Recovered: recovered,
 	})
 }
