@@ -260,3 +260,30 @@ func TestFleetCacheUnboundedNeverEvicts(t *testing.T) {
 		t.Fatalf("unbounded cache holds %d entries; want 4", n)
 	}
 }
+
+// TestFleetCacheChargePinned pins what the cache charges per build:
+// the topology slabs' capacities plus an as-built disk slab of 20 B per
+// disk with one trial's replacement room. A charge that shrinks lets
+// the budget admit more builds, and the svc benchmark's live heap grows
+// with what the cache holds. The keys are the svc benchmark job's
+// (scale 0.02, several seeds) and one quarter-scale ops key with and
+// without its churn override.
+func TestFleetCacheChargePinned(t *testing.T) {
+	for _, tc := range []struct {
+		key  sweep.FleetKey
+		seed int64
+		want int64
+	}{
+		{sweep.FleetKey{Scale: 0.02}, 1, 1110220},
+		{sweep.FleetKey{Scale: 0.02}, 42, 1109756},
+		{sweep.FleetKey{Scale: 0.02}, 1001, 1065780},
+		{sweep.FleetKey{Scale: 0.25}, 42, 13965448},
+		{sweep.FleetKey{Scale: 0.25, Churn: 4}, 42, 15131328},
+	} {
+		c := NewFleetCache(0)
+		c.Get(tc.key, tc.seed, func() *fleet.Fleet { return sweep.BuildFleet(tc.key, tc.seed) })
+		if _, used := held(c); used != tc.want {
+			t.Errorf("key %+v seed %d: charged %d bytes, want %d", tc.key, tc.seed, used, tc.want)
+		}
+	}
+}
