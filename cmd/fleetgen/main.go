@@ -55,7 +55,7 @@ func main() {
 	if *buildOnly {
 		f := fleet.BuildDefault(*scale, *seed)
 		fmt.Printf("fleet: %d systems, %d shelves, %d disks, %d RAID groups (scale %g, seed %d)\n",
-			len(f.Systems), len(f.Shelves), len(f.Disks), len(f.Groups), *scale, *seed)
+			len(f.Systems), len(f.Shelves), f.NumDisks(), len(f.Groups), *scale, *seed)
 		return
 	}
 	if *out == "" {
@@ -111,7 +111,7 @@ func run(w io.Writer, out string, scale float64, seed int64, maxSystems int) err
 
 	systems, bundles, messages := db.Stats()
 	fmt.Fprintf(w, "fleet: %d systems (%d with events), %d disks, %d events\n",
-		len(f.Systems), systems, len(f.Disks), len(res.Events))
+		len(f.Systems), systems, f.NumDisks(), len(res.Events))
 	fmt.Fprintf(w, "wrote %d system logs (%d weekly bundles, %d messages) under %s\n",
 		written, bundles, messages, out)
 	return nil

@@ -32,7 +32,7 @@ func TestRunWritesArchive(t *testing.T) {
 	db := autosupport.Collect(f, res.Events)
 	systems, bundles, messages := db.Stats()
 	want := fmt.Sprintf("fleet: %d systems (%d with events), %d disks, %d events\nwrote %d system logs (%d weekly bundles, %d messages) under %s\n",
-		len(f.Systems), systems, len(f.Disks), len(res.Events), systems, bundles, messages, dir)
+		len(f.Systems), systems, f.NumDisks(), len(res.Events), systems, bundles, messages, dir)
 	if stdout.String() != want {
 		t.Errorf("stdout:\n%s\nwant:\n%s", stdout.String(), want)
 	}

@@ -52,7 +52,7 @@ func main() {
 		cfg.Scale, cfg.Seed, cfg.Mine)
 	env := experiments.Setup(cfg)
 	fmt.Printf("fleet: %d systems, %d shelves, %d disks ever installed, %d RAID groups; %d failure events\n",
-		len(env.Fleet.Systems), len(env.Fleet.Shelves), len(env.Fleet.Disks), len(env.Fleet.Groups), len(env.Events))
+		len(env.Fleet.Systems), len(env.Fleet.Shelves), env.Fleet.NumDisks(), len(env.Fleet.Groups), len(env.Events))
 	if cfg.Mine {
 		fmt.Printf("log mining: %d events classified from collected messages, %d unresolvable\n", len(env.Events), env.MinedDropped)
 	}

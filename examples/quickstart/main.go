@@ -29,7 +29,7 @@ func main() {
 		}
 	}
 	fmt.Printf("simulated %d systems / %d disks over 44 months: %d storage subsystem failures\n\n",
-		len(f.Systems), len(f.Disks), visible)
+		len(f.Systems), f.NumDisks(), visible)
 
 	headers := []string{"Class", "Disk", "Interconnect", "Protocol", "Performance", "Total AFR"}
 	var rows [][]string

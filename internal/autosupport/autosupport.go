@@ -145,7 +145,7 @@ func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 		ss := SnapshotShelf{Index: int(f.Shelves[shelfID].Index), Model: snap.ShelfModel}
 		ids = f.ShelfDisks(ids[:0], shelfID)
 		for _, diskID := range ids {
-			d := &f.Disks[diskID]
+			d := f.Disk(diskID)
 			if simtime.Seconds(d.Install) > at || simtime.Seconds(d.Remove) <= at {
 				continue // not resident at snapshot time
 			}

@@ -106,7 +106,7 @@ func TestSnapshotReflectsResidency(t *testing.T) {
 				found := false
 				for shelfID := f.Systems[sysID].Shelves.Lo; shelfID < f.Systems[sysID].Shelves.Hi; shelfID++ {
 					for _, diskID := range f.ShelfDisks(nil, int(shelfID)) {
-						d := f.Disks[diskID]
+						d := f.Disk(diskID)
 						install, remove := simtime.Seconds(d.Install), simtime.Seconds(d.Remove)
 						if fleet.Serial(diskID) == sd.Serial {
 							found = true

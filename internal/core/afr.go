@@ -119,12 +119,10 @@ func (ds *Dataset) tally(labels []string, key func(*fleet.System) int, fl Filter
 		b.Groups += s.RAIDGroups.Len()
 	}
 
-	for i := range ds.Fleet.Disks {
-		d := &ds.Fleet.Disks[i]
-		if g := groupOf[ds.Fleet.Shelves[d.Shelf].System]; g >= 0 {
-			bs[g].Disks++
-			bs[g].DiskYears += d.ResidencyYears()
-		}
+	exp := make([]fleet.Exposure, len(bs))
+	ds.Fleet.AddExposure(groupOf, exp)
+	for i, e := range exp {
+		bs[i].Disks, bs[i].DiskYears = e.Disks, e.Years
 	}
 
 	for _, e := range ds.Events {

@@ -32,7 +32,7 @@ func TestCalibrationSmoke(t *testing.T) {
 	ds := dataset(t)
 
 	t.Logf("fleet: %d systems, %d shelves, %d disks, %d groups, %d events",
-		len(ds.Fleet.Systems), len(ds.Fleet.Shelves), len(ds.Fleet.Disks), len(ds.Fleet.Groups), len(ds.Events))
+		len(ds.Fleet.Systems), len(ds.Fleet.Shelves), ds.Fleet.NumDisks(), len(ds.Fleet.Groups), len(ds.Events))
 
 	for _, b := range ds.AFRByClass(Filter{ExcludeFamily: fleet.ProblemFamily}) {
 		t.Logf("fig4b %-10s total=%.2f%% disk=%.2f%% pi=%.2f%% proto=%.2f%% perf=%.2f%% (dy=%.0f)",

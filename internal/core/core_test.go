@@ -28,16 +28,12 @@ func craftedFleet() *fleet.Fleet {
 		g.Members.Lo = int32(len(f.Members))
 		for s := 0; s < shelves; s++ {
 			shelf := fleet.Shelf{ID: int32(len(f.Shelves)), System: int32(sys.ID), Index: int32(s)}
-			shelf.Disks.Lo = int32(len(f.Disks))
-			for i := 0; i < disksPerShelf; i++ {
-				f.Members = append(f.Members, int32(len(f.Disks)))
-				f.Disks = append(f.Disks, fleet.Disk{
-					Shelf: shelf.ID, Slot: uint8(i), RAIDGrp: g.ID,
-					Install: 0, Remove: int32(simtime.StudyDuration),
-				})
-				g.ShelvesSpanned = s + 1
+			shelf.Disks.Lo = int32(f.NumDisks())
+			shelf.Disks.Hi = shelf.Disks.Lo + int32(disksPerShelf)
+			for id := shelf.Disks.Lo; id < shelf.Disks.Hi; id++ {
+				f.Members = append(f.Members, id)
 			}
-			shelf.Disks.Hi = int32(len(f.Disks))
+			g.ShelvesSpanned = s + 1
 			f.Shelves = append(f.Shelves, shelf)
 		}
 		g.Members.Hi = int32(len(f.Members))
@@ -50,7 +46,7 @@ func craftedFleet() *fleet.Fleet {
 }
 
 func ev(disk int, f *fleet.Fleet, t simtime.Seconds, ft failmodel.FailureType, recovered bool) failmodel.Event {
-	d := f.Disks[disk]
+	d := f.Disk(disk)
 	return failmodel.Event{
 		Time: t, Detected: simtime.NextScrub(t), Type: ft,
 		Cause: causeFor(ft), Disk: int32(disk), Shelf: d.Shelf, System: f.Shelves[d.Shelf].System,

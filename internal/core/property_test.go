@@ -15,7 +15,7 @@ import (
 func randomEvents(f *fleet.Fleet, seed []byte) []failmodel.Event {
 	var events []failmodel.Event
 	for i, b := range seed {
-		disk := int(b) % len(f.Disks)
+		disk := int(b) % f.NumDisks()
 		ft := failmodel.Types[int(b>>2)%len(failmodel.Types)]
 		at := simtime.Seconds(i+1) * 50000 % simtime.StudyDuration
 		events = append(events, ev(disk, f, at, ft, b&0x80 != 0))

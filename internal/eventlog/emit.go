@@ -124,7 +124,7 @@ func (m Message) Tag() string { return steps[m.Step].tag }
 // its slot.
 func (m Message) Line(f *fleet.Fleet) Line {
 	st := &steps[m.Step]
-	d := &f.Disks[m.Disk]
+	d := f.Disk(int(m.Disk))
 	return Line{
 		Time:     simtime.ToWall(m.Time),
 		Tag:      st.tag,

@@ -219,7 +219,7 @@ func TestResolveUnknownSerial(t *testing.T) {
 	if len(events) != 0 || dropped != 1 {
 		t.Error("ResolveAll must count unresolvable records")
 	}
-	for _, id := range []int{-1, len(res.Fleet.Disks)} {
+	for _, id := range []int{-1, res.Fleet.NumDisks()} {
 		if _, ok := rv.ResolveDisk(id, failmodel.DiskFailure, 0); ok {
 			t.Errorf("disk ID %d outside the fleet must not resolve", id)
 		}
@@ -234,8 +234,8 @@ func TestResolveUnknownSerial(t *testing.T) {
 func TestResolverMatchesSerialIndex(t *testing.T) {
 	res := smallRun(t)
 	f := res.Fleet
-	index := make(map[string]int, len(f.Disks))
-	for id := range f.Disks {
+	index := make(map[string]int, f.NumDisks())
+	for id := range f.NumDisks() {
 		index[fleet.Serial(id)] = id
 	}
 
@@ -243,7 +243,7 @@ func TestResolverMatchesSerialIndex(t *testing.T) {
 		strings.ToLower(fleet.Serial(10)), // lowercase
 		"S" + fleet.Serial(10)[2:],        // one digit short
 		"S0" + fleet.Serial(10)[1:],       // one digit of extra padding
-		fleet.Serial(len(f.Disks)),        // the next disk, not yet installed
+		fleet.Serial(f.NumDisks()),        // the next disk, not yet installed
 		"SFFFFFFFFFFFFFFFF",               // ID -1 as a signed int
 		"NO-SUCH",
 		"",
@@ -317,9 +317,13 @@ func TestDeviceAddress(t *testing.T) {
 		slot  uint8
 		want  string
 	}{{0, 8, "8.24"}, {3, 0, "11.16"}} {
-		id := slices.IndexFunc(f.Disks, func(d fleet.Disk) bool {
-			return f.Shelves[d.Shelf].Index == tc.shelf && d.Slot == tc.slot
-		})
+		id := -1
+		for i := range f.NumDisks() {
+			if d := f.Disk(i); f.Shelves[d.Shelf].Index == tc.shelf && d.Slot == tc.slot {
+				id = i
+				break
+			}
+		}
 		if id < 0 {
 			t.Fatalf("no disk in slot %d of a shelf at index %d", tc.slot, tc.shelf)
 		}

@@ -128,7 +128,7 @@ func Classify(lines []Line) []ParsedFailure {
 // mined in process by its disk ID.
 type Resolver struct {
 	fleet *fleet.Fleet
-	disks int // len(fleet.Disks) when the resolver was made
+	disks int // fleet.NumDisks() when the resolver was made
 }
 
 // NewResolver returns a resolver over the disks the fleet holds now: an
@@ -136,7 +136,7 @@ type Resolver struct {
 // fleet.Serial of one of them. A serial encodes its disk ID, so no
 // index is built.
 func NewResolver(f *fleet.Fleet) *Resolver {
-	return &Resolver{fleet: f, disks: len(f.Disks)}
+	return &Resolver{fleet: f, disks: f.NumDisks()}
 }
 
 // Resolve converts a parsed failure into a failure event bound to fleet
@@ -162,7 +162,7 @@ func (rv *Resolver) ResolveDisk(id int, t failmodel.FailureType, det simtime.Sec
 	if id < 0 || id >= rv.disks {
 		return failmodel.Event{}, false
 	}
-	d := &rv.fleet.Disks[id]
+	d := rv.fleet.Disk(id)
 	return failmodel.Event{
 		Time:     det,
 		Detected: det,

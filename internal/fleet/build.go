@@ -39,9 +39,8 @@ const (
 // disks/RAIDGroupSize. The fill splits the same streams again — Split
 // is a pure function of the parent key and stream, so it replays the
 // same draws — and writes every system, shelf and RAID group at its
-// index of slabs allocated once at those sizes. The disk slab is
-// derived from that topology last, by the same asBuiltDisks every
-// Clone calls.
+// index of slabs allocated once at those sizes. No disk is stored:
+// the topology determines every as-built disk's record (Fleet.Disk).
 func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 	if scale <= 0 {
 		panic("fleet: scale must be positive")
@@ -71,7 +70,6 @@ func Build(profiles []ClassProfile, scale float64, seed int64) *Fleet {
 		Seed:    seed,
 	}
 	forEachSystem(profiles, scale, seed, b.buildSystem)
-	b.f.Disks = b.f.asBuiltDisks()
 	return b.f
 }
 

@@ -43,7 +43,7 @@ func fleetDigest(f *Fleet) uint64 {
 		h.Write([]byte(f.Systems[sh.System].ShelfModel))
 		w(f.ShelfDisks(nil, int(sh.ID))...)
 	}
-	for id, d := range f.Disks {
+	for id, d := range allDisks(f) {
 		sys := int(f.Shelves[d.Shelf].System)
 		w(id, sys, int(d.Shelf), int(d.Slot), int(d.RAIDGrp), int(d.Install), int(d.Remove))
 		h.Write(AppendSerial(nil, id))
@@ -78,9 +78,9 @@ func TestBuildGoldenDigest(t *testing.T) {
 	for _, tc := range cases {
 		f := BuildDefault(tc.scale, tc.seed)
 		if len(f.Systems) != tc.systems || len(f.Shelves) != tc.shelves ||
-			len(f.Disks) != tc.disks || len(f.Groups) != tc.groups {
+			f.NumDisks() != tc.disks || len(f.Groups) != tc.groups {
 			t.Errorf("scale=%g seed=%d: population %d/%d/%d/%d, want %d/%d/%d/%d",
-				tc.scale, tc.seed, len(f.Systems), len(f.Shelves), len(f.Disks), len(f.Groups),
+				tc.scale, tc.seed, len(f.Systems), len(f.Shelves), f.NumDisks(), len(f.Groups),
 				tc.systems, tc.shelves, tc.disks, tc.groups)
 			continue
 		}
@@ -129,8 +129,8 @@ func TestBuildSpliceOrder(t *testing.T) {
 					sh.ID, sh.System, sh.Disks, s.ID, nextDisk)
 			}
 			for id := sh.Disks.Lo; id < sh.Disks.Hi; id++ {
-				if f.Disks[id].Shelf != sh.ID {
-					t.Fatalf("disk %d in shelf %d's span names shelf %d", id, sh.ID, f.Disks[id].Shelf)
+				if d := f.Disk(int(id)); d.Shelf != sh.ID {
+					t.Fatalf("disk %d in shelf %d's span names shelf %d", id, sh.ID, d.Shelf)
 				}
 			}
 			nextShelf++
@@ -148,19 +148,19 @@ func TestBuildSpliceOrder(t *testing.T) {
 	if nextMember != len(f.Members) {
 		t.Fatalf("groups span %d members, want %d", nextMember, len(f.Members))
 	}
-	if nextShelf != len(f.Shelves) || nextDisk != len(f.Disks) || nextGroup != len(f.Groups) {
+	if nextShelf != len(f.Shelves) || nextDisk != f.NumDisks() || nextGroup != len(f.Groups) {
 		t.Fatalf("systems span %d/%d/%d components, want %d/%d/%d",
-			nextShelf, nextDisk, nextGroup, len(f.Shelves), len(f.Disks), len(f.Groups))
+			nextShelf, nextDisk, nextGroup, len(f.Shelves), f.NumDisks(), len(f.Groups))
 	}
-	for i := range f.Disks {
-		if id, ok := ParseSerial(Serial(i), len(f.Disks)); !ok || id != i {
+	for i := range f.NumDisks() {
+		if id, ok := ParseSerial(Serial(i), f.NumDisks()); !ok || id != i {
 			t.Fatalf("disk %d serial %q resolves to (%d, %v)", i, Serial(i), id, ok)
 		}
 	}
 	for _, g := range f.Groups {
 		for _, diskID := range f.Members[g.Members.Lo:g.Members.Hi] {
-			if f.Disks[diskID].RAIDGrp != g.ID {
-				t.Fatalf("group %d member %d points at group %d", g.ID, diskID, f.Disks[diskID].RAIDGrp)
+			if d := f.Disk(int(diskID)); d.RAIDGrp != g.ID {
+				t.Fatalf("group %d member %d points at group %d", g.ID, diskID, d.RAIDGrp)
 			}
 		}
 	}
@@ -226,9 +226,9 @@ func TestBuildSmallMeanProfile(t *testing.T) {
 		Configs:          []ShelfConfig{{ShelfA, DiskA2, 1}},
 	}}
 	f := Build(profiles, 1.0, 5)
-	if len(f.Systems) != 40 || len(f.Shelves) != 40 || len(f.Disks) != 40 {
+	if len(f.Systems) != 40 || len(f.Shelves) != 40 || f.NumDisks() != 40 {
 		t.Fatalf("population %d/%d/%d, want 40/40/40",
-			len(f.Systems), len(f.Shelves), len(f.Disks))
+			len(f.Systems), len(f.Shelves), f.NumDisks())
 	}
 	for _, g := range f.Groups {
 		if g.Members.Len() != 1 || g.ShelvesSpanned != 1 {
@@ -252,7 +252,7 @@ func TestBuildAllocBudget(t *testing.T) {
 	const budget = 512
 	if allocs > budget {
 		t.Errorf("build of %d systems / %d disks allocated %.0f times, budget %d",
-			len(f.Systems), len(f.Disks), allocs, budget)
+			len(f.Systems), f.NumDisks(), allocs, budget)
 	}
 }
 
@@ -276,21 +276,5 @@ func TestBuildAllocatesOnlyTheFleet(t *testing.T) {
 	if cap(f.Systems) != len(f.Systems) || cap(f.Shelves) != len(f.Shelves) {
 		t.Errorf("system slab %d/%d, shelf slab %d/%d (len/cap): want exact",
 			len(f.Systems), cap(f.Systems), len(f.Shelves), cap(f.Shelves))
-	}
-}
-
-// TestDiskSlabRoom pins the default fleet's replacement room — the
-// disk slab's spare capacity, derived from the systems' expected churn
-// — below the flat eighth it replaced, and requires a clone to get the
-// room of a fresh build.
-func TestDiskSlabRoom(t *testing.T) {
-	f := BuildDefault(0.05, 53)
-	n := len(f.Disks)
-	if room := cap(f.Disks) - n; room <= n/16 || room > n/8 {
-		t.Errorf("default fleet of %d disks has room for %d replacements, want (%d, %d]",
-			n, room, n/16, n/8)
-	}
-	if c := f.Clone(); cap(c.Disks) != cap(f.Disks) {
-		t.Errorf("clone disk slab cap %d, build %d", cap(c.Disks), cap(f.Disks))
 	}
 }

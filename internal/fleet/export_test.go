@@ -4,6 +4,6 @@ package fleet
 // whose operational-dimension profiles it pins.
 var FleetDigest = fleetDigest
 
-// Topology exposes topology to the external fleet_test package, whose
-// clone tests cut fleets from a disk-less topology.
-var Topology = (*Fleet).topology
+// AllDisks exposes allDisks to the external fleet_test package, whose
+// trial tests compare whole populations.
+var AllDisks = allDisks

@@ -16,20 +16,20 @@ func buildSmall(t *testing.T) *Fleet {
 func TestBuildDeterministic(t *testing.T) {
 	a := BuildDefault(0.01, 7)
 	b := BuildDefault(0.01, 7)
-	if len(a.Systems) != len(b.Systems) || len(a.Disks) != len(b.Disks) {
+	if len(a.Systems) != len(b.Systems) || a.NumDisks() != b.NumDisks() {
 		t.Fatal("same seed must build the same fleet")
 	}
-	for i := range a.Disks {
-		if a.Disks[i] != b.Disks[i] {
+	for i := range a.NumDisks() {
+		if a.Disk(i) != b.Disk(i) {
 			t.Fatal("disk placement must be deterministic")
 		}
 	}
 	c := BuildDefault(0.01, 8)
-	if len(c.Disks) == len(a.Disks) {
+	if c.NumDisks() == a.NumDisks() {
 		// Counts can collide, but placements should differ somewhere.
 		same := true
-		for i := range c.Disks {
-			if c.Disks[i].Shelf != a.Disks[i].Shelf {
+		for i := range c.NumDisks() {
+			if c.Disk(i).Shelf != a.Disk(i).Shelf {
 				same = false
 				break
 			}
@@ -55,7 +55,7 @@ func TestBuildPopulationShape(t *testing.T) {
 			c.DualPath++
 		}
 	}
-	for _, d := range f.Disks {
+	for _, d := range allDisks(f) {
 		byClass[f.Systems[f.Shelves[d.Shelf].System].Class].Disks++
 	}
 	if len(byClass) != 4 {
@@ -94,7 +94,7 @@ func TestBuildPopulationShape(t *testing.T) {
 
 func TestTopologyInvariants(t *testing.T) {
 	f := buildSmall(t)
-	for id, d := range f.Disks {
+	for id, d := range allDisks(f) {
 		if d.Slot >= MaxDisksPerShelf {
 			t.Fatalf("disk %d slot %d out of range", id, d.Slot)
 		}
@@ -117,7 +117,7 @@ func TestTopologyInvariants(t *testing.T) {
 		}
 		slots := map[uint8]bool{}
 		for id := sh.Disks.Lo; id < sh.Disks.Hi; id++ {
-			d := f.Disks[id]
+			d := f.Disk(int(id))
 			if slots[d.Slot] {
 				t.Fatalf("shelf %d slot %d double-occupied at build time", sh.ID, d.Slot)
 			}
@@ -151,10 +151,11 @@ func TestRAIDGroupLayout(t *testing.T) {
 		// Members must belong to the owning system.
 		shelves := map[int]bool{}
 		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
-			if f.Shelves[f.Disks[id].Shelf].System != g.System {
+			shelf := f.Disk(int(id)).Shelf
+			if f.Shelves[shelf].System != g.System {
 				t.Fatalf("group %d member from another system", g.ID)
 			}
-			shelves[int(f.Disks[id].Shelf)] = true
+			shelves[int(shelf)] = true
 		}
 		if g.ShelvesSpanned != len(shelves) {
 			t.Fatalf("group %d spanned count %d, want %d", g.ID, g.ShelvesSpanned, len(shelves))
@@ -253,24 +254,24 @@ func TestDiskModelCatalog(t *testing.T) {
 
 func TestAddReplacementDisk(t *testing.T) {
 	f := buildSmall(t)
-	orig := f.Disks[0]
-	before := len(f.Disks)
+	orig := f.Disk(0)
+	before := f.NumDisks()
 	at := simtime.Seconds(1000000)
-	id := f.Replace(0, at)
-	if id != before || len(f.Disks) != before+1 {
-		t.Fatalf("replacement ID %d in %d disks, want the new last index %d", id, len(f.Disks), before)
+	id := f.Replace(orig, at)
+	if id != before || f.NumDisks() != before+1 {
+		t.Fatalf("replacement ID %d in %d disks, want the new last index %d", id, f.NumDisks(), before)
 	}
-	nd := f.Disks[id]
+	nd := f.Disk(id)
 	if nd.Shelf != orig.Shelf || nd.Slot != orig.Slot || nd.RAIDGrp != orig.RAIDGrp {
 		t.Error("replacement must inherit shelf/slot/group")
 	}
 	if simtime.Seconds(nd.Install) != at || simtime.Seconds(nd.Remove) != simtime.StudyDuration || nd.Replaced {
 		t.Error("replacement residency wrong")
 	}
-	if f.Disks[0] != orig {
+	if f.Disk(0) != orig {
 		t.Error("Replace must leave the failed disk's record to the caller")
 	}
-	if got, ok := ParseSerial(Serial(id), len(f.Disks)); !ok || got != id {
+	if got, ok := ParseSerial(Serial(id), f.NumDisks()); !ok || got != id {
 		t.Errorf("replacement %d: serial resolves to (%d, %v)", id, got, ok)
 	}
 	if mounts := f.ShelfDisks(nil, int(orig.Shelf)); mounts[len(mounts)-1] != id {
@@ -279,43 +280,42 @@ func TestAddReplacementDisk(t *testing.T) {
 }
 
 // TestReplaceChainGrowth drives the simulator's slot chain — each
-// replacement fails in turn and is replaced, Replace reading the failed
-// record out of the slab it appends to — long enough that the disk slab
-// regrows mid-chain, and requires exactly the records and shelf disk
-// list a fleet with room for the whole chain produces.
+// replacement fails in turn and is replaced — long enough that the
+// fleet's replacement records regrow mid-chain, and requires exactly
+// the records and shelf disk list a fleet with room for the whole
+// chain produces.
 func TestReplaceChainGrowth(t *testing.T) {
 	const n, room = 500, 250
 	chain := func(f *Fleet) {
-		cur := f.Replace(7, 100)
+		cur := f.Replace(f.Disk(7), 100)
 		for k := 1; k < n; k++ {
-			d := &f.Disks[cur]
-			d.Remove = d.Install + int32(k)
-			d.Replaced = true
-			cur = f.Replace(cur, simtime.Seconds(d.Remove)+10)
+			d := f.Disk(cur)
+			f.Remove(cur, simtime.Seconds(d.Install)+simtime.Seconds(k), true)
+			cur = f.Replace(d, simtime.Seconds(d.Install)+simtime.Seconds(k)+10)
 		}
 	}
 
 	grown := BuildDefault(0.005, 3)
-	base := len(grown.Disks)
-	grown.Disks = grown.Disks[: base : base+room]
+	base := grown.NumDisks()
+	grown.repl = make([]Disk, 0, room)
 	chain(grown)
-	if cap(grown.Disks) == base+room {
-		t.Fatal("setup: the disk slab never regrew mid-chain")
+	if cap(grown.repl) == room {
+		t.Fatal("setup: the replacement records never regrew mid-chain")
 	}
 	roomy := BuildDefault(0.005, 3)
-	roomy.Disks = append(make([]Disk, 0, base+n), roomy.Disks...)
+	roomy.repl = make([]Disk, 0, n)
 	chain(roomy)
 
-	if len(grown.Disks) != base+n || !slices.Equal(grown.Disks, roomy.Disks) {
-		t.Fatal("a chain that regrew the disk slab differs from one with room for it")
+	if grown.NumDisks() != base+n || !slices.Equal(allDisks(grown), allDisks(roomy)) {
+		t.Fatal("a chain that regrew the replacement records differs from one with room for it")
 	}
-	shelf := grown.Disks[7].Shelf
-	if !slices.Equal(grown.ShelfDisks(nil, int(shelf)), roomy.ShelfDisks(nil, int(shelf))) {
-		t.Fatal("a chain that regrew the disk slab left a different shelf disk list")
+	first := grown.Disk(7)
+	if !slices.Equal(grown.ShelfDisks(nil, int(first.Shelf)), roomy.ShelfDisks(nil, int(first.Shelf))) {
+		t.Fatal("a chain that regrew the replacement records left a different shelf disk list")
 	}
 	for k := 1; k < n; k++ {
-		prev, d := grown.Disks[base+k-1], grown.Disks[base+k]
-		if !prev.Replaced || d.Install != prev.Remove+10 || d.Shelf != shelf || d.Slot != grown.Disks[7].Slot {
+		prev, d := grown.Disk(base+k-1), grown.Disk(base+k)
+		if !prev.Replaced || d.Install != prev.Remove+10 || d.Shelf != first.Shelf || d.Slot != first.Slot {
 			t.Fatalf("chain link %d: %+v after %+v", k, d, prev)
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // in a FIFO queue, a window pops members round-robin from its shelves'
 // queues, and a window that cannot fill a group pushes the popped disks
 // back and slides by one shelf. It lays out one system of f, whose
-// shelves and disks are already written, appending to f.Groups and
-// f.Members and setting each member's RAIDGrp.
-func queueLayout(f *Fleet, sysID int, shelves Span, p *ClassProfile, r *stats.RNG) {
+// shelves are already written, appending to f.Groups and f.Members and
+// setting each member's entry of grp, the disks' RAID groups.
+func queueLayout(f *Fleet, grp []int32, sysID int, shelves Span, p *ClassProfile, r *stats.RNG) {
 	nShelves := shelves.Len()
 	if nShelves == 0 || p.RAIDGroupSize <= 0 {
 		return
@@ -72,7 +72,7 @@ func queueLayout(f *Fleet, sysID int, shelves Span, p *ClassProfile, r *stats.RN
 		spanned := map[int]bool{}
 		for _, id := range members {
 			spanned[diskShelf[id]] = true
-			f.Disks[id].RAIDGrp = groupID
+			grp[id] = groupID
 			f.Members = append(f.Members, id)
 		}
 		f.Groups = append(f.Groups, RAIDGroup{
@@ -111,18 +111,19 @@ func TestLayoutMatchesQueueOracle(t *testing.T) {
 		seed := int64(trial)
 		f := Build(profiles, 1, seed)
 
-		// The oracle lays out into its own group, member and disk slabs:
-		// a Clone would share f's groups and members.
-		want := &Fleet{Systems: f.Systems, Shelves: f.Shelves, Disks: slices.Clone(f.Disks)}
-		for i := range want.Disks {
-			want.Disks[i].RAIDGrp = -1
+		// The oracle lays out into its own group and member slabs (a
+		// Clone would share f's) and its own RAID group per disk.
+		want := &Fleet{Systems: f.Systems, Shelves: f.Shelves}
+		wantGrp := make([]int32, f.NumDisks())
+		for i := range wantGrp {
+			wantGrp[i] = -1
 		}
 		var b builder
 		sysID := 0
 		forEachSystem(profiles, 1, seed, func(p *ClassProfile, weights []float64, r *stats.RNG) {
 			b.drawShape(p, weights, r)
 			lo := int32(len(want.Groups))
-			queueLayout(want, sysID, f.Systems[sysID].Shelves, p, r)
+			queueLayout(want, wantGrp, sysID, f.Systems[sysID].Shelves, p, r)
 			if got, exp := f.Systems[sysID].RAIDGroups, (Span{lo, int32(len(want.Groups))}); got != exp {
 				t.Fatalf("trial %d system %d: groups %v, oracle %v", trial, sysID, got, exp)
 			}
@@ -142,9 +143,9 @@ func TestLayoutMatchesQueueOracle(t *testing.T) {
 		if !slices.Equal(f.Members, want.Members) {
 			t.Fatalf("trial %d: member lists differ from the oracle", trial)
 		}
-		for id := range f.Disks[:len(want.Disks)] {
-			if f.Disks[id].RAIDGrp != want.Disks[id].RAIDGrp {
-				t.Fatalf("trial %d: disk %d in group %d, oracle %d", trial, id, f.Disks[id].RAIDGrp, want.Disks[id].RAIDGrp)
+		for id, g := range wantGrp {
+			if got := f.Disk(id).RAIDGrp; got != g {
+				t.Fatalf("trial %d: disk %d in group %d, oracle %d", trial, id, got, g)
 			}
 		}
 	}

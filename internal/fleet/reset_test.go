@@ -26,24 +26,24 @@ func TestCheckpointReset(t *testing.T) {
 	cp := f.Checkpoint()
 
 	// Simulate the mutations a trial performs: fail and replace a few
-	// disks (the replacement then churns out too), across two shelves.
+	// disks, across two shelves, and churn a replacement out.
+	var repl int
 	for _, id := range []int{0, 1, int(f.Shelves[1].Disks.Lo)} {
-		d := &f.Disks[id]
-		d.Remove = int32(simtime.SecondsPerYear)
-		d.Replaced = true
-		f.Replace(id, simtime.SecondsPerYear+1000)
+		f.Remove(id, simtime.SecondsPerYear, true)
+		repl = f.Replace(f.Disk(id), simtime.SecondsPerYear+1000)
 	}
-	if len(f.Disks) == len(ref.Disks) {
+	f.Remove(repl, 2*simtime.SecondsPerYear, false)
+	if f.NumDisks() == ref.NumDisks() {
 		t.Fatal("setup: no replacements installed")
 	}
 
 	f.Reset(cp)
 
-	if len(f.Disks) != len(ref.Disks) {
-		t.Fatalf("after Reset: %d disks, want %d", len(f.Disks), len(ref.Disks))
+	if f.NumDisks() != ref.NumDisks() {
+		t.Fatalf("after Reset: %d disks, want %d", f.NumDisks(), ref.NumDisks())
 	}
-	for i, d := range f.Disks {
-		if want := ref.Disks[i]; d != want {
+	for i, d := range fleet.AllDisks(f) {
+		if want := ref.Disk(i); d != want {
 			t.Fatalf("disk %d = %+v, want %+v", i, d, want)
 		}
 	}
@@ -107,39 +107,39 @@ func TestResetRerunUnderChurnAndRepairLag(t *testing.T) {
 
 	f := fleet.Build(profiles, scale, buildSeed)
 	cp := f.Checkpoint()
-	asBuilt := len(f.Disks)
+	asBuilt := f.NumDisks()
 
 	run := func(fl *fleet.Fleet) *sim.Result { return sim.Run(fl, params, simSeed) }
 
 	res1 := run(f)
 	ev1 := append([]failmodel.Event(nil), res1.Events...)
-	disks1 := slices.Clone(f.Disks)
+	disks1 := fleet.AllDisks(f)
 	if len(disks1) <= asBuilt {
 		t.Fatal("setup: trial produced no replacements; churn/repair-lag dimensions not exercised")
 	}
 
 	// Rolled-back replay must be bit-identical.
 	f.Reset(cp)
-	if len(f.Disks) != asBuilt {
-		t.Fatalf("Reset left %d disks, want the as-built %d", len(f.Disks), asBuilt)
+	if f.NumDisks() != asBuilt {
+		t.Fatalf("Reset left %d disks, want the as-built %d", f.NumDisks(), asBuilt)
 	}
 	res2 := run(f)
 	sameEvents(t, res2.Events, ev1, "reset replay")
-	if !slices.Equal(f.Disks, disks1) {
-		t.Fatalf("reset replay: %d disks differ from the first run's %d", len(f.Disks), len(disks1))
+	if !slices.Equal(fleet.AllDisks(f), disks1) {
+		t.Fatalf("reset replay: %d disks differ from the first run's %d", f.NumDisks(), len(disks1))
 	}
 
 	// And must equal a from-scratch build+run, field for field.
 	g := fleet.Build(opsProfiles(), scale, buildSeed)
 	res3 := run(g)
 	sameEvents(t, res3.Events, ev1, "fresh twin")
-	if len(g.Disks) != len(disks1) {
-		t.Fatalf("fresh twin: %d disks, want %d", len(g.Disks), len(disks1))
+	if g.NumDisks() != len(disks1) {
+		t.Fatalf("fresh twin: %d disks, want %d", g.NumDisks(), len(disks1))
 	}
-	for i := range g.Disks {
-		if g.Disks[i] != f.Disks[i] {
+	for i, d := range fleet.AllDisks(g) {
+		if d != disks1[i] {
 			t.Fatalf("disk %d diverged between reset replay and fresh twin: %+v vs %+v",
-				i, f.Disks[i], g.Disks[i])
+				i, disks1[i], d)
 		}
 	}
 }
@@ -184,7 +184,7 @@ func TestBuildOpsProfilesDigest(t *testing.T) {
 	f := fleet.Build(opsProfiles(), 0.01, 3)
 	if got := fleet.FleetDigest(f); got != want {
 		t.Errorf("ops-profile build (%d systems, %d disks): digest %016x, want %016x",
-			len(f.Systems), len(f.Disks), got, uint64(want))
+			len(f.Systems), f.NumDisks(), got, uint64(want))
 	}
 }
 
@@ -224,8 +224,9 @@ func TestSkewInstallWindow(t *testing.T) {
 // mid-simulation, the fleet's mutations are torn in ways Checkpoint/
 // Reset bookkeeping cannot be assumed to cover — the recovery path
 // must therefore discard the instance and rebuild from (profiles,
-// scale, seed). This test tears a fleet mid-"trial" with raw mutations
-// that bypass Replace's bookkeeping entirely, then verifies a rebuilt
+// scale, seed). This test tears a fleet mid-"trial" — removals and a
+// replacement the trial never finished, and a shelf span edited in
+// place — then verifies a rebuilt
 // fleet replays the trial's event stream, replacement population, and
 // disk-years bit-identically to a never-aborted fresh build — proving
 // the rebuild really is indistinguishable from a brand-new worker.
@@ -238,15 +239,14 @@ func TestQuarantineRebuildReplaysIdentically(t *testing.T) {
 	ref := fleet.Build(opsProfiles(), scale, buildSeed)
 	want := sim.Run(ref, params, simSeed)
 
-	// The victim: a trial aborts partway through, leaving raw torn
-	// state — removals and flags written directly, no Replace, a
-	// shelf span edited in place. Nothing here is visible to the
-	// Checkpoint it took before the trial.
+	// The victim: a trial aborts partway through, leaving torn state —
+	// removals with no replacement, a replacement whose predecessor
+	// was never removed, a shelf span edited in place.
 	f := fleet.Build(profiles, scale, buildSeed)
 	_ = f.Checkpoint() // taken like a real worker; deliberately unused after the abort
-	f.Disks[0].Remove = int32(simtime.SecondsPerYear / 2)
-	f.Disks[1].Replaced = true
-	f.Disks[2].Install += int32(simtime.SecondsPerYear / 3)
+	f.Remove(0, simtime.SecondsPerYear/2, false)
+	f.Remove(1, simtime.SecondsPerYear/2, true)
+	f.Replace(f.Disk(2), simtime.SecondsPerYear/3)
 	f.Shelves[0].Disks.Hi--
 
 	// Quarantine: the torn instance is dropped, a replacement is built
@@ -256,22 +256,16 @@ func TestQuarantineRebuildReplaysIdentically(t *testing.T) {
 	got := sim.Run(rebuilt, params, simSeed)
 
 	sameEvents(t, got.Events, want.Events, "quarantine rebuild")
-	if len(rebuilt.Disks) != len(ref.Disks) {
-		t.Fatalf("rebuilt population %d disks, want %d", len(rebuilt.Disks), len(ref.Disks))
-	}
-	for i := range ref.Disks {
-		if rebuilt.Disks[i] != ref.Disks[i] {
-			t.Fatalf("disk %d diverged after quarantine rebuild: %+v vs %+v",
-				i, rebuilt.Disks[i], ref.Disks[i])
-		}
+	if !slices.Equal(fleet.AllDisks(rebuilt), fleet.AllDisks(ref)) {
+		t.Fatalf("rebuilt population of %d disks diverged from the reference's %d",
+			rebuilt.NumDisks(), ref.NumDisks())
 	}
 }
 
-// TestChurnTrialKeepsDiskSlab requires the churn-x4 ops scenario's
-// first trials on a fresh fleet to fit their replacements in the room
-// the build derived from the fleet's churn, so the disk slab is never
-// regrown (and copied) while the old one is live.
-func TestChurnTrialKeepsDiskSlab(t *testing.T) {
+// TestChurnTrialKeepsDelta requires Reset to keep the delta's
+// storage: after a churn-x4 trial and a Reset, replaying the trial
+// records its removals and replacements without regrowing the delta.
+func TestChurnTrialKeepsDelta(t *testing.T) {
 	profiles := fleet.DefaultProfiles()
 	for i := range profiles {
 		profiles[i].ChurnPerDiskYear *= 4
@@ -279,11 +273,16 @@ func TestChurnTrialKeepsDiskSlab(t *testing.T) {
 	params := failmodel.DefaultParams()
 	for seed := int64(1); seed <= 2; seed++ {
 		f := fleet.Build(profiles, 0.05, seed)
-		n, room := len(f.Disks), cap(f.Disks)
+		cp := f.Checkpoint()
 		sim.Run(f, params, seed)
-		if cap(f.Disks) != room {
-			t.Errorf("seed %d: %d replacements outgrew the room for %d in a fleet of %d disks",
-				seed, len(f.Disks)-n, room-n, n)
+		grown := f.ApproxBytes()
+		f.Reset(cp)
+		if got := f.ApproxBytes(); got != grown {
+			t.Errorf("seed %d: Reset changed the fleet's bytes from %d to %d", seed, grown, got)
+		}
+		sim.Run(f, params, seed)
+		if got := f.ApproxBytes(); got != grown {
+			t.Errorf("seed %d: the replayed trial regrew the delta from %d to %d bytes", seed, grown, got)
 		}
 	}
 }

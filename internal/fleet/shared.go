@@ -10,23 +10,23 @@ import "sync"
 //
 //   - Fleet builds at most once per successful build, however many
 //     callers race; only the caller that built sees built == true.
-//   - Each fleet it returns owns its disk slab; the topology slabs are
+//   - Each fleet it returns owns its delta; the topology slabs are
 //     shared and read-only in every fleet (see Clone). A clone is
 //     indistinguishable from the build, so output is byte-identical
 //     whoever built.
-//   - The Shared keeps only the build's topology, never a disk slab,
-//     so it pins no owner's disks.
+//   - The Shared keeps only a Clone of the build, never its delta, so
+//     it pins no owner's trial state.
 //   - A build that panics publishes nothing and its panic reaches its
 //     caller; the first waiter to wake builds in its place.
 //
 // The zero value is ready to use.
 type Shared struct {
 	mu       sync.Mutex
-	topo     *Fleet        // the build's topology; nil until a build returns
+	topo     *Fleet        // a Clone of the build; nil until a build returns
 	building chan struct{} // closed when the build in flight ends; nil while none is
 }
 
-// Fleet returns a fleet whose disk slab the caller exclusively owns,
+// Fleet returns a fleet whose delta the caller exclusively owns,
 // and whether this call built it with build.
 func (s *Shared) Fleet(build func() *Fleet) (f *Fleet, built bool) {
 	s.mu.Lock()
@@ -46,7 +46,7 @@ func (s *Shared) Fleet(build func() *Fleet) (f *Fleet, built bool) {
 	defer func() {
 		s.mu.Lock()
 		if f != nil {
-			s.topo = f.topology()
+			s.topo = f.Clone()
 		}
 		s.building = nil
 		s.mu.Unlock()

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"storagesubsys/internal/simtime"
 )
 
 // parkedOnShared counts the goroutines blocked in Shared.Fleet, waiting
@@ -38,7 +40,7 @@ func waitParked(n int) bool {
 
 // TestSharedBuildsOnceClonesAfter races callers of one Shared: the
 // population is built once, only its builder sees built, and every
-// caller gets a disk slab of its own equal to a direct build's.
+// caller gets a fleet of its own equal to a direct build's.
 func TestSharedBuildsOnceClonesAfter(t *testing.T) {
 	var s Shared
 	var builds atomic.Int32
@@ -67,28 +69,31 @@ func TestSharedBuildsOnceClonesAfter(t *testing.T) {
 		t.Fatalf("%d builds, %d callers saw built; want 1 and 1", builds.Load(), nbuilt.Load())
 	}
 	want := BuildDefault(0.002, 11)
-	slabs := map[*Disk]bool{}
+	seen := map[*Fleet]bool{}
 	for i, f := range fleets {
-		if slabs[unsafe.SliceData(f.Disks)] {
-			t.Fatalf("caller %d got a disk slab already handed out", i)
+		if seen[f] {
+			t.Fatalf("caller %d got a fleet already handed out", i)
 		}
-		slabs[unsafe.SliceData(f.Disks)] = true
+		seen[f] = true
 		if !reflect.DeepEqual(f, want) {
 			t.Fatalf("caller %d's fleet differs from a direct build", i)
 		}
 	}
 }
 
-// TestSharedKeepsTopologyOnly: a Shared keeps its build's topology
-// slabs and never a disk slab, so it pins no owner's disks.
+// TestSharedKeepsTopologyOnly: a Shared keeps a clone of its build,
+// sharing the build's topology slabs but never its delta, so it pins
+// no owner's trial state.
 func TestSharedKeepsTopologyOnly(t *testing.T) {
 	var s Shared
 	f, built := s.Fleet(func() *Fleet { return BuildDefault(0.002, 11) })
 	if !built {
 		t.Fatal("the first caller did not build")
 	}
-	if s.topo.Disks != nil {
-		t.Fatal("the Shared keeps a disk slab")
+	f.Remove(0, simtime.SecondsPerYear, true)
+	f.Replace(f.Disk(0), simtime.SecondsPerYear+1)
+	if s.topo == f || s.topo.NumDisks() != f.NumDisks()-1 || s.topo.Disk(0) == f.Disk(0) {
+		t.Fatal("the Shared keeps the builder's delta")
 	}
 	if unsafe.SliceData(s.topo.Systems) != unsafe.SliceData(f.Systems) || unsafe.SliceData(s.topo.Members) != unsafe.SliceData(f.Members) {
 		t.Fatal("the Shared keeps a copy of the build's topology, not its slabs")

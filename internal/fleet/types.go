@@ -5,19 +5,20 @@
 // configuration. A Fleet is the static topology plus the deployment
 // schedule; the failure simulator (internal/sim) animates it.
 //
-// A Fleet is five value slabs — systems, shelves, disks, RAID groups
-// and group members — each indexed by component ID, with no pointer
-// index over them. A disk's ID is its index in the disk slab and is
-// not stored; the disk record is 20 pointer-free bytes. Topology is
-// addressed by spans of consecutive IDs: a system's shelves and
-// groups, a shelf's as-built disks and a group's window of the member
-// slab, so no component holds an ID list of its own.
+// A Fleet's topology is four value slabs — systems, shelves, RAID
+// groups and group members — each indexed by component ID, with no
+// pointer index over them. Topology is addressed by spans of
+// consecutive IDs: a system's shelves and groups, a shelf's as-built
+// disks and a group's window of the member slab, so no component holds
+// an ID list of its own.
 //
-// The four topology slabs (systems, shelves, groups, members) are
-// written by Build and never after; simulation writes only the disk
-// slab. Every fleet cut from one build (Clone) shares its topology
-// read-only and owns a disk slab of its own, so one population costs
-// one topology however many trials run on it at once.
+// The topology is written by Build and never after, and it determines
+// every as-built disk, so no fleet stores a disk slab. Simulation
+// writes only the fleet's delta: the as-built disks it removed early
+// and the 20-byte records of the replacements it installed. Every
+// fleet cut from one build (Clone) shares its topology read-only and
+// owns a delta of its own, so one population costs one topology however
+// many trials run on it at once, and a trial costs what it changed.
 //
 // Construction is serial and allocation-lean. Every (class, system)
 // pair draws from an RNG stream split off the seed by (class, system
@@ -29,16 +30,14 @@
 // ~1.7M-disk population builds in well under a second on one core with
 // a small constant number of allocations (the legacy pointer-per-item
 // builder took minutes and ~95M allocations).
-// Simulation appends replacement disks in place (Replace), so every
+// Simulation appends replacement disks to the delta (Replace), so every
 // disk has its final ID from the moment it exists. Replacements lie
 // past every as-built disk in shelf order; ShelfDisks finds a shelf's
 // by their Shelf field.
 package fleet
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"storagesubsys/internal/simtime"
 )
@@ -175,14 +174,16 @@ const _ = int32(simtime.StudyDuration)
 // "# Disks" counts every disk ever installed, and AFR denominators sum
 // per-disk residency time, which this representation makes exact.
 //
-// Disk stores only what cannot be derived. Its ID is its index in
-// Fleet.Disks, its system is its shelf's (f.Shelves[d.Shelf].System),
-// its model is that system's (systems are homogeneous and a
-// replacement joins its predecessor's shelf) and its serial is
-// Serial(id). Disks are the bulk of a fleet's memory, so the record is
-// 20 bytes — times as int32 seconds (the study window is about 5% of
-// their range) and component IDs as int32, which Build checks — and
-// must stay pointer-free: the disk slabs are then allocated noscan and
+// A Disk is a value Fleet.Disk returns; no fleet holds a slab of them.
+// An as-built disk's record is derived from the topology and the
+// fleet's removals, and only a replacement's is stored, in the fleet's
+// delta. The record holds no ID (disks are numbered 0..NumDisks()-1),
+// its system is its shelf's (f.Shelves[d.Shelf].System), its model is
+// that system's (systems are homogeneous and a replacement joins its
+// predecessor's shelf) and its serial is Serial(id). It is 20 bytes —
+// times as int32 seconds (the study window is about 5% of their range)
+// and component IDs as int32, which Build checks — and must stay
+// pointer-free, so the replacement records are allocated noscan and
 // the garbage collector never walks them (TestDiskLayout pins both).
 type Disk struct {
 	Install  int32 // when the disk entered service, in simulation seconds
@@ -253,25 +254,30 @@ func (s *System) ObservedYears() float64 {
 	return simtime.Years(simtime.StudyDuration - s.Install)
 }
 
-// Fleet is the full studied population: five value slabs, each indexed
-// by its components' fleet-unique IDs, so lookups are O(1) slice
-// indexing with no pointer index in between. Systems, Shelves, Groups
-// and Members are the topology: read-only after Build and shared by
-// every Clone of the build, so no fleet may write them. Disks belongs
-// to this fleet alone. A loop that mutates a disk must index the slab
-// (d := &f.Disks[i]): a range value is a copy, and a write to it is
-// silently lost. Only Systems holds pointers (its model strings), so
-// the garbage collector scans no other slab.
+// Fleet is the full studied population. Systems, Shelves, Groups and
+// Members are the topology: value slabs indexed by their components'
+// fleet-unique IDs, read-only after Build and shared by every Clone of
+// the build, so no fleet may write them. Only Systems holds pointers
+// (its model strings), so the garbage collector scans no other slab.
+//
+// A fleet holds no disk slab. An as-built disk's record is derived from
+// the topology, and what a trial changes is the fleet's own delta: the
+// as-built disks it took out early and the replacements it installed
+// (Remove, Replace). Read disks through Disk, NumDisks, ShelfDisks and
+// EachRun.
 type Fleet struct {
 	Systems []System
 	Shelves []Shelf
-	Disks   []Disk
 	Groups  []RAIDGroup
 	Members []int32 // RAID group members' disk IDs, group after group
 
 	// Seed is the RNG seed the fleet was built with; together with the
 	// profile set it fully determines the topology.
 	Seed int64
+
+	// The delta this fleet alone owns (delta.go).
+	removed []removal // as-built disks taken out early, in ascending ID order
+	repl    []Disk    // replacement disks: repl[k] has ID asBuilt()+k
 }
 
 // asBuilt returns the number of as-built disks: the last shelf's span
@@ -283,113 +289,8 @@ func (f *Fleet) asBuilt() int {
 	return int(f.Shelves[len(f.Shelves)-1].Disks.Hi)
 }
 
-// ShelfDisks appends to dst the IDs of every disk ever mounted in the
-// shelf — its as-built span, then its replacements in install order —
-// and returns the extended slice. The IDs ascend. Replacements are
-// installed in shelf order (Replace enforces it), so a binary search
-// finds the shelf's. It serves one-off readers; the simulator walks a
-// shelf's as-built span instead.
-func (f *Fleet) ShelfDisks(dst []int, shelf int) []int {
-	s := f.Shelves[shelf].Disks
-	for id := s.Lo; id < s.Hi; id++ {
-		dst = append(dst, int(id))
-	}
-	base := f.asBuilt()
-	repl := f.Disks[base:]
-	i, _ := slices.BinarySearchFunc(repl, int32(shelf), func(d Disk, shelf int32) int { return cmp.Compare(d.Shelf, shelf) })
-	for ; i < len(repl) && int(repl[i].Shelf) == shelf; i++ {
-		dst = append(dst, base+i)
-	}
-	return dst
-}
-
-// Checkpoint records a fleet's as-built population boundary so a
-// simulated trial can be rolled back with Reset. Capture it right after
-// Build, before any simulation has touched the fleet.
-type Checkpoint struct {
-	disks int
-}
-
-// Checkpoint captures the fleet's current population boundary.
-func (f *Fleet) Checkpoint() Checkpoint { return Checkpoint{disks: len(f.Disks)} }
-
-// Reset rolls the fleet back to a checkpoint taken before simulation:
-// replacement disks installed since are dropped from the disk slab, and
-// every surviving disk's residency is restored to the full study
-// window. After Reset the fleet is indistinguishable from the freshly
-// built topology, so re-simulating with the same seed reproduces the
-// identical event stream, and re-simulating with a new seed yields an
-// independent Monte-Carlo trial over the same population without
-// paying for a rebuild (the sweep engine's steady state; see
-// internal/sweep). The disk slab keeps its capacity, so the next
-// trial's replacements append without reallocating.
-func (f *Fleet) Reset(c Checkpoint) {
-	for i := range f.Disks[:c.disks] {
-		d := &f.Disks[i]
-		d.Remove = int32(simtime.StudyDuration)
-		d.Replaced = false
-	}
-	f.Disks = f.Disks[:c.disks]
-}
-
-// Replace installs a replacement for the failed disk and returns its
-// ID, the next index of the disk slab. The new disk joins the failed
-// one's shelf, slot and RAID group (and so its system and model) and
-// enters service at the given time, which must lie in the study
-// window. Replacements must arrive in shelf order, as the simulator,
-// walking shelves in ID order, installs them; Replace panics on one
-// that would precede the last replacement's shelf. Ending the failed
-// disk's residency is the caller's job. The failed record is copied
-// before the append can move the slab, so a *Disk held across a
-// Replace may be stale afterwards: index f.Disks again.
+// NumDisks returns the number of disks ever installed in the fleet, the
+// as-built ones and the replacements; disk IDs are 0..NumDisks()-1.
 //
 //detlint:hotpath
-func (f *Fleet) Replace(failed int, at simtime.Seconds) int {
-	d := &f.Disks[failed]
-	if n := len(f.Disks); n > f.asBuilt() && f.Disks[n-1].Shelf > d.Shelf {
-		panic("fleet: replacements must be installed in shelf order")
-	}
-	nd := Disk{
-		Shelf:   d.Shelf,
-		Slot:    d.Slot,
-		RAIDGrp: d.RAIDGrp,
-		Install: int32(at),
-		Remove:  int32(simtime.StudyDuration),
-	}
-	id := len(f.Disks)
-	f.Disks = append(f.Disks, nd)
-	return id
-}
-
-// diskSlab returns a disk slab of length n with room for one trial's
-// replacements appended in place: the churn the fleet's systems expect
-// (their summed expectedChurn) plus n/16 for failure replacements and
-// the spread of both draws. The calibrated model's failures replace
-// about 2% of the as-built disks per simulated study window (about 3%
-// with disk AFRs doubled). A scenario that outgrows the room regrows
-// the slab once and then keeps the grown slab across Resets.
-// Without the room, the first Replace into every fresh build or clone
-// would copy the whole slab to grow it.
-func diskSlab(n int, churn float64) []Disk { return make([]Disk, n, n+int(churn)+n/16) }
-
-// expectedChurn is the number of non-failure replacements a system of
-// the given disk count expects over its observed years.
-func (s *System) expectedChurn(disks int) float64 {
-	return float64(disks) * s.ChurnPerDiskYear * s.ObservedYears()
-}
-
-// expectedChurn sums the systems' expectedChurn in ID order, counting
-// each system's as-built disks through its shelves' spans. It sizes
-// the replacement room of every as-built disk slab (asBuiltDisks).
-func (f *Fleet) expectedChurn() float64 {
-	churn := 0.0
-	for i := range f.Systems {
-		s := &f.Systems[i]
-		n := 0
-		for _, sh := range f.Shelves[s.Shelves.Lo:s.Shelves.Hi] {
-			n += sh.Disks.Len()
-		}
-		churn += s.expectedChurn(n)
-	}
-	return churn
-}
+func (f *Fleet) NumDisks() int { return f.asBuilt() + len(f.repl) }

@@ -187,7 +187,7 @@ func IndependentBaseline(f *fleet.Fleet, events []failmodel.Event, repairYears f
 				Type:     failmodel.DiskFailure,
 				Cause:    failmodel.CauseDiskMedia,
 				Disk:     int32(disk),
-				Shelf:    f.Disks[disk].Shelf,
+				Shelf:    f.Disk(disk).Shelf,
 				System:   g.System,
 				Group:    int32(groupID),
 			})

@@ -49,10 +49,6 @@ func craftFleet(groupSize int, rt fleet.RAIDType) *fleet.Fleet {
 	shelf := fleet.Shelf{ID: 0, System: 0, Disks: all}
 	g := fleet.RAIDGroup{ID: 0, System: 0, Type: rt, Members: all, ShelvesSpanned: 1}
 	for i := 0; i < groupSize; i++ {
-		f.Disks = append(f.Disks, fleet.Disk{
-			Shelf: 0, Slot: uint8(i), RAIDGrp: 0,
-			Install: 0, Remove: int32(simtime.StudyDuration),
-		})
 		f.Members = append(f.Members, int32(i))
 	}
 	one := fleet.Span{Lo: 0, Hi: 1}

@@ -36,8 +36,8 @@ func runDigest(res *Result) string {
 			int64(e.Disk), int64(e.Shelf), int64(e.System), int64(e.Group), b2i(e.Recovered))
 	}
 	f := res.Fleet
-	w(int64(len(f.Disks)))
-	for _, d := range f.Disks {
+	w(int64(f.NumDisks()))
+	for _, d := range fleetDisks(f) {
 		w(int64(d.Install), int64(d.Remove), int64(f.Shelves[d.Shelf].System), int64(d.Shelf),
 			int64(d.RAIDGrp), int64(d.Slot), b2i(d.Replaced))
 	}
@@ -52,6 +52,15 @@ func runDigest(res *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// fleetDisks returns every disk's record in ID order.
+func fleetDisks(f *fleet.Fleet) []fleet.Disk {
+	disks := make([]fleet.Disk, f.NumDisks())
+	for id := range disks {
+		disks[id] = f.Disk(id)
+	}
+	return disks
+}
+
 // TestRunGoldenDigest pins the simulator's complete output — event
 // stream, post-simulation disk slab, shelf disk lists — at one fleet
 // and seed. The digest was recorded from the sharded engine this one
@@ -61,7 +70,7 @@ func TestRunGoldenDigest(t *testing.T) {
 	const want = "9c3e37ec129dea4de1d0bb3325fc6008bb45af8b0fbecbe60ff843e132fedb35"
 	f := fleet.BuildDefault(0.02, 9)
 	res := RunOpts(f, failmodel.DefaultParams(), 10, nil)
-	if len(res.Events) == 0 || len(f.Disks) == len(fleet.BuildDefault(0.02, 9).Disks) {
+	if len(res.Events) == 0 || f.NumDisks() == fleet.BuildDefault(0.02, 9).NumDisks() {
 		t.Fatal("setup produced no events or no replacements")
 	}
 	if got := runDigest(res); got != want {

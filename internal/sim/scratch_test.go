@@ -21,8 +21,8 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 			t.Fatalf("%s: event %d = %+v, want %+v", label, i, got.Events[i], want.Events[i])
 		}
 	}
-	if !slices.Equal(got.Fleet.Disks, want.Fleet.Disks) {
-		t.Fatalf("%s: final disk slab (%d disks) differs from the reference's (%d)", label, len(got.Fleet.Disks), len(want.Fleet.Disks))
+	if !slices.Equal(fleetDisks(got.Fleet), fleetDisks(want.Fleet)) {
+		t.Fatalf("%s: final disks (%d) differ from the reference's (%d)", label, got.Fleet.NumDisks(), want.Fleet.NumDisks())
 	}
 }
 
@@ -63,16 +63,16 @@ func TestRunMatchesRunWorkers(t *testing.T) {
 // TestRunScratchAllocBudget pins the sweep's steady-state allocation
 // contract: with a warm Scratch and a Reset fleet, a whole
 // re-simulation allocates a small constant number of times, however
-// many replacement disks it appends — the disk slab keeps its capacity
-// across Resets and serials are derived, never stored.
+// many replacement disks it appends — the fleet's delta keeps its
+// capacity across Resets and serials are derived, never stored.
 func TestRunScratchAllocBudget(t *testing.T) {
 	params := failmodel.DefaultParams()
 	f := fleet.BuildDefault(0.01, 5)
-	initial := len(f.Disks)
+	initial := f.NumDisks()
 	cp := f.Checkpoint()
 	var sc Scratch
 	RunOpts(f, params, 9, &sc) // warm every buffer
-	replacements := len(f.Disks) - initial
+	replacements := f.NumDisks() - initial
 
 	allocs := testing.AllocsPerRun(5, func() {
 		f.Reset(cp)

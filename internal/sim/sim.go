@@ -13,8 +13,8 @@
 // thinning by slot occupancy is distribution-preserving.
 //
 // A run is serial: systems are simulated in ID order, and each
-// replacement disk is appended to the fleet (fleet.Replace) the moment
-// it is installed, so it carries its final ID from the start. The
+// replacement disk is appended to the fleet's delta (fleet.Replace) the
+// moment it is installed, so it carries its final ID from the start. The
 // repository's one parallel engine is the Monte-Carlo trial pool in
 // internal/sweep, which runs independent trials side by side.
 //
@@ -25,7 +25,7 @@
 // slot occupancy chains, burst victim indices — lives in scratch
 // buffers that are recycled across systems. The only steady-state
 // allocations are the simulation's actual outputs: the event buffer and
-// any growth of the fleet's disk slab.
+// any growth of the fleet's delta.
 package sim
 
 import (
@@ -76,9 +76,10 @@ func streamKey(stream uint64, id int) uint64 {
 
 // Result is a simulated failure history over a fleet.
 type Result struct {
-	// Fleet is the simulated topology. The simulator mutates it: failed
-	// and churned disks get Remove times, and replacement disks are
-	// appended, so Fleet.DiskYears is the exact AFR denominator.
+	// Fleet is the simulated fleet. The simulator writes its delta:
+	// failed and churned disks are removed, and replacement disks are
+	// appended, so the disks' summed residency is the exact AFR
+	// denominator.
 	Fleet *fleet.Fleet
 	// Events holds every failure occurrence (including multipath-
 	// recovered interconnect faults), sorted by occurrence time.
@@ -86,9 +87,9 @@ type Result struct {
 }
 
 // Run simulates the fleet under the given parameters. The result is
-// fully determined by (fleet, params, seed). The fleet is mutated (disk
-// removals and replacement installs); pass a freshly built fleet. Run is
-// RunOpts with fresh scratch.
+// fully determined by (fleet, params, seed). The fleet's delta is
+// written (disk removals and replacement installs); pass a freshly
+// built, cloned or Reset fleet. Run is RunOpts with fresh scratch.
 func Run(f *fleet.Fleet, params *failmodel.Params, seed int64) *Result {
 	return RunOpts(f, params, seed, nil)
 }
@@ -184,6 +185,7 @@ type worker struct {
 	cands    []candidate       // slot failure/churn candidates (per slot)
 	chains   []slotChain       // flat per-slot occupancy chains (per system)
 	shelfOff []int             // chains[shelfOff[i]:shelfOff[i+1]] = shelf i's slots
+	slotGrp  []int32           // each flat slot's RAID group (per system), for emit
 	permBuf  []int             // partial Fisher–Yates scratch (per burst)
 }
 
@@ -266,9 +268,11 @@ func (w *worker) simulateSystem(sys *fleet.System, k stats.Key) {
 	rt.baseNone = noArrivalBelow(rt.base, sys.Install)
 
 	// Per-slot occupancy chains for the whole system, flat in shelf
-	// order, for victim lookup by the episode processes.
+	// order, for victim lookup by the episode processes. A flat slot
+	// index is its as-built disk's offset into the system's disks.
 	w.shelfOff = w.shelfOff[:0]
 	used := 0
+	w.groupSlots(sys)
 
 	for shelfID := sys.Shelves.Lo; shelfID < sys.Shelves.Hi; shelfID++ {
 		shelf := &w.f.Shelves[shelfID]
@@ -282,13 +286,20 @@ func (w *worker) simulateSystem(sys *fleet.System, k stats.Key) {
 		// The shelf's span holds its as-built slots only; the
 		// replacements simulateSlot appends lie past every span.
 		for idx := range shelf.Disks.Len() {
+			d := fleet.Disk{
+				Install: int32(sys.Install),
+				Remove:  int32(end),
+				Shelf:   shelfID,
+				RAIDGrp: w.slotGrp[used],
+				Slot:    uint8(idx),
+			}
 			buf := w.chainBuf(used) // grows w.chains before the index store below
-			w.chains[used] = w.simulateSlot(sys, &rt, int(shelf.Disks.Lo)+idx, w.envTimes,
+			w.chains[used] = w.simulateSlot(sys, &rt, used, int(shelf.Disks.Lo)+idx, d, w.envTimes,
 				shelfKey.Split(streamKey(streamSlot, idx)), buf)
 			used++
 		}
 
-		w.simulateShelfEpisodes(sys, &rt, w.chains[w.shelfOff[len(w.shelfOff)-1]:used], shelfKey)
+		w.simulateShelfEpisodes(sys, &rt, shelfID, w.shelfOff[len(w.shelfOff)-1], used, shelfKey)
 	}
 	w.shelfOff = append(w.shelfOff, used)
 
@@ -298,38 +309,58 @@ func (w *worker) simulateSystem(sys *fleet.System, k stats.Key) {
 	w.simulateProtocolEpisodes(sys, &rt, used, &protoRNG)
 }
 
+// groupSlots fills w.slotGrp with the RAID group of each of the
+// system's as-built disks, flat in ID order (-1 for a spare). A
+// replacement joins its predecessor's slot and group, so the flat slot
+// index gives every occupant's group.
+//
+//detlint:hotpath
+func (w *worker) groupSlots(sys *fleet.System) {
+	grp := w.slotGrp[:0]
+	if sys.Shelves.Len() > 0 {
+		f := w.f
+		first := f.Shelves[sys.Shelves.Lo].Disks.Lo
+		for range f.Shelves[sys.Shelves.Hi-1].Disks.Hi - first {
+			grp = append(grp, -1)
+		}
+		for _, g := range f.Groups[sys.RAIDGroups.Lo:sys.RAIDGroups.Hi] {
+			for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
+				grp[id-first] = g.ID
+			}
+		}
+	}
+	w.slotGrp = grp
+}
+
 // simulateSlot walks one slot's lifetime: the initial disk, then any
 // replacements triggered by disk failures or churn. Baseline failures
 // and churn are Poisson processes over the whole window thinned by slot
 // occupancy (valid because both are memoryless and replacements share
 // the failed disk's model); environment hits are per-episode Bernoulli
 // marks spread over the episode window, each hitting with probability
-// rt.hitProb. The returned chain reuses the caller-provided buffer's
-// storage where capacity allows.
+// rt.hitProb. slot is the slot's flat index, id and d its as-built
+// disk's ID and record. The returned chain reuses the caller-provided
+// buffer's storage where capacity allows.
 //
 // Each child stream is expanded only when it draws: a Split is a pure
 // function of (slot, stream index), so expanding late, or never,
 // changes no draw. Most slots see no event at all.
 //
 //detlint:hotpath
-func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTimes []simtime.Seconds, slot stats.Key, chain slotChain) slotChain {
+func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, slot, id int, d fleet.Disk, envTimes []simtime.Seconds, key stats.Key, chain slotChain) slotChain {
 	end := simtime.StudyDuration
 	p := w.params
-	install := simtime.Seconds(w.f.Disks[diskID].Install)
-	// The thresholds are the system's, so they hold only for a disk
-	// installed with the system.
-	baseNone, churnNone := rt.baseNone, rt.churnNone
-	if install != sys.Install {
-		baseNone, churnNone = 0, 0
-	}
+	// An as-built disk is installed with its system, so the system's
+	// first-arrival thresholds hold for it.
+	install := sys.Install
 
 	cands := w.cands[:0]
-	w.times = arrivals(w.times[:0], rt.base, baseNone, install, slot.Split(streamBase))
+	w.times = arrivals(w.times[:0], rt.base, rt.baseNone, install, key.Split(streamBase))
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candBase})
 	}
 	if len(envTimes) > 0 {
-		envRNG := slot.Split(streamEnvHit).RNG()
+		envRNG := key.Split(streamEnvHit).RNG()
 		for _, et := range envTimes {
 			if envRNG.Bernoulli(rt.hitProb) {
 				// Gamma(0.5) offset with mean EnvSpread/2: most environment
@@ -343,7 +374,7 @@ func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTi
 			}
 		}
 	}
-	w.times = arrivals(w.times[:0], sys.ChurnPerDiskYear, churnNone, install, slot.Split(streamChurn))
+	w.times = arrivals(w.times[:0], sys.ChurnPerDiskYear, rt.churnNone, install, key.Split(streamChurn))
 	for _, t := range w.times {
 		cands = append(cands, candidate{t, candChurn})
 	}
@@ -358,17 +389,15 @@ func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTi
 	})
 	w.cands = cands
 
-	// The slot's current occupant is tracked by ID: cur points into the
-	// fleet's disk slab, and a Replace may move the slab, so cur is
-	// resolved again after every replacement.
-	chain = append(chain, occupancy{disk: diskID, from: install, to: end})
-	curID := diskID
-	cur := &w.f.Disks[curID]
-	causeRNG := lazyRNG{key: slot.Split(streamCause)}
+	// The slot's current occupant: its ID, and its record, which a
+	// replacement copies but for its install time.
+	chain = append(chain, occupancy{disk: id, from: install, to: end})
+	curID, cur := id, d
+	causeRNG := lazyRNG{key: key.Split(streamCause)}
 	// Stochastic repair lags draw from their own slot stream, and only
 	// when the distribution is enabled: the default deterministic lag
 	// consumes no randomness, so calibrated streams are untouched.
-	repairRNG := lazyRNG{key: slot.Split(streamRepair)}
+	repairRNG := lazyRNG{key: key.Split(streamRepair)}
 	for _, c := range cands {
 		if c.t < simtime.Seconds(cur.Install) || c.t >= end {
 			continue // slot empty (repair gap) or outside the window
@@ -382,9 +411,8 @@ func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTi
 					cause = failmodel.CauseDiskMechanical
 				}
 			}
-			w.emit(sys, curID, c.t, cause, false)
-			cur.Remove = int32(c.t)
-			cur.Replaced = true
+			w.emit(sys, cur.Shelf, slot, curID, c.t, cause, false)
+			w.f.Remove(curID, c.t, true)
 			chain[len(chain)-1].to = c.t
 			lag := p.RepairLag
 			if p.RepairLagSigma > 0 {
@@ -394,15 +422,15 @@ func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTi
 			if reinstall >= end {
 				return chain
 			}
-			curID = w.f.Replace(curID, reinstall)
-			cur = &w.f.Disks[curID]
+			curID = w.f.Replace(cur, reinstall)
+			cur.Install = int32(reinstall)
 			chain = append(chain, occupancy{disk: curID, from: reinstall, to: end})
 		case candChurn:
 			// Proactive churn: swap immediately, no failure event.
-			cur.Remove = int32(c.t)
+			w.f.Remove(curID, c.t, false)
 			chain[len(chain)-1].to = c.t
-			curID = w.f.Replace(curID, c.t)
-			cur = &w.f.Disks[curID]
+			curID = w.f.Replace(cur, c.t)
+			cur.Install = int32(c.t)
 			chain = append(chain, occupancy{disk: curID, from: c.t, to: end})
 		}
 	}
@@ -410,11 +438,12 @@ func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, diskID int, envTi
 }
 
 // simulateShelfEpisodes draws the interconnect and performance episode
-// processes for one shelf and emits their event bursts.
+// processes for one shelf, whose slots are the flat slots [lo, hi), and
+// emits their event bursts.
 //
 //detlint:hotpath
-func (w *worker) simulateShelfEpisodes(sys *fleet.System, rt *sysRates, chains []slotChain, shelf stats.Key) {
-	nSlots := len(chains)
+func (w *worker) simulateShelfEpisodes(sys *fleet.System, rt *sysRates, shelfID int32, lo, hi int, shelf stats.Key) {
+	nSlots := hi - lo
 	if nSlots == 0 {
 		return
 	}
@@ -430,7 +459,7 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, rt *sysRates, chains [
 	for _, t0 := range w.times {
 		cause := mix.Causes[piRNG.Categorical(mix.Weights)]
 		recovered := sys.Paths == fleet.DualPath && cause.PathRecoverable()
-		w.emitBurst(sys, chains, t0, p.PIBurst.Sample(&piRNG),
+		w.emitBurst(sys, shelfID, lo, hi, t0, p.PIBurst.Sample(&piRNG),
 			p.PIBurstGapMedian, p.PIBurstGapSigma, cause, recovered, &piRNG)
 	}
 
@@ -443,7 +472,7 @@ func (w *worker) simulateShelfEpisodes(sys *fleet.System, rt *sysRates, chains [
 		if perfRNG.Bernoulli(0.4) {
 			cause = failmodel.CauseRecoveryLoad
 		}
-		w.emitBurst(sys, chains, t0, p.PerfBurst.Sample(&perfRNG),
+		w.emitBurst(sys, shelfID, lo, hi, t0, p.PerfBurst.Sample(&perfRNG),
 			p.PerfBurstGapMedian, p.PerfBurstGapSigma, cause, false, &perfRNG)
 	}
 }
@@ -513,30 +542,32 @@ func (w *worker) emitSystemBurst(sys *fleet.System,
 			break
 		}
 		si := r.Intn(sys.Shelves.Len())
-		shelfChains := w.chains[w.shelfOff[si]:w.shelfOff[si+1]]
-		if len(shelfChains) == 0 {
+		lo, hi := w.shelfOff[si], w.shelfOff[si+1]
+		if lo == hi {
 			continue
 		}
-		diskID, ok := shelfChains[r.Intn(len(shelfChains))].at(t)
+		slot := lo + r.Intn(hi-lo)
+		diskID, ok := w.chains[slot].at(t)
 		if !ok {
 			continue
 		}
-		w.emit(sys, diskID, t, cause, recovered)
+		w.emit(sys, sys.Shelves.Lo+int32(si), slot, diskID, t, cause, recovered)
 	}
 }
 
-// emitBurst emits a burst of k same-shelf events beginning at t0 with
-// lognormal inter-event gaps, choosing distinct victim slots via a
-// partial Fisher–Yates draw over a reused index buffer — only the k
-// victims are determined, never a full permutation.
+// emitBurst emits a burst of k events on the shelf's flat slots
+// [lo, hi) beginning at t0 with lognormal inter-event gaps, choosing
+// distinct victim slots via a partial Fisher–Yates draw over a reused
+// index buffer — only the k victims are determined, never a full
+// permutation.
 //
 //detlint:hotpath
-func (w *worker) emitBurst(sys *fleet.System, chains []slotChain, t0 simtime.Seconds, k int,
+func (w *worker) emitBurst(sys *fleet.System, shelfID int32, lo, hi int, t0 simtime.Seconds, k int,
 	gapMedian simtime.Seconds, gapSigma float64, cause failmodel.Cause,
 	recovered bool, r *stats.RNG) {
 
 	end := simtime.StudyDuration
-	n := len(chains)
+	n := hi - lo
 	if k > n {
 		k = n
 	}
@@ -555,30 +586,32 @@ func (w *worker) emitBurst(sys *fleet.System, chains []slotChain, t0 simtime.Sec
 		if t >= end {
 			break
 		}
-		diskID, ok := chains[idx[i]].at(t)
+		slot := lo + idx[i]
+		diskID, ok := w.chains[slot].at(t)
 		if !ok {
 			continue
 		}
-		w.emit(sys, diskID, t, cause, recovered)
+		w.emit(sys, shelfID, slot, diskID, t, cause, recovered)
 	}
 }
 
-// emit records one failure of the disk at t: the one place an event
-// is built, so its detection time, type and placement follow a single
-// rule for slot failures and bursts alike.
+// emit records one failure at t of the disk occupying the shelf's
+// flat slot: the one place an event is built, so its detection time,
+// type and placement follow a single rule for slot failures and bursts
+// alike. Every occupant of a slot shares its shelf and RAID group, so
+// emit reads no disk.
 //
 //detlint:hotpath
-func (w *worker) emit(sys *fleet.System, diskID int, t simtime.Seconds, cause failmodel.Cause, recovered bool) {
-	d := &w.f.Disks[diskID]
+func (w *worker) emit(sys *fleet.System, shelf int32, slot, diskID int, t simtime.Seconds, cause failmodel.Cause, recovered bool) {
 	w.events = append(w.events, failmodel.Event{
 		Time:      t,
 		Detected:  simtime.NextScrub(t),
 		Type:      cause.Type(),
 		Cause:     cause,
 		Disk:      int32(diskID),
-		Shelf:     d.Shelf,
+		Shelf:     shelf,
 		System:    int32(sys.ID),
-		Group:     d.RAIDGrp,
+		Group:     w.slotGrp[slot],
 		Recovered: recovered,
 	})
 }

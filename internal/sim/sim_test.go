@@ -39,7 +39,7 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatalf("event %d differs between identical runs", i)
 		}
 	}
-	if len(a.Fleet.Disks) != len(b.Fleet.Disks) {
+	if a.Fleet.NumDisks() != b.Fleet.NumDisks() {
 		t.Fatal("replacement populations differ")
 	}
 }
@@ -68,7 +68,7 @@ func TestEventTopologyConsistent(t *testing.T) {
 	res := runSmall(t, 1)
 	f := res.Fleet
 	for _, e := range res.Events {
-		d := f.Disks[e.Disk]
+		d := f.Disk(int(e.Disk))
 		if d.Shelf != e.Shelf || f.Shelves[d.Shelf].System != e.System || d.RAIDGrp != e.Group {
 			t.Fatalf("event/topology mismatch for disk %d", e.Disk)
 		}
@@ -92,7 +92,7 @@ func TestDiskFailuresEndResidency(t *testing.T) {
 			continue
 		}
 		failures++
-		d := f.Disks[e.Disk]
+		d := f.Disk(int(e.Disk))
 		if !d.Replaced {
 			t.Fatalf("failed disk %d not marked replaced", e.Disk)
 		}
@@ -113,14 +113,15 @@ func TestSlotNeverDoubleOccupied(t *testing.T) {
 		slot  uint8
 	}
 	occupants := make(map[slotKey][]int)
-	for id, d := range f.Disks {
+	disks := fleetDisks(f)
+	for id, d := range disks {
 		k := slotKey{d.Shelf, d.Slot}
 		occupants[k] = append(occupants[k], id)
 	}
 	for k, ids := range occupants {
-		sort.Slice(ids, func(i, j int) bool { return f.Disks[ids[i]].Install < f.Disks[ids[j]].Install })
+		sort.Slice(ids, func(i, j int) bool { return disks[ids[i]].Install < disks[ids[j]].Install })
 		for i := 1; i < len(ids); i++ {
-			d, prev := f.Disks[ids[i]], f.Disks[ids[i-1]]
+			d, prev := disks[ids[i]], disks[ids[i-1]]
 			if d.Install < prev.Remove {
 				t.Fatalf("slot %v: disk %d installed at %d before predecessor removed at %d",
 					k, ids[i], d.Install, prev.Remove)
@@ -131,14 +132,14 @@ func TestSlotNeverDoubleOccupied(t *testing.T) {
 
 func TestReplacementGrowsPopulation(t *testing.T) {
 	f := fleet.BuildDefault(0.02, 5)
-	initial := len(f.Disks)
+	initial := f.NumDisks()
 	res := Run(f, failmodel.DefaultParams(), 6)
-	if len(res.Fleet.Disks) <= initial {
+	if res.Fleet.NumDisks() <= initial {
 		t.Fatal("failures and churn must add replacement disks")
 	}
 	// Ever-installed should exceed initial by roughly (failures +
 	// churn): each replaced disk that got a successor adds one record.
-	added := len(res.Fleet.Disks) - initial
+	added := res.Fleet.NumDisks() - initial
 	diskFailures := 0
 	for _, e := range res.Events {
 		if e.Type == failmodel.DiskFailure {
@@ -167,7 +168,7 @@ func TestAFRMatchesCalibration(t *testing.T) {
 		}
 	}
 	years := make(map[fleet.SystemClass]float64)
-	for _, d := range f.Disks {
+	for _, d := range fleetDisks(f) {
 		years[f.Systems[f.Shelves[d.Shelf].System].Class] += d.ResidencyYears()
 	}
 

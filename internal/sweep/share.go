@@ -51,7 +51,7 @@ func (s *fleetShare) claim() (job int, sh *fleet.Shared, ok bool) {
 // build makes a fleet of the key without the share. The FleetSource
 // seam (sweepd's cross-job cache) substitutes for the direct build; its
 // contract — a fleet indistinguishable from build()'s output whose
-// disk slab the caller exclusively owns — is what keeps the trial
+// delta the caller exclusively owns — is what keeps the trial
 // values byte-identical either way.
 func (s *fleetShare) build(key FleetKey) *fleet.Fleet {
 	seed := s.cfg.Seed

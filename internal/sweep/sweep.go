@@ -288,8 +288,8 @@ type Config struct {
 	// own, which is how sweepd's cross-job cache makes concurrent sweeps
 	// over one topology pay for one build. The engine cuts the run's
 	// other workers' fleets from the returned one with Clone. Returning
-	// a disk slab another fleet writes, or a stale fleet, breaks the
-	// byte-identity contract. Must be safe for concurrent use.
+	// a fleet whose delta another owner writes, or a stale fleet, breaks
+	// the byte-identity contract. Must be safe for concurrent use.
 	FleetSource func(key FleetKey, seed int64, build func() *fleet.Fleet) *fleet.Fleet
 }
 

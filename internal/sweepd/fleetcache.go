@@ -8,26 +8,27 @@ package sweepd
 // so all of them pay for one build; fleet.Shared states the sharing
 // contract (TestFleetSourceCachedClones in internal/sweep pins the
 // sweep bytes under it). Memory is bounded by an LRU byte budget. An
-// entry keeps only its build's topology, about a third of the fleet,
-// but is charged the as-built fleet's ApproxBytes, so a given budget
-// holds as many keys, and fills after as many builds, as a cache of
-// whole fleets would, while the memory it holds is at most about a
-// third of the budget. Eviction drops the cache's reference only:
-// outstanding fleets keep the topology they share alive, and a
+// entry keeps only its build's topology, but is charged what a fleet
+// holding a 20-byte as-built disk slab with one trial's replacement
+// room would cost (charge), about three times the topology, so a given
+// budget holds as many keys, and fills after as many builds, as a
+// cache of such fleets would, while the memory it holds is at most
+// about a third of the budget. Eviction drops the cache's reference
+// only: outstanding fleets keep the topology they share alive, and a
 // re-request rebuilds.
 
 import (
 	"container/list"
 	"sync"
+	"unsafe"
 
 	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/sweep"
 )
 
 // DefaultCacheBytes is the fleet cache budget when Config.CacheBytes
-// is zero: 512 MiB, roughly 38 quarter-scale fleets (ApproxBytes of
-// one is about 13 MiB), of which the cache holds the topologies, about
-// 4.7 MiB each.
+// is zero: 512 MiB, roughly 38 quarter-scale builds (each charged about
+// 13 MiB), of which the cache holds the topologies, about 4.7 MiB each.
 const DefaultCacheBytes = 512 << 20
 
 // fleetCacheKey identifies one build: the topology key plus
@@ -37,9 +38,8 @@ type fleetCacheKey struct {
 	seed int64
 }
 
-// cacheEntry is one cached build. bytes is the ApproxBytes of the
-// as-built fleet, charged against the budget once its build returns;
-// it is zero while none has.
+// cacheEntry is one cached build. bytes is the build's charge against
+// the budget, set once its build returns; it is zero while none has.
 type cacheEntry struct {
 	shared fleet.Shared
 	bytes  int64
@@ -71,8 +71,8 @@ type FleetCache struct {
 	stats   CacheStats
 }
 
-// NewFleetCache returns a cache bounded to budget bytes of as-built
-// fleets (ApproxBytes accounting). budget <= 0 means unbounded.
+// NewFleetCache returns a cache bounded to budget bytes of builds, each
+// charged as charge says. budget <= 0 means unbounded.
 func NewFleetCache(budget int64) *FleetCache {
 	return &FleetCache{
 		budget:  budget,
@@ -81,7 +81,7 @@ func NewFleetCache(budget int64) *FleetCache {
 	}
 }
 
-// Get returns a fleet for (key, seed) whose disk slab the caller
+// Get returns a fleet for (key, seed) whose delta the caller
 // exclusively owns from the key's entry, which keeps one build per
 // cached lifetime however many requesters race. Its signature is
 // exactly Config.FleetSource, so a server wires it with
@@ -105,10 +105,31 @@ func (c *FleetCache) Get(key sweep.FleetKey, seed int64, build func() *fleet.Fle
 		return f
 	}
 	c.stats.Builds++
-	e.bytes = int64(f.ApproxBytes())
+	e.bytes = charge(f)
 	c.used += e.bytes
 	c.evictLocked()
 	return f
+}
+
+// charge is what a build costs against the budget: its topology
+// slabs' capacities plus an as-built disk slab of 20-byte records with
+// room for one trial's replacements — the systems' expected churn plus
+// a sixteenth of the disks. That is what a build held when fleets
+// stored their disks, and keeping it holds the budget to the same
+// number of builds (TestFleetCacheChargePinned).
+func charge(f *fleet.Fleet) int64 {
+	disks := f.NumDisks()
+	churn := 0.0
+	for i := range f.Systems {
+		s := &f.Systems[i]
+		n := 0
+		for _, sh := range f.Shelves[s.Shelves.Lo:s.Shelves.Hi] {
+			n += sh.Disks.Len()
+		}
+		churn += float64(n) * s.ChurnPerDiskYear * s.ObservedYears()
+	}
+	slab := disks + int(churn) + disks/16
+	return int64(f.ApproxBytes() + slab*int(unsafe.Sizeof(fleet.Disk{})))
 }
 
 // Stats snapshots the traffic counters.

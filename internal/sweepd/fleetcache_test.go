@@ -21,7 +21,7 @@ func tinyKey(span int) sweep.FleetKey {
 }
 
 // held reports the number of cached builds (in-flight included) and
-// the ApproxBytes accounting currently charged.
+// the bytes currently charged.
 func held(c *FleetCache) (entries int, used int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -74,10 +74,10 @@ func TestFleetCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestFleetCacheKeepsTopologyOnly: the budget is charged the as-built
-// fleet's bytes, and the builder gets the built fleet itself. That an
-// entry's fleet.Shared keeps no disk slab is TestSharedKeepsTopologyOnly
-// in internal/fleet.
+// TestFleetCacheKeepsTopologyOnly: the budget is charged the build's
+// charge, and the builder gets the built fleet itself. That an entry's
+// fleet.Shared keeps no delta is TestSharedKeepsTopologyOnly in
+// internal/fleet.
 func TestFleetCacheKeepsTopologyOnly(t *testing.T) {
 	c := NewFleetCache(0)
 	key := tinyKey(1)
@@ -86,7 +86,7 @@ func TestFleetCacheKeepsTopologyOnly(t *testing.T) {
 	if got != built {
 		t.Fatal("the builder did not get the built fleet")
 	}
-	want := int64(sweep.BuildFleet(key, 42).ApproxBytes())
+	want := charge(sweep.BuildFleet(key, 42))
 	if _, used := held(c); used != want {
 		t.Fatalf("cache charged %d bytes for an as-built fleet of %d", used, want)
 	}
@@ -169,8 +169,8 @@ func TestFleetCacheBuildPanic(t *testing.T) {
 	if st := c.Stats(); st != (CacheStats{Builds: 1, Hits: waiters}) {
 		t.Fatalf("stats = %+v; want 1 build and %d hits", st, waiters)
 	}
-	if n, used := held(c); n != 1 || used != int64(want.ApproxBytes()) {
-		t.Fatalf("cache holds %d entries charged %d bytes; want 1 charged %d", n, used, want.ApproxBytes())
+	if n, used := held(c); n != 1 || used != charge(want) {
+		t.Fatalf("cache holds %d entries charged %d bytes; want 1 charged %d", n, used, charge(want))
 	}
 }
 
@@ -213,7 +213,7 @@ func TestFleetCacheSeedSeparation(t *testing.T) {
 // key must be the one evicted, and evicted entries must be rebuilt on
 // re-request while outstanding clones stay usable.
 func TestFleetCacheLRUEviction(t *testing.T) {
-	one := int64(sweep.BuildFleet(tinyKey(1), 42).ApproxBytes())
+	one := charge(sweep.BuildFleet(tinyKey(1), 42))
 	budget := one*2 + one/2
 	c := NewFleetCache(budget)
 	get := func(span int) *fleet.Fleet {
