@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"storagesubsys/internal/failmodel"
 	"storagesubsys/internal/fleet"
+	"storagesubsys/internal/sim"
 	"storagesubsys/internal/simtime"
 )
 
@@ -112,5 +114,58 @@ func TestQuickCorrelationConsistency(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestExposureConservedOverTrials checks exposure conservation on real
+// trials: three seeds at 1% scale under the baseline and the ops
+// grid's churn-x4 and sparse-shelves fleets. The class breakdowns
+// with an empty filter hold every disk ever installed exactly once,
+// and their disk-years equal an independent sum over Fleet.Disk within
+// 1e-12 relative. A slot's occupants never overlap, so each slot's
+// summed residency is at most its system's observed window.
+func TestExposureConservedOverTrials(t *testing.T) {
+	for _, o := range []struct {
+		name string
+		mod  func(p *fleet.ClassProfile)
+	}{
+		{"baseline", func(*fleet.ClassProfile) {}},
+		{"churn-x4", func(p *fleet.ClassProfile) { p.ChurnPerDiskYear *= 4 }},
+		{"sparse-shelves", func(p *fleet.ClassProfile) { p.SparseShelfFraction = 0.5 }},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			profiles := fleet.DefaultProfiles()
+			for i := range profiles {
+				o.mod(&profiles[i])
+			}
+			f := fleet.Build(profiles, 0.01, seed)
+			ds := NewDataset(f, sim.Run(f, failmodel.DefaultParams(), seed+100).Events)
+
+			disks, years := 0, 0.0
+			for _, b := range ds.classBreakdowns(Filter{}) {
+				disks += b.Disks
+				years += b.DiskYears
+			}
+			if disks != f.NumDisks() {
+				t.Errorf("%s seed %d: class breakdowns hold %d disks, fleet %d", o.name, seed, disks, f.NumDisks())
+			}
+			want := 0.0
+			slots := make([]simtime.Seconds, len(f.Shelves)*fleet.MaxDisksPerShelf)
+			for id := range f.NumDisks() {
+				d := f.Disk(id)
+				want += d.ResidencyYears()
+				slots[int(d.Shelf)*fleet.MaxDisksPerShelf+int(d.Slot)] += d.Residency()
+			}
+			if math.Abs(years-want) > 1e-12*want {
+				t.Errorf("%s seed %d: class breakdowns hold %v disk-years, the disks %v", o.name, seed, years, want)
+			}
+			for i, r := range slots {
+				sys := &f.Systems[f.Shelves[i/fleet.MaxDisksPerShelf].System]
+				if window := simtime.StudyDuration - sys.Install; r > window {
+					t.Fatalf("%s seed %d: shelf %d slot %d holds %d s of residency in a %d s window",
+						o.name, seed, i/fleet.MaxDisksPerShelf, i%fleet.MaxDisksPerShelf, r, window)
+				}
+			}
+		}
 	}
 }

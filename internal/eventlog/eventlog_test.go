@@ -11,6 +11,7 @@ import (
 	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/sim"
 	"storagesubsys/internal/simtime"
+	"storagesubsys/internal/stats"
 )
 
 var cachedRun *sim.Result
@@ -354,4 +355,35 @@ func TestQuickRenderParse(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestResolveDiskMatchesFleet holds ResolveDisk's placement — the
+// shelf, system and RAID group it gives an event — to fleet.Disk for
+// every disk of a simulated fleet, resolved in ID order (runs of one
+// system, as mining resolves them) and then in a shuffled order, which
+// jumps between systems and between as-built disks and replacements.
+func TestResolveDiskMatchesFleet(t *testing.T) {
+	f := smallRun(t).Fleet
+	rv := NewResolver(f)
+	ids := make([]int, f.NumDisks())
+	for i := range ids {
+		ids[i] = i
+	}
+	check := func(order string) {
+		for _, id := range ids {
+			e, ok := rv.ResolveDisk(id, failmodel.DiskFailure, 0)
+			d := f.Disk(id)
+			if !ok || e.Shelf != d.Shelf || e.System != f.Shelves[d.Shelf].System || e.Group != d.RAIDGrp {
+				t.Fatalf("%s: disk %d resolved to shelf %d system %d group %d, fleet says %+v",
+					order, id, e.Shelf, e.System, e.Group, d)
+			}
+		}
+	}
+	check("ID order")
+	r := stats.NewRNG(5)
+	for i := len(ids) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		ids[i], ids[j] = ids[j], ids[i]
+	}
+	check("shuffled")
 }

@@ -125,10 +125,18 @@ func Classify(lines []Line) []ParsedFailure {
 
 // Resolver maps failures back to fleet identities, reconstructing
 // analyzable events: a failure mined from text by its disk serial, one
-// mined in process by its disk ID.
+// mined in process by its disk ID. It is not safe for concurrent use.
 type Resolver struct {
 	fleet *fleet.Fleet
 	disks int // fleet.NumDisks() when the resolver was made
+
+	// The system of the last as-built disk resolved through
+	// fleet.Disk, and its disks' RAID groups (fleet.SystemGroups) from
+	// its first disk on. Logs are mined system by system, so most
+	// disks resolve from it.
+	sys    *fleet.System
+	first  int
+	groups []int32
 }
 
 // NewResolver returns a resolver over the disks the fleet holds now: an
@@ -162,16 +170,32 @@ func (rv *Resolver) ResolveDisk(id int, t failmodel.FailureType, det simtime.Sec
 	if id < 0 || id >= rv.disks {
 		return failmodel.Event{}, false
 	}
-	d := rv.fleet.Disk(id)
+	f := rv.fleet
+	var shelf, group int32
+	if k := id - rv.first; k >= 0 && k < len(rv.groups) {
+		shelf = rv.sys.Shelves.Lo
+		for f.Shelves[shelf].Disks.Hi <= int32(id) {
+			shelf++
+		}
+		group = rv.groups[k]
+	} else {
+		d := f.Disk(id)
+		shelf, group = d.Shelf, d.RAIDGrp
+		if sh := &f.Shelves[shelf]; id < int(sh.Disks.Hi) { // as-built
+			rv.sys = &f.Systems[sh.System]
+			rv.first = int(f.Shelves[rv.sys.Shelves.Lo].Disks.Lo)
+			rv.groups = f.SystemGroups(rv.groups[:0], rv.sys)
+		}
+	}
 	return failmodel.Event{
 		Time:     det,
 		Detected: det,
 		Type:     t,
 		Cause:    defaultCauseFor(t),
 		Disk:     int32(id),
-		Shelf:    d.Shelf,
-		System:   rv.fleet.Shelves[d.Shelf].System,
-		Group:    d.RAIDGrp,
+		Shelf:    shelf,
+		System:   f.Shelves[shelf].System,
+		Group:    group,
 	}, true
 }
 

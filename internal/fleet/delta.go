@@ -97,6 +97,31 @@ func (f *Fleet) groupOf(sys *System, id int32) int32 {
 	return groups[k/groups[0].Members.Len()].ID
 }
 
+// SystemGroups appends to dst the RAID group of each of the system's
+// as-built disks, in ID order from the system's first disk (-1 for a
+// spare), and returns the extended slice. A replacement joins its
+// predecessor's slot and group, so the table names the group of every
+// disk a slot ever holds.
+//
+//detlint:hotpath
+func (f *Fleet) SystemGroups(dst []int32, sys *System) []int32 {
+	if sys.Shelves.Len() == 0 {
+		return dst
+	}
+	first := f.Shelves[sys.Shelves.Lo].Disks.Lo
+	n := len(dst)
+	for range f.Shelves[sys.Shelves.Hi-1].Disks.Hi - first {
+		dst = append(dst, -1)
+	}
+	grp := dst[n:]
+	for _, g := range f.Groups[sys.RAIDGroups.Lo:sys.RAIDGroups.Hi] {
+		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
+			grp[id-first] = g.ID
+		}
+	}
+	return dst
+}
+
 // ShelfDisks appends to dst the IDs of every disk ever mounted in the
 // shelf — its as-built span, then its replacements in install order —
 // and returns the extended slice. The IDs ascend. Replacements are

@@ -272,7 +272,7 @@ func (w *worker) simulateSystem(sys *fleet.System, k stats.Key) {
 	// index is its as-built disk's offset into the system's disks.
 	w.shelfOff = w.shelfOff[:0]
 	used := 0
-	w.groupSlots(sys)
+	w.slotGrp = w.f.SystemGroups(w.slotGrp[:0], sys)
 
 	for shelfID := sys.Shelves.Lo; shelfID < sys.Shelves.Hi; shelfID++ {
 		shelf := &w.f.Shelves[shelfID]
@@ -294,7 +294,7 @@ func (w *worker) simulateSystem(sys *fleet.System, k stats.Key) {
 				Slot:    uint8(idx),
 			}
 			buf := w.chainBuf(used) // grows w.chains before the index store below
-			w.chains[used] = w.simulateSlot(sys, &rt, used, int(shelf.Disks.Lo)+idx, d, w.envTimes,
+			w.chains[used] = w.simulateSlot(sys, &rt, int(shelf.Disks.Lo)+idx, d, w.envTimes,
 				shelfKey.Split(streamKey(streamSlot, idx)), buf)
 			used++
 		}
@@ -309,45 +309,22 @@ func (w *worker) simulateSystem(sys *fleet.System, k stats.Key) {
 	w.simulateProtocolEpisodes(sys, &rt, used, &protoRNG)
 }
 
-// groupSlots fills w.slotGrp with the RAID group of each of the
-// system's as-built disks, flat in ID order (-1 for a spare). A
-// replacement joins its predecessor's slot and group, so the flat slot
-// index gives every occupant's group.
-//
-//detlint:hotpath
-func (w *worker) groupSlots(sys *fleet.System) {
-	grp := w.slotGrp[:0]
-	if sys.Shelves.Len() > 0 {
-		f := w.f
-		first := f.Shelves[sys.Shelves.Lo].Disks.Lo
-		for range f.Shelves[sys.Shelves.Hi-1].Disks.Hi - first {
-			grp = append(grp, -1)
-		}
-		for _, g := range f.Groups[sys.RAIDGroups.Lo:sys.RAIDGroups.Hi] {
-			for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
-				grp[id-first] = g.ID
-			}
-		}
-	}
-	w.slotGrp = grp
-}
-
 // simulateSlot walks one slot's lifetime: the initial disk, then any
 // replacements triggered by disk failures or churn. Baseline failures
 // and churn are Poisson processes over the whole window thinned by slot
 // occupancy (valid because both are memoryless and replacements share
 // the failed disk's model); environment hits are per-episode Bernoulli
 // marks spread over the episode window, each hitting with probability
-// rt.hitProb. slot is the slot's flat index, id and d its as-built
-// disk's ID and record. The returned chain reuses the caller-provided
-// buffer's storage where capacity allows.
+// rt.hitProb. id and d are the slot's as-built disk's ID and record.
+// The returned chain reuses the caller-provided buffer's storage where
+// capacity allows.
 //
 // Each child stream is expanded only when it draws: a Split is a pure
 // function of (slot, stream index), so expanding late, or never,
 // changes no draw. Most slots see no event at all.
 //
 //detlint:hotpath
-func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, slot, id int, d fleet.Disk, envTimes []simtime.Seconds, key stats.Key, chain slotChain) slotChain {
+func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, id int, d fleet.Disk, envTimes []simtime.Seconds, key stats.Key, chain slotChain) slotChain {
 	end := simtime.StudyDuration
 	p := w.params
 	// An as-built disk is installed with its system, so the system's
@@ -411,7 +388,7 @@ func (w *worker) simulateSlot(sys *fleet.System, rt *sysRates, slot, id int, d f
 					cause = failmodel.CauseDiskMechanical
 				}
 			}
-			w.emit(sys, cur.Shelf, slot, curID, c.t, cause, false)
+			w.emit(sys, cur.Shelf, cur.RAIDGrp, curID, c.t, cause, false)
 			w.f.Remove(curID, c.t, true)
 			chain[len(chain)-1].to = c.t
 			lag := p.RepairLag
@@ -551,7 +528,7 @@ func (w *worker) emitSystemBurst(sys *fleet.System,
 		if !ok {
 			continue
 		}
-		w.emit(sys, sys.Shelves.Lo+int32(si), slot, diskID, t, cause, recovered)
+		w.emit(sys, sys.Shelves.Lo+int32(si), w.slotGrp[slot], diskID, t, cause, recovered)
 	}
 }
 
@@ -591,18 +568,18 @@ func (w *worker) emitBurst(sys *fleet.System, shelfID int32, lo, hi int, t0 simt
 		if !ok {
 			continue
 		}
-		w.emit(sys, shelfID, slot, diskID, t, cause, recovered)
+		w.emit(sys, shelfID, w.slotGrp[slot], diskID, t, cause, recovered)
 	}
 }
 
-// emit records one failure at t of the disk occupying the shelf's
-// flat slot: the one place an event is built, so its detection time,
+// emit records one failure at t of the disk in the given shelf and
+// RAID group: the one place an event is built, so its detection time,
 // type and placement follow a single rule for slot failures and bursts
-// alike. Every occupant of a slot shares its shelf and RAID group, so
-// emit reads no disk.
+// alike. Every occupant of a slot shares its shelf and group, so the
+// callers know both without reading a disk.
 //
 //detlint:hotpath
-func (w *worker) emit(sys *fleet.System, shelf int32, slot, diskID int, t simtime.Seconds, cause failmodel.Cause, recovered bool) {
+func (w *worker) emit(sys *fleet.System, shelf, group int32, diskID int, t simtime.Seconds, cause failmodel.Cause, recovered bool) {
 	w.events = append(w.events, failmodel.Event{
 		Time:      t,
 		Detected:  simtime.NextScrub(t),
@@ -611,7 +588,7 @@ func (w *worker) emit(sys *fleet.System, shelf int32, slot, diskID int, t simtim
 		Disk:      int32(diskID),
 		Shelf:     shelf,
 		System:    int32(sys.ID),
-		Group:     w.slotGrp[slot],
+		Group:     group,
 		Recovered: recovered,
 	})
 }
