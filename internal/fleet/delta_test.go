@@ -50,14 +50,12 @@ func newOracle(f *Fleet) oracle {
 	return o
 }
 
-// shelfDisks lists the IDs of the shelf's disks by scanning every
-// record.
-func (o oracle) shelfDisks(shelf int) []int {
-	var ids []int
+// shelfDisks lists every shelf's disk IDs, ascending, from one scan of
+// the records.
+func (o oracle) shelfDisks(shelves int) [][]int {
+	ids := make([][]int, shelves)
 	for id, d := range o {
-		if int(d.Shelf) == shelf {
-			ids = append(ids, id)
-		}
+		ids[d.Shelf] = append(ids[d.Shelf], id)
 	}
 	return ids
 }
@@ -126,8 +124,8 @@ func checkOracle(t testing.TB, f *Fleet, o oracle) {
 			t.Fatalf("Disk(%d) = %+v, oracle %+v", id, got, want)
 		}
 	}
-	for shelf := range f.Shelves {
-		if got, want := f.ShelfDisks(nil, shelf), o.shelfDisks(shelf); !slices.Equal(got, want) {
+	for shelf, want := range o.shelfDisks(len(f.Shelves)) {
+		if got := f.ShelfDisks(nil, shelf); !slices.Equal(got, want) {
 			t.Fatalf("shelf %d disks %v, oracle %v", shelf, got, want)
 		}
 	}

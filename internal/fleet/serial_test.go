@@ -22,7 +22,7 @@ func TestParseSerial(t *testing.T) {
 		{"S0000000A", 100, 10, true},
 		{"S00000063", 100, 99, true},
 		{"S100000000", 1 << 33, 1 << 32, true},
-		{"S00000064", 100, 0, false},              // ID 100, past len(f.Disks)
+		{"S00000064", 100, 0, false},              // ID 100, past f.NumDisks()
 		{"S00000000", 0, 0, false},                // empty fleet
 		{"S0000000a", 100, 0, false},              // lowercase hex
 		{"s0000000A", 100, 0, false},              // lowercase prefix
