@@ -123,10 +123,19 @@ func BenchmarkFleetClone(b *testing.B) {
 }
 
 // BenchmarkBuildFullScale constructs the paper's full 39,000-system /
-// ~1.7M-disk population: the builder's wall-clock, B/op and allocs/op
-// target (a build should allocate little beyond the fleet itself); the
-// legacy builder took minutes here.
+// ~1.7M-disk population on every processor: the builder's wall-clock,
+// B/op and allocs/op target (a build should allocate little beyond the
+// fleet itself); the legacy builder took minutes here.
 func BenchmarkBuildFullScale(b *testing.B) { benchmarkBuild(b, 1.0) }
+
+// BenchmarkBuildFullScaleSerial is BenchmarkBuildFullScale at
+// GOMAXPROCS 1: a build's total CPU. A build at a key change mid-job
+// shares the processors with running trials, so this is what such a
+// build costs the job.
+func BenchmarkBuildFullScaleSerial(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchmarkBuild(b, 1.0)
+}
 
 // benchmarkSimulate measures a full 44-month failure simulation at the
 // given population scale (fleet build excluded).

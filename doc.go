@@ -26,8 +26,9 @@
 //     with SplitMix64-keyed streams), distributions, MLE fitting,
 //     hypothesis tests
 //   - internal/fleet: storage system population model (census-and-fill
-//     builder that writes every component in place, replacements
-//     appended in place)
+//     builder that writes every component in place, over chunks of
+//     systems on every processor with the same bytes for any processor
+//     count; replacements appended in place)
 //   - internal/failmodel: failure taxonomy and calibrated rates
 //   - internal/sim: the failure history simulator (serial,
 //     zero-garbage per-system hot path)
@@ -40,7 +41,8 @@
 //     grid — population scale, RAID span, failure-model overrides, and
 //     the operational dimensions: install-window skew, churn, repair
 //     lag, shelf-size mix — streaming aggregation, byte-deterministic
-//     output; its trial pool is the repository's one parallel engine)
+//     output; its trial pool is the repository's one parallel engine,
+//     and a fleet build its one parallel step)
 //   - internal/scenario: the declarative scenario artifact — strict
 //     loader and validator for the SCENARIOS.md grid/assertion format,
 //     and Builtin, the by-name resolver for the embedded grids

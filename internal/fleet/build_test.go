@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"storagesubsys/internal/stats"
@@ -237,44 +239,175 @@ func TestBuildSmallMeanProfile(t *testing.T) {
 	}
 }
 
-// TestBuildAllocBudget bounds steady-state build allocations, PR 2
-// budget-test style. Outputs live in value slabs and serials are
-// derived, never stored, so the allocation count is a small constant —
-// independent of the system count — rather than the O(disks) of the
-// legacy builder (which allocated ~90k times for this population's
-// 0.01-scale half, dominated by a per-system map pre-sized to the whole
-// fleet's disk count).
-func TestBuildAllocBudget(t *testing.T) {
-	f := BuildDefault(0.02, 42)
-	allocs := testing.AllocsPerRun(2, func() {
-		BuildDefault(0.02, 42)
+// withProcs runs fn with runtime.GOMAXPROCS set to procs.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestBuildIndependentOfProcs builds under GOMAXPROCS 1, 2, 3 and 8,
+// each with chunks of 1, 7 and chunkSystems systems, and requires all
+// four slabs to equal a serial build's, bytes past their lengths
+// included. Chunk edges fall inside classes and at their ends: at 0.01
+// scale only the low-end class outgrows one chunk of chunkSystems, at
+// 0.05 every class does. The random profiles are
+// TestLayoutMatchesQueueOracle's, with one class laying out no groups
+// (RAIDGroupSize 0) and one striping each group over a single shelf
+// (SpanShelves 1).
+func TestBuildIndependentOfProcs(t *testing.T) {
+	type input struct {
+		name     string
+		profiles []ClassProfile
+		scale    float64
+		seed     int64
+	}
+	inputs := []input{
+		{"default 0.01", DefaultProfiles(), 0.01, 42},
+		{"default 0.05", DefaultProfiles(), 0.05, 53},
+	}
+	rng := stats.NewRNG(2508)
+	for trial := range 8 {
+		profiles := randomProfiles(rng)
+		profiles[trial%4].RAIDGroupSize = 0
+		profiles[(trial+1)%4].SpanShelves = 1
+		inputs = append(inputs, input{fmt.Sprintf("random %d", trial), profiles, 1, int64(trial)})
+	}
+	whole := func(f *Fleet) ([]RAIDGroup, []int32) {
+		return f.Groups[:cap(f.Groups)], f.Members[:cap(f.Members)]
+	}
+	for _, in := range inputs {
+		var want *Fleet
+		withProcs(1, func() { want = build(in.profiles, in.scale, in.seed, chunkSystems) })
+		wantGroups, wantMembers := whole(want)
+		for _, procs := range []int{1, 2, 3, 8} {
+			for _, size := range []int{1, 7, chunkSystems} {
+				var f *Fleet
+				withProcs(procs, func() { f = build(in.profiles, in.scale, in.seed, size) })
+				groups, members := whole(f)
+				if !slices.Equal(f.Systems, want.Systems) || !slices.Equal(f.Shelves, want.Shelves) ||
+					len(f.Groups) != len(want.Groups) || !slices.Equal(groups, wantGroups) ||
+					len(f.Members) != len(want.Members) || !slices.Equal(members, wantMembers) {
+					t.Fatalf("%s: the build at GOMAXPROCS %d in chunks of %d differs from the serial build",
+						in.name, procs, size)
+				}
+			}
+		}
+	}
+}
+
+// overflowProfiles returns a normal class followed by two whose
+// install windows lie a century and two before the study, so every
+// system of either overflows the disk record's int32 seconds.
+func overflowProfiles() []ClassProfile {
+	profiles := DefaultProfiles()[:3]
+	profiles[1].InstallWindow.Start, profiles[1].InstallWindow.End = -100, -99
+	profiles[2].InstallWindow.Start, profiles[2].InstallWindow.End = -200, -199
+	return profiles
+}
+
+// panicOf returns the value fn panics with, nil if it returns.
+func panicOf(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+// TestBuildPanicsOnInstallOverflow requires a profile whose install
+// window reaches past the disk record's int32 seconds to panic, not to
+// wrap its install times. The overflowing classes follow a normal one
+// and every chunk of theirs panics, yet the panic a build raises at
+// GOMAXPROCS 4 is a serial build's: the first overflowing system's.
+func TestBuildPanicsOnInstallOverflow(t *testing.T) {
+	profiles := overflowProfiles()
+	var want any
+	withProcs(1, func() { want = panicOf(func() { Build(profiles, 0.05, 1) }) })
+	if msg, ok := want.(string); !ok || !strings.HasPrefix(msg, "fleet: install time -") {
+		t.Fatalf("a serial build panicked with %v, want the install overflow", want)
+	}
+	withProcs(4, func() {
+		for _, size := range []int{1, 7, chunkSystems} {
+			for range 10 {
+				if got := panicOf(func() { build(profiles, 0.05, 1, size) }); got != want {
+					t.Fatalf("in chunks of %d the build panicked with %v, want %v", size, got, want)
+				}
+			}
+		}
 	})
-	const budget = 512
-	if allocs > budget {
-		t.Errorf("build of %d systems / %d disks allocated %.0f times, budget %d",
-			len(f.Systems), f.NumDisks(), allocs, budget)
+}
+
+// TestLayoutPanicsPastItsWindow: a layout whose group window is one
+// short of the system's groups panics rather than letting append
+// regrow the window off the fleet's slab.
+func TestLayoutPanicsPastItsWindow(t *testing.T) {
+	f := BuildDefault(0.002, 3)
+	chunks, _ := planChunks(DefaultProfiles(), 0.002, 3, chunkSystems)
+	c := chunks[0]
+	sys := f.Systems[0]
+	if sys.RAIDGroups.Len() == 0 {
+		t.Fatal("setup: the first system has no groups")
+	}
+	b := builder{
+		f:       f,
+		groups:  make([]RAIDGroup, 0, sys.RAIDGroups.Len()-1),
+		members: make([]int32, 0, len(f.Members)),
+	}
+	r := c.stream(0)
+	b.drawShape(c.p, c.weights, &r)
+	got := panicOf(func() { b.layoutRAIDGroups(0, sys.Shelves, c.p, &r) })
+	if msg, ok := got.(string); !ok || !strings.Contains(msg, "outgrew") {
+		t.Fatalf("the layout past its window panicked with %v, want the bound's panic", got)
+	}
+}
+
+// TestBuildAllocBudget bounds steady-state build allocations, PR 2
+// budget-test style, on this machine's processors and on four. Outputs
+// live in value slabs and serials are derived, never stored, so the
+// allocation count is a small constant — independent of the system
+// count — rather than the O(disks) of the legacy builder (which
+// allocated ~90k times for this population's 0.01-scale half,
+// dominated by a per-system map pre-sized to the whole fleet's disk
+// count).
+func TestBuildAllocBudget(t *testing.T) {
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 4} {
+		withProcs(procs, func() {
+			f := BuildDefault(0.02, 42)
+			allocs := testing.AllocsPerRun(2, func() {
+				BuildDefault(0.02, 42)
+			})
+			const budget = 512
+			if allocs > budget {
+				t.Errorf("GOMAXPROCS %d: build of %d systems / %d disks allocated %.0f times, budget %d",
+					procs, len(f.Systems), f.NumDisks(), allocs, budget)
+			}
+		})
 	}
 }
 
 // TestBuildAllocatesOnlyTheFleet holds Build to allocating the fleet
-// and little else: the census sizes every slab before the fill writes
-// into it, so a build's total allocation stays within a tenth of the
-// fleet's ApproxBytes plus a fixed allowance for per-class weights and
-// layout scratch, and the system and shelf slabs are exactly full.
+// and little else, on this machine's processors and on four: the
+// census sizes every slab before the fill writes into it, so a build's
+// total allocation stays within a tenth of the fleet's ApproxBytes
+// plus a fixed allowance for the chunk plan, per-class weights and
+// the workers' scratch, and the system and shelf slabs are exactly
+// full.
 func TestBuildAllocatesOnlyTheFleet(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f := BuildDefault(0.05, 53)
-	runtime.ReadMemStats(&after)
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 4} {
+		withProcs(procs, func() {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f := BuildDefault(0.05, 53)
+			runtime.ReadMemStats(&after)
 
-	const scratch = 64 << 10
-	total := after.TotalAlloc - before.TotalAlloc
-	if budget := 1.1*float64(f.ApproxBytes()) + scratch; float64(total) > budget {
-		t.Errorf("build allocated %d bytes for a fleet of %d (ApproxBytes); budget %.0f",
-			total, f.ApproxBytes(), budget)
-	}
-	if cap(f.Systems) != len(f.Systems) || cap(f.Shelves) != len(f.Shelves) {
-		t.Errorf("system slab %d/%d, shelf slab %d/%d (len/cap): want exact",
-			len(f.Systems), cap(f.Systems), len(f.Shelves), cap(f.Shelves))
+			const scratch = 64 << 10
+			total := after.TotalAlloc - before.TotalAlloc
+			if budget := 1.1*float64(f.ApproxBytes()) + scratch; float64(total) > budget {
+				t.Errorf("GOMAXPROCS %d: build allocated %d bytes for a fleet of %d (ApproxBytes); budget %.0f",
+					procs, total, f.ApproxBytes(), budget)
+			}
+			if cap(f.Systems) != len(f.Systems) || cap(f.Shelves) != len(f.Shelves) {
+				t.Errorf("system slab %d/%d, shelf slab %d/%d (len/cap): want exact",
+					len(f.Systems), cap(f.Systems), len(f.Shelves), cap(f.Shelves))
+			}
+		})
 	}
 }

@@ -330,21 +330,6 @@ func TestBuildPanicsOnBadScale(t *testing.T) {
 	BuildDefault(0, 1)
 }
 
-// TestBuildPanicsOnInstallOverflow requires a profile whose install
-// window reaches past the disk record's int32 seconds to panic, not to
-// wrap its install times.
-func TestBuildPanicsOnInstallOverflow(t *testing.T) {
-	profiles := DefaultProfiles()[:1]
-	profiles[0].InstallWindow.Start = -100 // a century of study windows before the study
-	profiles[0].InstallWindow.End = -99
-	defer func() {
-		if recover() == nil {
-			t.Error("an install time outside int32 seconds should panic")
-		}
-	}()
-	Build(profiles, 0.01, 1)
-}
-
 func TestEnumStrings(t *testing.T) {
 	cases := map[string]string{
 		NearLine.String():   "Near-line",

@@ -83,31 +83,36 @@ func queueLayout(f *Fleet, grp []int32, sysID int, shelves Span, p *ClassProfile
 	}
 }
 
+// randomProfiles returns the default classes with eight systems each
+// and random shapes: groups smaller than their span, windows wider than
+// the system, one-disk shelves and sparse shelves.
+func randomProfiles(rng *stats.RNG) []ClassProfile {
+	profiles := DefaultProfiles()
+	for i := range profiles {
+		p := &profiles[i]
+		p.NumSystems = 8
+		p.ShelvesPerSystem = float64(1 + rng.Intn(12))
+		p.DisksPerShelf = float64(1 + rng.Intn(14))
+		p.RAIDGroupSize = 1 + rng.Intn(16)
+		p.SpanShelves = rng.Intn(11)
+		p.SparseShelfFraction = 0
+		if rng.Bernoulli(0.5) {
+			p.SparseShelfFraction = 0.5
+		}
+	}
+	return profiles
+}
+
 // TestLayoutMatchesQueueOracle builds fleets from seeded random
 // profiles and lays every system out again with queueLayout, replaying
 // each system's stream through drawShape as Build's fill does. Every
 // group (members in order, ShelvesSpanned, Type) and every disk's
-// RAIDGrp must match. The shape ranges reach the cases the default
-// profiles never build: groups smaller than their span, windows wider
-// than the system, one-disk shelves and sparse shelves.
+// RAIDGrp must match. The shape ranges (randomProfiles) reach the cases
+// the default profiles never build.
 func TestLayoutMatchesQueueOracle(t *testing.T) {
 	rng := stats.NewRNG(2508)
-	base := DefaultProfiles()
 	for trial := 0; trial < 300; trial++ {
-		profiles := make([]ClassProfile, len(base))
-		copy(profiles, base)
-		for i := range profiles {
-			p := &profiles[i]
-			p.NumSystems = 8
-			p.ShelvesPerSystem = float64(1 + rng.Intn(12))
-			p.DisksPerShelf = float64(1 + rng.Intn(14))
-			p.RAIDGroupSize = 1 + rng.Intn(16)
-			p.SpanShelves = rng.Intn(11)
-			p.SparseShelfFraction = 0
-			if rng.Bernoulli(0.5) {
-				p.SparseShelfFraction = 0.5
-			}
-		}
+		profiles := randomProfiles(rng)
 		seed := int64(trial)
 		f := Build(profiles, 1, seed)
 
@@ -119,16 +124,20 @@ func TestLayoutMatchesQueueOracle(t *testing.T) {
 			wantGrp[i] = -1
 		}
 		var b builder
+		chunks, _ := planChunks(profiles, 1, seed, chunkSystems)
 		sysID := 0
-		forEachSystem(profiles, 1, seed, func(p *ClassProfile, weights []float64, r *stats.RNG) {
-			b.drawShape(p, weights, r)
-			lo := int32(len(want.Groups))
-			queueLayout(want, wantGrp, sysID, f.Systems[sysID].Shelves, p, r)
-			if got, exp := f.Systems[sysID].RAIDGroups, (Span{lo, int32(len(want.Groups))}); got != exp {
-				t.Fatalf("trial %d system %d: groups %v, oracle %v", trial, sysID, got, exp)
+		for _, c := range chunks {
+			for i := c.lo; i < c.hi; i++ {
+				r := c.stream(i)
+				b.drawShape(c.p, c.weights, &r)
+				lo := int32(len(want.Groups))
+				queueLayout(want, wantGrp, sysID, f.Systems[sysID].Shelves, c.p, &r)
+				if got, exp := f.Systems[sysID].RAIDGroups, (Span{lo, int32(len(want.Groups))}); got != exp {
+					t.Fatalf("trial %d system %d: groups %v, oracle %v", trial, sysID, got, exp)
+				}
+				sysID++
 			}
-			sysID++
-		})
+		}
 
 		if !slices.Equal(f.Groups, want.Groups) {
 			for i := range min(len(f.Groups), len(want.Groups)) {

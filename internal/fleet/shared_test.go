@@ -103,60 +103,76 @@ func TestSharedKeepsTopologyOnly(t *testing.T) {
 // TestSharedBuildPanicHandsOn: a build that panics while callers wait
 // on it publishes nothing, its panic reaches its own caller, and the
 // first waiter to wake builds in its place; that build is the one kept
-// and the other waiters clone it.
+// and the other waiters clone it. The panicking build is scripted in
+// one case and a real Build, whose chunks panic on every core, in the
+// other.
 func TestSharedBuildPanicHandsOn(t *testing.T) {
-	var s Shared
-	const waiters = 3
-	started, panicked := make(chan struct{}), make(chan any, 1)
-	go func() {
-		defer func() { panicked <- recover() }()
-		s.Fleet(func() *Fleet {
-			close(started)
-			if !waitParked(waiters) {
-				t.Errorf("%d callers parked on the build, want %d", parkedOnShared(), waiters)
+	var realPanic any
+	withProcs(1, func() { realPanic = panicOf(func() { Build(overflowProfiles(), 0.05, 1) }) })
+	cases := []struct {
+		name  string
+		build func() *Fleet
+		want  any
+	}{
+		{"scripted", func() *Fleet { panic("scripted build panic") }, "scripted build panic"},
+		{"real Build", func() *Fleet { return Build(overflowProfiles(), 0.05, 1) }, realPanic},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var s Shared
+			const waiters = 3
+			started, panicked := make(chan struct{}), make(chan any, 1)
+			go func() {
+				defer func() { panicked <- recover() }()
+				s.Fleet(func() *Fleet {
+					close(started)
+					if !waitParked(waiters) {
+						t.Errorf("%d callers parked on the build, want %d", parkedOnShared(), waiters)
+					}
+					return tc.build()
+				})
+			}()
+			<-started
+
+			var builds, nbuilt atomic.Int32
+			var rebuilt *Fleet
+			fleets := make([]*Fleet, waiters)
+			var wg sync.WaitGroup
+			for i := range fleets {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					f, built := s.Fleet(func() *Fleet {
+						builds.Add(1)
+						return BuildDefault(0.002, 11)
+					})
+					if built {
+						nbuilt.Add(1)
+						rebuilt = f
+					}
+					fleets[i] = f
+				}()
 			}
-			panic("scripted build panic")
+			if pv := <-panicked; pv != tc.want {
+				t.Fatalf("the builder recovered %v, want its build's panic %v", pv, tc.want)
+			}
+			wg.Wait()
+
+			if builds.Load() != 1 || nbuilt.Load() != 1 {
+				t.Fatalf("after the panic: %d builds, %d callers saw built; want 1 and 1", builds.Load(), nbuilt.Load())
+			}
+			if unsafe.SliceData(s.topo.Systems) != unsafe.SliceData(rebuilt.Systems) {
+				t.Fatal("the Shared does not keep the waiter's build")
+			}
+			want := BuildDefault(0.002, 11)
+			for i, f := range fleets {
+				if !reflect.DeepEqual(f, want) {
+					t.Fatalf("waiter %d's fleet differs from a direct build", i)
+				}
+			}
+			if _, built := s.Fleet(func() *Fleet { panic("built twice") }); built {
+				t.Fatal("a caller after the rebuild built again")
+			}
 		})
-	}()
-	<-started
-
-	var builds, nbuilt atomic.Int32
-	var rebuilt *Fleet
-	fleets := make([]*Fleet, waiters)
-	var wg sync.WaitGroup
-	for i := range fleets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, built := s.Fleet(func() *Fleet {
-				builds.Add(1)
-				return BuildDefault(0.002, 11)
-			})
-			if built {
-				nbuilt.Add(1)
-				rebuilt = f
-			}
-			fleets[i] = f
-		}()
-	}
-	if pv := <-panicked; pv != "scripted build panic" {
-		t.Fatalf("the builder recovered %v, want its build's panic", pv)
-	}
-	wg.Wait()
-
-	if builds.Load() != 1 || nbuilt.Load() != 1 {
-		t.Fatalf("after the panic: %d builds, %d callers saw built; want 1 and 1", builds.Load(), nbuilt.Load())
-	}
-	if unsafe.SliceData(s.topo.Systems) != unsafe.SliceData(rebuilt.Systems) {
-		t.Fatal("the Shared does not keep the waiter's build")
-	}
-	want := BuildDefault(0.002, 11)
-	for i, f := range fleets {
-		if !reflect.DeepEqual(f, want) {
-			t.Fatalf("waiter %d's fleet differs from a direct build", i)
-		}
-	}
-	if _, built := s.Fleet(func() *Fleet { panic("built twice") }); built {
-		t.Fatal("a caller after the rebuild built again")
 	}
 }
