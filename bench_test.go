@@ -129,9 +129,11 @@ func BenchmarkFleetClone(b *testing.B) {
 func BenchmarkBuildFullScale(b *testing.B) { benchmarkBuild(b, 1.0) }
 
 // BenchmarkBuildFullScaleSerial is BenchmarkBuildFullScale at
-// GOMAXPROCS 1: a build's total CPU. A build at a key change mid-job
-// shares the processors with running trials, so this is what such a
-// build costs the job.
+// GOMAXPROCS 1: the same census, fill and compact on one core, so a
+// growth in the build's work shows even where idle cores would hide it
+// from BenchmarkBuildFullScale. A build at a key change mid-job shares
+// the processors with running trials; two busy cores run the
+// per-system work slower than one, which this figure leaves out.
 func BenchmarkBuildFullScaleSerial(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	benchmarkBuild(b, 1.0)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,9 +51,9 @@ const (
 // and shelf at its index of slabs allocated once at those sizes, and
 // every RAID group and member into its chunk's window of the
 // bound-sized group and member slabs. A short serial pass (compact)
-// then closes the bound's slack between the windows. No disk is
-// stored: the topology determines every as-built disk's record
-// (Fleet.Disk).
+// then closes the bound's slack between the windows. Every processor
+// count, one included, takes this one path. No disk is stored: the
+// topology determines every as-built disk's record (Fleet.Disk).
 //
 // A panic in any chunk is raised in the caller once every build
 // goroutine has returned, with the value of the first panicking system
@@ -101,11 +102,7 @@ func build(profiles []ClassProfile, scale float64, seed int64, size int) *Fleet 
 	for i := range p.builders {
 		p.builders[i].f = f
 	}
-	if len(p.builders) == 1 {
-		p.fillInOrder()
-	} else {
-		p.run((*builder).fill)
-	}
+	p.run((*builder).fill)
 	compact(f, p.chunks)
 	return f
 }
@@ -244,10 +241,15 @@ func (p *pool) work(b *builder, pass func(*builder, *chunk)) {
 	}
 }
 
-// runChunk runs pass on c, keeping a panic in c for run to raise.
+// runChunk runs pass on c, keeping a panic in c for run to raise. A
+// runtime error keeps the stack of the goroutine that raised it, since
+// run's panic traces only the caller's.
 func (p *pool) runChunk(b *builder, c *chunk, pass func(*builder, *chunk)) {
 	defer func() {
 		if v := recover(); v != nil {
+			if err, ok := v.(runtime.Error); ok {
+				v = chunkError{err, debug.Stack()}
+			}
 			c.panicked = v
 			p.failed.Store(true)
 		}
@@ -255,19 +257,21 @@ func (p *pool) runChunk(b *builder, c *chunk, pass func(*builder, *chunk)) {
 	pass(b, c)
 }
 
-// fillInOrder is the fill pass of a pool with one worker. The chunks
-// fill in order, so each window can start where the previous chunk's
-// groups and members end, and compact has nothing to move.
-func (p *pool) fillInOrder() {
-	b := &p.builders[0]
-	g, m := 0, 0
-	for i := range p.chunks {
-		c := &p.chunks[i]
-		c.group, c.member = g, m
-		b.fill(c)
-		g, m = g+c.groups, m+c.members
-	}
+// chunkError is a runtime error a build chunk raised, with the stack
+// it was raised on.
+type chunkError struct {
+	err   runtime.Error
+	stack []byte
 }
+
+// Error returns the runtime error's message and the stack it was
+// raised on.
+func (e chunkError) Error() string {
+	return e.err.Error() + "\n\nraised in a build chunk:\n" + string(e.stack)
+}
+
+// RuntimeError marks chunkError as the runtime.Error it carries.
+func (e chunkError) RuntimeError() {}
 
 // census draws the shape of every system of c and counts its shelves
 // and disks, and bounds its RAID groups and their members: a group
@@ -335,7 +339,7 @@ func (b *builder) fill(c *chunk) {
 // still to move. A moved chunk's group IDs, member spans and its
 // systems' group spans drop by the distance moved. The slabs' tails
 // are zeroed, so their bytes past the groups and members laid out are
-// a serial build's too.
+// the same for any chunking.
 func compact(f *Fleet, chunks []chunk) {
 	groups, members := f.Groups[:cap(f.Groups)], f.Members[:cap(f.Members)]
 	g, m := 0, 0

@@ -359,6 +359,32 @@ func TestLayoutPanicsPastItsWindow(t *testing.T) {
 	}
 }
 
+// faultyPass is a build pass that indexes past a nil slice.
+func faultyPass(_ *builder, c *chunk) {
+	var none []int
+	c.shelves = none[c.lo]
+}
+
+// TestChunkRuntimeErrorKeepsItsStack: a runtime error in a chunk
+// reaches run's caller still a runtime.Error, and its message holds the
+// stack it was raised on, down to the faulting function and line.
+func TestChunkRuntimeErrorKeepsItsStack(t *testing.T) {
+	withProcs(4, func() {
+		p := newPool(DefaultProfiles(), 0.05, 1, chunkSystems)
+		got := panicOf(func() { p.run(faultyPass) })
+		err, ok := got.(runtime.Error)
+		if !ok {
+			t.Fatalf("the pass panicked with %v, want a runtime.Error", got)
+		}
+		msg := err.Error()
+		for _, want := range []string{"index out of range", "fleet.faultyPass", "build_test.go:"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("the re-raised error does not name %q:\n%s", want, msg)
+			}
+		}
+	})
+}
+
 // TestBuildAllocBudget bounds steady-state build allocations, PR 2
 // budget-test style, on this machine's processors and on four. Outputs
 // live in value slabs and serials are derived, never stored, so the
