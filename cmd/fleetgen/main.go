@@ -13,9 +13,10 @@
 //	fleetgen -build-only [-scale 1.0] [-seed 42]
 //
 // -build-only constructs the fleet topology, prints its population
-// counts, and exits without simulating or writing any files — the
-// full-scale CI smoke uses it to assert that the paper's ~39,000-system
-// population builds in well under a second with deterministic counts.
+// counts and its topology's size in bytes (Fleet.ApproxBytes), and
+// exits without simulating or writing any files — the full-scale CI
+// smoke uses it to assert that the paper's ~39,000-system population
+// builds in well under a second with deterministic counts and size.
 package main
 
 import (
@@ -37,7 +38,7 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "population scale relative to the paper's 39,000 systems")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	maxSystems := flag.Int("max-systems", 0, "write at most this many systems' logs (0 = all)")
-	buildOnly := flag.Bool("build-only", false, "build the fleet, print population counts, and exit")
+	buildOnly := flag.Bool("build-only", false, "build the fleet, print population counts and topology bytes, and exit")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -56,6 +57,7 @@ func main() {
 		f := fleet.BuildDefault(*scale, *seed)
 		fmt.Printf("fleet: %d systems, %d shelves, %d disks, %d RAID groups (scale %g, seed %d)\n",
 			len(f.Systems), len(f.Shelves), f.NumDisks(), len(f.Groups), *scale, *seed)
+		fmt.Printf("topology: %d bytes\n", f.ApproxBytes())
 		return
 	}
 	if *out == "" {

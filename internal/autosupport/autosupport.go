@@ -142,7 +142,7 @@ func TakeSnapshot(f *fleet.Fleet, systemID, week int) Snapshot {
 	// system's models.
 	var ids []int
 	for shelfID := int(sys.Shelves.Lo); shelfID < int(sys.Shelves.Hi); shelfID++ {
-		ss := SnapshotShelf{Index: int(f.Shelves[shelfID].Index), Model: snap.ShelfModel}
+		ss := SnapshotShelf{Index: f.ShelfIndex(shelfID), Model: snap.ShelfModel}
 		ids = f.ShelfDisks(ids[:0], shelfID)
 		for _, diskID := range ids {
 			d := f.Disk(diskID)

@@ -22,18 +22,18 @@ func craftedFleet() *fleet.Fleet {
 			ID: len(f.Systems), Class: fleet.MidRange, ShelfModel: fleet.ShelfB,
 			DiskModel: model, Paths: paths, Install: 0,
 		}
-		g := fleet.RAIDGroup{ID: int32(len(f.Groups)), System: int32(sys.ID), Type: fleet.RAID4}
-		sys.RAIDGroups = fleet.Span{Lo: g.ID, Hi: g.ID + 1}
+		g := fleet.RAIDGroup{System: int32(sys.ID), Type: fleet.RAID4}
+		sys.RAIDGroups = fleet.Span{Lo: int32(len(f.Groups)), Hi: int32(len(f.Groups) + 1)}
 		sys.Shelves = fleet.Span{Lo: int32(len(f.Shelves)), Hi: int32(len(f.Shelves) + shelves)}
 		g.Members.Lo = int32(len(f.Members))
 		for s := 0; s < shelves; s++ {
-			shelf := fleet.Shelf{ID: int32(len(f.Shelves)), System: int32(sys.ID), Index: int32(s)}
+			shelf := fleet.Shelf{System: int32(sys.ID)}
 			shelf.Disks.Lo = int32(f.NumDisks())
 			shelf.Disks.Hi = shelf.Disks.Lo + int32(disksPerShelf)
 			for id := shelf.Disks.Lo; id < shelf.Disks.Hi; id++ {
 				f.Members = append(f.Members, id)
 			}
-			g.ShelvesSpanned = s + 1
+			g.ShelvesSpanned = uint8(s + 1)
 			f.Shelves = append(f.Shelves, shelf)
 		}
 		g.Members.Hi = int32(len(f.Members))

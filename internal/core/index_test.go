@@ -105,12 +105,12 @@ func mapCorrelationCounts(ds *Dataset, scope Scope, byContainer map[int][]failmo
 	window := simtime.SecondsPerYear
 	starts := make(map[int]simtime.Seconds)
 	if scope == ByShelf {
-		for _, sh := range ds.Fleet.Shelves {
-			starts[int(sh.ID)] = ds.Fleet.Systems[sh.System].Install
+		for i, sh := range ds.Fleet.Shelves {
+			starts[i] = ds.Fleet.Systems[sh.System].Install
 		}
 	} else {
-		for _, g := range ds.Fleet.Groups {
-			starts[int(g.ID)] = ds.Fleet.Systems[g.System].Install
+		for i, g := range ds.Fleet.Groups {
+			starts[i] = ds.Fleet.Systems[g.System].Install
 		}
 	}
 	for c, start := range starts {

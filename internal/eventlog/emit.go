@@ -129,6 +129,6 @@ func (m Message) Line(f *fleet.Fleet) Line {
 		Time:     simtime.ToWall(m.Time),
 		Tag:      st.tag,
 		Severity: st.sev,
-		Text:     fmt.Sprintf(st.text, 8+f.Shelves[d.Shelf].Index, 16+int(d.Slot), fleet.Serial(int(m.Disk)), m.Cause),
+		Text:     fmt.Sprintf(st.text, 8+f.ShelfIndex(int(d.Shelf)), 16+int(d.Slot), fleet.Serial(int(m.Disk)), m.Cause),
 	}
 }

@@ -314,13 +314,13 @@ func TestParseLogSkipsGarbage(t *testing.T) {
 func TestDeviceAddress(t *testing.T) {
 	f := smallRun(t).Fleet
 	for _, tc := range []struct {
-		shelf int32
+		shelf int
 		slot  uint8
 		want  string
 	}{{0, 8, "8.24"}, {3, 0, "11.16"}} {
 		id := -1
 		for i := range f.NumDisks() {
-			if d := f.Disk(i); f.Shelves[d.Shelf].Index == tc.shelf && d.Slot == tc.slot {
+			if d := f.Disk(i); f.ShelfIndex(int(d.Shelf)) == tc.shelf && d.Slot == tc.slot {
 				id = i
 				break
 			}

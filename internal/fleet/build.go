@@ -152,7 +152,11 @@ func planChunks(profiles []ClassProfile, scale float64, seed int64, size int) ([
 		nChunks += (classSystems(p, scale) + size - 1) / size
 		nConfigs += len(p.Configs)
 		// drawCount never exceeds floor(3*mean/2)+1.
-		maxShelves = max(maxShelves, int(p.ShelvesPerSystem*3/2)+1)
+		shelves := int(p.ShelvesPerSystem*3/2) + 1
+		maxShelves = max(maxShelves, shelves)
+		if min(p.SpanShelves, shelves) > math.MaxUint8 {
+			panic("fleet: RAID span exceeds the group record's uint8 ShelvesSpanned")
+		}
 	}
 	chunks := make([]chunk, 0, nChunks)
 	// Every class's config weights share one slab, so pickConfig's
@@ -316,11 +320,8 @@ func (b *builder) fill(c *chunk) {
 		sys, _ := b.drawShape(c.p, c.weights, &r)
 		sys.ID = sysID
 		sys.Shelves = Span{int32(shelfID), int32(shelfID + len(b.shelfDisks))}
-		for si, n := range b.shelfDisks {
-			f.Shelves[shelfID] = Shelf{
-				ID: int32(shelfID), System: int32(sysID), Index: int32(si),
-				Disks: Span{int32(diskID), int32(diskID + n)},
-			}
+		for _, n := range b.shelfDisks {
+			f.Shelves[shelfID] = Shelf{System: int32(sysID), Disks: Span{int32(diskID), int32(diskID + n)}}
 			shelfID++
 			diskID += n
 		}
@@ -336,10 +337,11 @@ func (b *builder) fill(c *chunk) {
 // compact closes the slack the census's bound left after each chunk's
 // groups and members, in chunk order: a chunk's window moves down onto
 // its own and earlier chunks' slack, so no move overwrites a window
-// still to move. A moved chunk's group IDs, member spans and its
-// systems' group spans drop by the distance moved. The slabs' tails
-// are zeroed, so their bytes past the groups and members laid out are
-// the same for any chunking.
+// still to move. A moved chunk's member spans and its systems' group
+// spans drop by the distance moved; a group's ID is its index, so the
+// move itself renumbers it. The slabs' tails are zeroed, so their
+// bytes past the groups and members laid out are the same for any
+// chunking.
 func compact(f *Fleet, chunks []chunk) {
 	groups, members := f.Groups[:cap(f.Groups)], f.Members[:cap(f.Members)]
 	g, m := 0, 0
@@ -350,7 +352,6 @@ func compact(f *Fleet, chunks []chunk) {
 			copy(moved, groups[c.group:c.group+c.groups])
 			copy(members[m:m+c.members], members[c.member:c.member+c.members])
 			for j := range moved {
-				moved[j].ID -= dg
 				moved[j].Members.Lo -= dm
 				moved[j].Members.Hi -= dm
 			}

@@ -40,10 +40,10 @@ func fleetDigest(f *Fleet) uint64 {
 		span(s.Shelves)
 		span(s.RAIDGroups)
 	}
-	for _, sh := range f.Shelves {
-		w(int(sh.ID), int(sh.System), int(sh.Index))
+	for i, sh := range f.Shelves {
+		w(i, int(sh.System), f.ShelfIndex(i))
 		h.Write([]byte(f.Systems[sh.System].ShelfModel))
-		w(f.ShelfDisks(nil, int(sh.ID))...)
+		w(f.ShelfDisks(nil, i)...)
 	}
 	for id, d := range allDisks(f) {
 		sys := int(f.Shelves[d.Shelf].System)
@@ -51,8 +51,8 @@ func fleetDigest(f *Fleet) uint64 {
 		h.Write(AppendSerial(nil, id))
 		h.Write([]byte(f.Systems[sys].DiskModel.String()))
 	}
-	for _, g := range f.Groups {
-		w(int(g.ID), int(g.System), int(g.Type), g.ShelvesSpanned)
+	for i, g := range f.Groups {
+		w(i, int(g.System), int(g.Type), int(g.ShelvesSpanned))
 		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
 			w(int(id))
 		}
@@ -109,39 +109,34 @@ func TestBuildSpliceOrder(t *testing.T) {
 				i, s.Class, f.Systems[i-1].Class)
 		}
 	}
-	for i, sh := range f.Shelves {
-		if int(sh.ID) != i {
-			t.Fatalf("shelf at index %d has ID %d", i, sh.ID)
-		}
-	}
-	for i, g := range f.Groups {
-		if int(g.ID) != i {
-			t.Fatalf("group at index %d has ID %d", i, g.ID)
-		}
-	}
 	nextShelf, nextDisk, nextGroup, nextMember := 0, 0, 0, 0
 	for _, s := range f.Systems {
 		if int(s.Shelves.Lo) != nextShelf || int(s.RAIDGroups.Lo) != nextGroup {
 			t.Fatalf("system %d spans shelves %v, groups %v; want them to start at %d, %d",
 				s.ID, s.Shelves, s.RAIDGroups, nextShelf, nextGroup)
 		}
-		for _, sh := range f.Shelves[s.Shelves.Lo:s.Shelves.Hi] {
+		for si := s.Shelves.Lo; si < s.Shelves.Hi; si++ {
+			sh := f.Shelves[si]
 			if int(sh.System) != s.ID || int(sh.Disks.Lo) != nextDisk {
 				t.Fatalf("shelf %d: system %d, disks %v; want system %d, disks from %d",
-					sh.ID, sh.System, sh.Disks, s.ID, nextDisk)
+					si, sh.System, sh.Disks, s.ID, nextDisk)
+			}
+			if got, want := f.ShelfIndex(int(si)), int(si-s.Shelves.Lo); got != want {
+				t.Fatalf("shelf %d: ShelfIndex %d, want %d", si, got, want)
 			}
 			for id := sh.Disks.Lo; id < sh.Disks.Hi; id++ {
-				if d := f.Disk(int(id)); d.Shelf != sh.ID {
-					t.Fatalf("disk %d in shelf %d's span names shelf %d", id, sh.ID, d.Shelf)
+				if d := f.Disk(int(id)); d.Shelf != si {
+					t.Fatalf("disk %d in shelf %d's span names shelf %d", id, si, d.Shelf)
 				}
 			}
 			nextShelf++
 			nextDisk = int(sh.Disks.Hi)
 		}
-		for _, g := range f.Groups[s.RAIDGroups.Lo:s.RAIDGroups.Hi] {
+		for gi := s.RAIDGroups.Lo; gi < s.RAIDGroups.Hi; gi++ {
+			g := f.Groups[gi]
 			if int(g.System) != s.ID || int(g.Members.Lo) != nextMember {
 				t.Fatalf("group %d: system %d, members %v; want system %d, members from %d",
-					g.ID, g.System, g.Members, s.ID, nextMember)
+					gi, g.System, g.Members, s.ID, nextMember)
 			}
 			nextGroup++
 			nextMember = int(g.Members.Hi)
@@ -159,10 +154,10 @@ func TestBuildSpliceOrder(t *testing.T) {
 			t.Fatalf("disk %d serial %q resolves to (%d, %v)", i, Serial(i), id, ok)
 		}
 	}
-	for _, g := range f.Groups {
+	for gi, g := range f.Groups {
 		for _, diskID := range f.Members[g.Members.Lo:g.Members.Hi] {
-			if d := f.Disk(int(diskID)); d.RAIDGrp != g.ID {
-				t.Fatalf("group %d member %d points at group %d", g.ID, diskID, d.RAIDGrp)
+			if d := f.Disk(int(diskID)); int(d.RAIDGrp) != gi {
+				t.Fatalf("group %d member %d points at group %d", gi, diskID, d.RAIDGrp)
 			}
 		}
 	}

@@ -148,8 +148,8 @@ func topologyDigest(f *fleet.Fleet) uint64 {
 		h.Write([]byte(string(s.ShelfModel) + s.DiskModel.Family))
 	}
 	binary.Write(h, binary.LittleEndian, f.Shelves)
-	for _, g := range f.Groups {
-		binary.Write(h, binary.LittleEndian, []int64{int64(g.ID), int64(g.System), int64(g.Type),
+	for i, g := range f.Groups {
+		binary.Write(h, binary.LittleEndian, []int64{int64(i), int64(g.System), int64(g.Type),
 			int64(g.Members.Lo), int64(g.Members.Hi), int64(g.ShelvesSpanned)})
 	}
 	binary.Write(h, binary.LittleEndian, f.Members)

@@ -94,7 +94,7 @@ func (f *Fleet) groupOf(sys *System, id int32) int32 {
 	if k < 0 {
 		return -1
 	}
-	return groups[k/groups[0].Members.Len()].ID
+	return sys.RAIDGroups.Lo + int32(k/groups[0].Members.Len())
 }
 
 // SystemGroups appends to dst the RAID group of each of the system's
@@ -114,9 +114,10 @@ func (f *Fleet) SystemGroups(dst []int32, sys *System) []int32 {
 		dst = append(dst, -1)
 	}
 	grp := dst[n:]
-	for _, g := range f.Groups[sys.RAIDGroups.Lo:sys.RAIDGroups.Hi] {
+	for gi := sys.RAIDGroups.Lo; gi < sys.RAIDGroups.Hi; gi++ {
+		g := &f.Groups[gi]
 		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
-			grp[id-first] = g.ID
+			grp[id-first] = gi
 		}
 	}
 	return dst

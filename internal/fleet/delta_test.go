@@ -30,20 +30,22 @@ type oracle []Disk
 func newOracle(f *Fleet) oracle {
 	o := make(oracle, f.asBuilt())
 	for _, sys := range f.Systems {
-		for _, sh := range f.Shelves[sys.Shelves.Lo:sys.Shelves.Hi] {
+		for si := sys.Shelves.Lo; si < sys.Shelves.Hi; si++ {
+			sh := f.Shelves[si]
 			for slot := range sh.Disks.Len() {
 				o[int(sh.Disks.Lo)+slot] = Disk{
 					Install: int32(sys.Install),
 					Remove:  int32(simtime.StudyDuration),
-					Shelf:   sh.ID,
+					Shelf:   si,
 					RAIDGrp: -1,
 					Slot:    uint8(slot),
 				}
 			}
 		}
-		for _, g := range f.Groups[sys.RAIDGroups.Lo:sys.RAIDGroups.Hi] {
+		for gi := sys.RAIDGroups.Lo; gi < sys.RAIDGroups.Hi; gi++ {
+			g := f.Groups[gi]
 			for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
-				o[id].RAIDGrp = g.ID
+				o[id].RAIDGrp = gi
 			}
 		}
 	}

@@ -111,15 +111,15 @@ func TestTopologyInvariants(t *testing.T) {
 			}
 		}
 	}
-	for _, sh := range f.Shelves {
+	for si, sh := range f.Shelves {
 		if sh.Disks.Len() > MaxDisksPerShelf {
-			t.Fatalf("shelf %d has %d disks (max %d)", sh.ID, sh.Disks.Len(), MaxDisksPerShelf)
+			t.Fatalf("shelf %d has %d disks (max %d)", si, sh.Disks.Len(), MaxDisksPerShelf)
 		}
 		slots := map[uint8]bool{}
 		for id := sh.Disks.Lo; id < sh.Disks.Hi; id++ {
 			d := f.Disk(int(id))
 			if slots[d.Slot] {
-				t.Fatalf("shelf %d slot %d double-occupied at build time", sh.ID, d.Slot)
+				t.Fatalf("shelf %d slot %d double-occupied at build time", si, d.Slot)
 			}
 			slots[d.Slot] = true
 		}
@@ -142,29 +142,29 @@ func TestRAIDGroupLayout(t *testing.T) {
 	}
 	spanned := 0.0
 	multi := 0
-	for _, g := range f.Groups {
+	for gi, g := range f.Groups {
 		sys := f.Systems[g.System]
 		p := profileByClass[sys.Class]
 		if g.Members.Len() != p.RAIDGroupSize {
-			t.Fatalf("group %d (%s) has %d disks, want %d", g.ID, sys.Class, g.Members.Len(), p.RAIDGroupSize)
+			t.Fatalf("group %d (%s) has %d disks, want %d", gi, sys.Class, g.Members.Len(), p.RAIDGroupSize)
 		}
 		// Members must belong to the owning system.
 		shelves := map[int]bool{}
 		for _, id := range f.Members[g.Members.Lo:g.Members.Hi] {
 			shelf := f.Disk(int(id)).Shelf
 			if f.Shelves[shelf].System != g.System {
-				t.Fatalf("group %d member from another system", g.ID)
+				t.Fatalf("group %d member from another system", gi)
 			}
 			shelves[int(shelf)] = true
 		}
-		if g.ShelvesSpanned != len(shelves) {
-			t.Fatalf("group %d spanned count %d, want %d", g.ID, g.ShelvesSpanned, len(shelves))
+		if int(g.ShelvesSpanned) != len(shelves) {
+			t.Fatalf("group %d spanned count %d, want %d", gi, g.ShelvesSpanned, len(shelves))
 		}
 		spanned += float64(g.ShelvesSpanned)
 		if sys.Shelves.Len() >= 3 {
 			multi++
 			if g.ShelvesSpanned > 3 {
-				t.Fatalf("group %d spans %d shelves, profile says 3", g.ID, g.ShelvesSpanned)
+				t.Fatalf("group %d spans %d shelves, profile says 3", gi, g.ShelvesSpanned)
 			}
 		}
 	}
@@ -183,9 +183,9 @@ func TestSingleShelfSpanAblation(t *testing.T) {
 	}
 	// A group only draws from its window's shelves.
 	f := Build(profiles, 0.01, 42)
-	for _, g := range f.Groups {
+	for gi, g := range f.Groups {
 		if g.ShelvesSpanned != 1 {
-			t.Fatalf("group %d spans %d shelves under span=1", g.ID, g.ShelvesSpanned)
+			t.Fatalf("group %d spans %d shelves under span=1", gi, g.ShelvesSpanned)
 		}
 	}
 }

@@ -56,15 +56,23 @@ func (b *builder) layoutRAIDGroups(sysID int, shelves Span, p *ClassProfile, r *
 		b.free = append(b.free, sh.Disks)
 	}
 
+	// Shelf positions wrap around the system with counters compared
+	// against nShelves, not a division per member and per window probe;
+	// spanWidth <= nShelves, so one subtraction wraps any sum.
 	window := 0
 	for failedWindows := 0; failedWindows < nShelves; {
 		held := 0
-		for j := 0; j < spanWidth; j++ {
-			held += b.free[(window+j)%nShelves].Len()
+		for j, k := 0, window; j < spanWidth; j++ {
+			held += b.free[k].Len()
+			if k++; k == nShelves {
+				k = 0
+			}
 		}
 		if held < size {
 			failedWindows++
-			window = (window + 1) % nShelves
+			if window++; window == nShelves {
+				window = 0
+			}
 			continue
 		}
 		failedWindows = 0
@@ -72,7 +80,6 @@ func (b *builder) layoutRAIDGroups(sysID int, shelves Span, p *ClassProfile, r *
 			panic("fleet: RAID layout outgrew the census's group bound")
 		}
 
-		groupID := int32(len(b.groups))
 		rt := RAID4
 		if r.Bernoulli(p.RAID6Fraction) {
 			rt = RAID6
@@ -84,8 +91,11 @@ func (b *builder) layoutRAIDGroups(sysID int, shelves Span, p *ClassProfile, r *
 		lo := len(b.members)
 		spanned := 0
 		for round := 0; len(b.members)-lo < size; round++ {
-			for j := 0; j < spanWidth && len(b.members)-lo < size; j++ {
-				s := &b.free[(window+j)%nShelves]
+			for j, k := 0, window; j < spanWidth && len(b.members)-lo < size; j++ {
+				s := &b.free[k]
+				if k++; k == nShelves {
+					k = 0
+				}
 				if s.Lo == s.Hi {
 					continue
 				}
@@ -97,9 +107,11 @@ func (b *builder) layoutRAIDGroups(sysID int, shelves Span, p *ClassProfile, r *
 			}
 		}
 		b.groups = append(b.groups, RAIDGroup{
-			ID: groupID, System: int32(sysID), Type: rt, ShelvesSpanned: spanned,
+			System: int32(sysID), Type: rt, ShelvesSpanned: uint8(spanned),
 			Members: Span{int32(lo), int32(len(b.members))},
 		})
-		window = (window + spanWidth) % nShelves
+		if window += spanWidth; window >= nShelves {
+			window -= nShelves
+		}
 	}
 }

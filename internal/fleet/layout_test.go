@@ -76,7 +76,7 @@ func queueLayout(f *Fleet, grp []int32, sysID int, shelves Span, p *ClassProfile
 			f.Members = append(f.Members, id)
 		}
 		f.Groups = append(f.Groups, RAIDGroup{
-			ID: groupID, System: int32(sysID), Type: rt, ShelvesSpanned: len(spanned),
+			System: int32(sysID), Type: rt, ShelvesSpanned: uint8(len(spanned)),
 			Members: Span{int32(len(f.Members) - len(members)), int32(len(f.Members))},
 		})
 		window = (window + spanWidth) % nShelves

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
-	"unsafe"
 )
 
 // TestParseSerial pins the inverse of Serial that log mining resolves
@@ -79,13 +78,22 @@ func FuzzParseSerial(f *testing.F) {
 }
 
 // TestDiskLayout pins the fleet's memory contract: the disk record is
-// at most 20 bytes, and the disk, shelf and RAID group records hold no
+// at most 20 bytes, the system, shelf and RAID group records at most
+// 88, 12 and 16 (a component's ID is its slab index and a one-byte
+// enum is one byte, so none stores what its index or a wider type
+// would repeat), and the disk, shelf and RAID group records hold no
 // pointer-bearing field, so their slabs are allocated noscan and the
 // garbage collector never walks them. A string, slice, map or pointer
 // field added to one would silently undo both.
 func TestDiskLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Disk{}); n > 20 {
-		t.Errorf("Disk is %d bytes, budget 20: derive the new field from the shelf, the system or the ID instead", n)
+	for _, b := range []struct {
+		v      any
+		budget uintptr
+	}{{Disk{}, 20}, {System{}, 88}, {Shelf{}, 12}, {RAIDGroup{}, 16}} {
+		typ := reflect.TypeOf(b.v)
+		if n := typ.Size(); n > b.budget {
+			t.Errorf("%s is %d bytes, budget %d: derive the new field from the topology or the ID instead", typ.Name(), n, b.budget)
+		}
 	}
 	for _, v := range []any{Disk{}, Shelf{}, RAIDGroup{}} {
 		typ := reflect.TypeOf(v)

@@ -49,7 +49,7 @@ import (
 
 // SystemClass is the capability/usage class of a storage system, as
 // defined in the paper's Section 2.2.
-type SystemClass int
+type SystemClass uint8
 
 // The four studied classes.
 const (
@@ -78,7 +78,7 @@ func (c SystemClass) String() string {
 }
 
 // DiskType is the disk interface technology.
-type DiskType int
+type DiskType uint8
 
 // Disk interface technologies in the studied population.
 const (
@@ -98,7 +98,7 @@ func (t DiskType) String() string {
 }
 
 // RAIDType is the resiliency scheme of a RAID group.
-type RAIDType int
+type RAIDType uint8
 
 // RAID schemes supported by the studied systems.
 const (
@@ -128,7 +128,7 @@ func (t RAIDType) ParityDisks() int {
 // PathConfig is the network redundancy configuration of a storage
 // subsystem: whether shelves are connected to one FC network or to two
 // independent ones (active/passive multipathing).
-type PathConfig int
+type PathConfig uint8
 
 // Path configurations.
 const (
@@ -148,7 +148,7 @@ func (p PathConfig) String() string {
 // capacity ordinal orders capacities within a family.
 type DiskModel struct {
 	Family   string
-	Capacity int
+	Capacity int32
 	Type     DiskType
 }
 
@@ -164,7 +164,8 @@ const MaxDisksPerShelf = 14
 // Span is the half-open range [Lo, Hi) of consecutive component IDs.
 // A system's shelves and RAID groups, a shelf's as-built disks and a
 // RAID group's window of Fleet.Members are each numbered consecutively
-// in build order, so a span addresses them without an ID list.
+// in build order, so a span addresses them without an ID list. A
+// component's ID is its index in its slab, so no record stores its own.
 type Span struct{ Lo, Hi int32 }
 
 // Len returns the number of IDs in the span.
@@ -212,37 +213,38 @@ func (d *Disk) Residency() simtime.Seconds {
 func (d *Disk) ResidencyYears() float64 { return simtime.Years(d.Residency()) }
 
 // Shelf is one shelf enclosure: power, cooling, backplane and intrashelf
-// connectivity shared by the disks mounted in it. Its model is the
-// owning system's ShelfModel. Disks spans the shelf's as-built disks,
-// one per occupied slot in slot order; its replacements lie past every
-// as-built disk (see Fleet.ShelfDisks).
+// connectivity shared by the disks mounted in it. Its ID is its index
+// in Fleet.Shelves, its position within the system is
+// Fleet.ShelfIndex, and its model is the owning system's ShelfModel.
+// Disks spans the shelf's as-built disks, one per occupied slot in slot
+// order; its replacements lie past every as-built disk (see
+// Fleet.ShelfDisks). The record is 12 bytes and pointer-free
+// (TestDiskLayout).
 type Shelf struct {
-	ID     int32 // fleet-unique
 	System int32
-	Index  int32 // position within the system
-	Disks  Span  // as-built disk IDs
+	Disks  Span // as-built disk IDs
 }
 
 // RAIDGroup is a set of disks (data + parity) managed as one resiliency
-// unit. Groups may span multiple shelves (Figure 8); ShelvesSpanned
-// records how many distinct shelves hold its members.
+// unit. Its ID is its index in Fleet.Groups. Groups may span multiple
+// shelves (Figure 8); ShelvesSpanned records how many distinct shelves
+// hold its members, at most the class's SpanShelves. The record is 16
+// bytes and pointer-free (TestDiskLayout).
 type RAIDGroup struct {
-	ID             int32 // fleet-unique
 	System         int32
-	Type           RAIDType
 	Members        Span // window of Fleet.Members: the original members' disk IDs (replacements inherit the group)
-	ShelvesSpanned int
+	Type           RAIDType
+	ShelvesSpanned uint8
 }
 
 // System is one deployed storage system: a set of shelves, the disks in
 // them, RAID groups laid out across the shelves, and the network
-// configuration of its storage subsystem.
+// configuration of its storage subsystem. Its one-byte enums sit at the
+// tail, so the record is 88 bytes (TestDiskLayout).
 type System struct {
 	ID         int
-	Class      SystemClass
-	ShelfModel ShelfModel // every shelf of the system
-	DiskModel  DiskModel  // every disk of the system, replacements included (the Figure 5/6 grouping unit)
-	Paths      PathConfig
+	ShelfModel ShelfModel      // every shelf of the system
+	DiskModel  DiskModel       // every disk of the system, replacements included (the Figure 5/6 grouping unit)
 	Install    simtime.Seconds // deployment time
 	Shelves    Span            // fleet shelf IDs
 	RAIDGroups Span            // fleet RAID group IDs
@@ -251,6 +253,9 @@ type System struct {
 	// copied from the profile at build time so the simulator can apply
 	// it without re-resolving profiles.
 	ChurnPerDiskYear float64
+
+	Class SystemClass
+	Paths PathConfig
 }
 
 // ObservedYears returns how long the system was observed within the
@@ -292,6 +297,12 @@ func (f *Fleet) asBuilt() int {
 		return 0
 	}
 	return int(f.Shelves[len(f.Shelves)-1].Disks.Hi)
+}
+
+// ShelfIndex returns the shelf's position within its system, counted
+// from 0.
+func (f *Fleet) ShelfIndex(shelf int) int {
+	return shelf - int(f.Systems[f.Shelves[shelf].System].Shelves.Lo)
 }
 
 // NumDisks returns the number of disks ever installed in the fleet, the

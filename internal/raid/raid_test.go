@@ -46,8 +46,8 @@ func TestAnalyticMTTDLInvalid(t *testing.T) {
 func craftFleet(groupSize int, rt fleet.RAIDType) *fleet.Fleet {
 	f := &fleet.Fleet{}
 	all := fleet.Span{Lo: 0, Hi: int32(groupSize)}
-	shelf := fleet.Shelf{ID: 0, System: 0, Disks: all}
-	g := fleet.RAIDGroup{ID: 0, System: 0, Type: rt, Members: all, ShelvesSpanned: 1}
+	shelf := fleet.Shelf{System: 0, Disks: all}
+	g := fleet.RAIDGroup{System: 0, Type: rt, Members: all, ShelvesSpanned: 1}
 	for i := 0; i < groupSize; i++ {
 		f.Members = append(f.Members, int32(i))
 	}

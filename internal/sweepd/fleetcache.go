@@ -9,18 +9,17 @@ package sweepd
 // contract (TestFleetSourceCachedClones in internal/sweep pins the
 // sweep bytes under it). Memory is bounded by an LRU byte budget. An
 // entry keeps only its build's topology, but is charged what a fleet
-// holding a 20-byte as-built disk slab with one trial's replacement
-// room would cost (charge), about three times the topology, so a given
-// budget holds as many keys, and fills after as many builds, as a
-// cache of such fleets would, while the memory it holds is at most
-// about a third of the budget. Eviction drops the cache's reference
-// only: outstanding fleets keep the topology they share alive, and a
-// re-request rebuilds.
+// of the older, wider records holding a 20-byte as-built disk slab
+// with one trial's replacement room would cost (charge), nearly four
+// times the topology, so a given budget holds as many keys, and fills
+// after as many builds, as a cache of such fleets would, while the
+// memory it holds is about a quarter of the budget. Eviction drops the
+// cache's reference only: outstanding fleets keep the topology they
+// share alive, and a re-request rebuilds.
 
 import (
 	"container/list"
 	"sync"
-	"unsafe"
 
 	"storagesubsys/internal/fleet"
 	"storagesubsys/internal/sweep"
@@ -28,7 +27,7 @@ import (
 
 // DefaultCacheBytes is the fleet cache budget when Config.CacheBytes
 // is zero: 512 MiB, roughly 38 quarter-scale builds (each charged about
-// 13 MiB), of which the cache holds the topologies, about 4.7 MiB each.
+// 13 MiB), of which the cache holds the topologies, about 3.5 MiB each.
 const DefaultCacheBytes = 512 << 20
 
 // fleetCacheKey identifies one build: the topology key plus
@@ -111,13 +110,17 @@ func (c *FleetCache) Get(key sweep.FleetKey, seed int64, build func() *fleet.Fle
 	return f
 }
 
-// charge is what a build costs against the budget: its topology
-// slabs' capacities plus an as-built disk slab of 20-byte records with
-// room for one trial's replacements — the systems' expected churn plus
-// a sixteenth of the disks. That is what a build held when fleets
-// stored their disks, and keeping it holds the budget to the same
-// number of builds (TestFleetCacheChargePinned).
+// charge is what a build costs against the budget, priced at the
+// records fleets held when they stored their disks: 104 B per system,
+// 20 B per shelf, 32 B per RAID group and 4 B per member slot of the
+// topology slabs' capacities, plus an as-built disk slab of 20-byte
+// records with room for one trial's replacements — the systems'
+// expected churn plus a sixteenth of the disks. The prices are fixed,
+// so slimmer records shrink what a build holds but not what it is
+// charged, and the budget admits the same number of builds
+// (TestFleetCacheChargePinned).
 func charge(f *fleet.Fleet) int64 {
+	const system, shelf, group, member, disk = 104, 20, 32, 4, 20
 	disks := f.NumDisks()
 	churn := 0.0
 	for i := range f.Systems {
@@ -129,7 +132,8 @@ func charge(f *fleet.Fleet) int64 {
 		churn += float64(n) * s.ChurnPerDiskYear * s.ObservedYears()
 	}
 	slab := disks + int(churn) + disks/16
-	return int64(f.ApproxBytes() + slab*int(unsafe.Sizeof(fleet.Disk{})))
+	topology := cap(f.Systems)*system + cap(f.Shelves)*shelf + cap(f.Groups)*group + cap(f.Members)*member
+	return int64(topology + slab*disk)
 }
 
 // Stats snapshots the traffic counters.
