@@ -330,6 +330,26 @@ func TestBuildPanicsOnInstallOverflow(t *testing.T) {
 	})
 }
 
+// TestBuildPanicsOnWideSpan: a profile whose RAID span and shelf count
+// would let a group span more shelves than RAIDGroup's uint8
+// ShelvesSpanned holds is refused before anything is built, and the
+// widest span that fits builds.
+func TestBuildPanicsOnWideSpan(t *testing.T) {
+	wide := func(span int) []ClassProfile {
+		profiles := DefaultProfiles()[:1]
+		profiles[0].NumSystems = 1
+		profiles[0].ShelvesPerSystem = 200
+		profiles[0].SpanShelves = span
+		return profiles
+	}
+	if got := panicOf(func() { Build(wide(256), 1, 1) }); got != "fleet: RAID span exceeds the group record's uint8 ShelvesSpanned" {
+		t.Fatalf("a 256-shelf span panicked with %v, want the span panic", got)
+	}
+	if got := panicOf(func() { Build(wide(255), 1, 1) }); got != nil {
+		t.Fatalf("a 255-shelf span panicked with %v", got)
+	}
+}
+
 // TestLayoutPanicsPastItsWindow: a layout whose group window is one
 // short of the system's groups panics rather than letting append
 // regrow the window off the fleet's slab.

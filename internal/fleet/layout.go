@@ -56,8 +56,8 @@ func (b *builder) layoutRAIDGroups(sysID int, shelves Span, p *ClassProfile, r *
 		b.free = append(b.free, sh.Disks)
 	}
 
-	// Shelf positions wrap around the system with counters compared
-	// against nShelves, not a division per member and per window probe;
+	// Shelf positions wrap around the system by counters compared with
+	// nShelves, cheaper than a division per member and window probe;
 	// spanWidth <= nShelves, so one subtraction wraps any sum.
 	window := 0
 	for failedWindows := 0; failedWindows < nShelves; {
